@@ -20,7 +20,6 @@ from .gpis import (
     load_model,
     matern32,
     optimize_hyperparameters,
-    query,
     save_model,
 )
 from .metrics import EvalReport, align_clouds, chamfer, depth_mse, hausdorff, psnr
@@ -39,7 +38,6 @@ from .sdfrender import (
 )
 from .splat import (
     LossConfig,
-    Splat,
     SplatCloud,
     backproject_init,
     color_loss,

@@ -57,15 +57,6 @@ def transform_points(transform, points):
     return out[0] if single else out
 
 
-def rotate_vectors(transform, vectors):
-    """Apply only the rotational part of a transform (for directions/normals)."""
-    vecs = np.asarray(vectors, dtype=np.float64)
-    single = vecs.ndim == 1
-    vecs = np.atleast_2d(vecs)
-    out = vecs @ transform[:3, :3].T
-    return out[0] if single else out
-
-
 def is_rotation(mat, tol=ORTHONORMAL_TOL):
     mat = np.asarray(mat, dtype=np.float64)
     if mat.shape != (3, 3):

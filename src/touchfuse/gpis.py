@@ -301,11 +301,6 @@ def fit(cset: ConditioningSet, params: KernelParams, cap=DEFAULT_CAP) -> GPISMod
     return GPISModel(cset, params, factor, alpha, effective_noise)
 
 
-def query(model: GPISModel, points):
-    """Module-level alias of GPISModel.query."""
-    return model.query(points)
-
-
 def log_marginal_likelihood(model: GPISModel) -> float:
     centered = model.conditioning.targets - model.params.prior_mean
     n = len(model.conditioning)

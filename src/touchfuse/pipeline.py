@@ -1,16 +1,27 @@
 """Pipeline stages chaining simulate -> fit -> render -> align -> fuse ->
 init -> train -> eval over one scene configuration.
 
-Each stage reads files, writes files atomically, and is skipped on rerun
-when a manifest of content hashes proves its inputs, parameters and outputs
-are all unchanged. Artifact content never embeds absolute paths, so two runs
-of the same scene in different directories are byte-identical.
+One table, `STAGES`, names each stage once: its function, the config
+sections its parameters come from, and the path patterns it makes. A stage
+reads and writes every file through its `StageIO`, which records the paths,
+raises the missing-input error (naming the stage that makes the file), and
+refuses writes outside the stage's patterns. The manifest stores each
+stage's recorded inputs and outputs with their content hashes. A rerun
+skips a stage when its parameters are unchanged and every recorded input
+and output still hashes the same; each file is hashed at most once per run.
+
+Artifacts are written atomically and never embed absolute paths, so two
+runs of the same scene in different directories are byte-identical.
 """
 
+import fcntl
+import fnmatch
 import hashlib
 import json
 import math
 import os
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,17 +30,7 @@ from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
 from .config import AUTO, SceneConfig
 from .errors import DependencyError
 
-STAGE_ORDER = (
-    "simulate",
-    "gpis-fit",
-    "gpis-render",
-    "align",
-    "fuse",
-    "init-points",
-    "train",
-    "eval",
-)
-
+MANIFEST_VERSION = 2
 MONO_SCALE = 2.5
 MONO_OFFSET = 0.3
 LIGHT_DIR = np.array([0.4, -0.3, 0.9]) / np.linalg.norm([0.4, -0.3, 0.9])
@@ -47,18 +48,137 @@ def _out_path(cfg, *parts):
     return os.path.join(cfg.out, *parts)
 
 
-def _camera_views(cfg):
-    path = _dataset_path(cfg, "cameras.txt")
-    if not os.path.exists(path):
-        raise DependencyError("cameras.txt missing; run the simulate stage first")
-    return fileio.read_cameras(path)
+def _tagged(cfg, path):
+    for tag, root in (("dataset", cfg.dataset), ("out", cfg.out)):
+        root = os.path.abspath(root)
+        ap = os.path.abspath(path)
+        if ap.startswith(root + os.sep):
+            return f"{tag}:{os.path.relpath(ap, root)}"
+    return os.path.abspath(path)
 
 
-def _scene_record(cfg):
-    path = _dataset_path(cfg, "scene.cfg")
-    if not os.path.exists(path):
-        raise DependencyError("scene.cfg missing; run the simulate stage first")
-    return fileio.read_keyvalues(path)
+def _untagged(cfg, tagged):
+    tag, rel = tagged.split(":", 1)
+    return os.path.join(cfg.dataset if tag == "dataset" else cfg.out, rel)
+
+
+def _matching(pattern):
+    """Sorted paths in a directory whose names match the pattern's basename."""
+    directory, name = os.path.split(pattern)
+    if not os.path.isdir(directory):
+        return []
+    return [os.path.join(directory, f) for f in sorted(os.listdir(directory))
+            if fnmatch.fnmatchcase(f, name)]
+
+
+def _hash_bytes(blob):
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _hash_file(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()[:16]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table. `makes` holds the tagged path patterns
+    (`dataset:` or `out:` plus an fnmatch pattern) the stage may write."""
+
+    name: str
+    func: Callable
+    param_sections: tuple
+    makes: tuple
+
+    def produces(self, tagged):
+        return any(fnmatch.fnmatchcase(tagged, pattern) for pattern in self.makes)
+
+
+class StageIO:
+    """The files one stage reads and writes.
+
+    `read` and `glob` record inputs (a glob records its sorted match list,
+    so adding or removing a matching file changes it); `write` records
+    outputs. `digests` memoizes content hashes by tagged path and is shared
+    by every stage of one run_pipeline call. Without a stage, the context
+    only reads, for callers outside a run.
+    """
+
+    def __init__(self, cfg, stage=None, digests=None):
+        self.cfg = cfg
+        self.stage = stage
+        self.digests = {} if digests is None else digests
+        self.inputs = set()
+        self.outputs = set()
+
+    def read(self, reader, path, *args, **kwargs):
+        self._record_input(path, os.path.exists(path))
+        return reader(path, *args, **kwargs)
+
+    def glob(self, pattern):
+        paths = _matching(pattern)
+        self._record_input(pattern, paths)
+        return paths
+
+    def write(self, writer, path, *args):
+        tagged = _tagged(self.cfg, path)
+        if not self.stage.produces(tagged):
+            raise ValueError(f"stage {self.stage.name} does not make {tagged}")
+        writer(path, *args)
+        self.outputs.add(tagged)
+
+    def _record_input(self, path, found):
+        tagged = _tagged(self.cfg, path)
+        if not found:
+            producer = next(stage.name for stage in STAGES if stage.produces(tagged))
+            raise DependencyError(f"{tagged} missing; run the {producer} stage first")
+        self.inputs.add(tagged)
+
+    def digest(self, tagged):
+        """Content hash of a tagged file (of the match names for a pattern),
+        or None when it is missing."""
+        if tagged not in self.digests:
+            path = _untagged(self.cfg, tagged)
+            if "*" in tagged:
+                names = "\n".join(os.path.basename(p) for p in _matching(path))
+                self.digests[tagged] = _hash_bytes(names.encode())
+            else:
+                self.digests[tagged] = _hash_file(path) if os.path.exists(path) else None
+        return self.digests[tagged]
+
+    def params(self):
+        payload = {"seed": self.cfg.seed, "stage": self.stage.name}
+        for section in self.stage.param_sections:
+            payload[section] = {k: repr(v) for k, v in self.cfg.section(section).items()}
+        return _hash_bytes(json.dumps(payload, sort_keys=True).encode())
+
+    def can_skip(self, record):
+        if record is None or record["params"] != self.params() or not record["outputs"]:
+            return False
+        recorded = {**record["inputs"], **record["outputs"]}
+        return all(self.digest(tagged) == digest for tagged, digest in recorded.items())
+
+    def record(self):
+        """Manifest entry of the stage that just ran; forgets the digests of
+        every path it may have written or removed."""
+        for tagged in [t for t in self.digests if self.stage.produces(t)]:
+            del self.digests[tagged]
+        return {
+            "params": self.params(),
+            "inputs": {tagged: self.digest(tagged) for tagged in self.inputs},
+            "outputs": {tagged: self.digest(tagged) for tagged in self.outputs},
+        }
+
+
+def _camera_views(cfg, io):
+    return io.read(fileio.read_cameras, _dataset_path(cfg, "cameras.txt"))
+
+
+def _scene_record(cfg, io=None):
+    return (io or StageIO(cfg)).read(fileio.read_keyvalues, _dataset_path(cfg, "scene.cfg"))
 
 
 def _shape_from_record(record):
@@ -66,22 +186,8 @@ def _shape_from_record(record):
     return touchsim.AnalyticShape(record["shape"], size)
 
 
-def _touch_files(cfg):
-    directory = _dataset_path(cfg, "touches")
-    if not os.path.isdir(directory):
-        raise DependencyError("touch data missing; run the simulate stage first")
-    return [os.path.join(directory, name) for name in sorted(os.listdir(directory))
-            if name.endswith(".ply")]
-
-
-def _load_touches(cfg):
-    readings = []
-    for path in _touch_files(cfg):
-        points, normals = fileio.read_touch_ply(path)
-        readings.append(gpis.TouchReading(points, normals))
-    if not readings:
-        raise DependencyError("no touch files found; run the simulate stage first")
-    return readings
+def _background(record):
+    return tuple(float(t) for t in record["background_color"].split())
 
 
 def _bounding_radius(points):
@@ -118,21 +224,24 @@ def _march_params(cfg, radius):
 # stages
 # ---------------------------------------------------------------------------
 
-def stage_simulate(cfg: SceneConfig):
+def stage_simulate(cfg: SceneConfig, io: StageIO):
     sim = cfg.section("sim")
     shape = touchsim.AnalyticShape(sim["shape"], sim["size"])
     seed = cfg.seed
     for sub in ("touches", "sparse", "gt_depth", "rgb", "mono_depth"):
         os.makedirs(_dataset_path(cfg, sub), exist_ok=True)
+    # Touch files from an earlier run with more touches would otherwise
+    # stay behind and be fitted too.
+    for stale in _matching(_dataset_path(cfg, "touches", "*.ply")):
+        os.unlink(stale)
 
     noise = touchsim.NoiseModel(sim["touch_noise"], sim["normal_noise"], sim["sparse_noise"])
     touches = touchsim.sample_touches(
         shape, sim["touches"], sim["patch_radius"], sim["points_per_touch"], noise, seed=seed
     )
     for i, touch in enumerate(touches):
-        fileio.write_touch_ply(
-            _dataset_path(cfg, "touches", f"touch{i:03d}.ply"), touch.points, touch.normals
-        )
+        io.write(fileio.write_touch_ply, _dataset_path(cfg, "touches", f"touch{i:03d}.ply"),
+                 touch.points, touch.normals)
 
     width, height = sim["width"], sim["height"]
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
@@ -148,7 +257,7 @@ def stage_simulate(cfg: SceneConfig):
         pose = geometry.look_at(eye, np.zeros(3))
         cameras.append((name, sdfrender.CameraModel(
             sim["focal"], sim["focal"], cx, cy, width, height, pose)))
-    fileio.write_cameras(_dataset_path(cfg, "cameras.txt"), cameras)
+    io.write(fileio.write_cameras, _dataset_path(cfg, "cameras.txt"), cameras)
 
     object_color = np.asarray(sim["object_color"])
     background_color = np.asarray(sim["background_color"])
@@ -156,20 +265,20 @@ def stage_simulate(cfg: SceneConfig):
         gt_object = touchsim.render_gt_depth(shape, cam)
         scene_depth, rgb = _compose_scene(shape, cam, gt_object, sim["dome_radius"],
                                           object_color, background_color)
-        fileio.write_pfm(_dataset_path(cfg, "gt_depth", f"{name}.pfm"), scene_depth)
-        fileio.write_ppm(_dataset_path(cfg, "rgb", f"{name}.ppm"), rgb)
+        io.write(fileio.write_pfm, _dataset_path(cfg, "gt_depth", f"{name}.pfm"), scene_depth)
+        io.write(fileio.write_ppm, _dataset_path(cfg, "rgb", f"{name}.ppm"), rgb)
 
         # Synthetic monocular stand-in: the affine-inverted scene depth with
         # the object pushed back, mimicking a metrically wrong estimator.
         vision_depth = scene_depth + sim["vision_bias"] * gt_object.hit_mask
         raw = (vision_depth - MONO_OFFSET) / MONO_SCALE
-        fileio.write_pfm(_dataset_path(cfg, "mono_depth", f"{name}.pfm"), raw)
+        io.write(fileio.write_pfm, _dataset_path(cfg, "mono_depth", f"{name}.pfm"), raw)
 
         scene_image = sdfrender.DepthVarImage(scene_depth, np.zeros_like(scene_depth), cam)
         sparse = touchsim.make_sparse_depth(
             scene_image, sim["sparse_fraction"], noise, seed=seed + 1000 + i
         )
-        fileio.write_sparse_depth(_dataset_path(cfg, "sparse", f"{name}.txt"), sparse)
+        io.write(fileio.write_sparse_depth, _dataset_path(cfg, "sparse", f"{name}.txt"), sparse)
 
     record = {
         "shape": sim["shape"],
@@ -185,18 +294,13 @@ def stage_simulate(cfg: SceneConfig):
         "object_color": " ".join(f"{c:.17g}" for c in object_color),
         "background_color": " ".join(f"{c:.17g}" for c in background_color),
     }
-    fileio.write_keyvalues(_dataset_path(cfg, "scene.cfg"), record)
+    io.write(fileio.write_keyvalues, _dataset_path(cfg, "scene.cfg"), record)
 
 
 def _compose_scene(shape, camera, gt_object, dome_radius, object_color, background_color):
     """Scene depth = object where hit else enclosing dome; flat-shaded RGB."""
     h, w = camera.height, camera.width
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    d_cam = np.stack([(us - camera.cx) / camera.fx, (vs - camera.cy) / camera.fy,
-                      np.ones_like(us)], axis=-1).reshape(-1, 3)
-    norms = np.linalg.norm(d_cam, axis=1)
-    dirs = (d_cam / norms[:, None]) @ camera.rotation.T
-    axis_cos = 1.0 / norms
+    dirs, axis_cos = camera.pixel_rays()
 
     origin = camera.position
     b = dirs @ origin
@@ -211,10 +315,7 @@ def _compose_scene(shape, camera, gt_object, dome_radius, object_color, backgrou
     rgb[:] = background_color
     ys, xs = np.nonzero(hit)
     if xs.size:
-        d = gt_object.depth[ys, xs]
-        pts_cam = np.stack([(xs - camera.cx) / camera.fx * d,
-                            (ys - camera.cy) / camera.fy * d, d], axis=1)
-        pts = pts_cam @ camera.rotation.T + camera.position
+        pts = camera.backproject(xs, ys, gt_object.depth[ys, xs])
         normals = touchsim.sdf_gradient(shape, pts)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         shade = 0.25 + 0.75 * np.maximum(normals @ LIGHT_DIR, 0.0)
@@ -222,8 +323,9 @@ def _compose_scene(shape, camera, gt_object, dome_radius, object_color, backgrou
     return depth, rgb
 
 
-def stage_gpis_fit(cfg: SceneConfig):
-    touches = _load_touches(cfg)
+def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
+    touches = [gpis.TouchReading(*io.read(fileio.read_touch_ply, path))
+               for path in io.glob(_dataset_path(cfg, "touches", "*.ply"))]
     all_points = np.concatenate([t.points for t in touches])
     radius = _bounding_radius(all_points)
     cond = cfg.section("conditioning")
@@ -245,49 +347,34 @@ def stage_gpis_fit(cfg: SceneConfig):
             cap=cond["cap"],
         )
     model = gpis.fit(cset, params, cap=cond["cap"])
-    gpis.save_model(_out_path(cfg, "gpis.model"), model)
+    io.write(gpis.save_model, _out_path(cfg, "gpis.model"), model)
 
 
-def _load_model(cfg):
-    path = _out_path(cfg, "gpis.model")
-    if not os.path.exists(path):
-        raise DependencyError("gpis.model missing; run the gpis-fit stage first")
-    return gpis.load_model(path)
-
-
-def stage_gpis_render(cfg: SceneConfig):
-    model = _load_model(cfg)
+def stage_gpis_render(cfg: SceneConfig, io: StageIO):
+    model = io.read(gpis.load_model, _out_path(cfg, "gpis.model"))
     radius = _bounding_radius(model.conditioning.surface_points())
     params = _march_params(cfg, radius)
     sphere = sdfrender.bounding_sphere(
         model.conditioning, cfg.get("march", "margin"), min_radius=params.min_step
     )
-    for name, cam in _camera_views(cfg):
+    for name, cam in _camera_views(cfg, io):
         image = sdfrender.render_depth_variance(model, cam, params, sphere=sphere)
-        fileio.write_pfm(_out_path(cfg, f"{name}_gpis_depth.pfm"), image.depth)
-        fileio.write_pfm(_out_path(cfg, f"{name}_gpis_var.pfm"), image.variance)
+        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_gpis_depth.pfm"), image.depth)
+        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_gpis_var.pfm"), image.variance)
 
 
-def _load_depth_var(cfg, name, prefix):
-    depth_path = _out_path(cfg, f"{name}_{prefix}_depth.pfm")
-    var_path = _out_path(cfg, f"{name}_{prefix}_var.pfm")
-    stage = {"gpis": "gpis-render", "vision": "align", "fused": "fuse"}[prefix]
-    if not (os.path.exists(depth_path) and os.path.exists(var_path)):
-        raise DependencyError(f"{prefix} images for {name} missing; run the {stage} stage first")
-    return fileio.read_pfm(depth_path), fileio.read_pfm(var_path)
+def _load_depth_var(cfg, io, name, prefix):
+    return (io.read(fileio.read_pfm, _out_path(cfg, f"{name}_{prefix}_depth.pfm")),
+            io.read(fileio.read_pfm, _out_path(cfg, f"{name}_{prefix}_var.pfm")))
 
 
-def stage_align(cfg: SceneConfig):
+def stage_align(cfg: SceneConfig, io: StageIO):
     params = cfg.section("align")
-    for name, cam in _camera_views(cfg):
-        mono_path = _dataset_path(cfg, "mono_depth", f"{name}.pfm")
-        sparse_path = _dataset_path(cfg, "sparse", f"{name}.txt")
-        if not (os.path.exists(mono_path) and os.path.exists(sparse_path)):
-            raise DependencyError(f"monocular/sparse inputs for {name} missing; "
-                                  "run the simulate stage first")
-        raw = fileio.read_pfm(mono_path)
-        sparse = fileio.read_sparse_depth(sparse_path, source="synthetic")
-        g_depth, g_var = _load_depth_var(cfg, name, "gpis")
+    for name, cam in _camera_views(cfg, io):
+        raw = io.read(fileio.read_pfm, _dataset_path(cfg, "mono_depth", f"{name}.pfm"))
+        sparse = io.read(fileio.read_sparse_depth, _dataset_path(cfg, "sparse", f"{name}.txt"),
+                         source="synthetic")
+        g_depth, g_var = _load_depth_var(cfg, io, name, "gpis")
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
         aligned = align_mod.align_vision(
             raw, sparse, touch_img,
@@ -295,39 +382,40 @@ def stage_align(cfg: SceneConfig):
             slope=params["uncertainty_slope"],
             floor=params["uncertainty_floor"],
         )
-        fileio.write_pfm(_out_path(cfg, f"{name}_vision_depth.pfm"), aligned.depth)
-        fileio.write_pfm(_out_path(cfg, f"{name}_vision_var.pfm"), aligned.variance)
-        fileio.write_keyvalues(_out_path(cfg, f"{name}_align.txt"), {
+        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_vision_depth.pfm"), aligned.depth)
+        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_vision_var.pfm"), aligned.variance)
+        io.write(fileio.write_keyvalues, _out_path(cfg, f"{name}_align.txt"), {
             "s_star": f"{aligned.s_star:.17g}",
             "t_star": f"{aligned.t_star:.17g}",
             "t_gpis": f"{aligned.t_object:.17g}",
         })
 
 
-def stage_fuse(cfg: SceneConfig):
-    for name, cam in _camera_views(cfg):
-        v_depth, v_var = _load_depth_var(cfg, name, "vision")
-        g_depth, g_var = _load_depth_var(cfg, name, "gpis")
+def stage_fuse(cfg: SceneConfig, io: StageIO):
+    for name, cam in _camera_views(cfg, io):
+        v_depth, v_var = _load_depth_var(cfg, io, name, "vision")
+        g_depth, g_var = _load_depth_var(cfg, io, name, "gpis")
         vision = align_mod.AlignedVision(v_depth, v_var, 1.0, 0.0)
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
         fused = fuse.fuse_images(vision, touch_img)
-        fileio.write_pfm(_out_path(cfg, f"{name}_fused_depth.pfm"), fused.depth)
-        fileio.write_pfm(_out_path(cfg, f"{name}_fused_var.pfm"), fused.variance)
-        fileio.write_pgm(_out_path(cfg, f"{name}_provenance.pgm"), fused.provenance)
+        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_fused_depth.pfm"), fused.depth)
+        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_fused_var.pfm"), fused.variance)
+        io.write(fileio.write_pgm, _out_path(cfg, f"{name}_provenance.pgm"), fused.provenance)
 
 
-def stage_init_points(cfg: SceneConfig):
-    views = _camera_views(cfg)
+def _read_rgb(cfg, io, name):
+    return io.read(fileio.read_ppm, _dataset_path(cfg, "rgb", f"{name}.ppm"))
+
+
+def stage_init_points(cfg: SceneConfig, io: StageIO):
+    views = _camera_views(cfg, io)
     images = []
     colors = []
     for name, cam in views:
-        g_depth, g_var = _load_depth_var(cfg, name, "gpis")
+        g_depth, g_var = _load_depth_var(cfg, io, name, "gpis")
         image = sdfrender.DepthVarImage(g_depth, g_var, cam)
         images.append(image)
-        rgb_path = _dataset_path(cfg, "rgb", f"{name}.ppm")
-        if not os.path.exists(rgb_path):
-            raise DependencyError(f"rgb image for {name} missing; run the simulate stage first")
-        rgb = fileio.read_ppm(rgb_path)
+        rgb = _read_rgb(cfg, io, name)
         ys, xs = np.nonzero(image.hit_mask)
         colors.append(rgb[ys, xs])
     points = splat.backproject_init(images)
@@ -344,40 +432,23 @@ def stage_init_points(cfg: SceneConfig):
     median_depth = float(np.median(hit_depths)) if hit_depths.size else 1.0
     radius = _resolve(train["splat_radius"], 1.5 * median_depth / cam0.fx)
     logit = math.log(train["opacity"] / (1.0 - train["opacity"]))
-    record = _scene_record(cfg)
-    background = np.array([float(t) for t in record["background_color"].split()])
+    background = np.array(_background(_scene_record(cfg, io)))
     cloud = splat.SplatCloud(
         points, colors, np.full(points.shape[0], logit), np.full(points.shape[0], radius),
         background,
     )
-    fileio.write_splat_ply(_out_path(cfg, "init.ply"), cloud)
+    io.write(fileio.write_splat_ply, _out_path(cfg, "init.ply"), cloud)
 
 
-def _load_views_for_training(cfg):
+def stage_train(cfg: SceneConfig, io: StageIO):
+    cloud = io.read(fileio.read_splat_ply, _out_path(cfg, "init.ply"),
+                    background=_background(_scene_record(cfg, io)))
     views = []
-    for name, cam in _camera_views(cfg):
-        rgb_path = _dataset_path(cfg, "rgb", f"{name}.ppm")
-        if not os.path.exists(rgb_path):
-            raise DependencyError(f"rgb image for {name} missing; run the simulate stage first")
-        rgb = fileio.read_ppm(rgb_path)
-        f_depth, f_var = _load_depth_var(cfg, name, "fused")
-        prov_path = _out_path(cfg, f"{name}_provenance.pgm")
-        if not os.path.exists(prov_path):
-            raise DependencyError(f"provenance mask for {name} missing; run the fuse stage first")
-        provenance = fileio.read_pgm(prov_path)
-        fused = fuse.FusedSupervision(f_depth, f_var, provenance)
-        views.append((rgb, fused, cam))
-    return views
-
-
-def stage_train(cfg: SceneConfig):
-    init_path = _out_path(cfg, "init.ply")
-    if not os.path.exists(init_path):
-        raise DependencyError("init.ply missing; run the init-points stage first")
-    record = _scene_record(cfg)
-    background = tuple(float(t) for t in record["background_color"].split())
-    cloud = fileio.read_splat_ply(init_path, background=background)
-    views = _load_views_for_training(cfg)
+    for name, cam in _camera_views(cfg, io):
+        rgb = _read_rgb(cfg, io, name)
+        f_depth, f_var = _load_depth_var(cfg, io, name, "fused")
+        provenance = io.read(fileio.read_pgm, _out_path(cfg, f"{name}_provenance.pgm"))
+        views.append((rgb, fuse.FusedSupervision(f_depth, f_var, provenance), cam))
     loss_cfg = splat.LossConfig(
         cfg.get("loss", "depth_weight"),
         cfg.get("loss", "sharpness"),
@@ -390,36 +461,30 @@ def stage_train(cfg: SceneConfig):
         step=cfg.get("train", "step"),
         callback=lambda row: log_rows.append(row),
     )
-    fileio.write_splat_ply(_out_path(cfg, "splats.ply"), trained)
+    io.write(fileio.write_splat_ply, _out_path(cfg, "splats.ply"), trained)
     lines = ["iter,color_loss,depth_loss,lambda"]
     for row in log_rows:
         lines.append(f"{row['iter']},{row['color_loss']:.12g},"
                      f"{row['depth_loss']:.12g},{row['lam']:.12g}")
-    fileio.atomic_write_text(_out_path(cfg, "train_log.csv"), "\n".join(lines) + "\n")
+    io.write(fileio.atomic_write_text, _out_path(cfg, "train_log.csv"), "\n".join(lines) + "\n")
 
 
-def evaluate_scene(cfg: SceneConfig, cloud=None):
+def evaluate_scene(cfg: SceneConfig, cloud=None, io=None):
     """Compute the full metric report for the trained cloud."""
-    record = _scene_record(cfg)
+    io = io or StageIO(cfg)
+    record = _scene_record(cfg, io)
     shape = _shape_from_record(record)
     if cloud is None:
-        splat_path = _out_path(cfg, "splats.ply")
-        if not os.path.exists(splat_path):
-            raise DependencyError("splats.ply missing; run the train stage first")
-        background = tuple(float(t) for t in record["background_color"].split())
-        cloud = fileio.read_splat_ply(splat_path, background=background)
+        cloud = io.read(fileio.read_splat_ply, _out_path(cfg, "splats.ply"),
+                        background=_background(record))
 
     per_view = []
     sq_err_all = []
     sq_err_obj = []
     psnrs = []
-    for name, cam in _camera_views(cfg):
-        gt_depth_path = _dataset_path(cfg, "gt_depth", f"{name}.pfm")
-        rgb_path = _dataset_path(cfg, "rgb", f"{name}.ppm")
-        if not (os.path.exists(gt_depth_path) and os.path.exists(rgb_path)):
-            raise DependencyError(f"ground truth for {name} missing; run the simulate stage first")
-        gt_depth = fileio.read_pfm(gt_depth_path)
-        gt_rgb = fileio.read_ppm(rgb_path)
+    for name, cam in _camera_views(cfg, io):
+        gt_depth = io.read(fileio.read_pfm, _dataset_path(cfg, "gt_depth", f"{name}.pfm"))
+        gt_rgb = _read_rgb(cfg, io, name)
         gt_image = sdfrender.DepthVarImage(gt_depth, np.zeros_like(gt_depth), cam)
         object_mask = touchsim.render_gt_depth(shape, cam).hit_mask
 
@@ -450,168 +515,44 @@ def evaluate_scene(cfg: SceneConfig, cloud=None):
     return report
 
 
-def stage_eval(cfg: SceneConfig):
-    report = evaluate_scene(cfg)
-    fileio.atomic_write_text(_out_path(cfg, "eval_report.txt"), report.to_text())
-    fileio.atomic_write_text(_out_path(cfg, "eval_report.csv"), report.to_csv())
+def stage_eval(cfg: SceneConfig, io: StageIO):
+    report = evaluate_scene(cfg, io=io)
+    io.write(fileio.atomic_write_text, _out_path(cfg, "eval_report.txt"), report.to_text())
+    io.write(fileio.atomic_write_text, _out_path(cfg, "eval_report.csv"), report.to_csv())
 
 
-STAGE_FUNCS = {
-    "simulate": stage_simulate,
-    "gpis-fit": stage_gpis_fit,
-    "gpis-render": stage_gpis_render,
-    "align": stage_align,
-    "fuse": stage_fuse,
-    "init-points": stage_init_points,
-    "train": stage_train,
-    "eval": stage_eval,
-}
+STAGES = (
+    Stage("simulate", stage_simulate, ("sim",), (
+        "dataset:cameras.txt", "dataset:scene.cfg", "dataset:touches/*.ply",
+        "dataset:sparse/*.txt", "dataset:gt_depth/*.pfm", "dataset:rgb/*.ppm",
+        "dataset:mono_depth/*.pfm")),
+    Stage("gpis-fit", stage_gpis_fit, ("kernel", "conditioning"), ("out:gpis.model",)),
+    Stage("gpis-render", stage_gpis_render, ("march",), ("out:*_gpis_*.pfm",)),
+    Stage("align", stage_align, ("align",), ("out:*_vision_*.pfm", "out:*_align.txt")),
+    Stage("fuse", stage_fuse, (), ("out:*_fused_*.pfm", "out:*_provenance.pgm")),
+    Stage("init-points", stage_init_points, ("train",), ("out:init.ply",)),
+    Stage("train", stage_train, ("loss", "train"), ("out:splats.ply", "out:train_log.csv")),
+    Stage("eval", stage_eval, ("eval",), ("out:eval_report.*",)),
+)
+STAGE_ORDER = tuple(stage.name for stage in STAGES)
+# run_pipeline looks each function up here at call time, so a caller may
+# replace an entry (for example to trace the stage).
+STAGE_FUNCS = {stage.name: stage.func for stage in STAGES}
 
 
 # ---------------------------------------------------------------------------
-# manifest bookkeeping, locking, orchestration
+# manifest, locking, orchestration
 # ---------------------------------------------------------------------------
-
-def _hash_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()[:16]
-
-
-def _tagged(cfg, path):
-    for tag, root in (("dataset", cfg.dataset), ("out", cfg.out)):
-        root = os.path.abspath(root)
-        ap = os.path.abspath(path)
-        if ap.startswith(root + os.sep):
-            return f"{tag}:{os.path.relpath(ap, root)}"
-    return os.path.abspath(path)
-
-
-def _stage_inputs(cfg, stage):
-    """Existing files a stage consumes (tagged relative paths)."""
-    names = []
-    cams = _dataset_path(cfg, "cameras.txt")
-    if os.path.exists(cams):
-        names = [name for name, _ in fileio.read_cameras(cams)]
-    paths = []
-    if stage == "simulate":
-        return paths
-    if stage == "gpis-fit":
-        touch_dir = _dataset_path(cfg, "touches")
-        if os.path.isdir(touch_dir):
-            paths.extend(os.path.join(touch_dir, f) for f in sorted(os.listdir(touch_dir))
-                         if f.endswith(".ply"))
-        return paths
-    paths.append(cams)
-    if stage == "gpis-render":
-        paths.append(_out_path(cfg, "gpis.model"))
-    elif stage == "align":
-        for name in names:
-            paths.append(_dataset_path(cfg, "mono_depth", f"{name}.pfm"))
-            paths.append(_dataset_path(cfg, "sparse", f"{name}.txt"))
-            paths.append(_out_path(cfg, f"{name}_gpis_depth.pfm"))
-            paths.append(_out_path(cfg, f"{name}_gpis_var.pfm"))
-    elif stage == "fuse":
-        for name in names:
-            for prefix in ("gpis", "vision"):
-                paths.append(_out_path(cfg, f"{name}_{prefix}_depth.pfm"))
-                paths.append(_out_path(cfg, f"{name}_{prefix}_var.pfm"))
-    elif stage == "init-points":
-        paths.append(_dataset_path(cfg, "scene.cfg"))
-        for name in names:
-            paths.append(_out_path(cfg, f"{name}_gpis_depth.pfm"))
-            paths.append(_out_path(cfg, f"{name}_gpis_var.pfm"))
-            paths.append(_dataset_path(cfg, "rgb", f"{name}.ppm"))
-    elif stage == "train":
-        paths.append(_out_path(cfg, "init.ply"))
-        paths.append(_dataset_path(cfg, "scene.cfg"))
-        for name in names:
-            paths.append(_dataset_path(cfg, "rgb", f"{name}.ppm"))
-            paths.append(_out_path(cfg, f"{name}_fused_depth.pfm"))
-            paths.append(_out_path(cfg, f"{name}_fused_var.pfm"))
-            paths.append(_out_path(cfg, f"{name}_provenance.pgm"))
-    elif stage == "eval":
-        paths.append(_out_path(cfg, "splats.ply"))
-        paths.append(_dataset_path(cfg, "scene.cfg"))
-        for name in names:
-            paths.append(_dataset_path(cfg, "gt_depth", f"{name}.pfm"))
-            paths.append(_dataset_path(cfg, "rgb", f"{name}.ppm"))
-    return paths
-
-
-def _stage_outputs(cfg, stage):
-    names = []
-    cams = _dataset_path(cfg, "cameras.txt")
-    if os.path.exists(cams):
-        names = [name for name, _ in fileio.read_cameras(cams)]
-    out = []
-    if stage == "simulate":
-        out.append(_dataset_path(cfg, "cameras.txt"))
-        out.append(_dataset_path(cfg, "scene.cfg"))
-        touch_dir = _dataset_path(cfg, "touches")
-        if os.path.isdir(touch_dir):
-            out.extend(os.path.join(touch_dir, f) for f in sorted(os.listdir(touch_dir))
-                       if f.endswith(".ply"))
-        for name in names:
-            out.append(_dataset_path(cfg, "sparse", f"{name}.txt"))
-            out.append(_dataset_path(cfg, "gt_depth", f"{name}.pfm"))
-            out.append(_dataset_path(cfg, "rgb", f"{name}.ppm"))
-            out.append(_dataset_path(cfg, "mono_depth", f"{name}.pfm"))
-    elif stage == "gpis-fit":
-        out.append(_out_path(cfg, "gpis.model"))
-    elif stage == "gpis-render":
-        for name in names:
-            out.append(_out_path(cfg, f"{name}_gpis_depth.pfm"))
-            out.append(_out_path(cfg, f"{name}_gpis_var.pfm"))
-    elif stage == "align":
-        for name in names:
-            out.append(_out_path(cfg, f"{name}_vision_depth.pfm"))
-            out.append(_out_path(cfg, f"{name}_vision_var.pfm"))
-            out.append(_out_path(cfg, f"{name}_align.txt"))
-    elif stage == "fuse":
-        for name in names:
-            out.append(_out_path(cfg, f"{name}_fused_depth.pfm"))
-            out.append(_out_path(cfg, f"{name}_fused_var.pfm"))
-            out.append(_out_path(cfg, f"{name}_provenance.pgm"))
-    elif stage == "init-points":
-        out.append(_out_path(cfg, "init.ply"))
-    elif stage == "train":
-        out.append(_out_path(cfg, "splats.ply"))
-        out.append(_out_path(cfg, "train_log.csv"))
-    elif stage == "eval":
-        out.append(_out_path(cfg, "eval_report.txt"))
-        out.append(_out_path(cfg, "eval_report.csv"))
-    return out
-
-
-_STAGE_PARAM_SECTIONS = {
-    "simulate": ("sim",),
-    "gpis-fit": ("kernel", "conditioning"),
-    "gpis-render": ("march",),
-    "align": ("align",),
-    "fuse": (),
-    "init-points": ("train",),
-    "train": ("loss", "train"),
-    "eval": ("eval",),
-}
-
-
-def _params_hash(cfg, stage):
-    payload = {"seed": cfg.seed, "stage": stage}
-    for section in _STAGE_PARAM_SECTIONS[stage]:
-        payload[section] = {k: repr(v) for k, v in cfg.section(section).items()}
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
 
 def _load_manifest(cfg):
     path = _out_path(cfg, "manifest.json")
-    if not os.path.exists(path):
-        return {"version": 1, "stages": {}}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        # Records of another version may lack inputs this one checks.
+        if manifest.get("version") == MANIFEST_VERSION:
+            return manifest
+    return {"version": MANIFEST_VERSION, "stages": {}}
 
 
 def _save_manifest(cfg, manifest):
@@ -621,54 +562,25 @@ def _save_manifest(cfg, manifest):
     )
 
 
-def _stage_record(cfg, stage):
-    inputs = {_tagged(cfg, p): _hash_file(p) for p in _stage_inputs(cfg, stage)
-              if os.path.exists(p)}
-    outputs = {_tagged(cfg, p): _hash_file(p) for p in _stage_outputs(cfg, stage)
-               if os.path.exists(p)}
-    return {"params": _params_hash(cfg, stage), "inputs": inputs, "outputs": outputs}
-
-
-def _can_skip(cfg, stage, manifest):
-    record = manifest["stages"].get(stage)
-    if record is None:
-        return False
-    current_inputs = {_tagged(cfg, p): _hash_file(p) for p in _stage_inputs(cfg, stage)
-                      if os.path.exists(p)}
-    if record["params"] != _params_hash(cfg, stage):
-        return False
-    if record["inputs"] != current_inputs:
-        return False
-    for tagged, digest in record["outputs"].items():
-        tag, rel = tagged.split(":", 1)
-        root = cfg.dataset if tag == "dataset" else cfg.out
-        path = os.path.join(root, rel)
-        if not os.path.exists(path) or _hash_file(path) != digest:
-            return False
-    return bool(record["outputs"])
-
-
 class PipelineLock:
-    """One pipeline process per output directory."""
+    """One pipeline process per output directory: an exclusive flock on the
+    directory itself, which the OS drops when the holder exits or dies."""
 
     def __init__(self, out_dir):
-        self.path = os.path.join(out_dir, ".lock")
+        self.out_dir = out_dir
         self.fd = None
 
     def __enter__(self):
+        self.fd = os.open(self.out_dir, os.O_RDONLY)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"output directory is locked by another run ({self.path}); "
-                "remove the lock file if that run is dead"
-            )
-        os.write(self.fd, str(os.getpid()).encode())
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
+            raise RuntimeError(f"output directory {self.out_dir} is locked by another run")
         return self
 
     def __exit__(self, *exc):
         os.close(self.fd)
-        os.unlink(self.path)
         return False
 
 
@@ -677,22 +589,24 @@ def run_pipeline(cfg: SceneConfig, stages=None):
 
     Returns {stage: "ran" | "skipped"} for the requested stages.
     """
-    if stages is None:
-        stages = STAGE_ORDER
-    unknown = set(stages) - set(STAGE_ORDER)
+    wanted = set(STAGE_ORDER if stages is None else stages)
+    unknown = wanted - set(STAGE_ORDER)
     if unknown:
         raise ValueError(f"unknown stages: {sorted(unknown)}")
-    ordered = [s for s in STAGE_ORDER if s in set(stages)]
     os.makedirs(cfg.out, exist_ok=True)
     status = {}
     with PipelineLock(cfg.out):
         manifest = _load_manifest(cfg)
-        for stage in ordered:
-            if _can_skip(cfg, stage, manifest):
-                status[stage] = "skipped"
+        digests = {}
+        for stage in STAGES:
+            if stage.name not in wanted:
                 continue
-            STAGE_FUNCS[stage](cfg)
-            manifest["stages"][stage] = _stage_record(cfg, stage)
+            io = StageIO(cfg, stage, digests)
+            if io.can_skip(manifest["stages"].get(stage.name)):
+                status[stage.name] = "skipped"
+                continue
+            STAGE_FUNCS[stage.name](cfg, io)
+            manifest["stages"][stage.name] = io.record()
             _save_manifest(cfg, manifest)
-            status[stage] = "ran"
+            status[stage.name] = "ran"
     return status

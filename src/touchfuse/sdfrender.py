@@ -48,6 +48,27 @@ class CameraModel:
     def rotation(self):
         return self.pose[:3, :3]
 
+    def pixel_rays(self):
+        """World-frame unit directions through every pixel, row-major, and
+        each direction's cosine to the optical axis (z-depth = t * axis_cos)."""
+        us, vs = np.meshgrid(
+            np.arange(self.width, dtype=np.float64),
+            np.arange(self.height, dtype=np.float64),
+        )
+        d_cam = np.stack(
+            [(us - self.cx) / self.fx, (vs - self.cy) / self.fy, np.ones_like(us)],
+            axis=-1,
+        ).reshape(-1, 3)
+        norms = np.linalg.norm(d_cam, axis=1)
+        return (d_cam / norms[:, None]) @ self.rotation.T, 1.0 / norms
+
+    def backproject(self, xs, ys, depth):
+        """World points of pixels (xs, ys) at the given z-depths."""
+        pts_cam = np.stack(
+            [(xs - self.cx) / self.fx * depth, (ys - self.cy) / self.fy * depth, depth], axis=1
+        )
+        return pts_cam @ self.rotation.T + self.position
+
 
 @dataclass(frozen=True)
 class Ray:
@@ -225,17 +246,7 @@ def render_depth_variance(model, camera: CameraModel, params: MarchParams,
     if sphere is None:
         sphere = bounding_sphere(model.conditioning, margin_frac, min_radius=params.min_step)
 
-    us, vs = np.meshgrid(
-        np.arange(camera.width, dtype=np.float64),
-        np.arange(camera.height, dtype=np.float64),
-    )
-    d_cam = np.stack(
-        [(us - camera.cx) / camera.fx, (vs - camera.cy) / camera.fy, np.ones_like(us)],
-        axis=-1,
-    ).reshape(-1, 3)
-    norms = np.linalg.norm(d_cam, axis=1)
-    dirs = (d_cam / norms[:, None]) @ camera.rotation.T
-    axis_cos = 1.0 / norms
+    dirs, axis_cos = camera.pixel_rays()
 
     offset = camera.position - sphere.center
     b = dirs @ offset

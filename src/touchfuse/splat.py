@@ -26,14 +26,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-@dataclass(frozen=True)
-class Splat:
-    position: np.ndarray
-    color: np.ndarray
-    opacity_logit: float
-    radius: float
-
-
 @dataclass
 class SplatCloud:
     """Struct-of-arrays splat set plus a background color."""
@@ -74,16 +66,6 @@ class SplatCloud:
             np.all(np.isfinite(self.positions))
             and np.all(np.isfinite(self.colors))
             and np.all(np.isfinite(self.opacity_logits))
-        )
-
-    @classmethod
-    def from_splats(cls, splats, background=(0.0, 0.0, 0.0)):
-        return cls(
-            np.array([s.position for s in splats], dtype=np.float64),
-            np.array([s.color for s in splats], dtype=np.float64),
-            np.array([s.opacity_logit for s in splats], dtype=np.float64),
-            np.array([s.radius for s in splats], dtype=np.float64),
-            np.asarray(background, dtype=np.float64),
         )
 
 
@@ -263,15 +245,10 @@ def backproject_init(images):
         raise ValueError("need at least one depth image")
     clouds = []
     for img in images:
-        cam = img.camera
         ys, xs = np.nonzero(img.hit_mask)
         if xs.size == 0:
             continue
-        d = img.depth[ys, xs]
-        pts_cam = np.stack(
-            [(xs - cam.cx) / cam.fx * d, (ys - cam.cy) / cam.fy * d, d], axis=1
-        )
-        clouds.append(pts_cam @ cam.rotation.T + cam.position)
+        clouds.append(img.camera.backproject(xs, ys, img.depth[ys, xs]))
     if not clouds:
         warnings.warn("all depth images are empty; returning an empty cloud")
         return np.empty((0, 3))

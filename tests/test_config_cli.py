@@ -1,11 +1,15 @@
+import fcntl
+import json
 import os
+import shutil
 
 import pytest
 
+from touchfuse import fileio
 from touchfuse.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, main
 from touchfuse.config import parse_config_text, validate_config
 from touchfuse.errors import ConfigError, DependencyError
-from touchfuse.pipeline import run_pipeline
+from touchfuse.pipeline import STAGE_ORDER, STAGES, StageIO, run_pipeline
 
 MINIMAL = """
 [scene]
@@ -96,10 +100,36 @@ class TestPipelineOrchestration:
     def test_lock_conflict(self, tmp_path):
         cfg = validate_config(write_config(tmp_path))
         os.makedirs(cfg.out, exist_ok=True)
+        fd = os.open(cfg.out, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(RuntimeError, match="locked"):
+                run_pipeline(cfg, ["simulate"])
+        finally:
+            os.close(fd)
+
+    def test_stage_writes_only_what_its_table_entry_makes(self, tmp_path):
+        cfg = validate_config(write_config(tmp_path))
+        io = StageIO(cfg, STAGES[STAGE_ORDER.index("fuse")])
+        with pytest.raises(ValueError, match="does not make out:init.ply"):
+            io.write(fileio.write_keyvalues, os.path.join(cfg.out, "init.ply"), {})
+
+    def test_leftover_lock_file_does_not_block(self, tmp_path):
+        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
+                              require_dataset=False)
+        os.makedirs(cfg.out, exist_ok=True)
         with open(os.path.join(cfg.out, ".lock"), "w") as fh:
             fh.write("1")
-        with pytest.raises(RuntimeError, match="locked"):
-            run_pipeline(cfg, ["simulate"])
+        assert run_pipeline(cfg, ["simulate"]) == {"simulate": "ran"}
+
+    def test_fewer_touches_removes_stale_touch_files(self, tmp_path):
+        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
+                              require_dataset=False)
+        run_pipeline(cfg, ["simulate"])
+        cfg.override("sim", "touches", 6)
+        run_pipeline(cfg, ["simulate"])
+        assert sorted(os.listdir(os.path.join(cfg.dataset, "touches"))) == [
+            f"touch{i:03d}.ply" for i in range(6)]
 
 
 SMALL_SCENE = """
@@ -188,3 +218,72 @@ class TestCLI:
         assert main(["pipeline", "--config", str(path),
                      "--stages", "simulate,gpis-fit"]) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestSkipRules:
+    """What a rerun re-executes after one input, parameter or output changes."""
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pristine")
+        cfg = validate_config(write_config(root, SMALL_SCENE, make_dataset=False),
+                              require_dataset=False)
+        assert set(run_pipeline(cfg).values()) == {"ran"}
+        return root
+
+    @pytest.fixture
+    def built(self, pristine, tmp_path):
+        """A copy of one finished run; its manifest holds no absolute path."""
+        for name in ("data", "out"):
+            shutil.copytree(pristine / name, tmp_path / name)
+        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False))
+        assert set(run_pipeline(cfg).values()) == {"skipped"}
+        return cfg
+
+    @staticmethod
+    def ran(status):
+        return [stage for stage, state in status.items() if state == "ran"]
+
+    def test_edited_mono_depth_reruns_its_consumers(self, built):
+        path = os.path.join(built.dataset, "mono_depth", "view000.pfm")
+        fileio.write_pfm(path, fileio.read_pfm(path) * 1.05)
+        status = run_pipeline(built, STAGE_ORDER[1:])
+        assert self.ran(status) == ["align", "fuse", "train", "eval"]
+
+    def test_edited_simulate_output_reruns_simulate(self, built):
+        path = os.path.join(built.dataset, "mono_depth", "view000.pfm")
+        original = open(path, "rb").read()
+        fileio.write_pfm(path, fileio.read_pfm(path) * 1.05)
+        assert self.ran(run_pipeline(built)) == ["simulate"]
+        assert open(path, "rb").read() == original
+
+    def test_deleted_init_ply_reruns_init_points(self, built):
+        os.unlink(os.path.join(built.out, "init.ply"))
+        assert self.ran(run_pipeline(built)) == ["init-points"]
+
+    def test_march_max_steps_reruns_gpis_render_only(self, built):
+        built.override("march", "max_steps", 199)
+        status = run_pipeline(built)
+        assert status["gpis-fit"] == "skipped"
+        assert status["gpis-render"] == "ran"
+
+    def test_added_touch_file_reruns_gpis_fit(self, built):
+        touches = os.path.join(built.dataset, "touches")
+        shutil.copy(os.path.join(touches, "touch000.ply"), os.path.join(touches, "extra.ply"))
+        status = run_pipeline(built)
+        assert status["simulate"] == "skipped"
+        assert status["gpis-fit"] == "ran"
+
+    def test_removed_touch_file_reruns_gpis_fit(self, built):
+        os.unlink(os.path.join(built.dataset, "touches", "touch011.ply"))
+        status = run_pipeline(built, STAGE_ORDER[1:])
+        assert status["gpis-fit"] == "ran"
+
+    def test_manifest_of_another_version_reruns_every_stage(self, built):
+        path = os.path.join(built.out, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["version"] = 1
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        assert set(run_pipeline(built).values()) == {"ran"}

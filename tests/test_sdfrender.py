@@ -60,6 +60,19 @@ class TestCameraAndRays:
             moved = generate_ray(cam_rot, px).direction
             np.testing.assert_allclose(moved, rot @ base, atol=1e-12)
 
+    def test_pixel_rays_and_backproject_match_scalar_rays(self):
+        rot = rotation_about_axis([0.2, 0.9, -0.1], 0.7)
+        cam = simple_camera(width=9, height=7, fx=6.0, pose=make_transform(rot, [0.3, -0.2, 1.0]))
+        dirs, axis_cos = cam.pixel_rays()
+        assert dirs.shape == (63, 3) and axis_cos.shape == (63,)
+        for y in range(cam.height):
+            for x in range(cam.width):
+                ray = generate_ray(cam, (float(x), float(y)))
+                i = y * cam.width + x
+                np.testing.assert_allclose(dirs[i], ray.direction, atol=1e-15)
+                lifted = cam.backproject(np.array([x]), np.array([y]), 2.0 * axis_cos[i:i + 1])
+                np.testing.assert_allclose(lifted[0], ray.point_at(2.0), atol=1e-12)
+
     def test_out_of_bounds_pixel_rejected(self):
         cam = simple_camera()
         with pytest.raises(ValueError):
