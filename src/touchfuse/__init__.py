@@ -8,7 +8,7 @@ with an uncertainty-weighted depth loss on a small point-blend renderer.
 __version__ = "0.1.0"
 
 from .align import AlignedVision, SparseDepth, align_object_offset, align_scale_offset, align_vision, vision_uncertainty
-from .errors import ConfigError, DependencyError, NumericalError
+from .errors import ConfigError, DependencyError, FormatError, LockedError, NumericalError
 from .fuse import FusedSupervision, fuse_images, fuse_pixel
 from .gpis import (
     ConditioningSet,

@@ -1,20 +1,29 @@
 """Command-line interface: one subcommand per pipeline stage plus `pipeline`.
 
-Exit codes: 0 success, 2 configuration error, 3 missing stage dependency,
-4 numerical failure.
+Exit codes:
+
+- 0 success;
+- 2 configuration error;
+- 3 missing stage dependency;
+- 4 numerical failure;
+- 5 another run holds the output directory's lock;
+- 6 malformed input file (PFM/PGM/PPM, PLY, camera list, sparse depth,
+  GPIS model) or corrupt `manifest.json`.
 """
 
 import argparse
 import sys
 
 from .config import validate_config
-from .errors import ConfigError, DependencyError, NumericalError
+from .errors import ConfigError, DependencyError, FormatError, LockedError, NumericalError
 from .pipeline import STAGE_ORDER, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEPENDENCY = 3
 EXIT_NUMERICAL = 4
+EXIT_LOCKED = 5
+EXIT_FORMAT = 6
 
 
 def build_parser():
@@ -66,6 +75,12 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except LockedError as exc:
+        print(f"locked: {exc}", file=sys.stderr)
+        return EXIT_LOCKED
+    except FormatError as exc:
+        print(f"malformed file: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
 
     for stage in STAGE_ORDER:
         if stage in status:

@@ -2,7 +2,8 @@
 point sets, camera lists, sparse depth tables and key=value manifests.
 
 Every write goes through a temp-file + rename so partially written artifacts
-never appear under their final name.
+never appear under their final name. Every reader raises FormatError (a
+ValueError) on a malformed file.
 """
 
 import os
@@ -11,6 +12,7 @@ import tempfile
 import numpy as np
 
 from .align import SparseDepth
+from .errors import reads_format
 from .sdfrender import CameraModel
 from .splat import SplatCloud
 
@@ -45,6 +47,7 @@ def write_pfm(path, image):
     atomic_write_bytes(path, header + image[::-1].astype("<f4").tobytes())
 
 
+@reads_format
 def read_pfm(path):
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"Pf":
@@ -68,6 +71,7 @@ def write_pgm(path, image):
     atomic_write_bytes(path, header + image.tobytes())
 
 
+@reads_format
 def read_pgm(path):
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -89,6 +93,7 @@ def write_ppm(path, image):
     atomic_write_bytes(path, header + quantized.tobytes())
 
 
+@reads_format
 def read_ppm(path):
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -150,6 +155,7 @@ def _read_ply_rows(path, expected_props):
     return rows
 
 
+@reads_format
 def read_touch_ply(path):
     """Read one touch file; returns (points, normals)."""
     rows = _read_ply_rows(path, ("x", "y", "z", "nx", "ny", "nz"))
@@ -183,6 +189,7 @@ def write_splat_ply(path, cloud: SplatCloud):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@reads_format
 def read_splat_ply(path, background=(0.0, 0.0, 0.0)) -> SplatCloud:
     rows = _read_ply_rows(path, ("x", "y", "z", "r", "g", "b", "opacity", "radius"))
     alphas = np.clip(rows[:, 6], 1e-12, 1.0 - 1e-12)
@@ -206,6 +213,7 @@ def write_cameras(path, views):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@reads_format
 def read_cameras(path):
     views = []
     name = None
@@ -253,6 +261,7 @@ def write_sparse_depth(path, sparse: SparseDepth):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@reads_format
 def read_sparse_depth(path, source="sensor") -> SparseDepth:
     rows = np.loadtxt(path, dtype=np.float64, ndmin=2)
     return SparseDepth(rows[:, :2].astype(np.int64), rows[:, 2], source=source)
@@ -263,6 +272,7 @@ def write_keyvalues(path, mapping):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@reads_format
 def read_keyvalues(path):
     out = {}
     with open(path, "r", encoding="utf-8") as fh:

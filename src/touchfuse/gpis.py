@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.spatial import cKDTree
 
-from .errors import NumericalError
+from .errors import NumericalError, reads_format
 
 LABEL_SURFACE = 0
 LABEL_INSIDE = 1
@@ -25,6 +25,7 @@ JITTER_START_FRAC = 1e-6
 JITTER_STOP_FRAC = 1e-2
 UNIT_NORMAL_TOL = 1e-6
 VARIANCE_FLOOR_FRAC = 1e-12
+KERNEL_CHUNK_BYTES = 2 ** 20
 
 MODEL_MAGIC = b"GPIS"
 MODEL_VERSION = 1
@@ -147,7 +148,7 @@ class GPISModel:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if not np.all(np.isfinite(pts)):
             raise ValueError("query points must be finite")
-        cross = matern32(_pairwise_distances(pts, self.conditioning.locations), self.params)
+        cross = _kernel_block(pts, self.conditioning.locations, self.params)
         # einsum keeps each row's reduction order independent of batch size,
         # so marching a ray alone or with thousands of others gives the same bits.
         mean = self.params.prior_mean + np.einsum("nm,m->n", cross, self.alpha)
@@ -159,14 +160,48 @@ def matern32(distance, params: KernelParams):
     d = np.asarray(distance, dtype=np.float64)
     if np.any(d < 0.0):
         raise ValueError("distance must be nonnegative")
-    scaled = (np.sqrt(3.0) / params.length_scale) * d
-    out = params.output_scale ** 2 * (1.0 + scaled) * np.exp(-scaled)
+    out = d.copy()
+    _matern32_inplace(out, params, np.empty_like(out))
     return float(out) if np.isscalar(distance) or out.ndim == 0 else out
 
 
-def _pairwise_distances(a, b):
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def _matern32_inplace(d, params, scratch):
+    """Overwrite the distances `d` with matern32(d); `scratch` has d's shape."""
+    d *= np.sqrt(3.0) / params.length_scale
+    np.negative(d, out=scratch)
+    np.exp(scratch, out=scratch)
+    d += 1.0
+    d *= params.output_scale ** 2
+    d *= scratch
+
+
+def _kernel_block(a, b, params):
+    """Matern-3/2 covariance between the rows of a (N, 3) and b (M, 3).
+
+    The (N, M) result is filled in chunks of rows of about KERNEL_CHUNK_BYTES
+    each, so no (N, M, 3) difference tensor and no N x M temporary exists.
+    Each row depends only on its own query point, whatever the chunking.
+    """
+    out = np.empty((a.shape[0], b.shape[0]))
+    cols = np.ascontiguousarray(b.T)
+    rows = max(1, KERNEL_CHUNK_BYTES // (8 * max(1, b.shape[0])))
+    scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    for start in range(0, a.shape[0], rows):
+        chunk = a[start:start + rows]
+        block = out[start:start + rows]
+        tmp = scratch[:chunk.shape[0]]
+        # Squared distance summed as (dx^2 + dz^2) + dy^2: the order
+        # np.einsum("ijk,ijk->ij") uses over three axes, so the kernel keeps
+        # the bits of the dense formula and model files stay byte-identical.
+        np.subtract.outer(chunk[:, 0], cols[0], out=block)
+        block *= block
+        for axis in (2, 1):
+            np.subtract.outer(chunk[:, axis], cols[axis], out=tmp)
+            tmp *= tmp
+            block += tmp
+        np.sqrt(block, out=block)
+        _matern32_inplace(block, params, tmp)
+    return out
 
 
 def _voxel_downsample(points, normals, pitch):
@@ -259,16 +294,25 @@ def build_conditioning_set(touches, surface_offset, interior_offset, n_slices=8,
 
 
 def _factorize(gram, noise, output_scale):
-    """Cholesky with jitter escalation; returns (factor, effective_noise)."""
+    """Cholesky with jitter escalation; returns (factor, effective_noise).
+
+    Each attempt copies `gram` into one reused buffer, adds the noise to its
+    diagonal and factorizes it in place. The Gram matrix is exactly
+    symmetric, so the buffer's transpose is the same matrix in the Fortran
+    order LAPACK works in, and potrf needs no copy of its own.
+    """
     jitters = [0.0]
     j = JITTER_START_FRAC * output_scale ** 2
     while j <= JITTER_STOP_FRAC * output_scale ** 2 * (1.0 + 1e-12):
         jitters.append(j)
         j *= 10.0
-    n = gram.shape[0]
+    work = np.empty_like(gram)
+    diagonal = np.diag_indices(gram.shape[0])
     for jitter in jitters:
+        np.copyto(work, gram)
+        work[diagonal] += noise + jitter
         try:
-            factor = cholesky(gram + (noise + jitter) * np.eye(n), lower=True, check_finite=False)
+            factor = cholesky(work.T, lower=True, overwrite_a=True, check_finite=False)
             return factor, noise + jitter
         except np.linalg.LinAlgError:
             continue
@@ -289,7 +333,7 @@ def fit(cset: ConditioningSet, params: KernelParams, cap=DEFAULT_CAP) -> GPISMod
             f"conditioning set has {len(cset)} points, cap is {cap}; "
             "use a coarser voxel pitch"
         )
-    gram = matern32(_pairwise_distances(cset.locations, cset.locations), params)
+    gram = _kernel_block(cset.locations, cset.locations, params)
     factor, effective_noise = _factorize(gram, params.noise, params.output_scale)
     centered = cset.targets - params.prior_mean
     alpha = solve_triangular(
@@ -358,6 +402,7 @@ def save_model(path, model: GPISModel):
     atomic_write_bytes(path, b"".join(parts))
 
 
+@reads_format
 def load_model(path) -> GPISModel:
     with open(path, "rb") as fh:
         blob = fh.read()

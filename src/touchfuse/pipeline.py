@@ -28,7 +28,7 @@ import numpy as np
 from . import align as align_mod
 from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
 from .config import AUTO, SceneConfig
-from .errors import DependencyError
+from .errors import DependencyError, FormatError, LockedError
 
 MANIFEST_VERSION = 2
 MONO_SCALE = 2.5
@@ -547,8 +547,12 @@ STAGE_FUNCS = {stage.name: stage.func for stage in STAGES}
 def _load_manifest(cfg):
     path = _out_path(cfg, "manifest.json")
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path}: corrupt manifest ({exc}); "
+                              "delete it to rerun every stage") from exc
         # Records of another version may lack inputs this one checks.
         if manifest.get("version") == MANIFEST_VERSION:
             return manifest
@@ -576,7 +580,7 @@ class PipelineLock:
             fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             os.close(self.fd)
-            raise RuntimeError(f"output directory {self.out_dir} is locked by another run")
+            raise LockedError(f"output directory {self.out_dir} is locked by another run")
         return self
 
     def __exit__(self, *exc):

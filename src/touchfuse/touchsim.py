@@ -122,14 +122,19 @@ def _project_to_surface(shape, points):
     return points - sdf[:, None] * grad
 
 
+def _surface_from_directions(shape, directions):
+    # Start on the bounding sphere along each (N, 3) unit direction, then
+    # project onto the surface.
+    pts = shape.pose[:3, 3] + directions * shape.bounding_radius()
+    for _ in range(8):
+        pts = _project_to_surface(shape, pts)
+    return pts
+
+
 def _random_surface_point(shape, rng):
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    start = shape.pose[:3, 3] + direction * shape.bounding_radius()
-    pt = start[None, :]
-    for _ in range(8):
-        pt = _project_to_surface(shape, pt)
-    return pt[0]
+    return _surface_from_directions(shape, direction[None, :])[0]
 
 
 def sample_touches(shape: AnalyticShape, n_touches, patch_radius, points_per_touch,
@@ -214,6 +219,17 @@ def make_sparse_depth(gt: DepthVarImage, fraction, noise: NoiseModel = NoiseMode
 
 
 def surface_points(shape: AnalyticShape, count, seed=0):
-    """Uniform-ish random points on the shape surface (for evaluation clouds)."""
+    """Uniform-ish random points on the shape surface (for evaluation clouds).
+
+    Projects all points at once. For an unposed shape the result is bit for
+    bit that of `count` calls of `_random_surface_point` on one generator:
+    the (count, 3) normal draw is the same stream as `count` draws of 3, and
+    each direction is normalised with the same 1-D norm. With a posed shape,
+    the batched (count, 3) @ (3, 3) transform rounds differently from the
+    per-point (1, 3) @ (3, 3) one, and points differ by about 1e-10.
+    """
     rng = np.random.default_rng(seed)
-    return np.array([_random_surface_point(shape, rng) for _ in range(count)])
+    directions = rng.normal(size=(count, 3))
+    for row in directions:
+        row /= np.linalg.norm(row)
+    return _surface_from_directions(shape, directions)

@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from touchfuse import fileio
-from touchfuse.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, main
+from touchfuse.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED, EXIT_OK, main
 from touchfuse.config import parse_config_text, validate_config
 from touchfuse.errors import ConfigError, DependencyError
 from touchfuse.pipeline import STAGE_ORDER, STAGES, StageIO, run_pipeline
@@ -220,25 +220,58 @@ class TestCLI:
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pristine")
+    cfg = validate_config(write_config(root, SMALL_SCENE, make_dataset=False),
+                          require_dataset=False)
+    assert set(run_pipeline(cfg).values()) == {"ran"}
+    return root
+
+
+@pytest.fixture
+def built(pristine, tmp_path):
+    """A copy of one finished run; its manifest holds no absolute path."""
+    for name in ("data", "out"):
+        shutil.copytree(pristine / name, tmp_path / name)
+    cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False))
+    assert set(run_pipeline(cfg).values()) == {"skipped"}
+    return cfg
+
+
+class TestExitCodes:
+    """Failures that used to escape main() as tracebacks with exit code 1."""
+
+    def test_locked_output_directory(self, built, tmp_path, capsys):
+        fd = os.open(built.out, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main(["eval", "--config", str(tmp_path / "scene.cfg")]) == EXIT_LOCKED
+        finally:
+            os.close(fd)
+        assert "locked" in capsys.readouterr().err
+
+    def test_corrupt_manifest(self, built, tmp_path, capsys):
+        with open(os.path.join(built.out, "manifest.json"), "w", encoding="utf-8") as fh:
+            fh.write('{"version": 2, "stages": {')
+        assert main(["pipeline", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, stage", [
+        ("data/touches/touch000.ply", "gpis-fit"),
+        ("out/gpis.model", "gpis-render"),
+        ("out/view000_gpis_depth.pfm", "fuse"),
+    ])
+    def test_malformed_input_file(self, built, tmp_path, capsys, path, stage):
+        blob = (tmp_path / path).read_bytes()
+        (tmp_path / path).write_bytes(blob[: len(blob) // 2])
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and os.path.basename(path) in err
+
+
 class TestSkipRules:
     """What a rerun re-executes after one input, parameter or output changes."""
-
-    @pytest.fixture(scope="class")
-    def pristine(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("pristine")
-        cfg = validate_config(write_config(root, SMALL_SCENE, make_dataset=False),
-                              require_dataset=False)
-        assert set(run_pipeline(cfg).values()) == {"ran"}
-        return root
-
-    @pytest.fixture
-    def built(self, pristine, tmp_path):
-        """A copy of one finished run; its manifest holds no absolute path."""
-        for name in ("data", "out"):
-            shutil.copytree(pristine / name, tmp_path / name)
-        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False))
-        assert set(run_pipeline(cfg).values()) == {"skipped"}
-        return cfg
 
     @staticmethod
     def ran(status):

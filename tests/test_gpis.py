@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
-from touchfuse import fileio
+from touchfuse import fileio, gpis
 from touchfuse.errors import NumericalError
 from touchfuse.geometry import rotation_about_axis, make_transform, transform_points
 from touchfuse.gpis import (
+    JITTER_START_FRAC,
+    JITTER_STOP_FRAC,
+    KERNEL_CHUNK_BYTES,
     LABEL_INTERIOR,
     LABEL_SURFACE,
     ConditioningSet,
@@ -42,6 +48,95 @@ def dense_gp_oracle(locations, targets, params, query_pts):
         "ij,ij->i", cross, np.linalg.solve(gram, cross.T).T
     )
     return mean, var
+
+
+def dense_pairwise_distances(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def dense_kernel(a, b, params):
+    """The Matern-3/2 Gram block through an (N, M, 3) difference tensor."""
+    scaled = (np.sqrt(3.0) / params.length_scale) * dense_pairwise_distances(a, b)
+    return params.output_scale ** 2 * (1.0 + scaled) * np.exp(-scaled)
+
+
+def dense_fit(locations, targets, params):
+    """fit() on the dense Gram matrix with a fresh regularized copy per
+    jitter level; returns (factor, alpha, effective_noise)."""
+    gram = dense_kernel(locations, locations, params)
+    s2 = params.output_scale ** 2
+    jitters = [0.0]
+    j = JITTER_START_FRAC * s2
+    while j <= JITTER_STOP_FRAC * s2 * (1.0 + 1e-12):
+        jitters.append(j)
+        j *= 10.0
+    for jitter in jitters:
+        noise = params.noise + jitter
+        try:
+            factor = cholesky(gram + noise * np.eye(len(locations)), lower=True,
+                              check_finite=False)
+        except np.linalg.LinAlgError:
+            continue
+        centered = targets - params.prior_mean
+        alpha = solve_triangular(
+            factor.T, solve_triangular(factor, centered, lower=True, check_finite=False),
+            lower=False, check_finite=False)
+        return factor, alpha, noise
+    raise AssertionError("dense oracle failed to factorize")
+
+
+class TestKernelBlock:
+    """The chunked kernel gives the dense formula's bits at every chunk edge."""
+
+    M = 700
+    ROWS = KERNEL_CHUNK_BYTES // (8 * M)
+
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+    def test_equals_dense_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(scale=0.4, size=(n, 3))
+        b = rng.normal(scale=0.4, size=(self.M, 3))
+        params = KernelParams(0.3, 0.7)
+        got = gpis._kernel_block(a, b, params)
+        np.testing.assert_array_equal(got, dense_kernel(a, b, params))
+        np.testing.assert_array_equal(got, matern32(dense_pairwise_distances(a, b), params))
+
+
+class TestFitExactness:
+    def test_factor_and_alpha_equal_dense_path(self):
+        cset = build_conditioning_set(sphere_touches(200, seed=4), 0.05, 0.02)
+        params = KernelParams(0.4, 0.8, 1e-6, prior_mean=0.01)
+        model = fit(cset, params)
+        factor, alpha, noise = dense_fit(cset.locations, cset.targets, params)
+        np.testing.assert_array_equal(model.factor, factor)
+        np.testing.assert_array_equal(model.alpha, alpha)
+        assert model.effective_noise == noise
+
+    def test_jitter_escalation_equals_dense_path(self):
+        locs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        cset = ConditioningSet(locs, [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
+        params = KernelParams(0.5, 1.0, 0.0)
+        model = fit(cset, params)
+        factor, alpha, noise = dense_fit(cset.locations, cset.targets, params)
+        assert model.effective_noise == noise > 0.0
+        np.testing.assert_array_equal(model.factor, factor)
+        np.testing.assert_array_equal(model.alpha, alpha)
+
+    def test_fit_peak_memory_is_bounded(self):
+        # The Gram matrix plus the factor's buffer: an (n, n, 3) difference
+        # tensor or per-attempt regularized copies would exceed the bound.
+        n = 1500
+        rng = np.random.default_rng(9)
+        cset = ConditioningSet(rng.normal(scale=0.3, size=(n, 3)), rng.normal(size=n),
+                               np.zeros(n, dtype=np.int8))
+        tracemalloc.start()
+        try:
+            fit(cset, KernelParams(0.3, 0.7, 1e-6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
 
 
 class TestMatern:

@@ -7,6 +7,7 @@ from touchfuse.geometry import look_at, make_transform, rotation_about_axis
 from touchfuse.sdfrender import CameraModel
 from touchfuse.touchsim import (
     AnalyticShape,
+    _random_surface_point,
     NoiseModel,
     analytic_sdf,
     make_sparse_depth,
@@ -196,3 +197,15 @@ def test_surface_points_on_surface():
     pts = surface_points(torus, 200, seed=2)
     sdf = analytic_sdf(torus, pts)
     assert np.max(np.abs(sdf)) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [
+    AnalyticShape("sphere", (1.0,)),
+    AnalyticShape("box", (0.5, 0.3, 0.2)),
+    AnalyticShape("torus", (1.0, 0.35)),
+], ids=lambda s: s.kind)
+def test_surface_points_match_one_point_at_a_time(shape):
+    # Oracle: one direction draw and eight projections per point, in turn.
+    rng = np.random.default_rng(5)
+    expected = np.array([_random_surface_point(shape, rng) for _ in range(300)])
+    np.testing.assert_array_equal(surface_points(shape, 300, seed=5), expected)
