@@ -109,24 +109,23 @@ def read_ppm(path):
 # ASCII PLY
 # ---------------------------------------------------------------------------
 
-def write_touch_ply(path, points, normals):
-    points = np.atleast_2d(points)
-    normals = np.atleast_2d(normals)
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {points.shape[0]}",
-        "property float64 x",
-        "property float64 y",
-        "property float64 z",
-        "property float64 nx",
-        "property float64 ny",
-        "property float64 nz",
-        "end_header",
-    ]
-    for p, n in zip(points, normals):
-        lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}")
+_TOUCH_PROPS = ("x", "y", "z", "nx", "ny", "nz")
+_SPLAT_PROPS = ("x", "y", "z", "r", "g", "b", "opacity", "radius")
+
+
+def _write_ply_rows(path, props, rows):
+    """Write one float64 vertex property per column of `rows`, each value
+    as %.17g so that _read_ply_rows gets the same bits back."""
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(rows)}"]
+    lines += [f"property float64 {name}" for name in props]
+    lines.append("end_header")
+    lines += [" ".join(f"{x:.17g}" for x in row) for row in rows.tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_touch_ply(path, points, normals):
+    _write_ply_rows(path, _TOUCH_PROPS,
+                    np.hstack([np.atleast_2d(points), np.atleast_2d(normals)]))
 
 
 def _read_ply_rows(path, expected_props):
@@ -158,40 +157,18 @@ def _read_ply_rows(path, expected_props):
 @reads_format
 def read_touch_ply(path):
     """Read one touch file; returns (points, normals)."""
-    rows = _read_ply_rows(path, ("x", "y", "z", "nx", "ny", "nz"))
+    rows = _read_ply_rows(path, _TOUCH_PROPS)
     return rows[:, :3], rows[:, 3:6]
 
 
 def write_splat_ply(path, cloud: SplatCloud):
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float64 x",
-        "property float64 y",
-        "property float64 z",
-        "property float64 r",
-        "property float64 g",
-        "property float64 b",
-        "property float64 opacity",
-        "property float64 radius",
-        "end_header",
-    ]
-    alphas = cloud.opacities
-    for i in range(len(cloud)):
-        p = cloud.positions[i]
-        c = cloud.colors[i]
-        lines.append(
-            f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} "
-            f"{c[0]:.17g} {c[1]:.17g} {c[2]:.17g} "
-            f"{alphas[i]:.17g} {cloud.radii[i]:.17g}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_ply_rows(path, _SPLAT_PROPS, np.column_stack(
+        [cloud.positions, cloud.colors, cloud.opacities, cloud.radii]))
 
 
 @reads_format
 def read_splat_ply(path, background=(0.0, 0.0, 0.0)) -> SplatCloud:
-    rows = _read_ply_rows(path, ("x", "y", "z", "r", "g", "b", "opacity", "radius"))
+    rows = _read_ply_rows(path, _SPLAT_PROPS)
     alphas = np.clip(rows[:, 6], 1e-12, 1.0 - 1e-12)
     logits = np.log(alphas / (1.0 - alphas))
     return SplatCloud(rows[:, :3], rows[:, 3:6], logits, rows[:, 7], np.asarray(background))

@@ -28,7 +28,7 @@ VARIANCE_FLOOR_FRAC = 1e-12
 KERNEL_CHUNK_BYTES = 2 ** 20
 
 MODEL_MAGIC = b"GPIS"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -333,6 +333,12 @@ def fit(cset: ConditioningSet, params: KernelParams, cap=DEFAULT_CAP) -> GPISMod
             f"conditioning set has {len(cset)} points, cap is {cap}; "
             "use a coarser voxel pitch"
         )
+    return _condition(cset, params)
+
+
+def _condition(cset, params):
+    """`fit` past its checks on the set: the Gram build, the factorization
+    and the alpha solves. load_model refits a saved set through it."""
     gram = _kernel_block(cset.locations, cset.locations, params)
     factor, effective_noise = _factorize(gram, params.noise, params.output_scale)
     centered = cset.targets - params.prior_mean
@@ -354,48 +360,42 @@ def log_marginal_likelihood(model: GPISModel) -> float:
 
 
 def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean=0.0,
-                             cap=DEFAULT_CAP) -> KernelParams:
-    """Pick the (length_scale, output_scale) grid member maximizing the log
-    marginal likelihood; ties break toward the smallest length scale, then
-    the smallest output scale."""
+                             cap=DEFAULT_CAP) -> GPISModel:
+    """Fit every (length_scale, output_scale) grid member and return the
+    model maximizing the log marginal likelihood; ties break toward the
+    smallest length scale, then the smallest output scale."""
     if not grid:
         raise ValueError("hyperparameter grid is empty")
     best = None
     for rho, sigma in grid:
-        candidate = KernelParams(rho, sigma, noise, prior_mean)
         try:
-            lml = log_marginal_likelihood(fit(cset, candidate, cap=cap))
+            model = fit(cset, KernelParams(rho, sigma, noise, prior_mean), cap=cap)
         except NumericalError:
             continue
-        key = (-lml, rho, sigma)
+        key = (-log_marginal_likelihood(model), rho, sigma)
         if best is None or key < best[0]:
-            best = (key, candidate)
+            best = (key, model)
+        # Drop a losing candidate before the next fit, so the search holds
+        # at most the best model next to the fit in progress.
+        del model
     if best is None:
         raise NumericalError("every hyperparameter candidate failed to factorize")
     return best[1]
 
 
 def save_model(path, model: GPISModel):
-    """Serialize a model: magic, version u32, then little-endian f64 arrays
-    (locations, targets, params, factor)."""
-    n = len(model.conditioning)
+    """Serialize what a model is computed from: magic, version u32, n u32,
+    little-endian f64 locations, targets and the four kernel parameters,
+    then the n labels as bytes. load_model refits the rest."""
+    cset, params = model.conditioning, model.params
     parts = [
         MODEL_MAGIC,
-        np.uint32(MODEL_VERSION).astype("<u4").tobytes(),
-        np.uint32(n).astype("<u4").tobytes(),
-        model.conditioning.locations.astype("<f8").tobytes(),
-        model.conditioning.targets.astype("<f8").tobytes(),
-        np.array(
-            [
-                model.params.length_scale,
-                model.params.output_scale,
-                model.params.noise,
-                model.params.prior_mean,
-                model.effective_noise,
-            ],
-            dtype="<f8",
-        ).tobytes(),
-        model.factor.astype("<f8").tobytes(),
+        np.array([MODEL_VERSION, len(cset)], dtype="<u4").tobytes(),
+        cset.locations.astype("<f8").tobytes(),
+        cset.targets.astype("<f8").tobytes(),
+        np.array([params.length_scale, params.output_scale, params.noise, params.prior_mean],
+                 dtype="<f8").tobytes(),
+        cset.labels.astype("<i1").tobytes(),
     ]
     from .fileio import atomic_write_bytes
 
@@ -404,6 +404,8 @@ def save_model(path, model: GPISModel):
 
 @reads_format
 def load_model(path) -> GPISModel:
+    """Read a model file and refit it. The jitter escalation replays, so the
+    factor equals the fitted one bit for bit at the same BLAS thread count."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MODEL_MAGIC:
@@ -412,31 +414,14 @@ def load_model(path) -> GPISModel:
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported GPIS model version {version}")
     n = int(np.frombuffer(blob, dtype="<u4", count=1, offset=8)[0])
-    expected = 12 + 8 * (3 * n + n + 5 + n * n)
+    expected = 12 + 8 * (4 * n + 4) + n
     if len(blob) != expected:
         raise ValueError(f"GPIS model file truncated: {len(blob)} bytes, expected {expected}")
-    offset = 12
-    locations = np.frombuffer(blob, dtype="<f8", count=3 * n, offset=offset).reshape(n, 3).copy()
-    offset += 3 * n * 8
-    targets = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).copy()
-    offset += n * 8
-    raw = np.frombuffer(blob, dtype="<f8", count=5, offset=offset)
-    offset += 5 * 8
-    factor = np.frombuffer(blob, dtype="<f8", count=n * n, offset=offset).reshape(n, n).copy()
-
-    # Labels are not part of the file format; recover them from the targets
-    # (interior centroids are indistinguishable from inside points, which is
-    # fine since downstream consumers only rely on the surface label).
-    labels = np.where(
-        targets == 0.0, LABEL_SURFACE, np.where(targets > 0.0, LABEL_OUTSIDE, LABEL_INSIDE)
-    ).astype(np.int8)
-    cset = ConditioningSet(locations, targets, labels)
-    params = KernelParams(raw[0], raw[1], raw[2], raw[3])
-    centered = targets - params.prior_mean
-    alpha = solve_triangular(
-        factor.T,
-        solve_triangular(factor, centered, lower=True, check_finite=False),
-        lower=False,
-        check_finite=False,
-    )
-    return GPISModel(cset, params, factor, alpha, float(raw[4]))
+    values = np.frombuffer(blob, dtype="<f8", count=4 * n + 4, offset=12).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("GPIS model file holds a non-finite value")
+    labels = np.frombuffer(blob, dtype="<i1", count=n, offset=12 + 8 * (4 * n + 4))
+    if np.any((labels < LABEL_SURFACE) | (labels > LABEL_INTERIOR)):
+        raise ValueError("GPIS model file holds an unknown point label")
+    cset = ConditioningSet(values[:3 * n].reshape(n, 3), values[3 * n:4 * n], labels)
+    return _condition(cset, KernelParams(*values[4 * n:]))

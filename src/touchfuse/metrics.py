@@ -19,11 +19,6 @@ class EvalReport:
     hausdorff: float
     per_view: list = field(default_factory=list)
 
-    def rows(self):
-        out = [("all", self.psnr, self.d_mse, self.d_mse_o)]
-        out.extend(self.per_view)
-        return out
-
     def to_text(self):
         lines = [
             f"psnr_db      {self.psnr:.6g}",

@@ -30,7 +30,7 @@ from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
 from .config import AUTO, SceneConfig
 from .errors import DependencyError, FormatError, LockedError
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 MONO_SCALE = 2.5
 MONO_OFFSET = 0.3
 LIGHT_DIR = np.array([0.4, -0.3, 0.9]) / np.linalg.norm([0.4, -0.3, 0.9])
@@ -339,14 +339,15 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     params = _kernel_params(cfg, radius)
     grid = cfg.get("kernel", "rho_grid")
     if grid:
-        params = gpis.optimize_hyperparameters(
+        model = gpis.optimize_hyperparameters(
             cset,
             [(rho, params.output_scale) for rho in grid],
             noise=params.noise,
             prior_mean=params.prior_mean,
             cap=cond["cap"],
         )
-    model = gpis.fit(cset, params, cap=cond["cap"])
+    else:
+        model = gpis.fit(cset, params, cap=cond["cap"])
     io.write(gpis.save_model, _out_path(cfg, "gpis.model"), model)
 
 
@@ -553,7 +554,8 @@ def _load_manifest(cfg):
         except ValueError as exc:
             raise FormatError(f"{path}: corrupt manifest ({exc}); "
                               "delete it to rerun every stage") from exc
-        # Records of another version may lack inputs this one checks.
+        # Records of another version may lack inputs this one checks, or
+        # vouch for files (such as gpis.model) in a format this one cannot read.
         if manifest.get("version") == MANIFEST_VERSION:
             return manifest
     return {"version": MANIFEST_VERSION, "stages": {}}

@@ -188,13 +188,12 @@ def sphere_prefilter(ray: Ray, sphere: BoundingSphere):
 def march(model, ray: Ray, params: MarchParams, window):
     """Sphere-trace one ray; returns (t_hit, variance, steps) or None.
 
-    `model` needs query(points) -> (mean, variance) and may provide
-    query_mean(points); the GPIS model and the analytic-shape adapters in
-    the simulator both qualify.
+    `model` needs query(points) -> (mean, variance) and query_mean(points);
+    the GPIS model and the analytic-shape adapters in the simulator both
+    qualify.
     """
     if window is None:
         return None
-    mean_fn = getattr(model, "query_mean", None) or (lambda p: model.query(p)[0])
     t_enter, t_exit = window
     t_stop = min(t_exit, params.t_max)
     if t_enter > t_stop:
@@ -202,7 +201,7 @@ def march(model, ray: Ray, params: MarchParams, window):
     t = float(t_enter)
     steps = 0
     while steps < params.max_steps:
-        sdf = float(mean_fn(ray.point_at(t)[None, :])[0])
+        sdf = float(model.query_mean(ray.point_at(t)[None, :])[0])
         steps += 1
         if sdf < params.hit_tol:
             variance = float(model.query(ray.point_at(t)[None, :])[1][0])
@@ -216,7 +215,6 @@ def march(model, ray: Ray, params: MarchParams, window):
 def _march_batch(model, origins, dirs, t_enter, t_stop, params: MarchParams):
     """Vectorized march over many rays; per-ray arithmetic matches march()."""
     n = origins.shape[0]
-    mean_fn = getattr(model, "query_mean", None) or (lambda p: model.query(p)[0])
     t = t_enter.astype(np.float64).copy()
     hit = np.zeros(n, dtype=bool)
     active = t <= t_stop
@@ -225,7 +223,7 @@ def _march_batch(model, origins, dirs, t_enter, t_stop, params: MarchParams):
         if idx.size == 0:
             break
         pos = origins[idx] + t[idx, None] * dirs[idx]
-        sdf = mean_fn(pos)
+        sdf = model.query_mean(pos)
         newly_hit = sdf < params.hit_tol
         hit_idx = idx[newly_hit]
         hit[hit_idx] = True

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 
 from touchfuse import fileio, gpis
-from touchfuse.errors import NumericalError
+from touchfuse.errors import FormatError, NumericalError
 from touchfuse.geometry import rotation_about_axis, make_transform, transform_points
 from touchfuse.gpis import (
     JITTER_START_FRAC,
@@ -346,8 +346,8 @@ class TestFitAndQuery:
 class TestHyperparameterSearch:
     def test_singleton_grid(self):
         cset = build_conditioning_set(sphere_touches(10, seed=1), 0.05, 0.02)
-        params = optimize_hyperparameters(cset, [(0.7, 1.1)])
-        assert (params.length_scale, params.output_scale) == (0.7, 1.1)
+        pick = optimize_hyperparameters(cset, [(0.7, 1.1)])
+        assert (pick.params.length_scale, pick.params.output_scale) == (0.7, 1.1)
 
     def test_recovers_known_length_scale(self):
         # Monte-Carlo oracle: draw targets from a GP with known length scale
@@ -365,7 +365,7 @@ class TestHyperparameterSearch:
             targets = np.linalg.cholesky(gram) @ rng.normal(size=80)
             cset = ConditioningSet(locs, targets, np.zeros(80, np.int8))
             pick = optimize_hyperparameters(cset, [(r, 1.0) for r in grid_rhos], noise=1e-6)
-            if abs(grid_rhos.index(pick.length_scale) - true_idx) <= 1:
+            if abs(grid_rhos.index(pick.params.length_scale) - true_idx) <= 1:
                 hits += 1
         assert hits >= 8
 
@@ -379,7 +379,7 @@ class TestHyperparameterSearch:
             lmls.append(log_marginal_likelihood(model))
         best = max(lmls)
         contenders = [g for g, l in zip(grid, lmls) if l == best]
-        assert (pick.length_scale, pick.output_scale) == min(contenders)
+        assert (pick.params.length_scale, pick.params.output_scale) == min(contenders)
 
     def test_empty_grid_rejected(self):
         cset = ConditioningSet([[0, 0, 0]], [0.0], [0])
@@ -389,25 +389,51 @@ class TestHyperparameterSearch:
 
 class TestPersistence:
     def test_model_round_trip(self, tmp_path):
-        cset = build_conditioning_set(sphere_touches(20, seed=6), 0.05, 0.02)
-        model = fit(cset, KernelParams(0.4, 0.8, 1e-6, prior_mean=0.2))
-        path = tmp_path / "sphere.gpis"
-        save_model(path, model)
-        loaded = load_model(path)
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(-1.5, 1.5, size=(30, 3))
-        m1, v1 = model.query(pts)
-        m2, v2 = loaded.query(pts)
-        np.testing.assert_allclose(m1, m2, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v1, v2, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(
-            loaded.conditioning.surface_points(), cset.surface_points()
-        )
+        sphere = build_conditioning_set(sphere_touches(20, seed=6), 0.05, 0.02)
+        assert np.any(sphere.labels == LABEL_INTERIOR)
+        # The second set is test_jitter_escalation_equals_dense_path's: its
+        # refit has to replay the jitter escalation.
+        duplicates = ConditioningSet([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                     [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
+        for name, cset, params in [
+            ("sphere", sphere, KernelParams(0.4, 0.8, 1e-6, prior_mean=0.2)),
+            ("duplicates", duplicates, KernelParams(0.5, 1.0, 0.0)),
+        ]:
+            model = fit(cset, params)
+            path = tmp_path / f"{name}.gpis"
+            save_model(path, model)
+            # Header, then per point 4 floats and a label byte, then 4 params.
+            n = len(cset)
+            assert path.stat().st_size == 12 + 8 * (4 * n + 4) + n
+            loaded = load_model(path)
+            rng = np.random.default_rng(2)
+            pts = rng.uniform(-1.5, 1.5, size=(30, 3))
+            m1, v1 = model.query(pts)
+            m2, v2 = loaded.query(pts)
+            np.testing.assert_allclose(m1, m2, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v1, v2, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(
+                loaded.conditioning.surface_points(), cset.surface_points()
+            )
+            np.testing.assert_array_equal(loaded.factor, model.factor)
+            np.testing.assert_array_equal(loaded.alpha, model.alpha)
+            assert loaded.effective_noise == model.effective_noise
+            np.testing.assert_array_equal(loaded.conditioning.labels, cset.labels)
+            assert loaded.params == model.params
+        assert model.effective_noise > 0.0  # the duplicates' fit did escalate
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.gpis"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="GPIS"):
+            load_model(path)
+
+    def test_version_1_model_rejected(self, tmp_path):
+        # A version-1 file (which held the dense factor) from before the
+        # format stored only what the model is fitted from.
+        path = tmp_path / "old.gpis"
+        path.write_bytes(b"GPIS" + np.array([1, 1], dtype="<u4").tobytes() + b"\x00" * 72)
+        with pytest.raises(FormatError, match="version 1"):
             load_model(path)
 
     def test_touch_ply_round_trip(self, tmp_path):
