@@ -97,20 +97,28 @@ class Stage:
         return any(fnmatch.fnmatchcase(tagged, pattern) for pattern in self.makes)
 
 
+def _producer(tagged):
+    return next(stage.name for stage in STAGES if stage.produces(tagged))
+
+
 class StageIO:
     """The files one stage reads and writes.
 
     `read` and `glob` record inputs (a glob records its sorted match list,
     so adding or removing a matching file changes it); `write` records
     outputs. `digests` memoizes content hashes by tagged path and is shared
-    by every stage of one run_pipeline call. Without a stage, the context
-    only reads, for callers outside a run.
+    by every stage of one run_pipeline call. `recorded` is that call's live
+    map of manifest stage records: an `out:` input whose producing stage
+    has no record there (say, a file left by a run of another manifest
+    version) counts as missing. Without a stage, the context only reads,
+    for callers outside a run.
     """
 
-    def __init__(self, cfg, stage=None, digests=None):
+    def __init__(self, cfg, stage=None, digests=None, recorded=None):
         self.cfg = cfg
         self.stage = stage
         self.digests = {} if digests is None else digests
+        self.recorded = recorded
         self.inputs = set()
         self.outputs = set()
 
@@ -133,8 +141,12 @@ class StageIO:
     def _record_input(self, path, found):
         tagged = _tagged(self.cfg, path)
         if not found:
-            producer = next(stage.name for stage in STAGES if stage.produces(tagged))
-            raise DependencyError(f"{tagged} missing; run the {producer} stage first")
+            raise DependencyError(f"{tagged} missing; run the {_producer(tagged)} stage first")
+        if self.recorded is not None and tagged.startswith("out:"):
+            producer = _producer(tagged)
+            if producer not in self.recorded:
+                raise DependencyError(f"{tagged} has no manifest record of the {producer} "
+                                      f"stage; run the {producer} stage first")
         self.inputs.add(tagged)
 
     def digest(self, tagged):
@@ -607,7 +619,7 @@ def run_pipeline(cfg: SceneConfig, stages=None):
         for stage in STAGES:
             if stage.name not in wanted:
                 continue
-            io = StageIO(cfg, stage, digests)
+            io = StageIO(cfg, stage, digests, manifest["stages"])
             if io.can_skip(manifest["stages"].get(stage.name)):
                 status[stage.name] = "skipped"
                 continue

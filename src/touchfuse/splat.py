@@ -132,74 +132,98 @@ def footprint_pairs(cloud: SplatCloud, camera: CameraModel):
 
     Returns (pix, sid, z) arrays where pix is the linear pixel index; this
     is the exact per-pixel ordered splat list the renderer composites.
+
+    Each splat's candidate pixels are the square of half-width
+    ceil(max(rx, ry) + 0.5) around its rounded centre, which holds every
+    covered pixel since |ix - round(u)| <= rx + 0.5. Splats are bucketed by
+    that reach, so one candidate grid is built per distinct reach. Pairs are
+    ordered by the single key pix * n_valid + depth rank, where the depth
+    rank orders valid splats by (z, index); the keys are unique, so ties in
+    z fall back to the splat index.
     """
     u, v, z, rx, ry, valid = _project(cloud, camera)
     idx = np.flatnonzero(valid)
     if idx.size == 0:
         return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-    reach = int(np.ceil(np.max(np.maximum(rx[idx], ry[idx])) + 0.5))
-    span = np.arange(-reach, reach + 1)
-    dx, dy = np.meshgrid(span, span)
-    dx, dy = dx.ravel(), dy.ravel()
+    reach = np.ceil(np.maximum(rx[idx], ry[idx]) + 0.5).astype(np.int64)
+    pix_parts, sid_parts = [], []
+    for r in np.unique(reach):
+        ids = idx[reach == r]
+        span = np.arange(-r, r + 1)
+        # (splat, row, column) axes: each per-axis term is computed once per
+        # row or column and broadcast over the square.
+        ix = np.round(u[ids]).astype(np.int64)[:, None, None] + span[None, None, :]
+        iy = np.round(v[ids]).astype(np.int64)[:, None, None] + span[None, :, None]
+        fx_ratio = (ix - u[ids, None, None]) / rx[ids, None, None]
+        fy_ratio = (iy - v[ids, None, None]) / ry[ids, None, None]
+        covered = (
+            (fx_ratio ** 2 + fy_ratio ** 2 <= 1.0)
+            & (ix >= 0) & (ix < camera.width)
+            & (iy >= 0) & (iy < camera.height)
+        )
+        sid_parts.append(np.broadcast_to(ids[:, None, None], covered.shape)[covered])
+        pix_parts.append((iy * camera.width + ix)[covered])
+    sid = np.concatenate(sid_parts)
+    pix = np.concatenate(pix_parts)
+    depth_rank = np.empty(len(cloud), np.int64)
+    depth_rank[idx[np.lexsort((idx, z[idx]))]] = np.arange(idx.size)
+    order = np.argsort(pix * idx.size + depth_rank[sid])
+    sid = sid[order]
+    return pix[order], sid, z[sid]
 
-    base_x = np.round(u[idx]).astype(np.int64)
-    base_y = np.round(v[idx]).astype(np.int64)
-    ix = base_x[:, None] + dx[None, :]
-    iy = base_y[:, None] + dy[None, :]
-    fx_ratio = (ix - u[idx, None]) / rx[idx, None]
-    fy_ratio = (iy - v[idx, None]) / ry[idx, None]
-    covered = (
-        (fx_ratio ** 2 + fy_ratio ** 2 <= 1.0)
-        & (ix >= 0) & (ix < camera.width)
-        & (iy >= 0) & (iy < camera.height)
-    )
-    sid = np.broadcast_to(idx[:, None], covered.shape)[covered]
-    pix = (iy[covered] * camera.width + ix[covered]).astype(np.int64)
-    order = np.lexsort((sid, z[sid], pix))
-    return pix[order], sid[order], z[sid][order]
 
-
-def _ranks(pix):
-    if pix.size == 0:
-        return np.empty(0, np.int64), 0
-    new_segment = np.empty(pix.size, dtype=bool)
-    new_segment[0] = True
+def _rank_slices(pix):
+    """Rank-major permutation of pixel-major pairs and its slice bounds:
+    pairs perm[bounds[r]:bounds[r + 1]] are each covered pixel's r-th
+    splat, in pair order, so no pixel repeats inside a slice."""
+    new_segment = np.ones(pix.size, dtype=bool)
     new_segment[1:] = pix[1:] != pix[:-1]
     seg_start = np.maximum.accumulate(np.where(new_segment, np.arange(pix.size), 0))
     ranks = np.arange(pix.size) - seg_start
-    return ranks, int(ranks.max()) + 1
+    perm = np.argsort(ranks, kind="stable")
+    n_ranks = int(ranks.max()) + 1 if pix.size else 0
+    return perm, np.searchsorted(ranks[perm], np.arange(n_ranks + 1))
 
 
 def _forward(cloud, camera, pairs):
     """Rank-sequenced compositing: per pixel it performs the exact same
-    operation sequence as composite_ray, just vectorized across pixels."""
+    operation sequence as composite_ray, just vectorized across pixels.
+
+    The pairs are gathered into rank-major order once; step r composites
+    the contiguous slice of every pixel's r-th splat. Returns the images
+    and (perm, bounds, w, t): the rank permutation with its slice bounds
+    and each pair's blend weight and incoming transmittance, both in
+    rank-major order.
+    """
     pix, sid, z = pairs
     n_px = camera.width * camera.height
-    alphas = cloud.opacities
     trans = np.ones(n_px)
     color = np.zeros((n_px, 3))
     depth = np.zeros(n_px)
-    w_pairs = np.empty(pix.size)
-    t_pairs = np.empty(pix.size)
-    ranks, n_ranks = _ranks(pix)
-    for r in range(n_ranks):
-        sel = ranks == r
-        px = pix[sel]
-        a = alphas[sid[sel]]
+    perm, bounds = _rank_slices(pix)
+    sid_r = sid[perm]
+    pix_r, z_r = pix[perm], z[perm]
+    alpha_r, color_r = cloud.opacities[sid_r], cloud.colors[sid_r]
+    w_r = np.empty(pix.size)
+    t_r = np.empty(pix.size)
+    for r in range(bounds.size - 1):
+        s = slice(bounds[r], bounds[r + 1])
+        px = pix_r[s]
+        a = alpha_r[s]
         t_here = trans[px]
         w = a * t_here
-        color[px] = color[px] + cloud.colors[sid[sel]] * w[:, None]
-        depth[px] = depth[px] + z[sel] * w
+        color[px] = color[px] + color_r[s] * w[:, None]
+        depth[px] = depth[px] + z_r[s] * w
         trans[px] = t_here * (1.0 - a)
-        w_pairs[sel] = w
-        t_pairs[sel] = t_here
+        w_r[s] = w
+        t_r[s] = t_here
     final = color + trans[:, None] * cloud.background
     shape = (camera.height, camera.width)
     return (
         final.reshape(shape + (3,)),
         depth.reshape(shape),
         trans.reshape(shape),
-        (w_pairs, t_pairs, ranks, n_ranks),
+        (perm, bounds, w_r, t_r),
     )
 
 
@@ -258,7 +282,7 @@ def backproject_init(images):
 def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
     pairs = footprint_pairs(cloud, camera)
     pix, sid, z = pairs
-    rgb, depth, trans, (w_pairs, t_pairs, ranks, n_ranks) = _forward(cloud, camera, pairs)
+    rgb, depth, trans, (perm, bounds, w_r, t_r) = _forward(cloud, camera, pairs)
 
     c_loss = color_loss(rgb, rgb_gt)
     d_loss = depth_loss(depth, fused, cfg)
@@ -276,35 +300,40 @@ def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
             flat_depth[mask] - fused.depth.reshape(-1)[mask]
         )
 
-    grad_pos = np.zeros((n, 3))
-    grad_col = np.zeros((n, 3))
-    grad_logit = np.zeros(n)
-    if pix.size:
-        alphas = cloud.opacities
-        a = alphas[sid]
-        # d(loss)/d(pair quantities)
-        g_c_pair = g_color_px[pix]
-        g_d_pair = g_depth_px[pix]
-        direct = np.einsum("ij,ij->i", g_c_pair, cloud.colors[sid]) + g_d_pair * z
-        phi = direct * w_pairs
-        # Suffix sums per pixel: contributions of later splats and the
-        # background to d(loss)/d(alpha_i), accumulated back-to-front.
-        g_t_end = np.einsum("ij,j->i", g_color_px, cloud.background)
-        suffix = g_t_end * trans.reshape(-1)
-        g_alpha_pair = np.empty(pix.size)
-        for r in range(n_ranks - 1, -1, -1):
-            sel = ranks == r
-            px = pix[sel]
-            g_alpha_pair[sel] = direct[sel] * t_pairs[sel] - suffix[px] / (1.0 - a[sel])
-            suffix[px] += phi[sel]
+    alphas = cloud.opacities
+    w_pairs = np.empty(pix.size)
+    w_pairs[perm] = w_r
+    # d(loss)/d(pair quantities)
+    g_c_pair = g_color_px[pix]
+    g_d_pair = g_depth_px[pix]
+    direct = np.einsum("ij,ij->i", g_c_pair, cloud.colors[sid]) + g_d_pair * z
+    phi = direct * w_pairs
+    # Suffix sums per pixel: contributions of later splats and the
+    # background to d(loss)/d(alpha_i), accumulated back-to-front over the
+    # rank-major slices.
+    g_t_end = np.einsum("ij,j->i", g_color_px, cloud.background)
+    suffix = g_t_end * trans.reshape(-1)
+    pix_r, direct_r, phi_r = pix[perm], direct[perm], phi[perm]
+    a_r = alphas[sid[perm]]
+    g_alpha_r = np.empty(pix.size)
+    for r in range(bounds.size - 2, -1, -1):
+        s = slice(bounds[r], bounds[r + 1])
+        px = pix_r[s]
+        g_alpha_r[s] = direct_r[s] * t_r[s] - suffix[px] / (1.0 - a_r[s])
+        suffix[px] += phi_r[s]
+    g_alpha_pair = np.empty(pix.size)
+    g_alpha_pair[perm] = g_alpha_r
 
-        np.add.at(grad_col, sid, g_c_pair * w_pairs[:, None])
-        g_z = np.zeros(n)
-        np.add.at(g_z, sid, g_d_pair * w_pairs)
-        grad_pos += g_z[:, None] * camera.rotation[:, 2][None, :]
-        g_alpha = np.zeros(n)
-        np.add.at(g_alpha, sid, g_alpha_pair)
-        grad_logit += g_alpha * alphas * (1.0 - alphas)
+    # bincount adds in pair order starting from zero, as np.add.at does,
+    # so the sums are bit-equal.
+    g_col_pair = g_c_pair * w_pairs[:, None]
+    grad_col = np.column_stack(
+        [np.bincount(sid, weights=g_col_pair[:, c], minlength=n) for c in range(3)]
+    )
+    g_z = np.bincount(sid, weights=g_d_pair * w_pairs, minlength=n)
+    grad_pos = g_z[:, None] * camera.rotation[:, 2][None, :]
+    g_alpha = np.bincount(sid, weights=g_alpha_pair, minlength=n)
+    grad_logit = g_alpha * alphas * (1.0 - alphas)
     return loss, c_loss, d_loss, grad_pos, grad_col, grad_logit
 
 

@@ -257,6 +257,23 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         assert "manifest.json" in capsys.readouterr().err
 
+    def test_output_of_an_unrecorded_stage_is_missing(self, built, tmp_path, capsys):
+        # A manifest of another version is ignored, so gpis.model on disk
+        # is vouched for by no gpis-fit record (it may be in an old format).
+        path = os.path.join(built.out, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest["version"] = 2
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        config = str(tmp_path / "scene.cfg")
+        assert main(["gpis-render", "--config", config]) == EXIT_DEPENDENCY
+        err = capsys.readouterr().err
+        assert "gpis.model" in err and "gpis-fit" in err
+        # dataset inputs need no simulate record: a real dataset has none
+        assert main(["gpis-fit", "--config", config]) == EXIT_OK
+        assert main(["gpis-render", "--config", config]) == EXIT_OK
+
     @pytest.mark.parametrize("path, stage", [
         ("data/touches/touch000.ply", "gpis-fit"),
         ("out/gpis.model", "gpis-render"),

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from touchfuse.errors import NumericalError
 from touchfuse.fuse import PROVENANCE_FUSED, PROVENANCE_NONE, FusedSupervision
 from touchfuse.geometry import identity_transform, look_at
 from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
 from touchfuse.splat import (
+    FOOTPRINT_CAP_PX,
+    Z_NEAR,
     LossConfig,
     SplatCloud,
     backproject_init,
@@ -20,6 +24,7 @@ from touchfuse.splat import (
     optimize,
     render,
     total_loss,
+    _project,
 )
 from touchfuse.touchsim import AnalyticShape, render_gt_depth
 
@@ -155,6 +160,97 @@ class TestRender:
             rgb[~covered], np.broadcast_to(cloud.background, ((~covered).sum(), 3))
         )
         np.testing.assert_array_equal(depth[~covered], np.zeros((~covered).sum()))
+
+
+def footprint_oracle(cloud, cam):
+    """Brute-force footprint_pairs: the same coverage test on every
+    (valid splat, image pixel), ordered by pixel, depth, then splat."""
+    u, v, z, rx, ry, valid = _project(cloud, cam)
+    idx = np.flatnonzero(valid)
+    iy, ix = np.divmod(np.arange(cam.width * cam.height), cam.width)
+    fx_ratio = (ix[None, :] - u[idx, None]) / rx[idx, None]
+    fy_ratio = (iy[None, :] - v[idx, None]) / ry[idx, None]
+    covered = fx_ratio ** 2 + fy_ratio ** 2 <= 1.0
+    sid = np.broadcast_to(idx[:, None], covered.shape)[covered]
+    pix = np.broadcast_to(np.arange(ix.size)[None, :], covered.shape)[covered]
+    order = np.lexsort((sid, z[sid], pix))
+    return pix[order], sid[order], z[sid][order]
+
+
+def assert_pairs_equal(got, expected):
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g, e)
+
+
+# Camera-frame splats (x/z, y/z, z, radius). Depths include values at and
+# behind Z_NEAR and a small shared set (ties); radii include ones whose
+# footprint hits FOOTPRINT_CAP_PX; x/z and y/z reach past the image edges.
+SPLAT = st.tuples(
+    st.floats(-0.9, 0.9),
+    st.floats(-0.9, 0.9),
+    st.one_of(st.sampled_from([-1.0, 0.0, Z_NEAR, 0.3, 1.0, 2.0]), st.floats(0.01, 4.0)),
+    st.one_of(st.sampled_from([0.01, 0.05, 0.2, 5.0]), st.floats(0.002, 0.6)),
+)
+
+
+def camera_frame_cloud(splats):
+    xr, yr, z, r = (np.array(col, dtype=np.float64) for col in zip(*splats))
+    n = z.size
+    return SplatCloud(np.column_stack([xr * z, yr * z, z]), np.full((n, 3), 0.5),
+                      np.zeros(n), r)
+
+
+class TestFootprintPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(SPLAT, min_size=1, max_size=12))
+    def test_equals_brute_force_oracle(self, splats):
+        cloud = camera_frame_cloud(splats)
+        cam = camera(w=17, h=13)
+        assert_pairs_equal(footprint_pairs(cloud, cam), footprint_oracle(cloud, cam))
+
+    def test_fixed_cloud_covers_every_case(self):
+        splats = [
+            (0.0, 0.0, 2.0, 0.05),      # reach 1
+            (0.05, 0.0, 2.0, 0.2),      # reach 2, depth tie with the first
+            (-0.2, 0.3, 1.0, 0.2),      # reach 3
+            (0.0, 0.1, 0.3, 5.0),       # footprint capped
+            (0.62, -0.55, 1.5, 0.3),    # clipped at the image corner
+            (0.3, 0.2, Z_NEAR, 0.2),    # at the near plane: skipped
+            (0.0, 0.0, -1.0, 0.2),      # behind the camera: skipped
+            (0.0, 0.0, 2.0, 0.1),       # a third splat in the tie
+        ]
+        cloud = camera_frame_cloud(splats)
+        cam = camera(w=17, h=13)
+        u, v, z, rx, ry, valid = _project(cloud, cam)
+        reach = np.ceil(np.maximum(rx, ry)[valid] + 0.5)
+        assert np.unique(reach).size >= 4
+        assert np.max(rx[valid]) == FOOTPRINT_CAP_PX
+        assert valid.sum() == 6
+        pix, sid, zz = footprint_pairs(cloud, cam)
+        assert_pairs_equal((pix, sid, zz), footprint_oracle(cloud, cam))
+        assert u[4] + rx[4] > cam.width - 1 and v[4] - ry[4] < 0
+        assert np.any(sid == 4)
+        centre = 6 * cam.width + 8
+        at_centre = pix == centre
+        assert list(sid[at_centre & (zz == 2.0)]) == [0, 1, 7]
+        assert sid[at_centre][0] == 3
+
+    def test_bincount_adds_in_pair_order_like_add_at(self):
+        # What the gradient accumulation relies on: bincount(weights=...)
+        # and np.add.at both add in index order starting from zero, so the
+        # sums agree bit for bit even where the order changes the result.
+        rng = np.random.default_rng(11)
+        idx = rng.integers(0, 7, size=4000)
+        vals = rng.normal(size=(4000, 3)) * 10.0 ** rng.uniform(-8, 8, size=(4000, 1))
+        expected = np.zeros((9, 3))
+        np.add.at(expected, idx, vals)
+        got = np.column_stack(
+            [np.bincount(idx, weights=vals[:, c], minlength=9) for c in range(3)]
+        )
+        assert got.tobytes() == expected.tobytes()
+        reversed_sum = np.bincount(idx[::-1], weights=vals[::-1, 0], minlength=9)
+        assert reversed_sum.tobytes() != expected[:, 0].tobytes()
 
 
 class TestLosses:
