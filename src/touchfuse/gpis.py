@@ -7,6 +7,7 @@ themselves (distance 0), artificial points pushed along the contact normals
 gives a signed-distance mean and variance anywhere in space.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,7 +127,10 @@ class GPISModel:
 
     def query(self, points):
         """Posterior mean and predictive variance at (N, 3) query points."""
-        mean, cross = self._mean_and_cross(points)
+        cross = _kernel_block(_checked_points(points), self.conditioning.locations, self.params)
+        # einsum keeps each row's reduction order independent of batch size,
+        # so marching a ray alone or with thousands of others gives the same bits.
+        mean = self.params.prior_mean + np.einsum("nm,m->n", cross, self.alpha)
         rhs = cross.T
         if rhs.shape[1] == 1:
             # LAPACK switches algorithms at one right-hand side; pad so a
@@ -141,18 +145,24 @@ class GPISModel:
         return mean, np.maximum(var, floor)
 
     def query_mean(self, points):
-        """Posterior mean only (fast path for ray marching)."""
-        return self._mean_and_cross(points)[0]
+        """Posterior mean only (fast path for ray marching).
 
-    def _mean_and_cross(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("query points must be finite")
-        cross = _kernel_block(pts, self.conditioning.locations, self.params)
-        # einsum keeps each row's reduction order independent of batch size,
-        # so marching a ray alone or with thousands of others gives the same bits.
-        mean = self.params.prior_mean + np.einsum("nm,m->n", cross, self.alpha)
-        return mean, cross
+        Each chunk of kernel rows is reduced against alpha while it is still
+        in cache, so no (N, M) cross block exists; the einsum per row is the
+        one query() applies to the full block, so the means are the same bits.
+        """
+        pts = _checked_points(points)
+        mean = np.empty(pts.shape[0])
+        for rows, block in _kernel_chunks(pts, self.conditioning.locations, self.params):
+            mean[rows] = self.params.prior_mean + np.einsum("nm,m->n", block, self.alpha)
+        return mean
+
+
+def _checked_points(points):
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("query points must be finite")
+    return pts
 
 
 def matern32(distance, params: KernelParams):
@@ -175,21 +185,22 @@ def _matern32_inplace(d, params, scratch):
     d *= scratch
 
 
-def _kernel_block(a, b, params):
-    """Matern-3/2 covariance between the rows of a (N, 3) and b (M, 3).
-
-    The (N, M) result is filled in chunks of rows of about KERNEL_CHUNK_BYTES
-    each, so no (N, M, 3) difference tensor and no N x M temporary exists.
-    Each row depends only on its own query point, whatever the chunking.
+def _kernel_chunks(a, b, params, out=None):
+    """Yield (row slice, block): the Matern-3/2 covariance between a chunk
+    of the rows of a (N, 3) and all of b (M, 3), about KERNEL_CHUNK_BYTES
+    per chunk, so no (N, M, 3) difference tensor and no N x M temporary
+    exists. Blocks are views of `out` (N, M) when given, else one reused
+    buffer that the next chunk overwrites. Each row depends only on its own
+    query point, whatever the chunking.
     """
-    out = np.empty((a.shape[0], b.shape[0]))
     cols = np.ascontiguousarray(b.T)
     rows = max(1, KERNEL_CHUNK_BYTES // (8 * max(1, b.shape[0])))
     scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
+    buffer = np.empty_like(scratch) if out is None else None
     for start in range(0, a.shape[0], rows):
         chunk = a[start:start + rows]
-        block = out[start:start + rows]
         tmp = scratch[:chunk.shape[0]]
+        block = buffer[:chunk.shape[0]] if out is None else out[start:start + rows]
         # Squared distance summed as (dx^2 + dz^2) + dy^2: the order
         # np.einsum("ijk,ijk->ij") uses over three axes, so the kernel keeps
         # the bits of the dense formula and model files stay byte-identical.
@@ -201,6 +212,16 @@ def _kernel_block(a, b, params):
             block += tmp
         np.sqrt(block, out=block)
         _matern32_inplace(block, params, tmp)
+        yield slice(start, start + chunk.shape[0]), block
+
+
+def _kernel_block(a, b, params, out=None):
+    """Matern-3/2 covariance between the rows of a (N, 3) and b (M, 3),
+    written into `out` (a new (N, M) array when None) chunk by chunk."""
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[0]))
+    for _ in _kernel_chunks(a, b, params, out):
+        pass
     return out
 
 
@@ -293,29 +314,39 @@ def build_conditioning_set(touches, surface_offset, interior_offset, n_slices=8,
     )
 
 
-def _factorize(gram, noise, output_scale):
+def _factorize(locations, params):
     """Cholesky with jitter escalation; returns (factor, effective_noise).
 
-    Each attempt copies `gram` into one reused buffer, adds the noise to its
-    diagonal and factorizes it in place. The Gram matrix is exactly
-    symmetric, so the buffer's transpose is the same matrix in the Fortran
-    order LAPACK works in, and potrf needs no copy of its own.
+    The Gram matrix of `locations` is built straight into the one n x n
+    buffer that potrf factorizes in place, so a fit holds one n x n array.
+    The Gram matrix is exactly symmetric, so the buffer's transpose is the
+    same matrix in the Fortran order LAPACK works in, and potrf needs no
+    copy of its own. A failed attempt leaves the buffer overwritten, so each
+    jitter level builds the Gram matrix again; only near-duplicate points
+    get that far, and a warning names the effective noise when they do.
     """
+    s2 = params.output_scale ** 2
     jitters = [0.0]
-    j = JITTER_START_FRAC * output_scale ** 2
-    while j <= JITTER_STOP_FRAC * output_scale ** 2 * (1.0 + 1e-12):
+    j = JITTER_START_FRAC * s2
+    while j <= JITTER_STOP_FRAC * s2 * (1.0 + 1e-12):
         jitters.append(j)
         j *= 10.0
-    work = np.empty_like(gram)
-    diagonal = np.diag_indices(gram.shape[0])
+    n = locations.shape[0]
+    work = np.empty((n, n))
+    diagonal = np.diag_indices(n)
     for jitter in jitters:
-        np.copyto(work, gram)
-        work[diagonal] += noise + jitter
+        _kernel_block(locations, locations, params, out=work)
+        work[diagonal] += params.noise + jitter
         try:
             factor = cholesky(work.T, lower=True, overwrite_a=True, check_finite=False)
-            return factor, noise + jitter
         except np.linalg.LinAlgError:
             continue
+        if jitter:
+            warnings.warn(
+                f"kernel matrix of {n} points needed jitter: effective noise "
+                f"{params.noise + jitter:.3g} instead of {params.noise:.3g}",
+                RuntimeWarning)
+        return factor, params.noise + jitter
     raise NumericalError("kernel matrix not positive definite")
 
 
@@ -339,8 +370,7 @@ def fit(cset: ConditioningSet, params: KernelParams, cap=DEFAULT_CAP) -> GPISMod
 def _condition(cset, params):
     """`fit` past its checks on the set: the Gram build, the factorization
     and the alpha solves. load_model refits a saved set through it."""
-    gram = _kernel_block(cset.locations, cset.locations, params)
-    factor, effective_noise = _factorize(gram, params.noise, params.output_scale)
+    factor, effective_noise = _factorize(cset.locations, params)
     centered = cset.targets - params.prior_mean
     alpha = solve_triangular(
         factor.T,
@@ -360,34 +390,38 @@ def log_marginal_likelihood(model: GPISModel) -> float:
 
 
 def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean=0.0,
-                             cap=DEFAULT_CAP) -> GPISModel:
+                             cap=DEFAULT_CAP) -> KernelParams:
     """Fit every (length_scale, output_scale) grid member and return the
-    model maximizing the log marginal likelihood; ties break toward the
-    smallest length scale, then the smallest output scale."""
+    KernelParams maximizing the log marginal likelihood; ties break toward
+    the smallest length scale, then the smallest output scale.
+
+    Each fitted model is dropped as soon as it is scored, so the search
+    holds one n x n factor at a time. The caller refits the winner if it
+    needs the model; gpis-fit does not, because the model file holds only
+    the conditioning set and the kernel parameters.
+    """
     if not grid:
         raise ValueError("hyperparameter grid is empty")
     best = None
     for rho, sigma in grid:
+        params = KernelParams(rho, sigma, noise, prior_mean)
         try:
-            model = fit(cset, KernelParams(rho, sigma, noise, prior_mean), cap=cap)
+            lml = log_marginal_likelihood(fit(cset, params, cap=cap))
         except NumericalError:
             continue
-        key = (-log_marginal_likelihood(model), rho, sigma)
+        key = (-lml, rho, sigma)
         if best is None or key < best[0]:
-            best = (key, model)
-        # Drop a losing candidate before the next fit, so the search holds
-        # at most the best model next to the fit in progress.
-        del model
+            best = (key, params)
     if best is None:
         raise NumericalError("every hyperparameter candidate failed to factorize")
     return best[1]
 
 
-def save_model(path, model: GPISModel):
-    """Serialize what a model is computed from: magic, version u32, n u32,
-    little-endian f64 locations, targets and the four kernel parameters,
-    then the n labels as bytes. load_model refits the rest."""
-    cset, params = model.conditioning, model.params
+def save_model(path, cset: ConditioningSet, params: KernelParams):
+    """Serialize what a model is computed from, which is all the file
+    holds: magic, version u32, n u32, little-endian f64 locations, targets
+    and the four kernel parameters, then the n labels as bytes. load_model
+    refits the rest, so saving needs no fitted model."""
     parts = [
         MODEL_MAGIC,
         np.array([MODEL_VERSION, len(cset)], dtype="<u4").tobytes(),

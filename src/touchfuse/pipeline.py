@@ -351,7 +351,7 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     params = _kernel_params(cfg, radius)
     grid = cfg.get("kernel", "rho_grid")
     if grid:
-        model = gpis.optimize_hyperparameters(
+        params = gpis.optimize_hyperparameters(
             cset,
             [(rho, params.output_scale) for rho in grid],
             noise=params.noise,
@@ -359,8 +359,11 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
             cap=cond["cap"],
         )
     else:
-        model = gpis.fit(cset, params, cap=cond["cap"])
-    io.write(gpis.save_model, _out_path(cfg, "gpis.model"), model)
+        # The file holds only the set and the parameters, and gpis-render
+        # refits them. Fitting once here anyway makes a set over the cap or
+        # a matrix that will not factorize fail at this stage (exit 4).
+        gpis.fit(cset, params, cap=cond["cap"])
+    io.write(gpis.save_model, _out_path(cfg, "gpis.model"), cset, params)
 
 
 def stage_gpis_render(cfg: SceneConfig, io: StageIO):

@@ -7,6 +7,7 @@ optical axis) so they combine directly with monocular depth maps.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,7 +214,10 @@ def march(model, ray: Ray, params: MarchParams, window):
 
 
 def _march_batch(model, origins, dirs, t_enter, t_stop, params: MarchParams):
-    """Vectorized march over many rays; per-ray arithmetic matches march()."""
+    """Vectorized march over many rays; per-ray arithmetic matches march().
+
+    Returns (hit, t, exhausted): exhausted marks the rays that used up
+    max_steps without a hit or an exit."""
     n = origins.shape[0]
     t = t_enter.astype(np.float64).copy()
     hit = np.zeros(n, dtype=bool)
@@ -235,12 +239,15 @@ def _march_batch(model, origins, dirs, t_enter, t_stop, params: MarchParams):
             )
             over = step_idx[t[step_idx] > t_stop[step_idx]]
             active[over] = False
-    return hit, t
+    return hit, t, active
 
 
 def render_depth_variance(model, camera: CameraModel, params: MarchParams,
                           margin_frac=0.1, sphere: BoundingSphere = None) -> DepthVarImage:
-    """Render the model from a camera into a z-depth/variance image pair."""
+    """Render the model from a camera into a z-depth/variance image pair.
+
+    Rays that use up max_steps without a hit or an exit are drawn as misses,
+    and a RuntimeWarning gives their count for the view."""
     if sphere is None:
         sphere = bounding_sphere(model.conditioning, margin_frac, min_radius=params.min_step)
 
@@ -262,7 +269,13 @@ def render_depth_variance(model, camera: CameraModel, params: MarchParams,
     idx = np.flatnonzero(candidates)
     if idx.size:
         origins = np.broadcast_to(camera.position, (idx.size, 3))
-        hit, t_hit = _march_batch(model, origins, dirs[idx], t_enter[idx], t_stop[idx], params)
+        hit, t_hit, exhausted = _march_batch(model, origins, dirs[idx], t_enter[idx],
+                                             t_stop[idx], params)
+        if exhausted.any():
+            warnings.warn(
+                f"{np.count_nonzero(exhausted)} of {idx.size} candidate rays in this view "
+                f"ran out of max_steps={params.max_steps} without a hit or an exit; "
+                "they are drawn as misses", RuntimeWarning)
         hit_idx = idx[hit]
         if hit_idx.size:
             pts = camera.position + t_hit[hit][:, None] * dirs[hit_idx]

@@ -1,7 +1,10 @@
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cholesky, solve_triangular
 
 from touchfuse import fileio, gpis
@@ -139,6 +142,65 @@ class TestFitExactness:
         assert peak < 3.5 * n * n * 8
 
 
+def traced_peak(call):
+    """Peak bytes numpy and Python allocate while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneMatrixPerFit:
+    """fit, a load_model refit and the grid search each hold one n x n array;
+    the march means never build the (rows x n) cross block."""
+
+    N = 1500
+
+    @pytest.fixture(scope="class")
+    def cset(self):
+        rng = np.random.default_rng(9)
+        return ConditioningSet(rng.normal(scale=0.3, size=(self.N, 3)), rng.normal(size=self.N),
+                               np.zeros(self.N, dtype=np.int8))
+
+    def test_fit_holds_one_matrix(self, cset):
+        assert traced_peak(lambda: fit(cset, KernelParams(0.3, 0.7, 1e-6))) < 1.3 * self.N ** 2 * 8
+
+    def test_grid_search_holds_one_matrix(self, cset):
+        grid = [(0.2, 0.7), (0.3, 0.7), (0.4, 0.7)]
+        peak = traced_peak(lambda: optimize_hyperparameters(cset, grid))
+        assert peak < 1.3 * self.N ** 2 * 8
+
+    def test_load_model_holds_one_matrix(self, cset, tmp_path):
+        path = tmp_path / "big.gpis"
+        save_model(path, cset, KernelParams(0.3, 0.7, 1e-6))
+        assert traced_peak(lambda: load_model(path)) < 1.3 * self.N ** 2 * 8
+
+    def test_query_mean_reduces_chunk_by_chunk(self, cset):
+        model = fit(cset, KernelParams(0.3, 0.7, 1e-6))
+        pts = np.random.default_rng(3).normal(scale=0.4, size=(20_000, 3))
+        # The full 20,000 x 1,500 cross block would be 240 MB.
+        assert traced_peak(lambda: model.query_mean(pts)) < 4e6
+
+
+class TestQueryMean:
+    M = 700
+    ROWS = KERNEL_CHUNK_BYTES // (8 * M)
+
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+    def test_equals_einsum_over_full_block(self, n):
+        rng = np.random.default_rng(n)
+        cset = ConditioningSet(rng.normal(scale=0.4, size=(self.M, 3)), rng.normal(size=self.M),
+                               np.zeros(self.M, dtype=np.int8))
+        model = fit(cset, KernelParams(0.3, 0.7, 1e-6, prior_mean=0.1))
+        q = rng.normal(scale=0.5, size=(n, 3))
+        full = model.params.prior_mean + np.einsum(
+            "nm,m->n", gpis._kernel_block(q, cset.locations, model.params), model.alpha)
+        np.testing.assert_array_equal(model.query_mean(q), full)
+        np.testing.assert_array_equal(model.query(q)[0], full)
+
+
 class TestMatern:
     def test_zero_distance_gives_prior_variance(self):
         p = KernelParams(0.3, 2.0)
@@ -262,6 +324,13 @@ class TestFitAndQuery:
         model = fit(cset, KernelParams(0.5, 1.0, 0.0))
         assert model.effective_noise > 0.0
 
+    def test_jitter_escalation_warns_with_effective_noise(self):
+        locs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        cset = ConditioningSet(locs, [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
+        with pytest.warns(RuntimeWarning, match="effective noise") as record:
+            model = fit(cset, KernelParams(0.5, 1.0, 0.0))
+        assert f"{model.effective_noise:.3g}" in str(record[0].message)
+
     def test_cap_exceeded_mentions_voxel(self):
         cset = build_conditioning_set(sphere_touches(40, seed=2), 0.05, 0.02)
         with pytest.raises(NumericalError, match="voxel"):
@@ -347,7 +416,7 @@ class TestHyperparameterSearch:
     def test_singleton_grid(self):
         cset = build_conditioning_set(sphere_touches(10, seed=1), 0.05, 0.02)
         pick = optimize_hyperparameters(cset, [(0.7, 1.1)])
-        assert (pick.params.length_scale, pick.params.output_scale) == (0.7, 1.1)
+        assert (pick.length_scale, pick.output_scale) == (0.7, 1.1)
 
     def test_recovers_known_length_scale(self):
         # Monte-Carlo oracle: draw targets from a GP with known length scale
@@ -365,7 +434,7 @@ class TestHyperparameterSearch:
             targets = np.linalg.cholesky(gram) @ rng.normal(size=80)
             cset = ConditioningSet(locs, targets, np.zeros(80, np.int8))
             pick = optimize_hyperparameters(cset, [(r, 1.0) for r in grid_rhos], noise=1e-6)
-            if abs(grid_rhos.index(pick.params.length_scale) - true_idx) <= 1:
+            if abs(grid_rhos.index(pick.length_scale) - true_idx) <= 1:
                 hits += 1
         assert hits >= 8
 
@@ -379,7 +448,18 @@ class TestHyperparameterSearch:
             lmls.append(log_marginal_likelihood(model))
         best = max(lmls)
         contenders = [g for g, l in zip(grid, lmls) if l == best]
-        assert (pick.params.length_scale, pick.params.output_scale) == min(contenders)
+        assert (pick.length_scale, pick.output_scale) == min(contenders)
+
+    def test_equals_scoring_each_candidate_in_turn(self):
+        cset = build_conditioning_set(sphere_touches(60, seed=5), 0.05, 0.02)
+        grid = [(0.6, 0.8), (0.2, 0.8), (0.4, 0.5), (0.4, 0.8)]
+        best = None
+        for rho, sigma in grid:
+            params = KernelParams(rho, sigma, 1e-6, 0.1)
+            key = (-log_marginal_likelihood(fit(cset, params)), rho, sigma)
+            if best is None or key < best[0]:
+                best = (key, params)
+        assert optimize_hyperparameters(cset, grid, noise=1e-6, prior_mean=0.1) == best[1]
 
     def test_empty_grid_rejected(self):
         cset = ConditioningSet([[0, 0, 0]], [0.0], [0])
@@ -401,7 +481,7 @@ class TestPersistence:
         ]:
             model = fit(cset, params)
             path = tmp_path / f"{name}.gpis"
-            save_model(path, model)
+            save_model(path, cset, params)
             # Header, then per point 4 floats and a label byte, then 4 params.
             n = len(cset)
             assert path.stat().st_size == 12 + 8 * (4 * n + 4) + n
@@ -421,6 +501,42 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.conditioning.labels, cset.labels)
             assert loaded.params == model.params
         assert model.effective_noise > 0.0  # the duplicates' fit did escalate
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=1, max_size=6),
+        repeats=st.lists(st.integers(0, 5), max_size=4),
+        data=st.data(),
+        length_scale=st.floats(0.1, 2.0),
+        output_scale=st.floats(0.1, 2.0),
+        noise=st.sampled_from([0.0, 1e-6, 1e-3]),
+        prior_mean=st.floats(-0.5, 0.5),
+    )
+    @pytest.mark.filterwarnings("ignore:kernel matrix")
+    def test_round_trip_property(self, base, repeats, data, length_scale, output_scale,
+                                 noise, prior_mean):
+        # Repeated points (noise 0 included) force the jitter escalation,
+        # which the refit on load has to replay.
+        points = base + [base[i % len(base)] for i in repeats]
+        n = len(points)
+        cset = ConditioningSet(
+            0.25 * np.array(points, dtype=np.float64),
+            data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)),
+            data.draw(st.lists(st.integers(LABEL_SURFACE, LABEL_INTERIOR), min_size=n,
+                               max_size=n)),
+        )
+        params = KernelParams(length_scale, output_scale, noise, prior_mean)
+        model = fit(cset, params)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.gpis")
+            save_model(path, cset, params)
+            assert os.path.getsize(path) == 12 + 8 * (4 * n + 4) + n
+            loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.factor, model.factor)
+        np.testing.assert_array_equal(loaded.alpha, model.alpha)
+        assert loaded.effective_noise == model.effective_noise
+        np.testing.assert_array_equal(loaded.conditioning.labels, cset.labels)
+        assert loaded.params == params
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.gpis"

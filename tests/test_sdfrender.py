@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +260,18 @@ class TestRender:
         b = render_depth_variance(sphere_gpis, cam, params)
         np.testing.assert_array_equal(a.depth, b.depth)
         np.testing.assert_array_equal(a.variance, b.variance)
+
+    def test_rays_out_of_steps_are_counted_in_a_warning(self, sphere_gpis):
+        cam = simple_camera(width=16, height=16, pose=look_at([0, 0, -3], [0, 0, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = render_depth_variance(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
+        with pytest.warns(RuntimeWarning, match="max_steps=2") as record:
+            short = render_depth_variance(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 2))
+        exhausted, candidates = map(int, re.match(r"(\d+) of (\d+) candidate",
+                                                  str(record[0].message)).groups())
+        assert 0 < exhausted <= candidates - np.count_nonzero(short.hit_mask)
+        assert np.count_nonzero(full.hit_mask & ~short.hit_mask) <= exhausted
 
     def test_batch_render_matches_scalar_march(self, sphere_gpis):
         cam = simple_camera(width=32, height=32, pose=look_at([0, 0, -3], [0, 0, 0]))
