@@ -21,7 +21,6 @@ class SparseDepth:
 
     pixels: np.ndarray
     depths: np.ndarray
-    source: str = "sensor"
 
     def __post_init__(self):
         px = np.atleast_2d(np.asarray(self.pixels, dtype=np.int64))
@@ -30,8 +29,6 @@ class SparseDepth:
             raise ValueError("pixels must be (N, 2) and match depths")
         if np.any(d <= 0.0):
             raise ValueError("sparse depths must be positive")
-        if self.source not in ("sensor", "synthetic"):
-            raise ValueError("source must be 'sensor' or 'synthetic'")
         object.__setattr__(self, "pixels", px)
         object.__setattr__(self, "depths", d)
 

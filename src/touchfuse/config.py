@@ -1,16 +1,17 @@
 """Scene configuration: flat `key = value` text grouped into [sections].
 
-Unknown keys, duplicate keys, malformed lines, out-of-range values and a
+Unknown keys, duplicate keys, malformed lines, out-of-range values, a
+shape size that does not fit the shape, text that is not UTF-8 and a
 missing dataset all fail loudly with the offending line number. Several
 geometric parameters accept the literal `auto`, which resolves against the
 bounding radius of the touch data when the stage that needs them runs.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .touchsim import AnalyticShape
 
 AUTO = "auto"
 
@@ -44,7 +45,7 @@ SCHEMA = {
     },
     "sim": {
         "shape": ("choice:sphere,box,torus", "sphere", None),
-        "size": ("floats", (1.0,), None),
+        "size": ("floats", (1.0,), _positive),
         "dome_radius": ("float", 8.0, _positive),
         "views": ("int", 5, _positive),
         "width": ("int", 64, lambda x: x >= 8),
@@ -68,7 +69,7 @@ SCHEMA = {
         "output_scale": ("float", 0.4, _positive),
         "noise": ("float", 1e-6, _nonnegative),
         "prior_mean": ("autofloat", AUTO, None),
-        "rho_grid": ("floats", (), None),
+        "rho_grid": ("floats", (), _positive),
     },
     "conditioning": {
         "surface_offset": ("autofloat", AUTO, _positive),
@@ -82,7 +83,6 @@ SCHEMA = {
         "min_step": ("autofloat", AUTO, _positive),
         "hit_tol": ("autofloat", AUTO, _positive),
         "max_steps": ("int", 200, _positive),
-        "t_max": ("float", math.inf, _positive),
         "margin": ("float", 0.1, _nonnegative),
     },
     "align": {
@@ -94,7 +94,6 @@ SCHEMA = {
         "depth_weight": ("float", 1.0, _nonnegative),
         "sharpness": ("float", 3.0, _nonnegative),
         "decay": ("float", 0.99, _fraction),
-        "base_weight": ("float", 1.0, _positive),
     },
     "train": {
         "iters": ("int", 150, _nonnegative),
@@ -115,7 +114,6 @@ class SceneConfig:
     """Validated configuration; values indexed by (section, key)."""
 
     values: dict
-    path: str = "<memory>"
 
     def get(self, section, key):
         return self.values[section][key]
@@ -183,7 +181,7 @@ def _parse_value(tag, text, lineno, key):
     raise AssertionError(f"unhandled schema tag {tag}")
 
 
-def parse_config_text(text, path="<memory>"):
+def parse_config_text(text):
     values = {section: {} for section in SCHEMA}
     seen_lines = {}
     section = None
@@ -221,7 +219,12 @@ def parse_config_text(text, path="<memory>"):
                 if default is None:
                     raise ConfigError(f"missing required key '{key}' in section [{section_name}]")
                 values[section_name][key] = default
-    return SceneConfig(values, path)
+    try:
+        AnalyticShape(values["sim"]["shape"], values["sim"]["size"])
+    except ValueError as exc:
+        lineno = seen_lines.get(("sim", "size")) or seen_lines[("sim", "shape")]
+        raise ConfigError(f"line {lineno}: key 'size': {exc}") from None
+    return SceneConfig(values)
 
 
 def _passes(validator, parsed):
@@ -236,11 +239,16 @@ def validate_config(path, require_dataset=True) -> SceneConfig:
     require_dataset=False is used when the simulate stage will create the
     dataset directory as part of the run.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path} does not exist")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    cfg = parse_config_text(text, path=os.fspath(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is all of it.
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
+    cfg = parse_config_text(text)
     base = os.path.dirname(os.path.abspath(path))
     for key in ("dataset", "out"):
         value = cfg.get("scene", key)

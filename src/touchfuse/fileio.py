@@ -239,9 +239,9 @@ def write_sparse_depth(path, sparse: SparseDepth):
 
 
 @reads_format
-def read_sparse_depth(path, source="sensor") -> SparseDepth:
+def read_sparse_depth(path) -> SparseDepth:
     rows = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    return SparseDepth(rows[:, :2].astype(np.int64), rows[:, 2], source=source)
+    return SparseDepth(rows[:, :2].astype(np.int64), rows[:, 2])
 
 
 def write_keyvalues(path, mapping):

@@ -36,17 +36,8 @@ class FusedSupervision:
         return self.provenance != PROVENANCE_NONE
 
 
-def fuse_pixel(mu1, var1, mu2, var2):
-    """Fuse two scalar Gaussian depth estimates; precisions add."""
-    if var1 <= 0.0 or var2 <= 0.0:
-        raise ValueError("variances must be positive")
-    var = 1.0 / (1.0 / var1 + 1.0 / var2)
-    mu = var * (mu1 / var1 + mu2 / var2)
-    return mu, var
-
-
 def fuse_images(vision: AlignedVision, touch: DepthVarImage) -> FusedSupervision:
-    """Apply the scalar fusion rule at every pixel of an image pair.
+    """Fuse an image pair per pixel: precisions add, depths average by precision.
 
     Invalid sides (vision depth <= 0, touch miss) enter with the sentinel
     variance so the other source dominates; pixels invalid on both sides
@@ -64,7 +55,7 @@ def fuse_images(vision: AlignedVision, touch: DepthVarImage) -> FusedSupervision
     if np.any(var1 <= 0.0) or np.any(var2 <= 0.0):
         raise ValueError("variances must be positive")
 
-    # Same expression shape as fuse_pixel so results agree bit-for-bit.
+    # Same expression shape as tests/oracles.py fuse_pixel, so they agree bit for bit.
     var = 1.0 / (1.0 / var1 + 1.0 / var2)
     mu = var * (mu1 / var1 + mu2 / var2)
 

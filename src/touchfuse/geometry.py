@@ -57,6 +57,12 @@ def transform_points(transform, points):
     return out[0] if single else out
 
 
+def centroid_spread(points):
+    """Centroid of an (N, 3) point set and its largest distance from it."""
+    center = points.mean(axis=0)
+    return center, float(np.max(np.linalg.norm(points - center, axis=1)))
+
+
 def is_rotation(mat, tol=ORTHONORMAL_TOL):
     mat = np.asarray(mat, dtype=np.float64)
     if mat.shape != (3, 3):

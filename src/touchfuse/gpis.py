@@ -59,9 +59,6 @@ class TouchReading:
         object.__setattr__(self, "normals", nrm)
         object.__setattr__(self, "sensor_pose", np.asarray(self.sensor_pose, dtype=np.float64))
 
-    def __len__(self):
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
 class ConditioningSet:
@@ -165,18 +162,8 @@ def _checked_points(points):
     return pts
 
 
-def matern32(distance, params: KernelParams):
-    """Matern-3/2 covariance for nonnegative distances (scalar or array)."""
-    d = np.asarray(distance, dtype=np.float64)
-    if np.any(d < 0.0):
-        raise ValueError("distance must be nonnegative")
-    out = d.copy()
-    _matern32_inplace(out, params, np.empty_like(out))
-    return float(out) if np.isscalar(distance) or out.ndim == 0 else out
-
-
 def _matern32_inplace(d, params, scratch):
-    """Overwrite the distances `d` with matern32(d); `scratch` has d's shape."""
+    """Overwrite distances `d` with their Matern-3/2 covariances; `scratch` has d's shape."""
     d *= np.sqrt(3.0) / params.length_scale
     np.negative(d, out=scratch)
     np.exp(scratch, out=scratch)

@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .sdfrender import DepthVarImage
-
 
 @dataclass
 class EvalReport:
@@ -40,22 +38,18 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def depth_mse(pred, gt: DepthVarImage, mask=None):
-    """Mean squared depth error over pixels valid in both images.
-
-    Ground-truth miss pixels are always excluded; pixels the prediction
-    does not cover (depth 0) are excluded too, since the toy renderer has
-    no densification to fill them.
-    """
+def depth_sq_errors(pred, gt_depth, mask=None):
+    """Row-major squared depth errors, whose mean is D-MSE (D-MSE-O under an
+    object mask), over the pixels where both depths are positive: the toy
+    renderer has no densification to fill the pixels it leaves uncovered."""
     pred = np.asarray(pred, dtype=np.float64)
-    if pred.shape != gt.depth.shape:
+    gt_depth = np.asarray(gt_depth, dtype=np.float64)
+    if pred.shape != gt_depth.shape:
         raise ValueError("image dimensions differ")
-    valid = gt.hit_mask & (pred > 0.0)
+    valid = (gt_depth > 0.0) & (pred > 0.0)
     if mask is not None:
         valid &= np.asarray(mask, dtype=bool)
-    if not np.any(valid):
-        raise ValueError("no valid pixels to compare")
-    return float(np.mean((pred[valid] - gt.depth[valid]) ** 2))
+    return (pred[valid] - gt_depth[valid]) ** 2
 
 
 def psnr(img, gt):
@@ -71,23 +65,20 @@ def psnr(img, gt):
 
 
 def _nearest_distances(a, b):
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise ValueError("point clouds must be nonempty")
     return cKDTree(b).query(a, k=1)[0]
 
 
 def chamfer(a, b):
     """Symmetric mean nearest-neighbor distance between two point clouds."""
-    a, b = np.atleast_2d(a), np.atleast_2d(b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("point clouds must be nonempty")
     return 0.5 * (float(np.mean(_nearest_distances(a, b)))
                   + float(np.mean(_nearest_distances(b, a))))
 
 
 def hausdorff(a, b):
     """Symmetric worst-case nearest-neighbor distance."""
-    a, b = np.atleast_2d(a), np.atleast_2d(b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("point clouds must be nonempty")
     return max(float(np.max(_nearest_distances(a, b))),
                float(np.max(_nearest_distances(b, a))))
 

@@ -36,10 +36,6 @@ MONO_OFFSET = 0.3
 LIGHT_DIR = np.array([0.4, -0.3, 0.9]) / np.linalg.norm([0.4, -0.3, 0.9])
 
 
-def _view_names(n):
-    return [f"view{i:03d}" for i in range(n)]
-
-
 def _dataset_path(cfg, *parts):
     return os.path.join(cfg.dataset, *parts)
 
@@ -202,11 +198,6 @@ def _background(record):
     return tuple(float(t) for t in record["background_color"].split())
 
 
-def _bounding_radius(points):
-    center = points.mean(axis=0)
-    return float(np.max(np.linalg.norm(points - center, axis=1)))
-
-
 def _resolve(value, auto_value):
     return auto_value if value == AUTO else value
 
@@ -228,7 +219,6 @@ def _march_params(cfg, radius):
         _resolve(m["min_step"], 1e-3 * radius),
         _resolve(m["hit_tol"], 1e-4 * radius),
         m["max_steps"],
-        m["t_max"],
     )
 
 
@@ -257,9 +247,8 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
 
     width, height = sim["width"], sim["height"]
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
-    names = _view_names(sim["views"])
     cameras = []
-    for i, name in enumerate(names):
+    for i in range(sim["views"]):
         angle = 2.0 * math.pi * i / sim["views"]
         eye = np.array([
             sim["orbit_radius"] * math.cos(angle),
@@ -267,7 +256,7 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
             sim["orbit_height"],
         ])
         pose = geometry.look_at(eye, np.zeros(3))
-        cameras.append((name, sdfrender.CameraModel(
+        cameras.append((f"view{i:03d}", sdfrender.CameraModel(
             sim["focal"], sim["focal"], cx, cy, width, height, pose)))
     io.write(fileio.write_cameras, _dataset_path(cfg, "cameras.txt"), cameras)
 
@@ -314,10 +303,8 @@ def _compose_scene(shape, camera, gt_object, dome_radius, object_color, backgrou
     h, w = camera.height, camera.width
     dirs, axis_cos = camera.pixel_rays()
 
-    origin = camera.position
-    b = dirs @ origin
-    c = float(origin @ origin) - dome_radius ** 2
-    t_dome = -b + np.sqrt(b * b - c)
+    # The dome is centred at the origin: the camera's offset from it is its position.
+    _, t_dome, _ = sdfrender.sphere_entry_exit(camera.position, dirs, dome_radius)
     dome_depth = (t_dome * axis_cos).reshape(h, w)
 
     hit = gt_object.hit_mask
@@ -339,7 +326,7 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     touches = [gpis.TouchReading(*io.read(fileio.read_touch_ply, path))
                for path in io.glob(_dataset_path(cfg, "touches", "*.ply"))]
     all_points = np.concatenate([t.points for t in touches])
-    radius = _bounding_radius(all_points)
+    _, radius = geometry.centroid_spread(all_points)
     cond = cfg.section("conditioning")
     cset = gpis.build_conditioning_set(
         touches,
@@ -368,7 +355,7 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
 
 def stage_gpis_render(cfg: SceneConfig, io: StageIO):
     model = io.read(gpis.load_model, _out_path(cfg, "gpis.model"))
-    radius = _bounding_radius(model.conditioning.surface_points())
+    _, radius = geometry.centroid_spread(model.conditioning.surface_points())
     params = _march_params(cfg, radius)
     sphere = sdfrender.bounding_sphere(
         model.conditioning, cfg.get("march", "margin"), min_radius=params.min_step
@@ -388,8 +375,7 @@ def stage_align(cfg: SceneConfig, io: StageIO):
     params = cfg.section("align")
     for name, cam in _camera_views(cfg, io):
         raw = io.read(fileio.read_pfm, _dataset_path(cfg, "mono_depth", f"{name}.pfm"))
-        sparse = io.read(fileio.read_sparse_depth, _dataset_path(cfg, "sparse", f"{name}.txt"),
-                         source="synthetic")
+        sparse = io.read(fileio.read_sparse_depth, _dataset_path(cfg, "sparse", f"{name}.txt"))
         g_depth, g_var = _load_depth_var(cfg, io, name, "gpis")
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
         aligned = align_mod.align_vision(
@@ -469,7 +455,6 @@ def stage_train(cfg: SceneConfig, io: StageIO):
         cfg.get("loss", "depth_weight"),
         cfg.get("loss", "sharpness"),
         cfg.get("loss", "decay"),
-        cfg.get("loss", "base_weight"),
     )
     log_rows = []
     trained = splat.optimize(
@@ -485,14 +470,15 @@ def stage_train(cfg: SceneConfig, io: StageIO):
     io.write(fileio.atomic_write_text, _out_path(cfg, "train_log.csv"), "\n".join(lines) + "\n")
 
 
-def evaluate_scene(cfg: SceneConfig, cloud=None, io=None):
+def evaluate_scene(cfg: SceneConfig, io: StageIO):
     """Compute the full metric report for the trained cloud."""
-    io = io or StageIO(cfg)
     record = _scene_record(cfg, io)
     shape = _shape_from_record(record)
-    if cloud is None:
-        cloud = io.read(fileio.read_splat_ply, _out_path(cfg, "splats.ply"),
-                        background=_background(record))
+    cloud = io.read(fileio.read_splat_ply, _out_path(cfg, "splats.ply"),
+                    background=_background(record))
+
+    def mse(sq_errors):
+        return float(np.mean(sq_errors)) if sq_errors.size else math.nan
 
     per_view = []
     sq_err_all = []
@@ -501,38 +487,31 @@ def evaluate_scene(cfg: SceneConfig, cloud=None, io=None):
     for name, cam in _camera_views(cfg, io):
         gt_depth = io.read(fileio.read_pfm, _dataset_path(cfg, "gt_depth", f"{name}.pfm"))
         gt_rgb = _read_rgb(cfg, io, name)
-        gt_image = sdfrender.DepthVarImage(gt_depth, np.zeros_like(gt_depth), cam)
         object_mask = touchsim.render_gt_depth(shape, cam).hit_mask
 
         rgb, depth = splat.render(cloud, cam)
         view_psnr = metrics.psnr(np.clip(rgb, 0.0, 1.0), gt_rgb)
-        valid = gt_image.hit_mask & (depth > 0.0)
-        view_mse = float(np.mean((depth[valid] - gt_depth[valid]) ** 2)) if valid.any() else math.nan
-        obj_valid = valid & object_mask
-        view_mse_o = (float(np.mean((depth[obj_valid] - gt_depth[obj_valid]) ** 2))
-                      if obj_valid.any() else math.nan)
         psnrs.append(view_psnr)
-        sq_err_all.append((depth[valid] - gt_depth[valid]) ** 2)
-        sq_err_obj.append((depth[obj_valid] - gt_depth[obj_valid]) ** 2)
-        per_view.append((name, view_psnr, view_mse, view_mse_o))
+        sq_err_all.append(metrics.depth_sq_errors(depth, gt_depth))
+        sq_err_obj.append(metrics.depth_sq_errors(depth, gt_depth, mask=object_mask))
+        per_view.append((name, view_psnr, mse(sq_err_all[-1]), mse(sq_err_obj[-1])))
 
     gt_cloud = touchsim.surface_points(shape, cfg.get("eval", "gt_points"), seed=cfg.seed)
     pred = cloud.positions
     transform = metrics.align_clouds(pred, gt_cloud, iters=cfg.get("eval", "icp_iters"))
     moved = pred @ transform[:3, :3].T + transform[:3, 3]
-    report = metrics.EvalReport(
+    return metrics.EvalReport(
         psnr=float(np.mean(psnrs)),
-        d_mse=float(np.mean(np.concatenate(sq_err_all))),
-        d_mse_o=float(np.mean(np.concatenate(sq_err_obj))),
+        d_mse=mse(np.concatenate(sq_err_all)),
+        d_mse_o=mse(np.concatenate(sq_err_obj)),
         chamfer=metrics.chamfer(moved, gt_cloud),
         hausdorff=metrics.hausdorff(moved, gt_cloud),
         per_view=per_view,
     )
-    return report
 
 
 def stage_eval(cfg: SceneConfig, io: StageIO):
-    report = evaluate_scene(cfg, io=io)
+    report = evaluate_scene(cfg, io)
     io.write(fileio.atomic_write_text, _out_path(cfg, "eval_report.txt"), report.to_text())
     io.write(fileio.atomic_write_text, _out_path(cfg, "eval_report.csv"), report.to_csv())
 

@@ -6,7 +6,6 @@ pixels that cannot hit the surface. Images store z-depth (distance along the
 optical axis) so they combine directly with monocular depth maps.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,7 +15,6 @@ from . import geometry
 from .gpis import ConditioningSet
 
 MISS_VAR = 1e10
-UNIT_DIR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,23 +70,6 @@ class CameraModel:
 
 
 @dataclass(frozen=True)
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        o = np.asarray(self.origin, dtype=np.float64)
-        d = np.asarray(self.direction, dtype=np.float64)
-        if abs(np.linalg.norm(d) - 1.0) > UNIT_DIR_TOL:
-            raise ValueError("ray direction must be unit length")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-
-    def point_at(self, t):
-        return self.origin + t * self.direction
-
-
-@dataclass(frozen=True)
 class MarchParams:
     """Sphere-tracing controls: step = max(step_fraction * sdf, min_step)."""
 
@@ -96,7 +77,6 @@ class MarchParams:
     min_step: float = 1e-3
     hit_tol: float = 1e-4
     max_steps: int = 200
-    t_max: float = math.inf
 
     def __post_init__(self):
         if not (0.0 < self.step_fraction <= 1.0):
@@ -146,75 +126,31 @@ class DepthVarImage:
         return self.depth > 0.0
 
 
-def generate_ray(camera: CameraModel, px) -> Ray:
-    """World-frame unit ray through pixel px = (u, v)."""
-    u, v = float(px[0]), float(px[1])
-    if not (0.0 <= u < camera.width) or not (0.0 <= v < camera.height):
-        raise ValueError(f"pixel {px} outside {camera.width}x{camera.height} image")
-    d_cam = np.array([(u - camera.cx) / camera.fx, (v - camera.cy) / camera.fy, 1.0])
-    d_cam /= np.linalg.norm(d_cam)
-    return Ray(camera.position.copy(), camera.rotation @ d_cam)
-
-
 def bounding_sphere(cset: ConditioningSet, margin_frac=0.1, min_radius=0.0) -> BoundingSphere:
     """Sphere around the conditioning surface points with a relative margin.
 
     A degenerate (single-point) set yields radius `min_radius`; callers
     typically pass the march min_step there.
     """
-    pts = cset.surface_points()
-    if pts.shape[0] == 0:
-        pts = cset.locations
-    center = pts.mean(axis=0)
-    spread = float(np.max(np.linalg.norm(pts - center, axis=1)))
-    radius = (1.0 + margin_frac) * spread
-    return BoundingSphere(center, max(radius, min_radius))
+    center, spread = geometry.centroid_spread(cset.surface_points())
+    return BoundingSphere(center, max((1.0 + margin_frac) * spread, min_radius))
 
 
-def sphere_prefilter(ray: Ray, sphere: BoundingSphere):
-    """Closed-form ray/sphere intersection clipped to t >= 0, or None."""
-    offset = ray.origin - sphere.center
-    b = float(np.dot(ray.direction, offset))
-    c = float(np.dot(offset, offset)) - sphere.radius ** 2
+def sphere_entry_exit(offset, dirs, radius):
+    """(t_enter, t_exit, meets) of unit rays `dirs` (N, 3) from an origin at
+    `offset` from a sphere's center: where each ray's line enters and leaves
+    the sphere, and whether it meets it at all (else the t's mean nothing)."""
+    b = dirs @ offset
+    c = float(offset @ offset) - radius ** 2
     disc = b * b - c
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    t_enter, t_exit = -b - root, -b + root
-    if t_exit < 0.0:
-        return None
-    return max(t_enter, 0.0), t_exit
-
-
-def march(model, ray: Ray, params: MarchParams, window):
-    """Sphere-trace one ray; returns (t_hit, variance, steps) or None.
-
-    `model` needs query(points) -> (mean, variance) and query_mean(points);
-    the GPIS model and the analytic-shape adapters in the simulator both
-    qualify.
-    """
-    if window is None:
-        return None
-    t_enter, t_exit = window
-    t_stop = min(t_exit, params.t_max)
-    if t_enter > t_stop:
-        return None
-    t = float(t_enter)
-    steps = 0
-    while steps < params.max_steps:
-        sdf = float(model.query_mean(ray.point_at(t)[None, :])[0])
-        steps += 1
-        if sdf < params.hit_tol:
-            variance = float(model.query(ray.point_at(t)[None, :])[1][0])
-            return t, variance, steps
-        t = t + max(params.step_fraction * sdf, params.min_step)
-        if t > t_stop:
-            return None
-    return None
+    meets = disc >= 0.0
+    root = np.sqrt(np.where(meets, disc, 0.0))
+    return -b - root, -b + root, meets
 
 
 def _march_batch(model, origins, dirs, t_enter, t_stop, params: MarchParams):
-    """Vectorized march over many rays; per-ray arithmetic matches march().
+    """Vectorized march over many rays, each marched exactly as the scalar
+    sphere tracer in tests/oracles.py marches it alone.
 
     Returns (hit, t, exhausted): exhausted marks the rays that used up
     max_steps without a hit or an exit."""
@@ -243,26 +179,16 @@ def _march_batch(model, origins, dirs, t_enter, t_stop, params: MarchParams):
 
 
 def render_depth_variance(model, camera: CameraModel, params: MarchParams,
-                          margin_frac=0.1, sphere: BoundingSphere = None) -> DepthVarImage:
-    """Render the model from a camera into a z-depth/variance image pair.
-
-    Rays that use up max_steps without a hit or an exit are drawn as misses,
-    and a RuntimeWarning gives their count for the view."""
-    if sphere is None:
-        sphere = bounding_sphere(model.conditioning, margin_frac, min_radius=params.min_step)
-
+                          sphere: BoundingSphere) -> DepthVarImage:
+    """Render the model from a camera into a z-depth/variance image pair,
+    marching only the rays that meet `sphere`, from entry to exit. Rays that
+    use up max_steps without a hit or an exit are drawn as misses, and a
+    RuntimeWarning gives their count for the view."""
     dirs, axis_cos = camera.pixel_rays()
-
-    offset = camera.position - sphere.center
-    b = dirs @ offset
-    c = float(offset @ offset) - sphere.radius ** 2
-    disc = b * b - c
-    candidates = disc >= 0.0
-    root = np.sqrt(np.where(candidates, disc, 0.0))
-    t_exit = -b + root
+    t_enter, t_exit, candidates = sphere_entry_exit(camera.position - sphere.center, dirs,
+                                                    sphere.radius)
     candidates &= t_exit >= 0.0
-    t_enter = np.maximum(-b - root, 0.0)
-    t_stop = np.minimum(t_exit, params.t_max)
+    t_enter = np.maximum(t_enter, 0.0)
 
     depth = np.zeros(camera.height * camera.width)
     variance = np.full(camera.height * camera.width, MISS_VAR)
@@ -270,7 +196,7 @@ def render_depth_variance(model, camera: CameraModel, params: MarchParams,
     if idx.size:
         origins = np.broadcast_to(camera.position, (idx.size, 3))
         hit, t_hit, exhausted = _march_batch(model, origins, dirs[idx], t_enter[idx],
-                                             t_stop[idx], params)
+                                             t_exit[idx], params)
         if exhausted.any():
             warnings.warn(
                 f"{np.count_nonzero(exhausted)} of {idx.size} candidate rays in this view "

@@ -75,43 +75,18 @@ class LossConfig:
 
     depth_weight scales the depth term against the color term, sharpness
     controls how fast supervision confidence falls off with the fused
-    standard deviation, decay shrinks depth_weight each training epoch, and
-    base_weight is the proportionality constant of the per-pixel weight.
+    standard deviation, and decay shrinks depth_weight each training epoch.
     """
 
     depth_weight: float = 1.0
     sharpness: float = 1.0
     decay: float = 1.0
-    base_weight: float = 1.0
 
     def __post_init__(self):
-        if self.depth_weight < 0.0 or self.sharpness < 0.0 or self.base_weight <= 0.0:
-            raise ValueError("depth_weight/sharpness must be >= 0, base_weight > 0")
+        if self.depth_weight < 0.0 or self.sharpness < 0.0:
+            raise ValueError("depth_weight/sharpness must be >= 0")
         if not (0.0 < self.decay <= 1.0):
             raise ValueError("decay must be in (0, 1]")
-
-
-def composite_ray(splats_on_ray):
-    """Front-to-back blend of ordered (alpha, color, depth) samples.
-
-    Returns (color, depth, residual transmittance); the background is not
-    folded in and the blended depth likewise excludes it.
-    """
-    trans = 1.0
-    color = np.zeros(3)
-    depth = 0.0
-    prev = -math.inf
-    for alpha, col, d in splats_on_ray:
-        if d < prev:
-            raise ValueError("splats must be ordered by increasing depth")
-        prev = d
-        if not (0.0 < alpha < 1.0):
-            raise ValueError("alpha must lie strictly inside (0, 1)")
-        w = alpha * trans
-        color = color + np.asarray(col, dtype=np.float64) * w
-        depth = depth + d * w
-        trans = trans * (1.0 - alpha)
-    return color, depth, trans
 
 
 def _project(cloud: SplatCloud, camera: CameraModel):
@@ -186,8 +161,9 @@ def _rank_slices(pix):
 
 
 def _forward(cloud, camera, pairs):
-    """Rank-sequenced compositing: per pixel it performs the exact same
-    operation sequence as composite_ray, just vectorized across pixels.
+    """Rank-sequenced compositing: per pixel it performs the exact operation
+    sequence of a scalar front-to-back blend (tests/oracles.py composite_ray),
+    just vectorized across pixels.
 
     The pairs are gathered into rank-major order once; step r composites
     the contiguous slice of every pixel's r-th splat. Returns the images
@@ -244,7 +220,7 @@ def color_loss(rendered, gt):
 def depth_loss(rendered_depth, fused: FusedSupervision, cfg: LossConfig):
     """Uncertainty-weighted squared depth error over supervised pixels.
 
-    Per-pixel weight = base_weight * exp(-sharpness * sqrt(variance));
+    Per-pixel weight = exp(-sharpness * sqrt(variance));
     pixels without provenance are skipped entirely.
     """
     rendered_depth = np.asarray(rendered_depth, dtype=np.float64)
@@ -253,14 +229,8 @@ def depth_loss(rendered_depth, fused: FusedSupervision, cfg: LossConfig):
     mask = fused.supervised_mask
     if not np.any(mask):
         return 0.0
-    weights = cfg.base_weight * np.exp(-cfg.sharpness * np.sqrt(fused.variance[mask]))
+    weights = np.exp(-cfg.sharpness * np.sqrt(fused.variance[mask]))
     return float(np.sum(weights * (rendered_depth[mask] - fused.depth[mask]) ** 2))
-
-
-def decay_weight(depth_weight, decay):
-    if not (0.0 < decay <= 1.0):
-        raise ValueError("decay must be in (0, 1]")
-    return decay * depth_weight
 
 
 def backproject_init(images):
@@ -295,7 +265,7 @@ def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
     mask = fused.supervised_mask.reshape(-1)
     g_depth_px = np.zeros(flat_depth.shape)
     if np.any(mask) and depth_weight != 0.0:
-        weights = cfg.base_weight * np.exp(-cfg.sharpness * np.sqrt(fused.variance.reshape(-1)[mask]))
+        weights = np.exp(-cfg.sharpness * np.sqrt(fused.variance.reshape(-1)[mask]))
         g_depth_px[mask] = depth_weight * 2.0 * weights * (
             flat_depth[mask] - fused.depth.reshape(-1)[mask]
         )
@@ -397,43 +367,9 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
         current.opacity_logits -= step * logit_scale * g_logit
         if not current.is_finite():
             raise NumericalError(f"parameters diverged at iteration {it}")
-        lam = decay_weight(lam, cfg.decay)
+        lam *= cfg.decay
     final_loss = total_loss(current, views, cfg, depth_weight=lam)
     if math.isfinite(final_loss) and final_loss < best[0]:
         best = (final_loss, current)
     return best[1]
 
-
-def grad_check(cloud: SplatCloud, view, cfg: LossConfig, h=1e-5):
-    """Max relative error of analytic vs central-difference gradients.
-
-    Checks every position, color and opacity-logit parameter of a small
-    cloud against finite differences of the full (color + weighted depth)
-    loss; denominators are floored at 1e-8.
-    """
-    if len(cloud) > 20:
-        raise ValueError("grad_check is meant for small clouds (<= 20 splats)")
-    views = [view]
-    _, _, _, grads = loss_gradients(cloud, views, cfg)
-    analytic = np.concatenate([grads[0].ravel(), grads[1].ravel(), grads[2]])
-
-    def loss_at(vec):
-        n = len(cloud)
-        probe = cloud.copy()
-        probe.positions = vec[: 3 * n].reshape(n, 3)
-        probe.colors = vec[3 * n: 6 * n].reshape(n, 3)
-        probe.opacity_logits = vec[6 * n:]
-        return total_loss(probe, views, cfg)
-
-    base = np.concatenate(
-        [cloud.positions.ravel(), cloud.colors.ravel(), cloud.opacity_logits]
-    )
-    numeric = np.empty_like(base)
-    for k in range(base.size):
-        up = base.copy()
-        down = base.copy()
-        up[k] += h
-        down[k] -= h
-        numeric[k] = (loss_at(up) - loss_at(down)) / (2.0 * h)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -16,6 +16,9 @@ from .sdfrender import CameraModel, DepthVarImage, BoundingSphere, MarchParams, 
 from .align import SparseDepth
 
 GRADIENT_STEP = 1e-6
+# Ground-truth march; the step budget covers grazing rays crawling at min_step.
+GT_HIT_TOL = 1e-7
+GT_MAX_STEPS = 5000
 
 
 @dataclass(frozen=True)
@@ -181,11 +184,10 @@ def _tilt_normals(normals, sigma, rng):
     return out
 
 
-def render_gt_depth(shape: AnalyticShape, camera: CameraModel,
-                    hit_tol=1e-7, max_steps=500) -> DepthVarImage:
+def render_gt_depth(shape: AnalyticShape, camera: CameraModel) -> DepthVarImage:
     """Sphere-traced ground-truth z-depth of the shape (variance zero on hits)."""
     params = MarchParams(
-        step_fraction=1.0, min_step=1e-6, hit_tol=hit_tol, max_steps=max_steps
+        step_fraction=1.0, min_step=1e-6, hit_tol=GT_HIT_TOL, max_steps=GT_MAX_STEPS
     )
     center = shape.pose[:3, 3]
     sphere = BoundingSphere(center, 1.05 * shape.bounding_radius())
@@ -215,7 +217,7 @@ def make_sparse_depth(gt: DepthVarImage, fraction, noise: NoiseModel = NoiseMode
     if noise.sparse_quadratic > 0.0:
         depths = depths + rng.normal(size=count) * noise.sparse_quadratic * depths ** 2
     pixels = chosen[:, ::-1]  # (row, col) -> (u, v)
-    return SparseDepth(pixels, depths, source="synthetic")
+    return SparseDepth(pixels, depths)
 
 
 def surface_points(shape: AnalyticShape, count, seed=0):

@@ -24,11 +24,13 @@ from touchfuse.sdfrender import (
     CameraModel,
     DepthVarImage,
     MarchParams,
-    Ray,
+    bounding_sphere,
     render_depth_variance,
 )
-from touchfuse.splat import LossConfig, SplatCloud, composite_ray, grad_check, optimize, render
+from touchfuse.splat import LossConfig, SplatCloud, optimize, render
 from touchfuse.touchsim import AnalyticShape, NoiseModel, ShapeSDFModel, render_gt_depth, sample_touches
+
+from oracles import Ray, composite_ray, fuse_pixel, grad_check, matern32
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUNDLED_CONFIG = os.path.join(REPO_ROOT, "configs", "sphere_scene.cfg")
@@ -93,8 +95,6 @@ def test_criterion_01_gp_interpolation():
 
 
 def test_criterion_02_kernel_closed_form():
-    from touchfuse.gpis import matern32
-
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(100):
@@ -137,7 +137,9 @@ def test_criterion_04_gpis_reconstruction():
     cset = build_conditioning_set(touches, 0.03, 0.01, n_slices=8, voxel=0.1)
     model = fit(cset, KernelParams(0.3, 0.5, 1e-6, prior_mean=0.5))
     cam = CameraModel(48.0, 48.0, 31.5, 31.5, 64, 64, look_at([0, 0, -3], [0, 0, 0]))
-    image = render_depth_variance(model, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
+    params = MarchParams(0.9, 1e-3, 1e-4, 200)
+    sphere = bounding_sphere(model.conditioning, 0.1, min_radius=params.min_step)
+    image = render_depth_variance(model, cam, params, sphere)
     analytic = render_gt_depth(shape, cam)
     both = image.hit_mask & analytic.hit_mask
     assert both.sum() > 300
@@ -194,8 +196,8 @@ def test_criterion_06_fusion_exactness():
     fused = fuse.fuse_images(vision, touch)
     for y in range(16):
         for x in range(16):
-            mu, var = fuse.fuse_pixel(vision.depth[y, x], vision.variance[y, x],
-                                      touch.depth[y, x], touch.variance[y, x])
+            mu, var = fuse_pixel(vision.depth[y, x], vision.variance[y, x],
+                                 touch.depth[y, x], touch.variance[y, x])
             assert fused.depth[y, x] == mu
             assert fused.variance[y, x] == var
     np.testing.assert_allclose(1.0 / fused.variance,
@@ -222,7 +224,7 @@ def test_criterion_07_gradient_validity():
     prov = np.full((16, 16), PROVENANCE_FUSED, dtype=np.uint8)
     prov[rng.uniform(size=(16, 16)) < 0.2] = PROVENANCE_NONE
     view = (gt_rgb, FusedSupervision(depth, var, prov), cam)
-    cfg = LossConfig(depth_weight=0.8, sharpness=1.2, decay=1.0, base_weight=1.0)
+    cfg = LossConfig(depth_weight=0.8, sharpness=1.2, decay=1.0)
     err = grad_check(cloud, view, cfg, h=1e-5)
     assert err < 1e-4
     report(7, f"analytic gradients vs central differences (max rel err {err:.2e})")
@@ -243,8 +245,7 @@ def test_criterion_08_metric_oracles():
     for y in range(12):
         for x in range(12):
             total += (pred[y, x] - gt[y, x]) ** 2
-    cam = CameraModel(9.0, 9.0, 5.5, 5.5, 12, 12, identity_transform())
-    got = metrics.depth_mse(pred, DepthVarImage(gt, np.zeros_like(gt), cam))
+    got = float(np.mean(metrics.depth_sq_errors(pred, gt)))
     assert got == pytest.approx(total / 144.0, rel=1e-12)
 
     img1 = rng.uniform(size=(9, 9, 3))
@@ -308,8 +309,8 @@ def test_criterion_09_directional_trend(bundled_run):
     init = products["init"]
     background = np.asarray(products["background"])
     iters, step = 150, 5e-3
-    fused_cfg = LossConfig(depth_weight=1.0, sharpness=3.0, decay=0.99, base_weight=1.0)
-    color_cfg = LossConfig(depth_weight=0.0, sharpness=3.0, decay=1.0, base_weight=1.0)
+    fused_cfg = LossConfig(depth_weight=1.0, sharpness=3.0, decay=0.99)
+    color_cfg = LossConfig(depth_weight=0.0, sharpness=3.0, decay=1.0)
 
     ours = optimize(init, products["fused_views"], fused_cfg, iters, step=step)
     ours_metrics = _depth_metrics(products, ours)

@@ -4,10 +4,11 @@ import os
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from touchfuse import fileio
 from touchfuse.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED, EXIT_OK, main
-from touchfuse.config import parse_config_text, validate_config
+from touchfuse.config import SCHEMA, parse_config_text, validate_config
 from touchfuse.errors import ConfigError, DependencyError
 from touchfuse.pipeline import STAGE_ORDER, STAGES, StageIO, run_pipeline
 
@@ -69,6 +70,29 @@ class TestConfigParsing:
         text = "[scene]\ndataset = a\nout = b\n[sim]\nbackground_color = 0.5 0.5 1.5\n"
         with pytest.raises(ConfigError, match="three color components"):
             parse_config_text(text)
+
+    def test_removed_keys_are_unknown(self):
+        for section, key in (("march", "t_max"), ("loss", "base_weight")):
+            text = f"[scene]\ndataset = a\nout = b\n[{section}]\n{key} = 1.0\n"
+            with pytest.raises(ConfigError, match=f"line 5: unknown key '{key}'"):
+                parse_config_text(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([f"[{name}]" for name in SCHEMA] + ["[bogus]", "[]", "", "# note"]),
+        st.builds("{} = {}".format,
+                  st.sampled_from([key for keys in SCHEMA.values() for key in keys] + ["x"]),
+                  st.one_of(st.text(max_size=12), st.floats().map(repr),
+                            st.integers().map(str),
+                            st.sampled_from(["auto", "torus", "box", "1 2", "0.3, -0.3",
+                                             "1 2 3", "0", "-1", "nan", "inf", "1e999"]))),
+        st.text(max_size=20),
+    ), max_size=30))
+    def test_parser_raises_only_config_errors(self, lines):
+        try:
+            parse_config_text("\n".join(lines))
+        except ConfigError:
+            pass
 
     def test_missing_dataset_directory(self, tmp_path):
         path = write_config(tmp_path, make_dataset=False)
@@ -241,6 +265,29 @@ def built(pristine, tmp_path):
 
 class TestExitCodes:
     """Failures that used to escape main() as tracebacks with exit code 1."""
+
+    @pytest.mark.parametrize("extra, message", [
+        ("[kernel]\nrho_grid = 0.3 -0.3\n", "line 6: key 'rho_grid'"),
+        ("[sim]\nshape = torus\nsize = 1.0\n", "line 7: key 'size'"),
+        ("[sim]\nshape = torus\n", "line 6: key 'size'"),
+        ("[sim]\nsize = 0.0\n", "line 6: key 'size'"),
+    ], ids=["negative-rho", "torus-one-radius", "torus-default-size", "zero-size"])
+    def test_value_that_fails_a_stage_is_a_config_error(self, tmp_path, capsys, extra, message):
+        path = write_config(tmp_path, MINIMAL + extra, make_dataset=False)
+        assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "scene.cfg"
+        path.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+        assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line 5" in err and "UTF-8" in err
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["pipeline", "--config", str(tmp_path)]) == EXIT_CONFIG
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_locked_output_directory(self, built, tmp_path, capsys):
         fd = os.open(built.out, os.O_RDONLY)

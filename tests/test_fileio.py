@@ -126,10 +126,10 @@ class TestCameraFile:
 
 class TestSparseAndKeyValues:
     def test_sparse_round_trip(self, tmp_path):
-        sparse = SparseDepth([[3, 4], [10, 2]], [1.25, 3.5], source="synthetic")
+        sparse = SparseDepth([[3, 4], [10, 2]], [1.25, 3.5])
         path = tmp_path / "sparse.txt"
         fileio.write_sparse_depth(path, sparse)
-        back = fileio.read_sparse_depth(path, source="synthetic")
+        back = fileio.read_sparse_depth(path)
         np.testing.assert_array_equal(back.pixels, sparse.pixels)
         np.testing.assert_array_equal(back.depths, sparse.depths)
 

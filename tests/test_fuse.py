@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from touchfuse.align import AlignedVision
 from touchfuse.fuse import (
@@ -9,10 +11,11 @@ from touchfuse.fuse import (
     PROVENANCE_VISION,
     FusedSupervision,
     fuse_images,
-    fuse_pixel,
 )
 from touchfuse.geometry import identity_transform
 from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
+
+from oracles import fuse_pixel
 
 
 def camera(w, h):
@@ -161,3 +164,60 @@ class TestFuseImages:
             np.full((2, 2), PROVENANCE_NONE, dtype=np.uint8),
         )
         assert not blank.supervised_mask.any()
+
+
+SHAPE = (3, 4)
+depth_images = arrays(np.float64, SHAPE, elements=st.floats(0.1, 50.0))
+variance_images = arrays(np.float64, SHAPE, elements=st.floats(1e-4, 1e2))
+masks = arrays(np.bool_, SHAPE)
+
+
+class TestFusionProperties:
+    """fuse_images against the scalar rule on random image pairs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(depth_images, variance_images, depth_images, variance_images)
+    def test_precisions_add(self, vd, vv, td, tv):
+        fused = fuse_images(AlignedVision(vd, vv, 1.0, 0.0), DepthVarImage(td, tv, camera(4, 3)))
+        for y, x in np.ndindex(SHAPE):
+            assert (fused.depth[y, x], fused.variance[y, x]) == fuse_pixel(
+                vd[y, x], vv[y, x], td[y, x], tv[y, x])
+        np.testing.assert_allclose(1.0 / fused.variance, 1.0 / vv + 1.0 / tv, rtol=1e-12)
+        assert np.all(fused.provenance == PROVENANCE_FUSED)
+
+    @settings(max_examples=60, deadline=None)
+    @given(depth_images, variance_images, depth_images, variance_images)
+    def test_swapping_sources_changes_no_bit(self, vd, vv, td, tv):
+        cam = camera(4, 3)
+        a = fuse_images(AlignedVision(vd, vv, 1.0, 0.0), DepthVarImage(td, tv, cam))
+        b = fuse_images(AlignedVision(td, tv, 1.0, 0.0), DepthVarImage(vd, vv, cam))
+        np.testing.assert_array_equal(a.depth, b.depth)
+        np.testing.assert_array_equal(a.variance, b.variance)
+        for y, x in np.ndindex(SHAPE):
+            assert fuse_pixel(vd[y, x], vv[y, x], td[y, x], tv[y, x]) == fuse_pixel(
+                td[y, x], tv[y, x], vd[y, x], vv[y, x])
+
+    @settings(max_examples=60, deadline=None)
+    @given(depth_images, variance_images, depth_images, variance_images, masks, masks,
+           st.sampled_from([0.0, -1.0, np.nan, np.inf]))
+    def test_misses_defer_to_the_other_source(self, vd, vv, td, tv, vision_miss, touch_miss,
+                                              invalid):
+        vd = np.where(vision_miss, invalid, vd)
+        td = np.where(touch_miss, 0.0, td)
+        fused = fuse_images(AlignedVision(vd, vv, 1.0, 0.0), DepthVarImage(td, tv, camera(4, 3)))
+        for y, x in np.ndindex(SHAPE):
+            v_ok, t_ok = not vision_miss[y, x], not touch_miss[y, x]
+            got = (fused.depth[y, x], fused.variance[y, x])
+            if not (v_ok or t_ok):
+                assert got == (0.0, MISS_VAR)
+                assert fused.provenance[y, x] == PROVENANCE_NONE
+                continue
+            vision_side = (vd[y, x], vv[y, x]) if v_ok else (0.0, MISS_VAR)
+            touch_side = (td[y, x], tv[y, x]) if t_ok else (0.0, MISS_VAR)
+            assert got == fuse_pixel(*vision_side, *touch_side)
+            if v_ok and t_ok:
+                assert fused.provenance[y, x] == PROVENANCE_FUSED
+            else:
+                kept = vision_side if v_ok else touch_side
+                assert fused.provenance[y, x] == (PROVENANCE_VISION if v_ok else PROVENANCE_TOUCH)
+                np.testing.assert_allclose(got, kept, rtol=1e-7)

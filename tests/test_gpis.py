@@ -23,10 +23,11 @@ from touchfuse.gpis import (
     fit,
     load_model,
     log_marginal_likelihood,
-    matern32,
     optimize_hyperparameters,
     save_model,
 )
+
+from oracles import matern32
 
 
 def sphere_touches(n, seed=0, radius=1.0):

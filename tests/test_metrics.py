@@ -3,18 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from touchfuse.geometry import identity_transform, rotation_about_axis
-from touchfuse.metrics import align_clouds, chamfer, depth_mse, hausdorff, psnr
-from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
+from touchfuse.geometry import rotation_about_axis
+from touchfuse.metrics import align_clouds, chamfer, depth_sq_errors, hausdorff, psnr
 
 
-def camera(w=8, h=8):
-    return CameraModel(6.0, 6.0, (w - 1) / 2, (h - 1) / 2, w, h, identity_transform())
-
-
-def gt_image(depth):
-    var = np.where(depth > 0, 0.0, MISS_VAR)
-    return DepthVarImage(depth, var, camera(*depth.shape[::-1]))
+def depth_mse(pred, gt, mask=None):
+    return float(np.mean(depth_sq_errors(pred, gt, mask)))
 
 
 def brute_force_nn(a, b):
@@ -26,12 +20,12 @@ class TestDepthMSE:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(0)
         depth = rng.uniform(1.0, 3.0, size=(8, 8))
-        assert depth_mse(depth, gt_image(depth)) == 0.0
+        assert depth_mse(depth, depth) == 0.0
 
     def test_uniform_offset(self):
         rng = np.random.default_rng(1)
         depth = rng.uniform(1.0, 3.0, size=(8, 8))
-        assert depth_mse(depth + 0.1, gt_image(depth)) == pytest.approx(0.01, rel=1e-12)
+        assert depth_mse(depth + 0.1, depth) == pytest.approx(0.01, rel=1e-12)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(2)
@@ -44,19 +38,31 @@ class TestDepthMSE:
                 if gt[y, x] > 0 and pred[y, x] > 0:
                     total += (pred[y, x] - gt[y, x]) ** 2
                     count += 1
-        assert depth_mse(pred, gt_image(gt)) == pytest.approx(total / count, rel=1e-12)
+        assert depth_mse(pred, gt) == pytest.approx(total / count, rel=1e-12)
 
     def test_full_mask_equals_unmasked(self):
         rng = np.random.default_rng(3)
         gt = rng.uniform(1.0, 3.0, size=(8, 8))
         pred = rng.uniform(1.0, 3.0, size=(8, 8))
         full = np.ones((8, 8), bool)
-        assert depth_mse(pred, gt_image(gt), mask=full) == depth_mse(pred, gt_image(gt))
+        assert depth_mse(pred, gt, mask=full) == depth_mse(pred, gt)
 
-    def test_empty_valid_set_rejected(self):
-        gt = gt_image(np.zeros((4, 4)))
+    def test_mask_keeps_masked_errors_in_pixel_order(self):
+        rng = np.random.default_rng(9)
+        gt = rng.uniform(1.0, 3.0, size=(6, 7))
+        pred = rng.uniform(1.0, 3.0, size=(6, 7))
+        pred[2, 2] = 0.0  # uncovered pixels excluded
+        mask = rng.uniform(size=(6, 7)) < 0.5
+        keep = mask & (pred > 0)
+        np.testing.assert_array_equal(depth_sq_errors(pred, gt, mask),
+                                      (pred[keep] - gt[keep]) ** 2)
+
+    def test_empty_valid_set_gives_no_errors(self):
+        assert depth_sq_errors(np.ones((4, 4)), np.zeros((4, 4))).size == 0
+
+    def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
-            depth_mse(np.ones((4, 4)), gt)
+            depth_sq_errors(np.ones((4, 4)), np.ones((4, 5)))
 
 
 class TestPSNR:

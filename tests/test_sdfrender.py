@@ -13,15 +13,20 @@ from touchfuse.sdfrender import (
     CameraModel,
     DepthVarImage,
     MarchParams,
-    Ray,
     bounding_sphere,
-    generate_ray,
-    march,
     render_depth_variance,
-    sphere_prefilter,
+    sphere_entry_exit,
 )
 from touchfuse.touchsim import AnalyticShape, NoiseModel, ShapeSDFModel, sample_touches
 from touchfuse.gpis import build_conditioning_set
+
+from oracles import Ray, generate_ray, march, sphere_prefilter
+
+
+def render(model, camera, params):
+    """Render inside the conditioning set's bounding sphere at a 0.1 margin."""
+    sphere = bounding_sphere(model.conditioning, 0.1, min_radius=params.min_step)
+    return render_depth_variance(model, camera, params, sphere)
 
 
 def simple_camera(width=64, height=64, fx=48.0, pose=None):
@@ -142,6 +147,21 @@ class TestPrefilter:
         ray = Ray(np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, 1.0]))
         assert sphere_prefilter(ray, BoundingSphere(np.zeros(3), 1.0)) is None
 
+    def test_vectorized_entry_exit_matches_scalar(self):
+        cam = simple_camera(width=16, height=12, fx=6.0,
+                            pose=look_at([0.3, -0.2, -2.5], [0, 0, 0]))
+        sphere = BoundingSphere(np.array([0.1, 0.0, 0.2]), 0.9)
+        dirs, _ = cam.pixel_rays()
+        t_enter, t_exit, meets = sphere_entry_exit(cam.position - sphere.center, dirs,
+                                                   sphere.radius)
+        assert 0 < np.count_nonzero(meets) < dirs.shape[0]
+        for i, direction in enumerate(dirs):
+            window = sphere_prefilter(Ray(cam.position, direction), sphere)
+            if window is None:
+                assert not meets[i] or t_exit[i] < 0.0
+            else:
+                assert meets[i] and window == (max(t_enter[i], 0.0), t_exit[i])
+
 
 class TestMarch:
     def setup_method(self):
@@ -232,13 +252,13 @@ class TestRender:
     def test_facing_away_all_miss(self, sphere_gpis):
         pose = look_at([0.0, 0.0, -3.0], [0.0, 0.0, -9.0])
         cam = simple_camera(width=16, height=16, pose=pose)
-        image = render_depth_variance(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 100))
+        image = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 100))
         assert not image.hit_mask.any()
         assert np.all(image.variance == MISS_VAR)
 
     def test_gpis_depth_matches_analytic_sphere(self, sphere_gpis):
         cam = simple_camera(pose=look_at([0.0, 0.0, -3.0], [0.0, 0.0, 0.0]))
-        image = render_depth_variance(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
+        image = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
         errs = []
         for y in range(64):
             for x in range(64):
@@ -256,8 +276,8 @@ class TestRender:
     def test_repeat_render_bit_identical(self, sphere_gpis):
         cam = simple_camera(width=32, height=32, pose=look_at([0, 0, -3], [0, 0, 0]))
         params = MarchParams(0.9, 1e-3, 1e-4, 200)
-        a = render_depth_variance(sphere_gpis, cam, params)
-        b = render_depth_variance(sphere_gpis, cam, params)
+        a = render(sphere_gpis, cam, params)
+        b = render(sphere_gpis, cam, params)
         np.testing.assert_array_equal(a.depth, b.depth)
         np.testing.assert_array_equal(a.variance, b.variance)
 
@@ -265,9 +285,9 @@ class TestRender:
         cam = simple_camera(width=16, height=16, pose=look_at([0, 0, -3], [0, 0, 0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            full = render_depth_variance(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
+            full = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
         with pytest.warns(RuntimeWarning, match="max_steps=2") as record:
-            short = render_depth_variance(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 2))
+            short = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 2))
         exhausted, candidates = map(int, re.match(r"(\d+) of (\d+) candidate",
                                                   str(record[0].message)).groups())
         assert 0 < exhausted <= candidates - np.count_nonzero(short.hit_mask)
@@ -276,7 +296,7 @@ class TestRender:
     def test_batch_render_matches_scalar_march(self, sphere_gpis):
         cam = simple_camera(width=32, height=32, pose=look_at([0, 0, -3], [0, 0, 0]))
         params = MarchParams(0.9, 1e-3, 1e-4, 200)
-        image = render_depth_variance(sphere_gpis, cam, params)
+        image = render(sphere_gpis, cam, params)
         sphere = bounding_sphere(sphere_gpis.conditioning, 0.1, min_radius=params.min_step)
         rng = np.random.default_rng(0)
         ys, xs = np.nonzero(image.hit_mask)
@@ -306,7 +326,7 @@ class TestRender:
     def test_ray_length_bounds_axis_depth(self, sphere_gpis):
         cam = simple_camera(pose=look_at([0, 0, -3], [0, 0, 0]))
         params = MarchParams(0.9, 1e-3, 1e-4, 200)
-        image = render_depth_variance(sphere_gpis, cam, params)
+        image = render(sphere_gpis, cam, params)
         sphere = bounding_sphere(sphere_gpis.conditioning, 0.1, min_radius=params.min_step)
         ys, xs = np.nonzero(image.hit_mask)
         for y, x in list(zip(ys, xs))[::37]:

@@ -16,17 +16,16 @@ from touchfuse.splat import (
     SplatCloud,
     backproject_init,
     color_loss,
-    composite_ray,
-    decay_weight,
     depth_loss,
     footprint_pairs,
-    grad_check,
     optimize,
     render,
     total_loss,
     _project,
 )
 from touchfuse.touchsim import AnalyticShape, render_gt_depth
+
+from oracles import composite_ray, grad_check
 
 
 def camera(w=16, h=16, fx=12.0, pose=None):
@@ -93,6 +92,34 @@ class TestCompositeRay:
             color, _, trans = composite_ray(items)
             # unit colors turn the blended color into the weight sum
             assert abs(color[0] + trans - 1.0) < 1e-12
+
+
+class TestCompositingProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-4, 1.0 - 1e-4), st.floats(0.5, 6.0)),
+                    min_size=1, max_size=12))
+    def test_weights_and_transmittance_sum_to_one(self, splats):
+        """Splats on the optical axis, in drawn (unsorted) depth order: at
+        the centre pixel the blend weights plus the residual transmittance
+        are 1, for the scalar blend and for the renderer alike."""
+        alphas = np.array([a for a, _ in splats])
+        depths = np.array([d for _, d in splats])
+        n = len(splats)
+        cam = camera(9, 9, fx=6.0)
+        positions = np.column_stack([np.zeros(n), np.zeros(n), depths])
+        logits = np.log(alphas / (1.0 - alphas))
+        # Unit colors on black render the weight sum; black on white, the transmittance.
+        weights = SplatCloud(positions, np.ones((n, 3)), logits, np.full(n, 0.3), np.zeros(3))
+        clear = SplatCloud(positions, np.zeros((n, 3)), logits, np.full(n, 0.3), np.ones(3))
+        rgb_w, _ = render(weights, cam)
+        rgb_t, _ = render(clear, cam)
+
+        order = np.lexsort((np.arange(n), depths))
+        color, _, trans = composite_ray(
+            [(weights.opacities[i], (1.0, 1.0, 1.0), depths[i]) for i in order])
+        assert abs(color[0] + trans - 1.0) < 1e-12
+        assert abs(rgb_w[4, 4, 0] + rgb_t[4, 4, 0] - 1.0) < 1e-12
+        assert rgb_w[4, 4, 0] == color[0] and rgb_t[4, 4, 0] == trans
 
 
 class TestRender:
@@ -279,15 +306,15 @@ class TestLosses:
         rng = np.random.default_rng(6)
         sup = random_supervision(rng, none_frac=0.0)
         pred = rng.uniform(1.5, 2.5, size=(16, 16))
-        cfg = LossConfig(1.0, 0.0, 1.0, 0.7)
-        expected = 0.7 * np.sum((pred - sup.depth) ** 2)
+        cfg = LossConfig(1.0, 0.0, 1.0)
+        expected = np.sum((pred - sup.depth) ** 2)
         assert depth_loss(pred, sup, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_depth_loss_hand_value(self):
         depth = np.array([[1.0]])
         sup = FusedSupervision(np.array([[1.5]]), np.array([[4.0]]),
                                np.array([[PROVENANCE_FUSED]], dtype=np.uint8))
-        cfg = LossConfig(1.0, 1.0, 1.0, 1.0)
+        cfg = LossConfig(1.0, 1.0, 1.0)
         assert depth_loss(depth, sup, cfg) == pytest.approx(math.exp(-2.0) * 0.25, rel=1e-9)
 
     def test_depth_loss_skips_unsupervised(self):
@@ -299,19 +326,16 @@ class TestLosses:
         rng = np.random.default_rng(7)
         sup = random_supervision(rng, none_frac=0.0)
         pred = rng.uniform(1.0, 3.0, size=(16, 16))
-        values = [depth_loss(pred, sup, LossConfig(1.0, w, 1.0, 1.0))
+        values = [depth_loss(pred, sup, LossConfig(1.0, w, 1.0))
                   for w in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_decay_weight(self):
-        assert decay_weight(1.0, 0.9) == pytest.approx(0.9)
-        assert decay_weight(3.7, 1.0) == 3.7
-        lam = 2.0
-        for _ in range(3):
-            lam = decay_weight(lam, 0.5)
-        assert lam == pytest.approx(0.25, rel=1e-15)
-        with pytest.raises(ValueError):
-            decay_weight(1.0, 0.0)
+        assert LossConfig(decay=0.9).decay == 0.9
+        assert LossConfig(decay=1.0).decay == 1.0
+        for bad in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="decay"):
+                LossConfig(decay=bad)
 
 
 class TestBackprojection:
@@ -360,7 +384,7 @@ class TestGradients:
         rng = np.random.default_rng(12)
         cloud = random_cloud(rng, 10)
         view = small_view(rng)
-        cfg = LossConfig(depth_weight=0.7, sharpness=1.3, decay=1.0, base_weight=1.0)
+        cfg = LossConfig(depth_weight=0.7, sharpness=1.3, decay=1.0)
         assert grad_check(cloud, view, cfg) < 1e-4
 
     def test_transparent_cloud_gradients(self):
@@ -370,7 +394,7 @@ class TestGradients:
         cloud = random_cloud(rng, 6)
         cloud.opacity_logits[:] = -30.0  # alpha ~ 1e-13: nothing rendered
         view = small_view(rng)
-        cfg = LossConfig(0.5, 1.0, 1.0, 1.0)
+        cfg = LossConfig(0.5, 1.0, 1.0)
         loss, _, _, grads = loss_gradients(cloud, [view], cfg)
         # a fully transparent cloud reduces to the background-only scene:
         # same loss, vanishing gradients for every splat parameter
@@ -389,7 +413,7 @@ class TestGradients:
         rng = np.random.default_rng(14)
         cloud = random_cloud(rng, 5)
         view = small_view(rng)
-        cfg = LossConfig(1.0, 1.0, 1.0, 1.0)
+        cfg = LossConfig(1.0, 1.0, 1.0)
         e1 = grad_check(cloud, view, cfg, h=1e-5)
         e2 = grad_check(cloud, view, cfg, h=2e-5)
         assert e1 < 1e-4 and e2 < 2e-4
@@ -429,7 +453,7 @@ class TestOptimize:
         rng = np.random.default_rng(17)
         cloud = random_cloud(rng, 15)
         views = [small_view(rng)]
-        cfg = LossConfig(1.0, 1.0, 0.99, 1.0)
+        cfg = LossConfig(1.0, 1.0, 0.99)
         initial = total_loss(cloud, views, cfg)
         out = optimize(cloud, views, cfg, 50, step=5e-3)
         assert total_loss(out, views, cfg, depth_weight=cfg.depth_weight * cfg.decay ** 50) \
@@ -457,7 +481,7 @@ class TestOptimize:
         # (positions and opacities frozen so saturation cannot rescue it)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="iteration"):
-                optimize(cloud, views, LossConfig(0.0, 0.0, 1.0, 1.0), 500,
+                optimize(cloud, views, LossConfig(0.0, 0.0, 1.0), 500,
                          step=5.0, group_scales=(0.0, 1.0, 0.0))
 
     def test_callback_rows(self):

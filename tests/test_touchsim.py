@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ class TestRenderGTDepth:
         cam = CameraModel(48.0, 48.0, 32.0, 32.0, 65, 65, look_at([0, 0, -3], [0, 0, 0]))
         image = render_gt_depth(sphere, cam)
         assert abs(image.depth[32, 32] - 2.0) < 1e-5
+
+    def test_grazing_rays_hit_as_in_closed_form(self):
+        # Rays that graze the silhouette crawl at the minimum step; none may
+        # run out of steps and be drawn as a miss.
+        sphere = AnalyticShape("sphere", (1.0,))
+        cam = CameraModel(48.0, 48.0, 32.0, 32.0, 65, 65, look_at([0, 0, -3], [0, 0, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            image = render_gt_depth(sphere, cam)
+        dirs, _ = cam.pixel_rays()
+        b = dirs @ cam.position
+        analytic = (b * b - (cam.position @ cam.position - 1.0) >= 0.0).reshape(65, 65)
+        assert np.count_nonzero(image.hit_mask) == np.count_nonzero(analytic)
+        np.testing.assert_array_equal(image.hit_mask, analytic)
 
     def test_facing_away_all_miss(self):
         sphere = AnalyticShape("sphere", (1.0,))
