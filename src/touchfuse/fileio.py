@@ -63,24 +63,32 @@ def read_pfm(path):
 # PGM (P5) and PPM (P6), 8-bit binary
 # ---------------------------------------------------------------------------
 
+def _write_pnm(path, magic, pixels):
+    header = f"{magic}\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
+    atomic_write_bytes(path, header + pixels.tobytes())
+
+
+def _read_pnm(path, magic, kind, channels):
+    """The (height, width, channels) uint8 pixels of a binary PNM file."""
+    with open(path, "rb") as fh:
+        if fh.readline().strip() != magic:
+            raise ValueError(f"not a binary {kind} file")
+        width, height = map(int, fh.readline().split())
+        fh.readline()
+        data = np.frombuffer(fh.read(width * height * channels), dtype=np.uint8)
+    return data.reshape(height, width, channels)
+
+
 def write_pgm(path, image):
     image = np.asarray(image)
     if image.dtype != np.uint8:
         raise ValueError("PGM writer expects uint8 data")
-    header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + image.tobytes())
+    _write_pnm(path, "P5", image)
 
 
 @reads_format
 def read_pgm(path):
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError("not a binary PGM file")
-        width, height = map(int, fh.readline().split())
-        fh.readline()
-        data = np.frombuffer(fh.read(width * height), dtype=np.uint8)
-    return data.reshape(height, width).copy()
+    return _read_pnm(path, b"P5", "PGM", 1)[:, :, 0].copy()
 
 
 def write_ppm(path, image):
@@ -88,21 +96,12 @@ def write_ppm(path, image):
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError("PPM writer expects an HxWx3 image")
-    quantized = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + quantized.tobytes())
+    _write_pnm(path, "P6", np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8))
 
 
 @reads_format
 def read_ppm(path):
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError("not a binary PPM file")
-        width, height = map(int, fh.readline().split())
-        fh.readline()
-        data = np.frombuffer(fh.read(width * height * 3), dtype=np.uint8)
-    return data.reshape(height, width, 3).astype(np.float64) / 255.0
+    return _read_pnm(path, b"P6", "PPM", 3).astype(np.float64) / 255.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,6 @@ def unit(v):
     return v / n
 
 
-def identity_transform():
-    return np.eye(4, dtype=np.float64)
-
-
 def make_transform(rotation, translation):
     """Assemble a 4x4 transform from a 3x3 rotation and a translation."""
     t = np.eye(4, dtype=np.float64)
@@ -40,12 +36,6 @@ def rotation_about_axis(axis, angle):
         [-k[1], k[0], 0.0],
     ])
     return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
-
-
-def invert_transform(transform):
-    rot = transform[:3, :3]
-    trans = transform[:3, 3]
-    return make_transform(rot.T, -rot.T @ trans)
 
 
 def transform_points(transform, points):

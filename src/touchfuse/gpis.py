@@ -344,6 +344,11 @@ def fit(cset: ConditioningSet, params: KernelParams, cap=DEFAULT_CAP) -> GPISMod
     (coarsen the voxel pitch to shrink it) or when the kernel matrix cannot
     be factorized even after jitter escalation.
     """
+    _check_size(cset, cap)
+    return _condition(cset, params)
+
+
+def _check_size(cset, cap):
     if len(cset) == 0:
         raise ValueError("conditioning set is empty")
     if len(cset) > cap:
@@ -351,7 +356,6 @@ def fit(cset: ConditioningSet, params: KernelParams, cap=DEFAULT_CAP) -> GPISMod
             f"conditioning set has {len(cset)} points, cap is {cap}; "
             "use a coarser voxel pitch"
         )
-    return _condition(cset, params)
 
 
 def _condition(cset, params):
@@ -380,7 +384,8 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
                              cap=DEFAULT_CAP) -> KernelParams:
     """Fit every (length_scale, output_scale) grid member and return the
     KernelParams maximizing the log marginal likelihood; ties break toward
-    the smallest length scale, then the smallest output scale.
+    the smallest length scale, then the smallest output scale. A set over
+    `cap` raises before any fit, naming the cap.
 
     Each fitted model is dropped as soon as it is scored, so the search
     holds one n x n factor at a time. The caller refits the winner if it
@@ -389,6 +394,7 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
     """
     if not grid:
         raise ValueError("hyperparameter grid is empty")
+    _check_size(cset, cap)
     best = None
     for rho, sigma in grid:
         params = KernelParams(rho, sigma, noise, prior_mean)

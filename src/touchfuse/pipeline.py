@@ -2,8 +2,9 @@
 init -> train -> eval over one scene configuration.
 
 One table, `STAGES`, names each stage once: its function, the config
-sections its parameters come from, and the path patterns it makes. A stage
-reads and writes every file through its `StageIO`, which records the paths,
+sections its parameters come from, and the names of the files it makes
+(`dataset:` or `out:` plus a path under that directory). A stage reads and
+writes every file by name through its `StageIO`, which records the names,
 raises the missing-input error (naming the stage that makes the file), and
 refuses writes outside the stage's patterns. The manifest stores each
 stage's recorded inputs and outputs with their content hashes. A rerun
@@ -28,7 +29,7 @@ import numpy as np
 from . import align as align_mod
 from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
 from .config import AUTO, SceneConfig
-from .errors import DependencyError, FormatError, LockedError
+from .errors import DependencyError, FormatError, LockedError, NumericalError
 
 MANIFEST_VERSION = 3
 MONO_SCALE = 2.5
@@ -36,35 +37,19 @@ MONO_OFFSET = 0.3
 LIGHT_DIR = np.array([0.4, -0.3, 0.9]) / np.linalg.norm([0.4, -0.3, 0.9])
 
 
-def _dataset_path(cfg, *parts):
-    return os.path.join(cfg.dataset, *parts)
-
-
-def _out_path(cfg, *parts):
-    return os.path.join(cfg.out, *parts)
-
-
-def _tagged(cfg, path):
-    for tag, root in (("dataset", cfg.dataset), ("out", cfg.out)):
-        root = os.path.abspath(root)
-        ap = os.path.abspath(path)
-        if ap.startswith(root + os.sep):
-            return f"{tag}:{os.path.relpath(ap, root)}"
-    return os.path.abspath(path)
-
-
-def _untagged(cfg, tagged):
-    tag, rel = tagged.split(":", 1)
+def _path(cfg, name):
+    """File path of a `dataset:` or `out:` name."""
+    tag, rel = name.split(":", 1)
     return os.path.join(cfg.dataset if tag == "dataset" else cfg.out, rel)
 
 
-def _matching(pattern):
-    """Sorted paths in a directory whose names match the pattern's basename."""
-    directory, name = os.path.split(pattern)
+def _matching(cfg, pattern):
+    """Sorted names in a directory whose basenames match the pattern's."""
+    head, base = os.path.split(pattern)
+    directory = _path(cfg, head)
     if not os.path.isdir(directory):
         return []
-    return [os.path.join(directory, f) for f in sorted(os.listdir(directory))
-            if fnmatch.fnmatchcase(f, name)]
+    return [f"{head}/{f}" for f in sorted(os.listdir(directory)) if fnmatch.fnmatchcase(f, base)]
 
 
 def _hash_bytes(blob):
@@ -81,7 +66,7 @@ def _hash_file(path):
 
 @dataclass(frozen=True)
 class Stage:
-    """One row of the stage table. `makes` holds the tagged path patterns
+    """One row of the stage table. `makes` holds the name patterns
     (`dataset:` or `out:` plus an fnmatch pattern) the stage may write."""
 
     name: str
@@ -89,73 +74,71 @@ class Stage:
     param_sections: tuple
     makes: tuple
 
-    def produces(self, tagged):
-        return any(fnmatch.fnmatchcase(tagged, pattern) for pattern in self.makes)
+    def produces(self, name):
+        return any(fnmatch.fnmatchcase(name, pattern) for pattern in self.makes)
 
 
-def _producer(tagged):
-    return next(stage.name for stage in STAGES if stage.produces(tagged))
+def _producer(name):
+    return next(stage.name for stage in STAGES if stage.produces(name))
 
 
 class StageIO:
-    """The files one stage reads and writes.
+    """The files one stage reads and writes, by the names `STAGES` uses.
 
     `read` and `glob` record inputs (a glob records its sorted match list,
     so adding or removing a matching file changes it); `write` records
-    outputs. `digests` memoizes content hashes by tagged path and is shared
-    by every stage of one run_pipeline call. `recorded` is that call's live
+    outputs. `digests` memoizes content hashes by name and is shared by
+    every stage of one run_pipeline call. `recorded` is that call's live
     map of manifest stage records: an `out:` input whose producing stage
     has no record there (say, a file left by a run of another manifest
-    version) counts as missing. Without a stage, the context only reads,
-    for callers outside a run.
+    version) counts as missing.
     """
 
-    def __init__(self, cfg, stage=None, digests=None, recorded=None):
+    def __init__(self, cfg, stage, digests, recorded):
         self.cfg = cfg
         self.stage = stage
-        self.digests = {} if digests is None else digests
+        self.digests = digests
         self.recorded = recorded
         self.inputs = set()
         self.outputs = set()
 
-    def read(self, reader, path, *args, **kwargs):
-        self._record_input(path, os.path.exists(path))
+    def read(self, reader, name, *args, **kwargs):
+        path = _path(self.cfg, name)
+        self._record_input(name, os.path.exists(path))
         return reader(path, *args, **kwargs)
 
     def glob(self, pattern):
-        paths = _matching(pattern)
-        self._record_input(pattern, paths)
-        return paths
+        names = _matching(self.cfg, pattern)
+        self._record_input(pattern, names)
+        return names
 
-    def write(self, writer, path, *args):
-        tagged = _tagged(self.cfg, path)
-        if not self.stage.produces(tagged):
-            raise ValueError(f"stage {self.stage.name} does not make {tagged}")
-        writer(path, *args)
-        self.outputs.add(tagged)
+    def write(self, writer, name, *args):
+        if not self.stage.produces(name):
+            raise ValueError(f"stage {self.stage.name} does not make {name}")
+        writer(_path(self.cfg, name), *args)
+        self.outputs.add(name)
 
-    def _record_input(self, path, found):
-        tagged = _tagged(self.cfg, path)
+    def _record_input(self, name, found):
         if not found:
-            raise DependencyError(f"{tagged} missing; run the {_producer(tagged)} stage first")
-        if self.recorded is not None and tagged.startswith("out:"):
-            producer = _producer(tagged)
+            raise DependencyError(f"{name} missing; run the {_producer(name)} stage first")
+        if name.startswith("out:"):
+            producer = _producer(name)
             if producer not in self.recorded:
-                raise DependencyError(f"{tagged} has no manifest record of the {producer} "
+                raise DependencyError(f"{name} has no manifest record of the {producer} "
                                       f"stage; run the {producer} stage first")
-        self.inputs.add(tagged)
+        self.inputs.add(name)
 
-    def digest(self, tagged):
-        """Content hash of a tagged file (of the match names for a pattern),
-        or None when it is missing."""
-        if tagged not in self.digests:
-            path = _untagged(self.cfg, tagged)
-            if "*" in tagged:
-                names = "\n".join(os.path.basename(p) for p in _matching(path))
-                self.digests[tagged] = _hash_bytes(names.encode())
+    def digest(self, name):
+        """Content hash of a file (of the match names for a pattern), or
+        None when it is missing."""
+        if name not in self.digests:
+            if "*" in name:
+                matches = "\n".join(os.path.basename(m) for m in _matching(self.cfg, name))
+                self.digests[name] = _hash_bytes(matches.encode())
             else:
-                self.digests[tagged] = _hash_file(path) if os.path.exists(path) else None
-        return self.digests[tagged]
+                path = _path(self.cfg, name)
+                self.digests[name] = _hash_file(path) if os.path.exists(path) else None
+        return self.digests[name]
 
     def params(self):
         payload = {"seed": self.cfg.seed, "stage": self.stage.name}
@@ -167,26 +150,26 @@ class StageIO:
         if record is None or record["params"] != self.params() or not record["outputs"]:
             return False
         recorded = {**record["inputs"], **record["outputs"]}
-        return all(self.digest(tagged) == digest for tagged, digest in recorded.items())
+        return all(self.digest(name) == digest for name, digest in recorded.items())
 
     def record(self):
         """Manifest entry of the stage that just ran; forgets the digests of
-        every path it may have written or removed."""
-        for tagged in [t for t in self.digests if self.stage.produces(t)]:
-            del self.digests[tagged]
+        every file it may have written or removed."""
+        for name in [n for n in self.digests if self.stage.produces(n)]:
+            del self.digests[name]
         return {
             "params": self.params(),
-            "inputs": {tagged: self.digest(tagged) for tagged in self.inputs},
-            "outputs": {tagged: self.digest(tagged) for tagged in self.outputs},
+            "inputs": {name: self.digest(name) for name in self.inputs},
+            "outputs": {name: self.digest(name) for name in self.outputs},
         }
 
 
-def _camera_views(cfg, io):
-    return io.read(fileio.read_cameras, _dataset_path(cfg, "cameras.txt"))
+def _camera_views(io):
+    return io.read(fileio.read_cameras, "dataset:cameras.txt")
 
 
-def _scene_record(cfg, io=None):
-    return (io or StageIO(cfg)).read(fileio.read_keyvalues, _dataset_path(cfg, "scene.cfg"))
+def _scene_record(io):
+    return io.read(fileio.read_keyvalues, "dataset:scene.cfg")
 
 
 def _shape_from_record(record):
@@ -200,16 +183,6 @@ def _background(record):
 
 def _resolve(value, auto_value):
     return auto_value if value == AUTO else value
-
-
-def _kernel_params(cfg, radius):
-    k = cfg.section("kernel")
-    return gpis.KernelParams(
-        k["length_scale"],
-        k["output_scale"],
-        k["noise"],
-        _resolve(k["prior_mean"], 0.5 * radius),
-    )
 
 
 def _march_params(cfg, radius):
@@ -231,18 +204,18 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
     shape = touchsim.AnalyticShape(sim["shape"], sim["size"])
     seed = cfg.seed
     for sub in ("touches", "sparse", "gt_depth", "rgb", "mono_depth"):
-        os.makedirs(_dataset_path(cfg, sub), exist_ok=True)
+        os.makedirs(_path(cfg, f"dataset:{sub}"), exist_ok=True)
     # Touch files from an earlier run with more touches would otherwise
     # stay behind and be fitted too.
-    for stale in _matching(_dataset_path(cfg, "touches", "*.ply")):
-        os.unlink(stale)
+    for stale in _matching(cfg, "dataset:touches/*.ply"):
+        os.unlink(_path(cfg, stale))
 
     noise = touchsim.NoiseModel(sim["touch_noise"], sim["normal_noise"], sim["sparse_noise"])
     touches = touchsim.sample_touches(
         shape, sim["touches"], sim["patch_radius"], sim["points_per_touch"], noise, seed=seed
     )
     for i, touch in enumerate(touches):
-        io.write(fileio.write_touch_ply, _dataset_path(cfg, "touches", f"touch{i:03d}.ply"),
+        io.write(fileio.write_touch_ply, f"dataset:touches/touch{i:03d}.ply",
                  touch.points, touch.normals)
 
     width, height = sim["width"], sim["height"]
@@ -258,7 +231,7 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
         pose = geometry.look_at(eye, np.zeros(3))
         cameras.append((f"view{i:03d}", sdfrender.CameraModel(
             sim["focal"], sim["focal"], cx, cy, width, height, pose)))
-    io.write(fileio.write_cameras, _dataset_path(cfg, "cameras.txt"), cameras)
+    io.write(fileio.write_cameras, "dataset:cameras.txt", cameras)
 
     object_color = np.asarray(sim["object_color"])
     background_color = np.asarray(sim["background_color"])
@@ -266,20 +239,20 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
         gt_object = touchsim.render_gt_depth(shape, cam)
         scene_depth, rgb = _compose_scene(shape, cam, gt_object, sim["dome_radius"],
                                           object_color, background_color)
-        io.write(fileio.write_pfm, _dataset_path(cfg, "gt_depth", f"{name}.pfm"), scene_depth)
-        io.write(fileio.write_ppm, _dataset_path(cfg, "rgb", f"{name}.ppm"), rgb)
+        io.write(fileio.write_pfm, f"dataset:gt_depth/{name}.pfm", scene_depth)
+        io.write(fileio.write_ppm, f"dataset:rgb/{name}.ppm", rgb)
 
         # Synthetic monocular stand-in: the affine-inverted scene depth with
         # the object pushed back, mimicking a metrically wrong estimator.
         vision_depth = scene_depth + sim["vision_bias"] * gt_object.hit_mask
         raw = (vision_depth - MONO_OFFSET) / MONO_SCALE
-        io.write(fileio.write_pfm, _dataset_path(cfg, "mono_depth", f"{name}.pfm"), raw)
+        io.write(fileio.write_pfm, f"dataset:mono_depth/{name}.pfm", raw)
 
         scene_image = sdfrender.DepthVarImage(scene_depth, np.zeros_like(scene_depth), cam)
         sparse = touchsim.make_sparse_depth(
             scene_image, sim["sparse_fraction"], noise, seed=seed + 1000 + i
         )
-        io.write(fileio.write_sparse_depth, _dataset_path(cfg, "sparse", f"{name}.txt"), sparse)
+        io.write(fileio.write_sparse_depth, f"dataset:sparse/{name}.txt", sparse)
 
     record = {
         "shape": sim["shape"],
@@ -295,7 +268,7 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
         "object_color": " ".join(f"{c:.17g}" for c in object_color),
         "background_color": " ".join(f"{c:.17g}" for c in background_color),
     }
-    io.write(fileio.write_keyvalues, _dataset_path(cfg, "scene.cfg"), record)
+    io.write(fileio.write_keyvalues, "dataset:scene.cfg", record)
 
 
 def _compose_scene(shape, camera, gt_object, dome_radius, object_color, background_color):
@@ -323,8 +296,8 @@ def _compose_scene(shape, camera, gt_object, dome_radius, object_color, backgrou
 
 
 def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
-    touches = [gpis.TouchReading(*io.read(fileio.read_touch_ply, path))
-               for path in io.glob(_dataset_path(cfg, "touches", "*.ply"))]
+    touches = [gpis.TouchReading(*io.read(fileio.read_touch_ply, name))
+               for name in io.glob("dataset:touches/*.ply")]
     all_points = np.concatenate([t.points for t in touches])
     _, radius = geometry.centroid_spread(all_points)
     cond = cfg.section("conditioning")
@@ -335,48 +308,44 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
         n_slices=cond["slices"],
         voxel=_resolve(cond["voxel"], radius / 50.0),
     )
-    params = _kernel_params(cfg, radius)
-    grid = cfg.get("kernel", "rho_grid")
-    if grid:
-        params = gpis.optimize_hyperparameters(
-            cset,
-            [(rho, params.output_scale) for rho in grid],
-            noise=params.noise,
-            prior_mean=params.prior_mean,
-            cap=cond["cap"],
-        )
-    else:
-        # The file holds only the set and the parameters, and gpis-render
-        # refits them. Fitting once here anyway makes a set over the cap or
-        # a matrix that will not factorize fail at this stage (exit 4).
-        gpis.fit(cset, params, cap=cond["cap"])
-    io.write(gpis.save_model, _out_path(cfg, "gpis.model"), cset, params)
+    k = cfg.section("kernel")
+    # Without a grid the configured length scale is the one candidate.
+    # gpis-render refits the saved set; fitting here anyway makes a set over
+    # the cap or a matrix that will not factorize fail at this stage (exit 4).
+    params = gpis.optimize_hyperparameters(
+        cset,
+        [(rho, k["output_scale"]) for rho in k["rho_grid"] or (k["length_scale"],)],
+        noise=k["noise"],
+        prior_mean=_resolve(k["prior_mean"], 0.5 * radius),
+        cap=cond["cap"],
+    )
+    io.write(gpis.save_model, "out:gpis.model", cset, params)
 
 
 def stage_gpis_render(cfg: SceneConfig, io: StageIO):
-    model = io.read(gpis.load_model, _out_path(cfg, "gpis.model"))
+    model = io.read(gpis.load_model, "out:gpis.model")
     _, radius = geometry.centroid_spread(model.conditioning.surface_points())
     params = _march_params(cfg, radius)
     sphere = sdfrender.bounding_sphere(
         model.conditioning, cfg.get("march", "margin"), min_radius=params.min_step
     )
-    for name, cam in _camera_views(cfg, io):
+    for name, cam in _camera_views(io):
         image = sdfrender.render_depth_variance(model, cam, params, sphere=sphere)
-        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_gpis_depth.pfm"), image.depth)
-        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_gpis_var.pfm"), image.variance)
+        io.write(fileio.write_pfm, f"out:{name}_gpis_depth.pfm", image.depth)
+        io.write(fileio.write_pfm, f"out:{name}_gpis_var.pfm", image.variance)
 
 
-def _load_depth_var(cfg, io, name, prefix):
-    return (io.read(fileio.read_pfm, _out_path(cfg, f"{name}_{prefix}_depth.pfm")),
-            io.read(fileio.read_pfm, _out_path(cfg, f"{name}_{prefix}_var.pfm")))
+def _load_depth_var(io, name, prefix):
+    return (io.read(fileio.read_pfm, f"out:{name}_{prefix}_depth.pfm"),
+            io.read(fileio.read_pfm, f"out:{name}_{prefix}_var.pfm"))
 
 
 def stage_align(cfg: SceneConfig, io: StageIO):
     params = cfg.section("align")
-    for name, cam in _camera_views(cfg, io):
-        raw = io.read(fileio.read_pfm, _dataset_path(cfg, "mono_depth", f"{name}.pfm"))
-        sparse = io.read(fileio.read_sparse_depth, _dataset_path(cfg, "sparse", f"{name}.txt"))
-        g_depth, g_var = _load_depth_var(cfg, io, name, "gpis")
+    for name, cam in _camera_views(io):
+        raw = io.read(fileio.read_pfm, f"dataset:mono_depth/{name}.pfm")
+        sparse = io.read(fileio.read_sparse_depth, f"dataset:sparse/{name}.txt")
+        g_depth, g_var = _load_depth_var(io, name, "gpis")
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
         aligned = align_mod.align_vision(
             raw, sparse, touch_img,
@@ -384,9 +353,9 @@ def stage_align(cfg: SceneConfig, io: StageIO):
             slope=params["uncertainty_slope"],
             floor=params["uncertainty_floor"],
         )
-        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_vision_depth.pfm"), aligned.depth)
-        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_vision_var.pfm"), aligned.variance)
-        io.write(fileio.write_keyvalues, _out_path(cfg, f"{name}_align.txt"), {
+        io.write(fileio.write_pfm, f"out:{name}_vision_depth.pfm", aligned.depth)
+        io.write(fileio.write_pfm, f"out:{name}_vision_var.pfm", aligned.variance)
+        io.write(fileio.write_keyvalues, f"out:{name}_align.txt", {
             "s_star": f"{aligned.s_star:.17g}",
             "t_star": f"{aligned.t_star:.17g}",
             "t_gpis": f"{aligned.t_object:.17g}",
@@ -394,34 +363,38 @@ def stage_align(cfg: SceneConfig, io: StageIO):
 
 
 def stage_fuse(cfg: SceneConfig, io: StageIO):
-    for name, cam in _camera_views(cfg, io):
-        v_depth, v_var = _load_depth_var(cfg, io, name, "vision")
-        g_depth, g_var = _load_depth_var(cfg, io, name, "gpis")
+    for name, cam in _camera_views(io):
+        v_depth, v_var = _load_depth_var(io, name, "vision")
+        g_depth, g_var = _load_depth_var(io, name, "gpis")
         vision = align_mod.AlignedVision(v_depth, v_var, 1.0, 0.0)
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
         fused = fuse.fuse_images(vision, touch_img)
-        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_fused_depth.pfm"), fused.depth)
-        io.write(fileio.write_pfm, _out_path(cfg, f"{name}_fused_var.pfm"), fused.variance)
-        io.write(fileio.write_pgm, _out_path(cfg, f"{name}_provenance.pgm"), fused.provenance)
+        io.write(fileio.write_pfm, f"out:{name}_fused_depth.pfm", fused.depth)
+        io.write(fileio.write_pfm, f"out:{name}_fused_var.pfm", fused.variance)
+        io.write(fileio.write_pgm, f"out:{name}_provenance.pgm", fused.provenance)
 
 
-def _read_rgb(cfg, io, name):
-    return io.read(fileio.read_ppm, _dataset_path(cfg, "rgb", f"{name}.ppm"))
+def _read_rgb(io, name):
+    return io.read(fileio.read_ppm, f"dataset:rgb/{name}.ppm")
 
 
 def stage_init_points(cfg: SceneConfig, io: StageIO):
-    views = _camera_views(cfg, io)
+    views = _camera_views(io)
     images = []
     colors = []
     for name, cam in views:
-        g_depth, g_var = _load_depth_var(cfg, io, name, "gpis")
+        g_depth, g_var = _load_depth_var(io, name, "gpis")
         image = sdfrender.DepthVarImage(g_depth, g_var, cam)
         images.append(image)
-        rgb = _read_rgb(cfg, io, name)
+        rgb = _read_rgb(io, name)
         ys, xs = np.nonzero(image.hit_mask)
         colors.append(rgb[ys, xs])
+    hit_depths = [img.depth[img.hit_mask] for img in images]
+    if not any(depths.size for depths in hit_depths):
+        raise NumericalError("no GPIS ray hit the surface in any view; "
+                             "nothing to initialize the splats from")
     points = splat.backproject_init(images)
-    colors = np.concatenate(colors, axis=0) if colors else np.empty((0, 3))
+    colors = np.concatenate(colors, axis=0)
 
     train = cfg.section("train")
     rng = np.random.default_rng(cfg.seed)
@@ -430,26 +403,25 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
         points, colors = points[keep], colors[keep]
 
     cam0 = views[0][1]
-    hit_depths = np.concatenate([img.depth[img.hit_mask] for img in images if img.hit_mask.any()])
-    median_depth = float(np.median(hit_depths)) if hit_depths.size else 1.0
+    median_depth = float(np.median(np.concatenate(hit_depths)))
     radius = _resolve(train["splat_radius"], 1.5 * median_depth / cam0.fx)
     logit = math.log(train["opacity"] / (1.0 - train["opacity"]))
-    background = np.array(_background(_scene_record(cfg, io)))
+    background = np.array(_background(_scene_record(io)))
     cloud = splat.SplatCloud(
         points, colors, np.full(points.shape[0], logit), np.full(points.shape[0], radius),
         background,
     )
-    io.write(fileio.write_splat_ply, _out_path(cfg, "init.ply"), cloud)
+    io.write(fileio.write_splat_ply, "out:init.ply", cloud)
 
 
 def stage_train(cfg: SceneConfig, io: StageIO):
-    cloud = io.read(fileio.read_splat_ply, _out_path(cfg, "init.ply"),
-                    background=_background(_scene_record(cfg, io)))
+    cloud = io.read(fileio.read_splat_ply, "out:init.ply",
+                    background=_background(_scene_record(io)))
     views = []
-    for name, cam in _camera_views(cfg, io):
-        rgb = _read_rgb(cfg, io, name)
-        f_depth, f_var = _load_depth_var(cfg, io, name, "fused")
-        provenance = io.read(fileio.read_pgm, _out_path(cfg, f"{name}_provenance.pgm"))
+    for name, cam in _camera_views(io):
+        rgb = _read_rgb(io, name)
+        f_depth, f_var = _load_depth_var(io, name, "fused")
+        provenance = io.read(fileio.read_pgm, f"out:{name}_provenance.pgm")
         views.append((rgb, fuse.FusedSupervision(f_depth, f_var, provenance), cam))
     loss_cfg = splat.LossConfig(
         cfg.get("loss", "depth_weight"),
@@ -462,19 +434,19 @@ def stage_train(cfg: SceneConfig, io: StageIO):
         step=cfg.get("train", "step"),
         callback=lambda row: log_rows.append(row),
     )
-    io.write(fileio.write_splat_ply, _out_path(cfg, "splats.ply"), trained)
+    io.write(fileio.write_splat_ply, "out:splats.ply", trained)
     lines = ["iter,color_loss,depth_loss,lambda"]
     for row in log_rows:
         lines.append(f"{row['iter']},{row['color_loss']:.12g},"
                      f"{row['depth_loss']:.12g},{row['lam']:.12g}")
-    io.write(fileio.atomic_write_text, _out_path(cfg, "train_log.csv"), "\n".join(lines) + "\n")
+    io.write(fileio.atomic_write_text, "out:train_log.csv", "\n".join(lines) + "\n")
 
 
 def evaluate_scene(cfg: SceneConfig, io: StageIO):
     """Compute the full metric report for the trained cloud."""
-    record = _scene_record(cfg, io)
+    record = _scene_record(io)
     shape = _shape_from_record(record)
-    cloud = io.read(fileio.read_splat_ply, _out_path(cfg, "splats.ply"),
+    cloud = io.read(fileio.read_splat_ply, "out:splats.ply",
                     background=_background(record))
 
     def mse(sq_errors):
@@ -484,9 +456,9 @@ def evaluate_scene(cfg: SceneConfig, io: StageIO):
     sq_err_all = []
     sq_err_obj = []
     psnrs = []
-    for name, cam in _camera_views(cfg, io):
-        gt_depth = io.read(fileio.read_pfm, _dataset_path(cfg, "gt_depth", f"{name}.pfm"))
-        gt_rgb = _read_rgb(cfg, io, name)
+    for name, cam in _camera_views(io):
+        gt_depth = io.read(fileio.read_pfm, f"dataset:gt_depth/{name}.pfm")
+        gt_rgb = _read_rgb(io, name)
         object_mask = touchsim.render_gt_depth(shape, cam).hit_mask
 
         rgb, depth = splat.render(cloud, cam)
@@ -512,8 +484,8 @@ def evaluate_scene(cfg: SceneConfig, io: StageIO):
 
 def stage_eval(cfg: SceneConfig, io: StageIO):
     report = evaluate_scene(cfg, io)
-    io.write(fileio.atomic_write_text, _out_path(cfg, "eval_report.txt"), report.to_text())
-    io.write(fileio.atomic_write_text, _out_path(cfg, "eval_report.csv"), report.to_csv())
+    io.write(fileio.atomic_write_text, "out:eval_report.txt", report.to_text())
+    io.write(fileio.atomic_write_text, "out:eval_report.csv", report.to_csv())
 
 
 STAGES = (
@@ -540,7 +512,7 @@ STAGE_FUNCS = {stage.name: stage.func for stage in STAGES}
 # ---------------------------------------------------------------------------
 
 def _load_manifest(cfg):
-    path = _out_path(cfg, "manifest.json")
+    path = _path(cfg, "out:manifest.json")
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -557,7 +529,7 @@ def _load_manifest(cfg):
 
 def _save_manifest(cfg, manifest):
     fileio.atomic_write_text(
-        _out_path(cfg, "manifest.json"),
+        _path(cfg, "out:manifest.json"),
         json.dumps(manifest, sort_keys=True, indent=1) + "\n",
     )
 

@@ -6,7 +6,7 @@ pure functions of their inputs and a seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,11 @@ GT_MAX_STEPS = 5000
 
 @dataclass(frozen=True)
 class AnalyticShape:
-    """Closed-form SDF primitive; `size` is radius / half-extents / (major, minor)."""
+    """Closed-form SDF primitive centred at the origin; `size` is radius /
+    half-extents / (major, minor)."""
 
     kind: str
     size: tuple
-    pose: np.ndarray = field(default_factory=geometry.identity_transform)
 
     def __post_init__(self):
         if self.kind not in ("sphere", "box", "torus"):
@@ -44,7 +44,6 @@ class AnalyticShape:
         if self.kind == "box" and len(size) == 1:
             size = (size[0],) * 3
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "pose", np.asarray(self.pose, dtype=np.float64))
 
     def bounding_radius(self):
         if self.kind == "sphere":
@@ -58,17 +57,17 @@ def analytic_sdf(shape: AnalyticShape, point):
     """Exact signed distance (negative inside); accepts (3,) or (N, 3)."""
     pts = np.asarray(point, dtype=np.float64)
     single = pts.ndim == 1
-    local = geometry.transform_points(geometry.invert_transform(shape.pose), np.atleast_2d(pts))
+    pts = np.atleast_2d(pts)
     if shape.kind == "sphere":
-        sdf = np.linalg.norm(local, axis=1) - shape.size[0]
+        sdf = np.linalg.norm(pts, axis=1) - shape.size[0]
     elif shape.kind == "box":
-        q = np.abs(local) - np.asarray(shape.size)
+        q = np.abs(pts) - np.asarray(shape.size)
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
         inside = np.minimum(q.max(axis=1), 0.0)
         sdf = outside + inside
     else:
         major, minor = shape.size
-        ring = np.stack([np.hypot(local[:, 0], local[:, 1]) - major, local[:, 2]], axis=1)
+        ring = np.stack([np.hypot(pts[:, 0], pts[:, 1]) - major, pts[:, 2]], axis=1)
         sdf = np.linalg.norm(ring, axis=1) - minor
     return float(sdf[0]) if single else sdf
 
@@ -128,7 +127,7 @@ def _project_to_surface(shape, points):
 def _surface_from_directions(shape, directions):
     # Start on the bounding sphere along each (N, 3) unit direction, then
     # project onto the surface.
-    pts = shape.pose[:3, 3] + directions * shape.bounding_radius()
+    pts = directions * shape.bounding_radius()
     for _ in range(8):
         pts = _project_to_surface(shape, pts)
     return pts
@@ -189,8 +188,7 @@ def render_gt_depth(shape: AnalyticShape, camera: CameraModel) -> DepthVarImage:
     params = MarchParams(
         step_fraction=1.0, min_step=1e-6, hit_tol=GT_HIT_TOL, max_steps=GT_MAX_STEPS
     )
-    center = shape.pose[:3, 3]
-    sphere = BoundingSphere(center, 1.05 * shape.bounding_radius())
+    sphere = BoundingSphere(np.zeros(3), 1.05 * shape.bounding_radius())
     return render_depth_variance(ShapeSDFModel(shape), camera, params, sphere=sphere)
 
 
@@ -223,12 +221,10 @@ def make_sparse_depth(gt: DepthVarImage, fraction, noise: NoiseModel = NoiseMode
 def surface_points(shape: AnalyticShape, count, seed=0):
     """Uniform-ish random points on the shape surface (for evaluation clouds).
 
-    Projects all points at once. For an unposed shape the result is bit for
-    bit that of `count` calls of `_random_surface_point` on one generator:
-    the (count, 3) normal draw is the same stream as `count` draws of 3, and
-    each direction is normalised with the same 1-D norm. With a posed shape,
-    the batched (count, 3) @ (3, 3) transform rounds differently from the
-    per-point (1, 3) @ (3, 3) one, and points differ by about 1e-10.
+    Projects all points at once. The result is bit for bit that of `count`
+    calls of `_random_surface_point` on one generator: the (count, 3) normal
+    draw is the same stream as `count` draws of 3, and each direction is
+    normalised with the same 1-D norm.
     """
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(count, 3))

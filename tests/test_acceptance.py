@@ -17,7 +17,7 @@ from touchfuse import fileio, fuse, metrics, pipeline
 from touchfuse.align import SparseDepth, align_object_offset, align_scale_offset
 from touchfuse.config import validate_config
 from touchfuse.fuse import PROVENANCE_FUSED, PROVENANCE_NONE, PROVENANCE_VISION, FusedSupervision
-from touchfuse.geometry import identity_transform, look_at
+from touchfuse.geometry import look_at
 from touchfuse.gpis import KernelParams, TouchReading, build_conditioning_set, fit
 from touchfuse.sdfrender import (
     MISS_VAR,
@@ -172,7 +172,7 @@ def test_criterion_05_alignment_recovery():
         wins += abs(s_n - 2.5) < 0.01
     assert wins >= 9
 
-    cam = CameraModel(30.0, 30.0, 15.5, 15.5, 32, 32, identity_transform())
+    cam = CameraModel(30.0, 30.0, 15.5, 15.5, 32, 32, np.eye(4))
     touch_depth = np.zeros((32, 32))
     touch_depth[8:24, 8:24] = 2.0
     touch = DepthVarImage(touch_depth, np.where(touch_depth > 0, 1e-4, MISS_VAR), cam)
@@ -186,7 +186,7 @@ def test_criterion_05_alignment_recovery():
 
 def test_criterion_06_fusion_exactness():
     rng = np.random.default_rng(6)
-    cam = CameraModel(12.0, 12.0, 7.5, 7.5, 16, 16, identity_transform())
+    cam = CameraModel(12.0, 12.0, 7.5, 7.5, 16, 16, np.eye(4))
     from touchfuse.align import AlignedVision
 
     vision = AlignedVision(rng.uniform(0.5, 6.0, size=(16, 16)),
@@ -217,7 +217,7 @@ def test_criterion_07_gradient_validity():
     cloud = SplatCloud(positions, rng.uniform(0.1, 0.9, size=(n, 3)),
                        rng.uniform(-1.0, 1.5, size=n), np.full(n, 0.22),
                        np.array([0.3, 0.3, 0.35]))
-    cam = CameraModel(12.0, 12.0, 7.5, 7.5, 16, 16, identity_transform())
+    cam = CameraModel(12.0, 12.0, 7.5, 7.5, 16, 16, np.eye(4))
     gt_rgb = rng.uniform(size=(16, 16, 3))
     depth = rng.uniform(1.5, 2.5, size=(16, 16))
     var = rng.uniform(0.01, 1.0, size=(16, 16))
@@ -262,31 +262,31 @@ def test_criterion_08_metric_oracles():
 
 def _load_scene_products(run):
     cfg = run["cfg"]
-    record = pipeline._scene_record(cfg)
+    record = fileio.read_keyvalues(pipeline._path(cfg, "dataset:scene.cfg"))
     shape = pipeline._shape_from_record(record)
     background = tuple(float(t) for t in record["background_color"].split())
-    views = fileio.read_cameras(pipeline._dataset_path(cfg, "cameras.txt"))
+    views = fileio.read_cameras(pipeline._path(cfg, "dataset:cameras.txt"))
     products = {"shape": shape, "background": background, "views": views,
                 "gt_depth": {}, "gt_rgb": {}, "obj_mask": {},
                 "fused_views": [], "vision_views": []}
     for name, cam in views:
         products["gt_depth"][name] = fileio.read_pfm(
-            pipeline._dataset_path(cfg, "gt_depth", f"{name}.pfm"))
+            pipeline._path(cfg, f"dataset:gt_depth/{name}.pfm"))
         products["gt_rgb"][name] = fileio.read_ppm(
-            pipeline._dataset_path(cfg, "rgb", f"{name}.ppm"))
+            pipeline._path(cfg, f"dataset:rgb/{name}.ppm"))
         products["obj_mask"][name] = render_gt_depth(shape, cam).hit_mask
-        fd = fileio.read_pfm(pipeline._out_path(cfg, f"{name}_fused_depth.pfm"))
-        fv = fileio.read_pfm(pipeline._out_path(cfg, f"{name}_fused_var.pfm"))
-        pr = fileio.read_pgm(pipeline._out_path(cfg, f"{name}_provenance.pgm"))
+        fd = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_fused_depth.pfm"))
+        fv = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_fused_var.pfm"))
+        pr = fileio.read_pgm(pipeline._path(cfg, f"out:{name}_provenance.pgm"))
         products["fused_views"].append(
             (products["gt_rgb"][name], FusedSupervision(fd, fv, pr), cam))
-        vd = fileio.read_pfm(pipeline._out_path(cfg, f"{name}_vision_depth.pfm"))
-        vv = fileio.read_pfm(pipeline._out_path(cfg, f"{name}_vision_var.pfm"))
+        vd = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_vision_depth.pfm"))
+        vv = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_vision_var.pfm"))
         vision_prov = np.full(vd.shape, PROVENANCE_VISION, dtype=np.uint8)
         products["vision_views"].append(
             (products["gt_rgb"][name], FusedSupervision(vd, vv, vision_prov), cam))
     products["init"] = fileio.read_splat_ply(
-        pipeline._out_path(cfg, "init.ply"), background=background)
+        pipeline._path(cfg, "out:init.ply"), background=background)
     return products
 
 

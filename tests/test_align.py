@@ -9,12 +9,11 @@ from touchfuse.align import (
     align_vision,
     vision_uncertainty,
 )
-from touchfuse.geometry import identity_transform
 from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
 
 
 def camera(w, h):
-    return CameraModel(40.0, 40.0, (w - 1) / 2, (h - 1) / 2, w, h, identity_transform())
+    return CameraModel(40.0, 40.0, (w - 1) / 2, (h - 1) / 2, w, h, np.eye(4))
 
 
 def sample_sparse(depth_image, count, rng, noise_std=0.0):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from touchfuse import fileio
-from touchfuse.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED, EXIT_OK, main
+from touchfuse.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED,
+                           EXIT_NUMERICAL, EXIT_OK, main)
 from touchfuse.config import SCHEMA, parse_config_text, validate_config
 from touchfuse.errors import ConfigError, DependencyError
 from touchfuse.pipeline import STAGE_ORDER, STAGES, StageIO, run_pipeline
@@ -134,9 +135,9 @@ class TestPipelineOrchestration:
 
     def test_stage_writes_only_what_its_table_entry_makes(self, tmp_path):
         cfg = validate_config(write_config(tmp_path))
-        io = StageIO(cfg, STAGES[STAGE_ORDER.index("fuse")])
+        io = StageIO(cfg, STAGES[STAGE_ORDER.index("fuse")], {}, {})
         with pytest.raises(ValueError, match="does not make out:init.ply"):
-            io.write(fileio.write_keyvalues, os.path.join(cfg.out, "init.ply"), {})
+            io.write(fileio.write_keyvalues, "out:init.ply", {})
 
     def test_leftover_lock_file_does_not_block(self, tmp_path):
         cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
@@ -241,7 +242,24 @@ class TestCLI:
         path = write_config(tmp_path, text, make_dataset=False)
         assert main(["pipeline", "--config", str(path),
                      "--stages", "simulate,gpis-fit"]) == 4
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "cap is 5" in err
+
+    def test_over_cap_set_with_grid_names_the_cap(self, tmp_path, capsys):
+        text = SMALL_SCENE + "\n[conditioning]\ncap = 5\n\n[kernel]\nrho_grid = 0.3 0.5\n"
+        path = write_config(tmp_path, text, make_dataset=False)
+        assert main(["pipeline", "--config", str(path),
+                     "--stages", "simulate,gpis-fit"]) == EXIT_NUMERICAL
+        assert "cap is 5" in capsys.readouterr().err
+
+    def test_init_points_without_gpis_hits_exits_numerical(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL_SCENE + "\n[march]\nmax_steps = 1\n",
+                            make_dataset=False)
+        with pytest.warns(RuntimeWarning, match="ran out of max_steps=1"):
+            assert main(["pipeline", "--config", str(path),
+                         "--stages", "simulate,gpis-fit,gpis-render"]) == EXIT_OK
+        assert main(["init-points", "--config", str(path)]) == EXIT_NUMERICAL
+        assert "no GPIS ray hit" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

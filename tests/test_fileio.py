@@ -1,9 +1,14 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from touchfuse import fileio
 from touchfuse.align import SparseDepth
-from touchfuse.geometry import look_at
+from touchfuse.geometry import look_at, make_transform, rotation_about_axis
 from touchfuse.sdfrender import CameraModel
 from touchfuse.splat import SplatCloud
 
@@ -143,6 +148,95 @@ class TestSparseAndKeyValues:
         path.write_text("shape sphere\n")
         with pytest.raises(ValueError):
             fileio.read_keyvalues(path)
+
+
+def round_trip(write, read, *values, **read_kwargs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file")
+        write(path, *values)
+        return read(path, **read_kwargs)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+IMAGE_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, max_side=8)
+
+
+def rows(n, elements=FINITE):
+    return hnp.arrays(np.float64, (n, 3), elements=elements)
+
+
+@st.composite
+def camera_lists(draw):
+    views = []
+    for i in range(draw(st.integers(1, 3))):
+        width, height = draw(st.integers(1, 4096)), draw(st.integers(1, 4096))
+        axis = draw(rows(1, st.floats(0.1, 1.0)))[0]
+        pose = make_transform(rotation_about_axis(axis, draw(st.floats(-np.pi, np.pi))),
+                              draw(rows(1, st.floats(-1e6, 1e6)))[0])
+        views.append((f"view{i}", CameraModel(
+            draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6)),
+            draw(st.floats(0.0, width, exclude_max=True)),
+            draw(st.floats(0.0, height, exclude_max=True)), width, height, pose)))
+    return views
+
+
+class TestRoundTripProperties:
+    """Each reader returns exactly what its writer was given, over the
+    values the format represents: float32 for PFM, 8-bit levels for PGM and
+    PPM (the 1/255 grid), any finite float64 for PLY and camera files."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.float32, IMAGE_SHAPES, elements=st.floats(width=32, allow_nan=False)))
+    def test_pfm(self, image):
+        np.testing.assert_array_equal(round_trip(fileio.write_pfm, fileio.read_pfm, image), image)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.uint8, IMAGE_SHAPES))
+    def test_pgm(self, image):
+        back = round_trip(fileio.write_pgm, fileio.read_pgm, image)
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, image)
+
+    @settings(max_examples=40, deadline=None)
+    @given(IMAGE_SHAPES.flatmap(lambda shape: hnp.arrays(np.uint8, shape + (3,))))
+    def test_ppm_on_the_255_grid(self, levels):
+        image = levels / 255.0
+        np.testing.assert_array_equal(round_trip(fileio.write_ppm, fileio.read_ppm, image), image)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(rows(n), rows(n))))
+    def test_touch_ply(self, touch):
+        points, normals = touch
+        back_points, back_normals = round_trip(fileio.write_touch_ply, fileio.read_touch_ply,
+                                               points, normals)
+        np.testing.assert_array_equal(back_points, points)
+        np.testing.assert_array_equal(back_normals, normals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        rows(n), rows(n), hnp.arrays(np.float64, n, elements=st.floats(-20.0, 20.0)),
+        hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e300, exclude_min=True)))),
+        rows(1, st.floats(0.0, 1.0)))
+    def test_splat_ply(self, columns, background):
+        cloud = SplatCloud(*columns, background[0])
+        back = round_trip(fileio.write_splat_ply, fileio.read_splat_ply, cloud,
+                          background=cloud.background)
+        np.testing.assert_array_equal(back.positions, cloud.positions)
+        np.testing.assert_array_equal(back.colors, cloud.colors)
+        np.testing.assert_array_equal(back.radii, cloud.radii)
+        np.testing.assert_array_equal(back.background, cloud.background)
+        # The file holds opacities; the cloud keeps their logits.
+        np.testing.assert_allclose(back.opacities, cloud.opacities, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(camera_lists())
+    def test_cameras(self, views):
+        back = round_trip(fileio.write_cameras, fileio.read_cameras, views)
+        assert [name for name, _ in back] == [name for name, _ in views]
+        for (_, a), (_, b) in zip(views, back):
+            assert (a.fx, a.fy, a.cx, a.cy, a.width, a.height) == \
+                (b.fx, b.fy, b.cx, b.cy, b.width, b.height)
+            np.testing.assert_array_equal(a.pose, b.pose)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

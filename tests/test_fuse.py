@@ -12,14 +12,13 @@ from touchfuse.fuse import (
     FusedSupervision,
     fuse_images,
 )
-from touchfuse.geometry import identity_transform
 from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
 
 from oracles import fuse_pixel
 
 
 def camera(w, h):
-    return CameraModel(30.0, 30.0, (w - 1) / 2, (h - 1) / 2, w, h, identity_transform())
+    return CameraModel(30.0, 30.0, (w - 1) / 2, (h - 1) / 2, w, h, np.eye(4))
 
 
 def random_pair(seed, shape=(16, 16)):

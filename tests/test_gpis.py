@@ -121,7 +121,8 @@ class TestFitExactness:
         locs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         cset = ConditioningSet(locs, [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
         params = KernelParams(0.5, 1.0, 0.0)
-        model = fit(cset, params)
+        with pytest.warns(RuntimeWarning, match="effective noise"):
+            model = fit(cset, params)
         factor, alpha, noise = dense_fit(cset.locations, cset.targets, params)
         assert model.effective_noise == noise > 0.0
         np.testing.assert_array_equal(model.factor, factor)
@@ -322,7 +323,8 @@ class TestFitAndQuery:
     def test_duplicate_points_engage_jitter(self):
         locs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         cset = ConditioningSet(locs, [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
-        model = fit(cset, KernelParams(0.5, 1.0, 0.0))
+        with pytest.warns(RuntimeWarning, match="effective noise"):
+            model = fit(cset, KernelParams(0.5, 1.0, 0.0))
         assert model.effective_noise > 0.0
 
     def test_jitter_escalation_warns_with_effective_noise(self):
@@ -476,31 +478,32 @@ class TestPersistence:
         # refit has to replay the jitter escalation.
         duplicates = ConditioningSet([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
                                      [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
-        for name, cset, params in [
-            ("sphere", sphere, KernelParams(0.4, 0.8, 1e-6, prior_mean=0.2)),
-            ("duplicates", duplicates, KernelParams(0.5, 1.0, 0.0)),
-        ]:
-            model = fit(cset, params)
-            path = tmp_path / f"{name}.gpis"
-            save_model(path, cset, params)
-            # Header, then per point 4 floats and a label byte, then 4 params.
-            n = len(cset)
-            assert path.stat().st_size == 12 + 8 * (4 * n + 4) + n
-            loaded = load_model(path)
-            rng = np.random.default_rng(2)
-            pts = rng.uniform(-1.5, 1.5, size=(30, 3))
-            m1, v1 = model.query(pts)
-            m2, v2 = loaded.query(pts)
-            np.testing.assert_allclose(m1, m2, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(v1, v2, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(
-                loaded.conditioning.surface_points(), cset.surface_points()
-            )
-            np.testing.assert_array_equal(loaded.factor, model.factor)
-            np.testing.assert_array_equal(loaded.alpha, model.alpha)
-            assert loaded.effective_noise == model.effective_noise
-            np.testing.assert_array_equal(loaded.conditioning.labels, cset.labels)
-            assert loaded.params == model.params
+        with pytest.warns(RuntimeWarning, match="effective noise"):
+            for name, cset, params in [
+                ("sphere", sphere, KernelParams(0.4, 0.8, 1e-6, prior_mean=0.2)),
+                ("duplicates", duplicates, KernelParams(0.5, 1.0, 0.0)),
+            ]:
+                model = fit(cset, params)
+                path = tmp_path / f"{name}.gpis"
+                save_model(path, cset, params)
+                # Header, then per point 4 floats and a label byte, then 4 params.
+                n = len(cset)
+                assert path.stat().st_size == 12 + 8 * (4 * n + 4) + n
+                loaded = load_model(path)
+                rng = np.random.default_rng(2)
+                pts = rng.uniform(-1.5, 1.5, size=(30, 3))
+                m1, v1 = model.query(pts)
+                m2, v2 = loaded.query(pts)
+                np.testing.assert_allclose(m1, m2, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(v1, v2, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(
+                    loaded.conditioning.surface_points(), cset.surface_points()
+                )
+                np.testing.assert_array_equal(loaded.factor, model.factor)
+                np.testing.assert_array_equal(loaded.alpha, model.alpha)
+                assert loaded.effective_noise == model.effective_noise
+                np.testing.assert_array_equal(loaded.conditioning.labels, cset.labels)
+                assert loaded.params == model.params
         assert model.effective_noise > 0.0  # the duplicates' fit did escalate
 
     @settings(max_examples=40, deadline=None)

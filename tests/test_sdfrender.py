@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from touchfuse.geometry import identity_transform, look_at, rotation_about_axis, make_transform
+from touchfuse.geometry import look_at, rotation_about_axis, make_transform
 from touchfuse.gpis import ConditioningSet, KernelParams, LABEL_SURFACE, fit
 from touchfuse.sdfrender import (
     MISS_VAR,
@@ -30,7 +30,7 @@ def render(model, camera, params):
 
 
 def simple_camera(width=64, height=64, fx=48.0, pose=None):
-    pose = identity_transform() if pose is None else pose
+    pose = np.eye(4) if pose is None else pose
     return CameraModel(fx, fx, (width - 1) / 2.0, (height - 1) / 2.0, width, height, pose)
 
 
@@ -88,7 +88,7 @@ class TestCameraAndRays:
             generate_ray(cam, (0.0, -1.0))
 
     def test_bad_rotation_rejected(self):
-        pose = identity_transform()
+        pose = np.eye(4)
         pose[0, 0] = 1.5
         with pytest.raises(ValueError):
             simple_camera(pose=pose)

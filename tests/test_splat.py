@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from touchfuse.errors import NumericalError
 from touchfuse.fuse import PROVENANCE_FUSED, PROVENANCE_NONE, FusedSupervision
-from touchfuse.geometry import identity_transform, look_at
+from touchfuse.geometry import look_at
 from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
 from touchfuse.splat import (
     FOOTPRINT_CAP_PX,
@@ -29,7 +29,7 @@ from oracles import composite_ray, grad_check
 
 
 def camera(w=16, h=16, fx=12.0, pose=None):
-    pose = identity_transform() if pose is None else pose
+    pose = np.eye(4) if pose is None else pose
     return CameraModel(fx, fx, (w - 1) / 2, (h - 1) / 2, w, h, pose)
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from touchfuse.geometry import look_at, make_transform, rotation_about_axis
+from touchfuse.geometry import look_at
 from touchfuse.sdfrender import CameraModel
 from touchfuse.touchsim import (
     AnalyticShape,
@@ -38,12 +38,6 @@ class TestAnalyticSDF:
         torus = AnalyticShape("torus", (1.0, 0.25))
         assert analytic_sdf(torus, [1.0, 0.0, 0.0]) == pytest.approx(-0.25, abs=1e-15)
         assert analytic_sdf(torus, [0.0, 0.0, 0.0]) == pytest.approx(0.75, abs=1e-15)
-
-    def test_posed_shape(self):
-        pose = make_transform(rotation_about_axis([0, 0, 1], 0.5), [1.0, -2.0, 0.5])
-        sphere = AnalyticShape("sphere", (0.5,), pose)
-        center = pose[:3, 3]
-        assert analytic_sdf(sphere, center + [0.0, 0.0, 1.0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_gradient_unit_norm_off_medial_axis(self):
         rng = np.random.default_rng(0)
