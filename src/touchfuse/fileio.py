@@ -68,13 +68,34 @@ def _write_pnm(path, magic, pixels):
     atomic_write_bytes(path, header + pixels.tobytes())
 
 
+def _pnm_tokens(fh, count):
+    """The next `count` whitespace-separated PNM header tokens. A `#` starts
+    a comment that runs to the end of its line. Reading stops after the
+    one whitespace byte that ends the last token."""
+    tokens, token = [], b""
+    while len(tokens) < count:
+        byte = fh.read(1)
+        if byte == b"#":
+            fh.readline()
+            byte = b"\n"
+        if not byte:
+            raise ValueError("header ends before the pixel data")
+        if not byte.isspace():
+            token += byte
+        elif token:
+            tokens.append(token)
+            token = b""
+    return tokens
+
+
 def _read_pnm(path, magic, kind, channels):
-    """The (height, width, channels) uint8 pixels of a binary PNM file."""
+    """The (height, width, channels) uint8 pixels of a binary 8-bit PNM file."""
     with open(path, "rb") as fh:
-        if fh.readline().strip() != magic:
+        if _pnm_tokens(fh, 1) != [magic]:
             raise ValueError(f"not a binary {kind} file")
-        width, height = map(int, fh.readline().split())
-        fh.readline()
+        width, height, maxval = map(int, _pnm_tokens(fh, 3))
+        if maxval != 255:
+            raise ValueError(f"maxval {maxval}: only 8-bit {kind} files (maxval 255) are read")
         data = np.frombuffer(fh.read(width * height * channels), dtype=np.uint8)
     return data.reshape(height, width, channels)
 

@@ -172,6 +172,28 @@ def _matern32_inplace(d, params, scratch):
     d *= scratch
 
 
+def _chunk_rows(columns):
+    """Rows per kernel chunk against `columns` points: about KERNEL_CHUNK_BYTES."""
+    return max(1, KERNEL_CHUNK_BYTES // (8 * max(1, columns)))
+
+
+def _kernel_rows(chunk, cols, params, block, tmp):
+    """Write the Matern-3/2 covariance between the rows of `chunk` (R, 3)
+    and the columns of `cols` (3, M) into `block` (R, M); `tmp` is scratch
+    of block's shape. Every element depends only on its own two points."""
+    # Squared distance summed as (dx^2 + dz^2) + dy^2: the order
+    # np.einsum("ijk,ijk->ij") uses over three axes, so the kernel keeps
+    # the bits of the dense formula and model files stay byte-identical.
+    np.subtract.outer(chunk[:, 0], cols[0], out=block)
+    block *= block
+    for axis in (2, 1):
+        np.subtract.outer(chunk[:, axis], cols[axis], out=tmp)
+        tmp *= tmp
+        block += tmp
+    np.sqrt(block, out=block)
+    _matern32_inplace(block, params, tmp)
+
+
 def _kernel_chunks(a, b, params, out=None):
     """Yield (row slice, block): the Matern-3/2 covariance between a chunk
     of the rows of a (N, 3) and all of b (M, 3), about KERNEL_CHUNK_BYTES
@@ -181,25 +203,30 @@ def _kernel_chunks(a, b, params, out=None):
     query point, whatever the chunking.
     """
     cols = np.ascontiguousarray(b.T)
-    rows = max(1, KERNEL_CHUNK_BYTES // (8 * max(1, b.shape[0])))
+    rows = _chunk_rows(b.shape[0])
     scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
     buffer = np.empty_like(scratch) if out is None else None
     for start in range(0, a.shape[0], rows):
         chunk = a[start:start + rows]
-        tmp = scratch[:chunk.shape[0]]
         block = buffer[:chunk.shape[0]] if out is None else out[start:start + rows]
-        # Squared distance summed as (dx^2 + dz^2) + dy^2: the order
-        # np.einsum("ijk,ijk->ij") uses over three axes, so the kernel keeps
-        # the bits of the dense formula and model files stay byte-identical.
-        np.subtract.outer(chunk[:, 0], cols[0], out=block)
-        block *= block
-        for axis in (2, 1):
-            np.subtract.outer(chunk[:, axis], cols[axis], out=tmp)
-            tmp *= tmp
-            block += tmp
-        np.sqrt(block, out=block)
-        _matern32_inplace(block, params, tmp)
+        _kernel_rows(chunk, cols, params, block, scratch[:chunk.shape[0]])
         yield slice(start, start + chunk.shape[0]), block
+
+
+def _gram_upper(locations, params, out):
+    """Write the Gram matrix of `locations` (n, 3) into the upper triangle
+    of `out` (n, n), diagonal included: row band [s, e) gets columns
+    [s, n). Each element gets the bits _kernel_block gives it; the strict
+    lower triangle is left as it was."""
+    n = locations.shape[0]
+    cols = np.ascontiguousarray(locations.T)
+    rows = _chunk_rows(n)
+    scratch = np.empty(min(rows, n) * n)
+    for start in range(0, n, rows):
+        chunk = locations[start:start + rows]
+        shape = (chunk.shape[0], n - start)
+        _kernel_rows(chunk, cols[:, start:], params, out[start:start + rows, start:],
+                     scratch[:shape[0] * shape[1]].reshape(shape))
 
 
 def _kernel_block(a, b, params, out=None):
@@ -306,11 +333,13 @@ def _factorize(locations, params):
 
     The Gram matrix of `locations` is built straight into the one n x n
     buffer that potrf factorizes in place, so a fit holds one n x n array.
-    The Gram matrix is exactly symmetric, so the buffer's transpose is the
-    same matrix in the Fortran order LAPACK works in, and potrf needs no
-    copy of its own. A failed attempt leaves the buffer overwritten, so each
-    jitter level builds the Gram matrix again; only near-duplicate points
-    get that far, and a warning names the effective noise when they do.
+    The buffer's transpose is the Fortran-order matrix LAPACK works in, and
+    potrf reads only its lower triangle: the buffer's upper one, which is
+    all _gram_upper builds. cholesky zeroes the other half, so the factor
+    has the bits of one computed from the whole Gram matrix. A failed
+    attempt leaves the buffer overwritten, so each jitter level builds the
+    half again; only near-duplicate points get that far, and a warning
+    names the effective noise when they do.
     """
     s2 = params.output_scale ** 2
     jitters = [0.0]
@@ -322,7 +351,7 @@ def _factorize(locations, params):
     work = np.empty((n, n))
     diagonal = np.diag_indices(n)
     for jitter in jitters:
-        _kernel_block(locations, locations, params, out=work)
+        _gram_upper(locations, params, work)
         work[diagonal] += params.noise + jitter
         try:
             factor = cholesky(work.T, lower=True, overwrite_a=True, check_finite=False)
@@ -381,16 +410,16 @@ def log_marginal_likelihood(model: GPISModel) -> float:
 
 
 def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean=0.0,
-                             cap=DEFAULT_CAP) -> KernelParams:
+                             cap=DEFAULT_CAP) -> GPISModel:
     """Fit every (length_scale, output_scale) grid member and return the
-    KernelParams maximizing the log marginal likelihood; ties break toward
+    fitted model maximizing the log marginal likelihood; ties break toward
     the smallest length scale, then the smallest output scale. A set over
     `cap` raises before any fit, naming the cap.
 
-    Each fitted model is dropped as soon as it is scored, so the search
-    holds one n x n factor at a time. The caller refits the winner if it
-    needs the model; gpis-fit does not, because the model file holds only
-    the conditioning set and the kernel parameters.
+    The search holds one n x n factor at a time: each candidate's model is
+    dropped before the next is fitted. The last candidate's model is the
+    result when it wins; any other winner is fitted once more after the
+    search, the same fit that scored it.
     """
     if not grid:
         raise ValueError("hyperparameter grid is empty")
@@ -398,24 +427,39 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
     best = None
     for rho, sigma in grid:
         params = KernelParams(rho, sigma, noise, prior_mean)
+        model = None  # frees the last candidate's factor before this fit
         try:
-            lml = log_marginal_likelihood(fit(cset, params, cap=cap))
+            model = fit(cset, params, cap=cap)
         except NumericalError:
             continue
-        key = (-lml, rho, sigma)
+        key = (-log_marginal_likelihood(model), rho, sigma)
         if best is None or key < best[0]:
             best = (key, params)
     if best is None:
         raise NumericalError("every hyperparameter candidate failed to factorize")
-    return best[1]
+    if model is None or model.params is not best[1]:
+        model = None
+        model = fit(cset, best[1], cap=cap)
+    return model
 
 
-def save_model(path, cset: ConditioningSet, params: KernelParams):
-    """Serialize what a model is computed from, which is all the file
+# The model save_model last wrote in this process, with the bytes it wrote,
+# until the next load_model takes it. It lives at module level because
+# gpis-fit and gpis-render may run in separate run_pipeline calls.
+_saved = None
+
+
+def save_model(path, model: GPISModel):
+    """Serialize what `model` is computed from, which is all the file
     holds: magic, version u32, n u32, little-endian f64 locations, targets
-    and the four kernel parameters, then the n labels as bytes. load_model
-    refits the rest, so saving needs no fitted model."""
-    parts = [
+    and the four kernel parameters, then the n labels as bytes. The model
+    itself stays in a one-slot handoff, keyed by the bytes written, for the
+    next load_model in this process; a later save_model replaces it."""
+    global _saved
+    from .fileio import atomic_write_bytes
+
+    cset, params = model.conditioning, model.params
+    blob = b"".join([
         MODEL_MAGIC,
         np.array([MODEL_VERSION, len(cset)], dtype="<u4").tobytes(),
         cset.locations.astype("<f8").tobytes(),
@@ -423,18 +467,29 @@ def save_model(path, cset: ConditioningSet, params: KernelParams):
         np.array([params.length_scale, params.output_scale, params.noise, params.prior_mean],
                  dtype="<f8").tobytes(),
         cset.labels.astype("<i1").tobytes(),
-    ]
-    from .fileio import atomic_write_bytes
-
-    atomic_write_bytes(path, b"".join(parts))
+    ])
+    atomic_write_bytes(path, blob)
+    _saved = (blob, model)
 
 
 @reads_format
 def load_model(path) -> GPISModel:
-    """Read a model file and refit it. The jitter escalation replays, so the
-    factor equals the fitted one bit for bit at the same BLAS thread count."""
+    """Read a model file and return its fitted model.
+
+    When the file holds exactly the bytes the last save_model in this
+    process wrote, that call's model is returned without refitting.
+    Otherwise the file is parsed and refitted: the jitter escalation
+    replays, so the factor equals the fitted one bit for bit at the same
+    BLAS thread count. Either way the handoff slot is emptied first, so a
+    refit holds one n x n array and the slot keeps no model past this call.
+    """
+    global _saved
+    saved, _saved = _saved, None
     with open(path, "rb") as fh:
         blob = fh.read()
+    if saved is not None and saved[0] == blob:
+        return saved[1]
+    del saved
     if blob[:4] != MODEL_MAGIC:
         raise ValueError("not a GPIS model file")
     version = int(np.frombuffer(blob, dtype="<u4", count=1, offset=4)[0])

@@ -309,17 +309,19 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
         voxel=_resolve(cond["voxel"], radius / 50.0),
     )
     k = cfg.section("kernel")
-    # Without a grid the configured length scale is the one candidate.
-    # gpis-render refits the saved set; fitting here anyway makes a set over
-    # the cap or a matrix that will not factorize fail at this stage (exit 4).
-    params = gpis.optimize_hyperparameters(
+    # Without a grid the configured length scale is the one candidate. A set
+    # over the cap or a matrix that will not factorize fails here (exit 4).
+    # save_model leaves the fitted model for gpis-render in this process,
+    # which takes it while gpis.model still holds the bytes written here and
+    # refits the file otherwise.
+    model = gpis.optimize_hyperparameters(
         cset,
         [(rho, k["output_scale"]) for rho in k["rho_grid"] or (k["length_scale"],)],
         noise=k["noise"],
         prior_mean=_resolve(k["prior_mean"], 0.5 * radius),
         cap=cond["cap"],
     )
-    io.write(gpis.save_model, "out:gpis.model", cset, params)
+    io.write(gpis.save_model, "out:gpis.model", model)
 
 
 def stage_gpis_render(cfg: SceneConfig, io: StageIO):

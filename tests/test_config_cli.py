@@ -6,7 +6,7 @@ import shutil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from touchfuse import fileio
+from touchfuse import fileio, gpis
 from touchfuse.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED,
                            EXIT_NUMERICAL, EXIT_OK, main)
 from touchfuse.config import SCHEMA, parse_config_text, validate_config
@@ -146,6 +146,32 @@ class TestPipelineOrchestration:
         with open(os.path.join(cfg.out, ".lock"), "w") as fh:
             fh.write("1")
         assert run_pipeline(cfg, ["simulate"]) == {"simulate": "ran"}
+
+    def test_gpis_render_takes_the_model_gpis_fit_left(self, tmp_path, monkeypatch):
+        """With one run_pipeline call per stage, gpis-render uses the model
+        gpis-fit fitted in this process; a refit of the file renders the
+        same bytes."""
+        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
+                              require_dataset=False)
+        run_pipeline(cfg, ["simulate"])
+        run_pipeline(cfg, ["gpis-fit"])
+        refits = []
+        condition = gpis._condition
+        monkeypatch.setattr(gpis, "_condition", lambda *a: refits.append(a) or condition(*a))
+        run_pipeline(cfg, ["gpis-render"])
+        assert refits == []
+
+        def rendered():
+            names = sorted(f for f in os.listdir(cfg.out) if "_gpis_" in f)
+            return {f: (tmp_path / "out" / f).read_bytes() for f in names}
+
+        handed_off = rendered()
+        for name in handed_off:
+            os.unlink(os.path.join(cfg.out, name))
+        # The first gpis-render emptied the slot, so this one refits.
+        assert run_pipeline(cfg, ["gpis-render"]) == {"gpis-render": "ran"}
+        assert len(refits) == 1
+        assert rendered() == handed_off
 
     def test_fewer_touches_removes_stale_touch_files(self, tmp_path):
         cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),

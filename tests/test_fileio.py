@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from touchfuse import fileio
 from touchfuse.align import SparseDepth
+from touchfuse.errors import FormatError
 from touchfuse.geometry import look_at, make_transform, rotation_about_axis
 from touchfuse.sdfrender import CameraModel
 from touchfuse.splat import SplatCloud
@@ -44,6 +45,17 @@ class TestPGMAndPPM:
         fileio.write_pgm(path, data)
         np.testing.assert_array_equal(fileio.read_pgm(path), data)
         assert path.read_bytes().startswith(b"P5\n2 2\n255\n")
+
+    def test_16_bit_pgm_rejected(self, tmp_path):
+        path = tmp_path / "deep.pgm"
+        path.write_bytes(b"P5\n2 2\n65535\n" + np.array([1, 2, 3, 4], dtype=">u2").tobytes())
+        with pytest.raises(FormatError, match="maxval 65535"):
+            fileio.read_pgm(path)
+
+    def test_pgm_header_comments_skipped(self, tmp_path):
+        path = tmp_path / "commented.pgm"
+        path.write_bytes(b"P5\n# made by hand\n2 # width\n2\n#\n255\n" + bytes([0, 85, 170, 255]))
+        np.testing.assert_array_equal(fileio.read_pgm(path), [[0, 85], [170, 255]])
 
     def test_ppm_round_trip_quantized(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -154,6 +154,58 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def refit_on_load(path):
+    """load_model with the handoff slot emptied first, so the model is
+    refitted from the file instead of handed over."""
+    gpis._saved = None
+    return load_model(path)
+
+
+def assert_same_model(got, want):
+    np.testing.assert_array_equal(got.conditioning.locations, want.conditioning.locations)
+    np.testing.assert_array_equal(got.conditioning.targets, want.conditioning.targets)
+    np.testing.assert_array_equal(got.conditioning.labels, want.conditioning.labels)
+    assert got.params == want.params
+    np.testing.assert_array_equal(got.factor, want.factor)
+    np.testing.assert_array_equal(got.alpha, want.alpha)
+    assert got.effective_noise == want.effective_noise
+
+
+class TestTriangleGram:
+    """_factorize builds only the half of the Gram matrix potrf reads; its
+    factor is the Cholesky factor of the whole matrix, bit for bit."""
+
+    ROWS = 40
+
+    @staticmethod
+    def full_factor(locations, params, noise):
+        gram = gpis._kernel_block(locations, locations, params)
+        gram[np.diag_indices(len(locations))] += noise
+        return cholesky(gram, lower=True, check_finite=False)
+
+    @pytest.mark.parametrize("n", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+    def test_factor_equals_full_gram_factor(self, monkeypatch, n):
+        # A chunk budget of ROWS rows of n columns puts the band edges here.
+        monkeypatch.setattr(gpis, "KERNEL_CHUNK_BYTES", 8 * n * self.ROWS)
+        locations = np.random.default_rng(n).normal(scale=0.4, size=(n, 3))
+        params = KernelParams(0.3, 0.7, 1e-6)
+        factor, noise = gpis._factorize(locations, params)
+        assert noise == params.noise
+        np.testing.assert_array_equal(factor, self.full_factor(locations, params, noise))
+
+    def test_jitter_retries_rebuild_the_half(self, monkeypatch):
+        n = 2 * self.ROWS + 3
+        monkeypatch.setattr(gpis, "KERNEL_CHUNK_BYTES", 8 * n * self.ROWS)
+        rng = np.random.default_rng(5)
+        locations = rng.normal(scale=0.4, size=(n, 3))
+        locations[1::7] = locations[0]  # one point repeated across every band
+        params = KernelParams(0.5, 1.0, 0.0)
+        with pytest.warns(RuntimeWarning, match="effective noise"):
+            factor, noise = gpis._factorize(locations, params)
+        assert noise > params.noise
+        np.testing.assert_array_equal(factor, self.full_factor(locations, params, noise))
+
+
 class TestOneMatrixPerFit:
     """fit, a load_model refit and the grid search each hold one n x n array;
     the march means never build the (rows x n) cross block."""
@@ -169,15 +221,51 @@ class TestOneMatrixPerFit:
     def test_fit_holds_one_matrix(self, cset):
         assert traced_peak(lambda: fit(cset, KernelParams(0.3, 0.7, 1e-6))) < 1.3 * self.N ** 2 * 8
 
-    def test_grid_search_holds_one_matrix(self, cset):
-        grid = [(0.2, 0.7), (0.3, 0.7), (0.4, 0.7)]
-        peak = traced_peak(lambda: optimize_hyperparameters(cset, grid))
+    # On this set the log marginal likelihood falls as rho grows: rho = 0.2 wins.
+    def search(self, cset, monkeypatch, rhos):
+        """optimize_hyperparameters over `rhos`: (model, traced peak, fit calls)."""
+        calls = []
+        monkeypatch.setattr(gpis, "fit", lambda *a, **k: calls.append(a) or fit(*a, **k))
+        found = []
+        grid = [(rho, 0.7) for rho in rhos]
+        peak = traced_peak(lambda: found.append(optimize_hyperparameters(cset, grid)))
+        return found[0], peak, len(calls)
+
+    def test_grid_search_holds_one_matrix(self, cset, monkeypatch):
+        """A winner scored before the last candidate is fitted again once
+        the last candidate is dropped."""
+        model, peak, calls = self.search(cset, monkeypatch, (0.2, 0.3, 0.4))
         assert peak < 1.3 * self.N ** 2 * 8
+        assert calls == 4
+        assert_same_model(model, fit(cset, KernelParams(0.2, 0.7, 1e-6)))
+
+    def test_last_candidate_winning_is_kept(self, cset, monkeypatch):
+        model, peak, calls = self.search(cset, monkeypatch, (0.4, 0.3, 0.2))
+        assert peak < 1.3 * self.N ** 2 * 8
+        assert calls == 3
+        assert_same_model(model, fit(cset, KernelParams(0.2, 0.7, 1e-6)))
 
     def test_load_model_holds_one_matrix(self, cset, tmp_path):
         path = tmp_path / "big.gpis"
-        save_model(path, cset, KernelParams(0.3, 0.7, 1e-6))
-        assert traced_peak(lambda: load_model(path)) < 1.3 * self.N ** 2 * 8
+        save_model(path, fit(cset, KernelParams(0.3, 0.7, 1e-6)))
+        assert traced_peak(lambda: refit_on_load(path)) < 1.3 * self.N ** 2 * 8
+
+    def test_missed_handoff_refits_with_one_matrix(self, cset, tmp_path):
+        """load_model empties the slot before it refits a file that no
+        longer holds the saved bytes, so the saved model is gone by then."""
+        path = tmp_path / "big.gpis"
+        tracemalloc.start()
+        try:
+            save_model(path, fit(cset, KernelParams(0.3, 0.7, 1e-6)))
+            blob = bytearray(path.read_bytes())
+            blob[12] ^= 1
+            path.write_bytes(bytes(blob))
+            tracemalloc.reset_peak()
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * self.N ** 2 * 8
 
     def test_query_mean_reduces_chunk_by_chunk(self, cset):
         model = fit(cset, KernelParams(0.3, 0.7, 1e-6))
@@ -418,7 +506,7 @@ class TestFitAndQuery:
 class TestHyperparameterSearch:
     def test_singleton_grid(self):
         cset = build_conditioning_set(sphere_touches(10, seed=1), 0.05, 0.02)
-        pick = optimize_hyperparameters(cset, [(0.7, 1.1)])
+        pick = optimize_hyperparameters(cset, [(0.7, 1.1)]).params
         assert (pick.length_scale, pick.output_scale) == (0.7, 1.1)
 
     def test_recovers_known_length_scale(self):
@@ -436,7 +524,8 @@ class TestHyperparameterSearch:
             gram = (1.0 + s) * np.exp(-s) + 1e-6 * np.eye(80)
             targets = np.linalg.cholesky(gram) @ rng.normal(size=80)
             cset = ConditioningSet(locs, targets, np.zeros(80, np.int8))
-            pick = optimize_hyperparameters(cset, [(r, 1.0) for r in grid_rhos], noise=1e-6)
+            grid = [(r, 1.0) for r in grid_rhos]
+            pick = optimize_hyperparameters(cset, grid, noise=1e-6).params
             if abs(grid_rhos.index(pick.length_scale) - true_idx) <= 1:
                 hits += 1
         assert hits >= 8
@@ -444,7 +533,7 @@ class TestHyperparameterSearch:
     def test_tie_breaks_toward_smallest(self):
         cset = ConditioningSet([[0, 0, 0], [1, 0, 0]], [0.0, 0.0], np.zeros(2, np.int8))
         grid = [(0.9, 1.0), (0.3, 1.0), (0.3, 0.5)]
-        pick = optimize_hyperparameters(cset, grid, noise=1e-4)
+        pick = optimize_hyperparameters(cset, grid, noise=1e-4).params
         lmls = []
         for rho, sigma in grid:
             model = fit(cset, KernelParams(rho, sigma, 1e-4))
@@ -462,7 +551,7 @@ class TestHyperparameterSearch:
             key = (-log_marginal_likelihood(fit(cset, params)), rho, sigma)
             if best is None or key < best[0]:
                 best = (key, params)
-        assert optimize_hyperparameters(cset, grid, noise=1e-6, prior_mean=0.1) == best[1]
+        assert optimize_hyperparameters(cset, grid, noise=1e-6, prior_mean=0.1).params == best[1]
 
     def test_empty_grid_rejected(self):
         cset = ConditioningSet([[0, 0, 0]], [0.0], [0])
@@ -485,11 +574,11 @@ class TestPersistence:
             ]:
                 model = fit(cset, params)
                 path = tmp_path / f"{name}.gpis"
-                save_model(path, cset, params)
+                save_model(path, model)
                 # Header, then per point 4 floats and a label byte, then 4 params.
                 n = len(cset)
                 assert path.stat().st_size == 12 + 8 * (4 * n + 4) + n
-                loaded = load_model(path)
+                loaded = refit_on_load(path)
                 rng = np.random.default_rng(2)
                 pts = rng.uniform(-1.5, 1.5, size=(30, 3))
                 m1, v1 = model.query(pts)
@@ -533,14 +622,49 @@ class TestPersistence:
         model = fit(cset, params)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "model.gpis")
-            save_model(path, cset, params)
+            save_model(path, model)
             assert os.path.getsize(path) == 12 + 8 * (4 * n + 4) + n
-            loaded = load_model(path)
+            loaded = refit_on_load(path)
         np.testing.assert_array_equal(loaded.factor, model.factor)
         np.testing.assert_array_equal(loaded.alpha, model.alpha)
         assert loaded.effective_noise == model.effective_noise
         np.testing.assert_array_equal(loaded.conditioning.labels, cset.labels)
         assert loaded.params == params
+
+    def test_load_after_save_takes_the_saved_model(self, tmp_path):
+        cset = build_conditioning_set(sphere_touches(20, seed=6), 0.05, 0.02)
+        model = fit(cset, KernelParams(0.4, 0.8, 1e-6, prior_mean=0.2))
+        path = tmp_path / "model.gpis"
+        save_model(path, model)
+        assert load_model(path) is model
+        # The first load emptied the slot: the second refits the same bits.
+        again = load_model(path)
+        assert again is not model
+        assert_same_model(again, model)
+
+    def test_file_with_another_models_bytes_is_refitted(self, tmp_path):
+        params = KernelParams(0.4, 0.8, 1e-6)
+        saved = fit(build_conditioning_set(sphere_touches(20, seed=6), 0.05, 0.02), params)
+        other = fit(build_conditioning_set(sphere_touches(25, seed=7), 0.05, 0.02), params)
+        path, other_path = tmp_path / "model.gpis", tmp_path / "other.gpis"
+        save_model(other_path, other)
+        save_model(path, saved)
+        path.write_bytes(other_path.read_bytes())
+        assert_same_model(load_model(path), other)
+
+    def test_file_with_a_flipped_location_byte_is_refitted(self, tmp_path):
+        cset = build_conditioning_set(sphere_touches(20, seed=6), 0.05, 0.02)
+        params = KernelParams(0.4, 0.8, 1e-6)
+        path = tmp_path / "model.gpis"
+        save_model(path, fit(cset, params))
+        blob = bytearray(path.read_bytes())
+        blob[12] ^= 1  # lowest mantissa bit of the first location's x
+        path.write_bytes(bytes(blob))
+        locations = cset.locations.copy()
+        locations[0, 0] = np.frombuffer(bytes(blob[12:20]), dtype="<f8")[0]
+        assert locations[0, 0] != cset.locations[0, 0]
+        flipped = ConditioningSet(locations, cset.targets, cset.labels)
+        assert_same_model(load_model(path), fit(flipped, params))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.gpis"
