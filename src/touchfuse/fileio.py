@@ -171,6 +171,8 @@ def _read_ply_rows(path, expected_props):
         rows = np.loadtxt(fh, dtype=np.float64, max_rows=count, ndmin=2)
     if rows.shape[0] != count:
         raise ValueError("PLY vertex count does not match data rows")
+    if rows.shape[1] != len(props):
+        raise ValueError(f"PLY rows have {rows.shape[1]} values for {len(props)} properties")
     return rows
 
 
@@ -210,6 +212,9 @@ def write_cameras(path, views):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+_CAMERA_TOKENS = {"view": 2, "size": 3, "intrinsics": 5, "pose": 5}
+
+
 @reads_format
 def read_cameras(path):
     views = []
@@ -232,15 +237,18 @@ def read_cameras(path):
             token = raw.split()
             if not token:
                 continue
+            if token[0] in _CAMERA_TOKENS and len(token) != _CAMERA_TOKENS[token[0]]:
+                raise ValueError(f"{token[0]!r} line needs {_CAMERA_TOKENS[token[0]] - 1} "
+                                 f"values, found {len(token) - 1}")
             if token[0] == "view":
                 flush()
                 name, size, intr, pose_rows = token[1], None, None, []
             elif token[0] == "size":
                 size = (int(token[1]), int(token[2]))
             elif token[0] == "intrinsics":
-                intr = tuple(float(x) for x in token[1:5])
+                intr = tuple(float(x) for x in token[1:])
             elif token[0] == "pose":
-                pose_rows.append([float(x) for x in token[1:5]])
+                pose_rows.append([float(x) for x in token[1:]])
             else:
                 raise ValueError(f"unknown camera-file directive {token[0]!r}")
     flush()
@@ -260,7 +268,13 @@ def write_sparse_depth(path, sparse: SparseDepth):
 
 @reads_format
 def read_sparse_depth(path) -> SparseDepth:
-    rows = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line for line in fh if line.split("#", 1)[0].strip()]
+    if not lines:
+        raise ValueError("no depth rows")
+    rows = np.loadtxt(lines, dtype=np.float64, ndmin=2)
+    if rows.shape[1] != 3:
+        raise ValueError(f"rows need 3 columns (u v depth), found {rows.shape[1]}")
     return SparseDepth(rows[:, :2].astype(np.int64), rows[:, 2])
 
 

@@ -8,7 +8,7 @@ gives a signed-distance mean and variance anywhere in space.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -36,13 +36,11 @@ MODEL_VERSION = 2
 class TouchReading:
     """Contact surface points with outward unit normals from one touch.
 
-    points/normals are (N, 3) float64 arrays in the world frame;
-    sensor_pose is the 4x4 world-from-sensor transform.
+    points/normals are (N, 3) float64 arrays in the world frame.
     """
 
     points: np.ndarray
     normals: np.ndarray
-    sensor_pose: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -57,7 +55,6 @@ class TouchReading:
             raise ValueError(f"normal at index {bad[0]} is not unit length")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "normals", nrm)
-        object.__setattr__(self, "sensor_pose", np.asarray(self.sensor_pose, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -219,14 +216,9 @@ def _gram_upper(locations, params, out):
     [s, n). Each element gets the bits _kernel_block gives it; the strict
     lower triangle is left as it was."""
     n = locations.shape[0]
-    cols = np.ascontiguousarray(locations.T)
     rows = _chunk_rows(n)
-    scratch = np.empty(min(rows, n) * n)
-    for start in range(0, n, rows):
-        chunk = locations[start:start + rows]
-        shape = (chunk.shape[0], n - start)
-        _kernel_rows(chunk, cols[:, start:], params, out[start:start + rows, start:],
-                     scratch[:shape[0] * shape[1]].reshape(shape))
+    for s in range(0, n, rows):
+        _kernel_block(locations[s:s + rows], locations[s:], params, out[s:s + rows, s:])
 
 
 def _kernel_block(a, b, params, out=None):

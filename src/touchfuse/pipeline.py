@@ -29,7 +29,7 @@ import numpy as np
 from . import align as align_mod
 from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
 from .config import AUTO, SceneConfig
-from .errors import DependencyError, FormatError, LockedError, NumericalError
+from .errors import DependencyError, FormatError, LockedError
 
 MANIFEST_VERSION = 3
 MONO_SCALE = 2.5
@@ -388,13 +388,7 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
         g_depth, g_var = _load_depth_var(io, name, "gpis")
         image = sdfrender.DepthVarImage(g_depth, g_var, cam)
         images.append(image)
-        rgb = _read_rgb(io, name)
-        ys, xs = np.nonzero(image.hit_mask)
-        colors.append(rgb[ys, xs])
-    hit_depths = [img.depth[img.hit_mask] for img in images]
-    if not any(depths.size for depths in hit_depths):
-        raise NumericalError("no GPIS ray hit the surface in any view; "
-                             "nothing to initialize the splats from")
+        colors.append(_read_rgb(io, name)[image.hit_mask])
     points = splat.backproject_init(images)
     colors = np.concatenate(colors, axis=0)
 
@@ -405,13 +399,11 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
         points, colors = points[keep], colors[keep]
 
     cam0 = views[0][1]
-    median_depth = float(np.median(np.concatenate(hit_depths)))
+    median_depth = float(np.median(np.concatenate([img.depth[img.hit_mask] for img in images])))
     radius = _resolve(train["splat_radius"], 1.5 * median_depth / cam0.fx)
     logit = math.log(train["opacity"] / (1.0 - train["opacity"]))
-    background = np.array(_background(_scene_record(io)))
     cloud = splat.SplatCloud(
         points, colors, np.full(points.shape[0], logit), np.full(points.shape[0], radius),
-        background,
     )
     io.write(fileio.write_splat_ply, "out:init.ply", cloud)
 

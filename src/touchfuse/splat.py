@@ -9,13 +9,11 @@ piecewise constant, so its derivative vanishes almost everywhere).
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError
-from .fuse import FusedSupervision
 from .sdfrender import CameraModel
 
 Z_NEAR = 0.05
@@ -209,44 +207,23 @@ def render(cloud: SplatCloud, camera: CameraModel):
     return rgb, depth
 
 
-def color_loss(rendered, gt):
-    rendered = np.asarray(rendered, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if rendered.shape != gt.shape:
-        raise ValueError("image dimensions differ")
-    return float(np.sum((rendered - gt) ** 2))
-
-
-def depth_loss(rendered_depth, fused: FusedSupervision, cfg: LossConfig):
-    """Uncertainty-weighted squared depth error over supervised pixels.
-
-    Per-pixel weight = exp(-sharpness * sqrt(variance));
-    pixels without provenance are skipped entirely.
-    """
-    rendered_depth = np.asarray(rendered_depth, dtype=np.float64)
-    if rendered_depth.shape != fused.depth.shape:
-        raise ValueError("image dimensions differ")
-    mask = fused.supervised_mask
-    if not np.any(mask):
-        return 0.0
-    weights = np.exp(-cfg.sharpness * np.sqrt(fused.variance[mask]))
-    return float(np.sum(weights * (rendered_depth[mask] - fused.depth[mask]) ** 2))
-
-
 def backproject_init(images):
-    """Lift every hit pixel of the depth images into one world point cloud."""
+    """Lift every hit pixel of the depth images into one world point cloud.
+
+    Raises NumericalError when no image has a hit: there is nothing to
+    initialize the splats from.
+    """
     if not images:
         raise ValueError("need at least one depth image")
     clouds = []
     for img in images:
         ys, xs = np.nonzero(img.hit_mask)
-        if xs.size == 0:
-            continue
         clouds.append(img.camera.backproject(xs, ys, img.depth[ys, xs]))
-    if not clouds:
-        warnings.warn("all depth images are empty; returning an empty cloud")
-        return np.empty((0, 3))
-    return np.concatenate(clouds, axis=0)
+    points = np.concatenate(clouds, axis=0)
+    if points.shape[0] == 0:
+        raise NumericalError("no GPIS ray hit the surface in any view; "
+                             "nothing to initialize the splats from")
+    return points
 
 
 def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
@@ -254,22 +231,25 @@ def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
     pix, sid, z = pairs
     rgb, depth, trans, (perm, bounds, w_r, t_r) = _forward(cloud, camera, pairs)
 
-    c_loss = color_loss(rgb, rgb_gt)
-    d_loss = depth_loss(depth, fused, cfg)
+    rgb_gt = np.asarray(rgb_gt, dtype=np.float64)
+    if rgb.shape != rgb_gt.shape or depth.shape != fused.depth.shape:
+        raise ValueError("image dimensions differ")
+
+    color_residual = rgb - rgb_gt
+    c_loss = float(np.sum(color_residual ** 2))
+    g_color_px = 2.0 * color_residual.reshape(-1, 3)
+    mask = fused.supervised_mask.reshape(-1)
+    d_loss = 0.0
+    g_depth_px = np.zeros(mask.shape)
+    if np.any(mask):
+        weights = np.exp(-cfg.sharpness * np.sqrt(fused.variance.reshape(-1)[mask]))
+        depth_residual = depth.reshape(-1)[mask] - fused.depth.reshape(-1)[mask]
+        d_loss = float(np.sum(weights * depth_residual ** 2))
+        if depth_weight != 0.0:
+            g_depth_px[mask] = depth_weight * 2.0 * weights * depth_residual
     loss = c_loss + depth_weight * d_loss
 
     n = len(cloud)
-    flat_rgb = rgb.reshape(-1, 3)
-    flat_depth = depth.reshape(-1)
-    g_color_px = 2.0 * (flat_rgb - np.asarray(rgb_gt, dtype=np.float64).reshape(-1, 3))
-    mask = fused.supervised_mask.reshape(-1)
-    g_depth_px = np.zeros(flat_depth.shape)
-    if np.any(mask) and depth_weight != 0.0:
-        weights = np.exp(-cfg.sharpness * np.sqrt(fused.variance.reshape(-1)[mask]))
-        g_depth_px[mask] = depth_weight * 2.0 * weights * (
-            flat_depth[mask] - fused.depth.reshape(-1)[mask]
-        )
-
     alphas = cloud.opacities
     w_pairs = np.empty(pix.size)
     w_pairs[perm] = w_r
@@ -307,20 +287,10 @@ def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
     return loss, c_loss, d_loss, grad_pos, grad_col, grad_logit
 
 
-def total_loss(cloud, views, cfg: LossConfig, depth_weight=None):
-    """Summed color + weighted depth loss across (rgb, fused, camera) views."""
-    lam = cfg.depth_weight if depth_weight is None else depth_weight
-    total = 0.0
-    for rgb_gt, fused, camera in views:
-        rgb, depth = render(cloud, camera)
-        total += color_loss(rgb, rgb_gt)
-        if lam != 0.0:
-            total += lam * depth_loss(depth, fused, cfg)
-    return total
-
-
 def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
-    """Analytic gradients of total_loss w.r.t. positions, colors, logits."""
+    """Summed color + depth_weight * depth loss over (rgb, fused, camera)
+    views, its two terms, and its analytic gradients w.r.t. positions,
+    colors and opacity logits."""
     lam = cfg.depth_weight if depth_weight is None else depth_weight
     n = len(cloud)
     grads = (np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n))
@@ -341,18 +311,19 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
     """Plain gradient descent on positions, colors and opacity logits.
 
     The depth weight decays by cfg.decay each epoch (one pass over all
-    views). Returns the best-loss parameters seen, so the final loss never
-    exceeds the initial one. Raises NumericalError when the loss diverges.
+    views). Every iterate 0..iters is scored by loss_gradients at its own
+    depth weight, the pass it descends on; the last one is scored but not
+    stepped or passed to the callback. Returns the best-scoring iterate, so
+    the final loss never exceeds the initial one. Raises NumericalError
+    when the loss diverges.
     """
     if not views:
         raise ValueError("need at least one view")
     current = cloud.copy()
-    if iters == 0:
-        return current
     lam = cfg.depth_weight
     best = None
     pos_scale, col_scale, logit_scale = group_scales
-    for it in range(iters):
+    for it in range(iters + 1):
         loss, c_loss, d_loss, (g_pos, g_col, g_logit) = loss_gradients(
             current, views, cfg, depth_weight=lam
         )
@@ -360,6 +331,8 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
             raise NumericalError(f"loss diverged at iteration {it}")
         if best is None or loss < best[0]:
             best = (loss, current.copy())
+        if it == iters:
+            break
         if callback is not None:
             callback({"iter": it, "color_loss": c_loss, "depth_loss": d_loss, "lam": lam})
         current.positions -= step * pos_scale * g_pos
@@ -368,8 +341,4 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
         if not current.is_finite():
             raise NumericalError(f"parameters diverged at iteration {it}")
         lam *= cfg.decay
-    final_loss = total_loss(current, views, cfg, depth_weight=lam)
-    if math.isfinite(final_loss) and final_loss < best[0]:
-        best = (final_loss, current)
     return best[1]
-

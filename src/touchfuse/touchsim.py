@@ -167,7 +167,7 @@ def sample_touches(shape: AnalyticShape, n_touches, patch_radius, points_per_tou
             pts = pts + rng.normal(scale=noise.point_sigma, size=pts.shape)
         if noise.normal_sigma > 0.0:
             normals = _tilt_normals(normals, noise.normal_sigma, rng)
-        touches.append(TouchReading(pts, normals, frame))
+        touches.append(TouchReading(pts, normals))
     return touches
 
 

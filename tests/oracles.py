@@ -1,14 +1,16 @@
 """Scalar reference forms of the package's batched algorithms, which the
-tests hold the batched code to (bit for bit where the tests say so)."""
+tests hold the batched code to (bit for bit where the tests say so), and
+the reference splat loss that grad_check differentiates."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from touchfuse.fuse import FusedSupervision
 from touchfuse.gpis import KernelParams, _matern32_inplace
 from touchfuse.sdfrender import BoundingSphere, CameraModel, MarchParams
-from touchfuse.splat import LossConfig, SplatCloud, loss_gradients, total_loss
+from touchfuse.splat import LossConfig, SplatCloud, loss_gradients, render
 
 UNIT_DIR_TOL = 1e-9
 
@@ -111,6 +113,42 @@ def composite_ray(splats_on_ray):
         depth = depth + d * w
         trans = trans * (1.0 - alpha)
     return color, depth, trans
+
+
+def color_loss(rendered, gt):
+    rendered = np.asarray(rendered, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if rendered.shape != gt.shape:
+        raise ValueError("image dimensions differ")
+    return float(np.sum((rendered - gt) ** 2))
+
+
+def depth_loss(rendered_depth, fused: FusedSupervision, cfg: LossConfig):
+    """Uncertainty-weighted squared depth error over supervised pixels.
+
+    Per-pixel weight = exp(-sharpness * sqrt(variance));
+    pixels without provenance are skipped entirely.
+    """
+    rendered_depth = np.asarray(rendered_depth, dtype=np.float64)
+    if rendered_depth.shape != fused.depth.shape:
+        raise ValueError("image dimensions differ")
+    mask = fused.supervised_mask
+    if not np.any(mask):
+        return 0.0
+    weights = np.exp(-cfg.sharpness * np.sqrt(fused.variance[mask]))
+    return float(np.sum(weights * (rendered_depth[mask] - fused.depth[mask]) ** 2))
+
+
+def total_loss(cloud, views, cfg: LossConfig, depth_weight=None):
+    """Summed color + weighted depth loss across (rgb, fused, camera) views."""
+    lam = cfg.depth_weight if depth_weight is None else depth_weight
+    total = 0.0
+    for rgb_gt, fused, camera in views:
+        rgb, depth = render(cloud, camera)
+        total += color_loss(rgb, rgb_gt)
+        if lam != 0.0:
+            total += lam * depth_loss(depth, fused, cfg)
+    return total
 
 
 def grad_check(cloud: SplatCloud, view, cfg: LossConfig, h=1e-5):

@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -307,6 +308,11 @@ def built(pristine, tmp_path):
     return cfg
 
 
+def drop_last_ply_value(text):
+    header, end, rows = text.partition("end_header\n")
+    return header + end + re.sub(r"(?m) \S+$", "", rows)
+
+
 class TestExitCodes:
     """Failures that used to escape main() as tracebacks with exit code 1."""
 
@@ -373,6 +379,25 @@ class TestExitCodes:
     def test_malformed_input_file(self, built, tmp_path, capsys, path, stage):
         blob = (tmp_path / path).read_bytes()
         (tmp_path / path).write_bytes(blob[: len(blob) // 2])
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and os.path.basename(path) in err
+
+    @pytest.mark.parametrize("path, stage, edit", [
+        ("data/cameras.txt", "align",
+         lambda text: re.sub(r"(?m)^size .*$", "size 64", text, count=1)),
+        ("data/cameras.txt", "align",
+         lambda text: re.sub(r"(?m)^intrinsics .*$", "intrinsics 48 48", text, count=1)),
+        ("data/cameras.txt", "align", lambda text: re.sub(r"(?m)^view .*$", "view", text, count=1)),
+        ("data/sparse/view000.txt", "align",
+         lambda text: "".join(" ".join(line.split()[:2]) + "\n" for line in text.splitlines())),
+        ("data/sparse/view000.txt", "align", lambda text: ""),
+        ("data/touches/touch000.ply", "gpis-fit", drop_last_ply_value),
+    ], ids=["camera-size", "camera-intrinsics", "bare-view", "sparse-two-columns",
+            "sparse-empty", "ply-short-rows"])
+    def test_short_line_in_a_text_file(self, built, tmp_path, capsys, path, stage, edit):
+        target = tmp_path / path
+        target.write_text(edit(target.read_text()))
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from touchfuse import splat
 from touchfuse.errors import NumericalError
 from touchfuse.fuse import PROVENANCE_FUSED, PROVENANCE_NONE, FusedSupervision
 from touchfuse.geometry import look_at
@@ -15,17 +16,15 @@ from touchfuse.splat import (
     LossConfig,
     SplatCloud,
     backproject_init,
-    color_loss,
-    depth_loss,
     footprint_pairs,
+    loss_gradients,
     optimize,
     render,
-    total_loss,
     _project,
 )
 from touchfuse.touchsim import AnalyticShape, render_gt_depth
 
-from oracles import composite_ray, grad_check
+from oracles import color_loss, composite_ray, depth_loss, grad_check, total_loss
 
 
 def camera(w=16, h=16, fx=12.0, pose=None):
@@ -330,6 +329,34 @@ class TestLosses:
                   for w in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("depth_weight, sharpness", [
+        (1.0, 3.0), (0.37, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0),
+    ])
+    def test_loss_gradients_terms_equal_oracle(self, depth_weight, sharpness):
+        rng = np.random.default_rng(22)
+        cloud = random_cloud(rng, 25)
+        cfg = LossConfig(depth_weight, sharpness, 1.0)
+        unsupervised = random_supervision(rng, none_frac=1.0)
+        assert not np.any(unsupervised.supervised_mask)
+        views = [small_view(rng), small_view(rng, camera(12, 10)),
+                 (rng.uniform(size=(16, 16, 3)), unsupervised, camera())]
+        for view in views:
+            rgb_gt, fused, cam = view
+            rgb, depth = render(cloud, cam)
+            loss, c_loss, d_loss, _ = loss_gradients(cloud, [view], cfg)
+            assert c_loss == color_loss(rgb, rgb_gt)
+            assert d_loss == depth_loss(depth, fused, cfg)
+            assert loss == total_loss(cloud, [view], cfg)
+
+    def test_loss_gradients_checks_image_shapes(self):
+        rng = np.random.default_rng(23)
+        cloud = random_cloud(rng, 5)
+        rgb_gt, fused, cam = small_view(rng)
+        for view in ((rgb_gt[:8], fused, cam),
+                     (rgb_gt, random_supervision(rng, 16, 8), cam)):
+            with pytest.raises(ValueError, match="image dimensions differ"):
+                loss_gradients(cloud, [view], LossConfig())
+
     def test_decay_weight(self):
         assert LossConfig(decay=0.9).decay == 0.9
         assert LossConfig(decay=1.0).decay == 1.0
@@ -351,12 +378,11 @@ class TestBackprojection:
         norms = np.linalg.norm(cloud, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 0.02
 
-    def test_all_miss_warns_and_returns_empty(self):
+    def test_all_miss_raises(self):
         cam = camera(8, 8)
         img = DepthVarImage(np.zeros((8, 8)), np.full((8, 8), MISS_VAR), cam)
-        with pytest.warns(UserWarning):
-            cloud = backproject_init([img])
-        assert cloud.shape == (0, 3)
+        with pytest.raises(NumericalError, match="no GPIS ray hit"):
+            backproject_init([img, img])
 
     def test_round_trip_recovers_splat_positions(self):
         rng = np.random.default_rng(8)
@@ -427,6 +453,25 @@ class TestOptimize:
         out = optimize(cloud, [view], LossConfig(), 0)
         np.testing.assert_array_equal(out.positions, cloud.positions)
         np.testing.assert_array_equal(out.colors, cloud.colors)
+
+    @pytest.mark.parametrize("iters", [0, 1, 4])
+    def test_scores_every_iterate_without_rendering(self, monkeypatch, iters):
+        calls = {"loss_gradients": 0, "render": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(splat, name, counted(name, getattr(splat, name)))
+        rng = np.random.default_rng(24)
+        rows = []
+        optimize(random_cloud(rng, 8), [small_view(rng)], LossConfig(), iters,
+                 step=1e-3, callback=rows.append)
+        assert calls == {"loss_gradients": iters + 1, "render": 0}
+        assert len(rows) == iters
 
     def test_self_consistency_recovery(self):
         rng = np.random.default_rng(16)

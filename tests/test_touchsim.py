@@ -93,9 +93,8 @@ class TestSampleTouches:
         noise = NoiseModel(point_sigma=0.002)
         touches = sample_touches(sphere, 20, 0.08, 32, noise, seed=3)
         for touch in touches:
-            center = touch.sensor_pose[:3, 3]
-            spread = np.linalg.norm(touch.points - center, axis=1)
-            assert np.max(spread) < 0.08 * 1.05 + 4 * noise.point_sigma
+            gaps = np.linalg.norm(touch.points[:, None] - touch.points[None, :], axis=2)
+            assert np.max(gaps) < 2 * (0.08 * 1.05 + 4 * noise.point_sigma)
 
     def test_normal_noise_keeps_unit_length(self):
         sphere = AnalyticShape("sphere", (1.0,))
