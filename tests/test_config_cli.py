@@ -418,10 +418,12 @@ class TestSkipRules:
 
     def test_edited_simulate_output_reruns_simulate(self, built):
         path = os.path.join(built.dataset, "mono_depth", "view000.pfm")
-        original = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            original = fh.read()
         fileio.write_pfm(path, fileio.read_pfm(path) * 1.05)
         assert self.ran(run_pipeline(built)) == ["simulate"]
-        assert open(path, "rb").read() == original
+        with open(path, "rb") as fh:
+            assert fh.read() == original
 
     def test_deleted_init_ply_reruns_init_points(self, built):
         os.unlink(os.path.join(built.out, "init.ply"))
