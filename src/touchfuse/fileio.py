@@ -13,6 +13,7 @@ import numpy as np
 
 from .align import SparseDepth
 from .errors import reads_format
+from .gpis import TouchReading
 from .sdfrender import CameraModel
 from .splat import SplatCloud
 
@@ -177,10 +178,10 @@ def _read_ply_rows(path, expected_props):
 
 
 @reads_format
-def read_touch_ply(path):
-    """Read one touch file; returns (points, normals)."""
+def read_touch_ply(path) -> TouchReading:
+    """Read one touch file: finite points with unit normals."""
     rows = _read_ply_rows(path, _TOUCH_PROPS)
-    return rows[:, :3], rows[:, 3:6]
+    return TouchReading(rows[:, :3], rows[:, 3:6])
 
 
 def write_splat_ply(path, cloud: SplatCloud):

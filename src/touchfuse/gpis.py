@@ -50,7 +50,7 @@ class TouchReading:
         if not np.all(np.isfinite(pts)):
             raise ValueError("touch points must be finite")
         lengths = np.linalg.norm(nrm, axis=1)
-        bad = np.flatnonzero(np.abs(lengths - 1.0) > UNIT_NORMAL_TOL)
+        bad = np.flatnonzero(~(np.abs(lengths - 1.0) <= UNIT_NORMAL_TOL))
         if bad.size:
             raise ValueError(f"normal at index {bad[0]} is not unit length")
         object.__setattr__(self, "points", pts)

@@ -296,8 +296,7 @@ def _compose_scene(shape, camera, gt_object, dome_radius, object_color, backgrou
 
 
 def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
-    touches = [gpis.TouchReading(*io.read(fileio.read_touch_ply, name))
-               for name in io.glob("dataset:touches/*.ply")]
+    touches = [io.read(fileio.read_touch_ply, name) for name in io.glob("dataset:touches/*.ply")]
     all_points = np.concatenate([t.points for t in touches])
     _, radius = geometry.centroid_spread(all_points)
     cond = cfg.section("conditioning")
@@ -342,11 +341,28 @@ def _load_depth_var(io, name, prefix):
             io.read(fileio.read_pfm, f"out:{name}_{prefix}_var.pfm"))
 
 
+def _read_sparse(io, view, cam):
+    """A view's sparse samples. Scale alignment needs two of them, each on
+    one of the camera's pixels; a file that gives fewer is malformed."""
+    name = f"dataset:sparse/{view}.txt"
+    sparse = io.read(fileio.read_sparse_depth, name)
+    if len(sparse) < 2:
+        raise FormatError(f"{_path(io.cfg, name)}: {len(sparse)} depth row; "
+                          "scale alignment needs at least 2")
+    u, v = sparse.pixels[:, 0], sparse.pixels[:, 1]
+    outside = np.flatnonzero((u < 0) | (u >= cam.width) | (v < 0) | (v >= cam.height))
+    if outside.size:
+        i = outside[0]
+        raise FormatError(f"{_path(io.cfg, name)}: sample {i} at (u, v) = ({u[i]}, {v[i]}) "
+                          f"lies outside the {cam.width}x{cam.height} image")
+    return sparse
+
+
 def stage_align(cfg: SceneConfig, io: StageIO):
     params = cfg.section("align")
     for name, cam in _camera_views(io):
         raw = io.read(fileio.read_pfm, f"dataset:mono_depth/{name}.pfm")
-        sparse = io.read(fileio.read_sparse_depth, f"dataset:sparse/{name}.txt")
+        sparse = _read_sparse(io, name, cam)
         g_depth, g_var = _load_depth_var(io, name, "gpis")
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
         aligned = align_mod.align_vision(

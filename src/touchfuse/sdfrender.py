@@ -1,5 +1,8 @@
 """Sphere tracing of a signed-distance model into per-view depth and variance images.
 
+A model answers `query_mean(points)` with signed distances and
+`query(points)` with (signed distances, variances), for (N, 3) points: a
+fitted `gpis.GPISModel` or a `touchsim.AnalyticShape` (variance zero).
 Rays march by steps proportional to the current SDF value (floored at a
 minimum step), after an analytic ray/bounding-sphere prefilter discards
 pixels that cannot hit the surface. Images store z-depth (distance along the
@@ -154,36 +157,6 @@ def sphere_entry_exit(offset, dirs, radius):
     return -b - root, -b + root, meets
 
 
-def _march_batch(model, origins, dirs, t_enter, t_stop, params: MarchParams):
-    """Vectorized march over many rays, each marched exactly as the scalar
-    sphere tracer in tests/oracles.py marches it alone.
-
-    Returns (hit, t, exhausted): exhausted marks the rays that used up
-    max_steps without a hit or an exit."""
-    n = origins.shape[0]
-    t = t_enter.astype(np.float64).copy()
-    hit = np.zeros(n, dtype=bool)
-    active = t <= t_stop
-    for _ in range(params.max_steps):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        pos = origins[idx] + t[idx, None] * dirs[idx]
-        sdf = model.query_mean(pos)
-        newly_hit = sdf < params.hit_tol
-        hit_idx = idx[newly_hit]
-        hit[hit_idx] = True
-        active[hit_idx] = False
-        step_idx = idx[~newly_hit]
-        if step_idx.size:
-            t[step_idx] = t[step_idx] + np.maximum(
-                params.step_fraction * sdf[~newly_hit], params.min_step
-            )
-            over = step_idx[t[step_idx] > t_stop[step_idx]]
-            active[over] = False
-    return hit, t, active
-
-
 # Fewest (candidate ray x conditioning point) pairs a part of a view must
 # carry to be marched in its own process. Marching and the hit variances
 # cost ≈150 ns per pair on the bundled sphere (≈0.5 s per view for ≈1,170
@@ -195,25 +168,51 @@ MIN_PART_PAIRS = 350_000
 
 
 def _part_count(n_rays, model):
-    """How many processes march a view: one per usable CPU, no more than
-    carry MIN_PART_PAIRS pairs or one ray each, and one where the process
-    cannot fork or has other threads (whose locks a child would inherit)."""
+    """How many processes march a view: one per usable CPU (per CPU where
+    the platform has no affinity call, as macOS), no more than carry
+    MIN_PART_PAIRS pairs or one ray each, and one where the process cannot
+    fork or has other threads (whose locks a child would inherit)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     pairs = n_rays * len(getattr(model, "conditioning", ()))
-    return max(1, min(len(os.sched_getaffinity(0)), pairs // MIN_PART_PAIRS, n_rays))
+    return max(1, min(cpus, pairs // MIN_PART_PAIRS, n_rays))
 
 
 def _march_part(model, origin, dirs, t_enter, t_stop, params: MarchParams):
-    """March rays from `origin`; returns (hit, t, exhausted, variance of each
-    hit). A hit's variance does not depend on which other points share its
-    query, so any split of the rays gives the same bits."""
-    origins = np.broadcast_to(origin, (dirs.shape[0], 3))
-    hit, t, exhausted = _march_batch(model, origins, dirs, t_enter, t_stop, params)
+    """March unit rays `dirs` from `origin`, each exactly as the scalar
+    sphere tracer in tests/oracles.py marches it alone.
+
+    Returns (hit, t, exhausted, variance of each hit): exhausted marks the
+    rays that used up max_steps without a hit or an exit. No ray's bits
+    depend on which other rays share its queries, so any split of the rays
+    gives the same bits."""
+    t = t_enter.astype(np.float64).copy()
+    hit = np.zeros(dirs.shape[0], dtype=bool)
+    active = t <= t_stop
+    for _ in range(params.max_steps):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        sdf = model.query_mean(origin + t[idx, None] * dirs[idx])
+        newly_hit = sdf < params.hit_tol
+        hit_idx = idx[newly_hit]
+        hit[hit_idx] = True
+        active[hit_idx] = False
+        step_idx = idx[~newly_hit]
+        if step_idx.size:
+            t[step_idx] = t[step_idx] + np.maximum(
+                params.step_fraction * sdf[~newly_hit], params.min_step
+            )
+            over = step_idx[t[step_idx] > t_stop[step_idx]]
+            active[over] = False
     var = np.empty(0)
     if hit.any():
         var = model.query(origin + t[hit][:, None] * dirs[hit])[1]
-    return hit, t, exhausted, var
+    return hit, t, active, var
 
 
 def _fork(fn, *args):

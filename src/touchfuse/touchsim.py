@@ -52,6 +52,14 @@ class AnalyticShape:
             return math.sqrt(sum(s * s for s in self.size))
         return self.size[0] + self.size[1]
 
+    # The sphere tracer's model queries: exact distance, zero variance.
+    def query_mean(self, points):
+        return analytic_sdf(self, points)
+
+    def query(self, points):
+        sdf = analytic_sdf(self, points)
+        return sdf, np.zeros_like(sdf)
+
 
 def analytic_sdf(shape: AnalyticShape, point):
     """Exact signed distance (negative inside); accepts (3,) or (N, 3)."""
@@ -81,21 +89,6 @@ def sdf_gradient(shape: AnalyticShape, points, h=GRADIENT_STEP):
         step[axis] = h
         grad[:, axis] = (analytic_sdf(shape, pts + step) - analytic_sdf(shape, pts - step)) / (2 * h)
     return grad
-
-
-class ShapeSDFModel:
-    """Adapter exposing an analytic shape through the GP query interface
-    (zero variance), so the sphere tracer can consume it directly."""
-
-    def __init__(self, shape: AnalyticShape):
-        self.shape = shape
-
-    def query(self, points):
-        sdf = analytic_sdf(self.shape, np.atleast_2d(points))
-        return sdf, np.zeros_like(sdf)
-
-    def query_mean(self, points):
-        return analytic_sdf(self.shape, np.atleast_2d(points))
 
 
 @dataclass(frozen=True)
@@ -189,7 +182,7 @@ def render_gt_depth(shape: AnalyticShape, camera: CameraModel) -> DepthVarImage:
         step_fraction=1.0, min_step=1e-6, hit_tol=GT_HIT_TOL, max_steps=GT_MAX_STEPS
     )
     sphere = BoundingSphere(np.zeros(3), 1.05 * shape.bounding_radius())
-    return render_depth_variance(ShapeSDFModel(shape), camera, params, sphere=sphere)
+    return render_depth_variance(shape, camera, params, sphere=sphere)
 
 
 def make_sparse_depth(gt: DepthVarImage, fraction, noise: NoiseModel = NoiseModel(),

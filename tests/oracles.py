@@ -61,8 +61,7 @@ def march(model, ray: Ray, params: MarchParams, window):
     """Sphere-trace one ray; returns (t_hit, variance, steps) or None.
 
     `model` needs query(points) -> (mean, variance) and query_mean(points);
-    the GPIS model and the analytic-shape adapters in the simulator both
-    qualify.
+    the GPIS model and the simulator's analytic shapes both qualify.
     """
     if window is None:
         return None

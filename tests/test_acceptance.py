@@ -28,7 +28,7 @@ from touchfuse.sdfrender import (
     render_depth_variance,
 )
 from touchfuse.splat import LossConfig, SplatCloud, optimize, render
-from touchfuse.touchsim import AnalyticShape, NoiseModel, ShapeSDFModel, render_gt_depth, sample_touches
+from touchfuse.touchsim import AnalyticShape, NoiseModel, render_gt_depth, sample_touches
 
 from oracles import Ray, composite_ray, fuse_pixel, grad_check, matern32
 
@@ -110,7 +110,7 @@ def test_criterion_02_kernel_closed_form():
 
 
 def test_criterion_03_sphere_tracing_halving():
-    model = ShapeSDFModel(AnalyticShape("sphere", (1.0,)))
+    model = AnalyticShape("sphere", (1.0,))
     ray = Ray(np.array([0.0, 0.0, -3.0]), np.array([0.0, 0.0, 1.0]))
     params = MarchParams(step_fraction=0.5, min_step=1e-6, hit_tol=1e-9, max_steps=300)
     t = 0.0

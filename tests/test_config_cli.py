@@ -313,6 +313,15 @@ def drop_last_ply_value(text):
     return header + end + re.sub(r"(?m) \S+$", "", rows)
 
 
+def edit_first_ply_row(edit):
+    """A text edit that replaces the first PLY row's values with edit(values)."""
+    def apply(text):
+        header, end, rows = text.partition("end_header\n")
+        first, rest = rows.split("\n", 1)
+        return header + end + " ".join(edit(first.split())) + "\n" + rest
+    return apply
+
+
 class TestExitCodes:
     """Failures that used to escape main() as tracebacks with exit code 1."""
 
@@ -402,6 +411,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err
 
+    @pytest.mark.parametrize("path, stage, edit, message", [
+        ("data/sparse/view000.txt", "align",
+         lambda text: re.sub(r"^\S+", "1000", text, count=1), "outside the 24x24 image"),
+        ("data/sparse/view000.txt", "align",
+         lambda text: text.splitlines(keepends=True)[0], "needs at least 2"),
+        ("data/touches/touch000.ply", "gpis-fit",
+         edit_first_ply_row(lambda row: row[:3] + ["2", "0", "0"]), "not unit length"),
+        ("data/touches/touch000.ply", "gpis-fit",
+         edit_first_ply_row(lambda row: row[:3] + ["nan"] * 3), "not unit length"),
+        ("data/touches/touch000.ply", "gpis-fit",
+         edit_first_ply_row(lambda row: ["inf"] + row[1:]), "must be finite"),
+    ], ids=["sparse-outside-image", "sparse-one-row", "ply-long-normal", "ply-nan-normal",
+            "ply-infinite-point"])
+    def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
+                                      message):
+        target = tmp_path / path
+        target.write_text(edit(target.read_text()))
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and os.path.basename(path) in err and message in err
+
 
 class TestSkipRules:
     """What a rerun re-executes after one input, parameter or output changes."""
@@ -455,3 +485,88 @@ class TestSkipRules:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
         assert set(run_pipeline(built).values()) == {"ran"}
+
+
+class WriteCrash(Exception):
+    """Stands in for a process that dies between two writes."""
+
+
+def tree_bytes(root):
+    """{path relative to root: bytes} of every file under data/ and out/."""
+    files = {}
+    for top in ("data", "out"):
+        for directory, _, names in os.walk(root / top):
+            for name in names:
+                path = os.path.join(directory, name)
+                with open(path, "rb") as fh:
+                    files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+class TestCrashAfterWrite:
+    """A run that dies right after a completed write, then a clean rerun,
+    leave every file byte-identical to one clean run's."""
+
+    @staticmethod
+    def crash_run(cfg, monkeypatch, crashes):
+        """Run the pipeline with atomic_write_bytes raising WriteCrash at the
+        first write for whose name (`dataset:` or `out:` plus a path)
+        crashes(name, write) returns True; `write` completes the write."""
+        real_write = fileio.atomic_write_bytes
+
+        def name_of(path):
+            for tag, root in (("out", cfg.out), ("dataset", cfg.dataset)):
+                rel = os.path.relpath(path, root)
+                if not rel.startswith(".."):
+                    return f"{tag}:{rel}"
+
+        def write(path, data):
+            if crashes(name_of(path), lambda: real_write(path, data)):
+                raise WriteCrash(path)
+            real_write(path, data)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fileio, "atomic_write_bytes", write)
+            with pytest.raises(WriteCrash):
+                run_pipeline(cfg)
+
+    def rerun_matches_a_clean_run(self, cfg, pristine, tmp_path):
+        run_pipeline(cfg)
+        assert tree_bytes(tmp_path) == tree_bytes(pristine)
+
+    @pytest.mark.parametrize("stage", STAGES, ids=STAGE_ORDER)
+    def test_crash_after_a_stages_first_write(self, pristine, tmp_path, monkeypatch, stage):
+        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
+                              require_dataset=False)
+
+        def crashes(name, write):
+            if stage.produces(name):
+                write()
+                return True
+            return False
+
+        self.crash_run(cfg, monkeypatch, crashes)
+        self.rerun_matches_a_clean_run(cfg, pristine, tmp_path)
+
+    @pytest.mark.parametrize("completed", [True, False], ids=["after", "instead-of"])
+    @pytest.mark.parametrize("stage", STAGE_ORDER)
+    def test_crash_at_the_manifest_write_after_a_stage(self, pristine, tmp_path, monkeypatch,
+                                                       stage, completed):
+        """The crash comes after the manifest write that records `stage`,
+        or in its place, so that the stage's files are on disk unrecorded."""
+        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
+                              require_dataset=False)
+        manifest_writes = []
+
+        def crashes(name, write):
+            if name != "out:manifest.json":
+                return False
+            manifest_writes.append(name)
+            if len(manifest_writes) <= STAGE_ORDER.index(stage):
+                return False
+            if completed:
+                write()
+            return True
+
+        self.crash_run(cfg, monkeypatch, crashes)
+        self.rerun_matches_a_clean_run(cfg, pristine, tmp_path)

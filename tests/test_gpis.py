@@ -687,6 +687,6 @@ class TestPersistence:
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         path = tmp_path / "touch.ply"
         fileio.write_touch_ply(path, pts, normals)
-        rpts, rnorm = fileio.read_touch_ply(path)
-        np.testing.assert_array_equal(rpts, pts)
-        np.testing.assert_array_equal(rnorm, normals)
+        touch = fileio.read_touch_ply(path)
+        np.testing.assert_array_equal(touch.points, pts)
+        np.testing.assert_array_equal(touch.normals, normals)

@@ -21,8 +21,7 @@ from touchfuse.sdfrender import (
     render_depth_variance,
     sphere_entry_exit,
 )
-from touchfuse.touchsim import (AnalyticShape, NoiseModel, ShapeSDFModel, render_gt_depth,
-                                sample_touches)
+from touchfuse.touchsim import AnalyticShape, NoiseModel, render_gt_depth, sample_touches
 from touchfuse.gpis import build_conditioning_set
 
 from oracles import Ray, generate_ray, march, sphere_prefilter
@@ -170,7 +169,7 @@ class TestPrefilter:
 
 class TestMarch:
     def setup_method(self):
-        self.model = ShapeSDFModel(AnalyticShape("sphere", (1.0,)))
+        self.model = AnalyticShape("sphere", (1.0,))
         self.ray = Ray(np.array([0.0, 0.0, -3.0]), np.array([0.0, 0.0, 1.0]))
 
     def test_each_step_halves_distance(self):
@@ -356,7 +355,10 @@ def split_render(monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
 
     def run(model, camera, params, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         forks.clear()
         image = render(model, camera, params)
         return image, len(forks)
@@ -388,6 +390,15 @@ class TestSplitRender:
         cpus = n + 1 if cpus == "candidates + 1" else cpus
         split, forks = split_render(sphere_gpis, self.cam, self.params, cpus)
         assert forks == min(cpus, n) - 1
+        np.testing.assert_array_equal(split.depth, one.depth)
+        np.testing.assert_array_equal(split.variance, one.variance)
+
+    def test_cpu_count_where_there_is_no_affinity_call(self, sphere_gpis, split_render,
+                                                      monkeypatch):
+        one, _ = split_render(sphere_gpis, self.cam, self.params, 1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        split, forks = split_render(sphere_gpis, self.cam, self.params, 3)
+        assert forks == 2
         np.testing.assert_array_equal(split.depth, one.depth)
         np.testing.assert_array_equal(split.variance, one.variance)
 
