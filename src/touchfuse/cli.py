@@ -8,7 +8,8 @@ Exit codes:
 - 4 numerical failure;
 - 5 another run holds the output directory's lock;
 - 6 malformed input file (PFM/PGM/PPM, PLY, camera list, sparse depth,
-  GPIS model) or corrupt `manifest.json`.
+  GPIS model), a view image whose size is not its camera's, a GPIS model
+  with no surface point, or corrupt `manifest.json`.
 """
 
 import argparse

@@ -141,14 +141,22 @@ class GPISModel:
     def query_mean(self, points):
         """Posterior mean only (fast path for ray marching).
 
-        Each chunk of kernel rows is reduced against alpha while it is still
-        in cache, so no (N, M) cross block exists; the einsum per row is the
-        one query() applies to the full block, so the means are the same bits.
+        Each chunk of kernel rows is written into one reused buffer and
+        reduced against alpha while it is still in cache, so no (N, M) cross
+        block exists; the einsum per row is the one query() applies to the
+        full block, so the means are the same bits.
         """
         pts = _checked_points(points)
+        # In Fortran order the transposed locations _kernel_block reads are
+        # contiguous as they stand, so its calls share this one copy.
+        locations = np.asfortranarray(self.conditioning.locations)
+        rows = _chunk_rows(locations.shape[0])
+        buffer = np.empty((min(rows, pts.shape[0]), locations.shape[0]))
         mean = np.empty(pts.shape[0])
-        for rows, block in _kernel_chunks(pts, self.conditioning.locations, self.params):
-            mean[rows] = self.params.prior_mean + np.einsum("nm,m->n", block, self.alpha)
+        for s in range(0, pts.shape[0], rows):
+            chunk = pts[s:s + rows]
+            block = _kernel_block(chunk, locations, self.params, buffer[:chunk.shape[0]])
+            mean[s:s + rows] = self.params.prior_mean + np.einsum("nm,m->n", block, self.alpha)
         return mean
 
 
@@ -159,75 +167,42 @@ def _checked_points(points):
     return pts
 
 
-def _matern32_inplace(d, params, scratch):
-    """Overwrite distances `d` with their Matern-3/2 covariances; `scratch` has d's shape."""
-    d *= np.sqrt(3.0) / params.length_scale
-    np.negative(d, out=scratch)
-    np.exp(scratch, out=scratch)
-    d += 1.0
-    d *= params.output_scale ** 2
-    d *= scratch
-
-
 def _chunk_rows(columns):
     """Rows per kernel chunk against `columns` points: about KERNEL_CHUNK_BYTES."""
     return max(1, KERNEL_CHUNK_BYTES // (8 * max(1, columns)))
 
 
-def _kernel_rows(chunk, cols, params, block, tmp):
-    """Write the Matern-3/2 covariance between the rows of `chunk` (R, 3)
-    and the columns of `cols` (3, M) into `block` (R, M); `tmp` is scratch
-    of block's shape. Every element depends only on its own two points."""
-    # Squared distance summed as (dx^2 + dz^2) + dy^2: the order
-    # np.einsum("ijk,ijk->ij") uses over three axes, so the kernel keeps
-    # the bits of the dense formula and model files stay byte-identical.
-    np.subtract.outer(chunk[:, 0], cols[0], out=block)
-    block *= block
-    for axis in (2, 1):
-        np.subtract.outer(chunk[:, axis], cols[axis], out=tmp)
-        tmp *= tmp
-        block += tmp
-    np.sqrt(block, out=block)
-    _matern32_inplace(block, params, tmp)
-
-
-def _kernel_chunks(a, b, params, out=None):
-    """Yield (row slice, block): the Matern-3/2 covariance between a chunk
-    of the rows of a (N, 3) and all of b (M, 3), about KERNEL_CHUNK_BYTES
-    per chunk, so no (N, M, 3) difference tensor and no N x M temporary
-    exists. Blocks are views of `out` (N, M) when given, else one reused
-    buffer that the next chunk overwrites. Each row depends only on its own
-    query point, whatever the chunking.
+def _kernel_block(a, b, params, out=None):
+    """Write the Matern-3/2 covariance between the rows of a (N, 3) and
+    b (M, 3) into `out` (N, M), a new array when None, one chunk of about
+    KERNEL_CHUNK_BYTES of rows at a time with one scratch array, so no
+    (N, M, 3) difference tensor and no second N x M array exists. Every
+    element depends only on its own two points, whatever the chunking.
     """
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[0]))
     cols = np.ascontiguousarray(b.T)
     rows = _chunk_rows(b.shape[0])
     scratch = np.empty((min(rows, a.shape[0]), b.shape[0]))
-    buffer = np.empty_like(scratch) if out is None else None
-    for start in range(0, a.shape[0], rows):
-        chunk = a[start:start + rows]
-        block = buffer[:chunk.shape[0]] if out is None else out[start:start + rows]
-        _kernel_rows(chunk, cols, params, block, scratch[:chunk.shape[0]])
-        yield slice(start, start + chunk.shape[0]), block
-
-
-def _gram_upper(locations, params, out):
-    """Write the Gram matrix of `locations` (n, 3) into the upper triangle
-    of `out` (n, n), diagonal included: row band [s, e) gets columns
-    [s, n). Each element gets the bits _kernel_block gives it; the strict
-    lower triangle is left as it was."""
-    n = locations.shape[0]
-    rows = _chunk_rows(n)
-    for s in range(0, n, rows):
-        _kernel_block(locations[s:s + rows], locations[s:], params, out[s:s + rows, s:])
-
-
-def _kernel_block(a, b, params, out=None):
-    """Matern-3/2 covariance between the rows of a (N, 3) and b (M, 3),
-    written into `out` (a new (N, M) array when None) chunk by chunk."""
-    if out is None:
-        out = np.empty((a.shape[0], b.shape[0]))
-    for _ in _kernel_chunks(a, b, params, out):
-        pass
+    for s in range(0, a.shape[0], rows):
+        chunk = a[s:s + rows]
+        block, tmp = out[s:s + rows], scratch[:chunk.shape[0]]
+        # Squared distance summed as (dx^2 + dz^2) + dy^2: the order
+        # np.einsum("ijk,ijk->ij") uses over three axes, so the kernel keeps
+        # the bits of the dense formula and model files stay byte-identical.
+        np.subtract.outer(chunk[:, 0], cols[0], out=block)
+        block *= block
+        for axis in (2, 1):
+            np.subtract.outer(chunk[:, axis], cols[axis], out=tmp)
+            tmp *= tmp
+            block += tmp
+        np.sqrt(block, out=block)
+        block *= np.sqrt(3.0) / params.length_scale
+        np.negative(block, out=tmp)
+        np.exp(tmp, out=tmp)
+        block += 1.0
+        block *= params.output_scale ** 2
+        block *= tmp
     return out
 
 
@@ -326,8 +301,9 @@ def _factorize(locations, params):
     The Gram matrix of `locations` is built straight into the one n x n
     buffer that potrf factorizes in place, so a fit holds one n x n array.
     The buffer's transpose is the Fortran-order matrix LAPACK works in, and
-    potrf reads only its lower triangle: the buffer's upper one, which is
-    all _gram_upper builds. cholesky zeroes the other half, so the factor
+    potrf reads only its lower triangle: the buffer's upper one, diagonal
+    included, which is all that is built, one row band [s, s + rows) with
+    columns [s, n) at a time. cholesky zeroes the other half, so the factor
     has the bits of one computed from the whole Gram matrix. A failed
     attempt leaves the buffer overwritten, so each jitter level builds the
     half again; only near-duplicate points get that far, and a warning
@@ -340,10 +316,12 @@ def _factorize(locations, params):
         jitters.append(j)
         j *= 10.0
     n = locations.shape[0]
+    rows = _chunk_rows(n)
     work = np.empty((n, n))
     diagonal = np.diag_indices(n)
     for jitter in jitters:
-        _gram_upper(locations, params, work)
+        for s in range(0, n, rows):
+            _kernel_block(locations[s:s + rows], locations[s:], params, work[s:s + rows, s:])
         work[diagonal] += params.noise + jitter
         try:
             factor = cholesky(work.T, lower=True, overwrite_a=True, check_finite=False)
@@ -358,30 +336,17 @@ def _factorize(locations, params):
     raise NumericalError("kernel matrix not positive definite")
 
 
-def fit(cset: ConditioningSet, params: KernelParams, cap=DEFAULT_CAP) -> GPISModel:
-    """Condition the GP on a set of signed-distance observations.
+def fit(cset: ConditioningSet, params: KernelParams) -> GPISModel:
+    """Condition the GP on a set of signed-distance observations: build the
+    Gram matrix, factorize it and solve for alpha.
 
-    Deterministic for fixed inputs. Raises when the set exceeds `cap`
-    (coarsen the voxel pitch to shrink it) or when the kernel matrix cannot
-    be factorized even after jitter escalation.
+    Deterministic for fixed inputs. Raises ValueError on an empty set and
+    NumericalError when the kernel matrix cannot be factorized even after
+    jitter escalation. load_model refits a saved set through it; the cap on
+    the set's size is the search's (optimize_hyperparameters).
     """
-    _check_size(cset, cap)
-    return _condition(cset, params)
-
-
-def _check_size(cset, cap):
     if len(cset) == 0:
         raise ValueError("conditioning set is empty")
-    if len(cset) > cap:
-        raise NumericalError(
-            f"conditioning set has {len(cset)} points, cap is {cap}; "
-            "use a coarser voxel pitch"
-        )
-
-
-def _condition(cset, params):
-    """`fit` past its checks on the set: the Gram build, the factorization
-    and the alpha solves. load_model refits a saved set through it."""
     factor, effective_noise = _factorize(cset.locations, params)
     centered = cset.targets - params.prior_mean
     alpha = solve_triangular(
@@ -406,7 +371,8 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
     """Fit every (length_scale, output_scale) grid member and return the
     fitted model maximizing the log marginal likelihood; ties break toward
     the smallest length scale, then the smallest output scale. A set over
-    `cap` raises before any fit, naming the cap.
+    `cap` raises NumericalError before any fit, naming the cap (coarsen the
+    voxel pitch to shrink the set).
 
     The search holds one n x n factor at a time: each candidate's model is
     dropped before the next is fitted. The last candidate's model is the
@@ -415,13 +381,15 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
     """
     if not grid:
         raise ValueError("hyperparameter grid is empty")
-    _check_size(cset, cap)
+    if len(cset) > cap:
+        raise NumericalError(
+            f"conditioning set has {len(cset)} points, cap is {cap}; use a coarser voxel pitch")
     best = None
     for rho, sigma in grid:
         params = KernelParams(rho, sigma, noise, prior_mean)
         model = None  # frees the last candidate's factor before this fit
         try:
-            model = fit(cset, params, cap=cap)
+            model = fit(cset, params)
         except NumericalError:
             continue
         key = (-log_marginal_likelihood(model), rho, sigma)
@@ -431,7 +399,7 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
         raise NumericalError("every hyperparameter candidate failed to factorize")
     if model is None or model.params is not best[1]:
         model = None
-        model = fit(cset, best[1], cap=cap)
+        model = fit(cset, best[1])
     return model
 
 
@@ -470,9 +438,9 @@ def load_model(path) -> GPISModel:
 
     When the file holds exactly the bytes the last save_model in this
     process wrote, that call's model is returned without refitting.
-    Otherwise the file is parsed and refitted: the jitter escalation
-    replays, so the factor equals the fitted one bit for bit at the same
-    BLAS thread count. Either way the handoff slot is emptied first, so a
+    Otherwise the file is parsed and refitted through fit, which rejects
+    a file of no point: the jitter escalation replays, so the factor equals
+    the fitted one bit for bit at the same BLAS thread count. Either way the handoff slot is emptied first, so a
     refit holds one n x n array and the slot keeps no model past this call.
     """
     global _saved
@@ -498,4 +466,4 @@ def load_model(path) -> GPISModel:
     if np.any((labels < LABEL_SURFACE) | (labels > LABEL_INTERIOR)):
         raise ValueError("GPIS model file holds an unknown point label")
     cset = ConditioningSet(values[:3 * n].reshape(n, 3), values[3 * n:4 * n], labels)
-    return _condition(cset, KernelParams(*values[4 * n:]))
+    return fit(cset, KernelParams(*values[4 * n:]))

@@ -203,12 +203,16 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
     sim = cfg.section("sim")
     shape = touchsim.AnalyticShape(sim["shape"], sim["size"])
     seed = cfg.seed
-    for sub in ("touches", "sparse", "gt_depth", "rgb", "mono_depth"):
-        os.makedirs(_path(cfg, f"dataset:{sub}"), exist_ok=True)
+    subdirs = [_path(cfg, f"dataset:{sub}")
+               for sub in ("touches", "sparse", "gt_depth", "rgb", "mono_depth")]
+    for directory in subdirs:
+        os.makedirs(directory, exist_ok=True)
     # Touch files from an earlier run with more touches would otherwise
     # stay behind and be fitted too.
     for stale in _matching(cfg, "dataset:touches/*.ply"):
         os.unlink(_path(cfg, stale))
+    for directory in (cfg.dataset, *subdirs):
+        _remove_temp_files(directory)
 
     noise = touchsim.NoiseModel(sim["touch_noise"], sim["normal_noise"], sim["sparse_noise"])
     touches = touchsim.sample_touches(
@@ -325,20 +329,36 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
 
 def stage_gpis_render(cfg: SceneConfig, io: StageIO):
     model = io.read(gpis.load_model, "out:gpis.model")
-    _, radius = geometry.centroid_spread(model.conditioning.surface_points())
+    surface = model.conditioning.surface_points()
+    if not len(surface):
+        raise FormatError(f"{_path(cfg, 'out:gpis.model')}: GPIS model has no surface point")
+    _, radius = geometry.centroid_spread(surface)
     params = _march_params(cfg, radius)
     sphere = sdfrender.bounding_sphere(
         model.conditioning, cfg.get("march", "margin"), min_radius=params.min_step
     )
     for name, cam in _camera_views(io):
         image = sdfrender.render_depth_variance(model, cam, params, sphere=sphere)
-        io.write(fileio.write_pfm, f"out:{name}_gpis_depth.pfm", image.depth)
-        io.write(fileio.write_pfm, f"out:{name}_gpis_var.pfm", image.variance)
+        _save_depth_var(io, name, "gpis", image.depth, image.variance)
 
 
-def _load_depth_var(io, name, prefix):
-    return (io.read(fileio.read_pfm, f"out:{name}_{prefix}_depth.pfm"),
-            io.read(fileio.read_pfm, f"out:{name}_{prefix}_var.pfm"))
+def _read_view(io, reader, name, cam):
+    """A view's image, read by name; its height and width must be the camera's."""
+    image = io.read(reader, name)
+    if image.shape[:2] != (cam.height, cam.width):
+        raise FormatError(f"{_path(io.cfg, name)}: {image.shape[1]}x{image.shape[0]} image, "
+                          f"but its camera is {cam.width}x{cam.height}")
+    return image
+
+
+def _load_depth_var(io, name, prefix, cam):
+    return (_read_view(io, fileio.read_pfm, f"out:{name}_{prefix}_depth.pfm", cam),
+            _read_view(io, fileio.read_pfm, f"out:{name}_{prefix}_var.pfm", cam))
+
+
+def _save_depth_var(io, name, prefix, depth, variance):
+    io.write(fileio.write_pfm, f"out:{name}_{prefix}_depth.pfm", depth)
+    io.write(fileio.write_pfm, f"out:{name}_{prefix}_var.pfm", variance)
 
 
 def _read_sparse(io, view, cam):
@@ -361,9 +381,9 @@ def _read_sparse(io, view, cam):
 def stage_align(cfg: SceneConfig, io: StageIO):
     params = cfg.section("align")
     for name, cam in _camera_views(io):
-        raw = io.read(fileio.read_pfm, f"dataset:mono_depth/{name}.pfm")
+        raw = _read_view(io, fileio.read_pfm, f"dataset:mono_depth/{name}.pfm", cam)
         sparse = _read_sparse(io, name, cam)
-        g_depth, g_var = _load_depth_var(io, name, "gpis")
+        g_depth, g_var = _load_depth_var(io, name, "gpis", cam)
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
         aligned = align_mod.align_vision(
             raw, sparse, touch_img,
@@ -371,8 +391,7 @@ def stage_align(cfg: SceneConfig, io: StageIO):
             slope=params["uncertainty_slope"],
             floor=params["uncertainty_floor"],
         )
-        io.write(fileio.write_pfm, f"out:{name}_vision_depth.pfm", aligned.depth)
-        io.write(fileio.write_pfm, f"out:{name}_vision_var.pfm", aligned.variance)
+        _save_depth_var(io, name, "vision", aligned.depth, aligned.variance)
         io.write(fileio.write_keyvalues, f"out:{name}_align.txt", {
             "s_star": f"{aligned.s_star:.17g}",
             "t_star": f"{aligned.t_star:.17g}",
@@ -382,18 +401,17 @@ def stage_align(cfg: SceneConfig, io: StageIO):
 
 def stage_fuse(cfg: SceneConfig, io: StageIO):
     for name, cam in _camera_views(io):
-        v_depth, v_var = _load_depth_var(io, name, "vision")
-        g_depth, g_var = _load_depth_var(io, name, "gpis")
+        v_depth, v_var = _load_depth_var(io, name, "vision", cam)
+        g_depth, g_var = _load_depth_var(io, name, "gpis", cam)
         vision = align_mod.AlignedVision(v_depth, v_var, 1.0, 0.0)
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
         fused = fuse.fuse_images(vision, touch_img)
-        io.write(fileio.write_pfm, f"out:{name}_fused_depth.pfm", fused.depth)
-        io.write(fileio.write_pfm, f"out:{name}_fused_var.pfm", fused.variance)
+        _save_depth_var(io, name, "fused", fused.depth, fused.variance)
         io.write(fileio.write_pgm, f"out:{name}_provenance.pgm", fused.provenance)
 
 
-def _read_rgb(io, name):
-    return io.read(fileio.read_ppm, f"dataset:rgb/{name}.ppm")
+def _read_rgb(io, name, cam):
+    return _read_view(io, fileio.read_ppm, f"dataset:rgb/{name}.ppm", cam)
 
 
 def stage_init_points(cfg: SceneConfig, io: StageIO):
@@ -401,10 +419,10 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
     images = []
     colors = []
     for name, cam in views:
-        g_depth, g_var = _load_depth_var(io, name, "gpis")
+        g_depth, g_var = _load_depth_var(io, name, "gpis", cam)
         image = sdfrender.DepthVarImage(g_depth, g_var, cam)
         images.append(image)
-        colors.append(_read_rgb(io, name)[image.hit_mask])
+        colors.append(_read_rgb(io, name, cam)[image.hit_mask])
     points = splat.backproject_init(images)
     colors = np.concatenate(colors, axis=0)
 
@@ -429,9 +447,9 @@ def stage_train(cfg: SceneConfig, io: StageIO):
                     background=_background(_scene_record(io)))
     views = []
     for name, cam in _camera_views(io):
-        rgb = _read_rgb(io, name)
-        f_depth, f_var = _load_depth_var(io, name, "fused")
-        provenance = io.read(fileio.read_pgm, f"out:{name}_provenance.pgm")
+        rgb = _read_rgb(io, name, cam)
+        f_depth, f_var = _load_depth_var(io, name, "fused", cam)
+        provenance = _read_view(io, fileio.read_pgm, f"out:{name}_provenance.pgm", cam)
         views.append((rgb, fuse.FusedSupervision(f_depth, f_var, provenance), cam))
     loss_cfg = splat.LossConfig(
         cfg.get("loss", "depth_weight"),
@@ -467,8 +485,8 @@ def evaluate_scene(cfg: SceneConfig, io: StageIO):
     sq_err_obj = []
     psnrs = []
     for name, cam in _camera_views(io):
-        gt_depth = io.read(fileio.read_pfm, f"dataset:gt_depth/{name}.pfm")
-        gt_rgb = _read_rgb(io, name)
+        gt_depth = _read_view(io, fileio.read_pfm, f"dataset:gt_depth/{name}.pfm", cam)
+        gt_rgb = _read_rgb(io, name, cam)
         object_mask = touchsim.render_gt_depth(shape, cam).hit_mask
 
         rgb, depth = splat.render(cloud, cam)
@@ -520,6 +538,14 @@ STAGE_FUNCS = {stage.name: stage.func for stage in STAGES}
 # ---------------------------------------------------------------------------
 # manifest, locking, orchestration
 # ---------------------------------------------------------------------------
+
+def _remove_temp_files(directory):
+    """Remove the temp files that atomic writers killed before their rename
+    left in `directory`."""
+    for name in os.listdir(directory):
+        if name.startswith(".tmp-"):
+            os.unlink(os.path.join(directory, name))
+
 
 def _load_manifest(cfg):
     path = _path(cfg, "out:manifest.json")
@@ -578,6 +604,7 @@ def run_pipeline(cfg: SceneConfig, stages=None):
     os.makedirs(cfg.out, exist_ok=True)
     status = {}
     with PipelineLock(cfg.out):
+        _remove_temp_files(cfg.out)
         manifest = _load_manifest(cfg)
         digests = {}
         for stage in STAGES:

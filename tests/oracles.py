@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from touchfuse.fuse import FusedSupervision
-from touchfuse.gpis import KernelParams, _matern32_inplace
+from touchfuse.gpis import KernelParams
 from touchfuse.sdfrender import BoundingSphere, CameraModel, MarchParams
 from touchfuse.splat import LossConfig, SplatCloud, loss_gradients, render
 
@@ -190,6 +190,6 @@ def matern32(distance, params: KernelParams):
     d = np.asarray(distance, dtype=np.float64)
     if np.any(d < 0.0):
         raise ValueError("distance must be nonnegative")
-    out = d.copy()
-    _matern32_inplace(out, params, np.empty_like(out))
+    scaled = (np.sqrt(3.0) / params.length_scale) * d
+    out = params.output_scale ** 2 * (1.0 + scaled) * np.exp(-scaled)
     return float(out) if np.isscalar(distance) or out.ndim == 0 else out

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,8 +158,8 @@ class TestPipelineOrchestration:
         run_pipeline(cfg, ["simulate"])
         run_pipeline(cfg, ["gpis-fit"])
         refits = []
-        condition = gpis._condition
-        monkeypatch.setattr(gpis, "_condition", lambda *a: refits.append(a) or condition(*a))
+        condition = gpis.fit
+        monkeypatch.setattr(gpis, "fit", lambda *a: refits.append(a) or condition(*a))
         run_pipeline(cfg, ["gpis-render"])
         assert refits == []
 
@@ -322,6 +323,18 @@ def edit_first_ply_row(edit):
     return apply
 
 
+def model_without_points(blob):
+    """A GPIS model file of no point with the kernel parameters of `blob`."""
+    n = int.from_bytes(blob[8:12], "little")
+    return blob[:8] + bytes(4) + blob[12 + 32 * n:12 + 32 * n + 32]
+
+
+def model_without_surface_points(blob):
+    """`blob`, a GPIS model file, with every point labelled interior."""
+    n = int.from_bytes(blob[8:12], "little")
+    return blob[:-n] + bytes([gpis.LABEL_INTERIOR]) * n
+
+
 class TestExitCodes:
     """Failures that used to escape main() as tracebacks with exit code 1."""
 
@@ -431,6 +444,37 @@ class TestExitCodes:
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err and message in err
+
+    @pytest.mark.parametrize("path, stage", [
+        ("data/mono_depth/view000.pfm", "align"),
+        ("out/view000_gpis_var.pfm", "fuse"),
+        ("out/view000_gpis_depth.pfm", "init-points"),
+        ("data/rgb/view000.ppm", "train"),
+        ("out/view000_provenance.pgm", "train"),
+        ("out/view000_fused_depth.pfm", "train"),
+        ("data/gt_depth/view000.pfm", "eval"),
+    ])
+    def test_view_image_of_another_size(self, built, tmp_path, capsys, path, stage):
+        read, write = {".pfm": (fileio.read_pfm, fileio.write_pfm),
+                       ".ppm": (fileio.read_ppm, fileio.write_ppm),
+                       ".pgm": (fileio.read_pgm, fileio.write_pgm)}[os.path.splitext(path)[1]]
+        target = tmp_path / path
+        write(target, read(target)[:12, :12])
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and os.path.basename(path) in err
+        assert "12x12 image, but its camera is 24x24" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (model_without_points, "conditioning set is empty"),
+        (model_without_surface_points, "no surface point"),
+    ], ids=["no-point", "no-surface-point"])
+    def test_model_file_without_surface_points(self, built, tmp_path, capsys, edit, message):
+        path = tmp_path / "out" / "gpis.model"
+        path.write_bytes(edit(path.read_bytes()))
+        assert main(["gpis-render", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and "gpis.model" in err and message in err
 
 
 class TestSkipRules:
@@ -570,3 +614,33 @@ class TestCrashAfterWrite:
 
         self.crash_run(cfg, monkeypatch, crashes)
         self.rerun_matches_a_clean_run(cfg, pristine, tmp_path)
+
+
+class TestKilledWriter:
+    """A process killed between a temp write and its rename leaves a temp
+    file; the rerun removes it and ends byte-identical to a clean run."""
+
+    @pytest.mark.parametrize("target", ["out/view000_align.txt", "data/rgb/view000.ppm"])
+    def test_killed_before_rename(self, pristine, tmp_path, target):
+        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
+                              require_dataset=False)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                replace = os.replace
+
+                def killed_at_target(src, dst):
+                    if os.path.relpath(dst, tmp_path) == target:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    replace(src, dst)
+
+                os.replace = killed_at_target
+                run_pipeline(cfg)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        left = [name for name in tree_bytes(tmp_path) if os.path.basename(name).startswith(".tmp-")]
+        assert [os.path.dirname(name) for name in left] == [os.path.dirname(target)]
+        run_pipeline(cfg)
+        assert tree_bytes(tmp_path) == tree_bytes(pristine)

@@ -106,6 +106,33 @@ class TestKernelBlock:
         np.testing.assert_array_equal(got, dense_kernel(a, b, params))
         np.testing.assert_array_equal(got, matern32(dense_pairwise_distances(a, b), params))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), m=st.integers(1, 30), offset=st.integers(0, 3))
+    def test_chunked_writes_equal_dense_formula_property(self, data, n, m, offset):
+        """Into a new array, into a strided band of a larger buffer and
+        reduced by query_mean, at a chunk budget of 1 to n + 1 rows."""
+        rows = data.draw(st.integers(1, n + 1), label="rows")
+        rng = np.random.default_rng(n * 1000 + m)
+        a = rng.normal(scale=0.4, size=(n, 3))
+        b = rng.normal(scale=0.4, size=(m, 3))
+        params = KernelParams(data.draw(st.floats(0.05, 2.0), label="rho"),
+                              data.draw(st.floats(0.1, 2.0), label="sigma"), 1e-6, 0.1)
+        alpha = rng.normal(size=m)
+        model = gpis.GPISModel(ConditioningSet(b, np.zeros(m), np.zeros(m, dtype=np.int8)),
+                               params, np.eye(m), alpha, params.noise)
+        want = dense_kernel(a, b, params)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gpis, "KERNEL_CHUNK_BYTES", 8 * m * rows)
+            fresh = gpis._kernel_block(a, b, params)
+            band = np.full((offset + n, offset + m), np.nan)
+            gpis._kernel_block(a, b, params, band[offset:, offset:])
+            means = model.query_mean(a)
+        np.testing.assert_array_equal(fresh, want)
+        np.testing.assert_array_equal(band[offset:, offset:], want)
+        assert np.isnan(band[:offset]).all() and np.isnan(band[:, :offset]).all()
+        np.testing.assert_array_equal(
+            means, params.prior_mean + np.einsum("nm,m->n", want, alpha))
+
 
 class TestFitExactness:
     def test_factor_and_alpha_equal_dense_path(self):
@@ -425,7 +452,7 @@ class TestFitAndQuery:
     def test_cap_exceeded_mentions_voxel(self):
         cset = build_conditioning_set(sphere_touches(40, seed=2), 0.05, 0.02)
         with pytest.raises(NumericalError, match="voxel"):
-            fit(cset, KernelParams(0.4, 0.8), cap=10)
+            optimize_hyperparameters(cset, [(0.4, 0.8)], cap=10)
 
     def test_prior_reversion_far_from_data(self):
         cset = build_conditioning_set(sphere_touches(30, seed=7), 0.05, 0.02)
