@@ -11,16 +11,12 @@ rays are split across forked processes, one per usable CPU, when the work
 pays for the forks; the images do not depend on the split.
 """
 
-import os
-import pickle
-import signal
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import geometry, workers
 from .gpis import ConditioningSet
 
 MISS_VAR = 1e10
@@ -167,21 +163,6 @@ def sphere_entry_exit(offset, dirs, radius):
 MIN_PART_PAIRS = 350_000
 
 
-def _part_count(n_rays, model):
-    """How many processes march a view: one per usable CPU (per CPU where
-    the platform has no affinity call, as macOS), no more than carry
-    MIN_PART_PAIRS pairs or one ray each, and one where the process cannot
-    fork or has other threads (whose locks a child would inherit)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    pairs = n_rays * len(getattr(model, "conditioning", ()))
-    return max(1, min(cpus, pairs // MIN_PART_PAIRS, n_rays))
-
-
 def _march_part(model, origin, dirs, t_enter, t_stop, params: MarchParams):
     """March unit rays `dirs` from `origin`, each exactly as the scalar
     sphere tracer in tests/oracles.py marches it alone.
@@ -215,69 +196,18 @@ def _march_part(model, origin, dirs, t_enter, t_stop, params: MarchParams):
     return hit, t, active, var
 
 
-def _fork(fn, *args):
-    """Start fn(*args) in a forked child; returns (pid, read end of the pipe
-    that carries its pickled (ok, result or exception)). The child never
-    returns into the caller: it leaves by os._exit, with status 0 only once
-    the whole payload is written."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = (True, fn(*args))
-            except Exception as exc:
-                payload = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _join(pid, read_fd):
-    """Read a forked child's payload, reap it, and return its result or
-    raise its exception; a child that ended without a whole payload raises
-    a RuntimeError naming its exit status."""
-    try:
-        with open(read_fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0 or not data:
-        raise RuntimeError(f"render worker {pid} exited with status {code} "
-                           "without returning its rays")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
-
-
 def _march_parts(model, origin, dirs, t_enter, t_stop, params: MarchParams):
-    """`_march_part` over contiguous parts of the rays, part 0 in this
-    process and each other part in a forked child, joined in order: the
-    same arrays as one part, bit for bit."""
+    """`_march_part` over contiguous parts of the rays, one per usable CPU
+    that carries MIN_PART_PAIRS, joined in order: the same arrays as one
+    part, bit for bit."""
     n = dirs.shape[0]
-    parts = _part_count(n, model)
-    bounds = [(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
-    children = []
-    try:
-        for s, e in bounds[1:]:
-            children.append(_fork(_march_part, model, origin, dirs[s:e], t_enter[s:e],
-                                  t_stop[s:e], params))
-        s, e = bounds[0]
-        results = [_march_part(model, origin, dirs[s:e], t_enter[s:e], t_stop[s:e], params)]
-        while children:
-            results.append(_join(*children.pop(0)))
-    finally:
-        for pid, read_fd in children:
-            os.kill(pid, signal.SIGKILL)
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+    bounds = workers.parts(n, n * len(getattr(model, "conditioning", ())), MIN_PART_PAIRS)
+
+    def march(s, e):
+        return _march_part(model, origin, dirs[s:e], t_enter[s:e], t_stop[s:e], params)
+
+    with workers.Split(march, bounds) as split:
+        results = split()
     return tuple(np.concatenate(arrays) for arrays in zip(*results))
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .errors import NumericalError
 from .sdfrender import CameraModel
 
@@ -287,16 +288,28 @@ def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
     return loss, c_loss, d_loss, grad_pos, grad_col, grad_logit
 
 
+def _terms(cloud, views, cfg, lam):
+    return [_view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, lam)
+            for rgb_gt, fused, camera in views]
+
+
 def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
     """Summed color + depth_weight * depth loss over (rgb, fused, camera)
     views, its two terms, and its analytic gradients w.r.t. positions,
-    colors and opacity logits."""
+    colors and opacity logits. `views` may also be optimize's
+    `workers.Split` over its views, which returns each part's terms; the
+    sum is taken here, in view order from zero, whichever process computed
+    a view's terms."""
     lam = cfg.depth_weight if depth_weight is None else depth_weight
+    if isinstance(views, workers.Split):
+        parts = views(cloud.positions, cloud.colors, cloud.opacity_logits, cfg, lam)
+        terms = [view_terms for part in parts for view_terms in part]
+    else:
+        terms = _terms(cloud, views, cfg, lam)
     n = len(cloud)
     grads = (np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n))
     loss = c_total = d_total = 0.0
-    for rgb_gt, fused, camera in views:
-        out = _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, lam)
+    for out in terms:
         loss += out[0]
         c_total += out[1]
         d_total += out[2]
@@ -304,6 +317,18 @@ def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
         grads[1][:] += out[4]
         grads[2][:] += out[5]
     return loss, c_total, d_total, grads
+
+
+# Fewest splat x pixel x pass products a part of optimize's views must carry
+# to be computed in its own process. A view's loss and gradients cost
+# ≈0.8 ns per splat x pixel on the bundled sphere (≈5 ms a pass for 1,500
+# splats on a 64x64 view, one core of a 2-CPU x86 VM) and never less than
+# ≈0.35 ms (8 splats, 16x16). Forking a worker, one call and stopping it
+# cost ≈5 ms there, so a part pays for its process from ≈6 M products; the
+# floor keeps a tenfold margin. A pass's round trip (the cloud out, its
+# views' terms back) costs 0.1-0.2 ms up to 1,500 splats, less than any one
+# view's own pass.
+MIN_PART_WORK = 60_000_000
 
 
 def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
@@ -320,25 +345,33 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
     if not views:
         raise ValueError("need at least one view")
     current = cloud.copy()
-    lam = cfg.depth_weight
-    best = None
-    pos_scale, col_scale, logit_scale = group_scales
-    for it in range(iters + 1):
-        loss, c_loss, d_loss, (g_pos, g_col, g_logit) = loss_gradients(
-            current, views, cfg, depth_weight=lam
-        )
-        if not math.isfinite(loss):
-            raise NumericalError(f"loss diverged at iteration {it}")
-        if best is None or loss < best[0]:
-            best = (loss, current.copy())
-        if it == iters:
-            break
-        if callback is not None:
-            callback({"iter": it, "color_loss": c_loss, "depth_loss": d_loss, "lam": lam})
-        current.positions -= step * pos_scale * g_pos
-        current.colors -= step * col_scale * g_col
-        current.opacity_logits -= step * logit_scale * g_logit
-        if not current.is_finite():
-            raise NumericalError(f"parameters diverged at iteration {it}")
-        lam *= cfg.decay
+    pixels = sum(camera.width * camera.height for _, _, camera in views)
+    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1), MIN_PART_WORK)
+
+    def part_terms(s, e, positions, colors, opacity_logits, cfg, lam):
+        part = SplatCloud(positions, colors, opacity_logits, current.radii, current.background)
+        return _terms(part, views[s:e], cfg, lam)
+
+    with workers.Split(part_terms, bounds) as split:
+        lam = cfg.depth_weight
+        best = None
+        pos_scale, col_scale, logit_scale = group_scales
+        for it in range(iters + 1):
+            loss, c_loss, d_loss, (g_pos, g_col, g_logit) = loss_gradients(
+                current, split, cfg, depth_weight=lam
+            )
+            if not math.isfinite(loss):
+                raise NumericalError(f"loss diverged at iteration {it}")
+            if best is None or loss < best[0]:
+                best = (loss, current.copy())
+            if it == iters:
+                break
+            if callback is not None:
+                callback({"iter": it, "color_loss": c_loss, "depth_loss": d_loss, "lam": lam})
+            current.positions -= step * pos_scale * g_pos
+            current.colors -= step * col_scale * g_col
+            current.opacity_logits -= step * logit_scale * g_logit
+            if not current.is_finite():
+                raise NumericalError(f"parameters diverged at iteration {it}")
+            lam *= cfg.decay
     return best[1]
