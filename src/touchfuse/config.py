@@ -1,10 +1,11 @@
 """Scene configuration: flat `key = value` text grouped into [sections].
 
 Unknown keys, duplicate keys, malformed lines, out-of-range values, a
-shape size that does not fit the shape, text that is not UTF-8 and a
-missing dataset all fail loudly with the offending line number. Several
-geometric parameters accept the literal `auto`, which resolves against the
-bounding radius of the touch data when the stage that needs them runs.
+repeated `rho_grid` value, a shape size that does not fit the shape, text
+that is not UTF-8 and a missing dataset all fail loudly with the offending
+line number. Several geometric parameters accept the literal `auto`, which
+resolves against the bounding radius of the touch data when the stage that
+needs them runs.
 """
 
 import os
@@ -69,7 +70,8 @@ SCHEMA = {
         "output_scale": ("float", 0.4, _positive),
         "noise": ("float", 1e-6, _nonnegative),
         "prior_mean": ("autofloat", AUTO, None),
-        "rho_grid": ("floats", (), _positive),
+        # Each value is a full fit of the conditioning set: none may repeat.
+        "rho_grid": ("distinct floats", (), _positive),
     },
     "conditioning": {
         "surface_offset": ("autofloat", AUTO, _positive),
@@ -165,11 +167,14 @@ def _parse_value(tag, text, lineno, key):
             return float(text)
         except ValueError:
             err(f"expected a number or 'auto', got {text!r}")
-    if tag == "floats":
+    if tag in ("floats", "distinct floats"):
         try:
-            return tuple(float(tok) for tok in text.replace(",", " ").split())
+            parsed = tuple(float(tok) for tok in text.replace(",", " ").split())
         except ValueError:
             err(f"expected numbers, got {text!r}")
+        if tag == "distinct floats" and len(set(parsed)) < len(parsed):
+            err(f"repeats a value in {text!r}")
+        return parsed
     if tag == "rgb":
         try:
             parsed = tuple(float(tok) for tok in text.replace(",", " ").split())

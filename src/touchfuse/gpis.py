@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.spatial import cKDTree
 
+from . import workers
 from .errors import NumericalError, reads_format
 
 LABEL_SURFACE = 0
@@ -27,6 +28,13 @@ JITTER_STOP_FRAC = 1e-2
 UNIT_NORMAL_TOL = 1e-6
 VARIANCE_FLOOR_FRAC = 1e-12
 KERNEL_CHUNK_BYTES = 2 ** 20
+# Fewest Gram entries (candidates x n^2) a part of the hyperparameter grid
+# must carry to be scored in its own process. A fit costs 24-46 ns per entry
+# from n = 300 to 2,819 (2.7 ms at n = 300, 81 ms at n = 1,500, one core of a
+# 2-CPU x86 VM, one BLAS thread). Forking a worker, one call and stopping it
+# cost 4-5 ms there with 150 MB resident, so a part pays for its process
+# from ≈200,000 entries; the floor keeps a tenfold margin.
+MIN_PART_ENTRIES = 2_000_000
 
 MODEL_MAGIC = b"GPIS"
 MODEL_VERSION = 2
@@ -374,9 +382,17 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
     `cap` raises NumericalError before any fit, naming the cap (coarsen the
     voxel pitch to shrink the set).
 
-    The search holds one n x n factor at a time: each candidate's model is
-    dropped before the next is fitted. The last candidate's model is the
-    result when it wins; any other winner is fitted once more after the
+    The grid is cut into contiguous parts, each carrying at least
+    MIN_PART_ENTRIES Gram entries (candidates x n^2) and taking
+    workers.blas_threads() of the usable CPUs, since a fit is mostly a
+    Cholesky factorization on every BLAS thread: with the BLAS at its
+    default of one thread per CPU the search runs in one process. The
+    calling process scores the last part, the grid's tail, and a forked
+    worker scores each other part and sends back only its scores (see
+    workers.Split). Each process fits its candidates one at a time and drops
+    each model before the next, so it holds one n x n factor at a time, and
+    the search one per part. The caller's last model is the result when it
+    wins; any other winner is fitted once more in the caller after the
     search, the same fit that scored it.
     """
     if not grid:
@@ -384,23 +400,39 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
     if len(cset) > cap:
         raise NumericalError(
             f"conditioning set has {len(cset)} points, cap is {cap}; use a coarser voxel pitch")
+    candidates = [KernelParams(rho, sigma, noise, prior_mean) for rho, sigma in grid]
+    last = []  # the model of the last candidate fitted in this process
+
+    def score(s, e):
+        """-LML of each candidate in [s, e), None where it fails to factorize."""
+        scores = []
+        for params in candidates[s:e]:
+            last.clear()  # frees the previous candidate's factor before this fit
+            try:
+                last.append(fit(cset, params))
+            except NumericalError:
+                scores.append(None)
+                continue
+            scores.append(-log_marginal_likelihood(last[0]))
+        return scores
+
+    count = len(candidates)
+    # Split computes its first part in this process: make that the tail.
+    bounds = [(count - e, count - s) for s, e in
+              workers.parts(count, count * len(cset) ** 2, MIN_PART_ENTRIES,
+                            workers.blas_threads())]
+    with workers.Split(score, bounds) as split:
+        scores = [x for part in reversed(split()) for x in part]
     best = None
-    for rho, sigma in grid:
-        params = KernelParams(rho, sigma, noise, prior_mean)
-        model = None  # frees the last candidate's factor before this fit
-        try:
-            model = fit(cset, params)
-        except NumericalError:
-            continue
-        key = (-log_marginal_likelihood(model), rho, sigma)
-        if best is None or key < best[0]:
-            best = (key, params)
+    for (rho, sigma), params, neg_lml in zip(grid, candidates, scores):
+        if neg_lml is not None and (best is None or (neg_lml, rho, sigma) < best[0]):
+            best = ((neg_lml, rho, sigma), params)
     if best is None:
         raise NumericalError("every hyperparameter candidate failed to factorize")
-    if model is None or model.params is not best[1]:
-        model = None
-        model = fit(cset, best[1])
-    return model
+    if last and last[0].params is best[1]:
+        return last[0]
+    last.clear()
+    return fit(cset, best[1])
 
 
 # The model save_model last wrote in this process, with the bytes it wrote,

@@ -314,9 +314,11 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     k = cfg.section("kernel")
     # Without a grid the configured length scale is the one candidate. A set
     # over the cap or a matrix that will not factorize fails here (exit 4).
-    # save_model leaves the fitted model for gpis-render in this process,
-    # which takes it while gpis.model still holds the bytes written here and
-    # refits the file otherwise.
+    # A grid worth the forks is scored on every usable CPU, this process
+    # taking its tail; the model is the same at any CPU count. save_model
+    # leaves the fitted model for gpis-render in this process, which takes
+    # it while gpis.model still holds the bytes written here and refits the
+    # file otherwise.
     model = gpis.optimize_hyperparameters(
         cset,
         [(rho, k["output_scale"]) for rho in k["rho_grid"] or (k["length_scale"],)],

@@ -2,8 +2,8 @@
 function over contiguous parts of a range, the first part in the calling
 process and each other in an `os.fork()`ed worker. A worker inherits the
 caller's memory copy-on-write, answers calls over its own two pipes
-(pickled arguments down, pickled (ok, result or exception) back) and
-closes every pipe end that is not its own. It serves until its parent
+(pickled arguments down, pickled (ok, result or exception, warnings) back)
+and closes every pipe end that is not its own. It serves until its parent
 kills it at the end of the block, or until its request pipe ends because
 the parent died, and leaves on its own only through os._exit."""
 
@@ -11,22 +11,38 @@ import os
 import pickle
 import signal
 import threading
+import warnings
 from contextlib import suppress
 
 
-def parts(n, work, floor):
-    """Contiguous (start, end) parts of range(n): one per usable CPU, no
-    more than carry `floor` of `work` each or than n. The usable CPUs are
-    those in os.sched_getaffinity(0), or os.cpu_count() where there is no
-    affinity call (macOS); there is one part where the process cannot fork
-    or has other threads, whose locks a child would inherit."""
+def _usable_cpus():
+    """The CPUs in os.sched_getaffinity(0), or os.cpu_count() where there is
+    no affinity call (macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def blas_threads():
+    """The threads one BLAS call runs on, by the rule of OpenBLAS, the BLAS
+    numpy's and scipy's wheels ship: the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive integer, else
+    one per usable CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def parts(n, work, floor, threads=1):
+    """Contiguous (start, end) parts of range(n): one per `threads` usable
+    CPUs, the CPUs one part keeps busy, no more than carry `floor` of `work`
+    each or than n. There is one part where the process cannot fork or has
+    other threads, whose locks a child would inherit."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        cpus = 1
-    elif hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    count = max(1, min(cpus, work // floor, n))
+        return [(0, n)]
+    count = max(1, min(_usable_cpus() // threads, work // floor, n))
     return [(k * n // count, (k + 1) * n // count) for k in range(count)]
 
 
@@ -44,11 +60,16 @@ def _serve(fn, requests_fd, replies_fd, foreign_fds):
         with open(requests_fd, "rb") as requests:
             while requests.peek(1):
                 args = pickle.load(requests)
-                try:
-                    reply = (True, fn(*args))
-                except Exception as exc:
-                    reply = (False, exc)
-                _send(replies_fd, reply)
+                # Every warning is recorded here; the caller's filters judge
+                # it when Split raises it again there.
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        reply = (True, fn(*args))
+                    except Exception as exc:
+                        reply = (False, exc)
+                _send(replies_fd, reply + ([(w.message, w.category, w.filename, w.lineno)
+                                            for w in caught],))
         status = 0
     finally:
         os._exit(status)
@@ -58,7 +79,8 @@ class Split:
     """A context manager that forks one worker per part but the first on
     entry, and stops and reaps them all on exit, however the block ends.
     Calling it with *args returns fn(start, end, *args) of every part, in
-    part order; a worker's exception is raised here, and a worker that ends
+    part order; a worker's warnings are raised again here, from the file and
+    line that raised them, then its exception, if any; a worker that ends
     without a result raises a RuntimeError naming its exit status."""
 
     def __init__(self, fn, bounds):
@@ -92,12 +114,14 @@ class Split:
         results = [self.fn(*self.bounds[0], *args)]
         for worker in self.workers:
             try:
-                ok, value = pickle.load(worker[2])
+                ok, value, caught = pickle.load(worker[2])
             except (EOFError, pickle.UnpicklingError):
                 code = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
                 worker[0] = None
                 raise RuntimeError(f"forked worker exited with status {code} "
                                    "without returning its result") from None
+            for warning in caught:
+                warnings.warn_explicit(*warning)
             if not ok:
                 raise value
             results.append(value)

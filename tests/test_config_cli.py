@@ -340,10 +340,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("extra, message", [
         ("[kernel]\nrho_grid = 0.3 -0.3\n", "line 6: key 'rho_grid'"),
+        ("[kernel]\nrho_grid = 0.2 0.3 0.20\n", "line 6: key 'rho_grid': repeats a value"),
         ("[sim]\nshape = torus\nsize = 1.0\n", "line 7: key 'size'"),
         ("[sim]\nshape = torus\n", "line 6: key 'size'"),
         ("[sim]\nsize = 0.0\n", "line 6: key 'size'"),
-    ], ids=["negative-rho", "torus-one-radius", "torus-default-size", "zero-size"])
+    ], ids=["negative-rho", "repeated-rho", "torus-one-radius", "torus-default-size", "zero-size"])
     def test_value_that_fails_a_stage_is_a_config_error(self, tmp_path, capsys, extra, message):
         path = write_config(tmp_path, MINIMAL + extra, make_dataset=False)
         assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
@@ -590,6 +591,30 @@ class TestCrashAfterWrite:
             return False
 
         self.crash_run(cfg, monkeypatch, crashes)
+        self.rerun_matches_a_clean_run(cfg, pristine, tmp_path)
+
+    @pytest.mark.parametrize("stage", STAGES, ids=STAGE_ORDER)
+    def test_crash_after_a_stages_last_write(self, pristine, tmp_path, monkeypatch, stage):
+        """A stage writes each of its files once, so its last write is the
+        one that brings it to the count of its files in the clean run."""
+        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
+                              require_dataset=False)
+        names = [path.replace("data/", "dataset:", 1).replace("out/", "out:", 1)
+                 for path in tree_bytes(pristine)]
+        last = sum(map(stage.produces, names))
+        writes = []
+
+        def crashes(name, write):
+            if not stage.produces(name):
+                return False
+            writes.append(name)
+            if len(writes) < last:
+                return False
+            write()
+            return True
+
+        self.crash_run(cfg, monkeypatch, crashes)
+        assert len(set(writes)) == len(writes) == last
         self.rerun_matches_a_clean_run(cfg, pristine, tmp_path)
 
     @pytest.mark.parametrize("completed", [True, False], ids=["after", "instead-of"])
