@@ -27,6 +27,8 @@ class SparseDepth:
         d = np.asarray(self.depths, dtype=np.float64).ravel()
         if px.shape[0] != d.shape[0] or px.shape[1] != 2:
             raise ValueError("pixels must be (N, 2) and match depths")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("sparse depths must be finite")
         if np.any(d <= 0.0):
             raise ValueError("sparse depths must be positive")
         object.__setattr__(self, "pixels", px)

@@ -3,13 +3,16 @@
 Exit codes:
 
 - 0 success;
-- 2 configuration error;
+- 2 configuration error in the file or a flag (flags pass the file's
+  checks), including a non-finite number, an unknown stage and a
+  `[sim] sparse_fraction` that leaves a view fewer than 2 sparse samples;
 - 3 missing stage dependency;
 - 4 numerical failure;
 - 5 another run holds the output directory's lock;
 - 6 malformed input file (PFM/PGM/PPM, PLY, camera list, sparse depth,
-  GPIS model), a view image whose size is not its camera's, a GPIS model
-  with no surface point, or corrupt `manifest.json`.
+  GPIS model), a non-finite sparse depth or mono depth under a sparse
+  sample, a view image whose size is not its camera's, a GPIS model with
+  no surface point, or corrupt `manifest.json`.
 """
 
 import argparse
@@ -25,6 +28,15 @@ EXIT_DEPENDENCY = 3
 EXIT_NUMERICAL = 4
 EXIT_LOCKED = 5
 EXIT_FORMAT = 6
+
+# error class -> (exit code, label that starts its message on stderr)
+FAILURES = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    DependencyError: (EXIT_DEPENDENCY, "dependency error"),
+    NumericalError: (EXIT_NUMERICAL, "numerical failure"),
+    LockedError: (EXIT_LOCKED, "locked"),
+    FormatError: (EXIT_FORMAT, "malformed file"),
+}
 
 
 def build_parser():
@@ -45,7 +57,8 @@ def build_parser():
 
 def _common_flags(p):
     p.add_argument("--config", required=True, help="scene configuration file")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    # Flag values pass the config's own parse and range check.
+    p.add_argument("--seed", default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="override the output directory")
 
 
@@ -55,33 +68,16 @@ def main(argv=None):
         stages = [s.strip() for s in args.stages.split(",") if s.strip()]
     else:
         stages = [args.command]
-    unknown = [s for s in stages if s not in STAGE_ORDER]
-    if unknown:
-        print(f"error: unknown stage(s) {unknown}", file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
         cfg = validate_config(args.config, require_dataset="simulate" not in stages)
-        if args.seed is not None:
-            cfg.override("scene", "seed", args.seed)
-        if args.out is not None:
-            cfg.override("scene", "out", args.out)
+        for key in ("seed", "out"):
+            if getattr(args, key) is not None:
+                cfg.override("scene", key, getattr(args, key))
         status = run_pipeline(cfg, stages)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DependencyError as exc:
-        print(f"dependency error: {exc}", file=sys.stderr)
-        return EXIT_DEPENDENCY
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except LockedError as exc:
-        print(f"locked: {exc}", file=sys.stderr)
-        return EXIT_LOCKED
-    except FormatError as exc:
-        print(f"malformed file: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+    except tuple(FAILURES) as exc:
+        code, label = next(v for cls, v in FAILURES.items() if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
     for stage in STAGE_ORDER:
         if stage in status:

@@ -1,15 +1,17 @@
 """Scene configuration: flat `key = value` text grouped into [sections].
 
-Unknown keys, duplicate keys, malformed lines, out-of-range values, a
-repeated `rho_grid` value, a shape size that does not fit the shape, text
-that is not UTF-8 and a missing dataset all fail loudly with the offending
-line number. Several geometric parameters accept the literal `auto`, which
-resolves against the bounding radius of the touch data when the stage that
-needs them runs.
+Unknown keys, duplicate keys, malformed lines, out-of-range or non-finite
+values, a repeated `rho_grid` value, a shape size that does not fit the
+shape, text that is not UTF-8 and a missing dataset all fail loudly with the
+offending line number. A value set from the command line passes the same
+parse and range check. Several geometric parameters accept the literal
+`auto`, which resolves against the bounding radius of the touch data when
+the stage that needs them runs.
 """
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .touchsim import AnalyticShape
@@ -29,15 +31,9 @@ def _fraction(x):
     return 0.0 < x <= 1.0
 
 
-def _sparse_fraction(x):
-    return 0.0 < x <= 0.01
-
-
-def _opacity(x):
-    return 0.0 < x < 1.0
-
-
-# key -> (type tag, default, validator or None)
+# key -> (kind, default, validator or None). A kind is "str", a tuple of the
+# allowed words, or a number kind of _EXPECTED; the validator checks each
+# number of a value.
 SCHEMA = {
     "scene": {
         "dataset": ("str", None, None),
@@ -45,7 +41,7 @@ SCHEMA = {
         "seed": ("int", 0, _nonnegative),
     },
     "sim": {
-        "shape": ("choice:sphere,box,torus", "sphere", None),
+        "shape": (("sphere", "box", "torus"), "sphere", None),
         "size": ("floats", (1.0,), _positive),
         "dome_radius": ("float", 8.0, _positive),
         "views": ("int", 5, _positive),
@@ -59,7 +55,7 @@ SCHEMA = {
         "patch_radius": ("float", 0.15, _positive),
         "touch_noise": ("float", 0.001, _nonnegative),
         "normal_noise": ("float", 0.0, _nonnegative),
-        "sparse_fraction": ("float", 0.005, _sparse_fraction),
+        "sparse_fraction": ("float", 0.005, lambda x: 0.0 < x <= 0.01),
         "sparse_noise": ("float", 0.003, _nonnegative),
         "vision_bias": ("float", 0.4, None),
         "object_color": ("rgb", (0.8, 0.4, 0.2), None),
@@ -102,7 +98,7 @@ SCHEMA = {
         "step": ("float", 0.005, _positive),
         "splat_radius": ("autofloat", AUTO, _positive),
         "max_points": ("int", 2500, _positive),
-        "opacity": ("float", 0.7, _opacity),
+        "opacity": ("float", 0.7, lambda x: 0.0 < x < 1.0),
     },
     "eval": {
         "gt_points": ("int", 2000, _positive),
@@ -110,12 +106,18 @@ SCHEMA = {
     },
 }
 
+# What the text of each number kind must hold, as its parse error says.
+_EXPECTED = {"int": "an integer", "float": "a number", "autofloat": "a number or 'auto'",
+             "floats": "numbers", "distinct floats": "numbers", "rgb": "three color components"}
+
 
 @dataclass
 class SceneConfig:
-    """Validated configuration; values indexed by (section, key)."""
+    """Validated configuration; values indexed by (section, key). `lines`
+    holds the file line that set each key; a default has none."""
 
     values: dict
+    lines: dict = field(default_factory=dict)
 
     def get(self, section, key):
         return self.values[section][key]
@@ -136,59 +138,51 @@ class SceneConfig:
         return dict(self.values[name])
 
     def override(self, section, key, value):
-        self.values[section][key] = value
+        """Set a key from `str(value)`, as if the file gave that text: it
+        passes the same parse and range check, and names no line after."""
+        kind, _, validator = SCHEMA[section][key]
+        self.lines.pop((section, key), None)
+        self.values[section][key] = _parse_value(kind, str(value), key, validator)
+
+    def error(self, section, key, message):
+        """A ConfigError for a value a stage cannot use, naming its line."""
+        return _error(self.lines.get((section, key)), key, message)
 
 
-def _parse_value(tag, text, lineno, key):
-    def err(msg):
-        raise ConfigError(f"line {lineno}: key '{key}': {msg}")
+def _error(lineno, key, message):
+    where = f"line {lineno}: " if lineno else ""
+    return ConfigError(f"{where}key '{key}': {message}")
 
-    if tag == "str":
+
+def _parse_value(kind, text, key, validator, lineno=None):
+    """`text` as a value of `kind`: each of its numbers must be finite and
+    pass `validator`."""
+    if kind == "str" or (kind == "autofloat" and text == AUTO):
         return text
-    if tag.startswith("choice:"):
-        options = tag.split(":", 1)[1].split(",")
-        if text not in options:
-            err(f"must be one of {options}")
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise _error(lineno, key, f"must be one of {list(kind)}")
         return text
-    if tag == "int":
-        try:
-            return int(text)
-        except ValueError:
-            err(f"expected an integer, got {text!r}")
-    if tag == "float":
-        try:
-            return float(text)
-        except ValueError:
-            err(f"expected a number, got {text!r}")
-    if tag == "autofloat":
-        if text == AUTO:
-            return AUTO
-        try:
-            return float(text)
-        except ValueError:
-            err(f"expected a number or 'auto', got {text!r}")
-    if tag in ("floats", "distinct floats"):
-        try:
-            parsed = tuple(float(tok) for tok in text.replace(",", " ").split())
-        except ValueError:
-            err(f"expected numbers, got {text!r}")
-        if tag == "distinct floats" and len(set(parsed)) < len(parsed):
-            err(f"repeats a value in {text!r}")
-        return parsed
-    if tag == "rgb":
-        try:
-            parsed = tuple(float(tok) for tok in text.replace(",", " ").split())
-        except ValueError:
-            err(f"expected three color components, got {text!r}")
-        if len(parsed) != 3 or any(not 0.0 <= c <= 1.0 for c in parsed):
-            err("expected three color components in [0, 1]")
-        return parsed
-    raise AssertionError(f"unhandled schema tag {tag}")
+    scalar = kind in ("int", "float", "autofloat")
+    tokens = [text] if scalar else text.replace(",", " ").split()
+    try:
+        numbers = tuple(map(int if kind == "int" else float, tokens))
+    except ValueError:
+        raise _error(lineno, key, f"expected {_EXPECTED[kind]}, got {text!r}")
+    if kind != "int" and not all(map(math.isfinite, numbers)):
+        raise _error(lineno, key, f"value {text!r} is not finite")
+    if kind == "distinct floats" and len(set(numbers)) < len(numbers):
+        raise _error(lineno, key, f"repeats a value in {text!r}")
+    if kind == "rgb" and (len(numbers) != 3 or any(not 0.0 <= c <= 1.0 for c in numbers)):
+        raise _error(lineno, key, "expected three color components in [0, 1]")
+    if validator is not None and not all(map(validator, numbers)):
+        raise _error(lineno, key, f"value {text!r} out of range")
+    return numbers[0] if scalar else numbers
 
 
 def parse_config_text(text):
     values = {section: {} for section in SCHEMA}
-    seen_lines = {}
+    lines = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -206,20 +200,17 @@ def parse_config_text(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{section}]")
-        if (section, key) in seen_lines:
+        if (section, key) in lines:
             raise ConfigError(
                 f"line {lineno}: duplicate key '{key}' in section [{section}] "
-                f"(first set on line {seen_lines[(section, key)]})"
+                f"(first set on line {lines[(section, key)]})"
             )
-        seen_lines[(section, key)] = lineno
-        tag, _, validator = SCHEMA[section][key]
-        parsed = _parse_value(tag, value, lineno, key)
-        if validator is not None and parsed != AUTO and not _passes(validator, parsed):
-            raise ConfigError(f"line {lineno}: key '{key}': value {value!r} out of range")
-        values[section][key] = parsed
+        lines[(section, key)] = lineno
+        kind, _, validator = SCHEMA[section][key]
+        values[section][key] = _parse_value(kind, value, key, validator, lineno)
 
     for section_name, keys in SCHEMA.items():
-        for key, (tag, default, _) in keys.items():
+        for key, (_, default, _) in keys.items():
             if key not in values[section_name]:
                 if default is None:
                     raise ConfigError(f"missing required key '{key}' in section [{section_name}]")
@@ -227,15 +218,9 @@ def parse_config_text(text):
     try:
         AnalyticShape(values["sim"]["shape"], values["sim"]["size"])
     except ValueError as exc:
-        lineno = seen_lines.get(("sim", "size")) or seen_lines[("sim", "shape")]
-        raise ConfigError(f"line {lineno}: key 'size': {exc}") from None
-    return SceneConfig(values)
-
-
-def _passes(validator, parsed):
-    if isinstance(parsed, tuple):
-        return all(validator(v) for v in parsed)
-    return validator(parsed)
+        lineno = lines.get(("sim", "size")) or lines[("sim", "shape")]
+        raise _error(lineno, "size", exc) from None
+    return SceneConfig(values, lines)
 
 
 def validate_config(path, require_dataset=True) -> SceneConfig:
@@ -255,18 +240,10 @@ def validate_config(path, require_dataset=True) -> SceneConfig:
         raise ConfigError(f"line {lineno}: not UTF-8 text ({exc.reason})") from None
     cfg = parse_config_text(text)
     base = os.path.dirname(os.path.abspath(path))
+    scene = cfg.values["scene"]
     for key in ("dataset", "out"):
-        value = cfg.get("scene", key)
-        if not os.path.isabs(value):
-            cfg.override("scene", key, os.path.join(base, value))
+        scene[key] = os.path.join(base, scene[key])
     if require_dataset and not os.path.isdir(cfg.dataset):
-        lineno = _line_of(text, "dataset")
+        lineno = cfg.lines[("scene", "dataset")]
         raise ConfigError(f"line {lineno}: dataset directory {cfg.dataset} does not exist")
     return cfg
-
-
-def _line_of(text, key):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip().startswith(key):
-            return lineno
-    return 0

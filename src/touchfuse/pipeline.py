@@ -29,7 +29,7 @@ import numpy as np
 from . import align as align_mod
 from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
 from .config import AUTO, SceneConfig
-from .errors import DependencyError, FormatError, LockedError
+from .errors import ConfigError, DependencyError, FormatError, LockedError
 
 MANIFEST_VERSION = 3
 MONO_SCALE = 2.5
@@ -253,9 +253,12 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
         io.write(fileio.write_pfm, f"dataset:mono_depth/{name}.pfm", raw)
 
         scene_image = sdfrender.DepthVarImage(scene_depth, np.zeros_like(scene_depth), cam)
-        sparse = touchsim.make_sparse_depth(
-            scene_image, sim["sparse_fraction"], noise, seed=seed + 1000 + i
-        )
+        try:
+            sparse = touchsim.make_sparse_depth(
+                scene_image, sim["sparse_fraction"], noise, seed=seed + 1000 + i
+            )
+        except ValueError as exc:
+            raise cfg.error("sim", "sparse_fraction", f"{name}: {exc}") from None
         io.write(fileio.write_sparse_depth, f"dataset:sparse/{name}.txt", sparse)
 
     record = {
@@ -363,9 +366,10 @@ def _save_depth_var(io, name, prefix, depth, variance):
     io.write(fileio.write_pfm, f"out:{name}_{prefix}_var.pfm", variance)
 
 
-def _read_sparse(io, view, cam):
+def _read_sparse(io, view, cam, raw):
     """A view's sparse samples. Scale alignment needs two of them, each on
-    one of the camera's pixels; a file that gives fewer is malformed."""
+    one of the camera's pixels; a file that gives fewer is malformed. The
+    raw mono depth `raw` must be finite under each sample."""
     name = f"dataset:sparse/{view}.txt"
     sparse = io.read(fileio.read_sparse_depth, name)
     if len(sparse) < 2:
@@ -377,6 +381,12 @@ def _read_sparse(io, view, cam):
         i = outside[0]
         raise FormatError(f"{_path(io.cfg, name)}: sample {i} at (u, v) = ({u[i]}, {v[i]}) "
                           f"lies outside the {cam.width}x{cam.height} image")
+    bad = np.flatnonzero(~np.isfinite(raw[v, u]))
+    if bad.size:
+        i = bad[0]
+        raise FormatError(f"{_path(io.cfg, f'dataset:mono_depth/{view}.pfm')}: depth "
+                          f"{raw[v[i], u[i]]} under sparse sample {i} at (u, v) = "
+                          f"({u[i]}, {v[i]}) is not finite")
     return sparse
 
 
@@ -384,7 +394,7 @@ def stage_align(cfg: SceneConfig, io: StageIO):
     params = cfg.section("align")
     for name, cam in _camera_views(io):
         raw = _read_view(io, fileio.read_pfm, f"dataset:mono_depth/{name}.pfm", cam)
-        sparse = _read_sparse(io, name, cam)
+        sparse = _read_sparse(io, name, cam, raw)
         g_depth, g_var = _load_depth_var(io, name, "gpis", cam)
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
         aligned = align_mod.align_vision(
@@ -602,7 +612,7 @@ def run_pipeline(cfg: SceneConfig, stages=None):
     wanted = set(STAGE_ORDER if stages is None else stages)
     unknown = wanted - set(STAGE_ORDER)
     if unknown:
-        raise ValueError(f"unknown stages: {sorted(unknown)}")
+        raise ConfigError(f"unknown stages: {sorted(unknown)}")
     os.makedirs(cfg.out, exist_ok=True)
     status = {}
     with PipelineLock(cfg.out):

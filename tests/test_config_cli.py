@@ -5,10 +5,11 @@ import re
 import shutil
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from touchfuse import fileio, gpis
+from touchfuse import fileio, fuse, gpis
 from touchfuse.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED,
                            EXIT_NUMERICAL, EXIT_OK, main)
 from touchfuse.config import SCHEMA, parse_config_text, validate_config
@@ -96,6 +97,15 @@ class TestConfigParsing:
             parse_config_text("\n".join(lines))
         except ConfigError:
             pass
+
+    def test_override_passes_the_same_check(self):
+        cfg = parse_config_text("[scene]\ndataset = a\nout = b\n[march]\nstep_fraction = 0.5\n")
+        cfg.override("march", "step_fraction", 0.25)
+        assert cfg.get("march", "step_fraction") == 0.25
+        with pytest.raises(ConfigError, match=r"^key 'step_fraction': value '1.5' out of range$"):
+            cfg.override("march", "step_fraction", 1.5)
+        with pytest.raises(ConfigError, match="^key 'vision_bias': value 'nan' is not finite$"):
+            cfg.override("sim", "vision_bias", float("nan"))
 
     def test_missing_dataset_directory(self, tmp_path):
         path = write_config(tmp_path, make_dataset=False)
@@ -228,6 +238,17 @@ class TestCLI:
         path = write_config(tmp_path)
         assert main(["pipeline", "--config", str(path), "--stages", "bogus"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "key 'seed': value '-1' out of range"),
+        ("seven", "key 'seed': expected an integer, got 'seven'"),
+    ], ids=["negative", "not-a-number"])
+    def test_flag_value_passes_the_config_check(self, tmp_path, capsys, seed, message):
+        path = write_config(tmp_path, MINIMAL + "seed = 3\n", make_dataset=False)
+        assert main(["simulate", "--config", str(path), "--seed", seed]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        # The flag set the value, so the message names no line of the file.
+        assert "config error" in err and message in err and "line" not in err
+
     def test_small_scene_runs_and_skips(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_SCENE, make_dataset=False)
         assert main(["pipeline", "--config", str(path)]) == EXIT_OK
@@ -344,7 +365,16 @@ class TestExitCodes:
         ("[sim]\nshape = torus\nsize = 1.0\n", "line 7: key 'size'"),
         ("[sim]\nshape = torus\n", "line 6: key 'size'"),
         ("[sim]\nsize = 0.0\n", "line 6: key 'size'"),
-    ], ids=["negative-rho", "repeated-rho", "torus-one-radius", "torus-default-size", "zero-size"])
+        ("[sim]\nvision_bias = nan\n", "line 6: key 'vision_bias': value 'nan' is not finite"),
+        ("[kernel]\nprior_mean = nan\n", "line 6: key 'prior_mean'"),
+        ("[sim]\norbit_height = inf\n", "line 6: key 'orbit_height'"),
+        ("[sim]\ntouch_noise = inf\n", "line 6: key 'touch_noise'"),
+        ("[align]\nmax_gap = inf\n", "line 6: key 'max_gap'"),
+        ("[sim]\nsparse_fraction = 0.0003\n",
+         "line 6: key 'sparse_fraction': view000: fraction 0.0003 yields 1 samples"),
+    ], ids=["negative-rho", "repeated-rho", "torus-one-radius", "torus-default-size", "zero-size",
+            "nan-vision-bias", "nan-prior-mean", "inf-orbit-height", "inf-touch-noise",
+            "inf-max-gap", "too-few-sparse-samples"])
     def test_value_that_fails_a_stage_is_a_config_error(self, tmp_path, capsys, extra, message):
         path = write_config(tmp_path, MINIMAL + extra, make_dataset=False)
         assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
@@ -436,8 +466,12 @@ class TestExitCodes:
          edit_first_ply_row(lambda row: row[:3] + ["nan"] * 3), "not unit length"),
         ("data/touches/touch000.ply", "gpis-fit",
          edit_first_ply_row(lambda row: ["inf"] + row[1:]), "must be finite"),
+        ("data/sparse/view000.txt", "align",
+         lambda text: re.sub(r"\S+\n", "nan\n", text, count=1), "must be finite"),
+        ("data/sparse/view000.txt", "align",
+         lambda text: re.sub(r"\S+\n", "inf\n", text, count=1), "must be finite"),
     ], ids=["sparse-outside-image", "sparse-one-row", "ply-long-normal", "ply-nan-normal",
-            "ply-infinite-point"])
+            "ply-infinite-point", "sparse-nan-depth", "sparse-inf-depth"])
     def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                       message):
         target = tmp_path / path
@@ -445,6 +479,28 @@ class TestExitCodes:
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err and message in err
+
+    @pytest.mark.parametrize("under_sample, code", [(True, EXIT_FORMAT), (False, EXIT_OK)],
+                             ids=["mono-nan-under-sample", "mono-nan-elsewhere"])
+    def test_mono_depth_that_is_not_finite(self, built, tmp_path, capsys, under_sample, code):
+        # A PFM is binary, so this edits the image, not the text as above.
+        sparse = fileio.read_sparse_depth(tmp_path / "data/sparse/view000.txt")
+        path = tmp_path / "data/mono_depth/view000.pfm"
+        raw = fileio.read_pfm(path)
+        sampled = np.zeros(raw.shape, dtype=bool)
+        sampled[sparse.pixels[:, 1], sparse.pixels[:, 0]] = True
+        v, u = sparse.pixels[1, ::-1] if under_sample else np.argwhere(~sampled)[0]
+        raw[v, u] = np.nan
+        fileio.write_pfm(path, raw)
+        assert main(["pipeline", "--config", str(tmp_path / "scene.cfg"),
+                     "--stages", "align,fuse"]) == code
+        err = capsys.readouterr().err
+        if under_sample:
+            assert "malformed file" in err and "mono_depth/view000.pfm" in err
+            assert f"under sparse sample 1 at (u, v) = ({u}, {v})" in err
+        else:
+            provenance = fileio.read_pgm(tmp_path / "out/view000_provenance.pgm")
+            assert provenance[v, u] in (fuse.PROVENANCE_NONE, fuse.PROVENANCE_TOUCH)
 
     @pytest.mark.parametrize("path, stage", [
         ("data/mono_depth/view000.pfm", "align"),
