@@ -20,7 +20,7 @@ import sys
 
 from .config import validate_config
 from .errors import ConfigError, DependencyError, FormatError, LockedError, NumericalError
-from .pipeline import STAGE_ORDER, run_pipeline
+from .pipeline import STAGE_ORDER, run_pipeline, wanted_stages
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,6 +69,7 @@ def main(argv=None):
     else:
         stages = [args.command]
     try:
+        stages = wanted_stages(stages)
         cfg = validate_config(args.config, require_dataset="simulate" not in stages)
         for key in ("seed", "out"):
             if getattr(args, key) is not None:

@@ -270,13 +270,20 @@ def write_sparse_depth(path, sparse: SparseDepth):
 @reads_format
 def read_sparse_depth(path) -> SparseDepth:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.split("#", 1)[0].strip()]
+        lines = [(no, line) for no, line in enumerate(fh, 1) if line.split("#", 1)[0].strip()]
     if not lines:
         raise ValueError("no depth rows")
-    rows = np.loadtxt(lines, dtype=np.float64, ndmin=2)
+    rows = np.loadtxt([line for _, line in lines], dtype=np.float64, ndmin=2)
     if rows.shape[1] != 3:
         raise ValueError(f"rows need 3 columns (u v depth), found {rows.shape[1]}")
-    return SparseDepth(rows[:, :2].astype(np.int64), rows[:, 2])
+    # A float holds every integer exactly only below 2**53.
+    pixels = rows[:, :2]
+    whole = ((np.abs(pixels) < 2.0 ** 53) & (pixels == np.round(pixels))).all(axis=1)
+    if not whole.all():
+        no, line = lines[int(np.argmin(whole))]
+        u, v = line.split()[:2]
+        raise ValueError(f"line {no}: pixel coordinates must be integers, found {u} {v}")
+    return SparseDepth(pixels.astype(np.int64), rows[:, 2])
 
 
 def write_keyvalues(path, mapping):

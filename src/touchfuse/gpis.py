@@ -28,13 +28,6 @@ JITTER_STOP_FRAC = 1e-2
 UNIT_NORMAL_TOL = 1e-6
 VARIANCE_FLOOR_FRAC = 1e-12
 KERNEL_CHUNK_BYTES = 2 ** 20
-# Fewest Gram entries (candidates x n^2) a part of the hyperparameter grid
-# must carry to be scored in its own process. A fit costs 24-46 ns per entry
-# from n = 300 to 2,819 (2.7 ms at n = 300, 81 ms at n = 1,500, one core of a
-# 2-CPU x86 VM, one BLAS thread). Forking a worker, one call and stopping it
-# cost 4-5 ms there with 150 MB resident, so a part pays for its process
-# from ≈200,000 entries; the floor keeps a tenfold margin.
-MIN_PART_ENTRIES = 2_000_000
 
 MODEL_MAGIC = b"GPIS"
 MODEL_VERSION = 2
@@ -382,8 +375,7 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
     `cap` raises NumericalError before any fit, naming the cap (coarsen the
     voxel pitch to shrink the set).
 
-    The grid is cut into contiguous parts, each carrying at least
-    MIN_PART_ENTRIES Gram entries (candidates x n^2) and taking
+    The grid is cut into contiguous parts by workers.parts, each taking
     workers.blas_threads() of the usable CPUs, since a fit is mostly a
     Cholesky factorization on every BLAS thread: with the BLAS at its
     default of one thread per CPU the search runs in one process. The
@@ -417,10 +409,11 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean
         return scores
 
     count = len(candidates)
-    # Split computes its first part in this process: make that the tail.
+    # A fit costs 24-46 ns per Gram entry, candidates x n^2 (n = 300 to
+    # 2,819, one BLAS thread). Split computes its first part in this
+    # process: make that the tail.
     bounds = [(count - e, count - s) for s, e in
-              workers.parts(count, count * len(cset) ** 2, MIN_PART_ENTRIES,
-                            workers.blas_threads())]
+              workers.parts(count, count * len(cset) ** 2 * 25e-9, workers.blas_threads())]
     with workers.Split(score, bounds) as split:
         scores = [x for part in reversed(split()) for x in part]
     best = None

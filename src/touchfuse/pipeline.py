@@ -604,15 +604,21 @@ class PipelineLock:
         return False
 
 
+def wanted_stages(stages=None):
+    """The stage names in `stages` (all when None); an unknown one is a ConfigError."""
+    wanted = set(STAGE_ORDER if stages is None else stages)
+    unknown = wanted - set(STAGE_ORDER)
+    if unknown:
+        raise ConfigError(f"unknown stages: {sorted(unknown)}")
+    return wanted
+
+
 def run_pipeline(cfg: SceneConfig, stages=None):
     """Execute the requested stages in dependency order with hash skipping.
 
     Returns {stage: "ran" | "skipped"} for the requested stages.
     """
-    wanted = set(STAGE_ORDER if stages is None else stages)
-    unknown = wanted - set(STAGE_ORDER)
-    if unknown:
-        raise ConfigError(f"unknown stages: {sorted(unknown)}")
+    wanted = wanted_stages(stages)
     os.makedirs(cfg.out, exist_ok=True)
     status = {}
     with PipelineLock(cfg.out):

@@ -153,16 +153,6 @@ def sphere_entry_exit(offset, dirs, radius):
     return -b - root, -b + root, meets
 
 
-# Fewest (candidate ray x conditioning point) pairs a part of a view must
-# carry to be marched in its own process. Marching and the hit variances
-# cost ≈150 ns per pair on the bundled sphere (≈0.5 s per view for ≈1,170
-# candidate rays against 2,849 points, one core of a 2-CPU x86 VM). Forking
-# a child, running it and joining its pipe cost ≈5 ms there, so a part pays
-# for its process from ≈35,000 pairs; the floor keeps a tenfold margin.
-# Analytic models have no conditioning set, so they always render inline.
-MIN_PART_PAIRS = 350_000
-
-
 def _march_part(model, origin, dirs, t_enter, t_stop, params: MarchParams):
     """March unit rays `dirs` from `origin`, each exactly as the scalar
     sphere tracer in tests/oracles.py marches it alone.
@@ -197,11 +187,12 @@ def _march_part(model, origin, dirs, t_enter, t_stop, params: MarchParams):
 
 
 def _march_parts(model, origin, dirs, t_enter, t_stop, params: MarchParams):
-    """`_march_part` over contiguous parts of the rays, one per usable CPU
-    that carries MIN_PART_PAIRS, joined in order: the same arrays as one
-    part, bit for bit."""
+    """`_march_part` over contiguous parts of the rays (workers.parts),
+    joined in order: the same arrays as one part, bit for bit."""
     n = dirs.shape[0]
-    bounds = workers.parts(n, n * len(getattr(model, "conditioning", ())), MIN_PART_PAIRS)
+    # Marching and the hit variances cost ≈150 ns per (candidate ray x
+    # conditioning point) pair; an analytic model has no conditioning set.
+    bounds = workers.parts(n, n * len(getattr(model, "conditioning", ())) * 150e-9)
 
     def march(s, e):
         return _march_part(model, origin, dirs[s:e], t_enter[s:e], t_stop[s:e], params)

@@ -319,18 +319,6 @@ def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
     return loss, c_total, d_total, grads
 
 
-# Fewest splat x pixel x pass products a part of optimize's views must carry
-# to be computed in its own process. A view's loss and gradients cost
-# ≈0.8 ns per splat x pixel on the bundled sphere (≈5 ms a pass for 1,500
-# splats on a 64x64 view, one core of a 2-CPU x86 VM) and never less than
-# ≈0.35 ms (8 splats, 16x16). Forking a worker, one call and stopping it
-# cost ≈5 ms there, so a part pays for its process from ≈6 M products; the
-# floor keeps a tenfold margin. A pass's round trip (the cloud out, its
-# views' terms back) costs 0.1-0.2 ms up to 1,500 splats, less than any one
-# view's own pass.
-MIN_PART_WORK = 60_000_000
-
-
 def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
              step=1e-2, group_scales=(1.0, 1.0, 1.0), callback=None) -> SplatCloud:
     """Plain gradient descent on positions, colors and opacity logits.
@@ -346,7 +334,10 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
         raise ValueError("need at least one view")
     current = cloud.copy()
     pixels = sum(camera.width * camera.height for _, _, camera in views)
-    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1), MIN_PART_WORK)
+    # A view's loss and gradients cost ≈0.8 ns per splat x pixel; a pass's
+    # round trip, the cloud out and its views' terms back, costs less than
+    # any one view's own pass.
+    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1) * 0.8e-9)
 
     def part_terms(s, e, positions, colors, opacity_logits, cfg, lam):
         part = SplatCloud(positions, colors, opacity_logits, current.radii, current.background)

@@ -1,11 +1,12 @@
-"""Forked workers, the package's one fork protocol: `Split` computes a
-function over contiguous parts of a range, the first part in the calling
-process and each other in an `os.fork()`ed worker. A worker inherits the
-caller's memory copy-on-write, answers calls over its own two pipes
-(pickled arguments down, pickled (ok, result or exception, warnings) back)
-and closes every pipe end that is not its own. It serves until its parent
-kills it at the end of the block, or until its request pipe ends because
-the parent died, and leaves on its own only through os._exit."""
+"""Forked workers, the package's one fork rule and protocol: `parts` cuts a
+range into parts worth a process each, and `Split` computes a function over
+them, the first part in the calling process and each other in an
+`os.fork()`ed worker. A worker inherits the caller's memory copy-on-write,
+answers calls over its own two pipes (pickled arguments down, pickled (ok,
+result or exception, warnings) back) and closes every pipe end that is not
+its own. It serves until its parent kills it at the end of the block, or
+until its request pipe ends because the parent died, and leaves on its own
+only through os._exit."""
 
 import os
 import pickle
@@ -13,6 +14,11 @@ import signal
 import threading
 import warnings
 from contextlib import suppress
+
+# Fewest seconds of work a part runs in its own process for: forking a worker,
+# one call to it and stopping it cost 4-5 ms with 150 MB resident (one core
+# of a 2-CPU x86 VM), and a part carries ten times that.
+PART_SECONDS = 0.05
 
 
 def _usable_cpus():
@@ -35,14 +41,18 @@ def blas_threads():
     return _usable_cpus()
 
 
-def parts(n, work, floor, threads=1):
-    """Contiguous (start, end) parts of range(n): one per `threads` usable
-    CPUs, the CPUs one part keeps busy, no more than carry `floor` of `work`
-    each or than n. There is one part where the process cannot fork or has
-    other threads, whose locks a child would inherit."""
+def parts(n, seconds, threads=1):
+    """Contiguous (start, end) parts of range(n), whose work takes an estimated
+    `seconds` in one process: one per `threads` usable CPUs (the CPUs a part
+    keeps busy), but no more than n or than leave each part PART_SECONDS of
+    it; one where the process cannot fork or has other threads, whose locks
+    a child would inherit."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return [(0, n)]
-    count = max(1, min(_usable_cpus() // threads, work // floor, n))
+    count = max(1, min(_usable_cpus() // threads, n))
+    # The smallest of `count` parts holds n // count of the n units.
+    while count > 1 and seconds * (n // count) < PART_SECONDS * n:
+        count -= 1
     return [(k * n // count, (k + 1) * n // count) for k in range(count)]
 
 

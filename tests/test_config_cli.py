@@ -238,6 +238,12 @@ class TestCLI:
         path = write_config(tmp_path)
         assert main(["pipeline", "--config", str(path), "--stages", "bogus"]) == EXIT_CONFIG
 
+    def test_unknown_stage_is_named_before_a_missing_dataset(self, tmp_path, capsys):
+        path = write_config(tmp_path, make_dataset=False)
+        assert main(["pipeline", "--config", str(path), "--stages", "fuse,bogus"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: unknown stages: ['bogus']\n"
+
     @pytest.mark.parametrize("seed, message", [
         ("-1", "key 'seed': value '-1' out of range"),
         ("seven", "key 'seed': expected an integer, got 'seven'"),
@@ -470,8 +476,13 @@ class TestExitCodes:
          lambda text: re.sub(r"\S+\n", "nan\n", text, count=1), "must be finite"),
         ("data/sparse/view000.txt", "align",
          lambda text: re.sub(r"\S+\n", "inf\n", text, count=1), "must be finite"),
+        ("data/sparse/view000.txt", "align", lambda text: re.sub(r"^\S+", "3.7", text, count=1),
+         "line 1: pixel coordinates must be integers, found 3.7"),
+        ("data/sparse/view000.txt", "align", lambda text: re.sub(r"^\S+", "nan", text, count=1),
+         "line 1: pixel coordinates must be integers, found nan"),
     ], ids=["sparse-outside-image", "sparse-one-row", "ply-long-normal", "ply-nan-normal",
-            "ply-infinite-point", "sparse-nan-depth", "sparse-inf-depth"])
+            "ply-infinite-point", "sparse-nan-depth", "sparse-inf-depth", "sparse-fractional-pixel",
+            "sparse-nan-pixel"])
     def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                       message):
         target = tmp_path / path

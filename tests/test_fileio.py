@@ -150,6 +150,23 @@ class TestSparseAndKeyValues:
         np.testing.assert_array_equal(back.pixels, sparse.pixels)
         np.testing.assert_array_equal(back.depths, sparse.depths)
 
+    @pytest.mark.parametrize("row", ["3.7 2 1.5", "3 nan 1.5", "inf 2 1.5",
+                                     "9007199254740993 2 1.5"],
+                             ids=["fractional", "nan", "inf", "past-2**53"])
+    def test_pixel_that_is_not_an_integer_rejected(self, tmp_path, row):
+        path = tmp_path / "sparse.txt"
+        path.write_text(f"# u v depth\n4 5 1.25\n\n{row}\n")
+        with pytest.raises(FormatError) as info:
+            fileio.read_sparse_depth(path)
+        u, v = row.split()[:2]
+        assert str(info.value) == (f"{path}: line 4: pixel coordinates must be integers, "
+                                   f"found {u} {v}")
+
+    def test_pixel_written_as_a_whole_float_accepted(self, tmp_path):
+        path = tmp_path / "sparse.txt"
+        path.write_text("3.0 2e0 1.5\n")
+        np.testing.assert_array_equal(fileio.read_sparse_depth(path).pixels, [[3, 2]])
+
     def test_keyvalues_round_trip(self, tmp_path):
         path = tmp_path / "scene.cfg"
         fileio.write_keyvalues(path, {"shape": "sphere", "size": "1 2 3", "seed": "7"})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cholesky, solve_triangular
 
-from touchfuse import fileio, gpis
+from touchfuse import fileio, gpis, workers
 from touchfuse.errors import FormatError, NumericalError
 from touchfuse.geometry import rotation_about_axis, make_transform, transform_points
 from touchfuse.gpis import (
@@ -17,7 +17,6 @@ from touchfuse.gpis import (
     KERNEL_CHUNK_BYTES,
     LABEL_INTERIOR,
     LABEL_SURFACE,
-    MIN_PART_ENTRIES,
     ConditioningSet,
     KernelParams,
     TouchReading,
@@ -28,6 +27,7 @@ from touchfuse.gpis import (
     optimize_hyperparameters,
     save_model,
 )
+from touchfuse.workers import PART_SECONDS
 
 from oracles import matern32
 
@@ -200,19 +200,6 @@ def assert_same_model(got, want):
     assert got.effective_noise == want.effective_noise
 
 
-def usable_cpus(monkeypatch, cpus, blas_env=(("OPENBLAS_NUM_THREADS", "1"),)):
-    """Make workers.parts see `cpus` usable CPUs, and workers.blas_threads
-    the BLAS thread variables (name, value) in `blas_env` and no other."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in blas_env:
-        monkeypatch.setenv(name, value)
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    else:
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-
-
 class TestTriangleGram:
     """_factorize builds only the half of the Gram matrix potrf reads; its
     factor is the Cholesky factor of the whole matrix, bit for bit."""
@@ -267,7 +254,8 @@ class TestOneMatrixPerFit:
     def search(self, cset, monkeypatch, rhos, cpus=1):
         """optimize_hyperparameters over `rhos` with `cpus` usable CPUs:
         (model, traced peak, fit calls in this process)."""
-        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
         calls = []
         monkeypatch.setattr(gpis, "fit", lambda *a, **k: calls.append(a) or fit(*a, **k))
         found = []
@@ -619,34 +607,6 @@ class TestHyperparameterSearch:
             optimize_hyperparameters(cset, [])
 
 
-@pytest.fixture
-def split_search(monkeypatch):
-    """Search with `cpus` usable CPUs and every part worth a fork; returns
-    the model and the fork count, and checks that each case leaves no child
-    process and no open descriptor behind."""
-    fds = sorted(os.listdir("/proc/self/fd"))
-    monkeypatch.setattr(gpis, "MIN_PART_ENTRIES", 1)
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-
-    def run(cset, grid, cpus, blas_env=(("OPENBLAS_NUM_THREADS", "1"),), **kwargs):
-        usable_cpus(monkeypatch, cpus, blas_env)
-        forks.clear()
-        model = optimize_hyperparameters(cset, grid, **kwargs)
-        return model, len(forks)
-
-    yield run
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir("/proc/self/fd")) == fds
-
-
 def fits_in(monkeypatch, fails=lambda params: False):
     """Route gpis.fit through a wrapper that raises NumericalError for the
     candidates `fails` names; returns the list of calls made in this
@@ -679,77 +639,63 @@ class TestSplitSearch:
         return sorted(self.grid, key=lambda g: -lml[g])
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, "grid + 1"])
-    def test_any_cpu_count_gives_the_one_process_model(self, split_search, cpus):
-        one, forks = split_search(self.cset, self.grid, 1, prior_mean=0.1)
+    def test_any_cpu_count_gives_the_one_process_model(self, on_cpus, cpus):
+        one, forks = on_cpus(1, optimize_hyperparameters, self.cset, self.grid, prior_mean=0.1)
         assert forks == 0
         cpus = len(self.grid) + 1 if cpus == "grid + 1" else cpus
-        split, forks = split_search(self.cset, self.grid, cpus, prior_mean=0.1)
+        split, forks = on_cpus(cpus, optimize_hyperparameters, self.cset, self.grid,
+                               prior_mean=0.1)
         assert forks == min(cpus, len(self.grid)) - 1
         assert_same_model(split, one)
 
-    def test_a_workers_winner_is_fitted_once_in_the_caller(self, split_search, monkeypatch):
+    def test_a_workers_winner_is_fitted_once_in_the_caller(self, on_cpus, monkeypatch):
         ranked = self.ranked_grid()
         calls = fits_in(monkeypatch)
-        model, forks = split_search(self.cset, ranked, 2)
+        model, forks = on_cpus(2, optimize_hyperparameters, self.cset, ranked)
         assert forks == 1
         # The caller scored the last two candidates, then fitted the winner.
         assert calls == [KernelParams(*g, 1e-6) for g in ranked[2:] + ranked[:1]]
         assert_same_model(model, fit(self.cset, KernelParams(*ranked[0], 1e-6)))
 
-    def test_the_callers_last_candidate_is_kept_when_it_wins(self, split_search, monkeypatch):
+    def test_the_callers_last_candidate_is_kept_when_it_wins(self, on_cpus, monkeypatch):
         ranked = self.ranked_grid()[::-1]
         calls = fits_in(monkeypatch)
-        model, _ = split_search(self.cset, ranked, 2)
+        model, _ = on_cpus(2, optimize_hyperparameters, self.cset, ranked)
         assert calls == [KernelParams(*g, 1e-6) for g in ranked[2:]]
         assert model.params == KernelParams(*ranked[-1], 1e-6)
 
-    def test_a_failing_candidate_in_a_worker_is_skipped(self, split_search, monkeypatch):
+    def test_a_failing_candidate_in_a_worker_is_skipped(self, on_cpus, monkeypatch):
         winner = self.ranked_grid()[0]
         fits_in(monkeypatch, fails=lambda params: params == KernelParams(*winner, 1e-6))
         grid = [winner] + [g for g in self.grid if g != winner]
-        one, _ = split_search(self.cset, grid, 1)
-        split, forks = split_search(self.cset, grid, 3)
+        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, grid)
+        split, forks = on_cpus(3, optimize_hyperparameters, self.cset, grid)
         assert forks == 2 and one.params != KernelParams(*winner, 1e-6)
         assert_same_model(split, one)
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_every_candidate_failing_raises(self, split_search, monkeypatch, cpus):
+    def test_every_candidate_failing_raises(self, on_cpus, monkeypatch, cpus):
         fits_in(monkeypatch, fails=lambda params: True)
         with pytest.raises(NumericalError, match="^every hyperparameter candidate failed"):
-            split_search(self.cset, self.grid, cpus)
+            on_cpus(cpus, optimize_hyperparameters, self.cset, self.grid)
 
-    def test_worker_exception_is_raised_in_the_caller(self, split_search, monkeypatch):
-        parent = os.getpid()
+    def test_worker_exception_is_raised_in_the_caller(self, on_cpus, in_workers, monkeypatch):
+        def fail():
+            raise ValueError("fit failed in the worker")
 
-        def failing_fit(cset, params):
-            if os.getpid() != parent:
-                raise ValueError("fit failed in the worker")
-            return fit(cset, params)
-
-        monkeypatch.setattr(gpis, "fit", failing_fit)
+        monkeypatch.setattr(gpis, "fit", in_workers(fail, fit))
         with pytest.raises(ValueError, match="^fit failed in the worker$"):
-            split_search(self.cset, self.grid, 2)
+            on_cpus(2, optimize_hyperparameters, self.cset, self.grid)
 
     @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), "3"),
                                              (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")])
-    def test_worker_ending_without_a_result_is_an_error(self, split_search, monkeypatch,
+    def test_worker_ending_without_a_result_is_an_error(self, on_cpus, in_workers, monkeypatch,
                                                         end, status):
-        parent = os.getpid()
+        monkeypatch.setattr(gpis, "fit", in_workers(end, fit))
+        with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
+            on_cpus(3, optimize_hyperparameters, self.cset, self.grid)
 
-        def dying_fit(cset, params):
-            if os.getpid() != parent:
-                end()
-            return fit(cset, params)
-
-        monkeypatch.setattr(gpis, "fit", dying_fit)
-        try:
-            with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
-                split_search(self.cset, self.grid, 3)
-        finally:
-            if os.getpid() != parent:  # a worker that ran on into the test
-                os._exit(99)
-
-    def test_worker_jitter_warning_reaches_the_caller(self, split_search):
+    def test_worker_jitter_warning_reaches_the_caller(self, on_cpus):
         """Every candidate on duplicate points needs jitter, each at its own
         effective noise; the worker's warnings are raised in the caller with
         the one-process messages (a winner's refit warns once more)."""
@@ -759,15 +705,15 @@ class TestSplitSearch:
         caught = {}
         for cpus in (1, 2):
             with pytest.warns(RuntimeWarning, match="effective noise") as record:
-                _, forks = split_search(cset, grid, cpus, noise=0.0)
+                _, forks = on_cpus(cpus, optimize_hyperparameters, cset, grid, noise=0.0)
             assert forks == cpus - 1
             caught[cpus] = sorted((w.category, str(w.message)) for w in record)
         assert len(set(caught[1])) == len(grid) and caught[2] == caught[1]
 
-    def test_over_cap_set_fails_before_any_fork(self, split_search, monkeypatch):
+    def test_over_cap_set_fails_before_any_fork(self, on_cpus, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         with pytest.raises(NumericalError, match="cap is 10"):
-            split_search(self.cset, self.grid, 3, cap=10)
+            on_cpus(3, optimize_hyperparameters, self.cset, self.grid, cap=10)
 
     @pytest.mark.parametrize("env, forks", [
         ((), 0),
@@ -777,24 +723,27 @@ class TestSplitSearch:
         ((("OPENBLAS_NUM_THREADS", "4"), ("OMP_NUM_THREADS", "1")), 0),
         ((("OPENBLAS_NUM_THREADS", ""), ("OMP_NUM_THREADS", "2")), 1),
     ], ids=["unset", "openblas-2", "goto-2", "omp-1", "openblas-first", "empty-skipped"])
-    def test_each_part_takes_a_cpu_per_blas_thread(self, split_search, env, forks):
+    def test_each_part_takes_a_cpu_per_blas_thread(self, on_cpus, env, forks):
         """Four usable CPUs; a BLAS left at its default runs a thread on
         each, which leaves no CPU for a second part."""
-        one, _ = split_search(self.cset, self.grid, 1)
-        split, count = split_search(self.cset, self.grid, 4, blas_env=env)
+        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, self.grid)
+        split, count = on_cpus(4, optimize_hyperparameters, self.cset, self.grid, blas_env=env)
         assert count == forks
         assert_same_model(split, one)
 
-    def test_one_candidate_or_a_part_under_the_floor_never_forks(self, split_search,
-                                                                monkeypatch):
-        assert split_search(self.cset, self.grid[:1], 3)[1] == 0
-        work = len(self.grid) * len(self.cset) ** 2
-        monkeypatch.setattr(gpis, "MIN_PART_ENTRIES", work // 2 + 1)
-        assert split_search(self.cset, self.grid, 3)[1] == 0
-        monkeypatch.setattr(gpis, "MIN_PART_ENTRIES", work // 2)
-        assert split_search(self.cset, self.grid, 3)[1] == 1
-        monkeypatch.setattr(gpis, "MIN_PART_ENTRIES", MIN_PART_ENTRIES)
-        assert MIN_PART_ENTRIES > work and split_search(self.cset, self.grid, 3)[1] == 0
+    def test_one_candidate_or_a_part_under_the_floor_never_forks(self, on_cpus, monkeypatch):
+        def forks(grid):
+            return on_cpus(3, optimize_hyperparameters, self.cset, grid)[1]
+
+        assert forks(self.grid[:1]) == 0
+        # The search's estimate; three parts would need a quarter of it each.
+        seconds = len(self.grid) * len(self.cset) ** 2 * 25e-9
+        monkeypatch.setattr(workers, "PART_SECONDS", np.nextafter(seconds / 2, np.inf))
+        assert forks(self.grid) == 0
+        monkeypatch.setattr(workers, "PART_SECONDS", seconds / 2)
+        assert forks(self.grid) == 1
+        monkeypatch.setattr(workers, "PART_SECONDS", PART_SECONDS)
+        assert PART_SECONDS > seconds and forks(self.grid) == 0
 
 
 class TestPersistence:

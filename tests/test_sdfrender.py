@@ -2,15 +2,14 @@ import math
 import os
 import re
 import signal
-import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from touchfuse import sdfrender
 from touchfuse.geometry import look_at, rotation_about_axis, make_transform
 from touchfuse.gpis import ConditioningSet, KernelParams, LABEL_SURFACE, fit
-from touchfuse import sdfrender
 from touchfuse.sdfrender import (
     MISS_VAR,
     BoundingSphere,
@@ -339,36 +338,6 @@ class TestRender:
             assert res[0] >= image.depth[y, x] - 1e-12
 
 
-@pytest.fixture
-def split_render(monkeypatch):
-    """Render with `cpus` usable CPUs and every part worth a fork; checks
-    that each case leaves no child process and no open descriptor behind."""
-    fds = sorted(os.listdir("/proc/self/fd"))
-    monkeypatch.setattr(sdfrender, "MIN_PART_PAIRS", 1)
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-
-    def run(model, camera, params, cpus):
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        else:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        forks.clear()
-        image = render(model, camera, params)
-        return image, len(forks)
-
-    yield run
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir("/proc/self/fd")) == fds
-
-
 def candidate_count(model, camera, params):
     sphere = bounding_sphere(model.conditioning, 0.1, min_radius=params.min_step)
     dirs, _ = camera.pixel_rays()
@@ -383,93 +352,51 @@ class TestSplitRender:
     params = MarchParams(0.9, 1e-3, 1e-4, 200)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, "candidates + 1"])
-    def test_any_cpu_count_gives_the_one_part_bits(self, sphere_gpis, split_render, cpus):
-        one, forks = split_render(sphere_gpis, self.cam, self.params, 1)
+    def test_any_cpu_count_gives_the_one_part_bits(self, sphere_gpis, on_cpus, cpus):
+        one, forks = on_cpus(1, render, sphere_gpis, self.cam, self.params)
         assert forks == 0 and one.hit_mask.any()
         n = candidate_count(sphere_gpis, self.cam, self.params)
         cpus = n + 1 if cpus == "candidates + 1" else cpus
-        split, forks = split_render(sphere_gpis, self.cam, self.params, cpus)
+        split, forks = on_cpus(cpus, render, sphere_gpis, self.cam, self.params)
         assert forks == min(cpus, n) - 1
         np.testing.assert_array_equal(split.depth, one.depth)
         np.testing.assert_array_equal(split.variance, one.variance)
 
-    def test_cpu_count_where_there_is_no_affinity_call(self, sphere_gpis, split_render,
-                                                      monkeypatch):
-        one, _ = split_render(sphere_gpis, self.cam, self.params, 1)
-        monkeypatch.delattr(os, "sched_getaffinity")
-        split, forks = split_render(sphere_gpis, self.cam, self.params, 3)
-        assert forks == 2
-        np.testing.assert_array_equal(split.depth, one.depth)
-        np.testing.assert_array_equal(split.variance, one.variance)
-
-    def test_exhausted_rays_warn_once_with_the_serial_counts(self, sphere_gpis, split_render):
+    def test_exhausted_rays_warn_once_with_the_serial_counts(self, sphere_gpis, on_cpus):
         params = MarchParams(0.9, 1e-3, 1e-4, 2)
         messages = []
         for cpus in (1, 3):
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
-                split_render(sphere_gpis, self.cam, params, cpus)
+                on_cpus(cpus, render, sphere_gpis, self.cam, params)
             assert [w.category for w in record] == [RuntimeWarning]
             messages.append(str(record[0].message))
         assert messages[0] == messages[1]
 
-    def test_child_exception_is_raised_in_the_parent(self, sphere_gpis, split_render,
+    def test_child_exception_is_raised_in_the_parent(self, sphere_gpis, on_cpus, in_workers,
                                                      monkeypatch):
-        parent, march_part = os.getpid(), sdfrender._march_part
+        def fail():
+            raise ValueError("part failed in the child")
 
-        def failing_part(*args):
-            if os.getpid() != parent:
-                raise ValueError("part failed in the child")
-            return march_part(*args)
-
-        monkeypatch.setattr(sdfrender, "_march_part", failing_part)
+        monkeypatch.setattr(sdfrender, "_march_part", in_workers(fail, sdfrender._march_part))
         with pytest.raises(ValueError, match="^part failed in the child$"):
-            split_render(sphere_gpis, self.cam, self.params, 3)
+            on_cpus(3, render, sphere_gpis, self.cam, self.params)
 
     @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), "3"),
                                              (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")])
-    def test_child_ending_without_a_result_is_an_error(self, sphere_gpis, split_render,
+    def test_child_ending_without_a_result_is_an_error(self, sphere_gpis, on_cpus, in_workers,
                                                        monkeypatch, end, status):
-        parent, march_part = os.getpid(), sdfrender._march_part
-
-        def dying_part(*args):
-            if os.getpid() != parent:
-                end()
-            return march_part(*args)
-
-        monkeypatch.setattr(sdfrender, "_march_part", dying_part)
+        monkeypatch.setattr(sdfrender, "_march_part", in_workers(end, sdfrender._march_part))
         with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
-            split_render(sphere_gpis, self.cam, self.params, 2)
+            on_cpus(2, render, sphere_gpis, self.cam, self.params)
 
-    def test_parent_part_failure_reaps_the_children(self, sphere_gpis, split_render,
-                                                    monkeypatch):
-        parent, march_part = os.getpid(), sdfrender._march_part
+    def test_other_threads_keep_the_render_in_process(self, sphere_gpis, on_cpus, other_thread):
+        assert on_cpus(3, render, sphere_gpis, self.cam, self.params)[1] == 0
 
-        def failing_part(*args):
-            if os.getpid() == parent:
-                raise ValueError("part failed in the parent")
-            return march_part(*args)
-
-        monkeypatch.setattr(sdfrender, "_march_part", failing_part)
-        with pytest.raises(ValueError, match="part failed in the parent"):
-            split_render(sphere_gpis, self.cam, self.params, 3)
-
-    def test_other_threads_keep_the_render_in_process(self, sphere_gpis, split_render):
-        release = threading.Event()
-        worker = threading.Thread(target=release.wait)
-        worker.start()
-        try:
-            _, forks = split_render(sphere_gpis, self.cam, self.params, 3)
-        finally:
-            release.set()
-            worker.join(timeout=10)
-        assert forks == 0 and not worker.is_alive()
-
-    def test_analytic_ground_truth_never_forks(self, split_render, monkeypatch):
+    def test_analytic_ground_truth_never_forks(self, on_cpus, monkeypatch):
         def no_fork():
             raise AssertionError("render_gt_depth forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        image = render_gt_depth(AnalyticShape("sphere", (1.0,)), self.cam)
+        image, _ = on_cpus(8, render_gt_depth, AnalyticShape("sphere", (1.0,)), self.cam)
         assert image.hit_mask.any()

@@ -1,22 +1,19 @@
 import math
 import os
 import signal
-import threading
-import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from touchfuse import splat
+from touchfuse import splat, workers
 from touchfuse.errors import NumericalError
 from touchfuse.fuse import PROVENANCE_FUSED, PROVENANCE_NONE, FusedSupervision
 from touchfuse.geometry import look_at
 from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
 from touchfuse.splat import (
     FOOTPRINT_CAP_PX,
-    MIN_PART_WORK,
     Z_NEAR,
     LossConfig,
     SplatCloud,
@@ -28,6 +25,7 @@ from touchfuse.splat import (
     _project,
 )
 from touchfuse.touchsim import AnalyticShape, render_gt_depth
+from touchfuse.workers import PART_SECONDS
 
 from oracles import color_loss, composite_ray, depth_loss, grad_check, total_loss
 
@@ -546,35 +544,6 @@ class TestOptimize:
         assert lams[1] == pytest.approx(0.9 * lams[0])
 
 
-@pytest.fixture
-def split_train(monkeypatch):
-    """Train with `cpus` usable CPUs and every part worth a fork; returns the
-    cloud, the callback rows and the fork count, and checks that each case
-    leaves no child process and no open descriptor behind."""
-    fds = sorted(os.listdir("/proc/self/fd"))
-    monkeypatch.setattr(splat, "MIN_PART_WORK", 1)
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-
-    def run(cloud, views, cpus, cfg=LossConfig(decay=0.9), iters=4, callback=None, **kwargs):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        forks.clear()
-        rows = []
-        out = optimize(cloud, views, cfg, iters, callback=callback or rows.append, **kwargs)
-        return out, rows, len(forks)
-
-    yield run
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir("/proc/self/fd")) == fds
-
-
 def four_views(rng):
     eyes = [[0.4, 0.1, -0.3], [-0.3, 0.2, -0.2], [0.1, -0.4, -0.1]]
     cams = [camera()] + [camera(pose=look_at(eye, [0.0, 0.0, 2.0])) for eye in eyes]
@@ -586,158 +555,84 @@ def bits(cloud, rows):
             repr(rows))
 
 
-def interrupt():
-    raise KeyboardInterrupt
-
-
-def running(pid):
-    """Whether pid is a live process (not gone, not a zombie)."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
-    except FileNotFoundError:
-        return False
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or not os.path.isdir("/proc/self/fd"),
-                    reason="needs os.fork, os.sched_getaffinity and /proc/self/fd")
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+                    reason="needs os.fork and /proc/self/fd")
 class TestSplitTrain:
     @pytest.mark.parametrize("cpus", [1, 2, 3, "views + 1"])
-    def test_any_cpu_count_gives_the_one_process_bits(self, split_train, cpus):
+    def test_any_cpu_count_gives_the_one_process_bits(self, on_cpus, cpus):
         rng = np.random.default_rng(30)
         cloud, views = random_cloud(rng, 12), four_views(rng)
-        one, one_rows, forks = split_train(cloud, views, 1, step=1e-3)
+        one_rows, rows = [], []
+        one, forks = on_cpus(1, optimize, cloud, views, LossConfig(decay=0.9), 4, step=1e-3,
+                             callback=one_rows.append)
         assert forks == 0 and len(one_rows) == 4
         cpus = len(views) + 1 if cpus == "views + 1" else cpus
-        split, rows, forks = split_train(cloud, views, cpus, step=1e-3)
+        split, forks = on_cpus(cpus, optimize, cloud, views, LossConfig(decay=0.9), 4, step=1e-3,
+                               callback=rows.append)
         assert forks == min(cpus, len(views)) - 1
         assert bits(split, rows) == bits(one, one_rows)
 
-    def test_worker_exception_is_raised_in_the_parent(self, split_train, monkeypatch):
-        parent, view_terms = os.getpid(), splat._view_loss_and_grads
+    def test_worker_exception_is_raised_in_the_parent(self, on_cpus, in_workers, monkeypatch):
+        def fail():
+            raise ValueError("view failed in the worker")
 
-        def failing_view(*args):
-            if os.getpid() != parent:
-                raise ValueError("view failed in the worker")
-            return view_terms(*args)
-
-        monkeypatch.setattr(splat, "_view_loss_and_grads", failing_view)
+        monkeypatch.setattr(splat, "_view_loss_and_grads",
+                            in_workers(fail, splat._view_loss_and_grads))
         rng = np.random.default_rng(31)
         with pytest.raises(ValueError, match="^view failed in the worker$"):
-            split_train(random_cloud(rng, 8), four_views(rng), 3)
+            on_cpus(3, optimize, random_cloud(rng, 8), four_views(rng), LossConfig(decay=0.9), 4)
 
     @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), "3"),
-                                             (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9"),
-                                             (interrupt, "1")])
-    def test_worker_ending_without_a_result_is_an_error(self, split_train, monkeypatch,
+                                             (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")])
+    def test_worker_ending_without_a_result_is_an_error(self, on_cpus, in_workers, monkeypatch,
                                                         end, status):
-        parent, view_terms = os.getpid(), splat._view_loss_and_grads
-
-        def dying_view(*args):
-            if os.getpid() != parent:
-                end()
-            return view_terms(*args)
-
-        monkeypatch.setattr(splat, "_view_loss_and_grads", dying_view)
+        monkeypatch.setattr(splat, "_view_loss_and_grads",
+                            in_workers(end, splat._view_loss_and_grads))
         rng = np.random.default_rng(32)
-        try:
-            with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
-                split_train(random_cloud(rng, 8), four_views(rng), 2)
-        finally:
-            if os.getpid() != parent:  # a worker that ran on into the test
-                os._exit(99)
+        with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
+            on_cpus(2, optimize, random_cloud(rng, 8), four_views(rng), LossConfig(decay=0.9), 4)
 
-    def test_failing_callback_reaps_the_workers(self, split_train):
+    def test_failing_callback_reaps_the_workers(self, on_cpus):
         def callback(row):
             if row["iter"] == 2:
                 raise KeyError("callback failed")
 
         rng = np.random.default_rng(33)
         with pytest.raises(KeyError, match="callback failed"):
-            split_train(random_cloud(rng, 8), four_views(rng), 3, callback=callback)
+            on_cpus(3, optimize, random_cloud(rng, 8), four_views(rng), LossConfig(decay=0.9), 4,
+                    callback=callback)
 
-    def test_divergence_raises_as_in_one_process(self, split_train):
+    def test_divergence_raises_as_in_one_process(self, on_cpus):
         rng = np.random.default_rng(19)
         cloud, views = random_cloud(rng, 10), four_views(rng)
         messages = []
         for cpus in (1, 3):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(NumericalError, match="iteration") as info:
-                    split_train(cloud, views, cpus, LossConfig(0.0, 0.0, 1.0), 500,
-                                step=5.0, group_scales=(0.0, 1.0, 0.0))
+                    on_cpus(cpus, optimize, cloud, views, LossConfig(0.0, 0.0, 1.0), 500,
+                            step=5.0, group_scales=(0.0, 1.0, 0.0))
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
-    def test_other_threads_keep_training_in_process(self, split_train):
-        release = threading.Event()
-        worker = threading.Thread(target=release.wait)
-        worker.start()
-        try:
-            rng = np.random.default_rng(34)
-            _, _, forks = split_train(random_cloud(rng, 8), four_views(rng), 3)
-        finally:
-            release.set()
-            worker.join(timeout=10)
-        assert forks == 0 and not worker.is_alive()
+    def test_other_threads_keep_training_in_process(self, on_cpus, other_thread):
+        rng = np.random.default_rng(34)
+        cloud, views = random_cloud(rng, 8), four_views(rng)
+        assert on_cpus(3, optimize, cloud, views, LossConfig(decay=0.9), 4)[1] == 0
 
-    def test_one_view_or_a_part_under_the_floor_never_forks(self, split_train, monkeypatch):
+    def test_one_view_or_a_part_under_the_floor_never_forks(self, on_cpus, monkeypatch):
         rng = np.random.default_rng(35)
         cloud, views = random_cloud(rng, 8), four_views(rng)
-        assert split_train(cloud, views[:1], 3)[2] == 0
-        work = len(cloud) * sum(cam.width * cam.height for _, _, cam in views) * (4 + 1)
-        monkeypatch.setattr(splat, "MIN_PART_WORK", work // 2 + 1)
-        assert split_train(cloud, views, 3)[2] == 0
-        monkeypatch.setattr(splat, "MIN_PART_WORK", work // 2)
-        assert split_train(cloud, views, 3)[2] == 1
-        monkeypatch.setattr(splat, "MIN_PART_WORK", MIN_PART_WORK)
-        assert MIN_PART_WORK > work and split_train(cloud, views, 3)[2] == 0
 
-    def test_each_worker_holds_only_its_own_pipe_ends(self, split_train, monkeypatch):
-        rng = np.random.default_rng(37)
-        cloud, views = random_cloud(rng, 8), four_views(rng)
-        parent_fds = len(os.listdir("/proc/self/fd"))
-        view_terms = splat._view_loss_and_grads
+        def forks(views):
+            return on_cpus(3, optimize, cloud, views, LossConfig(decay=0.9), 4)[1]
 
-        def last_view_reports_fds(*args):
-            if args[3] is views[-1][2]:
-                raise ValueError(f"{len(os.listdir('/proc/self/fd'))} descriptors")
-            return view_terms(*args)
-
-        monkeypatch.setattr(splat, "_view_loss_and_grads", last_view_reports_fds)
-        with pytest.raises(ValueError, match=f"^{parent_fds + 2} descriptors$"):
-            split_train(cloud, views, 3)
-
-    def test_workers_end_when_the_trainer_is_killed(self, split_train):
-        rng = np.random.default_rng(36)
-        cloud, views = random_cloud(rng, 8), four_views(rng)
-        pids_r, pids_w = os.pipe()
-        trainer = os.fork()
-        if trainer == 0:
-            try:
-                os.close(pids_r)
-                real_fork = os.fork
-
-                def reporting_fork():
-                    pid = real_fork()
-                    if pid:
-                        os.write(pids_w, b"%d\n" % pid)
-                    return pid
-
-                os.fork = reporting_fork
-                os.sched_getaffinity = lambda pid: set(range(3))
-                optimize(cloud, views, LossConfig(), 10 ** 6)
-            finally:
-                os._exit(0)
-        os.close(pids_w)
-        with open(pids_r, "rb") as pipe:
-            pids = [int(pipe.readline()), int(pipe.readline())]
-        time.sleep(0.2)
-        os.kill(trainer, signal.SIGKILL)
-        os.waitpid(trainer, 0)
-        deadline = time.monotonic() + 5.0
-        while any(map(running, pids)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        alive = [pid for pid in pids if running(pid)]
-        for pid in alive:
-            os.kill(pid, signal.SIGKILL)
-        assert not alive
+        assert forks(views[:1]) == 0
+        # Training's estimate; three parts would need a quarter of it each.
+        pixels = sum(cam.width * cam.height for _, _, cam in views)
+        seconds = len(cloud) * pixels * (4 + 1) * 0.8e-9
+        monkeypatch.setattr(workers, "PART_SECONDS", np.nextafter(seconds / 2, np.inf))
+        assert forks(views) == 0
+        monkeypatch.setattr(workers, "PART_SECONDS", seconds / 2)
+        assert forks(views) == 1
+        monkeypatch.setattr(workers, "PART_SECONDS", PART_SECONDS)
+        assert PART_SECONDS > seconds and forks(views) == 0
