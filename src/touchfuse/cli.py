@@ -4,8 +4,9 @@ Exit codes:
 
 - 0 success;
 - 2 configuration error in the file or a flag (flags pass the file's
-  checks), including a non-finite number, an unknown stage and a
-  `[sim] sparse_fraction` that leaves a view fewer than 2 sparse samples;
+  checks), including a non-finite number, an unknown stage, a stage list
+  that names none and a `[sim] sparse_fraction` that leaves a view fewer
+  than 2 sparse samples;
 - 3 missing stage dependency;
 - 4 numerical failure;
 - 5 another run holds the output directory's lock;

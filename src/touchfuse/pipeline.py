@@ -605,8 +605,11 @@ class PipelineLock:
 
 
 def wanted_stages(stages=None):
-    """The stage names in `stages` (all when None); an unknown one is a ConfigError."""
+    """The stage names in `stages` (all when None); an empty list or an
+    unknown name is a ConfigError."""
     wanted = set(STAGE_ORDER if stages is None else stages)
+    if not wanted:
+        raise ConfigError("no stage named; pick from " + ", ".join(STAGE_ORDER))
     unknown = wanted - set(STAGE_ORDER)
     if unknown:
         raise ConfigError(f"unknown stages: {sorted(unknown)}")

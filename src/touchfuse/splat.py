@@ -124,19 +124,18 @@ def footprint_pairs(cloud: SplatCloud, camera: CameraModel):
     for r in np.unique(reach):
         ids = idx[reach == r]
         span = np.arange(-r, r + 1)
-        # (splat, row, column) axes: each per-axis term is computed once per
-        # row or column and broadcast over the square.
-        ix = np.round(u[ids]).astype(np.int64)[:, None, None] + span[None, None, :]
-        iy = np.round(v[ids]).astype(np.int64)[:, None, None] + span[None, :, None]
-        fx_ratio = (ix - u[ids, None, None]) / rx[ids, None, None]
-        fy_ratio = (iy - v[ids, None, None]) / ry[ids, None, None]
-        covered = (
-            (fx_ratio ** 2 + fy_ratio ** 2 <= 1.0)
-            & (ix >= 0) & (ix < camera.width)
-            & (iy >= 0) & (iy < camera.height)
-        )
-        sid_parts.append(np.broadcast_to(ids[:, None, None], covered.shape)[covered])
-        pix_parts.append((iy * camera.width + ix)[covered])
+        # (splat, row, column) axes: each per-axis term, the image-bounds
+        # test included (an infinite square fails the disc test), is
+        # computed once per row or column and broadcast over the square.
+        ix = np.round(u[ids]).astype(np.int64)[:, None] + span
+        iy = np.round(v[ids]).astype(np.int64)[:, None] + span
+        fx2 = ((ix - u[ids, None]) / rx[ids, None]) ** 2
+        fy2 = ((iy - v[ids, None]) / ry[ids, None]) ** 2
+        fx2[(ix < 0) | (ix >= camera.width)] = np.inf
+        fy2[(iy < 0) | (iy >= camera.height)] = np.inf
+        k, row, col = np.nonzero(fx2[:, None, :] + fy2[:, :, None] <= 1.0)
+        sid_parts.append(ids[k])
+        pix_parts.append(iy[k, row] * camera.width + ix[k, col])
     sid = np.concatenate(sid_parts)
     pix = np.concatenate(pix_parts)
     depth_rank = np.empty(len(cloud), np.int64)
@@ -146,59 +145,45 @@ def footprint_pairs(cloud: SplatCloud, camera: CameraModel):
     return pix[order], sid, z[sid]
 
 
-def _rank_slices(pix):
-    """Rank-major permutation of pixel-major pairs and its slice bounds:
-    pairs perm[bounds[r]:bounds[r + 1]] are each covered pixel's r-th
-    splat, in pair order, so no pixel repeats inside a slice."""
-    new_segment = np.ones(pix.size, dtype=bool)
-    new_segment[1:] = pix[1:] != pix[:-1]
-    seg_start = np.maximum.accumulate(np.where(new_segment, np.arange(pix.size), 0))
-    ranks = np.arange(pix.size) - seg_start
-    perm = np.argsort(ranks, kind="stable")
-    n_ranks = int(ranks.max()) + 1 if pix.size else 0
-    return perm, np.searchsorted(ranks[perm], np.arange(n_ranks + 1))
-
-
 def _forward(cloud, camera, pairs):
-    """Rank-sequenced compositing: per pixel it performs the exact operation
-    sequence of a scalar front-to-back blend (tests/oracles.py composite_ray),
-    just vectorized across pixels.
+    """Per-pixel front-to-back compositing: every pixel performs the exact
+    operation sequence of a scalar blend (tests/oracles.py composite_ray).
 
-    The pairs are gathered into rank-major order once; step r composites
-    the contiguous slice of every pixel's r-th splat. Returns the images
-    and (perm, bounds, w, t): the rank permutation with its slice bounds
-    and each pair's blend weight and incoming transmittance, both in
-    rank-major order.
+    Pair k is the rank[k]-th splat of covered pixel seg[k]. Row seg of a
+    table of ones holds 1 - alpha of that pixel's splats from column 1 on,
+    so its running product along the row is the transmittance chain,
+    t <- t * (1 - alpha) from t = 1; np.bincount adds each pixel's weighted
+    colors and depths from zero in pair order. Returns the images and
+    (seg, rank, counts, w, t): each pair's pixel row and rank, each row's
+    splat count, and each pair's blend weight and incoming transmittance.
     """
     pix, sid, z = pairs
     n_px = camera.width * camera.height
+    first = np.ones(pix.size, dtype=bool)
+    first[1:] = pix[1:] != pix[:-1]
+    starts = np.flatnonzero(first)
+    seg = np.cumsum(first) - 1
+    rank = np.arange(pix.size) - starts[seg]
+    counts = np.diff(np.append(starts, pix.size))
+    alpha = cloud.opacities[sid]
+    chain = np.ones((starts.size, counts.max(initial=0) + 1))
+    chain[seg, rank + 1] = 1.0 - alpha
+    np.multiply.accumulate(chain, axis=1, out=chain)
+    t = chain[seg, rank]
+    w = alpha * t
+    color = np.column_stack(
+        [np.bincount(pix, weights=cloud.colors[sid, c] * w, minlength=n_px) for c in range(3)]
+    )
+    depth = np.bincount(pix, weights=z * w, minlength=n_px)
     trans = np.ones(n_px)
-    color = np.zeros((n_px, 3))
-    depth = np.zeros(n_px)
-    perm, bounds = _rank_slices(pix)
-    sid_r = sid[perm]
-    pix_r, z_r = pix[perm], z[perm]
-    alpha_r, color_r = cloud.opacities[sid_r], cloud.colors[sid_r]
-    w_r = np.empty(pix.size)
-    t_r = np.empty(pix.size)
-    for r in range(bounds.size - 1):
-        s = slice(bounds[r], bounds[r + 1])
-        px = pix_r[s]
-        a = alpha_r[s]
-        t_here = trans[px]
-        w = a * t_here
-        color[px] = color[px] + color_r[s] * w[:, None]
-        depth[px] = depth[px] + z_r[s] * w
-        trans[px] = t_here * (1.0 - a)
-        w_r[s] = w
-        t_r[s] = t_here
+    trans[pix[starts]] = chain[np.arange(starts.size), counts]
     final = color + trans[:, None] * cloud.background
     shape = (camera.height, camera.width)
     return (
         final.reshape(shape + (3,)),
         depth.reshape(shape),
         trans.reshape(shape),
-        (perm, bounds, w_r, t_r),
+        (seg, rank, counts, w, t),
     )
 
 
@@ -230,7 +215,7 @@ def backproject_init(images):
 def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
     pairs = footprint_pairs(cloud, camera)
     pix, sid, z = pairs
-    rgb, depth, trans, (perm, bounds, w_r, t_r) = _forward(cloud, camera, pairs)
+    rgb, depth, trans, (seg, rank, counts, w_pairs, t_pairs) = _forward(cloud, camera, pairs)
 
     rgb_gt = np.asarray(rgb_gt, dtype=np.float64)
     if rgb.shape != rgb_gt.shape or depth.shape != fused.depth.shape:
@@ -252,28 +237,23 @@ def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
 
     n = len(cloud)
     alphas = cloud.opacities
-    w_pairs = np.empty(pix.size)
-    w_pairs[perm] = w_r
     # d(loss)/d(pair quantities)
     g_c_pair = g_color_px[pix]
     g_d_pair = g_depth_px[pix]
     direct = np.einsum("ij,ij->i", g_c_pair, cloud.colors[sid]) + g_d_pair * z
     phi = direct * w_pairs
     # Suffix sums per pixel: contributions of later splats and the
-    # background to d(loss)/d(alpha_i), accumulated back-to-front over the
-    # rank-major slices.
+    # background to d(loss)/d(alpha_i). Row seg starts with the background's
+    # term and holds the pixel's phi back to front, so its running sum at
+    # column counts - rank - 1 is what the splats behind pair k add.
     g_t_end = np.einsum("ij,j->i", g_color_px, cloud.background)
-    suffix = g_t_end * trans.reshape(-1)
-    pix_r, direct_r, phi_r = pix[perm], direct[perm], phi[perm]
-    a_r = alphas[sid[perm]]
-    g_alpha_r = np.empty(pix.size)
-    for r in range(bounds.size - 2, -1, -1):
-        s = slice(bounds[r], bounds[r + 1])
-        px = pix_r[s]
-        g_alpha_r[s] = direct_r[s] * t_r[s] - suffix[px] / (1.0 - a_r[s])
-        suffix[px] += phi_r[s]
-    g_alpha_pair = np.empty(pix.size)
-    g_alpha_pair[perm] = g_alpha_r
+    suffix = np.zeros((counts.size, counts.max(initial=0) + 1))
+    covered = pix[rank == 0]
+    suffix[:, 0] = g_t_end[covered] * trans.reshape(-1)[covered]
+    back = counts[seg] - rank
+    suffix[seg, back] = phi
+    np.add.accumulate(suffix, axis=1, out=suffix)
+    g_alpha_pair = direct * t_pairs - suffix[seg, back - 1] / (1.0 - alphas[sid])
 
     # bincount adds in pair order starting from zero, as np.add.at does,
     # so the sums are bit-equal.
@@ -334,10 +314,10 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
         raise ValueError("need at least one view")
     current = cloud.copy()
     pixels = sum(camera.width * camera.height for _, _, camera in views)
-    # A view's loss and gradients cost ≈0.8 ns per splat x pixel; a pass's
+    # A view's loss and gradients cost ≈0.7 ns per splat x pixel; a pass's
     # round trip, the cloud out and its views' terms back, costs less than
     # any one view's own pass.
-    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1) * 0.8e-9)
+    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1) * 0.7e-9)
 
     def part_terms(s, e, positions, colors, opacity_logits, cfg, lam):
         part = SplatCloud(positions, colors, opacity_logits, current.radii, current.background)

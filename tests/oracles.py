@@ -10,7 +10,7 @@ import numpy as np
 from touchfuse.fuse import FusedSupervision
 from touchfuse.gpis import KernelParams
 from touchfuse.sdfrender import BoundingSphere, CameraModel, MarchParams
-from touchfuse.splat import LossConfig, SplatCloud, loss_gradients, render
+from touchfuse.splat import LossConfig, SplatCloud, footprint_pairs, loss_gradients, render
 
 UNIT_DIR_TOL = 1e-9
 
@@ -148,6 +148,68 @@ def total_loss(cloud, views, cfg: LossConfig, depth_weight=None):
         if lam != 0.0:
             total += lam * depth_loss(depth, fused, cfg)
     return total
+
+
+def view_loss_and_grads(cloud: SplatCloud, rgb_gt, fused: FusedSupervision,
+                        camera: CameraModel, cfg: LossConfig, depth_weight):
+    """One view's (loss, color loss, depth loss, position, color and
+    opacity-logit gradients), pixel by pixel.
+
+    Each covered pixel blends its depth-ordered splats with composite_ray,
+    then walks them back to front: d(loss)/d(alpha_i) is the splat's direct
+    term times its incoming transmittance, less the suffix (the background's
+    term and every later splat's) over 1 - alpha_i. Each splat's gradients
+    are summed from zero in pixel-major pair order. A 3-term dot product
+    is numpy's einsum, as in the package: its summation order (on numpy 2.4
+    it adds the first and third products first) is numpy's choice.
+    """
+    pix, sid, z = footprint_pairs(cloud, camera)
+    alphas = cloud.opacities
+    width = camera.width
+    color = np.zeros((camera.height, width, 3))
+    depth = np.zeros((camera.height, width))
+    trans = np.ones((camera.height, width))
+    for p in np.unique(pix):
+        on = pix == p
+        y, x = divmod(int(p), width)
+        color[y, x], depth[y, x], trans[y, x] = composite_ray(
+            [(alphas[s], cloud.colors[s], d) for s, d in zip(sid[on], z[on])]
+        )
+    rgb = color + trans[..., None] * cloud.background
+    c_loss = color_loss(rgb, rgb_gt)
+    d_loss = depth_loss(depth, fused, cfg)
+
+    n = len(cloud)
+    grad_col = np.zeros((n, 3))
+    g_z = np.zeros(n)
+    g_alpha = np.zeros(n)
+    for p in np.unique(pix):
+        y, x = divmod(int(p), width)
+        g_c = 2.0 * (rgb[y, x] - rgb_gt[y, x])
+        g_d = 0.0
+        if fused.supervised_mask[y, x] and depth_weight != 0.0:
+            weight = np.exp(-cfg.sharpness * np.sqrt(fused.variance[y, x]))
+            g_d = depth_weight * 2.0 * weight * (depth[y, x] - fused.depth[y, x])
+        pairs = np.flatnonzero(pix == p)
+        t = np.empty(pairs.size)
+        t[0] = 1.0
+        for k in range(1, pairs.size):
+            t[k] = t[k - 1] * (1.0 - alphas[sid[pairs[k - 1]]])
+        suffix = np.einsum("j,j->", g_c, cloud.background) * trans[y, x]
+        pair_g_alpha = np.empty(pairs.size)
+        for k in range(pairs.size - 1, -1, -1):
+            s, a = sid[pairs[k]], alphas[sid[pairs[k]]]
+            direct = np.einsum("j,j->", g_c, cloud.colors[s]) + g_d * z[pairs[k]]
+            pair_g_alpha[k] = direct * t[k] - suffix / (1.0 - a)
+            suffix = suffix + direct * (a * t[k])
+        for k, pair in enumerate(pairs):
+            s, w = sid[pair], alphas[sid[pair]] * t[k]
+            grad_col[s] = grad_col[s] + g_c * w
+            g_z[s] = g_z[s] + g_d * w
+            g_alpha[s] = g_alpha[s] + pair_g_alpha[k]
+    grad_pos = g_z[:, None] * camera.rotation[:, 2][None, :]
+    grad_logit = g_alpha * alphas * (1.0 - alphas)
+    return c_loss + depth_weight * d_loss, c_loss, d_loss, grad_pos, grad_col, grad_logit
 
 
 def grad_check(cloud: SplatCloud, view, cfg: LossConfig, h=1e-5):

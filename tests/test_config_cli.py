@@ -244,6 +244,17 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err == "config error: unknown stages: ['bogus']\n"
 
+    @pytest.mark.parametrize("stages", [",", " ", " , ,"])
+    def test_empty_stage_list_is_a_config_error(self, tmp_path, capsys, stages):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(path), "--stages", stages,
+                     "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: no stage named")
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed, message", [
         ("-1", "key 'seed': value '-1' out of range"),
         ("seven", "key 'seed': expected an integer, got 'seven'"),

@@ -4,7 +4,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from touchfuse import splat, workers
@@ -27,7 +27,9 @@ from touchfuse.splat import (
 from touchfuse.touchsim import AnalyticShape, render_gt_depth
 from touchfuse.workers import PART_SECONDS
 
-from oracles import color_loss, composite_ray, depth_loss, grad_check, total_loss
+from oracles import (
+    color_loss, composite_ray, depth_loss, grad_check, total_loss, view_loss_and_grads,
+)
 
 
 def camera(w=16, h=16, fx=12.0, pose=None):
@@ -408,6 +410,62 @@ def small_view(rng, cam=None):
     return (gt_rgb, random_supervision(rng, cam.width, cam.height), cam)
 
 
+# Camera-frame splats (x/z, y/z, z, radius, r, g, b, alpha) for the
+# gradient oracle: colors include signed zeros and negative values, and
+# alphas reach 1 - 1e-12.
+SHADED_SPLAT = st.tuples(
+    st.floats(-0.6, 0.6),
+    st.floats(-0.6, 0.6),
+    st.floats(0.5, 3.0),
+    st.one_of(st.sampled_from([0.001, 0.05, 0.2]), st.floats(0.002, 0.4)),
+    *[st.one_of(st.sampled_from([-0.0, 0.0, -1.0]), st.floats(-1.0, 1.0))] * 3,
+    st.one_of(st.sampled_from([1e-6, 0.5, 1.0 - 1e-12]), st.floats(1e-3, 0.999)),
+)
+# All splats on the one pixel of the image centre (ranks 0..7), one of
+# them nearly opaque.
+ONE_PIXEL = [(0.0, 0.0, 1.0 + 0.25 * k, 0.001, 0.1 * k, -0.2, 0.3, 0.6) for k in range(8)]
+ONE_PIXEL[5] = ONE_PIXEL[5][:7] + (1.0 - 1e-12,)
+
+
+def shaded_cloud(splats, background):
+    if not splats:
+        return SplatCloud(np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0),
+                          background)
+    xr, yr, z, r, cr, cg, cb, a = (np.array(col, dtype=np.float64) for col in zip(*splats))
+    return SplatCloud(np.column_stack([xr * z, yr * z, z]), np.column_stack([cr, cg, cb]),
+                      np.log(a) - np.log1p(-a), r, background)
+
+
+class TestGradientOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(SHADED_SPLAT, max_size=10), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([0.0, 0.37, 1.0]), st.sampled_from([0.0, 1.3]),
+           st.sampled_from([(0.3, 0.3, 0.35), (-0.0, 0.0, -0.5)]))
+    @example([], 0, 1.0, 1.3, (0.3, 0.3, 0.35))
+    @example(ONE_PIXEL, 1, 1.0, 1.3, (0.3, 0.3, 0.35))
+    @example(ONE_PIXEL, 2, 0.0, 1.3, (-0.0, 0.0, -0.5))
+    @example([s[:4] + (-0.0, 0.0, -0.0) + s[7:] for s in ONE_PIXEL], 3, 0.37, 0.0,
+             (-0.0, 0.0, -0.5))
+    def test_view_terms_equal_per_pixel_oracle(self, splats, seed, depth_weight, sharpness,
+                                               background):
+        # All six outputs, signed zeros included, equal the scalar
+        # per-pixel back-to-front reference bit for bit.
+        cloud = shaded_cloud(splats, np.array(background))
+        cam = camera(9, 7)
+        rng = np.random.default_rng(seed)
+        rgb_gt = rng.uniform(-0.5, 1.0, size=(cam.height, cam.width, 3))
+        fused = random_supervision(rng, cam.width, cam.height, none_frac=0.3)
+        cfg = LossConfig(depth_weight, sharpness, 1.0)
+        got = splat._view_loss_and_grads(cloud, rgb_gt, fused, cam, cfg, depth_weight)
+        expected = view_loss_and_grads(cloud, rgb_gt, fused, cam, cfg, depth_weight)
+        for g, e in zip(got, expected):
+            assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
+
+    def test_one_pixel_case_ranks_every_splat(self):
+        pix, _, _ = footprint_pairs(shaded_cloud(ONE_PIXEL, np.zeros(3)), camera(9, 7))
+        assert pix.size == len(ONE_PIXEL) and np.unique(pix).size == 1
+
+
 class TestGradients:
     def test_grad_check_full_loss(self):
         rng = np.random.default_rng(12)
@@ -629,7 +687,7 @@ class TestSplitTrain:
         assert forks(views[:1]) == 0
         # Training's estimate; three parts would need a quarter of it each.
         pixels = sum(cam.width * cam.height for _, _, cam in views)
-        seconds = len(cloud) * pixels * (4 + 1) * 0.8e-9
+        seconds = len(cloud) * pixels * (4 + 1) * 0.7e-9
         monkeypatch.setattr(workers, "PART_SECONDS", np.nextafter(seconds / 2, np.inf))
         assert forks(views) == 0
         monkeypatch.setattr(workers, "PART_SECONDS", seconds / 2)
