@@ -12,8 +12,9 @@ Exit codes:
 - 5 another run holds the output directory's lock;
 - 6 malformed input file (PFM/PGM/PPM, PLY, camera list, sparse depth,
   GPIS model), a non-finite sparse depth or mono depth under a sparse
-  sample, a view image whose size is not its camera's, a GPIS model with
-  no surface point, or corrupt `manifest.json`.
+  sample, a non-finite value in a GPIS or fused depth or variance image, a
+  view image whose size is not its camera's, a GPIS model with no surface
+  point, or corrupt `manifest.json`.
 """
 
 import argparse

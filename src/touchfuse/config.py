@@ -4,9 +4,9 @@ Unknown keys, duplicate keys, malformed lines, out-of-range or non-finite
 values, a repeated `rho_grid` value, a shape size that does not fit the
 shape, text that is not UTF-8 and a missing dataset all fail loudly with the
 offending line number. A value set from the command line passes the same
-parse and range check. Several geometric parameters accept the literal
-`auto`, which resolves against the bounding radius of the touch data when
-the stage that needs them runs.
+parse and range check. `[conditioning] voxel` and `[kernel] prior_mean`
+accept the literal `auto`, which gpis-fit resolves against the bounding
+radius of the touch data.
 """
 
 import math
@@ -54,38 +54,26 @@ SCHEMA = {
         "points_per_touch": ("int", 64, _positive),
         "patch_radius": ("float", 0.15, _positive),
         "touch_noise": ("float", 0.001, _nonnegative),
-        "normal_noise": ("float", 0.0, _nonnegative),
         "sparse_fraction": ("float", 0.005, lambda x: 0.0 < x <= 0.01),
         "sparse_noise": ("float", 0.003, _nonnegative),
         "vision_bias": ("float", 0.4, None),
-        "object_color": ("rgb", (0.8, 0.4, 0.2), None),
-        "background_color": ("rgb", (0.2, 0.2, 0.2), None),
     },
     "kernel": {
-        "length_scale": ("float", 0.3, _positive),
         "output_scale": ("float", 0.4, _positive),
         "noise": ("float", 1e-6, _nonnegative),
         "prior_mean": ("autofloat", AUTO, None),
         # Each value is a full fit of the conditioning set: none may repeat.
-        "rho_grid": ("distinct floats", (), _positive),
+        "rho_grid": ("distinct floats", (0.3,), _positive),
     },
     "conditioning": {
-        "surface_offset": ("autofloat", AUTO, _positive),
-        "interior_offset": ("autofloat", AUTO, _positive),
-        "slices": ("int", 8, _positive),
         "voxel": ("autofloat", AUTO, _nonnegative),
         "cap": ("int", 8000, _positive),
     },
     "march": {
         "step_fraction": ("float", 0.9, _fraction),
-        "min_step": ("autofloat", AUTO, _positive),
-        "hit_tol": ("autofloat", AUTO, _positive),
         "max_steps": ("int", 200, _positive),
-        "margin": ("float", 0.1, _nonnegative),
     },
     "align": {
-        "uncertainty_slope": ("float", 0.1, _nonnegative),
-        "uncertainty_floor": ("float", 0.25, _positive),
         "max_gap": ("float", 3.0, _positive),
     },
     "loss": {
@@ -96,19 +84,16 @@ SCHEMA = {
     "train": {
         "iters": ("int", 150, _nonnegative),
         "step": ("float", 0.005, _positive),
-        "splat_radius": ("autofloat", AUTO, _positive),
         "max_points": ("int", 2500, _positive),
-        "opacity": ("float", 0.7, lambda x: 0.0 < x < 1.0),
     },
     "eval": {
         "gt_points": ("int", 2000, _positive),
-        "icp_iters": ("int", 15, _nonnegative),
     },
 }
 
 # What the text of each number kind must hold, as its parse error says.
 _EXPECTED = {"int": "an integer", "float": "a number", "autofloat": "a number or 'auto'",
-             "floats": "numbers", "distinct floats": "numbers", "rgb": "three color components"}
+             "floats": "numbers", "distinct floats": "numbers"}
 
 
 @dataclass
@@ -168,13 +153,13 @@ def _parse_value(kind, text, key, validator, lineno=None):
     try:
         numbers = tuple(map(int if kind == "int" else float, tokens))
     except ValueError:
+        numbers = ()
+    if not numbers:
         raise _error(lineno, key, f"expected {_EXPECTED[kind]}, got {text!r}")
     if kind != "int" and not all(map(math.isfinite, numbers)):
         raise _error(lineno, key, f"value {text!r} is not finite")
     if kind == "distinct floats" and len(set(numbers)) < len(numbers):
         raise _error(lineno, key, f"repeats a value in {text!r}")
-    if kind == "rgb" and (len(numbers) != 3 or any(not 0.0 <= c <= 1.0 for c in numbers)):
-        raise _error(lineno, key, "expected three color components in [0, 1]")
     if validator is not None and not all(map(validator, numbers)):
         raise _error(lineno, key, f"value {text!r} out of range")
     return numbers[0] if scalar else numbers

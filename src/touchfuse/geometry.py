@@ -27,17 +27,6 @@ def make_transform(rotation, translation):
     return t
 
 
-def rotation_about_axis(axis, angle):
-    """Rodrigues rotation matrix for a unit axis and angle in radians."""
-    k = unit(axis)
-    kx = np.array([
-        [0.0, -k[2], k[1]],
-        [k[2], 0.0, -k[0]],
-        [-k[1], k[0], 0.0],
-    ])
-    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
-
-
 def transform_points(transform, points):
     """Apply a rigid transform to an (N, 3) array (or a single 3-vector)."""
     pts = np.asarray(points, dtype=np.float64)

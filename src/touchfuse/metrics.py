@@ -95,7 +95,7 @@ def _best_rigid(src, dst):
     return rot, dst_c - rot @ src_c
 
 
-def align_clouds(a, b, iters=20):
+def align_clouds(a, b, iters=15):
     """Rigidly align cloud a to cloud b: centroid initialization refined by
     ICP on nearest neighbors; returns the 4x4 transform with the best
     chamfer seen (never worse than the initialization)."""

@@ -35,6 +35,8 @@ MANIFEST_VERSION = 3
 MONO_SCALE = 2.5
 MONO_OFFSET = 0.3
 LIGHT_DIR = np.array([0.4, -0.3, 0.9]) / np.linalg.norm([0.4, -0.3, 0.9])
+OBJECT_COLOR = np.array([0.8, 0.4, 0.2])
+BACKGROUND_COLOR = np.array([0.2, 0.2, 0.2])
 
 
 def _path(cfg, name):
@@ -187,12 +189,8 @@ def _resolve(value, auto_value):
 
 def _march_params(cfg, radius):
     m = cfg.section("march")
-    return sdfrender.MarchParams(
-        m["step_fraction"],
-        _resolve(m["min_step"], 1e-3 * radius),
-        _resolve(m["hit_tol"], 1e-4 * radius),
-        m["max_steps"],
-    )
+    return sdfrender.MarchParams(m["step_fraction"], 1e-3 * radius, 1e-4 * radius,
+                                 m["max_steps"])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +212,7 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
     for directory in (cfg.dataset, *subdirs):
         _remove_temp_files(directory)
 
-    noise = touchsim.NoiseModel(sim["touch_noise"], sim["normal_noise"], sim["sparse_noise"])
+    noise = touchsim.NoiseModel(sim["touch_noise"], sim["sparse_noise"])
     touches = touchsim.sample_touches(
         shape, sim["touches"], sim["patch_radius"], sim["points_per_touch"], noise, seed=seed
     )
@@ -237,12 +235,9 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
             sim["focal"], sim["focal"], cx, cy, width, height, pose)))
     io.write(fileio.write_cameras, "dataset:cameras.txt", cameras)
 
-    object_color = np.asarray(sim["object_color"])
-    background_color = np.asarray(sim["background_color"])
     for i, (name, cam) in enumerate(cameras):
         gt_object = touchsim.render_gt_depth(shape, cam)
-        scene_depth, rgb = _compose_scene(shape, cam, gt_object, sim["dome_radius"],
-                                          object_color, background_color)
+        scene_depth, rgb = _compose_scene(shape, cam, gt_object, sim["dome_radius"])
         io.write(fileio.write_pfm, f"dataset:gt_depth/{name}.pfm", scene_depth)
         io.write(fileio.write_ppm, f"dataset:rgb/{name}.ppm", rgb)
 
@@ -267,18 +262,17 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
         "dome_radius": f"{sim['dome_radius']:.17g}",
         "seed": str(seed),
         "touch_noise": f"{sim['touch_noise']:.17g}",
-        "normal_noise": f"{sim['normal_noise']:.17g}",
         "sparse_noise": f"{sim['sparse_noise']:.17g}",
         "vision_bias": f"{sim['vision_bias']:.17g}",
         "mono_scale": f"{MONO_SCALE:.17g}",
         "mono_offset": f"{MONO_OFFSET:.17g}",
-        "object_color": " ".join(f"{c:.17g}" for c in object_color),
-        "background_color": " ".join(f"{c:.17g}" for c in background_color),
+        "object_color": " ".join(f"{c:.17g}" for c in OBJECT_COLOR),
+        "background_color": " ".join(f"{c:.17g}" for c in BACKGROUND_COLOR),
     }
     io.write(fileio.write_keyvalues, "dataset:scene.cfg", record)
 
 
-def _compose_scene(shape, camera, gt_object, dome_radius, object_color, background_color):
+def _compose_scene(shape, camera, gt_object, dome_radius):
     """Scene depth = object where hit else enclosing dome; flat-shaded RGB."""
     h, w = camera.height, camera.width
     dirs, axis_cos = camera.pixel_rays()
@@ -291,14 +285,14 @@ def _compose_scene(shape, camera, gt_object, dome_radius, object_color, backgrou
     depth = np.where(hit, gt_object.depth, dome_depth)
 
     rgb = np.empty((h, w, 3))
-    rgb[:] = background_color
+    rgb[:] = BACKGROUND_COLOR
     ys, xs = np.nonzero(hit)
     if xs.size:
         pts = camera.backproject(xs, ys, gt_object.depth[ys, xs])
         normals = touchsim.sdf_gradient(shape, pts)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         shade = 0.25 + 0.75 * np.maximum(normals @ LIGHT_DIR, 0.0)
-        rgb[ys, xs] = object_color[None, :] * shade[:, None]
+        rgb[ys, xs] = OBJECT_COLOR[None, :] * shade[:, None]
     return depth, rgb
 
 
@@ -308,15 +302,10 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     _, radius = geometry.centroid_spread(all_points)
     cond = cfg.section("conditioning")
     cset = gpis.build_conditioning_set(
-        touches,
-        _resolve(cond["surface_offset"], 0.02 * radius),
-        _resolve(cond["interior_offset"], 0.01 * radius),
-        n_slices=cond["slices"],
-        voxel=_resolve(cond["voxel"], radius / 50.0),
-    )
+        touches, 0.02 * radius, 0.01 * radius, voxel=_resolve(cond["voxel"], radius / 50.0))
     k = cfg.section("kernel")
-    # Without a grid the configured length scale is the one candidate. A set
-    # over the cap or a matrix that will not factorize fails here (exit 4).
+    # A one-value grid is a fixed length scale. A set over the cap or a
+    # matrix that will not factorize fails here (exit 4).
     # A grid worth the forks is scored on every usable CPU, this process
     # taking its tail; the model is the same at any CPU count. save_model
     # leaves the fitted model for gpis-render in this process, which takes
@@ -324,7 +313,7 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     # file otherwise.
     model = gpis.optimize_hyperparameters(
         cset,
-        [(rho, k["output_scale"]) for rho in k["rho_grid"] or (k["length_scale"],)],
+        [(rho, k["output_scale"]) for rho in k["rho_grid"]],
         noise=k["noise"],
         prior_mean=_resolve(k["prior_mean"], 0.5 * radius),
         cap=cond["cap"],
@@ -339,9 +328,7 @@ def stage_gpis_render(cfg: SceneConfig, io: StageIO):
         raise FormatError(f"{_path(cfg, 'out:gpis.model')}: GPIS model has no surface point")
     _, radius = geometry.centroid_spread(surface)
     params = _march_params(cfg, radius)
-    sphere = sdfrender.bounding_sphere(
-        model.conditioning, cfg.get("march", "margin"), min_radius=params.min_step
-    )
+    sphere = sdfrender.bounding_sphere(model.conditioning, min_radius=params.min_step)
     for name, cam in _camera_views(io):
         image = sdfrender.render_depth_variance(model, cam, params, sphere=sphere)
         _save_depth_var(io, name, "gpis", image.depth, image.variance)
@@ -357,8 +344,19 @@ def _read_view(io, reader, name, cam):
 
 
 def _load_depth_var(io, name, prefix, cam):
-    return (_read_view(io, fileio.read_pfm, f"out:{name}_{prefix}_depth.pfm", cam),
-            _read_view(io, fileio.read_pfm, f"out:{name}_{prefix}_var.pfm", cam))
+    """A view's depth and variance images. The gpis and fused images are
+    finite by construction, so a value that is not makes the file malformed;
+    vision images are NaN wherever the mono depth is."""
+    images = []
+    for kind in ("depth", "var"):
+        file = f"out:{name}_{prefix}_{kind}.pfm"
+        image = _read_view(io, fileio.read_pfm, file, cam)
+        if prefix != "vision" and not np.isfinite(image).all():
+            v, u = np.argwhere(~np.isfinite(image))[0]
+            raise FormatError(f"{_path(io.cfg, file)}: value {image[v, u]} at (u, v) = "
+                              f"({u}, {v}) is not finite")
+        images.append(image)
+    return tuple(images)
 
 
 def _save_depth_var(io, name, prefix, depth, variance):
@@ -391,18 +389,13 @@ def _read_sparse(io, view, cam, raw):
 
 
 def stage_align(cfg: SceneConfig, io: StageIO):
-    params = cfg.section("align")
     for name, cam in _camera_views(io):
         raw = _read_view(io, fileio.read_pfm, f"dataset:mono_depth/{name}.pfm", cam)
         sparse = _read_sparse(io, name, cam, raw)
         g_depth, g_var = _load_depth_var(io, name, "gpis", cam)
         touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
-        aligned = align_mod.align_vision(
-            raw, sparse, touch_img,
-            max_gap=params["max_gap"],
-            slope=params["uncertainty_slope"],
-            floor=params["uncertainty_floor"],
-        )
+        aligned = align_mod.align_vision(raw, sparse, touch_img,
+                                         max_gap=cfg.get("align", "max_gap"))
         _save_depth_var(io, name, "vision", aligned.depth, aligned.variance)
         io.write(fileio.write_keyvalues, f"out:{name}_align.txt", {
             "s_star": f"{aligned.s_star:.17g}",
@@ -444,10 +437,13 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
         keep = np.sort(rng.choice(points.shape[0], size=train["max_points"], replace=False))
         points, colors = points[keep], colors[keep]
 
+    # Each splat covers about 1.5 pixels at the median depth and starts at
+    # opacity 0.7.
     cam0 = views[0][1]
     median_depth = float(np.median(np.concatenate([img.depth[img.hit_mask] for img in images])))
-    radius = _resolve(train["splat_radius"], 1.5 * median_depth / cam0.fx)
-    logit = math.log(train["opacity"] / (1.0 - train["opacity"]))
+    radius = 1.5 * median_depth / cam0.fx
+    opacity = 0.7
+    logit = math.log(opacity / (1.0 - opacity))
     cloud = splat.SplatCloud(
         points, colors, np.full(points.shape[0], logit), np.full(points.shape[0], radius),
     )
@@ -510,7 +506,7 @@ def evaluate_scene(cfg: SceneConfig, io: StageIO):
 
     gt_cloud = touchsim.surface_points(shape, cfg.get("eval", "gt_points"), seed=cfg.seed)
     pred = cloud.positions
-    transform = metrics.align_clouds(pred, gt_cloud, iters=cfg.get("eval", "icp_iters"))
+    transform = metrics.align_clouds(pred, gt_cloud)
     moved = pred @ transform[:3, :3].T + transform[:3, 3]
     return metrics.EvalReport(
         psnr=float(np.mean(psnrs)),

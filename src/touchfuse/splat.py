@@ -240,13 +240,17 @@ def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
     # d(loss)/d(pair quantities)
     g_c_pair = g_color_px[pix]
     g_d_pair = g_depth_px[pix]
-    direct = np.einsum("ij,ij->i", g_c_pair, cloud.colors[sid]) + g_d_pair * z
+    # Each 3-term dot adds its first and third products first, written out
+    # so that the sums do not depend on numpy's choice of summation order.
+    prod = g_c_pair * cloud.colors[sid]
+    direct = (prod[:, 0] + prod[:, 2]) + prod[:, 1] + g_d_pair * z
     phi = direct * w_pairs
     # Suffix sums per pixel: contributions of later splats and the
     # background to d(loss)/d(alpha_i). Row seg starts with the background's
     # term and holds the pixel's phi back to front, so its running sum at
     # column counts - rank - 1 is what the splats behind pair k add.
-    g_t_end = np.einsum("ij,j->i", g_color_px, cloud.background)
+    prod = g_color_px * cloud.background
+    g_t_end = (prod[:, 0] + prod[:, 2]) + prod[:, 1]
     suffix = np.zeros((counts.size, counts.max(initial=0) + 1))
     covered = pix[rank == 0]
     suffix[:, 0] = g_t_end[covered] * trans.reshape(-1)[covered]

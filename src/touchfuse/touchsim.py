@@ -95,16 +95,15 @@ def sdf_gradient(shape: AnalyticShape, points, h=GRADIENT_STEP):
 class NoiseModel:
     """Perturbation magnitudes for simulated measurements.
 
-    point_sigma (m) jitters touch points, normal_sigma (rad) tilts normals,
-    sparse_quadratic (1/m) scales the depth-noise std as coeff * depth^2.
+    point_sigma (m) jitters touch points, sparse_quadratic (1/m) scales the
+    depth-noise std as coeff * depth^2.
     """
 
     point_sigma: float = 0.0
-    normal_sigma: float = 0.0
     sparse_quadratic: float = 0.0
 
     def __post_init__(self):
-        if self.point_sigma < 0 or self.normal_sigma < 0 or self.sparse_quadratic < 0:
+        if self.point_sigma < 0 or self.sparse_quadratic < 0:
             raise ValueError("noise magnitudes must be nonnegative")
 
 
@@ -135,7 +134,7 @@ def _random_surface_point(shape, rng):
 def sample_touches(shape: AnalyticShape, n_touches, patch_radius, points_per_touch,
                    noise: NoiseModel = NoiseModel(), seed=0):
     """Simulate tactile patches: random surface centers, tangent-disc samples
-    projected back to the surface, SDF-gradient normals, optional noise."""
+    projected back to the surface, SDF-gradient normals, optional point noise."""
     if n_touches < 1:
         raise ValueError("need at least one touch")
     rng = np.random.default_rng(seed)
@@ -158,22 +157,8 @@ def sample_touches(shape: AnalyticShape, n_touches, patch_radius, points_per_tou
 
         if noise.point_sigma > 0.0:
             pts = pts + rng.normal(scale=noise.point_sigma, size=pts.shape)
-        if noise.normal_sigma > 0.0:
-            normals = _tilt_normals(normals, noise.normal_sigma, rng)
         touches.append(TouchReading(pts, normals))
     return touches
-
-
-def _tilt_normals(normals, sigma, rng):
-    out = np.empty_like(normals)
-    for i, n in enumerate(normals):
-        helper = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(n, helper)) > 1.0 - 1e-9:
-            helper = np.array([0.0, 1.0, 0.0])
-        axis = geometry.unit(np.cross(n, helper))
-        axis = geometry.rotation_about_axis(n, rng.uniform(0, 2 * math.pi)) @ axis
-        out[i] = geometry.rotation_about_axis(axis, rng.normal(scale=sigma)) @ n
-    return out
 
 
 def render_gt_depth(shape: AnalyticShape, camera: CameraModel) -> DepthVarImage:

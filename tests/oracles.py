@@ -1,6 +1,7 @@
 """Scalar reference forms of the package's batched algorithms, which the
 tests hold the batched code to (bit for bit where the tests say so), and
-the reference splat loss that grad_check differentiates."""
+the reference splat loss that grad_check differentiates, and the rotation
+helper the tests pose clouds and cameras with."""
 
 import math
 from dataclasses import dataclass
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from touchfuse.fuse import FusedSupervision
+from touchfuse.geometry import unit
 from touchfuse.gpis import KernelParams
 from touchfuse.sdfrender import BoundingSphere, CameraModel, MarchParams
 from touchfuse.splat import LossConfig, SplatCloud, footprint_pairs, loss_gradients, render
@@ -150,6 +152,12 @@ def total_loss(cloud, views, cfg: LossConfig, depth_weight=None):
     return total
 
 
+def dot3(a, b):
+    """The dot product of two 3-vectors, first and third products first."""
+    p = a * b
+    return (p[0] + p[2]) + p[1]
+
+
 def view_loss_and_grads(cloud: SplatCloud, rgb_gt, fused: FusedSupervision,
                         camera: CameraModel, cfg: LossConfig, depth_weight):
     """One view's (loss, color loss, depth loss, position, color and
@@ -160,8 +168,7 @@ def view_loss_and_grads(cloud: SplatCloud, rgb_gt, fused: FusedSupervision,
     term times its incoming transmittance, less the suffix (the background's
     term and every later splat's) over 1 - alpha_i. Each splat's gradients
     are summed from zero in pixel-major pair order. A 3-term dot product
-    is numpy's einsum, as in the package: its summation order (on numpy 2.4
-    it adds the first and third products first) is numpy's choice.
+    adds its first and third products first, as the package does.
     """
     pix, sid, z = footprint_pairs(cloud, camera)
     alphas = cloud.opacities
@@ -195,11 +202,11 @@ def view_loss_and_grads(cloud: SplatCloud, rgb_gt, fused: FusedSupervision,
         t[0] = 1.0
         for k in range(1, pairs.size):
             t[k] = t[k - 1] * (1.0 - alphas[sid[pairs[k - 1]]])
-        suffix = np.einsum("j,j->", g_c, cloud.background) * trans[y, x]
+        suffix = dot3(g_c, cloud.background) * trans[y, x]
         pair_g_alpha = np.empty(pairs.size)
         for k in range(pairs.size - 1, -1, -1):
             s, a = sid[pairs[k]], alphas[sid[pairs[k]]]
-            direct = np.einsum("j,j->", g_c, cloud.colors[s]) + g_d * z[pairs[k]]
+            direct = dot3(g_c, cloud.colors[s]) + g_d * z[pairs[k]]
             pair_g_alpha[k] = direct * t[k] - suffix / (1.0 - a)
             suffix = suffix + direct * (a * t[k])
         for k, pair in enumerate(pairs):
@@ -255,3 +262,14 @@ def matern32(distance, params: KernelParams):
     scaled = (np.sqrt(3.0) / params.length_scale) * d
     out = params.output_scale ** 2 * (1.0 + scaled) * np.exp(-scaled)
     return float(out) if np.isscalar(distance) or out.ndim == 0 else out
+
+
+def rotation_about_axis(axis, angle):
+    """Rodrigues rotation matrix for a unit axis and angle in radians."""
+    k = unit(axis)
+    kx = np.array([
+        [0.0, -k[2], k[1]],
+        [k[2], 0.0, -k[0]],
+        [-k[1], k[0], 0.0],
+    ])
+    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)

@@ -67,16 +67,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 4"):
             parse_config_text(text)
 
-    def test_color_needs_three_components(self):
-        text = "[scene]\ndataset = a\nout = b\n[sim]\nobject_color = 0.5 0.5\n"
-        with pytest.raises(ConfigError, match="three color components"):
-            parse_config_text(text)
-        text = "[scene]\ndataset = a\nout = b\n[sim]\nbackground_color = 0.5 0.5 1.5\n"
-        with pytest.raises(ConfigError, match="three color components"):
-            parse_config_text(text)
-
     def test_removed_keys_are_unknown(self):
-        for section, key in (("march", "t_max"), ("loss", "base_weight")):
+        for section, key in (
+            ("march", "t_max"), ("loss", "base_weight"),
+            ("sim", "normal_noise"), ("sim", "object_color"), ("sim", "background_color"),
+            ("kernel", "length_scale"), ("conditioning", "surface_offset"),
+            ("conditioning", "interior_offset"), ("conditioning", "slices"),
+            ("march", "min_step"), ("march", "hit_tol"), ("march", "margin"),
+            ("align", "uncertainty_slope"), ("align", "uncertainty_floor"),
+            ("train", "splat_radius"), ("train", "opacity"), ("eval", "icp_iters"),
+        ):
             text = f"[scene]\ndataset = a\nout = b\n[{section}]\n{key} = 1.0\n"
             with pytest.raises(ConfigError, match=f"line 5: unknown key '{key}'"):
                 parse_config_text(text)
@@ -379,6 +379,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra, message", [
         ("[kernel]\nrho_grid = 0.3 -0.3\n", "line 6: key 'rho_grid'"),
         ("[kernel]\nrho_grid = 0.2 0.3 0.20\n", "line 6: key 'rho_grid': repeats a value"),
+        ("[kernel]\nrho_grid =\n", "line 6: key 'rho_grid': expected numbers, got ''"),
         ("[sim]\nshape = torus\nsize = 1.0\n", "line 7: key 'size'"),
         ("[sim]\nshape = torus\n", "line 6: key 'size'"),
         ("[sim]\nsize = 0.0\n", "line 6: key 'size'"),
@@ -389,9 +390,9 @@ class TestExitCodes:
         ("[align]\nmax_gap = inf\n", "line 6: key 'max_gap'"),
         ("[sim]\nsparse_fraction = 0.0003\n",
          "line 6: key 'sparse_fraction': view000: fraction 0.0003 yields 1 samples"),
-    ], ids=["negative-rho", "repeated-rho", "torus-one-radius", "torus-default-size", "zero-size",
-            "nan-vision-bias", "nan-prior-mean", "inf-orbit-height", "inf-touch-noise",
-            "inf-max-gap", "too-few-sparse-samples"])
+    ], ids=["negative-rho", "repeated-rho", "empty-rho", "torus-one-radius",
+            "torus-default-size", "zero-size", "nan-vision-bias", "nan-prior-mean",
+            "inf-orbit-height", "inf-touch-noise", "inf-max-gap", "too-few-sparse-samples"])
     def test_value_that_fails_a_stage_is_a_config_error(self, tmp_path, capsys, extra, message):
         path = write_config(tmp_path, MINIMAL + extra, make_dataset=False)
         assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
@@ -525,6 +526,23 @@ class TestExitCodes:
             assert provenance[v, u] in (fuse.PROVENANCE_NONE, fuse.PROVENANCE_TOUCH)
 
     @pytest.mark.parametrize("path, stage", [
+        ("out/view000_gpis_depth.pfm", "fuse"),
+        ("out/view000_gpis_var.pfm", "fuse"),
+        ("out/view000_fused_depth.pfm", "train"),
+    ])
+    def test_gpis_or_fused_value_that_is_not_finite(self, built, tmp_path, capsys, path, stage):
+        """A NaN at the first pixel a GPIS ray hit is a malformed file, not a
+        NaN fused depth or a diverged training run."""
+        v, u = np.argwhere(fileio.read_pfm(tmp_path / "out/view000_gpis_depth.pfm") > 0.0)[0]
+        image = fileio.read_pfm(tmp_path / path)
+        image[v, u] = np.nan
+        fileio.write_pfm(tmp_path / path, image)
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and os.path.basename(path) in err
+        assert f"value nan at (u, v) = ({u}, {v}) is not finite" in err
+
+    @pytest.mark.parametrize("path, stage", [
         ("data/mono_depth/view000.pfm", "align"),
         ("out/view000_gpis_var.pfm", "fuse"),
         ("out/view000_gpis_depth.pfm", "init-points"),
@@ -626,6 +644,10 @@ def tree_bytes(root):
     return files
 
 
+# The stages that make at least 3 files of SMALL_SCENE.
+MANY_WRITES = ("simulate", "gpis-render", "align", "fuse")
+
+
 class TestCrashAfterWrite:
     """A run that dies right after a completed write, then a clean rerun,
     leave every file byte-identical to one clean run's."""
@@ -671,29 +693,46 @@ class TestCrashAfterWrite:
         self.crash_run(cfg, monkeypatch, crashes)
         self.rerun_matches_a_clean_run(cfg, pristine, tmp_path)
 
-    @pytest.mark.parametrize("stage", STAGES, ids=STAGE_ORDER)
-    def test_crash_after_a_stages_last_write(self, pristine, tmp_path, monkeypatch, stage):
-        """A stage writes each of its files once, so its last write is the
-        one that brings it to the count of its files in the clean run."""
-        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
-                              require_dataset=False)
+    @staticmethod
+    def file_count(pristine, stage):
+        """How many files the stage makes in the clean run. It writes each
+        of them once, so its last write is the one that reaches this count."""
         names = [path.replace("data/", "dataset:", 1).replace("out/", "out:", 1)
                  for path in tree_bytes(pristine)]
-        last = sum(map(stage.produces, names))
+        return sum(map(stage.produces, names))
+
+    def crash_after_write(self, pristine, tmp_path, monkeypatch, stage, count):
+        """Crash right after the stage's count-th write, then rerun."""
+        cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
+                              require_dataset=False)
         writes = []
 
         def crashes(name, write):
             if not stage.produces(name):
                 return False
             writes.append(name)
-            if len(writes) < last:
+            if len(writes) < count:
                 return False
             write()
             return True
 
         self.crash_run(cfg, monkeypatch, crashes)
-        assert len(set(writes)) == len(writes) == last
+        assert len(set(writes)) == len(writes) == count
         self.rerun_matches_a_clean_run(cfg, pristine, tmp_path)
+
+    @pytest.mark.parametrize("stage", STAGES, ids=STAGE_ORDER)
+    def test_crash_after_a_stages_last_write(self, pristine, tmp_path, monkeypatch, stage):
+        self.crash_after_write(pristine, tmp_path, monkeypatch, stage,
+                               self.file_count(pristine, stage))
+
+    @pytest.mark.parametrize("name", MANY_WRITES)
+    def test_crash_after_a_stages_middle_write(self, pristine, tmp_path, monkeypatch, name):
+        """The crash comes after write ceil(last / 2) of a stage that makes
+        at least 3 files, so that the stage leaves some written and some not."""
+        stage = STAGES[STAGE_ORDER.index(name)]
+        last = self.file_count(pristine, stage)
+        assert last >= 3
+        self.crash_after_write(pristine, tmp_path, monkeypatch, stage, -(-last // 2))
 
     @pytest.mark.parametrize("completed", [True, False], ids=["after", "instead-of"])
     @pytest.mark.parametrize("stage", STAGE_ORDER)

@@ -9,9 +9,11 @@ from hypothesis.extra import numpy as hnp
 from touchfuse import fileio
 from touchfuse.align import SparseDepth
 from touchfuse.errors import FormatError
-from touchfuse.geometry import look_at, make_transform, rotation_about_axis
+from touchfuse.geometry import look_at, make_transform
 from touchfuse.sdfrender import CameraModel
 from touchfuse.splat import SplatCloud
+
+from oracles import rotation_about_axis
 
 
 class TestPFM:

@@ -10,7 +10,7 @@ from scipy.linalg import cholesky, solve_triangular
 
 from touchfuse import fileio, gpis, workers
 from touchfuse.errors import FormatError, NumericalError
-from touchfuse.geometry import rotation_about_axis, make_transform, transform_points
+from touchfuse.geometry import make_transform, transform_points
 from touchfuse.gpis import (
     JITTER_START_FRAC,
     JITTER_STOP_FRAC,
@@ -29,7 +29,7 @@ from touchfuse.gpis import (
 )
 from touchfuse.workers import PART_SECONDS
 
-from oracles import matern32
+from oracles import matern32, rotation_about_axis
 
 
 def sphere_touches(n, seed=0, radius=1.0):

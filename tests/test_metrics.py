@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from touchfuse.geometry import rotation_about_axis
 from touchfuse.metrics import align_clouds, chamfer, depth_sq_errors, hausdorff, psnr
+
+from oracles import rotation_about_axis
 
 
 def depth_mse(pred, gt, mask=None):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from touchfuse import sdfrender
-from touchfuse.geometry import look_at, rotation_about_axis, make_transform
+from touchfuse.geometry import look_at, make_transform
 from touchfuse.gpis import ConditioningSet, KernelParams, LABEL_SURFACE, fit
 from touchfuse.sdfrender import (
     MISS_VAR,
@@ -23,7 +23,7 @@ from touchfuse.sdfrender import (
 from touchfuse.touchsim import AnalyticShape, NoiseModel, render_gt_depth, sample_touches
 from touchfuse.gpis import build_conditioning_set
 
-from oracles import Ray, generate_ray, march, sphere_prefilter
+from oracles import Ray, generate_ray, march, rotation_about_axis, sphere_prefilter
 
 
 def render(model, camera, params):

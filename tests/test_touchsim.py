@@ -75,8 +75,8 @@ class TestSampleTouches:
 
     def test_same_seed_identical(self):
         sphere = AnalyticShape("sphere", (1.0,))
-        a = sample_touches(sphere, 5, 0.1, 16, NoiseModel(0.01, 0.02, 0.0), seed=9)
-        b = sample_touches(sphere, 5, 0.1, 16, NoiseModel(0.01, 0.02, 0.0), seed=9)
+        a = sample_touches(sphere, 5, 0.1, 16, NoiseModel(0.01, 0.0), seed=9)
+        b = sample_touches(sphere, 5, 0.1, 16, NoiseModel(0.01, 0.0), seed=9)
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.points, tb.points)
             np.testing.assert_array_equal(ta.normals, tb.normals)
@@ -95,13 +95,6 @@ class TestSampleTouches:
         for touch in touches:
             gaps = np.linalg.norm(touch.points[:, None] - touch.points[None, :], axis=2)
             assert np.max(gaps) < 2 * (0.08 * 1.05 + 4 * noise.point_sigma)
-
-    def test_normal_noise_keeps_unit_length(self):
-        sphere = AnalyticShape("sphere", (1.0,))
-        touches = sample_touches(sphere, 3, 0.1, 64, NoiseModel(0.0, 0.1, 0.0), seed=5)
-        for touch in touches:
-            np.testing.assert_allclose(np.linalg.norm(touch.normals, axis=1),
-                                       np.ones(64), atol=1e-9)
 
 
 class TestRenderGTDepth:
