@@ -13,8 +13,10 @@ Exit codes:
 - 6 malformed input file (PFM/PGM/PPM, PLY, camera list, sparse depth,
   GPIS model), a non-finite sparse depth or mono depth under a sparse
   sample, a non-finite value in a GPIS or fused depth or variance image, a
-  view image whose size is not its camera's, a GPIS model with no surface
-  point, or corrupt `manifest.json`.
+  variance that is not positive (NaN only where a vision depth is), a
+  negative GPIS or fused depth, a GPIS hit variance not below the miss
+  variance, a view image whose size is not its camera's, a GPIS model with
+  no surface point, or corrupt `manifest.json`.
 """
 
 import argparse

@@ -4,9 +4,7 @@ Unknown keys, duplicate keys, malformed lines, out-of-range or non-finite
 values, a repeated `rho_grid` value, a shape size that does not fit the
 shape, text that is not UTF-8 and a missing dataset all fail loudly with the
 offending line number. A value set from the command line passes the same
-parse and range check. `[conditioning] voxel` and `[kernel] prior_mean`
-accept the literal `auto`, which gpis-fit resolves against the bounding
-radius of the touch data.
+parse and range check.
 """
 
 import math
@@ -15,8 +13,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .touchsim import AnalyticShape
-
-AUTO = "auto"
 
 
 def _positive(x):
@@ -61,12 +57,11 @@ SCHEMA = {
     "kernel": {
         "output_scale": ("float", 0.4, _positive),
         "noise": ("float", 1e-6, _nonnegative),
-        "prior_mean": ("autofloat", AUTO, None),
         # Each value is a full fit of the conditioning set: none may repeat.
         "rho_grid": ("distinct floats", (0.3,), _positive),
     },
     "conditioning": {
-        "voxel": ("autofloat", AUTO, _nonnegative),
+        "voxel": ("float", 0.1, _nonnegative),
         "cap": ("int", 8000, _positive),
     },
     "march": {
@@ -92,8 +87,8 @@ SCHEMA = {
 }
 
 # What the text of each number kind must hold, as its parse error says.
-_EXPECTED = {"int": "an integer", "float": "a number", "autofloat": "a number or 'auto'",
-             "floats": "numbers", "distinct floats": "numbers"}
+_EXPECTED = {"int": "an integer", "float": "a number", "floats": "numbers",
+             "distinct floats": "numbers"}
 
 
 @dataclass
@@ -142,13 +137,13 @@ def _error(lineno, key, message):
 def _parse_value(kind, text, key, validator, lineno=None):
     """`text` as a value of `kind`: each of its numbers must be finite and
     pass `validator`."""
-    if kind == "str" or (kind == "autofloat" and text == AUTO):
+    if kind == "str":
         return text
     if isinstance(kind, tuple):
         if text not in kind:
             raise _error(lineno, key, f"must be one of {list(kind)}")
         return text
-    scalar = kind in ("int", "float", "autofloat")
+    scalar = kind in ("int", "float")
     tokens = [text] if scalar else text.replace(",", " ").split()
     try:
         numbers = tuple(map(int if kind == "int" else float, tokens))

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import AlignedVision
-from .sdfrender import MISS_VAR, DepthVarImage
+from .sdfrender import MISS_VAR
 
 PROVENANCE_NONE = 0
 PROVENANCE_VISION = 85
@@ -36,22 +35,23 @@ class FusedSupervision:
         return self.provenance != PROVENANCE_NONE
 
 
-def fuse_images(vision: AlignedVision, touch: DepthVarImage) -> FusedSupervision:
+def fuse_images(vision_depth, vision_var, touch_depth, touch_var) -> FusedSupervision:
     """Fuse an image pair per pixel: precisions add, depths average by precision.
 
-    Invalid sides (vision depth <= 0, touch miss) enter with the sentinel
-    variance so the other source dominates; pixels invalid on both sides
-    come out as depth 0 / sentinel variance with provenance NONE.
+    A side is valid where its depth is finite and positive (a touch miss has
+    depth 0). An invalid side enters with the sentinel variance so the other
+    source dominates; pixels invalid on both sides come out as depth 0 /
+    sentinel variance with provenance NONE.
     """
-    if vision.depth.shape != touch.depth.shape:
+    if len({np.shape(a) for a in (vision_depth, vision_var, touch_depth, touch_var)}) > 1:
         raise ValueError("image dimensions differ")
-    vision_ok = np.isfinite(vision.depth) & (vision.depth > 0.0)
-    touch_ok = touch.hit_mask
+    vision_ok = np.isfinite(vision_depth) & (vision_depth > 0.0)
+    touch_ok = np.isfinite(touch_depth) & (touch_depth > 0.0)
 
-    mu1 = np.where(vision_ok, vision.depth, 0.0)
-    var1 = np.where(vision_ok, vision.variance, MISS_VAR)
-    mu2 = touch.depth
-    var2 = touch.variance
+    mu1 = np.where(vision_ok, vision_depth, 0.0)
+    var1 = np.where(vision_ok, vision_var, MISS_VAR)
+    mu2 = np.where(touch_ok, touch_depth, 0.0)
+    var2 = np.where(touch_ok, touch_var, MISS_VAR)
     if np.any(var1 <= 0.0) or np.any(var2 <= 0.0):
         raise ValueError("variances must be positive")
 

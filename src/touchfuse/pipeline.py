@@ -6,8 +6,9 @@ sections its parameters come from, and the names of the files it makes
 (`dataset:` or `out:` plus a path under that directory). A stage reads and
 writes every file by name through its `StageIO`, which records the names,
 raises the missing-input error (naming the stage that makes the file), and
-refuses writes outside the stage's patterns. The manifest stores each
-stage's recorded inputs and outputs with their content hashes. A rerun
+refuses writes outside the stage's patterns; once the stage has run, a
+file of its patterns that it did not write is removed. The manifest stores
+each stage's recorded inputs and outputs with their content hashes. A rerun
 skips a stage when its parameters are unchanged and every recorded input
 and output still hashes the same; each file is hashed at most once per run.
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import align as align_mod
 from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
-from .config import AUTO, SceneConfig
+from .config import SceneConfig
 from .errors import ConfigError, DependencyError, FormatError, LockedError
 
 MANIFEST_VERSION = 3
@@ -46,12 +47,13 @@ def _path(cfg, name):
 
 
 def _matching(cfg, pattern):
-    """Sorted names in a directory whose basenames match the pattern's."""
-    head, base = os.path.split(pattern)
-    directory = _path(cfg, head)
+    """Sorted names of the files in a pattern's directory whose basenames
+    match the pattern's."""
+    directory, base = os.path.split(_path(cfg, pattern))
     if not os.path.isdir(directory):
         return []
-    return [f"{head}/{f}" for f in sorted(os.listdir(directory)) if fnmatch.fnmatchcase(f, base)]
+    head = pattern[:len(pattern) - len(base)]
+    return [head + f for f in sorted(os.listdir(directory)) if fnmatch.fnmatchcase(f, base)]
 
 
 def _hash_bytes(blob):
@@ -120,6 +122,16 @@ class StageIO:
         writer(_path(self.cfg, name), *args)
         self.outputs.add(name)
 
+    def remove_unwritten(self):
+        """Remove every file of the stage's patterns that it did not write
+        this time, such as the touches or views of an earlier, larger
+        scene: a later stage would fit a stale touch file, and a clean run
+        makes none of them."""
+        for pattern in self.stage.makes:
+            for name in _matching(self.cfg, pattern):
+                if name not in self.outputs:
+                    os.unlink(_path(self.cfg, name))
+
     def _record_input(self, name, found):
         if not found:
             raise DependencyError(f"{name} missing; run the {_producer(name)} stage first")
@@ -183,10 +195,6 @@ def _background(record):
     return tuple(float(t) for t in record["background_color"].split())
 
 
-def _resolve(value, auto_value):
-    return auto_value if value == AUTO else value
-
-
 def _march_params(cfg, radius):
     m = cfg.section("march")
     return sdfrender.MarchParams(m["step_fraction"], 1e-3 * radius, 1e-4 * radius,
@@ -205,16 +213,12 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
                for sub in ("touches", "sparse", "gt_depth", "rgb", "mono_depth")]
     for directory in subdirs:
         os.makedirs(directory, exist_ok=True)
-    # Touch files from an earlier run with more touches would otherwise
-    # stay behind and be fitted too.
-    for stale in _matching(cfg, "dataset:touches/*.ply"):
-        os.unlink(_path(cfg, stale))
     for directory in (cfg.dataset, *subdirs):
         _remove_temp_files(directory)
 
-    noise = touchsim.NoiseModel(sim["touch_noise"], sim["sparse_noise"])
     touches = touchsim.sample_touches(
-        shape, sim["touches"], sim["patch_radius"], sim["points_per_touch"], noise, seed=seed
+        shape, sim["touches"], sim["patch_radius"], sim["points_per_touch"],
+        sim["touch_noise"], seed=seed
     )
     for i, touch in enumerate(touches):
         io.write(fileio.write_touch_ply, f"dataset:touches/touch{i:03d}.ply",
@@ -247,10 +251,9 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
         raw = (vision_depth - MONO_OFFSET) / MONO_SCALE
         io.write(fileio.write_pfm, f"dataset:mono_depth/{name}.pfm", raw)
 
-        scene_image = sdfrender.DepthVarImage(scene_depth, np.zeros_like(scene_depth), cam)
         try:
             sparse = touchsim.make_sparse_depth(
-                scene_image, sim["sparse_fraction"], noise, seed=seed + 1000 + i
+                scene_depth, sim["sparse_fraction"], sim["sparse_noise"], seed=seed + 1000 + i
             )
         except ValueError as exc:
             raise cfg.error("sim", "sparse_fraction", f"{name}: {exc}") from None
@@ -301,8 +304,7 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     all_points = np.concatenate([t.points for t in touches])
     _, radius = geometry.centroid_spread(all_points)
     cond = cfg.section("conditioning")
-    cset = gpis.build_conditioning_set(
-        touches, 0.02 * radius, 0.01 * radius, voxel=_resolve(cond["voxel"], radius / 50.0))
+    cset = gpis.build_conditioning_set(touches, 0.02 * radius, 0.01 * radius, voxel=cond["voxel"])
     k = cfg.section("kernel")
     # A one-value grid is a fixed length scale. A set over the cap or a
     # matrix that will not factorize fails here (exit 4).
@@ -315,7 +317,7 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
         cset,
         [(rho, k["output_scale"]) for rho in k["rho_grid"]],
         noise=k["noise"],
-        prior_mean=_resolve(k["prior_mean"], 0.5 * radius),
+        prior_mean=0.5 * radius,
         cap=cond["cap"],
     )
     io.write(gpis.save_model, "out:gpis.model", model)
@@ -344,19 +346,28 @@ def _read_view(io, reader, name, cam):
 
 
 def _load_depth_var(io, name, prefix, cam):
-    """A view's depth and variance images. The gpis and fused images are
-    finite by construction, so a value that is not makes the file malformed;
-    vision images are NaN wherever the mono depth is."""
-    images = []
-    for kind in ("depth", "var"):
-        file = f"out:{name}_{prefix}_{kind}.pfm"
-        image = _read_view(io, fileio.read_pfm, file, cam)
-        if prefix != "vision" and not np.isfinite(image).all():
-            v, u = np.argwhere(~np.isfinite(image))[0]
-            raise FormatError(f"{_path(io.cfg, file)}: value {image[v, u]} at (u, v) = "
-                              f"({u}, {v}) is not finite")
-        images.append(image)
-    return tuple(images)
+    """A view's depth and variance images. A value that breaks its image's
+    rule makes the file malformed. Every variance is positive, though a
+    vision image is NaN in both wherever the mono depth is. The gpis and
+    fused images are finite by construction, with no negative depth, and
+    where the depth is positive (a hit) the variance is below MISS_VAR."""
+    files = [f"out:{name}_{prefix}_{kind}.pfm" for kind in ("depth", "var")]
+    depth, var = (_read_view(io, fileio.read_pfm, file, cam) for file in files)
+    # (image index, pixels that break the rule, what is wrong with them)
+    rules = [(1, ~((var > 0.0) | (np.isnan(var) & np.isnan(depth))), "is not positive")]
+    if prefix != "vision":
+        rules = [(0, ~np.isfinite(depth), "is not finite"),
+                 (1, ~np.isfinite(var), "is not finite"),
+                 (0, depth < 0.0, "is negative"),
+                 *rules,
+                 (1, (depth > 0.0) & (var >= sdfrender.MISS_VAR),
+                  f"at a hit is not below the miss variance {sdfrender.MISS_VAR:g}")]
+    for index, bad, what in rules:
+        if bad.any():
+            v, u = np.argwhere(bad)[0]
+            raise FormatError(f"{_path(io.cfg, files[index])}: value "
+                              f"{(depth, var)[index][v, u]} at (u, v) = ({u}, {v}) {what}")
+    return depth, var
 
 
 def _save_depth_var(io, name, prefix, depth, variance):
@@ -408,9 +419,7 @@ def stage_fuse(cfg: SceneConfig, io: StageIO):
     for name, cam in _camera_views(io):
         v_depth, v_var = _load_depth_var(io, name, "vision", cam)
         g_depth, g_var = _load_depth_var(io, name, "gpis", cam)
-        vision = align_mod.AlignedVision(v_depth, v_var, 1.0, 0.0)
-        touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
-        fused = fuse.fuse_images(vision, touch_img)
+        fused = fuse.fuse_images(v_depth, v_var, g_depth, g_var)
         _save_depth_var(io, name, "fused", fused.depth, fused.variance)
         io.write(fileio.write_pgm, f"out:{name}_provenance.pgm", fused.provenance)
 
@@ -632,6 +641,7 @@ def run_pipeline(cfg: SceneConfig, stages=None):
                 status[stage.name] = "skipped"
                 continue
             STAGE_FUNCS[stage.name](cfg, io)
+            io.remove_unwritten()
             manifest["stages"][stage.name] = io.record()
             _save_manifest(cfg, manifest)
             status[stage.name] = "ran"

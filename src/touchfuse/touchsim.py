@@ -91,22 +91,6 @@ def sdf_gradient(shape: AnalyticShape, points, h=GRADIENT_STEP):
     return grad
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Perturbation magnitudes for simulated measurements.
-
-    point_sigma (m) jitters touch points, sparse_quadratic (1/m) scales the
-    depth-noise std as coeff * depth^2.
-    """
-
-    point_sigma: float = 0.0
-    sparse_quadratic: float = 0.0
-
-    def __post_init__(self):
-        if self.point_sigma < 0 or self.sparse_quadratic < 0:
-            raise ValueError("noise magnitudes must be nonnegative")
-
-
 def _project_to_surface(shape, points):
     # One Newton step along the SDF gradient; exact for spheres and flat
     # box faces, adequate elsewhere at patch scales well below curvature.
@@ -132,9 +116,10 @@ def _random_surface_point(shape, rng):
 
 
 def sample_touches(shape: AnalyticShape, n_touches, patch_radius, points_per_touch,
-                   noise: NoiseModel = NoiseModel(), seed=0):
+                   point_sigma=0.0, seed=0):
     """Simulate tactile patches: random surface centers, tangent-disc samples
-    projected back to the surface, SDF-gradient normals, optional point noise."""
+    projected back to the surface, SDF-gradient normals, and Gaussian point
+    noise of std `point_sigma` (m)."""
     if n_touches < 1:
         raise ValueError("need at least one touch")
     rng = np.random.default_rng(seed)
@@ -155,8 +140,8 @@ def sample_touches(shape: AnalyticShape, n_touches, patch_radius, points_per_tou
         normals = sdf_gradient(shape, pts)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
-        if noise.point_sigma > 0.0:
-            pts = pts + rng.normal(scale=noise.point_sigma, size=pts.shape)
+        if point_sigma > 0.0:
+            pts = pts + rng.normal(scale=point_sigma, size=pts.shape)
         touches.append(TouchReading(pts, normals))
     return touches
 
@@ -170,18 +155,18 @@ def render_gt_depth(shape: AnalyticShape, camera: CameraModel) -> DepthVarImage:
     return render_depth_variance(shape, camera, params, sphere=sphere)
 
 
-def make_sparse_depth(gt: DepthVarImage, fraction, noise: NoiseModel = NoiseModel(),
-                      seed=0) -> SparseDepth:
-    """Sample a small fraction of hit pixels as noisy metric depth keypoints.
+def make_sparse_depth(depth, fraction, quadratic=0.0, seed=0) -> SparseDepth:
+    """Sample a small fraction of the pixels of positive `depth` as noisy
+    metric depth keypoints.
 
     The perturbation std grows quadratically with depth:
-    std = sparse_quadratic * depth^2.
+    std = quadratic * depth^2, with `quadratic` in 1/m.
     """
     if not (0.0 < fraction <= 0.01):
         raise ValueError("fraction must be in (0, 0.01]")
-    hits = np.argwhere(gt.hit_mask)
+    hits = np.argwhere(depth > 0.0)
     if hits.shape[0] == 0:
-        raise ValueError("ground-truth image has no hit pixels")
+        raise ValueError("depth image has no positive pixel")
     count = int(round(fraction * hits.shape[0]))
     if count < 2:
         raise ValueError(
@@ -189,9 +174,9 @@ def make_sparse_depth(gt: DepthVarImage, fraction, noise: NoiseModel = NoiseMode
         )
     rng = np.random.default_rng(seed)
     chosen = hits[rng.choice(hits.shape[0], size=count, replace=False)]
-    depths = gt.depth[chosen[:, 0], chosen[:, 1]]
-    if noise.sparse_quadratic > 0.0:
-        depths = depths + rng.normal(size=count) * noise.sparse_quadratic * depths ** 2
+    depths = depth[chosen[:, 0], chosen[:, 1]]
+    if quadratic > 0.0:
+        depths = depths + rng.normal(size=count) * quadratic * depths ** 2
     pixels = chosen[:, ::-1]  # (row, col) -> (u, v)
     return SparseDepth(pixels, depths)
 

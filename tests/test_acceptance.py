@@ -28,7 +28,7 @@ from touchfuse.sdfrender import (
     render_depth_variance,
 )
 from touchfuse.splat import LossConfig, SplatCloud, optimize, render
-from touchfuse.touchsim import AnalyticShape, NoiseModel, render_gt_depth, sample_touches
+from touchfuse.touchsim import AnalyticShape, render_gt_depth, sample_touches
 
 from oracles import Ray, composite_ray, fuse_pixel, grad_check, matern32
 
@@ -133,7 +133,7 @@ def test_criterion_03_sphere_tracing_halving():
 def test_criterion_04_gpis_reconstruction():
     started = time.perf_counter()
     shape = AnalyticShape("sphere", (1.0,))
-    touches = sample_touches(shape, 200, 0.15, 64, NoiseModel(point_sigma=1e-3), seed=4)
+    touches = sample_touches(shape, 200, 0.15, 64, 1e-3, seed=4)
     cset = build_conditioning_set(touches, 0.03, 0.01, n_slices=8, voxel=0.1)
     model = fit(cset, KernelParams(0.3, 0.5, 1e-6, prior_mean=0.5))
     cam = CameraModel(48.0, 48.0, 31.5, 31.5, 64, 64, look_at([0, 0, -3], [0, 0, 0]))
@@ -186,23 +186,16 @@ def test_criterion_05_alignment_recovery():
 
 def test_criterion_06_fusion_exactness():
     rng = np.random.default_rng(6)
-    cam = CameraModel(12.0, 12.0, 7.5, 7.5, 16, 16, np.eye(4))
-    from touchfuse.align import AlignedVision
-
-    vision = AlignedVision(rng.uniform(0.5, 6.0, size=(16, 16)),
-                           rng.uniform(0.05, 2.0, size=(16, 16)), 1.0, 0.0)
-    touch = DepthVarImage(rng.uniform(0.5, 6.0, size=(16, 16)),
-                          rng.uniform(1e-4, 0.5, size=(16, 16)), cam)
-    fused = fuse.fuse_images(vision, touch)
+    vd, vv = rng.uniform(0.5, 6.0, size=(16, 16)), rng.uniform(0.05, 2.0, size=(16, 16))
+    td, tv = rng.uniform(0.5, 6.0, size=(16, 16)), rng.uniform(1e-4, 0.5, size=(16, 16))
+    fused = fuse.fuse_images(vd, vv, td, tv)
     for y in range(16):
         for x in range(16):
-            mu, var = fuse_pixel(vision.depth[y, x], vision.variance[y, x],
-                                 touch.depth[y, x], touch.variance[y, x])
+            mu, var = fuse_pixel(vd[y, x], vv[y, x], td[y, x], tv[y, x])
             assert fused.depth[y, x] == mu
             assert fused.variance[y, x] == var
-    np.testing.assert_allclose(1.0 / fused.variance,
-                               1.0 / vision.variance + 1.0 / touch.variance, rtol=1e-10)
-    assert np.all(fused.variance <= np.minimum(vision.variance, touch.variance))
+    np.testing.assert_allclose(1.0 / fused.variance, 1.0 / vv + 1.0 / tv, rtol=1e-10)
+    assert np.all(fused.variance <= np.minimum(vv, tv))
     report(6, "fusion bit-exactness, precision additivity, variance bound")
 
 

@@ -1,13 +1,15 @@
 import fcntl
 import json
 import os
+import pathlib
 import re
 import shutil
 import signal
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from touchfuse import fileio, fuse, gpis
 from touchfuse.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED,
@@ -37,7 +39,7 @@ class TestConfigParsing:
         assert cfg.get("sim", "shape") == "sphere"
         assert cfg.get("march", "step_fraction") == 0.9
         assert cfg.get("loss", "depth_weight") == 1.0
-        assert cfg.get("kernel", "prior_mean") == "auto"
+        assert cfg.get("conditioning", "voxel") == 0.1
         assert cfg.seed == 0
 
     def test_unknown_key_line_numbered(self):
@@ -76,6 +78,7 @@ class TestConfigParsing:
             ("march", "min_step"), ("march", "hit_tol"), ("march", "margin"),
             ("align", "uncertainty_slope"), ("align", "uncertainty_floor"),
             ("train", "splat_radius"), ("train", "opacity"), ("eval", "icp_iters"),
+            ("kernel", "prior_mean"),
         ):
             text = f"[scene]\ndataset = a\nout = b\n[{section}]\n{key} = 1.0\n"
             with pytest.raises(ConfigError, match=f"line 5: unknown key '{key}'"):
@@ -318,6 +321,13 @@ class TestCLI:
                      "--stages", "simulate,gpis-fit"]) == EXIT_NUMERICAL
         assert "cap is 5" in capsys.readouterr().err
 
+    def test_default_config_fits_under_the_cap(self, tmp_path):
+        """A config holding only [scene] takes every default, the voxel pitch too."""
+        path = write_config(tmp_path, make_dataset=False)
+        assert main(["pipeline", "--config", str(path), "--stages", "simulate,gpis-fit"]) == EXIT_OK
+        model = gpis.load_model(str(tmp_path / "out" / "gpis.model"))
+        assert len(model.conditioning) <= SCHEMA["conditioning"]["cap"][1]
+
     def test_init_points_without_gpis_hits_exits_numerical(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_SCENE + "\n[march]\nmax_steps = 1\n",
                             make_dataset=False)
@@ -384,7 +394,8 @@ class TestExitCodes:
         ("[sim]\nshape = torus\n", "line 6: key 'size'"),
         ("[sim]\nsize = 0.0\n", "line 6: key 'size'"),
         ("[sim]\nvision_bias = nan\n", "line 6: key 'vision_bias': value 'nan' is not finite"),
-        ("[kernel]\nprior_mean = nan\n", "line 6: key 'prior_mean'"),
+        ("[kernel]\nprior_mean = nan\n", "line 6: unknown key 'prior_mean' in section [kernel]"),
+        ("[conditioning]\nvoxel = auto\n", "line 6: key 'voxel': expected a number, got 'auto'"),
         ("[sim]\norbit_height = inf\n", "line 6: key 'orbit_height'"),
         ("[sim]\ntouch_noise = inf\n", "line 6: key 'touch_noise'"),
         ("[align]\nmax_gap = inf\n", "line 6: key 'max_gap'"),
@@ -392,6 +403,7 @@ class TestExitCodes:
          "line 6: key 'sparse_fraction': view000: fraction 0.0003 yields 1 samples"),
     ], ids=["negative-rho", "repeated-rho", "empty-rho", "torus-one-radius",
             "torus-default-size", "zero-size", "nan-vision-bias", "nan-prior-mean",
+            "auto-voxel",
             "inf-orbit-height", "inf-touch-noise", "inf-max-gap", "too-few-sparse-samples"])
     def test_value_that_fails_a_stage_is_a_config_error(self, tmp_path, capsys, extra, message):
         path = write_config(tmp_path, MINIMAL + extra, make_dataset=False)
@@ -542,6 +554,28 @@ class TestExitCodes:
         assert "malformed file" in err and os.path.basename(path) in err
         assert f"value nan at (u, v) = ({u}, {v}) is not finite" in err
 
+    @pytest.mark.parametrize("path, stage, value, message", [
+        ("out/view000_gpis_depth.pfm", "align", -1.0, "is negative"),
+        ("out/view000_gpis_var.pfm", "align", 2e10, "at a hit is not below the miss variance"),
+        ("out/view000_gpis_var.pfm", "fuse", 0.0, "is not positive"),
+        ("out/view000_vision_var.pfm", "fuse", 0.0, "is not positive"),
+        ("out/view000_vision_var.pfm", "fuse", -1.0, "is not positive"),
+        ("out/view000_fused_var.pfm", "train", -1.0, "is not positive"),
+    ], ids=["negative-gpis-depth", "gpis-hit-at-miss-variance", "zero-gpis-variance",
+            "zero-vision-variance", "negative-vision-variance", "negative-fused-variance"])
+    def test_supervision_value_that_breaks_its_rule(self, built, tmp_path, capsys, path, stage,
+                                                    value, message):
+        """A value its reader cannot take, at the first pixel a GPIS ray hit,
+        is a malformed file, not a traceback or a diverged training run."""
+        v, u = np.argwhere(fileio.read_pfm(tmp_path / "out/view000_gpis_depth.pfm") > 0.0)[0]
+        image = fileio.read_pfm(tmp_path / path)
+        image[v, u] = value
+        fileio.write_pfm(tmp_path / path, image)
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and os.path.basename(path) in err
+        assert f"at (u, v) = ({u}, {v}) {message}" in err
+
     @pytest.mark.parametrize("path, stage", [
         ("data/mono_depth/view000.pfm", "align"),
         ("out/view000_gpis_var.pfm", "fuse"),
@@ -626,6 +660,78 @@ class TestSkipRules:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
         assert set(run_pipeline(built).values()) == {"ran"}
+
+
+# Every key a stage hashes into its parameters, each once.
+STAGE_KEYS = list(dict.fromkeys((section, key) for stage in STAGES
+                                for section in stage.param_sections for key in SCHEMA[section]))
+
+
+def another_value(cfg, section, key):
+    """Config text of a valid value of the key other than the one `cfg` holds."""
+    kind = SCHEMA[section][key][0]
+    value = cfg.get(section, key)
+    if isinstance(kind, tuple):
+        return next(word for word in kind if word != value)
+    if kind == "int":
+        return str(value - 1 if value > 1 else value + 1)
+    if kind == "float":
+        return repr(0.9 * value)
+    return " ".join(repr(0.9 * v) for v in value)
+
+
+class TestRerunProperty:
+    """A rerun after one damaged file or one edited key runs only the stages
+    it must, and leaves every file, manifest.json included, as a clean run
+    makes it."""
+
+    @staticmethod
+    def copy_of(pristine, root):
+        for name in ("data", "out"):
+            shutil.copytree(pristine / name, root / name)
+        return validate_config(write_config(root, SMALL_SCENE))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_damaged_file_reruns_only_the_stage_that_makes_it(self, pristine, data):
+        clean = tree_bytes(pristine)
+        rel = data.draw(st.sampled_from(sorted(set(clean) - {"out/manifest.json"})), label="file")
+        name = rel.replace("data/", "dataset:", 1).replace("out/", "out:", 1)
+        maker = next(stage.name for stage in STAGES if stage.produces(name))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            cfg = self.copy_of(pristine, root)
+            if data.draw(st.booleans(), label="delete"):
+                os.unlink(root / rel)
+            else:
+                blob = bytearray(clean[rel])
+                blob[data.draw(st.integers(0, len(blob) - 1), label="byte")] ^= data.draw(
+                    st.integers(1, 255), label="flip")
+                (root / rel).write_bytes(blob)
+            status = run_pipeline(cfg)
+            assert [stage for stage, state in status.items() if state == "ran"] == [maker]
+            assert tree_bytes(root) == clean
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(STAGE_KEYS))
+    @example(("sim", "views"))  # fewer views once left the extra views' files behind
+    def test_edited_key_reruns_from_the_first_stage_that_hashes_it(self, pristine, section_key):
+        section, key = section_key
+        first = next(i for i, stage in enumerate(STAGES) if section in stage.param_sections)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            edited = self.copy_of(pristine, root / "edited")
+            value = another_value(edited, section, key)
+            os.makedirs(root / "cold")
+            cold = validate_config(write_config(root / "cold", SMALL_SCENE, make_dataset=False),
+                                   require_dataset=False)
+            for cfg in (edited, cold):
+                cfg.override(section, key, value)
+            status = run_pipeline(edited)
+            assert [status[stage.name] for stage in STAGES[:first + 1]] == \
+                ["skipped"] * first + ["ran"]
+            run_pipeline(cold)
+            assert tree_bytes(root / "edited") == tree_bytes(root / "cold")
 
 
 class WriteCrash(Exception):

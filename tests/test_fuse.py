@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from touchfuse.align import AlignedVision
 from touchfuse.fuse import (
     PROVENANCE_FUSED,
     PROVENANCE_NONE,
@@ -12,24 +11,16 @@ from touchfuse.fuse import (
     FusedSupervision,
     fuse_images,
 )
-from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
+from touchfuse.sdfrender import MISS_VAR
 
 from oracles import fuse_pixel
 
 
-def camera(w, h):
-    return CameraModel(30.0, 30.0, (w - 1) / 2, (h - 1) / 2, w, h, np.eye(4))
-
-
 def random_pair(seed, shape=(16, 16)):
+    """Vision depth and variance, then touch depth and variance."""
     rng = np.random.default_rng(seed)
-    vision = AlignedVision(
-        rng.uniform(0.5, 6.0, size=shape), rng.uniform(0.05, 2.0, size=shape), 1.0, 0.0
-    )
-    depth = rng.uniform(0.5, 6.0, size=shape)
-    var = rng.uniform(1e-4, 0.5, size=shape)
-    touch = DepthVarImage(depth, var, camera(*shape[::-1]))
-    return vision, touch
+    return (rng.uniform(0.5, 6.0, size=shape), rng.uniform(0.05, 2.0, size=shape),
+            rng.uniform(0.5, 6.0, size=shape), rng.uniform(1e-4, 0.5, size=shape))
 
 
 class TestFusePixel:
@@ -79,69 +70,60 @@ class TestFusePixel:
 
 class TestFuseImages:
     def test_equals_scalar_loop_bitwise(self):
-        vision, touch = random_pair(3)
-        fused = fuse_images(vision, touch)
+        vd, vv, td, tv = random_pair(3)
+        fused = fuse_images(vd, vv, td, tv)
         for y in range(16):
             for x in range(16):
-                mu, var = fuse_pixel(
-                    vision.depth[y, x], vision.variance[y, x],
-                    touch.depth[y, x], touch.variance[y, x],
-                )
+                mu, var = fuse_pixel(vd[y, x], vv[y, x], td[y, x], tv[y, x])
                 assert fused.depth[y, x] == mu
                 assert fused.variance[y, x] == var
         assert np.all(fused.provenance == PROVENANCE_FUSED)
 
     def test_all_miss_touch_defers_to_vision(self):
         rng = np.random.default_rng(4)
-        vision = AlignedVision(
-            rng.uniform(1.0, 5.0, size=(8, 8)), rng.uniform(0.1, 1.0, size=(8, 8)), 1.0, 0.0
-        )
-        touch = DepthVarImage(np.zeros((8, 8)), np.full((8, 8), MISS_VAR), camera(8, 8))
-        fused = fuse_images(vision, touch)
-        np.testing.assert_allclose(fused.depth, vision.depth, rtol=1e-6)
-        np.testing.assert_allclose(fused.variance, vision.variance, rtol=1e-6)
+        vd, vv = rng.uniform(1.0, 5.0, size=(8, 8)), rng.uniform(0.1, 1.0, size=(8, 8))
+        fused = fuse_images(vd, vv, np.zeros((8, 8)), np.full((8, 8), MISS_VAR))
+        np.testing.assert_allclose(fused.depth, vd, rtol=1e-6)
+        np.testing.assert_allclose(fused.variance, vv, rtol=1e-6)
         assert np.all(fused.provenance == PROVENANCE_VISION)
 
     def test_commutation_of_sources(self):
-        vision, touch = random_pair(5)
-        a = fuse_images(vision, touch)
-        swapped_vision = AlignedVision(touch.depth, touch.variance, 1.0, 0.0)
-        swapped_touch = DepthVarImage(vision.depth, vision.variance, camera(16, 16))
-        b = fuse_images(swapped_vision, swapped_touch)
+        vd, vv, td, tv = random_pair(5)
+        a = fuse_images(vd, vv, td, tv)
+        b = fuse_images(td, tv, vd, vv)
         np.testing.assert_allclose(a.depth, b.depth, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.variance, b.variance, rtol=0, atol=1e-12)
 
     def test_precision_additivity(self):
-        vision, touch = random_pair(6)
-        fused = fuse_images(vision, touch)
+        vd, vv, td, tv = random_pair(6)
+        fused = fuse_images(vd, vv, td, tv)
         lhs = 1.0 / fused.variance
-        rhs = 1.0 / vision.variance + 1.0 / touch.variance
+        rhs = 1.0 / vv + 1.0 / tv
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
     def test_fused_variance_below_both(self):
-        vision, touch = random_pair(7)
-        fused = fuse_images(vision, touch)
-        assert np.all(fused.variance <= np.minimum(vision.variance, touch.variance))
+        vd, vv, td, tv = random_pair(7)
+        fused = fuse_images(vd, vv, td, tv)
+        assert np.all(fused.variance <= np.minimum(vv, tv))
 
     def test_provenance_classes(self):
-        cam = camera(4, 4)
         vision_depth = np.array([
             [1.0, 1.0, 0.0, 0.0],
             [1.0, 1.0, 0.0, 0.0],
             [1.0, 1.0, 1.0, 1.0],
             [1.0, 1.0, 1.0, 1.0],
         ])
-        vision = AlignedVision(vision_depth, np.full((4, 4), 0.5), 1.0, 0.0)
+        vision_var = np.full((4, 4), 0.5)
         touch_depth = np.zeros((4, 4))
         touch_depth[2:, :] = 2.0
-        touch = DepthVarImage(touch_depth, np.where(touch_depth > 0, 1e-3, MISS_VAR), cam)
-        fused = fuse_images(vision, touch)
+        touch_var = np.where(touch_depth > 0, 1e-3, MISS_VAR)
+        fused = fuse_images(vision_depth, vision_var, touch_depth, touch_var)
         assert fused.provenance[0, 0] == PROVENANCE_VISION
         assert fused.provenance[0, 2] == PROVENANCE_NONE
         assert fused.provenance[2, 0] == PROVENANCE_FUSED
         vision_depth2 = vision_depth.copy()
         vision_depth2[2, 3] = 0.0
-        fused2 = fuse_images(AlignedVision(vision_depth2, np.full((4, 4), 0.5), 1.0, 0.0), touch)
+        fused2 = fuse_images(vision_depth2, vision_var, touch_depth, touch_var)
         assert fused2.provenance[2, 3] == PROVENANCE_TOUCH
         np.testing.assert_allclose(fused2.depth[2, 3], 2.0, rtol=1e-6)
         # none pixels carry the miss sentinels
@@ -149,14 +131,14 @@ class TestFuseImages:
         assert fused.variance[0, 2] == MISS_VAR
 
     def test_dimension_mismatch_rejected(self):
-        vision, _ = random_pair(8)
-        touch = DepthVarImage(np.ones((8, 8)), np.full((8, 8), 0.1), camera(8, 8))
+        vd, vv, _, _ = random_pair(8)
         with pytest.raises(ValueError, match="dimension"):
-            fuse_images(vision, touch)
+            fuse_images(vd, vv, np.ones((8, 8)), np.full((8, 8), 0.1))
+        with pytest.raises(ValueError, match="dimension"):
+            fuse_images(vd, vv[:8, :8], vd, vv)
 
     def test_supervised_mask(self):
-        vision, touch = random_pair(9)
-        fused = fuse_images(vision, touch)
+        fused = fuse_images(*random_pair(9))
         assert fused.supervised_mask.all()
         blank = FusedSupervision(
             np.zeros((2, 2)), np.full((2, 2), MISS_VAR),
@@ -177,7 +159,7 @@ class TestFusionProperties:
     @settings(max_examples=60, deadline=None)
     @given(depth_images, variance_images, depth_images, variance_images)
     def test_precisions_add(self, vd, vv, td, tv):
-        fused = fuse_images(AlignedVision(vd, vv, 1.0, 0.0), DepthVarImage(td, tv, camera(4, 3)))
+        fused = fuse_images(vd, vv, td, tv)
         for y, x in np.ndindex(SHAPE):
             assert (fused.depth[y, x], fused.variance[y, x]) == fuse_pixel(
                 vd[y, x], vv[y, x], td[y, x], tv[y, x])
@@ -187,9 +169,8 @@ class TestFusionProperties:
     @settings(max_examples=60, deadline=None)
     @given(depth_images, variance_images, depth_images, variance_images)
     def test_swapping_sources_changes_no_bit(self, vd, vv, td, tv):
-        cam = camera(4, 3)
-        a = fuse_images(AlignedVision(vd, vv, 1.0, 0.0), DepthVarImage(td, tv, cam))
-        b = fuse_images(AlignedVision(td, tv, 1.0, 0.0), DepthVarImage(vd, vv, cam))
+        a = fuse_images(vd, vv, td, tv)
+        b = fuse_images(td, tv, vd, vv)
         np.testing.assert_array_equal(a.depth, b.depth)
         np.testing.assert_array_equal(a.variance, b.variance)
         for y, x in np.ndindex(SHAPE):
@@ -202,8 +183,8 @@ class TestFusionProperties:
     def test_misses_defer_to_the_other_source(self, vd, vv, td, tv, vision_miss, touch_miss,
                                               invalid):
         vd = np.where(vision_miss, invalid, vd)
-        td = np.where(touch_miss, 0.0, td)
-        fused = fuse_images(AlignedVision(vd, vv, 1.0, 0.0), DepthVarImage(td, tv, camera(4, 3)))
+        td = np.where(touch_miss, invalid, td)
+        fused = fuse_images(vd, vv, td, tv)
         for y, x in np.ndindex(SHAPE):
             v_ok, t_ok = not vision_miss[y, x], not touch_miss[y, x]
             got = (fused.depth[y, x], fused.variance[y, x])

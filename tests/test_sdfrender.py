@@ -20,7 +20,7 @@ from touchfuse.sdfrender import (
     render_depth_variance,
     sphere_entry_exit,
 )
-from touchfuse.touchsim import AnalyticShape, NoiseModel, render_gt_depth, sample_touches
+from touchfuse.touchsim import AnalyticShape, render_gt_depth, sample_touches
 from touchfuse.gpis import build_conditioning_set
 
 from oracles import Ray, generate_ray, march, rotation_about_axis, sphere_prefilter
@@ -246,7 +246,7 @@ class TestDepthVarImage:
 @pytest.fixture(scope="module")
 def sphere_gpis():
     shape = AnalyticShape("sphere", (1.0,))
-    touches = sample_touches(shape, 60, 0.25, 32, NoiseModel(), seed=4)
+    touches = sample_touches(shape, 60, 0.25, 32, seed=4)
     cset = build_conditioning_set(touches, 0.03, 0.01, n_slices=6, voxel=0.12)
     return fit(cset, KernelParams(0.3, 0.5, 1e-6, prior_mean=0.5))
 

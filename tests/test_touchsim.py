@@ -9,7 +9,6 @@ from touchfuse.sdfrender import CameraModel
 from touchfuse.touchsim import (
     AnalyticShape,
     _random_surface_point,
-    NoiseModel,
     analytic_sdf,
     make_sparse_depth,
     render_gt_depth,
@@ -66,7 +65,7 @@ class TestAnalyticSDF:
 class TestSampleTouches:
     def test_noiseless_points_on_surface_with_radial_normals(self):
         sphere = AnalyticShape("sphere", (1.0,))
-        touches = sample_touches(sphere, 10, 0.1, 32, NoiseModel(), seed=0)
+        touches = sample_touches(sphere, 10, 0.1, 32, seed=0)
         for touch in touches:
             sdf = analytic_sdf(sphere, touch.points)
             assert np.max(np.abs(sdf)) < 1e-6
@@ -75,26 +74,26 @@ class TestSampleTouches:
 
     def test_same_seed_identical(self):
         sphere = AnalyticShape("sphere", (1.0,))
-        a = sample_touches(sphere, 5, 0.1, 16, NoiseModel(0.01, 0.0), seed=9)
-        b = sample_touches(sphere, 5, 0.1, 16, NoiseModel(0.01, 0.0), seed=9)
+        a = sample_touches(sphere, 5, 0.1, 16, 0.01, seed=9)
+        b = sample_touches(sphere, 5, 0.1, 16, 0.01, seed=9)
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.points, tb.points)
             np.testing.assert_array_equal(ta.normals, tb.normals)
 
     def test_symmetric_coverage_centroid(self):
         sphere = AnalyticShape("sphere", (1.0,))
-        touches = sample_touches(sphere, 200, 0.1, 64, NoiseModel(), seed=1)
+        touches = sample_touches(sphere, 200, 0.1, 64, seed=1)
         pts = np.concatenate([t.points for t in touches])
         assert pts.shape == (200 * 64, 3)
         assert np.linalg.norm(pts.mean(axis=0)) < 0.05
 
     def test_points_stay_within_patch(self):
         sphere = AnalyticShape("sphere", (1.0,))
-        noise = NoiseModel(point_sigma=0.002)
-        touches = sample_touches(sphere, 20, 0.08, 32, noise, seed=3)
+        sigma = 0.002
+        touches = sample_touches(sphere, 20, 0.08, 32, sigma, seed=3)
         for touch in touches:
             gaps = np.linalg.norm(touch.points[:, None] - touch.points[None, :], axis=2)
-            assert np.max(gaps) < 2 * (0.08 * 1.05 + 4 * noise.point_sigma)
+            assert np.max(gaps) < 2 * (0.08 * 1.05 + 4 * sigma)
 
 
 class TestRenderGTDepth:
@@ -153,28 +152,24 @@ class TestSparseDepth:
 
     def test_zero_noise_matches_gt(self):
         gt = self.make_gt()
-        sparse = make_sparse_depth(gt, 0.01, NoiseModel(), seed=0)
+        sparse = make_sparse_depth(gt.depth, 0.01, seed=0)
         for (u, v), d in zip(sparse.pixels, sparse.depths):
             assert d == gt.depth[v, u]
 
     def test_sample_count_contract(self):
         gt = self.make_gt()
         hits = int(gt.hit_mask.sum())
-        sparse = make_sparse_depth(gt, 0.008, NoiseModel(), seed=1)
+        sparse = make_sparse_depth(gt.depth, 0.008, seed=1)
         assert len(sparse) == int(round(0.008 * hits))
 
     def test_noise_std_scales_quadratically(self):
         # Monte-Carlo oracle over repeated draws at two depths
         coeff = 0.01
-        noise = NoiseModel(sparse_quadratic=coeff)
         rng_draws = {1.0: [], 2.0: []}
-        cam = orbit_camera([0.0, 0.0, -3.0], w=16, h=16, fx=12.0)
         for depth_val in rng_draws:
             base = np.full((16, 16), depth_val)
-            from touchfuse.sdfrender import DepthVarImage
-            img = DepthVarImage(base, np.zeros((16, 16)), cam)
             for seed in range(80):
-                sparse = make_sparse_depth(img, 0.01, noise, seed=seed)
+                sparse = make_sparse_depth(base, 0.01, coeff, seed=seed)
                 rng_draws[depth_val].extend(sparse.depths - depth_val)
         std1 = np.std(rng_draws[1.0])
         std2 = np.std(rng_draws[2.0])
@@ -183,14 +178,11 @@ class TestSparseDepth:
     def test_fraction_range_enforced(self):
         gt = self.make_gt()
         with pytest.raises(ValueError):
-            make_sparse_depth(gt, 0.05, NoiseModel(), seed=0)
+            make_sparse_depth(gt.depth, 0.05, seed=0)
 
     def test_no_hits_rejected(self):
-        cam = orbit_camera([0.0, 0.0, -3.0], w=8, h=8, fx=6.0)
-        from touchfuse.sdfrender import DepthVarImage, MISS_VAR
-        empty = DepthVarImage(np.zeros((8, 8)), np.full((8, 8), MISS_VAR), cam)
-        with pytest.raises(ValueError):
-            make_sparse_depth(empty, 0.01, NoiseModel(), seed=0)
+        with pytest.raises(ValueError, match="no positive pixel"):
+            make_sparse_depth(np.zeros((8, 8)), 0.01, seed=0)
 
 
 def test_surface_points_on_surface():
