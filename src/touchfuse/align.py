@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sdfrender import DepthVarImage
-
 
 @dataclass(frozen=True)
 class SparseDepth:
@@ -47,7 +45,7 @@ class AlignedVision:
     variance: np.ndarray
     s_star: float
     t_star: float
-    t_object: float = 0.0
+    t_object: float
 
 
 def align_scale_offset(raw_depth, sparse: SparseDepth):
@@ -70,21 +68,21 @@ def align_scale_offset(raw_depth, sparse: SparseDepth):
     return scale, offset, scale * raw_depth + offset
 
 
-def align_object_offset(aligned, touch: DepthVarImage, max_gap):
+def align_object_offset(aligned, touch_depth, max_gap):
     """Constant-offset refinement against the rendered touch depth.
 
-    Only pixels where the touch render hit and the depth gap is within
-    max_gap are shifted; everything else is preserved bit-for-bit.
+    Only pixels where the touch depth is positive (a hit) and the depth gap
+    is within max_gap are shifted; everything else is preserved bit-for-bit.
     """
     aligned = np.asarray(aligned, dtype=np.float64)
-    if aligned.shape != touch.depth.shape:
+    if aligned.shape != touch_depth.shape:
         raise ValueError("image dimensions differ")
-    mask = touch.hit_mask & (np.abs(aligned - touch.depth) <= max_gap)
+    mask = (touch_depth > 0.0) & (np.abs(aligned - touch_depth) <= max_gap)
     updated = aligned.copy()
     if not np.any(mask):
         warnings.warn("no overlap between aligned vision and touch depth; offset skipped")
         return 0.0, updated
-    t_object = float(np.mean(touch.depth[mask] - aligned[mask]))
+    t_object = float(np.mean(touch_depth[mask] - aligned[mask]))
     updated[mask] += t_object
     return t_object, updated
 
@@ -100,10 +98,10 @@ def vision_uncertainty(aligned, slope=0.1, floor=0.25):
     return (slope * aligned) ** 2 + floor
 
 
-def align_vision(raw_depth, sparse: SparseDepth, touch: DepthVarImage, max_gap=3.0,
+def align_vision(raw_depth, sparse: SparseDepth, touch_depth, max_gap=3.0,
                  slope=0.1, floor=0.25) -> AlignedVision:
     """Run both alignment stages and attach the uncertainty image."""
     scale, offset, aligned = align_scale_offset(raw_depth, sparse)
-    t_object, updated = align_object_offset(aligned, touch, max_gap)
+    t_object, updated = align_object_offset(aligned, touch_depth, max_gap)
     return AlignedVision(updated, vision_uncertainty(updated, slope, floor),
                          scale, offset, t_object)

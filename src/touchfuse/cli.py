@@ -16,7 +16,7 @@ Exit codes:
   variance that is not positive (NaN only where a vision depth is), a
   negative GPIS or fused depth, a GPIS hit variance not below the miss
   variance, a view image whose size is not its camera's, a GPIS model with
-  no surface point, or corrupt `manifest.json`.
+  no surface point, or a `manifest.json` not of the JSON shape the pipeline writes.
 """
 
 import argparse

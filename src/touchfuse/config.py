@@ -3,8 +3,8 @@
 Unknown keys, duplicate keys, malformed lines, out-of-range or non-finite
 values, a repeated `rho_grid` value, a shape size that does not fit the
 shape, text that is not UTF-8 and a missing dataset all fail loudly with the
-offending line number. A value set from the command line passes the same
-parse and range check.
+offending line number. A value set from the command line or by `override`
+passes the same parse, range and shape/size checks.
 """
 
 import math
@@ -119,10 +119,14 @@ class SceneConfig:
 
     def override(self, section, key, value):
         """Set a key from `str(value)`, as if the file gave that text: it
-        passes the same parse and range check, and names no line after."""
+        passes the same parse, range and size checks, and names no line after."""
         kind, _, validator = SCHEMA[section][key]
+        value = _parse_value(kind, str(value), key, validator)
+        if section == "sim":
+            _check_size({**self.values["sim"], key: value},
+                        {k: n for k, n in self.lines.items() if k != (section, key)})
         self.lines.pop((section, key), None)
-        self.values[section][key] = _parse_value(kind, str(value), key, validator)
+        self.values[section][key] = value
 
     def error(self, section, key, message):
         """A ConfigError for a value a stage cannot use, naming its line."""
@@ -132,6 +136,15 @@ class SceneConfig:
 def _error(lineno, key, message):
     where = f"line {lineno}: " if lineno else ""
     return ConfigError(f"{where}key '{key}': {message}")
+
+
+def _check_size(sim, lines):
+    """The size must fit the shape; the error names the size's line, else the shape's."""
+    try:
+        AnalyticShape(sim["shape"], sim["size"])
+    except ValueError as exc:
+        lineno = lines.get(("sim", "size")) or lines.get(("sim", "shape"))
+        raise _error(lineno, "size", exc) from None
 
 
 def _parse_value(kind, text, key, validator, lineno=None):
@@ -195,11 +208,7 @@ def parse_config_text(text):
                 if default is None:
                     raise ConfigError(f"missing required key '{key}' in section [{section_name}]")
                 values[section_name][key] = default
-    try:
-        AnalyticShape(values["sim"]["shape"], values["sim"]["size"])
-    except ValueError as exc:
-        lineno = lines.get(("sim", "size")) or lines[("sim", "shape")]
-        raise _error(lineno, "size", exc) from None
+    _check_size(values["sim"], lines)
     return SceneConfig(values, lines)
 
 

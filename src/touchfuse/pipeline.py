@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -240,14 +241,14 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
     io.write(fileio.write_cameras, "dataset:cameras.txt", cameras)
 
     for i, (name, cam) in enumerate(cameras):
-        gt_object = touchsim.render_gt_depth(shape, cam)
-        scene_depth, rgb = _compose_scene(shape, cam, gt_object, sim["dome_radius"])
+        object_depth = touchsim.render_gt_depth(shape, cam)
+        scene_depth, rgb = _compose_scene(shape, cam, object_depth, sim["dome_radius"])
         io.write(fileio.write_pfm, f"dataset:gt_depth/{name}.pfm", scene_depth)
         io.write(fileio.write_ppm, f"dataset:rgb/{name}.ppm", rgb)
 
         # Synthetic monocular stand-in: the affine-inverted scene depth with
         # the object pushed back, mimicking a metrically wrong estimator.
-        vision_depth = scene_depth + sim["vision_bias"] * gt_object.hit_mask
+        vision_depth = scene_depth + sim["vision_bias"] * (object_depth > 0.0)
         raw = (vision_depth - MONO_OFFSET) / MONO_SCALE
         io.write(fileio.write_pfm, f"dataset:mono_depth/{name}.pfm", raw)
 
@@ -275,7 +276,7 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
     io.write(fileio.write_keyvalues, "dataset:scene.cfg", record)
 
 
-def _compose_scene(shape, camera, gt_object, dome_radius):
+def _compose_scene(shape, camera, object_depth, dome_radius):
     """Scene depth = object where hit else enclosing dome; flat-shaded RGB."""
     h, w = camera.height, camera.width
     dirs, axis_cos = camera.pixel_rays()
@@ -284,14 +285,14 @@ def _compose_scene(shape, camera, gt_object, dome_radius):
     _, t_dome, _ = sdfrender.sphere_entry_exit(camera.position, dirs, dome_radius)
     dome_depth = (t_dome * axis_cos).reshape(h, w)
 
-    hit = gt_object.hit_mask
-    depth = np.where(hit, gt_object.depth, dome_depth)
+    hit = object_depth > 0.0
+    depth = np.where(hit, object_depth, dome_depth)
 
     rgb = np.empty((h, w, 3))
     rgb[:] = BACKGROUND_COLOR
     ys, xs = np.nonzero(hit)
     if xs.size:
-        pts = camera.backproject(xs, ys, gt_object.depth[ys, xs])
+        pts = camera.backproject(xs, ys, object_depth[ys, xs])
         normals = touchsim.sdf_gradient(shape, pts)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         shade = 0.25 + 0.75 * np.maximum(normals @ LIGHT_DIR, 0.0)
@@ -332,8 +333,8 @@ def stage_gpis_render(cfg: SceneConfig, io: StageIO):
     params = _march_params(cfg, radius)
     sphere = sdfrender.bounding_sphere(model.conditioning, min_radius=params.min_step)
     for name, cam in _camera_views(io):
-        image = sdfrender.render_depth_variance(model, cam, params, sphere=sphere)
-        _save_depth_var(io, name, "gpis", image.depth, image.variance)
+        _save_depth_var(io, name, "gpis",
+                        *sdfrender.render_depth_variance(model, cam, params, sphere=sphere))
 
 
 def _read_view(io, reader, name, cam):
@@ -403,9 +404,8 @@ def stage_align(cfg: SceneConfig, io: StageIO):
     for name, cam in _camera_views(io):
         raw = _read_view(io, fileio.read_pfm, f"dataset:mono_depth/{name}.pfm", cam)
         sparse = _read_sparse(io, name, cam, raw)
-        g_depth, g_var = _load_depth_var(io, name, "gpis", cam)
-        touch_img = sdfrender.DepthVarImage(g_depth, g_var, cam)
-        aligned = align_mod.align_vision(raw, sparse, touch_img,
+        g_depth, _ = _load_depth_var(io, name, "gpis", cam)
+        aligned = align_mod.align_vision(raw, sparse, g_depth,
                                          max_gap=cfg.get("align", "max_gap"))
         _save_depth_var(io, name, "vision", aligned.depth, aligned.variance)
         io.write(fileio.write_keyvalues, f"out:{name}_align.txt", {
@@ -430,14 +430,13 @@ def _read_rgb(io, name, cam):
 
 def stage_init_points(cfg: SceneConfig, io: StageIO):
     views = _camera_views(io)
-    images = []
+    depth_views = []
     colors = []
     for name, cam in views:
-        g_depth, g_var = _load_depth_var(io, name, "gpis", cam)
-        image = sdfrender.DepthVarImage(g_depth, g_var, cam)
-        images.append(image)
-        colors.append(_read_rgb(io, name, cam)[image.hit_mask])
-    points = splat.backproject_init(images)
+        depth, _ = _load_depth_var(io, name, "gpis", cam)
+        depth_views.append((depth, cam))
+        colors.append(_read_rgb(io, name, cam)[depth > 0.0])
+    points = splat.backproject_init(depth_views)
     colors = np.concatenate(colors, axis=0)
 
     train = cfg.section("train")
@@ -448,9 +447,8 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
 
     # Each splat covers about 1.5 pixels at the median depth and starts at
     # opacity 0.7.
-    cam0 = views[0][1]
-    median_depth = float(np.median(np.concatenate([img.depth[img.hit_mask] for img in images])))
-    radius = 1.5 * median_depth / cam0.fx
+    median_depth = float(np.median(np.concatenate([d[d > 0.0] for d, _ in depth_views])))
+    radius = 1.5 * median_depth / views[0][1].fx
     opacity = 0.7
     logit = math.log(opacity / (1.0 - opacity))
     cloud = splat.SplatCloud(
@@ -504,7 +502,7 @@ def evaluate_scene(cfg: SceneConfig, io: StageIO):
     for name, cam in _camera_views(io):
         gt_depth = _read_view(io, fileio.read_pfm, f"dataset:gt_depth/{name}.pfm", cam)
         gt_rgb = _read_rgb(io, name, cam)
-        object_mask = touchsim.render_gt_depth(shape, cam).hit_mask
+        object_mask = touchsim.render_gt_depth(shape, cam) > 0.0
 
         rgb, depth = splat.render(cloud, cam)
         view_psnr = metrics.psnr(np.clip(rgb, 0.0, 1.0), gt_rgb)
@@ -550,6 +548,8 @@ STAGE_ORDER = tuple(stage.name for stage in STAGES)
 # run_pipeline looks each function up here at call time, so a caller may
 # replace an entry (for example to trace the stage).
 STAGE_FUNCS = {stage.name: stage.func for stage in STAGES}
+_STAGE_FILE = re.compile("|".join(fnmatch.translate(p) for stage in STAGES for p in stage.makes))
+_DIGEST = re.compile("[0-9a-f]{16}")
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +564,45 @@ def _remove_temp_files(directory):
             os.unlink(os.path.join(directory, name))
 
 
+def _unique_keys(pairs):
+    if len({key for key, _ in pairs}) < len(pairs):
+        raise ValueError("an object repeats a key")
+    return dict(pairs)
+
+
+def _well_formed(manifest):
+    """Whether a manifest has the shape `run_pipeline` writes: a record per
+    stage, of a string `params` and `inputs` and `outputs` that map names
+    of the files a stage makes (`_STAGE_FILE`) to digests (`_DIGEST`)."""
+    def files(mapping):
+        return isinstance(mapping, dict) and all(map(_STAGE_FILE.fullmatch, mapping)) and all(
+            isinstance(digest, str) and _DIGEST.fullmatch(digest) for digest in mapping.values())
+
+    return (isinstance(manifest, dict) and set(manifest) == {"version", "stages"}
+            and isinstance(manifest["stages"], dict)
+            and all(name in STAGE_ORDER and isinstance(record, dict)
+                    and set(record) == {"params", "inputs", "outputs"}
+                    and isinstance(record["params"], str)
+                    and files(record["inputs"]) and files(record["outputs"])
+                    for name, record in manifest["stages"].items()))
+
+
 def _load_manifest(cfg):
+    """The run's manifest; an empty one when there is none or it is of another version."""
     path = _path(cfg, "out:manifest.json")
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
+                manifest = json.load(fh, object_pairs_hook=_unique_keys)
+            # Records of another version may lack inputs this one checks, or
+            # vouch for files (such as gpis.model) in a format this one cannot read.
+            if not isinstance(manifest, dict) or manifest.get("version") == MANIFEST_VERSION:
+                if not _well_formed(manifest):
+                    raise ValueError("not of the shape this version writes")
+                return manifest
         except ValueError as exc:
             raise FormatError(f"{path}: corrupt manifest ({exc}); "
                               "delete it to rerun every stage") from exc
-        # Records of another version may lack inputs this one checks, or
-        # vouch for files (such as gpis.model) in a format this one cannot read.
-        if manifest.get("version") == MANIFEST_VERSION:
-            return manifest
     return {"version": MANIFEST_VERSION, "stages": {}}
 
 

@@ -98,39 +98,6 @@ class BoundingSphere:
     radius: float
 
 
-@dataclass(frozen=True)
-class DepthVarImage:
-    """Paired z-depth (meters) and variance (meters^2) rasters.
-
-    Miss pixels carry depth 0 and variance MISS_VAR; this pairing is
-    enforced at construction so downstream fusion can trust either channel
-    as the miss mask.
-    """
-
-    depth: np.ndarray
-    variance: np.ndarray
-    camera: CameraModel
-
-    def __post_init__(self):
-        depth = np.asarray(self.depth, dtype=np.float64)
-        var = np.asarray(self.variance, dtype=np.float64)
-        if depth.shape != var.shape:
-            raise ValueError("depth and variance shapes differ")
-        if np.any(depth < 0.0):
-            raise ValueError("depth must be nonnegative")
-        miss = depth == 0.0
-        var = var.copy()
-        var[miss] = MISS_VAR
-        if np.any(var[~miss] >= MISS_VAR):
-            raise ValueError("hit pixels must carry variance below the miss sentinel")
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "variance", var)
-
-    @property
-    def hit_mask(self):
-        return self.depth > 0.0
-
-
 def bounding_sphere(cset: ConditioningSet, margin_frac=0.1, min_radius=0.0) -> BoundingSphere:
     """Sphere around the conditioning surface points with a relative margin.
 
@@ -203,11 +170,13 @@ def _march_parts(model, origin, dirs, t_enter, t_stop, params: MarchParams):
 
 
 def render_depth_variance(model, camera: CameraModel, params: MarchParams,
-                          sphere: BoundingSphere) -> DepthVarImage:
-    """Render the model from a camera into a z-depth/variance image pair,
-    marching only the rays that meet `sphere`, from entry to exit. Rays that
-    use up max_steps without a hit or an exit are drawn as misses, and a
-    RuntimeWarning gives their count for the view."""
+                          sphere: BoundingSphere):
+    """Render the model from a camera into (z-depth, variance) images,
+    marching only the rays that meet `sphere`, from entry to exit. A hit
+    has positive depth and the model's variance; a miss, a hit at t = 0
+    (a camera inside the surface) among them, has depth 0 and variance
+    MISS_VAR. Rays that use up max_steps without a hit or an exit are drawn
+    as misses, and a RuntimeWarning gives their count for the view."""
     dirs, axis_cos = camera.pixel_rays()
     t_enter, t_exit, candidates = sphere_entry_exit(camera.position - sphere.center, dirs,
                                                     sphere.radius)
@@ -227,9 +196,5 @@ def render_depth_variance(model, camera: CameraModel, params: MarchParams,
                 "they are drawn as misses", RuntimeWarning)
         hit_idx = idx[hit]
         depth[hit_idx] = t_hit[hit] * axis_cos[hit_idx]
-        variance[hit_idx] = var
-    return DepthVarImage(
-        depth.reshape(camera.height, camera.width),
-        variance.reshape(camera.height, camera.width),
-        camera,
-    )
+        variance[hit_idx] = np.where(depth[hit_idx] > 0.0, var, MISS_VAR)
+    return depth.reshape(camera.height, -1), variance.reshape(camera.height, -1)

@@ -193,18 +193,18 @@ def render(cloud: SplatCloud, camera: CameraModel):
     return rgb, depth
 
 
-def backproject_init(images):
-    """Lift every hit pixel of the depth images into one world point cloud.
+def backproject_init(views):
+    """Lift every hit pixel of the (depth, camera) views into one world point cloud.
 
     Raises NumericalError when no image has a hit: there is nothing to
     initialize the splats from.
     """
-    if not images:
+    if not views:
         raise ValueError("need at least one depth image")
     clouds = []
-    for img in images:
-        ys, xs = np.nonzero(img.hit_mask)
-        clouds.append(img.camera.backproject(xs, ys, img.depth[ys, xs]))
+    for depth, camera in views:
+        ys, xs = np.nonzero(depth > 0.0)
+        clouds.append(camera.backproject(xs, ys, depth[ys, xs]))
     points = np.concatenate(clouds, axis=0)
     if points.shape[0] == 0:
         raise NumericalError("no GPIS ray hit the surface in any view; "

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import geometry
 from .gpis import TouchReading
-from .sdfrender import CameraModel, DepthVarImage, BoundingSphere, MarchParams, render_depth_variance
+from .sdfrender import CameraModel, BoundingSphere, MarchParams, render_depth_variance
 from .align import SparseDepth
 
 GRADIENT_STEP = 1e-6
@@ -146,13 +146,13 @@ def sample_touches(shape: AnalyticShape, n_touches, patch_radius, points_per_tou
     return touches
 
 
-def render_gt_depth(shape: AnalyticShape, camera: CameraModel) -> DepthVarImage:
-    """Sphere-traced ground-truth z-depth of the shape (variance zero on hits)."""
+def render_gt_depth(shape: AnalyticShape, camera: CameraModel):
+    """Sphere-traced ground-truth z-depth image of the shape, 0 at a miss."""
     params = MarchParams(
         step_fraction=1.0, min_step=1e-6, hit_tol=GT_HIT_TOL, max_steps=GT_MAX_STEPS
     )
     sphere = BoundingSphere(np.zeros(3), 1.05 * shape.bounding_radius())
-    return render_depth_variance(shape, camera, params, sphere=sphere)
+    return render_depth_variance(shape, camera, params, sphere=sphere)[0]
 
 
 def make_sparse_depth(depth, fraction, quadratic=0.0, seed=0) -> SparseDepth:

@@ -9,11 +9,6 @@ from touchfuse.align import (
     align_vision,
     vision_uncertainty,
 )
-from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
-
-
-def camera(w, h):
-    return CameraModel(40.0, 40.0, (w - 1) / 2, (h - 1) / 2, w, h, np.eye(4))
 
 
 def sample_sparse(depth_image, count, rng, noise_std=0.0):
@@ -90,52 +85,41 @@ class TestScaleOffset:
 
 
 class TestObjectOffset:
-    def make_touch_image(self, depth, cam):
-        var = np.where(depth > 0, 1e-4, MISS_VAR)
-        return DepthVarImage(depth, var, cam)
-
     def test_constant_offset_recovery(self):
-        cam = camera(16, 16)
         touch_depth = np.zeros((16, 16))
         touch_depth[4:12, 4:12] = 2.0
-        touch = self.make_touch_image(touch_depth, cam)
         aligned = np.full((16, 16), 5.0)
         aligned[4:12, 4:12] = touch_depth[4:12, 4:12] + 0.05
-        t_obj, updated = align_object_offset(aligned, touch, max_gap=3.0)
+        t_obj, updated = align_object_offset(aligned, touch_depth, max_gap=3.0)
         assert t_obj == pytest.approx(-0.05, abs=1e-12)
         np.testing.assert_allclose(updated[4:12, 4:12], 2.0, atol=1e-12)
 
     def test_background_bit_exact(self):
-        cam = camera(16, 16)
         rng = np.random.default_rng(2)
         touch_depth = np.zeros((16, 16))
         touch_depth[6:10, 6:10] = 1.5
-        touch = self.make_touch_image(touch_depth, cam)
         aligned = rng.uniform(4.0, 6.0, size=(16, 16))
         aligned[6:10, 6:10] = 1.4
-        _, updated = align_object_offset(aligned, touch, max_gap=3.0)
+        _, updated = align_object_offset(aligned, touch_depth, max_gap=3.0)
         outside = np.ones((16, 16), bool)
         outside[6:10, 6:10] = False
         assert np.array_equal(updated[outside], aligned[outside])
 
     def test_no_touch_hits_leaves_image(self):
-        cam = camera(8, 8)
-        touch = self.make_touch_image(np.zeros((8, 8)), cam)
+        touch_depth = np.zeros((8, 8))
         aligned = np.full((8, 8), 3.0)
         with pytest.warns(UserWarning):
-            t_obj, updated = align_object_offset(aligned, touch, max_gap=3.0)
+            t_obj, updated = align_object_offset(aligned, touch_depth, max_gap=3.0)
         assert t_obj == 0.0
         np.testing.assert_array_equal(updated, aligned)
 
     def test_gap_filter_excludes_outliers(self):
         # one overlapping pixel 5 m apart with a 3 m gate: excluded
-        cam = camera(8, 8)
         touch_depth = np.zeros((8, 8))
         touch_depth[4, 4] = 7.0
-        touch = self.make_touch_image(touch_depth, cam)
         aligned = np.full((8, 8), 2.0)
         with pytest.warns(UserWarning):
-            t_obj, updated = align_object_offset(aligned, touch, max_gap=3.0)
+            t_obj, updated = align_object_offset(aligned, touch_depth, max_gap=3.0)
         assert t_obj == 0.0
         np.testing.assert_array_equal(updated, aligned)
 
@@ -168,16 +152,14 @@ class TestVisionUncertainty:
 
 class TestAlignVision:
     def test_full_stack(self):
-        cam = camera(16, 16)
         rng = np.random.default_rng(7)
         gt = rng.uniform(2.0, 6.0, size=(16, 16))
         gt[5:11, 5:11] = 2.0
         raw = (gt - 0.3) / 2.5
         touch_depth = np.zeros((16, 16))
         touch_depth[5:11, 5:11] = 1.9
-        touch = DepthVarImage(touch_depth, np.where(touch_depth > 0, 1e-4, MISS_VAR), cam)
         sparse = sample_sparse(gt, 30, rng)
-        out = align_vision(raw, sparse, touch, max_gap=3.0, slope=0.1, floor=0.25)
+        out = align_vision(raw, sparse, touch_depth, max_gap=3.0, slope=0.1, floor=0.25)
         assert isinstance(out, AlignedVision)
         assert out.s_star == pytest.approx(2.5, abs=1e-9)
         assert out.t_star == pytest.approx(0.3, abs=1e-9)

@@ -1,3 +1,4 @@
+import contextlib
 import fcntl
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import shutil
 import signal
 import tempfile
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -109,6 +111,18 @@ class TestConfigParsing:
             cfg.override("march", "step_fraction", 1.5)
         with pytest.raises(ConfigError, match="^key 'vision_bias': value 'nan' is not finite$"):
             cfg.override("sim", "vision_bias", float("nan"))
+
+    @pytest.mark.parametrize("sim, key, value, message", [
+        ("", "shape", "torus", "^key 'size': torus takes"),
+        ("shape = torus\nsize = 1.0 0.3\n", "size", "1.0", "^line 5: key 'size': torus takes"),
+        ("size = 0.5\n", "size", "0.5 0.2", "^key 'size': sphere takes a single radius"),
+    ], ids=["shape", "torus-size", "sphere-size"])
+    def test_override_checks_the_size_against_the_shape(self, sim, key, value, message):
+        cfg = parse_config_text("[scene]\ndataset = a\nout = b\n[sim]\n" + sim)
+        before = (cfg.get("sim", key), dict(cfg.lines))
+        with pytest.raises(ConfigError, match=message):
+            cfg.override("sim", key, value)
+        assert (cfg.get("sim", key), cfg.lines) == before
 
     def test_missing_dataset_directory(self, tmp_path):
         path = write_config(tmp_path, make_dataset=False)
@@ -383,6 +397,15 @@ def model_without_surface_points(blob):
     return blob[:-n] + bytes([gpis.LABEL_INTERIOR]) * n
 
 
+def edit_manifest(edit):
+    """A text edit that loads a manifest, applies edit(manifest) and dumps it."""
+    def apply(text):
+        manifest = json.loads(text)
+        edit(manifest)
+        return json.dumps(manifest)
+    return apply
+
+
 class TestExitCodes:
     """Failures that used to escape main() as tracebacks with exit code 1."""
 
@@ -436,6 +459,31 @@ class TestExitCodes:
             fh.write('{"version": 2, "stages": {')
         assert main(["pipeline", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        edit_manifest(lambda m: m["stages"].update({"gpis-fit": {}})),
+        edit_manifest(lambda m: m.update(stages=[])),
+        edit_manifest(lambda m: m["stages"]["align"].update(inputs=None)),
+        edit_manifest(lambda m: m["stages"].update({"gpis-fiu": m["stages"].pop("gpis-fit")})),
+        edit_manifest(lambda m: m.update(note="x")),
+        edit_manifest(lambda m: m["stages"]["fuse"]["outputs"].update(
+            {"out:view000_provenance.pgm": 5})),
+        edit_manifest(lambda m: m["stages"]["align"]["inputs"].update(
+            {"cameras.txt": m["stages"]["align"]["inputs"].pop("dataset:cameras.txt")})),
+        # align's inputs would keep view001's digest under view000's name alone
+        lambda text: text.replace('"out:view000_gpis_depth.pfm"', '"out:view001_gpis_depth.pfm"', 1),
+        lambda text: "[]",
+    ], ids=["empty-record", "stages-list", "null-inputs", "unknown-stage", "extra-key",
+            "number-digest", "name-of-no-stage", "repeated-key", "not-an-object"])
+    def test_manifest_of_another_shape(self, built, tmp_path, capsys, edit):
+        path = os.path.join(built.out, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            text = edit(fh.read())
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["pipeline", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "manifest.json: corrupt manifest" in err and "delete it" in err
 
     def test_output_of_an_unrecorded_stage_is_missing(self, built, tmp_path, capsys):
         # A manifest of another version is ignored, so gpis.model on disk
@@ -691,26 +739,67 @@ class TestRerunProperty:
             shutil.copytree(pristine / name, root / name)
         return validate_config(write_config(root, SMALL_SCENE))
 
+    @staticmethod
+    def flip_a_byte(data, blob):
+        blob = bytearray(blob)
+        blob[data.draw(st.integers(0, len(blob) - 1), label="byte")] ^= data.draw(
+            st.integers(1, 255), label="flip")
+        return bytes(blob)
+
+    def damage(self, data, root, rel, clean):
+        """Delete the file, or flip one of its bytes; returns the stage that makes it."""
+        if data.draw(st.booleans(), label="delete"):
+            os.unlink(root / rel)
+        else:
+            (root / rel).write_bytes(self.flip_a_byte(data, clean[rel]))
+        name = rel.replace("data/", "dataset:", 1).replace("out/", "out:", 1)
+        return next(stage.name for stage in STAGES if stage.produces(name))
+
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_damaged_file_reruns_only_the_stage_that_makes_it(self, pristine, data):
+        self.damaged_files_rerun_only_their_makers(pristine, data, 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_two_damaged_files_rerun_only_the_stages_that_make_them(self, pristine, data):
+        self.damaged_files_rerun_only_their_makers(pristine, data, 2)
+
+    def damaged_files_rerun_only_their_makers(self, pristine, data, count):
         clean = tree_bytes(pristine)
-        rel = data.draw(st.sampled_from(sorted(set(clean) - {"out/manifest.json"})), label="file")
-        name = rel.replace("data/", "dataset:", 1).replace("out/", "out:", 1)
-        maker = next(stage.name for stage in STAGES if stage.produces(name))
+        rels = data.draw(st.lists(st.sampled_from(sorted(set(clean) - {"out/manifest.json"})),
+                                  min_size=count, max_size=count, unique=True), label="files")
         with tempfile.TemporaryDirectory() as tmp:
             root = pathlib.Path(tmp)
             cfg = self.copy_of(pristine, root)
-            if data.draw(st.booleans(), label="delete"):
-                os.unlink(root / rel)
-            else:
-                blob = bytearray(clean[rel])
-                blob[data.draw(st.integers(0, len(blob) - 1), label="byte")] ^= data.draw(
-                    st.integers(1, 255), label="flip")
-                (root / rel).write_bytes(blob)
+            makers = {self.damage(data, root, rel, clean) for rel in rels}
             status = run_pipeline(cfg)
-            assert [stage for stage, state in status.items() if state == "ran"] == [maker]
+            assert [stage for stage, state in status.items() if state == "ran"] == \
+                [stage.name for stage in STAGES if stage.name in makers]
             assert tree_bytes(root) == clean
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_damaged_manifest_is_corrupt_or_reruns_to_a_clean_tree(self, pristine, data):
+        # A flip can leave valid JSON of the same object (a whitespace byte)
+        # that nothing rewrites, or another valid manifest that a rerun
+        # replaces; anything else is a corrupt manifest.
+        clean = tree_bytes(pristine)
+        manifest = clean.pop("out/manifest.json")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = pathlib.Path(tmp)
+            self.copy_of(pristine, root)
+            (root / "out/manifest.json").write_bytes(self.flip_a_byte(data, manifest))
+            err = StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+                code = main(["pipeline", "--config", str(root / "scene.cfg")])
+            if code == EXIT_FORMAT:
+                assert "manifest.json: corrupt manifest" in err.getvalue()
+                return
+            assert code == EXIT_OK
+            after = tree_bytes(root)
+            assert json.loads(after.pop("out/manifest.json")) == json.loads(manifest)
+            assert after == clean
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(STAGE_KEYS))

@@ -14,7 +14,6 @@ from touchfuse.sdfrender import (
     MISS_VAR,
     BoundingSphere,
     CameraModel,
-    DepthVarImage,
     MarchParams,
     bounding_sphere,
     render_depth_variance,
@@ -229,20 +228,6 @@ class TestMarch:
             assert res[0] <= true_t + params.min_step + 1e-12
 
 
-class TestDepthVarImage:
-    def test_sentinel_pairing_enforced(self):
-        cam = simple_camera(width=8, height=8)
-        depth = np.zeros((8, 8))
-        var = np.ones((8, 8))
-        img = DepthVarImage(depth, var, cam)
-        assert np.all(img.variance == MISS_VAR)
-
-    def test_negative_depth_rejected(self):
-        cam = simple_camera(width=4, height=4)
-        with pytest.raises(ValueError):
-            DepthVarImage(-np.ones((4, 4)), np.ones((4, 4)), cam)
-
-
 @pytest.fixture(scope="module")
 def sphere_gpis():
     shape = AnalyticShape("sphere", (1.0,))
@@ -255,24 +240,24 @@ class TestRender:
     def test_facing_away_all_miss(self, sphere_gpis):
         pose = look_at([0.0, 0.0, -3.0], [0.0, 0.0, -9.0])
         cam = simple_camera(width=16, height=16, pose=pose)
-        image = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 100))
-        assert not image.hit_mask.any()
-        assert np.all(image.variance == MISS_VAR)
+        depth, variance = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 100))
+        assert not depth.any()
+        assert np.all(variance == MISS_VAR)
 
     def test_gpis_depth_matches_analytic_sphere(self, sphere_gpis):
         cam = simple_camera(pose=look_at([0.0, 0.0, -3.0], [0.0, 0.0, 0.0]))
-        image = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
+        depth, _ = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
         errs = []
         for y in range(64):
             for x in range(64):
-                if not image.hit_mask[y, x]:
+                if not depth[y, x] > 0:
                     continue
                 ray = generate_ray(cam, (float(x), float(y)))
                 t = ray_sphere_depth(ray.origin, ray.direction, np.zeros(3), 1.0)
                 if t is None:
                     continue
                 d_cam = np.array([(x - cam.cx) / cam.fx, (y - cam.cy) / cam.fy, 1.0])
-                errs.append(abs(image.depth[y, x] - t / np.linalg.norm(d_cam)))
+                errs.append(abs(depth[y, x] - t / np.linalg.norm(d_cam)))
         assert len(errs) > 200
         assert np.median(errs) < 5e-3
 
@@ -281,36 +266,36 @@ class TestRender:
         params = MarchParams(0.9, 1e-3, 1e-4, 200)
         a = render(sphere_gpis, cam, params)
         b = render(sphere_gpis, cam, params)
-        np.testing.assert_array_equal(a.depth, b.depth)
-        np.testing.assert_array_equal(a.variance, b.variance)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_rays_out_of_steps_are_counted_in_a_warning(self, sphere_gpis):
         cam = simple_camera(width=16, height=16, pose=look_at([0, 0, -3], [0, 0, 0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            full = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
+            full, _ = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 200))
         with pytest.warns(RuntimeWarning, match="max_steps=2") as record:
-            short = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 2))
+            short, _ = render(sphere_gpis, cam, MarchParams(0.9, 1e-3, 1e-4, 2))
         exhausted, candidates = map(int, re.match(r"(\d+) of (\d+) candidate",
                                                   str(record[0].message)).groups())
-        assert 0 < exhausted <= candidates - np.count_nonzero(short.hit_mask)
-        assert np.count_nonzero(full.hit_mask & ~short.hit_mask) <= exhausted
+        assert 0 < exhausted <= candidates - np.count_nonzero(short)
+        assert np.count_nonzero((full > 0) & (short == 0)) <= exhausted
 
     def test_batch_render_matches_scalar_march(self, sphere_gpis):
         cam = simple_camera(width=32, height=32, pose=look_at([0, 0, -3], [0, 0, 0]))
         params = MarchParams(0.9, 1e-3, 1e-4, 200)
-        image = render(sphere_gpis, cam, params)
+        depth, variance = render(sphere_gpis, cam, params)
         sphere = bounding_sphere(sphere_gpis.conditioning, 0.1, min_radius=params.min_step)
         rng = np.random.default_rng(0)
-        ys, xs = np.nonzero(image.hit_mask)
+        ys, xs = np.nonzero(depth)
         pick = rng.choice(len(xs), size=min(10, len(xs)), replace=False)
         for i in pick:
             ray = generate_ray(cam, (float(xs[i]), float(ys[i])))
             res = march(sphere_gpis, ray, params, sphere_prefilter(ray, sphere))
             d_cam = np.array([(xs[i] - cam.cx) / cam.fx, (ys[i] - cam.cy) / cam.fy, 1.0])
             axis_cos = 1.0 / np.linalg.norm(d_cam)
-            assert res[0] * axis_cos == image.depth[ys[i], xs[i]]
-            assert res[1] == image.variance[ys[i], xs[i]]
+            assert res[0] * axis_cos == depth[ys[i], xs[i]]
+            assert res[1] == variance[ys[i], xs[i]]
 
     def test_prefilter_soundness_against_analytic_hits(self, sphere_gpis):
         cam = simple_camera(width=32, height=32, pose=look_at([0.2, -0.1, -3.0], [0, 0, 0]))
@@ -329,13 +314,43 @@ class TestRender:
     def test_ray_length_bounds_axis_depth(self, sphere_gpis):
         cam = simple_camera(pose=look_at([0, 0, -3], [0, 0, 0]))
         params = MarchParams(0.9, 1e-3, 1e-4, 200)
-        image = render(sphere_gpis, cam, params)
+        depth, _ = render(sphere_gpis, cam, params)
         sphere = bounding_sphere(sphere_gpis.conditioning, 0.1, min_radius=params.min_step)
-        ys, xs = np.nonzero(image.hit_mask)
+        ys, xs = np.nonzero(depth)
         for y, x in list(zip(ys, xs))[::37]:
             ray = generate_ray(cam, (float(x), float(y)))
             res = march(sphere_gpis, ray, params, sphere_prefilter(ray, sphere))
-            assert res[0] >= image.depth[y, x] - 1e-12
+            assert res[0] >= depth[y, x] - 1e-12
+
+
+class TestImageContract:
+    """A render's depth is finite and nonnegative. Its variance is MISS_VAR
+    exactly where the depth is 0 (a miss) and lies in (0, MISS_VAR) where
+    the depth is positive (a hit)."""
+
+    def test_every_render_keeps_the_miss_rule(self, sphere_gpis):
+        toward = simple_camera(24, 24, fx=16.0, pose=look_at([0, 0, -3], [0, 0, 0]))
+        away = simple_camera(width=16, height=16, pose=look_at([0, 0, -3], [0, 0, -9]))
+        params = MarchParams(0.9, 1e-3, 1e-4, 200)
+        with pytest.warns(RuntimeWarning, match="max_steps=2"):
+            out_of_steps = render(sphere_gpis, toward, MarchParams(0.9, 1e-3, 1e-4, 2))
+        # A camera at the centre of an analytic sphere hits at t = 0 on every
+        # ray: depth 0, so a miss, though the model's variance there is 0.
+        inside = render_depth_variance(AnalyticShape("sphere", (1.0,)), simple_camera(8, 8),
+                                       params, BoundingSphere(np.zeros(3), 1.05))
+        images = {"gpis": render(sphere_gpis, toward, params),
+                  "facing away": render(sphere_gpis, away, params),
+                  "out of steps": out_of_steps, "camera inside": inside}
+        assert (images["gpis"][0] > 0).any() and (images["gpis"][0] == 0).any()
+        for name, (depth, variance) in images.items():
+            assert np.all(np.isfinite(depth)) and np.all(depth >= 0.0), name
+            assert np.all(variance[depth == 0.0] == MISS_VAR), name
+            hit = variance[depth > 0.0]
+            assert np.all((hit > 0.0) & (hit < MISS_VAR)), name
+        for kind, size in (("sphere", (1.0,)), ("box", (0.5, 0.4, 0.3)), ("torus", (0.8, 0.25))):
+            depth = render_gt_depth(AnalyticShape(kind, size), toward)
+            assert depth.shape == (24, 24) and depth.any(), kind
+            assert np.all(np.isfinite(depth)) and np.all(depth >= 0.0), kind
 
 
 def candidate_count(model, camera, params):
@@ -354,13 +369,13 @@ class TestSplitRender:
     @pytest.mark.parametrize("cpus", [1, 2, 3, "candidates + 1"])
     def test_any_cpu_count_gives_the_one_part_bits(self, sphere_gpis, on_cpus, cpus):
         one, forks = on_cpus(1, render, sphere_gpis, self.cam, self.params)
-        assert forks == 0 and one.hit_mask.any()
+        assert forks == 0 and one[0].any()
         n = candidate_count(sphere_gpis, self.cam, self.params)
         cpus = n + 1 if cpus == "candidates + 1" else cpus
         split, forks = on_cpus(cpus, render, sphere_gpis, self.cam, self.params)
         assert forks == min(cpus, n) - 1
-        np.testing.assert_array_equal(split.depth, one.depth)
-        np.testing.assert_array_equal(split.variance, one.variance)
+        np.testing.assert_array_equal(split[0], one[0])
+        np.testing.assert_array_equal(split[1], one[1])
 
     def test_exhausted_rays_warn_once_with_the_serial_counts(self, sphere_gpis, on_cpus):
         params = MarchParams(0.9, 1e-3, 1e-4, 2)
@@ -398,5 +413,5 @@ class TestSplitRender:
             raise AssertionError("render_gt_depth forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        image, _ = on_cpus(8, render_gt_depth, AnalyticShape("sphere", (1.0,)), self.cam)
-        assert image.hit_mask.any()
+        depth, _ = on_cpus(8, render_gt_depth, AnalyticShape("sphere", (1.0,)), self.cam)
+        assert depth.any()

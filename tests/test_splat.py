@@ -11,7 +11,7 @@ from touchfuse import splat, workers
 from touchfuse.errors import NumericalError
 from touchfuse.fuse import PROVENANCE_FUSED, PROVENANCE_NONE, FusedSupervision
 from touchfuse.geometry import look_at
-from touchfuse.sdfrender import MISS_VAR, CameraModel, DepthVarImage
+from touchfuse.sdfrender import MISS_VAR, CameraModel
 from touchfuse.splat import (
     FOOTPRINT_CAP_PX,
     Z_NEAR,
@@ -373,21 +373,21 @@ class TestLosses:
 class TestBackprojection:
     def test_sphere_depths_lift_to_unit_norm(self):
         shape = AnalyticShape("sphere", (1.0,))
-        images = []
+        views = []
         for angle in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
             eye = [3.0 * math.cos(angle), 3.0 * math.sin(angle), 0.4]
             cam = camera(32, 32, fx=24.0, pose=look_at(eye, [0, 0, 0]))
-            images.append(render_gt_depth(shape, cam))
-        cloud = backproject_init(images)
+            views.append((render_gt_depth(shape, cam), cam))
+        cloud = backproject_init(views)
         assert cloud.shape[0] > 500
         norms = np.linalg.norm(cloud, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 0.02
 
     def test_all_miss_raises(self):
         cam = camera(8, 8)
-        img = DepthVarImage(np.zeros((8, 8)), np.full((8, 8), MISS_VAR), cam)
+        view = (np.zeros((8, 8)), cam)
         with pytest.raises(NumericalError, match="no GPIS ray hit"):
-            backproject_init([img, img])
+            backproject_init([view, view])
 
     def test_round_trip_recovers_splat_positions(self):
         rng = np.random.default_rng(8)
@@ -395,8 +395,7 @@ class TestBackprojection:
         cloud.opacity_logits[:] = logit(1 - 1e-9)
         cam = camera(32, 32, fx=24.0)
         _, depth = render(cloud, cam)
-        img = DepthVarImage(depth, np.where(depth > 0, 1e-6, MISS_VAR), cam)
-        lifted = backproject_init([img])
+        lifted = backproject_init([(depth, cam)])
         # every splat position should have a lifted point within one pixel footprint
         pixel_world = 2.4 / 24.0  # depth / fx
         for p in cloud.positions:

@@ -100,18 +100,16 @@ class TestRenderGTDepth:
     def test_center_pixel_depth(self):
         sphere = AnalyticShape("sphere", (1.0,))
         cam = orbit_camera([0.0, 0.0, -3.0])
-        image = render_gt_depth(sphere, cam)
+        depth = render_gt_depth(sphere, cam)
         cy, cx = int(cam.cy), int(cam.cx)
         # the principal point sits half a pixel away from this pixel center
-        ray_depth = image.depth[cy, cx]
-        assert abs(ray_depth - 2.0) < 2e-3
-        assert image.variance[cy, cx] == 0.0
+        assert abs(depth[cy, cx] - 2.0) < 2e-3
 
     def test_exact_center_ray(self):
         sphere = AnalyticShape("sphere", (1.0,))
         cam = CameraModel(48.0, 48.0, 32.0, 32.0, 65, 65, look_at([0, 0, -3], [0, 0, 0]))
-        image = render_gt_depth(sphere, cam)
-        assert abs(image.depth[32, 32] - 2.0) < 1e-5
+        depth = render_gt_depth(sphere, cam)
+        assert abs(depth[32, 32] - 2.0) < 1e-5
 
     def test_grazing_rays_hit_as_in_closed_form(self):
         # Rays that graze the silhouette crawl at the minimum step; none may
@@ -120,24 +118,22 @@ class TestRenderGTDepth:
         cam = CameraModel(48.0, 48.0, 32.0, 32.0, 65, 65, look_at([0, 0, -3], [0, 0, 0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            image = render_gt_depth(sphere, cam)
+            depth = render_gt_depth(sphere, cam)
         dirs, _ = cam.pixel_rays()
         b = dirs @ cam.position
         analytic = (b * b - (cam.position @ cam.position - 1.0) >= 0.0).reshape(65, 65)
-        assert np.count_nonzero(image.hit_mask) == np.count_nonzero(analytic)
-        np.testing.assert_array_equal(image.hit_mask, analytic)
+        assert np.count_nonzero(depth > 0) == np.count_nonzero(analytic)
+        np.testing.assert_array_equal(depth > 0, analytic)
 
     def test_facing_away_all_miss(self):
         sphere = AnalyticShape("sphere", (1.0,))
         cam = CameraModel(48.0, 48.0, 31.5, 31.5, 64, 64, look_at([0, 0, -3], [0, 0, -9]))
-        image = render_gt_depth(sphere, cam)
-        assert not image.hit_mask.any()
+        assert not render_gt_depth(sphere, cam).any()
 
     def test_box_symmetric_columns(self):
         box = AnalyticShape("box", (0.5, 0.5, 0.5))
         cam = CameraModel(48.0, 48.0, 32.0, 32.0, 65, 65, look_at([0, 0, -3], [0, 0, 0]))
-        image = render_gt_depth(box, cam)
-        depth = image.depth
+        depth = render_gt_depth(box, cam)
         mirrored = depth[:, ::-1]
         both = (depth > 0) & (mirrored > 0)
         assert both.sum() > 100
@@ -152,14 +148,14 @@ class TestSparseDepth:
 
     def test_zero_noise_matches_gt(self):
         gt = self.make_gt()
-        sparse = make_sparse_depth(gt.depth, 0.01, seed=0)
+        sparse = make_sparse_depth(gt, 0.01, seed=0)
         for (u, v), d in zip(sparse.pixels, sparse.depths):
-            assert d == gt.depth[v, u]
+            assert d == gt[v, u]
 
     def test_sample_count_contract(self):
         gt = self.make_gt()
-        hits = int(gt.hit_mask.sum())
-        sparse = make_sparse_depth(gt.depth, 0.008, seed=1)
+        hits = int(np.count_nonzero(gt))
+        sparse = make_sparse_depth(gt, 0.008, seed=1)
         assert len(sparse) == int(round(0.008 * hits))
 
     def test_noise_std_scales_quadratically(self):
@@ -178,7 +174,7 @@ class TestSparseDepth:
     def test_fraction_range_enforced(self):
         gt = self.make_gt()
         with pytest.raises(ValueError):
-            make_sparse_depth(gt.depth, 0.05, seed=0)
+            make_sparse_depth(gt, 0.05, seed=0)
 
     def test_no_hits_rejected(self):
         with pytest.raises(ValueError, match="no positive pixel"):
