@@ -253,6 +253,8 @@ def read_cameras(path):
             else:
                 raise ValueError(f"unknown camera-file directive {token[0]!r}")
     flush()
+    if not views:
+        raise ValueError("no 'view' block: a camera list needs at least one view")
     return views
 
 

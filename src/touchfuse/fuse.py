@@ -6,8 +6,6 @@ huge sentinel variance, so the update automatically defers to whichever
 source is informative.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sdfrender import MISS_VAR
@@ -18,30 +16,15 @@ PROVENANCE_TOUCH = 170
 PROVENANCE_FUSED = 255
 
 
-@dataclass(frozen=True)
-class FusedSupervision:
-    """Fused depth/variance pair plus a per-pixel provenance mask."""
-
-    depth: np.ndarray
-    variance: np.ndarray
-    provenance: np.ndarray
-
-    def __post_init__(self):
-        if self.depth.shape != self.variance.shape or self.depth.shape != self.provenance.shape:
-            raise ValueError("depth, variance and provenance shapes differ")
-
-    @property
-    def supervised_mask(self):
-        return self.provenance != PROVENANCE_NONE
-
-
-def fuse_images(vision_depth, vision_var, touch_depth, touch_var) -> FusedSupervision:
+def fuse_images(vision_depth, vision_var, touch_depth, touch_var):
     """Fuse an image pair per pixel: precisions add, depths average by precision.
+    Returns the fused (depth, variance, provenance) images.
 
     A side is valid where its depth is finite and positive (a touch miss has
     depth 0). An invalid side enters with the sentinel variance so the other
     source dominates; pixels invalid on both sides come out as depth 0 /
-    sentinel variance with provenance NONE.
+    sentinel variance with provenance NONE, so a fused depth > 0 marks a
+    pixel with supervision.
     """
     if len({np.shape(a) for a in (vision_depth, vision_var, touch_depth, touch_var)}) > 1:
         raise ValueError("image dimensions differ")
@@ -66,4 +49,4 @@ def fuse_images(vision_depth, vision_var, touch_depth, touch_var) -> FusedSuperv
     none = provenance == PROVENANCE_NONE
     mu[none] = 0.0
     var[none] = MISS_VAR
-    return FusedSupervision(mu, var, provenance)
+    return mu, var, provenance

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import align as align_mod
 from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
-from .config import SceneConfig
-from .errors import ConfigError, DependencyError, FormatError, LockedError
+from .config import SCHEMA, SceneConfig, _check_size, _parse_value
+from .errors import ConfigError, DependencyError, FormatError, LockedError, reads_format
 
 MANIFEST_VERSION = 3
 MONO_SCALE = 2.5
@@ -183,17 +183,29 @@ def _camera_views(io):
     return io.read(fileio.read_cameras, "dataset:cameras.txt")
 
 
-def _scene_record(io):
-    return io.read(fileio.read_keyvalues, "dataset:scene.cfg")
+@reads_format
+def _read_scene(path):
+    """The analytic shape and background color of a scene record
+    (`dataset:scene.cfg`). Each key is parsed as the config's is: a missing
+    key, a shape of no known kind, a size that does not fit the shape, or a
+    background color that is not three finite numbers in [0, 1] makes the
+    file malformed. simulate writes eight more keys that nothing reads."""
+    record = fileio.read_keyvalues(path)
 
+    def value(key, kind, validator):
+        if key not in record:
+            raise ValueError(f"key '{key}' is missing")
+        return _parse_value(kind, record[key], key, validator)
 
-def _shape_from_record(record):
-    size = tuple(float(tok) for tok in record["size"].split())
-    return touchsim.AnalyticShape(record["shape"], size)
-
-
-def _background(record):
-    return tuple(float(t) for t in record["background_color"].split())
+    sim = {}
+    for key in ("shape", "size"):
+        kind, _, validator = SCHEMA["sim"][key]
+        sim[key] = value(key, kind, validator)
+    _check_size(sim, {})
+    background = value("background_color", "floats", lambda c: 0.0 <= c <= 1.0)
+    if len(background) != 3:
+        raise ValueError(f"key 'background_color': expected 3 numbers, got {len(background)}")
+    return touchsim.AnalyticShape(sim["shape"], sim["size"]), background
 
 
 def _march_params(cfg, radius):
@@ -419,9 +431,10 @@ def stage_fuse(cfg: SceneConfig, io: StageIO):
     for name, cam in _camera_views(io):
         v_depth, v_var = _load_depth_var(io, name, "vision", cam)
         g_depth, g_var = _load_depth_var(io, name, "gpis", cam)
-        fused = fuse.fuse_images(v_depth, v_var, g_depth, g_var)
-        _save_depth_var(io, name, "fused", fused.depth, fused.variance)
-        io.write(fileio.write_pgm, f"out:{name}_provenance.pgm", fused.provenance)
+        f_depth, f_var, provenance = fuse.fuse_images(v_depth, v_var, g_depth, g_var)
+        _save_depth_var(io, name, "fused", f_depth, f_var)
+        # No stage reads the provenance masks: they are for inspection and the benchmark.
+        io.write(fileio.write_pgm, f"out:{name}_provenance.pgm", provenance)
 
 
 def _read_rgb(io, name, cam):
@@ -458,22 +471,13 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
 
 
 def stage_train(cfg: SceneConfig, io: StageIO):
-    cloud = io.read(fileio.read_splat_ply, "out:init.ply",
-                    background=_background(_scene_record(io)))
-    views = []
-    for name, cam in _camera_views(io):
-        rgb = _read_rgb(io, name, cam)
-        f_depth, f_var = _load_depth_var(io, name, "fused", cam)
-        provenance = _read_view(io, fileio.read_pgm, f"out:{name}_provenance.pgm", cam)
-        views.append((rgb, fuse.FusedSupervision(f_depth, f_var, provenance), cam))
-    loss_cfg = splat.LossConfig(
-        cfg.get("loss", "depth_weight"),
-        cfg.get("loss", "sharpness"),
-        cfg.get("loss", "decay"),
-    )
+    _, background = io.read(_read_scene, "dataset:scene.cfg")
+    cloud = io.read(fileio.read_splat_ply, "out:init.ply", background=background)
+    views = [(_read_rgb(io, name, cam), *_load_depth_var(io, name, "fused", cam), cam)
+             for name, cam in _camera_views(io)]
     log_rows = []
     trained = splat.optimize(
-        cloud, views, loss_cfg, cfg.get("train", "iters"),
+        cloud, views, splat.LossConfig(**cfg.section("loss")), cfg.get("train", "iters"),
         step=cfg.get("train", "step"),
         callback=lambda row: log_rows.append(row),
     )
@@ -487,10 +491,8 @@ def stage_train(cfg: SceneConfig, io: StageIO):
 
 def evaluate_scene(cfg: SceneConfig, io: StageIO):
     """Compute the full metric report for the trained cloud."""
-    record = _scene_record(io)
-    shape = _shape_from_record(record)
-    cloud = io.read(fileio.read_splat_ply, "out:splats.ply",
-                    background=_background(record))
+    shape, background = io.read(_read_scene, "dataset:scene.cfg")
+    cloud = io.read(fileio.read_splat_ply, "out:splats.ply", background=background)
 
     def mse(sq_errors):
         return float(np.mean(sq_errors)) if sq_errors.size else math.nan

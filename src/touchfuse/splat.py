@@ -70,16 +70,16 @@ class SplatCloud:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Depth-supervision loss parameters.
+    """Depth-supervision loss parameters: the config's [loss] section.
 
     depth_weight scales the depth term against the color term, sharpness
     controls how fast supervision confidence falls off with the fused
     standard deviation, and decay shrinks depth_weight each training epoch.
     """
 
-    depth_weight: float = 1.0
-    sharpness: float = 1.0
-    decay: float = 1.0
+    depth_weight: float
+    sharpness: float
+    decay: float
 
     def __post_init__(self):
         if self.depth_weight < 0.0 or self.sharpness < 0.0:
@@ -212,24 +212,26 @@ def backproject_init(views):
     return points
 
 
-def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
+def _view_loss_and_grads(cloud, rgb_gt, fused_depth, fused_var, camera, cfg, depth_weight):
     pairs = footprint_pairs(cloud, camera)
     pix, sid, z = pairs
     rgb, depth, trans, (seg, rank, counts, w_pairs, t_pairs) = _forward(cloud, camera, pairs)
 
     rgb_gt = np.asarray(rgb_gt, dtype=np.float64)
-    if rgb.shape != rgb_gt.shape or depth.shape != fused.depth.shape:
+    if rgb.shape != rgb_gt.shape or not depth.shape == fused_depth.shape == fused_var.shape:
         raise ValueError("image dimensions differ")
 
     color_residual = rgb - rgb_gt
     c_loss = float(np.sum(color_residual ** 2))
     g_color_px = 2.0 * color_residual.reshape(-1, 3)
-    mask = fused.supervised_mask.reshape(-1)
+    # The depth term supervises the pixels where fused depth > 0: fusion
+    # gives every other pixel depth 0.
+    mask = fused_depth.reshape(-1) > 0.0
     d_loss = 0.0
     g_depth_px = np.zeros(mask.shape)
     if np.any(mask):
-        weights = np.exp(-cfg.sharpness * np.sqrt(fused.variance.reshape(-1)[mask]))
-        depth_residual = depth.reshape(-1)[mask] - fused.depth.reshape(-1)[mask]
+        weights = np.exp(-cfg.sharpness * np.sqrt(fused_var.reshape(-1)[mask]))
+        depth_residual = depth.reshape(-1)[mask] - fused_depth.reshape(-1)[mask]
         d_loss = float(np.sum(weights * depth_residual ** 2))
         if depth_weight != 0.0:
             g_depth_px[mask] = depth_weight * 2.0 * weights * depth_residual
@@ -273,17 +275,16 @@ def _view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, depth_weight):
 
 
 def _terms(cloud, views, cfg, lam):
-    return [_view_loss_and_grads(cloud, rgb_gt, fused, camera, cfg, lam)
-            for rgb_gt, fused, camera in views]
+    return [_view_loss_and_grads(cloud, *view, cfg, lam) for view in views]
 
 
 def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
-    """Summed color + depth_weight * depth loss over (rgb, fused, camera)
-    views, its two terms, and its analytic gradients w.r.t. positions,
-    colors and opacity logits. `views` may also be optimize's
-    `workers.Split` over its views, which returns each part's terms; the
-    sum is taken here, in view order from zero, whichever process computed
-    a view's terms."""
+    """Summed color + depth_weight * depth loss over (rgb, fused depth,
+    fused variance, camera) views, its two terms, and its analytic
+    gradients w.r.t. positions, colors and opacity logits. `views` may also
+    be optimize's `workers.Split` over its views, which returns each part's
+    terms; the sum is taken here, in view order from zero, whichever
+    process computed a view's terms."""
     lam = cfg.depth_weight if depth_weight is None else depth_weight
     if isinstance(views, workers.Split):
         parts = views(cloud.positions, cloud.colors, cloud.opacity_logits, cfg, lam)
@@ -303,8 +304,8 @@ def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
     return loss, c_total, d_total, grads
 
 
-def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
-             step=1e-2, group_scales=(1.0, 1.0, 1.0), callback=None) -> SplatCloud:
+def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
+             group_scales=(1.0, 1.0, 1.0), callback=None) -> SplatCloud:
     """Plain gradient descent on positions, colors and opacity logits.
 
     The depth weight decays by cfg.decay each epoch (one pass over all
@@ -317,7 +318,7 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters,
     if not views:
         raise ValueError("need at least one view")
     current = cloud.copy()
-    pixels = sum(camera.width * camera.height for _, _, camera in views)
+    pixels = sum(camera.width * camera.height for *_, camera in views)
     # A view's loss and gradients cost ≈0.7 ns per splat x pixel; a pass's
     # round trip, the cloud out and its views' terms back, costs less than
     # any one view's own pass.

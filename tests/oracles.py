@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from touchfuse.fuse import FusedSupervision
 from touchfuse.geometry import unit
 from touchfuse.gpis import KernelParams
 from touchfuse.sdfrender import BoundingSphere, CameraModel, MarchParams
@@ -124,31 +123,32 @@ def color_loss(rendered, gt):
     return float(np.sum((rendered - gt) ** 2))
 
 
-def depth_loss(rendered_depth, fused: FusedSupervision, cfg: LossConfig):
+def depth_loss(rendered_depth, fused_depth, fused_var, cfg: LossConfig):
     """Uncertainty-weighted squared depth error over supervised pixels.
 
-    Per-pixel weight = exp(-sharpness * sqrt(variance));
-    pixels without provenance are skipped entirely.
+    Per-pixel weight = exp(-sharpness * sqrt(variance)); pixels whose fused
+    depth is not positive are skipped entirely.
     """
     rendered_depth = np.asarray(rendered_depth, dtype=np.float64)
-    if rendered_depth.shape != fused.depth.shape:
+    if rendered_depth.shape != fused_depth.shape:
         raise ValueError("image dimensions differ")
-    mask = fused.supervised_mask
+    mask = fused_depth > 0.0
     if not np.any(mask):
         return 0.0
-    weights = np.exp(-cfg.sharpness * np.sqrt(fused.variance[mask]))
-    return float(np.sum(weights * (rendered_depth[mask] - fused.depth[mask]) ** 2))
+    weights = np.exp(-cfg.sharpness * np.sqrt(fused_var[mask]))
+    return float(np.sum(weights * (rendered_depth[mask] - fused_depth[mask]) ** 2))
 
 
 def total_loss(cloud, views, cfg: LossConfig, depth_weight=None):
-    """Summed color + weighted depth loss across (rgb, fused, camera) views."""
+    """Summed color + weighted depth loss across (rgb, fused depth, fused
+    variance, camera) views."""
     lam = cfg.depth_weight if depth_weight is None else depth_weight
     total = 0.0
-    for rgb_gt, fused, camera in views:
+    for rgb_gt, fused_depth, fused_var, camera in views:
         rgb, depth = render(cloud, camera)
         total += color_loss(rgb, rgb_gt)
         if lam != 0.0:
-            total += lam * depth_loss(depth, fused, cfg)
+            total += lam * depth_loss(depth, fused_depth, fused_var, cfg)
     return total
 
 
@@ -158,7 +158,7 @@ def dot3(a, b):
     return (p[0] + p[2]) + p[1]
 
 
-def view_loss_and_grads(cloud: SplatCloud, rgb_gt, fused: FusedSupervision,
+def view_loss_and_grads(cloud: SplatCloud, rgb_gt, fused_depth, fused_var,
                         camera: CameraModel, cfg: LossConfig, depth_weight):
     """One view's (loss, color loss, depth loss, position, color and
     opacity-logit gradients), pixel by pixel.
@@ -184,7 +184,7 @@ def view_loss_and_grads(cloud: SplatCloud, rgb_gt, fused: FusedSupervision,
         )
     rgb = color + trans[..., None] * cloud.background
     c_loss = color_loss(rgb, rgb_gt)
-    d_loss = depth_loss(depth, fused, cfg)
+    d_loss = depth_loss(depth, fused_depth, fused_var, cfg)
 
     n = len(cloud)
     grad_col = np.zeros((n, 3))
@@ -194,9 +194,9 @@ def view_loss_and_grads(cloud: SplatCloud, rgb_gt, fused: FusedSupervision,
         y, x = divmod(int(p), width)
         g_c = 2.0 * (rgb[y, x] - rgb_gt[y, x])
         g_d = 0.0
-        if fused.supervised_mask[y, x] and depth_weight != 0.0:
-            weight = np.exp(-cfg.sharpness * np.sqrt(fused.variance[y, x]))
-            g_d = depth_weight * 2.0 * weight * (depth[y, x] - fused.depth[y, x])
+        if fused_depth[y, x] > 0.0 and depth_weight != 0.0:
+            weight = np.exp(-cfg.sharpness * np.sqrt(fused_var[y, x]))
+            g_d = depth_weight * 2.0 * weight * (depth[y, x] - fused_depth[y, x])
         pairs = np.flatnonzero(pix == p)
         t = np.empty(pairs.size)
         t[0] = 1.0

@@ -16,7 +16,6 @@ import pytest
 from touchfuse import fileio, fuse, metrics, pipeline
 from touchfuse.align import SparseDepth, align_object_offset, align_scale_offset
 from touchfuse.config import validate_config
-from touchfuse.fuse import PROVENANCE_FUSED, PROVENANCE_NONE, PROVENANCE_VISION, FusedSupervision
 from touchfuse.geometry import look_at
 from touchfuse.gpis import KernelParams, TouchReading, build_conditioning_set, fit
 from touchfuse.sdfrender import (
@@ -184,14 +183,14 @@ def test_criterion_06_fusion_exactness():
     rng = np.random.default_rng(6)
     vd, vv = rng.uniform(0.5, 6.0, size=(16, 16)), rng.uniform(0.05, 2.0, size=(16, 16))
     td, tv = rng.uniform(0.5, 6.0, size=(16, 16)), rng.uniform(1e-4, 0.5, size=(16, 16))
-    fused = fuse.fuse_images(vd, vv, td, tv)
+    fused_depth, fused_var, _ = fuse.fuse_images(vd, vv, td, tv)
     for y in range(16):
         for x in range(16):
             mu, var = fuse_pixel(vd[y, x], vv[y, x], td[y, x], tv[y, x])
-            assert fused.depth[y, x] == mu
-            assert fused.variance[y, x] == var
-    np.testing.assert_allclose(1.0 / fused.variance, 1.0 / vv + 1.0 / tv, rtol=1e-10)
-    assert np.all(fused.variance <= np.minimum(vv, tv))
+            assert fused_depth[y, x] == mu
+            assert fused_var[y, x] == var
+    np.testing.assert_allclose(1.0 / fused_var, 1.0 / vv + 1.0 / tv, rtol=1e-10)
+    assert np.all(fused_var <= np.minimum(vv, tv))
     report(6, "fusion bit-exactness, precision additivity, variance bound")
 
 
@@ -210,9 +209,8 @@ def test_criterion_07_gradient_validity():
     gt_rgb = rng.uniform(size=(16, 16, 3))
     depth = rng.uniform(1.5, 2.5, size=(16, 16))
     var = rng.uniform(0.01, 1.0, size=(16, 16))
-    prov = np.full((16, 16), PROVENANCE_FUSED, dtype=np.uint8)
-    prov[rng.uniform(size=(16, 16)) < 0.2] = PROVENANCE_NONE
-    view = (gt_rgb, FusedSupervision(depth, var, prov), cam)
+    depth[rng.uniform(size=(16, 16)) < 0.2] = 0.0  # no supervision there
+    view = (gt_rgb, depth, var, cam)
     cfg = LossConfig(depth_weight=0.8, sharpness=1.2, decay=1.0)
     err = grad_check(cloud, view, cfg, h=1e-5)
     assert err < 1e-4
@@ -251,9 +249,7 @@ def test_criterion_08_metric_oracles():
 
 def _load_scene_products(run):
     cfg = run["cfg"]
-    record = fileio.read_keyvalues(pipeline._path(cfg, "dataset:scene.cfg"))
-    shape = pipeline._shape_from_record(record)
-    background = tuple(float(t) for t in record["background_color"].split())
+    shape, background = pipeline._read_scene(pipeline._path(cfg, "dataset:scene.cfg"))
     views = fileio.read_cameras(pipeline._path(cfg, "dataset:cameras.txt"))
     products = {"shape": shape, "background": background, "views": views,
                 "gt_depth": {}, "gt_rgb": {}, "obj_mask": {},
@@ -266,14 +262,10 @@ def _load_scene_products(run):
         products["obj_mask"][name] = render_gt_depth(shape, cam) > 0
         fd = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_fused_depth.pfm"))
         fv = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_fused_var.pfm"))
-        pr = fileio.read_pgm(pipeline._path(cfg, f"out:{name}_provenance.pgm"))
-        products["fused_views"].append(
-            (products["gt_rgb"][name], FusedSupervision(fd, fv, pr), cam))
+        products["fused_views"].append((products["gt_rgb"][name], fd, fv, cam))
         vd = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_vision_depth.pfm"))
         vv = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_vision_var.pfm"))
-        vision_prov = np.full(vd.shape, PROVENANCE_VISION, dtype=np.uint8)
-        products["vision_views"].append(
-            (products["gt_rgb"][name], FusedSupervision(vd, vv, vision_prov), cam))
+        products["vision_views"].append((products["gt_rgb"][name], vd, vv, cam))
     products["init"] = fileio.read_splat_ply(
         pipeline._path(cfg, "out:init.ply"), background=background)
     return products

@@ -524,14 +524,21 @@ class TestExitCodes:
          lambda text: "".join(" ".join(line.split()[:2]) + "\n" for line in text.splitlines())),
         ("data/sparse/view000.txt", "align", lambda text: ""),
         ("data/touches/touch000.ply", "gpis-fit", drop_last_ply_value),
+        ("data/cameras.txt", "init-points", lambda text: ""),
+        ("data/cameras.txt", "gpis-render", lambda text: ""),
     ], ids=["camera-size", "camera-intrinsics", "bare-view", "sparse-two-columns",
-            "sparse-empty", "ply-short-rows"])
+            "sparse-empty", "ply-short-rows", "cameras-empty-init-points",
+            "cameras-empty-gpis-render"])
     def test_short_line_in_a_text_file(self, built, tmp_path, capsys, path, stage, edit):
         target = tmp_path / path
         target.write_text(edit(target.read_text()))
+        made = sorted(os.listdir(built.out))
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err
+        # A stage that stops on a malformed input removes none of its files,
+        # such as the GPIS images of a camera list with no view.
+        assert sorted(os.listdir(built.out)) == made
 
     @pytest.mark.parametrize("path, stage, edit, message", [
         ("data/sparse/view000.txt", "align",
@@ -552,9 +559,20 @@ class TestExitCodes:
          "line 1: pixel coordinates must be integers, found 3.7"),
         ("data/sparse/view000.txt", "align", lambda text: re.sub(r"^\S+", "nan", text, count=1),
          "line 1: pixel coordinates must be integers, found nan"),
+        ("data/scene.cfg", "train", lambda text: "", "key 'shape' is missing"),
+        ("data/scene.cfg", "train", lambda text: text[:len(text) // 2],
+         "key 'background_color' is missing"),
+        ("data/scene.cfg", "train", lambda text: text.replace(".", ","),
+         "key 'background_color': value '0,2"),
+        ("data/scene.cfg", "eval", lambda text: "", "key 'shape' is missing"),
+        ("data/scene.cfg", "eval", lambda text: text[:len(text) // 2],
+         "key 'background_color' is missing"),
+        ("data/scene.cfg", "eval", lambda text: text.replace(".", ","),
+         "key 'background_color': value '0,2"),
     ], ids=["sparse-outside-image", "sparse-one-row", "ply-long-normal", "ply-nan-normal",
             "ply-infinite-point", "sparse-nan-depth", "sparse-inf-depth", "sparse-fractional-pixel",
-            "sparse-nan-pixel"])
+            "sparse-nan-pixel", "scene-empty-train", "scene-halved-train", "scene-comma-train",
+            "scene-empty-eval", "scene-halved-eval", "scene-comma-eval"])
     def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                       message):
         target = tmp_path / path
@@ -629,7 +647,6 @@ class TestExitCodes:
         ("out/view000_gpis_var.pfm", "fuse"),
         ("out/view000_gpis_depth.pfm", "init-points"),
         ("data/rgb/view000.ppm", "train"),
-        ("out/view000_provenance.pgm", "train"),
         ("out/view000_fused_depth.pfm", "train"),
         ("data/gt_depth/view000.pfm", "eval"),
     ])

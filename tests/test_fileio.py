@@ -142,6 +142,13 @@ class TestCameraFile:
         with pytest.raises(ValueError, match="incomplete"):
             fileio.read_cameras(path)
 
+    def test_no_view_rejected(self, tmp_path):
+        path = tmp_path / "cameras.txt"
+        for text in ("", "\n\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="no 'view' block"):
+                fileio.read_cameras(path)
+
 
 class TestSparseAndKeyValues:
     def test_sparse_round_trip(self, tmp_path):

@@ -8,7 +8,6 @@ from touchfuse.fuse import (
     PROVENANCE_NONE,
     PROVENANCE_TOUCH,
     PROVENANCE_VISION,
-    FusedSupervision,
     fuse_images,
 )
 from touchfuse.sdfrender import MISS_VAR
@@ -71,40 +70,41 @@ class TestFusePixel:
 class TestFuseImages:
     def test_equals_scalar_loop_bitwise(self):
         vd, vv, td, tv = random_pair(3)
-        fused = fuse_images(vd, vv, td, tv)
+        depth, variance, provenance = fuse_images(vd, vv, td, tv)
         for y in range(16):
             for x in range(16):
                 mu, var = fuse_pixel(vd[y, x], vv[y, x], td[y, x], tv[y, x])
-                assert fused.depth[y, x] == mu
-                assert fused.variance[y, x] == var
-        assert np.all(fused.provenance == PROVENANCE_FUSED)
+                assert depth[y, x] == mu
+                assert variance[y, x] == var
+        assert np.all(provenance == PROVENANCE_FUSED)
 
     def test_all_miss_touch_defers_to_vision(self):
         rng = np.random.default_rng(4)
         vd, vv = rng.uniform(1.0, 5.0, size=(8, 8)), rng.uniform(0.1, 1.0, size=(8, 8))
-        fused = fuse_images(vd, vv, np.zeros((8, 8)), np.full((8, 8), MISS_VAR))
-        np.testing.assert_allclose(fused.depth, vd, rtol=1e-6)
-        np.testing.assert_allclose(fused.variance, vv, rtol=1e-6)
-        assert np.all(fused.provenance == PROVENANCE_VISION)
+        depth, variance, provenance = fuse_images(vd, vv, np.zeros((8, 8)),
+                                                  np.full((8, 8), MISS_VAR))
+        np.testing.assert_allclose(depth, vd, rtol=1e-6)
+        np.testing.assert_allclose(variance, vv, rtol=1e-6)
+        assert np.all(provenance == PROVENANCE_VISION)
 
     def test_commutation_of_sources(self):
         vd, vv, td, tv = random_pair(5)
         a = fuse_images(vd, vv, td, tv)
         b = fuse_images(td, tv, vd, vv)
-        np.testing.assert_allclose(a.depth, b.depth, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(a.variance, b.variance, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a[0], b[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a[1], b[1], rtol=0, atol=1e-12)
 
     def test_precision_additivity(self):
         vd, vv, td, tv = random_pair(6)
-        fused = fuse_images(vd, vv, td, tv)
-        lhs = 1.0 / fused.variance
+        _, variance, _ = fuse_images(vd, vv, td, tv)
+        lhs = 1.0 / variance
         rhs = 1.0 / vv + 1.0 / tv
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
     def test_fused_variance_below_both(self):
         vd, vv, td, tv = random_pair(7)
-        fused = fuse_images(vd, vv, td, tv)
-        assert np.all(fused.variance <= np.minimum(vv, tv))
+        _, variance, _ = fuse_images(vd, vv, td, tv)
+        assert np.all(variance <= np.minimum(vv, tv))
 
     def test_provenance_classes(self):
         vision_depth = np.array([
@@ -117,18 +117,19 @@ class TestFuseImages:
         touch_depth = np.zeros((4, 4))
         touch_depth[2:, :] = 2.0
         touch_var = np.where(touch_depth > 0, 1e-3, MISS_VAR)
-        fused = fuse_images(vision_depth, vision_var, touch_depth, touch_var)
-        assert fused.provenance[0, 0] == PROVENANCE_VISION
-        assert fused.provenance[0, 2] == PROVENANCE_NONE
-        assert fused.provenance[2, 0] == PROVENANCE_FUSED
+        depth, variance, provenance = fuse_images(vision_depth, vision_var, touch_depth,
+                                                  touch_var)
+        assert provenance[0, 0] == PROVENANCE_VISION
+        assert provenance[0, 2] == PROVENANCE_NONE
+        assert provenance[2, 0] == PROVENANCE_FUSED
         vision_depth2 = vision_depth.copy()
         vision_depth2[2, 3] = 0.0
-        fused2 = fuse_images(vision_depth2, vision_var, touch_depth, touch_var)
-        assert fused2.provenance[2, 3] == PROVENANCE_TOUCH
-        np.testing.assert_allclose(fused2.depth[2, 3], 2.0, rtol=1e-6)
+        depth2, _, provenance2 = fuse_images(vision_depth2, vision_var, touch_depth, touch_var)
+        assert provenance2[2, 3] == PROVENANCE_TOUCH
+        np.testing.assert_allclose(depth2[2, 3], 2.0, rtol=1e-6)
         # none pixels carry the miss sentinels
-        assert fused.depth[0, 2] == 0.0
-        assert fused.variance[0, 2] == MISS_VAR
+        assert depth[0, 2] == 0.0
+        assert variance[0, 2] == MISS_VAR
 
     def test_dimension_mismatch_rejected(self):
         vd, vv, _, _ = random_pair(8)
@@ -136,15 +137,6 @@ class TestFuseImages:
             fuse_images(vd, vv, np.ones((8, 8)), np.full((8, 8), 0.1))
         with pytest.raises(ValueError, match="dimension"):
             fuse_images(vd, vv[:8, :8], vd, vv)
-
-    def test_supervised_mask(self):
-        fused = fuse_images(*random_pair(9))
-        assert fused.supervised_mask.all()
-        blank = FusedSupervision(
-            np.zeros((2, 2)), np.full((2, 2), MISS_VAR),
-            np.full((2, 2), PROVENANCE_NONE, dtype=np.uint8),
-        )
-        assert not blank.supervised_mask.any()
 
 
 SHAPE = (3, 4)
@@ -159,20 +151,20 @@ class TestFusionProperties:
     @settings(max_examples=60, deadline=None)
     @given(depth_images, variance_images, depth_images, variance_images)
     def test_precisions_add(self, vd, vv, td, tv):
-        fused = fuse_images(vd, vv, td, tv)
+        depth, variance, provenance = fuse_images(vd, vv, td, tv)
         for y, x in np.ndindex(SHAPE):
-            assert (fused.depth[y, x], fused.variance[y, x]) == fuse_pixel(
+            assert (depth[y, x], variance[y, x]) == fuse_pixel(
                 vd[y, x], vv[y, x], td[y, x], tv[y, x])
-        np.testing.assert_allclose(1.0 / fused.variance, 1.0 / vv + 1.0 / tv, rtol=1e-12)
-        assert np.all(fused.provenance == PROVENANCE_FUSED)
+        np.testing.assert_allclose(1.0 / variance, 1.0 / vv + 1.0 / tv, rtol=1e-12)
+        assert np.all(provenance == PROVENANCE_FUSED)
 
     @settings(max_examples=60, deadline=None)
     @given(depth_images, variance_images, depth_images, variance_images)
     def test_swapping_sources_changes_no_bit(self, vd, vv, td, tv):
         a = fuse_images(vd, vv, td, tv)
         b = fuse_images(td, tv, vd, vv)
-        np.testing.assert_array_equal(a.depth, b.depth)
-        np.testing.assert_array_equal(a.variance, b.variance)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
         for y, x in np.ndindex(SHAPE):
             assert fuse_pixel(vd[y, x], vv[y, x], td[y, x], tv[y, x]) == fuse_pixel(
                 td[y, x], tv[y, x], vd[y, x], vv[y, x])
@@ -184,20 +176,23 @@ class TestFusionProperties:
                                               invalid):
         vd = np.where(vision_miss, invalid, vd)
         td = np.where(touch_miss, invalid, td)
-        fused = fuse_images(vd, vv, td, tv)
+        depth, variance, provenance = fuse_images(vd, vv, td, tv)
+        # Train supervises the pixels where fused depth > 0: exactly those
+        # with provenance.
+        np.testing.assert_array_equal(depth > 0.0, provenance != PROVENANCE_NONE)
         for y, x in np.ndindex(SHAPE):
             v_ok, t_ok = not vision_miss[y, x], not touch_miss[y, x]
-            got = (fused.depth[y, x], fused.variance[y, x])
+            got = (depth[y, x], variance[y, x])
             if not (v_ok or t_ok):
                 assert got == (0.0, MISS_VAR)
-                assert fused.provenance[y, x] == PROVENANCE_NONE
+                assert provenance[y, x] == PROVENANCE_NONE
                 continue
             vision_side = (vd[y, x], vv[y, x]) if v_ok else (0.0, MISS_VAR)
             touch_side = (td[y, x], tv[y, x]) if t_ok else (0.0, MISS_VAR)
             assert got == fuse_pixel(*vision_side, *touch_side)
             if v_ok and t_ok:
-                assert fused.provenance[y, x] == PROVENANCE_FUSED
+                assert provenance[y, x] == PROVENANCE_FUSED
             else:
                 kept = vision_side if v_ok else touch_side
-                assert fused.provenance[y, x] == (PROVENANCE_VISION if v_ok else PROVENANCE_TOUCH)
+                assert provenance[y, x] == (PROVENANCE_VISION if v_ok else PROVENANCE_TOUCH)
                 np.testing.assert_allclose(got, kept, rtol=1e-7)

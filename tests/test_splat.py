@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from touchfuse import splat, workers
 from touchfuse.errors import NumericalError
-from touchfuse.fuse import PROVENANCE_FUSED, PROVENANCE_NONE, FusedSupervision
 from touchfuse.geometry import look_at
 from touchfuse.sdfrender import MISS_VAR, CameraModel
 from touchfuse.splat import (
@@ -53,12 +52,15 @@ def random_cloud(rng, n, spread=0.6, depth_range=(1.6, 2.4), radius=0.22):
 
 
 def random_supervision(rng, w=16, h=16, none_frac=0.2):
+    """Fused (depth, variance) images; about none_frac of the pixels have
+    no supervision (depth 0)."""
     depth = rng.uniform(1.5, 2.5, size=(h, w))
     var = rng.uniform(0.01, 1.0, size=(h, w))
-    prov = np.full((h, w), PROVENANCE_FUSED, dtype=np.uint8)
-    none = rng.uniform(size=(h, w)) < none_frac
-    prov[none] = PROVENANCE_NONE
-    return FusedSupervision(depth, var, prov)
+    depth[rng.uniform(size=(h, w)) < none_frac] = 0.0
+    return depth, var
+
+
+DECAYING = LossConfig(depth_weight=1.0, sharpness=1.0, decay=0.9)
 
 
 class TestCompositeRay:
@@ -311,26 +313,24 @@ class TestLosses:
         sup = random_supervision(rng, none_frac=0.0)
         pred = rng.uniform(1.5, 2.5, size=(16, 16))
         cfg = LossConfig(1.0, 0.0, 1.0)
-        expected = np.sum((pred - sup.depth) ** 2)
-        assert depth_loss(pred, sup, cfg) == pytest.approx(expected, rel=1e-12)
+        expected = np.sum((pred - sup[0]) ** 2)
+        assert depth_loss(pred, *sup, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_depth_loss_hand_value(self):
         depth = np.array([[1.0]])
-        sup = FusedSupervision(np.array([[1.5]]), np.array([[4.0]]),
-                               np.array([[PROVENANCE_FUSED]], dtype=np.uint8))
+        sup = (np.array([[1.5]]), np.array([[4.0]]))
         cfg = LossConfig(1.0, 1.0, 1.0)
-        assert depth_loss(depth, sup, cfg) == pytest.approx(math.exp(-2.0) * 0.25, rel=1e-9)
+        assert depth_loss(depth, *sup, cfg) == pytest.approx(math.exp(-2.0) * 0.25, rel=1e-9)
 
     def test_depth_loss_skips_unsupervised(self):
-        sup = FusedSupervision(np.zeros((4, 4)), np.full((4, 4), MISS_VAR),
-                               np.full((4, 4), PROVENANCE_NONE, dtype=np.uint8))
-        assert depth_loss(np.ones((4, 4)), sup, LossConfig()) == 0.0
+        sup = (np.zeros((4, 4)), np.full((4, 4), MISS_VAR))
+        assert depth_loss(np.ones((4, 4)), *sup, LossConfig(1.0, 1.0, 1.0)) == 0.0
 
     def test_depth_loss_monotone_in_sharpness(self):
         rng = np.random.default_rng(7)
         sup = random_supervision(rng, none_frac=0.0)
         pred = rng.uniform(1.0, 3.0, size=(16, 16))
-        values = [depth_loss(pred, sup, LossConfig(1.0, w, 1.0))
+        values = [depth_loss(pred, *sup, LossConfig(1.0, w, 1.0))
                   for w in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -342,32 +342,33 @@ class TestLosses:
         cloud = random_cloud(rng, 25)
         cfg = LossConfig(depth_weight, sharpness, 1.0)
         unsupervised = random_supervision(rng, none_frac=1.0)
-        assert not np.any(unsupervised.supervised_mask)
+        assert not np.any(unsupervised[0] > 0.0)
         views = [small_view(rng), small_view(rng, camera(12, 10)),
-                 (rng.uniform(size=(16, 16, 3)), unsupervised, camera())]
+                 (rng.uniform(size=(16, 16, 3)), *unsupervised, camera())]
         for view in views:
-            rgb_gt, fused, cam = view
+            rgb_gt, fused_depth, fused_var, cam = view
             rgb, depth = render(cloud, cam)
             loss, c_loss, d_loss, _ = loss_gradients(cloud, [view], cfg)
             assert c_loss == color_loss(rgb, rgb_gt)
-            assert d_loss == depth_loss(depth, fused, cfg)
+            assert d_loss == depth_loss(depth, fused_depth, fused_var, cfg)
             assert loss == total_loss(cloud, [view], cfg)
 
     def test_loss_gradients_checks_image_shapes(self):
         rng = np.random.default_rng(23)
         cloud = random_cloud(rng, 5)
-        rgb_gt, fused, cam = small_view(rng)
-        for view in ((rgb_gt[:8], fused, cam),
-                     (rgb_gt, random_supervision(rng, 16, 8), cam)):
+        rgb_gt, fused_depth, fused_var, cam = small_view(rng)
+        for view in ((rgb_gt[:8], fused_depth, fused_var, cam),
+                     (rgb_gt, *random_supervision(rng, 16, 8), cam),
+                     (rgb_gt, fused_depth, fused_var[:8], cam)):
             with pytest.raises(ValueError, match="image dimensions differ"):
-                loss_gradients(cloud, [view], LossConfig())
+                loss_gradients(cloud, [view], LossConfig(1.0, 1.0, 1.0))
 
     def test_decay_weight(self):
-        assert LossConfig(decay=0.9).decay == 0.9
-        assert LossConfig(decay=1.0).decay == 1.0
+        assert LossConfig(1.0, 1.0, decay=0.9).decay == 0.9
+        assert LossConfig(1.0, 1.0, decay=1.0).decay == 1.0
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="decay"):
-                LossConfig(decay=bad)
+                LossConfig(1.0, 1.0, decay=bad)
 
 
 class TestBackprojection:
@@ -406,7 +407,7 @@ class TestBackprojection:
 def small_view(rng, cam=None):
     cam = cam or camera()
     gt_rgb = rng.uniform(size=(cam.height, cam.width, 3))
-    return (gt_rgb, random_supervision(rng, cam.width, cam.height), cam)
+    return (gt_rgb, *random_supervision(rng, cam.width, cam.height), cam)
 
 
 # Camera-frame splats (x/z, y/z, z, radius, r, g, b, alpha) for the
@@ -455,8 +456,8 @@ class TestGradientOracle:
         rgb_gt = rng.uniform(-0.5, 1.0, size=(cam.height, cam.width, 3))
         fused = random_supervision(rng, cam.width, cam.height, none_frac=0.3)
         cfg = LossConfig(depth_weight, sharpness, 1.0)
-        got = splat._view_loss_and_grads(cloud, rgb_gt, fused, cam, cfg, depth_weight)
-        expected = view_loss_and_grads(cloud, rgb_gt, fused, cam, cfg, depth_weight)
+        got = splat._view_loss_and_grads(cloud, rgb_gt, *fused, cam, cfg, depth_weight)
+        expected = view_loss_and_grads(cloud, rgb_gt, *fused, cam, cfg, depth_weight)
         for g, e in zip(got, expected):
             assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
 
@@ -510,7 +511,7 @@ class TestOptimize:
         rng = np.random.default_rng(15)
         cloud = random_cloud(rng, 8)
         view = small_view(rng)
-        out = optimize(cloud, [view], LossConfig(), 0)
+        out = optimize(cloud, [view], LossConfig(1.0, 1.0, 1.0), 0, step=1e-2)
         np.testing.assert_array_equal(out.positions, cloud.positions)
         np.testing.assert_array_equal(out.colors, cloud.colors)
 
@@ -528,7 +529,7 @@ class TestOptimize:
             monkeypatch.setattr(splat, name, counted(name, getattr(splat, name)))
         rng = np.random.default_rng(24)
         rows = []
-        optimize(random_cloud(rng, 8), [small_view(rng)], LossConfig(), iters,
+        optimize(random_cloud(rng, 8), [small_view(rng)], LossConfig(1.0, 1.0, 1.0), iters,
                  step=1e-3, callback=rows.append)
         assert calls == {"loss_gradients": iters + 1, "render": 0}
         assert len(rows) == iters
@@ -540,15 +541,11 @@ class TestOptimize:
         views = []
         for cam in cams:
             rgb, _ = render(target, cam)
-            sup = FusedSupervision(
-                np.zeros((cam.height, cam.width)),
-                np.full((cam.height, cam.width), MISS_VAR),
-                np.full((cam.height, cam.width), PROVENANCE_NONE, dtype=np.uint8),
-            )
-            views.append((rgb, sup, cam))
+            views.append((rgb, np.zeros((cam.height, cam.width)),
+                          np.full((cam.height, cam.width), MISS_VAR), cam))
         start = target.copy()
         start.colors = target.colors + rng.normal(scale=0.25, size=(20, 3))
-        cfg = LossConfig(depth_weight=0.0, decay=1.0)
+        cfg = LossConfig(depth_weight=0.0, sharpness=1.0, decay=1.0)
         initial = total_loss(start, views, cfg)
         fitted = optimize(start, views, cfg, 1000, step=0.02)
         final = total_loss(fitted, views, cfg)
@@ -571,9 +568,9 @@ class TestOptimize:
         gt_rgb = rng.uniform(size=(16, 16, 3))
         sup_a = random_supervision(np.random.default_rng(1))
         sup_b = random_supervision(np.random.default_rng(2))
-        cfg = LossConfig(depth_weight=0.0, decay=1.0)
-        out_a = optimize(cloud, [(gt_rgb, sup_a, cam)], cfg, 20, step=5e-3)
-        out_b = optimize(cloud, [(gt_rgb, sup_b, cam)], cfg, 20, step=5e-3)
+        cfg = LossConfig(depth_weight=0.0, sharpness=1.0, decay=1.0)
+        out_a = optimize(cloud, [(gt_rgb, *sup_a, cam)], cfg, 20, step=5e-3)
+        out_b = optimize(cloud, [(gt_rgb, *sup_b, cam)], cfg, 20, step=5e-3)
         np.testing.assert_array_equal(out_a.positions, out_b.positions)
         np.testing.assert_array_equal(out_a.colors, out_b.colors)
         np.testing.assert_array_equal(out_a.opacity_logits, out_b.opacity_logits)
@@ -594,7 +591,7 @@ class TestOptimize:
         cloud = random_cloud(rng, 6)
         views = [small_view(rng)]
         rows = []
-        optimize(cloud, views, LossConfig(decay=0.9), 5, step=1e-3,
+        optimize(cloud, views, DECAYING, 5, step=1e-3,
                  callback=lambda row: rows.append(row))
         assert [r["iter"] for r in rows] == [0, 1, 2, 3, 4]
         lams = [r["lam"] for r in rows]
@@ -620,11 +617,11 @@ class TestSplitTrain:
         rng = np.random.default_rng(30)
         cloud, views = random_cloud(rng, 12), four_views(rng)
         one_rows, rows = [], []
-        one, forks = on_cpus(1, optimize, cloud, views, LossConfig(decay=0.9), 4, step=1e-3,
+        one, forks = on_cpus(1, optimize, cloud, views, DECAYING, 4, step=1e-3,
                              callback=one_rows.append)
         assert forks == 0 and len(one_rows) == 4
         cpus = len(views) + 1 if cpus == "views + 1" else cpus
-        split, forks = on_cpus(cpus, optimize, cloud, views, LossConfig(decay=0.9), 4, step=1e-3,
+        split, forks = on_cpus(cpus, optimize, cloud, views, DECAYING, 4, step=1e-3,
                                callback=rows.append)
         assert forks == min(cpus, len(views)) - 1
         assert bits(split, rows) == bits(one, one_rows)
@@ -637,7 +634,7 @@ class TestSplitTrain:
                             in_workers(fail, splat._view_loss_and_grads))
         rng = np.random.default_rng(31)
         with pytest.raises(ValueError, match="^view failed in the worker$"):
-            on_cpus(3, optimize, random_cloud(rng, 8), four_views(rng), LossConfig(decay=0.9), 4)
+            on_cpus(3, optimize, random_cloud(rng, 8), four_views(rng), DECAYING, 4, step=1e-2)
 
     @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), "3"),
                                              (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")])
@@ -647,7 +644,7 @@ class TestSplitTrain:
                             in_workers(end, splat._view_loss_and_grads))
         rng = np.random.default_rng(32)
         with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
-            on_cpus(2, optimize, random_cloud(rng, 8), four_views(rng), LossConfig(decay=0.9), 4)
+            on_cpus(2, optimize, random_cloud(rng, 8), four_views(rng), DECAYING, 4, step=1e-2)
 
     def test_failing_callback_reaps_the_workers(self, on_cpus):
         def callback(row):
@@ -656,8 +653,8 @@ class TestSplitTrain:
 
         rng = np.random.default_rng(33)
         with pytest.raises(KeyError, match="callback failed"):
-            on_cpus(3, optimize, random_cloud(rng, 8), four_views(rng), LossConfig(decay=0.9), 4,
-                    callback=callback)
+            on_cpus(3, optimize, random_cloud(rng, 8), four_views(rng), DECAYING, 4,
+                    step=1e-2, callback=callback)
 
     def test_divergence_raises_as_in_one_process(self, on_cpus):
         rng = np.random.default_rng(19)
@@ -674,18 +671,18 @@ class TestSplitTrain:
     def test_other_threads_keep_training_in_process(self, on_cpus, other_thread):
         rng = np.random.default_rng(34)
         cloud, views = random_cloud(rng, 8), four_views(rng)
-        assert on_cpus(3, optimize, cloud, views, LossConfig(decay=0.9), 4)[1] == 0
+        assert on_cpus(3, optimize, cloud, views, DECAYING, 4, step=1e-2)[1] == 0
 
     def test_one_view_or_a_part_under_the_floor_never_forks(self, on_cpus, monkeypatch):
         rng = np.random.default_rng(35)
         cloud, views = random_cloud(rng, 8), four_views(rng)
 
         def forks(views):
-            return on_cpus(3, optimize, cloud, views, LossConfig(decay=0.9), 4)[1]
+            return on_cpus(3, optimize, cloud, views, DECAYING, 4, step=1e-2)[1]
 
         assert forks(views[:1]) == 0
         # Training's estimate; three parts would need a quarter of it each.
-        pixels = sum(cam.width * cam.height for _, _, cam in views)
+        pixels = sum(cam.width * cam.height for *_, cam in views)
         seconds = len(cloud) * pixels * (4 + 1) * 0.7e-9
         monkeypatch.setattr(workers, "PART_SECONDS", np.nextafter(seconds / 2, np.inf))
         assert forks(views) == 0
