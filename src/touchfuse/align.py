@@ -98,10 +98,8 @@ def vision_uncertainty(aligned, slope=0.1, floor=0.25):
     return (slope * aligned) ** 2 + floor
 
 
-def align_vision(raw_depth, sparse: SparseDepth, touch_depth, max_gap=3.0,
-                 slope=0.1, floor=0.25) -> AlignedVision:
+def align_vision(raw_depth, sparse: SparseDepth, touch_depth, max_gap) -> AlignedVision:
     """Run both alignment stages and attach the uncertainty image."""
     scale, offset, aligned = align_scale_offset(raw_depth, sparse)
     t_object, updated = align_object_offset(aligned, touch_depth, max_gap)
-    return AlignedVision(updated, vision_uncertainty(updated, slope, floor),
-                         scale, offset, t_object)
+    return AlignedVision(updated, vision_uncertainty(updated), scale, offset, t_object)

@@ -22,7 +22,6 @@ LABEL_INSIDE = 1
 LABEL_OUTSIDE = 2
 LABEL_INTERIOR = 3
 
-DEFAULT_CAP = 8000
 JITTER_START_FRAC = 1e-6
 JITTER_STOP_FRAC = 1e-2
 UNIT_NORMAL_TOL = 1e-6
@@ -367,8 +366,7 @@ def log_marginal_likelihood(model: GPISModel) -> float:
     return -0.5 * quad - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
 
 
-def optimize_hyperparameters(cset: ConditioningSet, grid, noise=1e-6, prior_mean=0.0,
-                             cap=DEFAULT_CAP) -> GPISModel:
+def optimize_hyperparameters(cset: ConditioningSet, grid, noise, prior_mean, cap) -> GPISModel:
     """Fit every (length_scale, output_scale) grid member and return the
     fitted model maximizing the log marginal likelihood; ties break toward
     the smallest length scale, then the smallest output scale. A set over

@@ -17,18 +17,6 @@ class EvalReport:
     hausdorff: float
     per_view: list = field(default_factory=list)
 
-    def to_text(self):
-        lines = [
-            f"psnr_db      {self.psnr:.6g}",
-            f"d_mse        {self.d_mse:.6g}",
-            f"d_mse_o      {self.d_mse_o:.6g}",
-            f"chamfer      {self.chamfer:.6g}",
-            f"hausdorff    {self.hausdorff:.6g}",
-        ]
-        for name, psnr, d_mse, d_mse_o in self.per_view:
-            lines.append(f"view {name}  psnr={psnr:.6g}  d_mse={d_mse:.6g}  d_mse_o={d_mse_o:.6g}")
-        return "\n".join(lines) + "\n"
-
     def to_csv(self):
         lines = ["view,psnr_db,d_mse,d_mse_o,chamfer,hausdorff"]
         lines.append(f"all,{self.psnr:.12g},{self.d_mse:.12g},{self.d_mse_o:.12g},"

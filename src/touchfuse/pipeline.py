@@ -189,7 +189,8 @@ def _read_scene(path):
     (`dataset:scene.cfg`). Each key is parsed as the config's is: a missing
     key, a shape of no known kind, a size that does not fit the shape, or a
     background color that is not three finite numbers in [0, 1] makes the
-    file malformed. simulate writes eight more keys that nothing reads."""
+    file malformed. Any other key, such as one an older run or a real
+    dataset records, is ignored."""
     record = fileio.read_keyvalues(path)
 
     def value(key, kind, validator):
@@ -272,20 +273,11 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
             raise cfg.error("sim", "sparse_fraction", f"{name}: {exc}") from None
         io.write(fileio.write_sparse_depth, f"dataset:sparse/{name}.txt", sparse)
 
-    record = {
+    io.write(fileio.write_keyvalues, "dataset:scene.cfg", {
         "shape": sim["shape"],
         "size": " ".join(f"{s:.17g}" for s in shape.size),
-        "dome_radius": f"{sim['dome_radius']:.17g}",
-        "seed": str(seed),
-        "touch_noise": f"{sim['touch_noise']:.17g}",
-        "sparse_noise": f"{sim['sparse_noise']:.17g}",
-        "vision_bias": f"{sim['vision_bias']:.17g}",
-        "mono_scale": f"{MONO_SCALE:.17g}",
-        "mono_offset": f"{MONO_OFFSET:.17g}",
-        "object_color": " ".join(f"{c:.17g}" for c in OBJECT_COLOR),
         "background_color": " ".join(f"{c:.17g}" for c in BACKGROUND_COLOR),
-    }
-    io.write(fileio.write_keyvalues, "dataset:scene.cfg", record)
+    })
 
 
 def _compose_scene(shape, camera, object_depth, dome_radius):
@@ -315,6 +307,10 @@ def _compose_scene(shape, camera, object_depth, dome_radius):
 def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     touches = [io.read(fileio.read_touch_ply, name) for name in io.glob("dataset:touches/*.ply")]
     all_points = np.concatenate([t.points for t in touches])
+    if not (all_points != all_points[:1]).any():
+        raise FormatError(f"{_path(cfg, 'dataset:touches')}/: the touch files hold "
+                          f"{len(all_points)} points and no two distinct ones; "
+                          "a surface needs at least 2")
     _, radius = geometry.centroid_spread(all_points)
     cond = cfg.section("conditioning")
     cset = gpis.build_conditioning_set(touches, 0.02 * radius, 0.01 * radius, voxel=cond["voxel"])
@@ -341,6 +337,9 @@ def stage_gpis_render(cfg: SceneConfig, io: StageIO):
     surface = model.conditioning.surface_points()
     if not len(surface):
         raise FormatError(f"{_path(cfg, 'out:gpis.model')}: GPIS model has no surface point")
+    if not (surface != surface[:1]).any():
+        raise FormatError(f"{_path(cfg, 'out:gpis.model')}: every GPIS surface point is "
+                          f"{surface[0]}; a surface needs at least 2 distinct ones")
     _, radius = geometry.centroid_spread(surface)
     params = _march_params(cfg, radius)
     sphere = sdfrender.bounding_sphere(model.conditioning, min_radius=params.min_step)
@@ -391,7 +390,8 @@ def _save_depth_var(io, name, prefix, depth, variance):
 def _read_sparse(io, view, cam, raw):
     """A view's sparse samples. Scale alignment needs two of them, each on
     one of the camera's pixels; a file that gives fewer is malformed. The
-    raw mono depth `raw` must be finite under each sample."""
+    raw mono depth `raw` must be finite under each sample and take two
+    values under them, or the scale is unobservable."""
     name = f"dataset:sparse/{view}.txt"
     sparse = io.read(fileio.read_sparse_depth, name)
     if len(sparse) < 2:
@@ -403,12 +403,16 @@ def _read_sparse(io, view, cam, raw):
         i = outside[0]
         raise FormatError(f"{_path(io.cfg, name)}: sample {i} at (u, v) = ({u[i]}, {v[i]}) "
                           f"lies outside the {cam.width}x{cam.height} image")
-    bad = np.flatnonzero(~np.isfinite(raw[v, u]))
+    under = raw[v, u]
+    bad = np.flatnonzero(~np.isfinite(under))
     if bad.size:
         i = bad[0]
         raise FormatError(f"{_path(io.cfg, f'dataset:mono_depth/{view}.pfm')}: depth "
-                          f"{raw[v[i], u[i]]} under sparse sample {i} at (u, v) = "
+                          f"{under[i]} under sparse sample {i} at (u, v) = "
                           f"({u[i]}, {v[i]}) is not finite")
+    if np.all(under == under[0]):
+        raise FormatError(f"{_path(io.cfg, name)}: every sample lies on one raw mono depth, "
+                          f"{under[0]}; scale alignment needs two")
     return sparse
 
 
@@ -417,8 +421,7 @@ def stage_align(cfg: SceneConfig, io: StageIO):
         raw = _read_view(io, fileio.read_pfm, f"dataset:mono_depth/{name}.pfm", cam)
         sparse = _read_sparse(io, name, cam, raw)
         g_depth, _ = _load_depth_var(io, name, "gpis", cam)
-        aligned = align_mod.align_vision(raw, sparse, g_depth,
-                                         max_gap=cfg.get("align", "max_gap"))
+        aligned = align_mod.align_vision(raw, sparse, g_depth, cfg.get("align", "max_gap"))
         _save_depth_var(io, name, "vision", aligned.depth, aligned.variance)
         io.write(fileio.write_keyvalues, f"out:{name}_align.txt", {
             "s_star": f"{aligned.s_star:.17g}",
@@ -528,9 +531,7 @@ def evaluate_scene(cfg: SceneConfig, io: StageIO):
 
 
 def stage_eval(cfg: SceneConfig, io: StageIO):
-    report = evaluate_scene(cfg, io)
-    io.write(fileio.atomic_write_text, "out:eval_report.txt", report.to_text())
-    io.write(fileio.atomic_write_text, "out:eval_report.csv", report.to_csv())
+    io.write(fileio.atomic_write_text, "out:eval_report.csv", evaluate_scene(cfg, io).to_csv())
 
 
 STAGES = (

@@ -78,10 +78,10 @@ class CameraModel:
 class MarchParams:
     """Sphere-tracing controls: step = max(step_fraction * sdf, min_step)."""
 
-    step_fraction: float = 0.9
-    min_step: float = 1e-3
-    hit_tol: float = 1e-4
-    max_steps: int = 200
+    step_fraction: float
+    min_step: float
+    hit_tol: float
+    max_steps: int
 
     def __post_init__(self):
         if not (0.0 < self.step_fraction <= 1.0):

@@ -159,7 +159,7 @@ class TestAlignVision:
         touch_depth = np.zeros((16, 16))
         touch_depth[5:11, 5:11] = 1.9
         sparse = sample_sparse(gt, 30, rng)
-        out = align_vision(raw, sparse, touch_depth, max_gap=3.0, slope=0.1, floor=0.25)
+        out = align_vision(raw, sparse, touch_depth, max_gap=3.0)
         assert isinstance(out, AlignedVision)
         assert out.s_star == pytest.approx(2.5, abs=1e-9)
         assert out.t_star == pytest.approx(0.3, abs=1e-9)

@@ -31,6 +31,10 @@ from touchfuse.workers import PART_SECONDS
 
 from oracles import matern32, rotation_about_axis
 
+# The search's noise and cap where a test sets neither: the config schema's
+# [kernel] noise and [conditioning] cap.
+NOISE, CAP = 1e-6, 8000
+
 
 def sphere_touches(n, seed=0, radius=1.0):
     rng = np.random.default_rng(seed)
@@ -260,7 +264,8 @@ class TestOneMatrixPerFit:
         monkeypatch.setattr(gpis, "fit", lambda *a, **k: calls.append(a) or fit(*a, **k))
         found = []
         grid = [(rho, 0.7) for rho in rhos]
-        peak = traced_peak(lambda: found.append(optimize_hyperparameters(cset, grid)))
+        peak = traced_peak(
+            lambda: found.append(optimize_hyperparameters(cset, grid, NOISE, 0.0, CAP)))
         return found[0], peak, len(calls)
 
     def test_grid_search_holds_one_matrix(self, cset, monkeypatch):
@@ -473,7 +478,7 @@ class TestFitAndQuery:
     def test_cap_exceeded_mentions_voxel(self):
         cset = build_conditioning_set(sphere_touches(40, seed=2), 0.05, 0.02)
         with pytest.raises(NumericalError, match="voxel"):
-            optimize_hyperparameters(cset, [(0.4, 0.8)], cap=10)
+            optimize_hyperparameters(cset, [(0.4, 0.8)], NOISE, 0.0, 10)
 
     def test_prior_reversion_far_from_data(self):
         cset = build_conditioning_set(sphere_touches(30, seed=7), 0.05, 0.02)
@@ -554,7 +559,7 @@ class TestFitAndQuery:
 class TestHyperparameterSearch:
     def test_singleton_grid(self):
         cset = build_conditioning_set(sphere_touches(10, seed=1), 0.05, 0.02)
-        pick = optimize_hyperparameters(cset, [(0.7, 1.1)]).params
+        pick = optimize_hyperparameters(cset, [(0.7, 1.1)], NOISE, 0.0, CAP).params
         assert (pick.length_scale, pick.output_scale) == (0.7, 1.1)
 
     def test_recovers_known_length_scale(self):
@@ -573,7 +578,7 @@ class TestHyperparameterSearch:
             targets = np.linalg.cholesky(gram) @ rng.normal(size=80)
             cset = ConditioningSet(locs, targets, np.zeros(80, np.int8))
             grid = [(r, 1.0) for r in grid_rhos]
-            pick = optimize_hyperparameters(cset, grid, noise=1e-6).params
+            pick = optimize_hyperparameters(cset, grid, 1e-6, 0.0, CAP).params
             if abs(grid_rhos.index(pick.length_scale) - true_idx) <= 1:
                 hits += 1
         assert hits >= 8
@@ -581,7 +586,7 @@ class TestHyperparameterSearch:
     def test_tie_breaks_toward_smallest(self):
         cset = ConditioningSet([[0, 0, 0], [1, 0, 0]], [0.0, 0.0], np.zeros(2, np.int8))
         grid = [(0.9, 1.0), (0.3, 1.0), (0.3, 0.5)]
-        pick = optimize_hyperparameters(cset, grid, noise=1e-4).params
+        pick = optimize_hyperparameters(cset, grid, 1e-4, 0.0, CAP).params
         lmls = []
         for rho, sigma in grid:
             model = fit(cset, KernelParams(rho, sigma, 1e-4))
@@ -599,12 +604,12 @@ class TestHyperparameterSearch:
             key = (-log_marginal_likelihood(fit(cset, params)), rho, sigma)
             if best is None or key < best[0]:
                 best = (key, params)
-        assert optimize_hyperparameters(cset, grid, noise=1e-6, prior_mean=0.1).params == best[1]
+        assert optimize_hyperparameters(cset, grid, 1e-6, 0.1, CAP).params == best[1]
 
     def test_empty_grid_rejected(self):
         cset = ConditioningSet([[0, 0, 0]], [0.0], [0])
         with pytest.raises(ValueError):
-            optimize_hyperparameters(cset, [])
+            optimize_hyperparameters(cset, [], NOISE, 0.0, CAP)
 
 
 def fits_in(monkeypatch, fails=lambda params: False):
@@ -640,18 +645,18 @@ class TestSplitSearch:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, "grid + 1"])
     def test_any_cpu_count_gives_the_one_process_model(self, on_cpus, cpus):
-        one, forks = on_cpus(1, optimize_hyperparameters, self.cset, self.grid, prior_mean=0.1)
+        one, forks = on_cpus(1, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.1, CAP)
         assert forks == 0
         cpus = len(self.grid) + 1 if cpus == "grid + 1" else cpus
         split, forks = on_cpus(cpus, optimize_hyperparameters, self.cset, self.grid,
-                               prior_mean=0.1)
+                               NOISE, 0.1, CAP)
         assert forks == min(cpus, len(self.grid)) - 1
         assert_same_model(split, one)
 
     def test_a_workers_winner_is_fitted_once_in_the_caller(self, on_cpus, monkeypatch):
         ranked = self.ranked_grid()
         calls = fits_in(monkeypatch)
-        model, forks = on_cpus(2, optimize_hyperparameters, self.cset, ranked)
+        model, forks = on_cpus(2, optimize_hyperparameters, self.cset, ranked, NOISE, 0.0, CAP)
         assert forks == 1
         # The caller scored the last two candidates, then fitted the winner.
         assert calls == [KernelParams(*g, 1e-6) for g in ranked[2:] + ranked[:1]]
@@ -660,7 +665,7 @@ class TestSplitSearch:
     def test_the_callers_last_candidate_is_kept_when_it_wins(self, on_cpus, monkeypatch):
         ranked = self.ranked_grid()[::-1]
         calls = fits_in(monkeypatch)
-        model, _ = on_cpus(2, optimize_hyperparameters, self.cset, ranked)
+        model, _ = on_cpus(2, optimize_hyperparameters, self.cset, ranked, NOISE, 0.0, CAP)
         assert calls == [KernelParams(*g, 1e-6) for g in ranked[2:]]
         assert model.params == KernelParams(*ranked[-1], 1e-6)
 
@@ -668,8 +673,8 @@ class TestSplitSearch:
         winner = self.ranked_grid()[0]
         fits_in(monkeypatch, fails=lambda params: params == KernelParams(*winner, 1e-6))
         grid = [winner] + [g for g in self.grid if g != winner]
-        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, grid)
-        split, forks = on_cpus(3, optimize_hyperparameters, self.cset, grid)
+        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, grid, NOISE, 0.0, CAP)
+        split, forks = on_cpus(3, optimize_hyperparameters, self.cset, grid, NOISE, 0.0, CAP)
         assert forks == 2 and one.params != KernelParams(*winner, 1e-6)
         assert_same_model(split, one)
 
@@ -677,7 +682,7 @@ class TestSplitSearch:
     def test_every_candidate_failing_raises(self, on_cpus, monkeypatch, cpus):
         fits_in(monkeypatch, fails=lambda params: True)
         with pytest.raises(NumericalError, match="^every hyperparameter candidate failed"):
-            on_cpus(cpus, optimize_hyperparameters, self.cset, self.grid)
+            on_cpus(cpus, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, CAP)
 
     def test_worker_exception_is_raised_in_the_caller(self, on_cpus, in_workers, monkeypatch):
         def fail():
@@ -685,7 +690,7 @@ class TestSplitSearch:
 
         monkeypatch.setattr(gpis, "fit", in_workers(fail, fit))
         with pytest.raises(ValueError, match="^fit failed in the worker$"):
-            on_cpus(2, optimize_hyperparameters, self.cset, self.grid)
+            on_cpus(2, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, CAP)
 
     @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), "3"),
                                              (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")])
@@ -693,7 +698,7 @@ class TestSplitSearch:
                                                         end, status):
         monkeypatch.setattr(gpis, "fit", in_workers(end, fit))
         with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
-            on_cpus(3, optimize_hyperparameters, self.cset, self.grid)
+            on_cpus(3, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, CAP)
 
     def test_worker_jitter_warning_reaches_the_caller(self, on_cpus):
         """Every candidate on duplicate points needs jitter, each at its own
@@ -705,7 +710,7 @@ class TestSplitSearch:
         caught = {}
         for cpus in (1, 2):
             with pytest.warns(RuntimeWarning, match="effective noise") as record:
-                _, forks = on_cpus(cpus, optimize_hyperparameters, cset, grid, noise=0.0)
+                _, forks = on_cpus(cpus, optimize_hyperparameters, cset, grid, 0.0, 0.0, CAP)
             assert forks == cpus - 1
             caught[cpus] = sorted((w.category, str(w.message)) for w in record)
         assert len(set(caught[1])) == len(grid) and caught[2] == caught[1]
@@ -713,7 +718,7 @@ class TestSplitSearch:
     def test_over_cap_set_fails_before_any_fork(self, on_cpus, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         with pytest.raises(NumericalError, match="cap is 10"):
-            on_cpus(3, optimize_hyperparameters, self.cset, self.grid, cap=10)
+            on_cpus(3, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, 10)
 
     @pytest.mark.parametrize("env, forks", [
         ((), 0),
@@ -726,14 +731,15 @@ class TestSplitSearch:
     def test_each_part_takes_a_cpu_per_blas_thread(self, on_cpus, env, forks):
         """Four usable CPUs; a BLAS left at its default runs a thread on
         each, which leaves no CPU for a second part."""
-        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, self.grid)
-        split, count = on_cpus(4, optimize_hyperparameters, self.cset, self.grid, blas_env=env)
+        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, CAP)
+        split, count = on_cpus(4, optimize_hyperparameters, self.cset, self.grid,
+                               NOISE, 0.0, CAP, blas_env=env)
         assert count == forks
         assert_same_model(split, one)
 
     def test_one_candidate_or_a_part_under_the_floor_never_forks(self, on_cpus, monkeypatch):
         def forks(grid):
-            return on_cpus(3, optimize_hyperparameters, self.cset, grid)[1]
+            return on_cpus(3, optimize_hyperparameters, self.cset, grid, NOISE, 0.0, CAP)[1]
 
         assert forks(self.grid[:1]) == 0
         # The search's estimate; three parts would need a quarter of it each.

@@ -204,7 +204,7 @@ class TestMarch:
             assert abs(res[0] - 3.0) < 10 * params.hit_tol + 0.1
 
     def test_window_none_is_miss(self):
-        assert march(self.model, self.ray, MarchParams(), None) is None
+        assert march(self.model, self.ray, MarchParams(0.9, 1e-3, 1e-4, 200), None) is None
 
     def test_never_exceeds_max_steps(self):
         params = MarchParams(0.9, 1e-9, 1e-12, max_steps=25)
