@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_GAP = 3.0  # widest vision-to-touch depth gap (m) that align_object_offset shifts
+
 
 @dataclass(frozen=True)
 class SparseDepth:
@@ -58,26 +60,26 @@ def align_scale_offset(raw_depth, sparse: SparseDepth):
     if np.any(u < 0) or np.any(v < 0) or np.any(u >= raw_depth.shape[1]) or np.any(v >= raw_depth.shape[0]):
         raise ValueError("sparse sample outside the image")
     raw = raw_depth[v, u]
+    if np.all(raw == raw[0]):  # exact: a mean of equal values can round away from them
+        raise ValueError("sparse samples share one raw depth; scale is unobservable")
     target = sparse.depths
     raw_mean = raw.mean()
     spread = np.sum((raw - raw_mean) ** 2)
-    if spread == 0.0:
-        raise ValueError("sparse samples share one raw depth; scale is unobservable")
     scale = float(np.sum((raw - raw_mean) * (target - target.mean())) / spread)
     offset = float(target.mean() - scale * raw_mean)
     return scale, offset, scale * raw_depth + offset
 
 
-def align_object_offset(aligned, touch_depth, max_gap):
+def align_object_offset(aligned, touch_depth):
     """Constant-offset refinement against the rendered touch depth.
 
     Only pixels where the touch depth is positive (a hit) and the depth gap
-    is within max_gap are shifted; everything else is preserved bit-for-bit.
+    is within MAX_GAP are shifted; everything else is preserved bit-for-bit.
     """
     aligned = np.asarray(aligned, dtype=np.float64)
     if aligned.shape != touch_depth.shape:
         raise ValueError("image dimensions differ")
-    mask = (touch_depth > 0.0) & (np.abs(aligned - touch_depth) <= max_gap)
+    mask = (touch_depth > 0.0) & (np.abs(aligned - touch_depth) <= MAX_GAP)
     updated = aligned.copy()
     if not np.any(mask):
         warnings.warn("no overlap between aligned vision and touch depth; offset skipped")
@@ -98,8 +100,8 @@ def vision_uncertainty(aligned, slope=0.1, floor=0.25):
     return (slope * aligned) ** 2 + floor
 
 
-def align_vision(raw_depth, sparse: SparseDepth, touch_depth, max_gap) -> AlignedVision:
+def align_vision(raw_depth, sparse: SparseDepth, touch_depth) -> AlignedVision:
     """Run both alignment stages and attach the uncertainty image."""
     scale, offset, aligned = align_scale_offset(raw_depth, sparse)
-    t_object, updated = align_object_offset(aligned, touch_depth, max_gap)
+    t_object, updated = align_object_offset(aligned, touch_depth)
     return AlignedVision(updated, vision_uncertainty(updated), scale, offset, t_object)

@@ -27,9 +27,9 @@ def _fraction(x):
     return 0.0 < x <= 1.0
 
 
-# key -> (kind, default, validator or None). A kind is "str", a tuple of the
-# allowed words, or a number kind of _EXPECTED; the validator checks each
-# number of a value.
+# key -> (kind, default, validator). A kind is "str" or a tuple of the
+# allowed words, with no validator (None), or a number kind of _EXPECTED,
+# whose validator checks each number of a value.
 SCHEMA = {
     "scene": {
         "dataset": ("str", None, None),
@@ -39,20 +39,14 @@ SCHEMA = {
     "sim": {
         "shape": (("sphere", "box", "torus"), "sphere", None),
         "size": ("floats", (1.0,), _positive),
-        "dome_radius": ("float", 8.0, _positive),
         "views": ("int", 5, _positive),
         "width": ("int", 64, lambda x: x >= 8),
         "height": ("int", 64, lambda x: x >= 8),
         "focal": ("float", 48.0, _positive),
-        "orbit_radius": ("float", 3.0, _positive),
-        "orbit_height": ("float", 0.5, None),
         "touches": ("int", 200, _positive),
         "points_per_touch": ("int", 64, _positive),
         "patch_radius": ("float", 0.15, _positive),
-        "touch_noise": ("float", 0.001, _nonnegative),
         "sparse_fraction": ("float", 0.005, lambda x: 0.0 < x <= 0.01),
-        "sparse_noise": ("float", 0.003, _nonnegative),
-        "vision_bias": ("float", 0.4, None),
     },
     "kernel": {
         "output_scale": ("float", 0.4, _positive),
@@ -65,11 +59,7 @@ SCHEMA = {
         "cap": ("int", 8000, _positive),
     },
     "march": {
-        "step_fraction": ("float", 0.9, _fraction),
         "max_steps": ("int", 200, _positive),
-    },
-    "align": {
-        "max_gap": ("float", 3.0, _positive),
     },
     "loss": {
         "depth_weight": ("float", 1.0, _nonnegative),
@@ -168,7 +158,7 @@ def _parse_value(kind, text, key, validator, lineno=None):
         raise _error(lineno, key, f"value {text!r} is not finite")
     if kind == "distinct floats" and len(set(numbers)) < len(numbers):
         raise _error(lineno, key, f"repeats a value in {text!r}")
-    if validator is not None and not all(map(validator, numbers)):
+    if not all(map(validator, numbers)):
         raise _error(lineno, key, f"value {text!r} out of range")
     return numbers[0] if scalar else numbers
 

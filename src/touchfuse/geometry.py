@@ -42,25 +42,25 @@ def centroid_spread(points):
     return center, float(np.max(np.linalg.norm(points - center, axis=1)))
 
 
-def is_rotation(mat, tol=ORTHONORMAL_TOL):
+def is_rotation(mat):
     mat = np.asarray(mat, dtype=np.float64)
     if mat.shape != (3, 3):
         return False
-    if not np.allclose(mat.T @ mat, np.eye(3), atol=tol):
+    if not np.allclose(mat.T @ mat, np.eye(3), atol=ORTHONORMAL_TOL):
         return False
     return np.linalg.det(mat) > 0.0
 
 
-def look_at(eye, target, up=(0.0, 0.0, 1.0)):
+def look_at(eye, target):
     """World-from-camera pose with +z toward the target, x right, y down.
 
-    Falls back to a y-up hint when the viewing direction is parallel to
-    `up`, so cameras on the vertical axis stay well defined.
+    The up hint is +z, and +y when the viewing direction is vertical, so
+    cameras on the vertical axis stay well defined.
     """
     eye = np.asarray(eye, dtype=np.float64)
     forward = unit(np.asarray(target, dtype=np.float64) - eye)
-    up = np.asarray(up, dtype=np.float64)
-    if abs(np.dot(forward, unit(up))) > 1.0 - 1e-9:
+    up = np.array([0.0, 0.0, 1.0])
+    if abs(np.dot(forward, up)) > 1.0 - 1e-9:
         up = np.array([0.0, 1.0, 0.0])
     x_axis = unit(np.cross(forward, up))
     y_axis = np.cross(forward, x_axis)

@@ -36,6 +36,13 @@ from .errors import ConfigError, DependencyError, FormatError, LockedError, read
 MANIFEST_VERSION = 3
 MONO_SCALE = 2.5
 MONO_OFFSET = 0.3
+# The simulated rig and sensors, in m (SPARSE_NOISE in 1/m, as make_sparse_depth takes it).
+DOME_RADIUS = 8.0
+ORBIT_RADIUS = 3.0
+ORBIT_HEIGHT = 0.5
+TOUCH_NOISE = 0.001
+SPARSE_NOISE = 0.003
+VISION_BIAS = 0.4
 LIGHT_DIR = np.array([0.4, -0.3, 0.9]) / np.linalg.norm([0.4, -0.3, 0.9])
 OBJECT_COLOR = np.array([0.8, 0.4, 0.2])
 BACKGROUND_COLOR = np.array([0.2, 0.2, 0.2])
@@ -210,9 +217,8 @@ def _read_scene(path):
 
 
 def _march_params(cfg, radius):
-    m = cfg.section("march")
-    return sdfrender.MarchParams(m["step_fraction"], 1e-3 * radius, 1e-4 * radius,
-                                 m["max_steps"])
+    return sdfrender.MarchParams(0.9, 1e-3 * radius, 1e-4 * radius,
+                                 cfg.get("march", "max_steps"))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,7 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
 
     touches = touchsim.sample_touches(
         shape, sim["touches"], sim["patch_radius"], sim["points_per_touch"],
-        sim["touch_noise"], seed=seed
+        TOUCH_NOISE, seed=seed
     )
     for i, touch in enumerate(touches):
         io.write(fileio.write_touch_ply, f"dataset:touches/touch{i:03d}.ply",
@@ -243,11 +249,8 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
     cameras = []
     for i in range(sim["views"]):
         angle = 2.0 * math.pi * i / sim["views"]
-        eye = np.array([
-            sim["orbit_radius"] * math.cos(angle),
-            sim["orbit_radius"] * math.sin(angle),
-            sim["orbit_height"],
-        ])
+        eye = np.array([ORBIT_RADIUS * math.cos(angle), ORBIT_RADIUS * math.sin(angle),
+                        ORBIT_HEIGHT])
         pose = geometry.look_at(eye, np.zeros(3))
         cameras.append((f"view{i:03d}", sdfrender.CameraModel(
             sim["focal"], sim["focal"], cx, cy, width, height, pose)))
@@ -255,19 +258,19 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
 
     for i, (name, cam) in enumerate(cameras):
         object_depth = touchsim.render_gt_depth(shape, cam)
-        scene_depth, rgb = _compose_scene(shape, cam, object_depth, sim["dome_radius"])
+        scene_depth, rgb = _compose_scene(shape, cam, object_depth)
         io.write(fileio.write_pfm, f"dataset:gt_depth/{name}.pfm", scene_depth)
         io.write(fileio.write_ppm, f"dataset:rgb/{name}.ppm", rgb)
 
         # Synthetic monocular stand-in: the affine-inverted scene depth with
         # the object pushed back, mimicking a metrically wrong estimator.
-        vision_depth = scene_depth + sim["vision_bias"] * (object_depth > 0.0)
+        vision_depth = scene_depth + VISION_BIAS * (object_depth > 0.0)
         raw = (vision_depth - MONO_OFFSET) / MONO_SCALE
         io.write(fileio.write_pfm, f"dataset:mono_depth/{name}.pfm", raw)
 
         try:
             sparse = touchsim.make_sparse_depth(
-                scene_depth, sim["sparse_fraction"], sim["sparse_noise"], seed=seed + 1000 + i
+                scene_depth, sim["sparse_fraction"], SPARSE_NOISE, seed=seed + 1000 + i
             )
         except ValueError as exc:
             raise cfg.error("sim", "sparse_fraction", f"{name}: {exc}") from None
@@ -280,13 +283,13 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
     })
 
 
-def _compose_scene(shape, camera, object_depth, dome_radius):
+def _compose_scene(shape, camera, object_depth):
     """Scene depth = object where hit else enclosing dome; flat-shaded RGB."""
     h, w = camera.height, camera.width
     dirs, axis_cos = camera.pixel_rays()
 
     # The dome is centred at the origin: the camera's offset from it is its position.
-    _, t_dome, _ = sdfrender.sphere_entry_exit(camera.position, dirs, dome_radius)
+    _, t_dome, _ = sdfrender.sphere_entry_exit(camera.position, dirs, DOME_RADIUS)
     dome_depth = (t_dome * axis_cos).reshape(h, w)
 
     hit = object_depth > 0.0
@@ -421,7 +424,7 @@ def stage_align(cfg: SceneConfig, io: StageIO):
         raw = _read_view(io, fileio.read_pfm, f"dataset:mono_depth/{name}.pfm", cam)
         sparse = _read_sparse(io, name, cam, raw)
         g_depth, _ = _load_depth_var(io, name, "gpis", cam)
-        aligned = align_mod.align_vision(raw, sparse, g_depth, cfg.get("align", "max_gap"))
+        aligned = align_mod.align_vision(raw, sparse, g_depth)
         _save_depth_var(io, name, "vision", aligned.depth, aligned.variance)
         io.write(fileio.write_keyvalues, f"out:{name}_align.txt", {
             "s_star": f"{aligned.s_star:.17g}",
@@ -541,7 +544,7 @@ STAGES = (
         "dataset:mono_depth/*.pfm")),
     Stage("gpis-fit", stage_gpis_fit, ("kernel", "conditioning"), ("out:gpis.model",)),
     Stage("gpis-render", stage_gpis_render, ("march",), ("out:*_gpis_*.pfm",)),
-    Stage("align", stage_align, ("align",), ("out:*_vision_*.pfm", "out:*_align.txt")),
+    Stage("align", stage_align, (), ("out:*_vision_*.pfm", "out:*_align.txt")),
     Stage("fuse", stage_fuse, (), ("out:*_fused_*.pfm", "out:*_provenance.pgm")),
     Stage("init-points", stage_init_points, ("train",), ("out:init.ply",)),
     Stage("train", stage_train, ("loss", "train"), ("out:splats.ply", "out:train_log.csv")),

@@ -20,6 +20,7 @@ from . import geometry, workers
 from .gpis import ConditioningSet
 
 MISS_VAR = 1e10
+BOUND_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,14 @@ class BoundingSphere:
     radius: float
 
 
-def bounding_sphere(cset: ConditioningSet, margin_frac=0.1, min_radius=0.0) -> BoundingSphere:
-    """Sphere around the conditioning surface points with a relative margin.
+def bounding_sphere(cset: ConditioningSet, min_radius=0.0) -> BoundingSphere:
+    """Sphere around the conditioning surface points, BOUND_MARGIN wider than their spread.
 
     A degenerate (single-point) set yields radius `min_radius`; callers
     typically pass the march min_step there.
     """
     center, spread = geometry.centroid_spread(cset.surface_points())
-    return BoundingSphere(center, max((1.0 + margin_frac) * spread, min_radius))
+    return BoundingSphere(center, max((1.0 + BOUND_MARGIN) * spread, min_radius))
 
 
 def sphere_entry_exit(offset, dirs, radius):

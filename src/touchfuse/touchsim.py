@@ -80,14 +80,15 @@ def analytic_sdf(shape: AnalyticShape, point):
     return float(sdf[0]) if single else sdf
 
 
-def sdf_gradient(shape: AnalyticShape, points, h=GRADIENT_STEP):
+def sdf_gradient(shape: AnalyticShape, points):
     """Central-difference SDF gradient; unit length away from medial axes."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     grad = np.empty_like(pts)
     for axis in range(3):
         step = np.zeros(3)
-        step[axis] = h
-        grad[:, axis] = (analytic_sdf(shape, pts + step) - analytic_sdf(shape, pts - step)) / (2 * h)
+        step[axis] = GRADIENT_STEP
+        grad[:, axis] = ((analytic_sdf(shape, pts + step) - analytic_sdf(shape, pts - step))
+                         / (2 * GRADIENT_STEP))
     return grad
 
 

@@ -1,9 +1,33 @@
 import os
 import threading
+import time
 
 import pytest
 
-from touchfuse import workers
+from touchfuse import pipeline, workers
+from touchfuse.config import validate_config
+
+BUNDLED_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "configs", "sphere_scene.cfg")
+
+
+@pytest.fixture(scope="session")
+def bundled_run(tmp_path_factory):
+    """Full pipeline run on the bundled sphere scene (configs/sphere_scene.cfg),
+    its config copied into a directory of its own with local data/ and out/
+    directories; shared by the scene-level tests."""
+    root = tmp_path_factory.mktemp("bundled")
+    with open(BUNDLED_CONFIG, encoding="utf-8") as fh:
+        text = fh.read()
+    cfg_path = str(root / "scene.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("../data/sphere", "data").replace("../out/sphere", "out"))
+    cfg = validate_config(cfg_path, require_dataset=False)
+    started = time.perf_counter()
+    status = pipeline.run_pipeline(cfg)
+    elapsed = time.perf_counter() - started
+    assert all(v == "ran" for v in status.values())
+    return {"config_path": cfg_path, "cfg": cfg, "build_seconds": elapsed}
 
 
 @pytest.fixture

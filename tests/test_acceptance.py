@@ -2,12 +2,13 @@
 line at its stated tolerance (run with -s to see them live).
 
 The bundled sphere scene (five orbit views, 200 simulated touches) is built
-once per session through the real pipeline and shared by the scene-level
-criteria.
+once per session through the real pipeline (the `bundled_run` fixture of
+conftest.py) and shared by the scene-level criteria.
 """
 
 import math
 import os
+import shutil
 import time
 
 import numpy as np
@@ -29,37 +30,9 @@ from touchfuse.touchsim import AnalyticShape, render_gt_depth, sample_touches
 
 from oracles import Ray, composite_ray, fuse_pixel, grad_check, matern32
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BUNDLED_CONFIG = os.path.join(REPO_ROOT, "configs", "sphere_scene.cfg")
-
 
 def report(number, text):
     print(f"\nACCEPTANCE {number:02d} {text}: PASS")
-
-
-def make_scene_config(root, subdir="run"):
-    """Copy the bundled scene config into `root` with local data/out dirs."""
-    os.makedirs(os.path.join(root, subdir), exist_ok=True)
-    with open(BUNDLED_CONFIG, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    text = text.replace("../data/sphere", "data").replace("../out/sphere", "out")
-    path = os.path.join(root, subdir, "scene.cfg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
-
-
-@pytest.fixture(scope="session")
-def bundled_run(tmp_path_factory):
-    """Full pipeline run on the bundled sphere scene, shared by scene tests."""
-    root = str(tmp_path_factory.mktemp("acceptance"))
-    cfg_path = make_scene_config(root)
-    cfg = validate_config(cfg_path, require_dataset=False)
-    started = time.perf_counter()
-    status = pipeline.run_pipeline(cfg)
-    elapsed = time.perf_counter() - started
-    assert all(v == "ran" for v in status.values())
-    return {"root": root, "config_path": cfg_path, "cfg": cfg, "build_seconds": elapsed}
 
 
 def unit_sphere_conditioning(n_surface, seed=0):
@@ -135,7 +108,7 @@ def test_criterion_04_gpis_reconstruction():
     model = fit(cset, KernelParams(0.3, 0.5, 1e-6, prior_mean=0.5))
     cam = CameraModel(48.0, 48.0, 31.5, 31.5, 64, 64, look_at([0, 0, -3], [0, 0, 0]))
     params = MarchParams(0.9, 1e-3, 1e-4, 200)
-    sphere = bounding_sphere(model.conditioning, 0.1, min_radius=params.min_step)
+    sphere = bounding_sphere(model.conditioning, min_radius=params.min_step)
     depth, _ = render_depth_variance(model, cam, params, sphere)
     analytic = render_gt_depth(shape, cam)
     both = (depth > 0) & (analytic > 0)
@@ -173,7 +146,7 @@ def test_criterion_05_alignment_recovery():
     touch_depth[8:24, 8:24] = 2.0
     shifted = np.full((32, 32), 6.0)
     shifted[8:24, 8:24] = touch_depth[8:24, 8:24] + 0.05
-    t_obj, updated = align_object_offset(shifted, touch_depth, max_gap=3.0)
+    t_obj, updated = align_object_offset(shifted, touch_depth)
     assert abs(t_obj + 0.05) < 1e-12
     assert np.max(np.abs(updated[8:24, 8:24] - 2.0)) < 1e-12
     report(5, f"alignment recovery (noisy seeds {wins}/10, object offset {-t_obj:.3f})")
@@ -337,7 +310,8 @@ def test_criterion_10_compositing_conservation():
 
 
 def test_criterion_11_pipeline_determinism(bundled_run, tmp_path):
-    cfg_path_2 = make_scene_config(str(tmp_path), "repeat")
+    cfg_path_2 = str(tmp_path / "scene.cfg")
+    shutil.copy(bundled_run["config_path"], cfg_path_2)
     cfg2 = validate_config(cfg_path_2, require_dataset=False)
     status = pipeline.run_pipeline(cfg2)
     assert all(v == "ran" for v in status.values())

@@ -55,10 +55,13 @@ class TestScaleOffset:
         assert wins >= 9
 
     def test_rank_deficient_rejected(self):
-        raw = np.full((8, 8), 2.0)
-        sparse = SparseDepth([[0, 0], [3, 4]], [1.0, 2.0])
-        with pytest.raises(ValueError, match="scale"):
-            align_scale_offset(raw, sparse)
+        # One raw depth under every sample, also where the mean of the raw
+        # depths rounds away from them: three of 0.1 leave a spread of
+        # 5.8e-34 about their mean, not 0.
+        for raw, sparse in ((2.0, SparseDepth([[0, 0], [3, 4]], [1.0, 2.0])),
+                            (0.1, SparseDepth([[0, 0], [3, 4], [5, 1]], [1.0, 2.0, 4.0]))):
+            with pytest.raises(ValueError, match="scale"):
+                align_scale_offset(np.full((8, 8), raw), sparse)
 
     def test_too_few_samples_rejected(self):
         raw = np.ones((8, 8))
@@ -90,7 +93,7 @@ class TestObjectOffset:
         touch_depth[4:12, 4:12] = 2.0
         aligned = np.full((16, 16), 5.0)
         aligned[4:12, 4:12] = touch_depth[4:12, 4:12] + 0.05
-        t_obj, updated = align_object_offset(aligned, touch_depth, max_gap=3.0)
+        t_obj, updated = align_object_offset(aligned, touch_depth)
         assert t_obj == pytest.approx(-0.05, abs=1e-12)
         np.testing.assert_allclose(updated[4:12, 4:12], 2.0, atol=1e-12)
 
@@ -100,7 +103,7 @@ class TestObjectOffset:
         touch_depth[6:10, 6:10] = 1.5
         aligned = rng.uniform(4.0, 6.0, size=(16, 16))
         aligned[6:10, 6:10] = 1.4
-        _, updated = align_object_offset(aligned, touch_depth, max_gap=3.0)
+        _, updated = align_object_offset(aligned, touch_depth)
         outside = np.ones((16, 16), bool)
         outside[6:10, 6:10] = False
         assert np.array_equal(updated[outside], aligned[outside])
@@ -109,7 +112,7 @@ class TestObjectOffset:
         touch_depth = np.zeros((8, 8))
         aligned = np.full((8, 8), 3.0)
         with pytest.warns(UserWarning):
-            t_obj, updated = align_object_offset(aligned, touch_depth, max_gap=3.0)
+            t_obj, updated = align_object_offset(aligned, touch_depth)
         assert t_obj == 0.0
         np.testing.assert_array_equal(updated, aligned)
 
@@ -119,7 +122,7 @@ class TestObjectOffset:
         touch_depth[4, 4] = 7.0
         aligned = np.full((8, 8), 2.0)
         with pytest.warns(UserWarning):
-            t_obj, updated = align_object_offset(aligned, touch_depth, max_gap=3.0)
+            t_obj, updated = align_object_offset(aligned, touch_depth)
         assert t_obj == 0.0
         np.testing.assert_array_equal(updated, aligned)
 
@@ -159,7 +162,7 @@ class TestAlignVision:
         touch_depth = np.zeros((16, 16))
         touch_depth[5:11, 5:11] = 1.9
         sparse = sample_sparse(gt, 30, rng)
-        out = align_vision(raw, sparse, touch_depth, max_gap=3.0)
+        out = align_vision(raw, sparse, touch_depth)
         assert isinstance(out, AlignedVision)
         assert out.s_star == pytest.approx(2.5, abs=1e-9)
         assert out.t_star == pytest.approx(0.3, abs=1e-9)

@@ -1,0 +1,98 @@
+"""The bytes of every artifact, pinned: each file under data/ and out/ of the
+bundled sphere (seed 7) and of the benchmark's torus (seed 1, built from
+perfbench/scenes.py as CI builds it) against its digest in
+artifact_digests.json.
+
+The bytes depend on numpy's reduction order, on the kernels OpenBLAS picks
+for the CPU at run time (its wheels are built with DYNAMIC_ARCH) and on the
+BLAS thread count. So the list holds one set of digests per environment
+key, and under a key it does not hold the test skips, naming this key and
+the keys it holds. A change that alters bytes on purpose rewrites this
+environment's entry, once per BLAS thread count CI runs:
+
+    TOUCHFUSE_WRITE_DIGESTS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \\
+        python -m pytest tests/test_artifact_digests.py
+"""
+
+import ctypes
+import glob
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+import scipy
+
+from touchfuse import workers
+from touchfuse.config import validate_config
+from touchfuse.pipeline import run_pipeline
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.append(os.path.dirname(HERE))
+
+from perfbench.scenes import SCENE_HEAD, TORUS  # noqa: E402
+
+DIGESTS = os.path.join(HERE, "artifact_digests.json")
+
+
+def openblas_core(package, symbol):
+    """The kernel set that the OpenBLAS bundled with `package`'s wheel runs
+    on this CPU, or "unknown" where the package ships no such library."""
+    site = os.path.dirname(os.path.dirname(package.__file__))
+    libs = glob.glob(os.path.join(site, f"{package.__name__}.libs", "libscipy_openblas*"))
+    try:
+        corename = getattr(ctypes.CDLL(libs[0]), symbol)
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def environment_key():
+    return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"numpy OpenBLAS core {openblas_core(np, 'scipy_openblas_get_corename64_')}, "
+            f"scipy OpenBLAS core {openblas_core(scipy, 'scipy_openblas_get_corename')}, "
+            f"{workers.blas_threads()} BLAS threads")
+
+
+def tree_digests(root):
+    """Digest of each file under root's data/ and out/, by its path from root."""
+    digests = {}
+    for top in ("data", "out"):
+        for dirpath, _, names in os.walk(os.path.join(root, top)):
+            for name in names:
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as fh:
+                    digests[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()[:16]
+    return digests
+
+
+@pytest.fixture(scope="module")
+def torus_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("torus")
+    (root / "scene.cfg").write_text(SCENE_HEAD.format(seed=1) + TORUS)
+    status = run_pipeline(validate_config(str(root / "scene.cfg"), require_dataset=False))
+    assert set(status.values()) == {"ran"}
+    return str(root)
+
+
+def test_artifact_bytes_match_the_pinned_digests(bundled_run, torus_run):
+    found = {"sphere": tree_digests(os.path.dirname(bundled_run["config_path"])),
+             "torus": tree_digests(torus_run)}
+    with open(DIGESTS, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    key = environment_key()
+    if os.environ.get("TOUCHFUSE_WRITE_DIGESTS"):
+        pinned[key] = found
+        with open(DIGESTS, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"wrote the digests of {key}")
+    if key not in pinned:
+        pytest.skip(f"no digests for this environment ({key}); "
+                    f"artifact_digests.json holds: {'; '.join(sorted(pinned))}")
+    differ = [f"{scene}: {path}" for scene, digests in pinned[key].items()
+              for path in sorted(set(digests) | set(found[scene]))
+              if digests.get(path) != found[scene].get(path)]
+    assert not differ, f"{len(differ)} files differ from their pinned digests: {differ}"

@@ -40,10 +40,17 @@ class TestConfigParsing:
     def test_minimal_file_fills_defaults(self, tmp_path):
         cfg = validate_config(write_config(tmp_path))
         assert cfg.get("sim", "shape") == "sphere"
-        assert cfg.get("march", "step_fraction") == 0.9
+        assert cfg.get("march", "max_steps") == 200
         assert cfg.get("loss", "depth_weight") == 1.0
         assert cfg.get("conditioning", "voxel") == 0.1
         assert cfg.seed == 0
+
+    def test_bundled_config_sets_only_what_differs_from_the_schema(self):
+        path = pathlib.Path(__file__).parents[1] / "configs" / "sphere_scene.cfg"
+        cfg = validate_config(path, require_dataset=False)
+        restated = [f"line {line}: [{section}] {key}" for (section, key), line in cfg.lines.items()
+                    if cfg.get(section, key) == SCHEMA[section][key][1]]
+        assert not restated, f"the bundled config restates schema defaults: {restated}"
 
     def test_unknown_key_line_numbered(self):
         with pytest.raises(ConfigError, match="line 4.*frobnicate"):
@@ -58,9 +65,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate key 'max_steps'"):
             parse_config_text(text)
 
-    def test_out_of_range_step_fraction(self):
-        text = "[scene]\ndataset = a\nout = b\n[march]\nstep_fraction = 1.5\n"
-        with pytest.raises(ConfigError, match="step_fraction.*out of range"):
+    def test_out_of_range_fraction(self):
+        text = "[scene]\ndataset = a\nout = b\n[loss]\ndecay = 1.5\n"
+        with pytest.raises(ConfigError, match="decay.*out of range"):
             parse_config_text(text)
 
     def test_missing_required_key(self):
@@ -81,10 +88,14 @@ class TestConfigParsing:
             ("march", "min_step"), ("march", "hit_tol"), ("march", "margin"),
             ("align", "uncertainty_slope"), ("align", "uncertainty_floor"),
             ("train", "splat_radius"), ("train", "opacity"), ("eval", "icp_iters"),
-            ("kernel", "prior_mean"),
+            ("kernel", "prior_mean"), ("sim", "dome_radius"), ("sim", "orbit_radius"),
+            ("sim", "orbit_height"), ("sim", "touch_noise"), ("sim", "sparse_noise"),
+            ("sim", "vision_bias"), ("march", "step_fraction"), ("align", "max_gap"),
         ):
             text = f"[scene]\ndataset = a\nout = b\n[{section}]\n{key} = 1.0\n"
-            with pytest.raises(ConfigError, match=f"line 5: unknown key '{key}'"):
+            message = (r"line 4: unknown section \[align\]" if section == "align"
+                       else f"line 5: unknown key '{key}'")
+            with pytest.raises(ConfigError, match=message):
                 parse_config_text(text)
 
     @settings(max_examples=300, deadline=None)
@@ -105,13 +116,13 @@ class TestConfigParsing:
             pass
 
     def test_override_passes_the_same_check(self):
-        cfg = parse_config_text("[scene]\ndataset = a\nout = b\n[march]\nstep_fraction = 0.5\n")
-        cfg.override("march", "step_fraction", 0.25)
-        assert cfg.get("march", "step_fraction") == 0.25
-        with pytest.raises(ConfigError, match=r"^key 'step_fraction': value '1.5' out of range$"):
-            cfg.override("march", "step_fraction", 1.5)
-        with pytest.raises(ConfigError, match="^key 'vision_bias': value 'nan' is not finite$"):
-            cfg.override("sim", "vision_bias", float("nan"))
+        cfg = parse_config_text("[scene]\ndataset = a\nout = b\n[loss]\ndecay = 0.5\n")
+        cfg.override("loss", "decay", 0.25)
+        assert cfg.get("loss", "decay") == 0.25
+        with pytest.raises(ConfigError, match=r"^key 'decay': value '1.5' out of range$"):
+            cfg.override("loss", "decay", 1.5)
+        with pytest.raises(ConfigError, match="^key 'patch_radius': value 'nan' is not finite$"):
+            cfg.override("sim", "patch_radius", float("nan"))
 
     @pytest.mark.parametrize("sim, key, value, message", [
         ("", "shape", "torus", "^key 'size': torus takes"),
@@ -240,7 +251,7 @@ max_points = 200
 class TestCLI:
     def test_exit_code_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text("[march]\nstep_fraction = 2.0\n")
+        path.write_text("[loss]\ndecay = 2.0\n")
         assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
@@ -424,18 +435,23 @@ class TestExitCodes:
         ("[sim]\nshape = torus\nsize = 1.0\n", "line 7: key 'size'"),
         ("[sim]\nshape = torus\n", "line 6: key 'size'"),
         ("[sim]\nsize = 0.0\n", "line 6: key 'size'"),
-        ("[sim]\nvision_bias = nan\n", "line 6: key 'vision_bias': value 'nan' is not finite"),
+        ("[sim]\nvision_bias = nan\n", "line 6: unknown key 'vision_bias' in section [sim]"),
+        ("[sim]\npatch_radius = nan\n", "line 6: key 'patch_radius': value 'nan' is not finite"),
         ("[kernel]\nprior_mean = nan\n", "line 6: unknown key 'prior_mean' in section [kernel]"),
         ("[conditioning]\nvoxel = auto\n", "line 6: key 'voxel': expected a number, got 'auto'"),
-        ("[sim]\norbit_height = inf\n", "line 6: key 'orbit_height'"),
-        ("[sim]\ntouch_noise = inf\n", "line 6: key 'touch_noise'"),
-        ("[align]\nmax_gap = inf\n", "line 6: key 'max_gap'"),
+        ("[sim]\norbit_height = inf\n", "line 6: unknown key 'orbit_height' in section [sim]"),
+        ("[sim]\ntouch_noise = inf\n", "line 6: unknown key 'touch_noise' in section [sim]"),
+        ("[align]\nmax_gap = inf\n", "line 5: unknown section [align]"),
+        ("[sim]\nfocal = inf\n", "line 6: key 'focal': value 'inf' is not finite"),
+        ("[kernel]\nnoise = inf\n", "line 6: key 'noise': value 'inf' is not finite"),
+        ("[kernel]\noutput_scale = inf\n", "line 6: key 'output_scale': value 'inf' is not finite"),
         ("[sim]\nsparse_fraction = 0.0003\n",
          "line 6: key 'sparse_fraction': view000: fraction 0.0003 yields 1 samples"),
     ], ids=["negative-rho", "repeated-rho", "empty-rho", "torus-one-radius",
-            "torus-default-size", "zero-size", "nan-vision-bias", "nan-prior-mean",
-            "auto-voxel",
-            "inf-orbit-height", "inf-touch-noise", "inf-max-gap", "too-few-sparse-samples"])
+            "torus-default-size", "zero-size", "nan-vision-bias", "nan-patch-radius",
+            "nan-prior-mean", "auto-voxel",
+            "inf-orbit-height", "inf-touch-noise", "inf-max-gap", "inf-focal", "inf-noise",
+            "inf-output-scale", "too-few-sparse-samples"])
     def test_value_that_fails_a_stage_is_a_config_error(self, tmp_path, capsys, extra, message):
         path = write_config(tmp_path, MINIMAL + extra, make_dataset=False)
         assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
