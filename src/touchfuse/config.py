@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .touchsim import AnalyticShape
+from .touchsim import SHAPE_KINDS, AnalyticShape
 
 
 def _positive(x):
@@ -37,7 +37,7 @@ SCHEMA = {
         "seed": ("int", 0, _nonnegative),
     },
     "sim": {
-        "shape": (("sphere", "box", "torus"), "sphere", None),
+        "shape": (SHAPE_KINDS, "sphere", None),
         "size": ("floats", (1.0,), _positive),
         "views": ("int", 5, _positive),
         "width": ("int", 64, lambda x: x >= 8),

@@ -28,12 +28,9 @@ def make_transform(rotation, translation):
 
 
 def transform_points(transform, points):
-    """Apply a rigid transform to an (N, 3) array (or a single 3-vector)."""
+    """Apply a rigid transform to an (N, 3) array."""
     pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    out = pts @ transform[:3, :3].T + transform[:3, 3]
-    return out[0] if single else out
+    return pts @ transform[:3, :3].T + transform[:3, 3]
 
 
 def centroid_spread(points):

@@ -128,7 +128,9 @@ class GPISModel:
         rhs = cross.T
         if rhs.shape[1] == 1:
             # LAPACK switches algorithms at one right-hand side; pad so a
-            # pointwise query returns bit-identical values to a batch one.
+            # pointwise query takes the path a batch one does. A variance
+            # can still differ in its last bits with the points solved
+            # alongside it (1.7e-14 relative, seen in float64).
             v = solve_triangular(self.factor, np.hstack([rhs, rhs]),
                                  lower=True, check_finite=False)[:, :1]
         else:

@@ -2,28 +2,9 @@
 Chamfer/Hausdorff cloud distances with an ICP-style alignment refinement."""
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
-
-
-@dataclass
-class EvalReport:
-    psnr: float
-    d_mse: float
-    d_mse_o: float
-    chamfer: float
-    hausdorff: float
-    per_view: list = field(default_factory=list)
-
-    def to_csv(self):
-        lines = ["view,psnr_db,d_mse,d_mse_o,chamfer,hausdorff"]
-        lines.append(f"all,{self.psnr:.12g},{self.d_mse:.12g},{self.d_mse_o:.12g},"
-                     f"{self.chamfer:.12g},{self.hausdorff:.12g}")
-        for name, psnr, d_mse, d_mse_o in self.per_view:
-            lines.append(f"{name},{psnr:.12g},{d_mse:.12g},{d_mse_o:.12g},,")
-        return "\n".join(lines) + "\n"
 
 
 def depth_sq_errors(pred, gt_depth, mask=None):

@@ -142,6 +142,12 @@ class StageIO:
 
     def _record_input(self, name, found):
         if not found:
+            # Each dataset file a stage reads after its camera list is one
+            # view's: the dataset is there and lacks a view it names.
+            if name.startswith("dataset:") and "dataset:cameras.txt" in self.inputs:
+                view = os.path.splitext(os.path.basename(name))[0]
+                raise FormatError(f"{_path(self.cfg, name)} missing, but "
+                                  f"{_path(self.cfg, 'dataset:cameras.txt')} names view {view}")
             raise DependencyError(f"{name} missing; run the {_producer(name)} stage first")
         if name.startswith("out:"):
             producer = _producer(name)
@@ -216,11 +222,6 @@ def _read_scene(path):
     return touchsim.AnalyticShape(sim["shape"], sim["size"]), background
 
 
-def _march_params(cfg, radius):
-    return sdfrender.MarchParams(0.9, 1e-3 * radius, 1e-4 * radius,
-                                 cfg.get("march", "max_steps"))
-
-
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -229,11 +230,8 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
     sim = cfg.section("sim")
     shape = touchsim.AnalyticShape(sim["shape"], sim["size"])
     seed = cfg.seed
-    subdirs = [_path(cfg, f"dataset:{sub}")
-               for sub in ("touches", "sparse", "gt_depth", "rgb", "mono_depth")]
-    for directory in subdirs:
+    for directory in {os.path.dirname(_path(cfg, pattern)) for pattern in io.stage.makes}:
         os.makedirs(directory, exist_ok=True)
-    for directory in (cfg.dataset, *subdirs):
         _remove_temp_files(directory)
 
     touches = touchsim.sample_touches(
@@ -344,8 +342,9 @@ def stage_gpis_render(cfg: SceneConfig, io: StageIO):
         raise FormatError(f"{_path(cfg, 'out:gpis.model')}: every GPIS surface point is "
                           f"{surface[0]}; a surface needs at least 2 distinct ones")
     _, radius = geometry.centroid_spread(surface)
-    params = _march_params(cfg, radius)
-    sphere = sdfrender.bounding_sphere(model.conditioning, min_radius=params.min_step)
+    params = sdfrender.MarchParams(0.9, 1e-3 * radius, 1e-4 * radius,
+                                   cfg.get("march", "max_steps"))
+    sphere = sdfrender.bounding_sphere(model.conditioning)
     for name, cam in _camera_views(io):
         _save_depth_var(io, name, "gpis",
                         *sdfrender.render_depth_variance(model, cam, params, sphere=sphere))
@@ -495,15 +494,14 @@ def stage_train(cfg: SceneConfig, io: StageIO):
     io.write(fileio.atomic_write_text, "out:train_log.csv", "\n".join(lines) + "\n")
 
 
-def evaluate_scene(cfg: SceneConfig, io: StageIO):
-    """Compute the full metric report for the trained cloud."""
+def stage_eval(cfg: SceneConfig, io: StageIO):
     shape, background = io.read(_read_scene, "dataset:scene.cfg")
     cloud = io.read(fileio.read_splat_ply, "out:splats.ply", background=background)
 
     def mse(sq_errors):
         return float(np.mean(sq_errors)) if sq_errors.size else math.nan
 
-    per_view = []
+    view_lines = []
     sq_err_all = []
     sq_err_obj = []
     psnrs = []
@@ -513,28 +511,22 @@ def evaluate_scene(cfg: SceneConfig, io: StageIO):
         object_mask = touchsim.render_gt_depth(shape, cam) > 0.0
 
         rgb, depth = splat.render(cloud, cam)
-        view_psnr = metrics.psnr(np.clip(rgb, 0.0, 1.0), gt_rgb)
-        psnrs.append(view_psnr)
+        psnrs.append(metrics.psnr(np.clip(rgb, 0.0, 1.0), gt_rgb))
         sq_err_all.append(metrics.depth_sq_errors(depth, gt_depth))
         sq_err_obj.append(metrics.depth_sq_errors(depth, gt_depth, mask=object_mask))
-        per_view.append((name, view_psnr, mse(sq_err_all[-1]), mse(sq_err_obj[-1])))
+        view_lines.append(f"{name},{psnrs[-1]:.12g},{mse(sq_err_all[-1]):.12g},"
+                          f"{mse(sq_err_obj[-1]):.12g},,")
 
     gt_cloud = touchsim.surface_points(shape, cfg.get("eval", "gt_points"), seed=cfg.seed)
     pred = cloud.positions
     transform = metrics.align_clouds(pred, gt_cloud)
     moved = pred @ transform[:3, :3].T + transform[:3, 3]
-    return metrics.EvalReport(
-        psnr=float(np.mean(psnrs)),
-        d_mse=mse(np.concatenate(sq_err_all)),
-        d_mse_o=mse(np.concatenate(sq_err_obj)),
-        chamfer=metrics.chamfer(moved, gt_cloud),
-        hausdorff=metrics.hausdorff(moved, gt_cloud),
-        per_view=per_view,
-    )
-
-
-def stage_eval(cfg: SceneConfig, io: StageIO):
-    io.write(fileio.atomic_write_text, "out:eval_report.csv", evaluate_scene(cfg, io).to_csv())
+    lines = ["view,psnr_db,d_mse,d_mse_o,chamfer,hausdorff",
+             f"all,{float(np.mean(psnrs)):.12g},{mse(np.concatenate(sq_err_all)):.12g},"
+             f"{mse(np.concatenate(sq_err_obj)):.12g},{metrics.chamfer(moved, gt_cloud):.12g},"
+             f"{metrics.hausdorff(moved, gt_cloud):.12g}",
+             *view_lines]
+    io.write(fileio.atomic_write_text, "out:eval_report.csv", "\n".join(lines) + "\n")
 
 
 STAGES = (

@@ -8,7 +8,7 @@ minimum step), after an analytic ray/bounding-sphere prefilter discards
 pixels that cannot hit the surface. Images store z-depth (distance along the
 optical axis) so they combine directly with monocular depth maps. A view's
 rays are split across forked processes, one per usable CPU, when the work
-pays for the forks; the images do not depend on the split.
+pays for the forks; `_march_part` says what does not depend on the split.
 """
 
 import warnings
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, workers
-from .gpis import ConditioningSet
 
 MISS_VAR = 1e10
 BOUND_MARGIN = 0.1
@@ -99,14 +98,10 @@ class BoundingSphere:
     radius: float
 
 
-def bounding_sphere(cset: ConditioningSet, min_radius=0.0) -> BoundingSphere:
-    """Sphere around the conditioning surface points, BOUND_MARGIN wider than their spread.
-
-    A degenerate (single-point) set yields radius `min_radius`; callers
-    typically pass the march min_step there.
-    """
+def bounding_sphere(cset) -> BoundingSphere:
+    """Sphere around a conditioning set's surface points, BOUND_MARGIN wider than their spread."""
     center, spread = geometry.centroid_spread(cset.surface_points())
-    return BoundingSphere(center, max((1.0 + BOUND_MARGIN) * spread, min_radius))
+    return BoundingSphere(center, (1.0 + BOUND_MARGIN) * spread)
 
 
 def sphere_entry_exit(offset, dirs, radius):
@@ -126,9 +121,13 @@ def _march_part(model, origin, dirs, t_enter, t_stop, params: MarchParams):
     sphere tracer in tests/oracles.py marches it alone.
 
     Returns (hit, t, exhausted, variance of each hit): exhausted marks the
-    rays that used up max_steps without a hit or an exit. No ray's bits
-    depend on which other rays share its queries, so any split of the rays
-    gives the same bits."""
+    rays that used up max_steps without a hit or an exit. Each mean is a
+    per-row einsum, so hit, t and exhausted do not depend on which rays
+    share a part. The variances come from one triangular solve over the
+    part's hits and need not: in float64 one hit's variance differed by
+    1.7e-14 (relative) between a 5-hit and an 879-hit query. Every
+    two-part split tried on the bundled views gave the same float32
+    images as one part."""
     t = t_enter.astype(np.float64).copy()
     hit = np.zeros(dirs.shape[0], dtype=bool)
     active = t <= t_stop
@@ -156,7 +155,7 @@ def _march_part(model, origin, dirs, t_enter, t_stop, params: MarchParams):
 
 def _march_parts(model, origin, dirs, t_enter, t_stop, params: MarchParams):
     """`_march_part` over contiguous parts of the rays (workers.parts),
-    joined in order: the same arrays as one part, bit for bit."""
+    joined in order."""
     n = dirs.shape[0]
     # Marching and the hit variances cost ≈150 ns per (candidate ray x
     # conditioning point) pair; an analytic model has no conditioning set.

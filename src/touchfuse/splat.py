@@ -227,14 +227,12 @@ def _view_loss_and_grads(cloud, rgb_gt, fused_depth, fused_var, camera, cfg, dep
     # The depth term supervises the pixels where fused depth > 0: fusion
     # gives every other pixel depth 0.
     mask = fused_depth.reshape(-1) > 0.0
-    d_loss = 0.0
+    weights = np.exp(-cfg.sharpness * np.sqrt(fused_var.reshape(-1)[mask]))
+    depth_residual = depth.reshape(-1)[mask] - fused_depth.reshape(-1)[mask]
+    d_loss = float(np.sum(weights * depth_residual ** 2))
     g_depth_px = np.zeros(mask.shape)
-    if np.any(mask):
-        weights = np.exp(-cfg.sharpness * np.sqrt(fused_var.reshape(-1)[mask]))
-        depth_residual = depth.reshape(-1)[mask] - fused_depth.reshape(-1)[mask]
-        d_loss = float(np.sum(weights * depth_residual ** 2))
-        if depth_weight != 0.0:
-            g_depth_px[mask] = depth_weight * 2.0 * weights * depth_residual
+    if depth_weight != 0.0:
+        g_depth_px[mask] = depth_weight * 2.0 * weights * depth_residual
     loss = c_loss + depth_weight * d_loss
 
     n = len(cloud)

@@ -15,6 +15,7 @@ from .gpis import TouchReading
 from .sdfrender import CameraModel, BoundingSphere, MarchParams, render_depth_variance
 from .align import SparseDepth
 
+SHAPE_KINDS = ("sphere", "box", "torus")
 GRADIENT_STEP = 1e-6
 # Ground-truth march; the step budget covers grazing rays crawling at min_step.
 GT_HIT_TOL = 1e-7
@@ -30,7 +31,7 @@ class AnalyticShape:
     size: tuple
 
     def __post_init__(self):
-        if self.kind not in ("sphere", "box", "torus"):
+        if self.kind not in SHAPE_KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         size = tuple(float(s) for s in np.atleast_1d(self.size))
         if any(s <= 0.0 for s in size):

@@ -108,7 +108,7 @@ def test_criterion_04_gpis_reconstruction():
     model = fit(cset, KernelParams(0.3, 0.5, 1e-6, prior_mean=0.5))
     cam = CameraModel(48.0, 48.0, 31.5, 31.5, 64, 64, look_at([0, 0, -3], [0, 0, 0]))
     params = MarchParams(0.9, 1e-3, 1e-4, 200)
-    sphere = bounding_sphere(model.conditioning, min_radius=params.min_step)
+    sphere = bounding_sphere(model.conditioning)
     depth, _ = render_depth_variance(model, cam, params, sphere)
     analytic = render_gt_depth(shape, cam)
     both = (depth > 0) & (analytic > 0)

@@ -595,11 +595,14 @@ class TestExitCodes:
          "key 'background_color': expected 3 numbers, got 1"),
         ("data/scene.cfg", "eval", lambda text: text.replace(".", ","),
          "key 'background_color': value '0,2"),
+        # a view whose files the dataset lacks is no missing simulate run
+        ("data/cameras.txt", "align", lambda text: text.replace("view view000", "view view100"),
+         "mono_depth/view100.pfm missing, but"),
     ], ids=["sparse-outside-image", "sparse-one-row", "sparse-one-row-twice", "ply-long-normal",
             "ply-nan-normal", "ply-infinite-point", "sparse-nan-depth", "sparse-inf-depth",
             "sparse-fractional-pixel", "sparse-nan-pixel", "scene-empty-train",
             "scene-halved-train", "scene-comma-train", "scene-empty-eval", "scene-halved-eval",
-            "scene-comma-eval"])
+            "scene-comma-eval", "cameras-view-without-files"])
     def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                       message):
         target = tmp_path / path

@@ -27,7 +27,7 @@ from oracles import Ray, generate_ray, march, rotation_about_axis, sphere_prefil
 
 def render(model, camera, params):
     """Render inside the conditioning set's bounding sphere at a 0.1 margin."""
-    sphere = bounding_sphere(model.conditioning, min_radius=params.min_step)
+    sphere = bounding_sphere(model.conditioning)
     return render_depth_variance(model, camera, params, sphere)
 
 
@@ -116,11 +116,6 @@ class TestBoundingSphere:
         spread = np.max(np.linalg.norm(dirs - sphere.center, axis=1))
         assert sphere.radius == pytest.approx(1.1 * spread)
         assert 1.0 <= sphere.radius <= 1.15
-
-    def test_single_point_floors_at_min_radius(self):
-        sphere = bounding_sphere(surface_set([[1.0, 2.0, 3.0]]), min_radius=1e-3)
-        assert sphere.radius == 1e-3
-        np.testing.assert_array_equal(sphere.center, [1.0, 2.0, 3.0])
 
     def test_antipodal_points(self):
         sphere = bounding_sphere(surface_set([[1, 0, 0], [-1, 0, 0]]))
@@ -285,7 +280,7 @@ class TestRender:
         cam = simple_camera(width=32, height=32, pose=look_at([0, 0, -3], [0, 0, 0]))
         params = MarchParams(0.9, 1e-3, 1e-4, 200)
         depth, variance = render(sphere_gpis, cam, params)
-        sphere = bounding_sphere(sphere_gpis.conditioning, min_radius=params.min_step)
+        sphere = bounding_sphere(sphere_gpis.conditioning)
         rng = np.random.default_rng(0)
         ys, xs = np.nonzero(depth)
         pick = rng.choice(len(xs), size=min(10, len(xs)), replace=False)
@@ -300,7 +295,7 @@ class TestRender:
     def test_prefilter_soundness_against_analytic_hits(self, sphere_gpis):
         cam = simple_camera(width=32, height=32, pose=look_at([0.2, -0.1, -3.0], [0, 0, 0]))
         params = MarchParams(0.9, 1e-3, 1e-4, 200)
-        sphere = bounding_sphere(sphere_gpis.conditioning, min_radius=params.min_step)
+        sphere = bounding_sphere(sphere_gpis.conditioning)
         for y in range(32):
             for x in range(32):
                 ray = generate_ray(cam, (float(x), float(y)))
@@ -315,7 +310,7 @@ class TestRender:
         cam = simple_camera(pose=look_at([0, 0, -3], [0, 0, 0]))
         params = MarchParams(0.9, 1e-3, 1e-4, 200)
         depth, _ = render(sphere_gpis, cam, params)
-        sphere = bounding_sphere(sphere_gpis.conditioning, min_radius=params.min_step)
+        sphere = bounding_sphere(sphere_gpis.conditioning)
         ys, xs = np.nonzero(depth)
         for y, x in list(zip(ys, xs))[::37]:
             ray = generate_ray(cam, (float(x), float(y)))
@@ -354,7 +349,7 @@ class TestImageContract:
 
 
 def candidate_count(model, camera, params):
-    sphere = bounding_sphere(model.conditioning, min_radius=params.min_step)
+    sphere = bounding_sphere(model.conditioning)
     dirs, _ = camera.pixel_rays()
     _, t_exit, meets = sphere_entry_exit(camera.position - sphere.center, dirs, sphere.radius)
     return int(np.count_nonzero(meets & (t_exit >= 0.0)))
