@@ -199,10 +199,11 @@ def _kernel_block(a, b, params, out=None):
             tmp *= tmp
             block += tmp
         np.sqrt(block, out=block)
-        block *= np.sqrt(3.0) / params.length_scale
-        np.negative(block, out=tmp)
-        np.exp(tmp, out=tmp)
-        block += 1.0
+        # Scaled to -r, which exp takes as it stands; 1 + r is taken as
+        # 1 - (-r), which IEEE rounds the same.
+        block *= -np.sqrt(3.0) / params.length_scale
+        np.exp(block, out=tmp)
+        np.subtract(1.0, block, out=block)
         block *= params.output_scale ** 2
         block *= tmp
     return out

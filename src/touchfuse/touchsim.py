@@ -111,41 +111,46 @@ def _surface_from_directions(shape, directions):
     return pts
 
 
-def _random_surface_point(shape, rng):
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    return _surface_from_directions(shape, direction[None, :])[0]
-
-
 def sample_touches(shape: AnalyticShape, n_touches, patch_radius, points_per_touch,
                    point_sigma=0.0, seed=0):
     """Simulate tactile patches: random surface centers, tangent-disc samples
     projected back to the surface, SDF-gradient normals, and Gaussian point
-    noise of std `point_sigma` (m)."""
+    noise of std `point_sigma` (m).
+
+    Each touch draws its center direction, disc radii and angles, then its
+    noise, from one generator in turn, and has its own sensor frame. The
+    surface projections and gradients run once over every touch's points:
+    each point's result depends on that point alone.
+    """
     if n_touches < 1:
         raise ValueError("need at least one touch")
     rng = np.random.default_rng(seed)
-    touches = []
-    for _ in range(n_touches):
-        center = _random_surface_point(shape, rng)
-        normal = sdf_gradient(shape, center[None, :])[0]
-        normal /= np.linalg.norm(normal)
-        frame = geometry.frame_from_normal(center, normal)
+    directions = np.empty((n_touches, 3))
+    tangents = np.empty((n_touches, points_per_touch, 3))
+    noise = np.zeros_like(tangents)
+    for direction, tangent, jitter in zip(directions, tangents, noise):
+        direction[:] = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
         radii = patch_radius * np.sqrt(rng.uniform(size=points_per_touch))
         angles = rng.uniform(0.0, 2.0 * math.pi, size=points_per_touch)
-        tangent = np.stack(
+        tangent[:] = np.stack(
             [radii * np.cos(angles), radii * np.sin(angles), np.zeros(points_per_touch)],
             axis=1,
         )
-        pts = geometry.transform_points(frame, tangent)
-        pts = _project_to_surface(shape, pts)
-        normals = sdf_gradient(shape, pts)
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-
         if point_sigma > 0.0:
-            pts = pts + rng.normal(scale=point_sigma, size=pts.shape)
-        touches.append(TouchReading(pts, normals))
-    return touches
+            jitter[:] = rng.normal(scale=point_sigma, size=jitter.shape)
+    centers = _surface_from_directions(shape, directions)
+    pts = np.empty_like(tangents)
+    for center, normal, tangent, out in zip(centers, sdf_gradient(shape, centers), tangents, pts):
+        normal /= np.linalg.norm(normal)
+        out[:] = geometry.transform_points(geometry.frame_from_normal(center, normal), tangent)
+    pts = _project_to_surface(shape, pts.reshape(-1, 3))
+    normals = sdf_gradient(shape, pts)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    if point_sigma > 0.0:
+        pts = pts + noise.reshape(-1, 3)
+    per_touch = tangents.shape
+    return [TouchReading(p, n) for p, n in zip(pts.reshape(per_touch), normals.reshape(per_touch))]
 
 
 def render_gt_depth(shape: AnalyticShape, camera: CameraModel):
@@ -186,10 +191,10 @@ def make_sparse_depth(depth, fraction, quadratic=0.0, seed=0) -> SparseDepth:
 def surface_points(shape: AnalyticShape, count, seed=0):
     """Uniform-ish random points on the shape surface (for evaluation clouds).
 
-    Projects all points at once. The result is bit for bit that of `count`
-    calls of `_random_surface_point` on one generator: the (count, 3) normal
-    draw is the same stream as `count` draws of 3, and each direction is
-    normalised with the same 1-D norm.
+    Projects all points at once. The result is bit for bit that of drawing
+    and projecting one direction at a time from one generator: the
+    (count, 3) normal draw is the same stream as `count` draws of 3, and
+    each direction is normalised with the same 1-D norm.
     """
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(count, 3))

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from touchfuse.geometry import unit
-from touchfuse.gpis import KernelParams
+from touchfuse.geometry import frame_from_normal, transform_points, unit
+from touchfuse.gpis import KernelParams, TouchReading
 from touchfuse.sdfrender import BoundingSphere, CameraModel, MarchParams
 from touchfuse.splat import LossConfig, SplatCloud, footprint_pairs, loss_gradients, render
+from touchfuse.touchsim import _project_to_surface, sdf_gradient
 
 UNIT_DIR_TOL = 1e-9
 
@@ -273,3 +274,42 @@ def rotation_about_axis(axis, angle):
         [-k[1], k[0], 0.0],
     ])
     return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
+
+
+def random_surface_point(shape, rng):
+    """One point of the shape's surface: a direction of three normal draws
+    from `rng`, normalised, taken from the bounding sphere to the surface
+    by eight Newton projections."""
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    point = direction[None, :] * shape.bounding_radius()
+    for _ in range(8):
+        point = _project_to_surface(shape, point)
+    return point[0]
+
+
+def sample_touches(shape, n_touches, patch_radius, points_per_touch, point_sigma=0.0, seed=0):
+    """The touch simulator one touch at a time: a random surface center,
+    the sensor frame of its unit normal, disc samples in that frame
+    projected to the surface, their unit SDF-gradient normals, then the
+    point noise."""
+    rng = np.random.default_rng(seed)
+    touches = []
+    for _ in range(n_touches):
+        center = random_surface_point(shape, rng)
+        normal = sdf_gradient(shape, center[None, :])[0]
+        normal /= np.linalg.norm(normal)
+        frame = frame_from_normal(center, normal)
+        radii = patch_radius * np.sqrt(rng.uniform(size=points_per_touch))
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=points_per_touch)
+        tangent = np.stack(
+            [radii * np.cos(angles), radii * np.sin(angles), np.zeros(points_per_touch)],
+            axis=1,
+        )
+        pts = _project_to_surface(shape, transform_points(frame, tangent))
+        normals = sdf_gradient(shape, pts)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        if point_sigma > 0.0:
+            pts = pts + rng.normal(scale=point_sigma, size=pts.shape)
+        touches.append(TouchReading(pts, normals))
+    return touches

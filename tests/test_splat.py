@@ -234,9 +234,21 @@ def camera_frame_cloud(splats):
                       np.zeros(n), r)
 
 
+# 32 splats on the centre pixel of a 17 x 13 image, the deepest column of
+# the compositing table, and one disc that also covers its neighbours.
+DEEP_PIXEL = [(0.0, 0.0, 1.0 + 0.1 * k, 0.001) for k in range(30)] + [
+    (0.0, 0.0, 1.55, 0.1), (0.0, 0.0, 2.05, 0.2)]
+# Splats whose discs cross each edge and corner of a 17 x 13 image from
+# outside, at the image edge, and from inside.
+EDGES = [(x, y, 1.0, 0.3) for x in (-0.75, -0.66, 0.0, 0.66, 0.75)
+         for y in (-0.6, -0.5, 0.0, 0.5, 0.6) if (x, y) != (0.0, 0.0)]
+
+
 class TestFootprintPairs:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(SPLAT, min_size=1, max_size=12))
+    @example(DEEP_PIXEL)
+    @example(EDGES)
     def test_equals_brute_force_oracle(self, splats):
         cloud = camera_frame_cloud(splats)
         cam = camera(w=17, h=13)
@@ -425,6 +437,14 @@ SHADED_SPLAT = st.tuples(
 # them nearly opaque.
 ONE_PIXEL = [(0.0, 0.0, 1.0 + 0.25 * k, 0.001, 0.1 * k, -0.2, 0.3, 0.6) for k in range(8)]
 ONE_PIXEL[5] = ONE_PIXEL[5][:7] + (1.0 - 1e-12,)
+# 32 splats on the image centre, the deepest column of the compositing
+# table, one of whose discs also covers its neighbours, and splats whose
+# discs cross each edge and corner of the 9 x 7 image.
+DEEP_SHADED = [(0.0, 0.0, 1.0 + 0.05 * k, 0.001 if k % 11 else 0.1,
+                0.03 * k - 0.5, -0.2, 0.3, 0.2 + 0.02 * k) for k in range(32)]
+EDGE_SHADED = [(x, y, 1.0 + 0.02 * i, 0.2, 0.5, -0.04 * i, 0.9, 0.7)
+               for i, (x, y) in enumerate((x, y) for x in (-0.42, -0.33, 0.0, 0.33, 0.42)
+                                          for y in (-0.3, -0.25, 0.0, 0.25, 0.3))]
 
 
 def shaded_cloud(splats, background):
@@ -446,6 +466,8 @@ class TestGradientOracle:
     @example(ONE_PIXEL, 2, 0.0, 1.3, (-0.0, 0.0, -0.5))
     @example([s[:4] + (-0.0, 0.0, -0.0) + s[7:] for s in ONE_PIXEL], 3, 0.37, 0.0,
              (-0.0, 0.0, -0.5))
+    @example(DEEP_SHADED, 4, 1.0, 1.3, (0.3, 0.3, 0.35))
+    @example(EDGE_SHADED, 5, 0.37, 1.3, (-0.0, 0.0, -0.5))
     def test_view_terms_equal_per_pixel_oracle(self, splats, seed, depth_weight, sharpness,
                                                background):
         # All six outputs, signed zeros included, equal the scalar
@@ -683,7 +705,7 @@ class TestSplitTrain:
         assert forks(views[:1]) == 0
         # Training's estimate; three parts would need a quarter of it each.
         pixels = sum(cam.width * cam.height for *_, cam in views)
-        seconds = len(cloud) * pixels * (4 + 1) * 0.7e-9
+        seconds = len(cloud) * pixels * (4 + 1) * splat.PASS_SECONDS
         monkeypatch.setattr(workers, "PART_SECONDS", np.nextafter(seconds / 2, np.inf))
         assert forks(views) == 0
         monkeypatch.setattr(workers, "PART_SECONDS", seconds / 2)

@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from touchfuse.geometry import look_at
 from touchfuse.sdfrender import CameraModel
 from touchfuse.touchsim import (
+    SHAPE_KINDS,
     AnalyticShape,
-    _random_surface_point,
     analytic_sdf,
     make_sparse_depth,
     render_gt_depth,
@@ -16,6 +18,8 @@ from touchfuse.touchsim import (
     sdf_gradient,
     surface_points,
 )
+
+from oracles import random_surface_point, sample_touches as sample_touches_one_at_a_time
 
 
 def orbit_camera(eye, w=64, h=64, fx=48.0):
@@ -94,6 +98,31 @@ class TestSampleTouches:
         for touch in touches:
             gaps = np.linalg.norm(touch.points[:, None] - touch.points[None, :], axis=2)
             assert np.max(gaps) < 2 * (0.08 * 1.05 + 4 * sigma)
+
+
+SHAPE_SIZES = {
+    "sphere": st.tuples(st.floats(0.2, 2.0)),
+    "box": st.tuples(*[st.floats(0.2, 1.5)] * 3),
+    "torus": st.tuples(st.floats(0.5, 1.5), st.floats(0.1, 0.4)),
+}
+
+
+class TestSampleTouchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SHAPE_KINDS).flatmap(
+               lambda kind: SHAPE_SIZES[kind].map(lambda size: AnalyticShape(kind, size))),
+           st.integers(1, 50), st.floats(0.01, 0.3), st.integers(1, 64),
+           st.sampled_from([0.0, 0.001]), st.integers(0, 2 ** 32 - 1))
+    def test_equals_one_touch_at_a_time(self, shape, n_touches, patch_radius,
+                                        points_per_touch, point_sigma, seed):
+        got = sample_touches(shape, n_touches, patch_radius, points_per_touch, point_sigma,
+                             seed=seed)
+        expected = sample_touches_one_at_a_time(shape, n_touches, patch_radius,
+                                                points_per_touch, point_sigma, seed=seed)
+        assert len(got) == len(expected) == n_touches
+        for g, e in zip(got, expected):
+            assert g.points.tobytes() == e.points.tobytes()
+            assert g.normals.tobytes() == e.normals.tobytes()
 
 
 class TestRenderGTDepth:
@@ -196,5 +225,5 @@ def test_surface_points_on_surface():
 def test_surface_points_match_one_point_at_a_time(shape):
     # Oracle: one direction draw and eight projections per point, in turn.
     rng = np.random.default_rng(5)
-    expected = np.array([_random_surface_point(shape, rng) for _ in range(300)])
+    expected = np.array([random_surface_point(shape, rng) for _ in range(300)])
     np.testing.assert_array_equal(surface_points(shape, 300, seed=5), expected)
