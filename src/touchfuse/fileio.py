@@ -190,8 +190,17 @@ def write_splat_ply(path, cloud: SplatCloud):
 
 
 @reads_format
-def read_splat_ply(path, background=(0.0, 0.0, 0.0)) -> SplatCloud:
+def read_splat_ply(path, background) -> SplatCloud:
+    """Read a splat cloud, rendered over `background`. Every value must be
+    finite and every opacity in [0, 1]."""
     rows = _read_ply_rows(path, _SPLAT_PROPS)
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        i, column = bad[0]
+        raise ValueError(f"vertex {i}: {_SPLAT_PROPS[column]} {rows[i, column]} is not finite")
+    bad = np.flatnonzero((rows[:, 6] < 0.0) | (rows[:, 6] > 1.0))
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]}: opacity {rows[bad[0], 6]} is outside [0, 1]")
     alphas = np.clip(rows[:, 6], 1e-12, 1.0 - 1e-12)
     logits = np.log(alphas / (1.0 - alphas))
     return SplatCloud(rows[:, :3], rows[:, 3:6], logits, rows[:, 7], np.asarray(background))

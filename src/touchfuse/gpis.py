@@ -466,8 +466,9 @@ def load_model(path) -> GPISModel:
     process wrote, that call's model is returned without refitting.
     Otherwise the file is parsed and refitted through fit, which rejects
     a file of no point: the jitter escalation replays, so the factor equals
-    the fitted one bit for bit at the same BLAS thread count. Either way the handoff slot is emptied first, so a
-    refit holds one n x n array and the slot keeps no model past this call.
+    the fitted one bit for bit at the same BLAS thread count. Either way the
+    handoff slot is emptied first, so a refit holds one n x n array and the
+    slot keeps no model past this call.
     """
     global _saved
     saved, _saved = _saved, None

@@ -142,12 +142,17 @@ class StageIO:
 
     def _record_input(self, name, found):
         if not found:
-            # Each dataset file a stage reads after its camera list is one
-            # view's: the dataset is there and lacks a view it names.
+            # A dataset file a stage reads after its camera list is missing
+            # from a dataset that is there: a file of a view the list names,
+            # or the scene record, which a sensor dataset may not bring.
             if name.startswith("dataset:") and "dataset:cameras.txt" in self.inputs:
+                cameras = _path(self.cfg, "dataset:cameras.txt")
+                if name == "dataset:scene.cfg":
+                    raise FormatError(f"{_path(self.cfg, name)} missing, but {cameras} is "
+                                      "there; eval scores against the shape the record gives")
                 view = os.path.splitext(os.path.basename(name))[0]
-                raise FormatError(f"{_path(self.cfg, name)} missing, but "
-                                  f"{_path(self.cfg, 'dataset:cameras.txt')} names view {view}")
+                raise FormatError(f"{_path(self.cfg, name)} missing, but {cameras} names "
+                                  f"view {view}")
             raise DependencyError(f"{name} missing; run the {_producer(name)} stage first")
         if name.startswith("out:"):
             producer = _producer(name)
@@ -198,28 +203,30 @@ def _camera_views(io):
 
 @reads_format
 def _read_scene(path):
-    """The analytic shape and background color of a scene record
-    (`dataset:scene.cfg`). Each key is parsed as the config's is: a missing
-    key, a shape of no known kind, a size that does not fit the shape, or a
-    background color that is not three finite numbers in [0, 1] makes the
-    file malformed. Any other key, such as one an older run or a real
-    dataset records, is ignored."""
+    """The analytic shape of a scene record (`dataset:scene.cfg`), which
+    eval scores against. Each key is parsed as the config's is: a missing
+    key, a shape of no known kind or a size that does not fit the shape
+    makes the file malformed. Any other key, such as the background color
+    an older run recorded or a key a real dataset brings, is ignored."""
     record = fileio.read_keyvalues(path)
-
-    def value(key, kind, validator):
-        if key not in record:
-            raise ValueError(f"key '{key}' is missing")
-        return _parse_value(kind, record[key], key, validator)
-
     sim = {}
     for key in ("shape", "size"):
+        if key not in record:
+            raise ValueError(f"key '{key}' is missing")
         kind, _, validator = SCHEMA["sim"][key]
-        sim[key] = value(key, kind, validator)
+        sim[key] = _parse_value(kind, record[key], key, validator)
     _check_size(sim, {})
-    background = value("background_color", "floats", lambda c: 0.0 <= c <= 1.0)
-    if len(background) != 3:
-        raise ValueError(f"key 'background_color': expected 3 numbers, got {len(background)}")
-    return touchsim.AnalyticShape(sim["shape"], sim["size"]), background
+    return touchsim.AnalyticShape(sim["shape"], sim["size"])
+
+
+def _background_color(rgbs, gpis_depths):
+    """The splat renderer's background color: per channel, the median of
+    the RGB pixels that no GPIS ray hit (depth 0), over every view's image
+    in `rgbs` and its GPIS depth in `gpis_depths`. When GPIS hit every
+    pixel of every view there is no such pixel, and the background is
+    black, the SplatCloud default."""
+    missed = np.concatenate([rgb[depth == 0.0] for rgb, depth in zip(rgbs, gpis_depths)])
+    return np.median(missed, axis=0) if len(missed) else np.zeros(3)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +284,6 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
     io.write(fileio.write_keyvalues, "dataset:scene.cfg", {
         "shape": sim["shape"],
         "size": " ".join(f"{s:.17g}" for s in shape.size),
-        "background_color": " ".join(f"{c:.17g}" for c in BACKGROUND_COLOR),
     })
 
 
@@ -446,6 +452,18 @@ def _read_rgb(io, name, cam):
     return _read_view(io, fileio.read_ppm, f"dataset:rgb/{name}.ppm", cam)
 
 
+def _read_splats(io, name, cameras, rgbs):
+    """A splat cloud, rendered over the background color of the views
+    `cameras` with RGB images `rgbs` and their GPIS depths. A file of no
+    splat is malformed, since eval scores a cloud against the shape's
+    surface."""
+    gpis_depths = [_load_depth_var(io, view, "gpis", cam)[0] for view, cam in cameras]
+    cloud = io.read(fileio.read_splat_ply, name, _background_color(rgbs, gpis_depths))
+    if not len(cloud):
+        raise FormatError(f"{_path(io.cfg, name)}: the cloud holds no splat")
+    return cloud
+
+
 def stage_init_points(cfg: SceneConfig, io: StageIO):
     views = _camera_views(io)
     depth_views = []
@@ -476,10 +494,10 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
 
 
 def stage_train(cfg: SceneConfig, io: StageIO):
-    _, background = io.read(_read_scene, "dataset:scene.cfg")
-    cloud = io.read(fileio.read_splat_ply, "out:init.ply", background=background)
+    cameras = _camera_views(io)
     views = [(_read_rgb(io, name, cam), *_load_depth_var(io, name, "fused", cam), cam)
-             for name, cam in _camera_views(io)]
+             for name, cam in cameras]
+    cloud = _read_splats(io, "out:init.ply", cameras, [rgb for rgb, *_ in views])
     log_rows = []
     trained = splat.optimize(
         cloud, views, splat.LossConfig(**cfg.section("loss")), cfg.get("train", "iters"),
@@ -495,8 +513,10 @@ def stage_train(cfg: SceneConfig, io: StageIO):
 
 
 def stage_eval(cfg: SceneConfig, io: StageIO):
-    shape, background = io.read(_read_scene, "dataset:scene.cfg")
-    cloud = io.read(fileio.read_splat_ply, "out:splats.ply", background=background)
+    cameras = _camera_views(io)
+    shape = io.read(_read_scene, "dataset:scene.cfg")
+    gt_rgbs = [_read_rgb(io, name, cam) for name, cam in cameras]
+    cloud = _read_splats(io, "out:splats.ply", cameras, gt_rgbs)
 
     def mse(sq_errors):
         return float(np.mean(sq_errors)) if sq_errors.size else math.nan
@@ -505,9 +525,8 @@ def stage_eval(cfg: SceneConfig, io: StageIO):
     sq_err_all = []
     sq_err_obj = []
     psnrs = []
-    for name, cam in _camera_views(io):
+    for (name, cam), gt_rgb in zip(cameras, gt_rgbs):
         gt_depth = _read_view(io, fileio.read_pfm, f"dataset:gt_depth/{name}.pfm", cam)
-        gt_rgb = _read_rgb(io, name, cam)
         object_mask = touchsim.render_gt_depth(shape, cam) > 0.0
 
         rgb, depth = splat.render(cloud, cam)

@@ -62,23 +62,19 @@ class AnalyticShape:
         return sdf, np.zeros_like(sdf)
 
 
-def analytic_sdf(shape: AnalyticShape, point):
-    """Exact signed distance (negative inside); accepts (3,) or (N, 3)."""
-    pts = np.asarray(point, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+def analytic_sdf(shape: AnalyticShape, points):
+    """Exact signed distance (negative inside) of each of the (N, 3) points."""
+    pts = np.asarray(points, dtype=np.float64)
     if shape.kind == "sphere":
-        sdf = np.linalg.norm(pts, axis=1) - shape.size[0]
-    elif shape.kind == "box":
+        return np.linalg.norm(pts, axis=1) - shape.size[0]
+    if shape.kind == "box":
         q = np.abs(pts) - np.asarray(shape.size)
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
         inside = np.minimum(q.max(axis=1), 0.0)
-        sdf = outside + inside
-    else:
-        major, minor = shape.size
-        ring = np.stack([np.hypot(pts[:, 0], pts[:, 1]) - major, pts[:, 2]], axis=1)
-        sdf = np.linalg.norm(ring, axis=1) - minor
-    return float(sdf[0]) if single else sdf
+        return outside + inside
+    major, minor = shape.size
+    ring = np.stack([np.hypot(pts[:, 0], pts[:, 1]) - major, pts[:, 2]], axis=1)
+    return np.linalg.norm(ring, axis=1) - minor
 
 
 def sdf_gradient(shape: AnalyticShape, points):

@@ -222,9 +222,9 @@ def test_criterion_08_metric_oracles():
 
 def _load_scene_products(run):
     cfg = run["cfg"]
-    shape, background = pipeline._read_scene(pipeline._path(cfg, "dataset:scene.cfg"))
+    shape = pipeline._read_scene(pipeline._path(cfg, "dataset:scene.cfg"))
     views = fileio.read_cameras(pipeline._path(cfg, "dataset:cameras.txt"))
-    products = {"shape": shape, "background": background, "views": views,
+    products = {"shape": shape, "views": views,
                 "gt_depth": {}, "gt_rgb": {}, "obj_mask": {},
                 "fused_views": [], "vision_views": []}
     for name, cam in views:
@@ -239,8 +239,11 @@ def _load_scene_products(run):
         vd = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_vision_depth.pfm"))
         vv = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_vision_var.pfm"))
         products["vision_views"].append((products["gt_rgb"][name], vd, vv, cam))
+    products["background"] = pipeline._background_color(
+        products["gt_rgb"].values(),
+        [fileio.read_pfm(pipeline._path(cfg, f"out:{name}_gpis_depth.pfm")) for name, _ in views])
     products["init"] = fileio.read_splat_ply(
-        pipeline._path(cfg, "out:init.ply"), background=background)
+        pipeline._path(cfg, "out:init.ply"), products["background"])
     return products
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from touchfuse import fileio, fuse, gpis
+from touchfuse import fileio, fuse, gpis, pipeline
 from touchfuse.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED,
                            EXIT_NUMERICAL, EXIT_OK, FAILURES, main)
 from touchfuse.config import SCHEMA, parse_config_text, validate_config
@@ -224,6 +224,25 @@ class TestPipelineOrchestration:
             f"touch{i:03d}.ply" for i in range(6)]
 
 
+class TestBackgroundColor:
+    """The splat background: the median color of the pixels GPIS missed."""
+
+    def test_median_over_the_missed_pixels_of_every_view(self):
+        rgbs = [np.full((2, 2, 3), 0.9), np.full((1, 3, 3), 0.9)]
+        depths = [np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([[0.0, 1.0, 3.0]])]
+        rgbs[0][0, 1] = [0.1, 0.5, 0.2]
+        rgbs[0][1, 0] = [0.3, 0.4, 0.2]
+        rgbs[1][0, 0] = [0.2, 0.6, 0.7]
+        np.testing.assert_array_equal(pipeline._background_color(rgbs, depths), [0.2, 0.5, 0.2])
+
+    def test_black_when_gpis_hit_every_pixel(self):
+        rgbs = [np.full((2, 2, 3), 0.9), np.full((1, 3, 3), 0.4)]
+        depths = [np.full((2, 2), 1.0), np.full((1, 3), 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(pipeline._background_color(rgbs, depths), np.zeros(3))
+
+
 SMALL_SCENE = """
 [scene]
 dataset = data
@@ -395,6 +414,11 @@ def edit_first_ply_row(edit):
         first, rest = rows.split("\n", 1)
         return header + end + " ".join(edit(first.split())) + "\n" + rest
     return apply
+
+
+def no_ply_rows(text):
+    header = text.partition("end_header\n")[0]
+    return re.sub(r"element vertex \d+", "element vertex 0", header) + "end_header\n"
 
 
 def model_without_points(blob):
@@ -585,24 +609,35 @@ class TestExitCodes:
          "line 1: pixel coordinates must be integers, found 3.7"),
         ("data/sparse/view000.txt", "align", lambda text: re.sub(r"^\S+", "nan", text, count=1),
          "line 1: pixel coordinates must be integers, found nan"),
-        ("data/scene.cfg", "train", lambda text: "", "key 'shape' is missing"),
-        ("data/scene.cfg", "train", lambda text: text[:len(text) // 2],
-         "key 'background_color': expected 3 numbers, got 1"),
-        ("data/scene.cfg", "train", lambda text: text.replace(".", ","),
-         "key 'background_color': value '0,2"),
         ("data/scene.cfg", "eval", lambda text: "", "key 'shape' is missing"),
         ("data/scene.cfg", "eval", lambda text: text[:len(text) // 2],
-         "key 'background_color': expected 3 numbers, got 1"),
-        ("data/scene.cfg", "eval", lambda text: text.replace(".", ","),
-         "key 'background_color': value '0,2"),
+         "key 'shape': must be one of"),
+        ("data/scene.cfg", "eval", lambda text: text.replace("size = 1", "size = 1,5"),
+         "key 'size': sphere takes a single radius"),
+        ("out/init.ply", "train", edit_first_ply_row(lambda row: row[:6] + ["nan"] + row[7:]),
+         "vertex 0: opacity nan is not finite"),
+        ("out/init.ply", "train", edit_first_ply_row(lambda row: row[:3] + ["nan"] + row[4:]),
+         "vertex 0: r nan is not finite"),
+        ("out/init.ply", "train", edit_first_ply_row(lambda row: ["nan"] + row[1:]),
+         "vertex 0: x nan is not finite"),
+        ("out/init.ply", "train", edit_first_ply_row(lambda row: row[:6] + ["1.5"] + row[7:]),
+         "vertex 0: opacity 1.5 is outside [0, 1]"),
+        ("out/splats.ply", "eval", edit_first_ply_row(lambda row: row[:6] + ["-0.5"] + row[7:]),
+         "vertex 0: opacity -0.5 is outside [0, 1]"),
+        ("out/splats.ply", "eval", edit_first_ply_row(lambda row: row[:7] + ["inf"]),
+         "vertex 0: radius inf is not finite"),
+        ("out/init.ply", "train", no_ply_rows, "the cloud holds no splat"),
+        ("out/splats.ply", "eval", no_ply_rows, "the cloud holds no splat"),
         # a view whose files the dataset lacks is no missing simulate run
         ("data/cameras.txt", "align", lambda text: text.replace("view view000", "view view100"),
          "mono_depth/view100.pfm missing, but"),
     ], ids=["sparse-outside-image", "sparse-one-row", "sparse-one-row-twice", "ply-long-normal",
             "ply-nan-normal", "ply-infinite-point", "sparse-nan-depth", "sparse-inf-depth",
-            "sparse-fractional-pixel", "sparse-nan-pixel", "scene-empty-train",
-            "scene-halved-train", "scene-comma-train", "scene-empty-eval", "scene-halved-eval",
-            "scene-comma-eval", "cameras-view-without-files"])
+            "sparse-fractional-pixel", "sparse-nan-pixel", "scene-empty-eval",
+            "scene-halved-eval", "scene-comma-eval", "init-nan-opacity", "init-nan-color",
+            "init-nan-position", "init-opacity-above-one", "splats-negative-opacity",
+            "splats-infinite-radius", "init-no-splat", "splats-no-splat",
+            "cameras-view-without-files"])
     def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                       message):
         target = tmp_path / path
@@ -614,9 +649,30 @@ class TestExitCodes:
     def test_scene_record_with_keys_nothing_reads(self, built, tmp_path):
         """An older run's record, or a real dataset's, may hold more keys."""
         record = tmp_path / "data/scene.cfg"
-        record.write_text("seed = 3\n" + record.read_text() + "object_color = 0.8 0.4 0.2\n")
+        record.write_text("seed = 3\n" + record.read_text() + "object_color = 0.8 0.4 0.2\n"
+                          "background_color = 0.2 0.2 0.2\n")
         assert main(["pipeline", "--config", str(tmp_path / "scene.cfg"),
                      "--stages", "train,eval"]) == EXIT_OK
+
+    def test_eval_without_scene_record(self, built, tmp_path, capsys):
+        """A dataset with a camera list is there, so a missing scene record
+        is a malformed dataset, not a missing simulate run."""
+        os.unlink(tmp_path / "data/scene.cfg")
+        assert main(["eval", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and "scene.cfg missing" in err
+        assert "simulate" not in err
+
+    def test_training_needs_no_scene_record(self, pristine, tmp_path):
+        """Train takes its background from the pixels GPIS missed, so a
+        dataset without scene.cfg trains the same cloud."""
+        shutil.copytree(pristine / "data", tmp_path / "data")
+        os.unlink(tmp_path / "data/scene.cfg")
+        config = str(write_config(tmp_path, SMALL_SCENE, make_dataset=False))
+        stages = ",".join(STAGE_ORDER[1:STAGE_ORDER.index("train") + 1])
+        assert main(["pipeline", "--config", config, "--stages", stages]) == EXIT_OK
+        for name in ("splats.ply", "train_log.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (pristine / "out" / name).read_bytes()
 
     @pytest.mark.parametrize("rows", [0, 1], ids=["touches-no-point", "touches-one-shared-point"])
     def test_touches_that_give_no_surface(self, built, tmp_path, capsys, rows):

@@ -105,7 +105,7 @@ class TestSplatPly:
         empty = SplatCloud(np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0))
         path = tmp_path / "empty.ply"
         fileio.write_splat_ply(path, empty)
-        back = fileio.read_splat_ply(path)
+        back = fileio.read_splat_ply(path, np.zeros(3))
         assert len(back) == 0
 
     def test_wrong_properties_rejected(self, tmp_path):
@@ -116,7 +116,7 @@ class TestSplatPly:
             "end_header\n0 0 0\n"
         )
         with pytest.raises(ValueError):
-            fileio.read_splat_ply(path)
+            fileio.read_splat_ply(path, np.zeros(3))
 
 
 class TestCameraFile:

@@ -29,18 +29,18 @@ def orbit_camera(eye, w=64, h=64, fx=48.0):
 class TestAnalyticSDF:
     def test_sphere_values(self):
         sphere = AnalyticShape("sphere", (1.0,))
-        assert analytic_sdf(sphere, [0.0, 0.0, 2.0]) == pytest.approx(1.0, abs=1e-15)
-        assert analytic_sdf(sphere, [0.0, 0.0, 0.0]) == pytest.approx(-1.0, abs=1e-15)
+        assert analytic_sdf(sphere, [[0.0, 0.0, 2.0]]) == pytest.approx(1.0, abs=1e-15)
+        assert analytic_sdf(sphere, [[0.0, 0.0, 0.0]]) == pytest.approx(-1.0, abs=1e-15)
 
     def test_box_corner_distance(self):
         box = AnalyticShape("box", (1.0, 1.0, 1.0))
-        assert analytic_sdf(box, [2.0, 2.0, 0.0]) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert analytic_sdf(box, [0.0, 0.0, 0.0]) == pytest.approx(-1.0, abs=1e-15)
+        assert analytic_sdf(box, [[2.0, 2.0, 0.0]]) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert analytic_sdf(box, [[0.0, 0.0, 0.0]]) == pytest.approx(-1.0, abs=1e-15)
 
     def test_torus_values(self):
         torus = AnalyticShape("torus", (1.0, 0.25))
-        assert analytic_sdf(torus, [1.0, 0.0, 0.0]) == pytest.approx(-0.25, abs=1e-15)
-        assert analytic_sdf(torus, [0.0, 0.0, 0.0]) == pytest.approx(0.75, abs=1e-15)
+        assert analytic_sdf(torus, [[1.0, 0.0, 0.0]]) == pytest.approx(-0.25, abs=1e-15)
+        assert analytic_sdf(torus, [[0.0, 0.0, 0.0]]) == pytest.approx(0.75, abs=1e-15)
 
     def test_gradient_unit_norm_off_medial_axis(self):
         rng = np.random.default_rng(0)
