@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpftrf, dpftrs, dtfsm
 from scipy.spatial import cKDTree
 
 from . import workers
@@ -27,6 +27,12 @@ JITTER_STOP_FRAC = 1e-2
 UNIT_NORMAL_TOL = 1e-6
 VARIANCE_FLOOR_FRAC = 1e-12
 KERNEL_CHUNK_BYTES = 2 ** 20
+# Query points per variance solve: the columns of query's buffer. On one core
+# of a 2-CPU x86 VM, solving 440 points (a render part's share of a bundled
+# view) in solves of 64 columns cost +29 % against one solve on the bundled
+# sphere (n = 2,849) and the benchmark torus (n = 4,283), 128 columns +12 %
+# and +13 %, and 256 columns +5 % and +4 %.
+SOLVE_COLUMNS = 256
 
 MODEL_MAGIC = b"GPIS"
 MODEL_VERSION = 2
@@ -109,8 +115,10 @@ class GPISModel:
     """Immutable conditioned GP: factorized kernel matrix plus solve cache.
 
     factor is the lower-triangular Cholesky factor of K + effective_noise*I
-    where effective_noise includes any jitter added during fitting; alpha is
-    the precomputed solve of that matrix against the mean-centered targets.
+    where effective_noise includes any jitter added during fitting, in
+    LAPACK's rectangular full packed layout (transr 'N', uplo 'L'; see
+    _factorize): one array of n(n+1)/2 values. alpha is the precomputed
+    solve of that matrix against the mean-centered targets.
     """
 
     conditioning: ConditioningSet
@@ -120,23 +128,36 @@ class GPISModel:
     effective_noise: float
 
     def query(self, points):
-        """Posterior mean and predictive variance at (N, 3) query points."""
-        cross = _kernel_block(_checked_points(points), self.conditioning.locations, self.params)
-        # einsum keeps each row's reduction order independent of batch size,
-        # so marching a ray alone or with thousands of others gives the same bits.
-        mean = self.params.prior_mean + np.einsum("nm,m->n", cross, self.alpha)
-        rhs = cross.T
-        if rhs.shape[1] == 1:
-            # LAPACK switches algorithms at one right-hand side; pad so a
-            # pointwise query takes the path a batch one does. A variance
-            # can still differ in its last bits with the points solved
-            # alongside it (1.7e-14 relative, seen in float64).
-            v = solve_triangular(self.factor, np.hstack([rhs, rhs]),
-                                 lower=True, check_finite=False)[:, :1]
-        else:
-            v = solve_triangular(self.factor, rhs, lower=True, check_finite=False)
+        """Posterior mean and predictive variance at (N, 3) query points.
+
+        The points are taken SOLVE_COLUMNS at a time: each chunk's kernel
+        rows are written into one reused (M, SOLVE_COLUMNS) Fortran-order
+        buffer, reduced against alpha for the means and then solved in place
+        against the factor for the variances, so no (N, M) block exists.
+        """
+        pts = _checked_points(points)
+        locations = np.asfortranarray(self.conditioning.locations)
+        # Two columns at least: LAPACK switches algorithms at one right-hand
+        # side, so a lone point is solved beside a copy of itself and takes
+        # the path a batch one does. A variance can still differ in its last
+        # bits with the points solved alongside it (1.7e-14 relative, seen
+        # in float64).
+        buffer = np.empty((locations.shape[0], max(2, min(SOLVE_COLUMNS, pts.shape[0]))),
+                          order="F")
+        mean = np.empty(pts.shape[0])
+        var = np.empty(pts.shape[0])
         prior = self.params.output_scale ** 2 + self.params.noise
-        var = prior - np.einsum("ij,ij->j", v, v)
+        for s in range(0, pts.shape[0], SOLVE_COLUMNS):
+            chunk = pts[s:s + SOLVE_COLUMNS]
+            k = chunk.shape[0]
+            rows = _kernel_block(chunk, locations, self.params, buffer.T[:k])
+            # einsum keeps each row's reduction order independent of batch size,
+            # so marching a ray alone or with thousands of others gives the same bits.
+            mean[s:s + k] = self.params.prior_mean + np.einsum("nm,m->n", rows, self.alpha)
+            if k == 1:
+                buffer[:, 1] = buffer[:, 0]
+            v = dtfsm(1.0, self.factor, buffer[:, :max(2, k)], uplo="L", overwrite_b=True)[:, :k]
+            var[s:s + k] = prior - np.einsum("ij,ij->j", v, v)
         floor = VARIANCE_FLOOR_FRAC * self.params.output_scale ** 2
         return mean, np.maximum(var, floor)
 
@@ -298,19 +319,30 @@ def build_conditioning_set(touches, surface_offset, interior_offset, n_slices=8,
     )
 
 
+def _rfp_diagonal(n):
+    """Positions of an n x n matrix's diagonal in its RFP array (see _factorize)."""
+    n1, n2, off = n // 2, n - n // 2, 1 - n % 2
+    j = np.arange(n)
+    return np.where(j < n2, j * (n + off) + j + off, (j - n1) * (n + off) + j - n2)
+
+
 def _factorize(locations, params):
     """Cholesky with jitter escalation; returns (factor, effective_noise).
 
-    The Gram matrix of `locations` is built straight into the one n x n
-    buffer that potrf factorizes in place, so a fit holds one n x n array.
-    The buffer's transpose is the Fortran-order matrix LAPACK works in, and
-    potrf reads only its lower triangle: the buffer's upper one, diagonal
-    included, which is all that is built, one row band [s, s + rows) with
-    columns [s, n) at a time. cholesky zeroes the other half, so the factor
-    has the bits of one computed from the whole Gram matrix. A failed
-    attempt leaves the buffer overwritten, so each jitter level builds the
-    half again; only near-duplicate points get that far, and a warning
-    names the effective noise when they do.
+    The lower triangle of the Gram matrix of `locations` is built straight
+    into one array of n(n+1)/2 values in LAPACK's rectangular full packed
+    (RFP) layout, transr 'N' and uplo 'L', which dpftrf factorizes in place,
+    so a fit holds no n x n array. Seen as the Fortran-order array ARF of
+    n + off rows (off = 1 for even n, else 0), with n1 = n // 2 and
+    n2 = n - n1, Gram entry (i, j), i >= j, sits at ARF[i + off, j] when
+    j < n2 and at ARF[j - n2, i - n1] otherwise. The first region is built
+    in bands of columns [s, e) with rows [s, n); each band's spill above
+    the diagonal lands in cells of the second region, which is built after
+    it in bands of rows [s, e) with columns [n2, e), each band's diagonal
+    block as a lower triangle only. Every value has the bits the full build
+    gives it. A failed attempt leaves the array overwritten, so each jitter
+    level builds it again; only near-duplicate points get that far, and a
+    warning names the effective noise when they do.
     """
     s2 = params.output_scale ** 2
     jitters = [0.0]
@@ -319,16 +351,24 @@ def _factorize(locations, params):
         jitters.append(j)
         j *= 10.0
     n = locations.shape[0]
+    n1, n2, off = n // 2, n - n // 2, 1 - n % 2
     rows = _chunk_rows(n)
-    work = np.empty((n, n))
-    diagonal = np.diag_indices(n)
+    arf = np.empty(n * (n + 1) // 2)
+    columns = arf.reshape(n2, n + off)  # columns[c, r] is ARF[r, c]
+    diagonal = _rfp_diagonal(n)
     for jitter in jitters:
-        for s in range(0, n, rows):
-            _kernel_block(locations[s:s + rows], locations[s:], params, work[s:s + rows, s:])
-        work[diagonal] += params.noise + jitter
-        try:
-            factor = cholesky(work.T, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        for s in range(0, n2, rows):
+            e = min(s + rows, n2)
+            _kernel_block(locations[s:e], locations[s:], params, columns[s:e, s + off:])
+        for s in range(n2, n, rows):
+            e = min(s + rows, n)
+            _kernel_block(locations[s:e], locations[n2:s], params, columns[s - n1:e - n1, :s - n2])
+            np.copyto(columns[s - n1:e - n1, s - n2:e - n2],
+                      _kernel_block(locations[s:e], locations[s:e], params),
+                      where=np.tri(e - s, dtype=bool))
+        arf[diagonal] += params.noise + jitter
+        factor, info = dpftrf(n, arf, uplo="L", overwrite_a=True)
+        if info > 0:
             continue
         if jitter:
             warnings.warn(
@@ -341,7 +381,7 @@ def _factorize(locations, params):
 
 def fit(cset: ConditioningSet, params: KernelParams) -> GPISModel:
     """Condition the GP on a set of signed-distance observations: build the
-    Gram matrix, factorize it and solve for alpha.
+    Gram matrix into RFP storage, factorize it and solve for alpha (dpftrs).
 
     Deterministic for fixed inputs. Raises ValueError on an empty set and
     NumericalError when the kernel matrix cannot be factorized even after
@@ -351,13 +391,7 @@ def fit(cset: ConditioningSet, params: KernelParams) -> GPISModel:
     if len(cset) == 0:
         raise ValueError("conditioning set is empty")
     factor, effective_noise = _factorize(cset.locations, params)
-    centered = cset.targets - params.prior_mean
-    alpha = solve_triangular(
-        factor.T,
-        solve_triangular(factor, centered, lower=True, check_finite=False),
-        lower=False,
-        check_finite=False,
-    )
+    alpha = dpftrs(len(cset), factor, cset.targets - params.prior_mean, uplo="L")[0]
     return GPISModel(cset, params, factor, alpha, effective_noise)
 
 
@@ -365,7 +399,7 @@ def log_marginal_likelihood(model: GPISModel) -> float:
     centered = model.conditioning.targets - model.params.prior_mean
     n = len(model.conditioning)
     quad = float(centered @ model.alpha)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(model.factor))))
+    logdet = 2.0 * float(np.sum(np.log(model.factor[_rfp_diagonal(n)])))
     return -0.5 * quad - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
 
 
@@ -383,10 +417,10 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise, prior_mean, cap
     calling process scores the last part, the grid's tail, and a forked
     worker scores each other part and sends back only its scores (see
     workers.Split). Each process fits its candidates one at a time and drops
-    each model before the next, so it holds one n x n factor at a time, and
-    the search one per part. The caller's last model is the result when it
-    wins; any other winner is fitted once more in the caller after the
-    search, the same fit that scored it.
+    each model before the next, so it holds one factor of n(n+1)/2 values at
+    a time, and the search one per part. The caller's last model is the
+    result when it wins; any other winner is fitted once more in the caller
+    after the search, the same fit that scored it.
     """
     if not grid:
         raise ValueError("hyperparameter grid is empty")
@@ -467,7 +501,7 @@ def load_model(path) -> GPISModel:
     Otherwise the file is parsed and refitted through fit, which rejects
     a file of no point: the jitter escalation replays, so the factor equals
     the fitted one bit for bit at the same BLAS thread count. Either way the
-    handoff slot is emptied first, so a refit holds one n x n array and the
+    handoff slot is emptied first, so a refit holds one RFP array and the
     slot keeps no model past this call.
     """
     global _saved

@@ -123,11 +123,11 @@ def _march_part(model, origin, dirs, t_enter, t_stop, params: MarchParams):
     Returns (hit, t, exhausted, variance of each hit): exhausted marks the
     rays that used up max_steps without a hit or an exit. Each mean is a
     per-row einsum, so hit, t and exhausted do not depend on which rays
-    share a part. The variances come from one triangular solve over the
-    part's hits and need not: in float64 one hit's variance differed by
-    1.7e-14 (relative) between a 5-hit and an 879-hit query. Every
-    two-part split tried on the bundled views gave the same float32
-    images as one part."""
+    share a part. The variances come from triangular solves over the
+    part's hits, gpis.SOLVE_COLUMNS at a time, and need not: in float64 one
+    hit's variance differed by 1.7e-14 (relative) between a 5-hit and an
+    879-hit query. Every two-part split tried on the bundled views gave the
+    same float32 images as one part."""
     t = t_enter.astype(np.float64).copy()
     hit = np.zeros(dirs.shape[0], dtype=bool)
     active = t <= t_stop

@@ -354,12 +354,13 @@ def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
     fused variance, camera) views, its two terms, and its analytic
     gradients w.r.t. positions, colors and opacity logits. `views` may also
     be optimize's `workers.Split` over its views, which returns each part's
-    terms; the sum is taken here, in view order from zero, whichever
-    process computed a view's terms."""
+    terms in the order of its bounds; the sum is taken here, in view order
+    from zero, whichever process computed a view's terms."""
     lam = cfg.depth_weight if depth_weight is None else depth_weight
     if isinstance(views, workers.Split):
         parts = views(cloud.positions, cloud.colors, cloud.opacity_logits, lam)
-        terms = [view_terms for part in parts for view_terms in part]
+        terms = [view_terms for _, part in sorted(zip(views.bounds, parts), key=lambda bp: bp[0])
+                 for view_terms in part]
     else:
         terms = [_view_loss_and_grads(cloud, *view, cfg, lam) for view in views]
     n = len(cloud)
@@ -391,8 +392,10 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
     current = cloud.copy()
     pixels = sum(camera.width * camera.height for *_, camera in views)
     # A pass's round trip, the cloud out and its views' terms back, costs
-    # less than any one view's own pass.
-    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1) * PASS_SECONDS)
+    # less than any one view's own pass. Split computes its first part in
+    # this process: make that the last part, the largest workers.parts cuts,
+    # so the workers' smaller replies are ready when it finishes.
+    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1) * PASS_SECONDS)[::-1]
     # Made before the fork, so the workers inherit them.
     targets = [_view_target(*view, cfg) for view in views]
 

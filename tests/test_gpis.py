@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpftrf, dpftrs, dtfttr, dtrttf
 
 from touchfuse import fileio, gpis, workers
 from touchfuse.errors import FormatError, NumericalError
@@ -71,6 +71,12 @@ def dense_kernel(a, b, params):
     return params.output_scale ** 2 * (1.0 + scaled) * np.exp(-scaled)
 
 
+def rfp_factor(gram):
+    """dpftrf of the dense matrix `gram` packed by dtrttf (transr 'N', uplo
+    'L'): (factor, info)."""
+    return dpftrf(len(gram), dtrttf(gram, uplo="L")[0], uplo="L")
+
+
 def dense_fit(locations, targets, params):
     """fit() on the dense Gram matrix with a fresh regularized copy per
     jitter level; returns (factor, alpha, effective_noise)."""
@@ -83,15 +89,10 @@ def dense_fit(locations, targets, params):
         j *= 10.0
     for jitter in jitters:
         noise = params.noise + jitter
-        try:
-            factor = cholesky(gram + noise * np.eye(len(locations)), lower=True,
-                              check_finite=False)
-        except np.linalg.LinAlgError:
+        factor, info = rfp_factor(gram + noise * np.eye(len(locations)))
+        if info:
             continue
-        centered = targets - params.prior_mean
-        alpha = solve_triangular(
-            factor.T, solve_triangular(factor, centered, lower=True, check_finite=False),
-            lower=False, check_finite=False)
+        alpha = dpftrs(len(locations), factor, targets - params.prior_mean, uplo="L")[0]
         return factor, alpha, noise
     raise AssertionError("dense oracle failed to factorize")
 
@@ -162,8 +163,9 @@ class TestFitExactness:
         np.testing.assert_array_equal(model.alpha, alpha)
 
     def test_fit_peak_memory_is_bounded(self):
-        # The Gram matrix plus the factor's buffer: an (n, n, 3) difference
-        # tensor or per-attempt regularized copies would exceed the bound.
+        # The factor's RFP array of n(n+1)/2 values: an n x n array, an
+        # (n, n, 3) difference tensor or per-attempt regularized copies
+        # would exceed the bound.
         n = 1500
         rng = np.random.default_rng(9)
         cset = ConditioningSet(rng.normal(scale=0.3, size=(n, 3)), rng.normal(size=n),
@@ -174,7 +176,7 @@ class TestFitExactness:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * n * n * 8
+        assert peak < 0.75 * n * n * 8
 
 
 def traced_peak(call):
@@ -205,8 +207,8 @@ def assert_same_model(got, want):
 
 
 class TestTriangleGram:
-    """_factorize builds only the half of the Gram matrix potrf reads; its
-    factor is the Cholesky factor of the whole matrix, bit for bit."""
+    """_factorize builds the lower triangle of the Gram matrix straight into
+    RFP storage; its factor is dpftrf's of the whole matrix, bit for bit."""
 
     ROWS = 40
 
@@ -214,7 +216,22 @@ class TestTriangleGram:
     def full_factor(locations, params, noise):
         gram = gpis._kernel_block(locations, locations, params)
         gram[np.diag_indices(len(locations))] += noise
-        return cholesky(gram, lower=True, check_finite=False)
+        return rfp_factor(gram)[0]
+
+    @pytest.mark.parametrize("n, rows", [(7, 2), (8, 3), (ROWS - 1, ROWS), (ROWS, ROWS),
+                                         (2 * ROWS + 3, ROWS), (2 * ROWS + 4, ROWS)])
+    def test_rfp_build_equals_packed_full_gram(self, monkeypatch, n, rows):
+        """Odd and even n, with band edges inside both RFP regions."""
+        monkeypatch.setattr(gpis, "KERNEL_CHUNK_BYTES", 8 * n * rows)
+        built = []
+        monkeypatch.setattr(gpis, "dpftrf", lambda n, a, **kw: (built.append(a.copy()),
+                                                                dpftrf(n, a, **kw))[1])
+        locations = np.random.default_rng(n).normal(scale=0.4, size=(n, 3))
+        params = KernelParams(0.3, 0.7, 1e-6)
+        gpis._factorize(locations, params)
+        gram = gpis._kernel_block(locations, locations, params)
+        gram[np.diag_indices(n)] += params.noise
+        np.testing.assert_array_equal(built[0], dtrttf(gram, uplo="L")[0])
 
     @pytest.mark.parametrize("n", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
     def test_factor_equals_full_gram_factor(self, monkeypatch, n):
@@ -240,10 +257,13 @@ class TestTriangleGram:
 
 
 class TestOneMatrixPerFit:
-    """fit, a load_model refit and the grid search each hold one n x n array;
-    the march means never build the (rows x n) cross block."""
+    """fit, a load_model refit and the grid search each hold one factor;
+    queries never build the (rows x n) cross block."""
 
     N = 1500
+    # One RFP factor, 0.5 * N^2 * 8 bytes, with its build's bands; a second
+    # factor alive at once would exceed it.
+    ONE_FACTOR = 0.75 * N ** 2 * 8
 
     @pytest.fixture(scope="class")
     def cset(self):
@@ -252,7 +272,7 @@ class TestOneMatrixPerFit:
                                np.zeros(self.N, dtype=np.int8))
 
     def test_fit_holds_one_matrix(self, cset):
-        assert traced_peak(lambda: fit(cset, KernelParams(0.3, 0.7, 1e-6))) < 1.3 * self.N ** 2 * 8
+        assert traced_peak(lambda: fit(cset, KernelParams(0.3, 0.7, 1e-6))) < self.ONE_FACTOR
 
     # On this set the log marginal likelihood falls as rho grows: rho = 0.2 wins.
     def search(self, cset, monkeypatch, rhos, cpus=1):
@@ -272,13 +292,13 @@ class TestOneMatrixPerFit:
         """A winner scored before the last candidate is fitted again once
         the last candidate is dropped."""
         model, peak, calls = self.search(cset, monkeypatch, (0.2, 0.3, 0.4))
-        assert peak < 1.3 * self.N ** 2 * 8
+        assert peak < self.ONE_FACTOR
         assert calls == 4
         assert_same_model(model, fit(cset, KernelParams(0.2, 0.7, 1e-6)))
 
     def test_last_candidate_winning_is_kept(self, cset, monkeypatch):
         model, peak, calls = self.search(cset, monkeypatch, (0.4, 0.3, 0.2))
-        assert peak < 1.3 * self.N ** 2 * 8
+        assert peak < self.ONE_FACTOR
         assert calls == 3
         assert_same_model(model, fit(cset, KernelParams(0.2, 0.7, 1e-6)))
 
@@ -287,21 +307,21 @@ class TestOneMatrixPerFit:
         """On 2 CPUs the caller fits 0.4 and a worker 0.2 and 0.3; the
         worker's winner is fitted again once the caller's model is dropped."""
         model, peak, calls = self.search(cset, monkeypatch, (0.2, 0.3, 0.4), cpus=2)
-        assert peak < 1.3 * self.N ** 2 * 8
+        assert peak < self.ONE_FACTOR
         assert calls == 2
         assert_same_model(model, fit(cset, KernelParams(0.2, 0.7, 1e-6)))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_split_search_keeps_the_callers_winner(self, cset, monkeypatch):
         model, peak, calls = self.search(cset, monkeypatch, (0.4, 0.3, 0.2), cpus=2)
-        assert peak < 1.3 * self.N ** 2 * 8
+        assert peak < self.ONE_FACTOR
         assert calls == 1
         assert_same_model(model, fit(cset, KernelParams(0.2, 0.7, 1e-6)))
 
     def test_load_model_holds_one_matrix(self, cset, tmp_path):
         path = tmp_path / "big.gpis"
         save_model(path, fit(cset, KernelParams(0.3, 0.7, 1e-6)))
-        assert traced_peak(lambda: refit_on_load(path)) < 1.3 * self.N ** 2 * 8
+        assert traced_peak(lambda: refit_on_load(path)) < self.ONE_FACTOR
 
     def test_missed_handoff_refits_with_one_matrix(self, cset, tmp_path):
         """load_model empties the slot before it refits a file that no
@@ -318,13 +338,20 @@ class TestOneMatrixPerFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * self.N ** 2 * 8
+        assert peak < self.ONE_FACTOR
 
     def test_query_mean_reduces_chunk_by_chunk(self, cset):
         model = fit(cset, KernelParams(0.3, 0.7, 1e-6))
         pts = np.random.default_rng(3).normal(scale=0.4, size=(20_000, 3))
         # The full 20,000 x 1,500 cross block would be 240 MB.
         assert traced_peak(lambda: model.query_mean(pts)) < 4e6
+
+    def test_query_solves_chunk_by_chunk(self, cset):
+        model = fit(cset, KernelParams(0.3, 0.7, 1e-6))
+        pts = np.random.default_rng(3).normal(scale=0.4, size=(20_000, 3))
+        # A few (1,500 x SOLVE_COLUMNS) buffers, not the 240 MB cross block
+        # and a copy of it for the solve.
+        assert traced_peak(lambda: model.query(pts)) < 3 * self.N * gpis.SOLVE_COLUMNS * 8
 
 
 class TestQueryMean:
@@ -457,7 +484,8 @@ class TestFitAndQuery:
             cset.locations[:, None, :] - cset.locations[None, :, :], axis=2
         )
         expected = matern32(d, params) + model.effective_noise * np.eye(len(cset))
-        recon = model.factor @ model.factor.T
+        factor = np.tril(dtfttr(len(cset), model.factor, uplo="L")[0])
+        recon = factor @ factor.T
         rel = np.linalg.norm(recon - expected) / np.linalg.norm(expected)
         assert rel < 1e-8
 
