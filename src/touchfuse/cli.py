@@ -15,14 +15,14 @@ Exit codes:
   distinct points, sparse samples that all lie on one raw mono depth, a
   scene record that lacks `shape` or `size` or whose shape or size will
   not parse or does not fit, a dataset with a camera list but no scene
-  record (at eval), a splat PLY with no splat, a non-finite value or an
-  opacity outside [0, 1], a non-finite sparse depth or mono depth under a
-  sparse sample, a non-finite value in a GPIS or fused depth or variance
-  image, a variance that is not positive (NaN only where a vision depth
-  is), a negative GPIS or fused depth, a GPIS hit variance not below the
-  miss variance, a view image whose size is not its camera's, a GPIS model
-  with fewer than two distinct surface points, or a `manifest.json` not of
-  the JSON shape the pipeline writes.
+  record (at eval) or no touch file (at gpis-fit), a splat PLY with no
+  splat, a non-finite value or an opacity outside [0, 1], a non-finite
+  sparse depth or mono depth under a sparse sample, a non-finite value in
+  a GPIS or fused depth or variance image, a variance that is not positive
+  (NaN only where a vision depth is), a negative GPIS or fused depth, a
+  GPIS hit variance not below the miss variance, a view image whose size
+  is not its camera's, a GPIS model with fewer than two distinct surface
+  points, or a `manifest.json` not of the JSON shape the pipeline writes.
 """
 
 import argparse

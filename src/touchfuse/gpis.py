@@ -413,10 +413,9 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise, prior_mean, cap
     The grid is cut into contiguous parts by workers.parts, each taking
     workers.blas_threads() of the usable CPUs, since a fit is mostly a
     Cholesky factorization on every BLAS thread: with the BLAS at its
-    default of one thread per CPU the search runs in one process. The
-    calling process scores the last part, the grid's tail, and a forked
-    worker scores each other part and sends back only its scores (see
-    workers.Split). Each process fits its candidates one at a time and drops
+    default of one thread per CPU the search runs in one process. A forked
+    worker scores each part but the last and sends back only its scores
+    (workers.Split). Each process fits its candidates one at a time and drops
     each model before the next, so it holds one factor of n(n+1)/2 values at
     a time, and the search one per part. The caller's last model is the
     result when it wins; any other winner is fitted once more in the caller
@@ -445,12 +444,10 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise, prior_mean, cap
 
     count = len(candidates)
     # A fit costs 24-46 ns per Gram entry, candidates x n^2 (n = 300 to
-    # 2,819, one BLAS thread). Split computes its first part in this
-    # process: make that the tail.
-    bounds = [(count - e, count - s) for s, e in
-              workers.parts(count, count * len(cset) ** 2 * 25e-9, workers.blas_threads())]
+    # 2,819, one BLAS thread).
+    bounds = workers.parts(count, count * len(cset) ** 2 * 25e-9, workers.blas_threads())
     with workers.Split(score, bounds) as split:
-        scores = [x for part in reversed(split()) for x in part]
+        scores = [x for part in split() for x in part]
     best = None
     for (rho, sigma), params, neg_lml in zip(grid, candidates, scores):
         if neg_lml is not None and (best is None or (neg_lml, rho, sigma) < best[0]):

@@ -142,17 +142,22 @@ class StageIO:
 
     def _record_input(self, name, found):
         if not found:
-            # A dataset file a stage reads after its camera list is missing
-            # from a dataset that is there: a file of a view the list names,
-            # or the scene record, which a sensor dataset may not bring.
-            if name.startswith("dataset:") and "dataset:cameras.txt" in self.inputs:
-                cameras = _path(self.cfg, "dataset:cameras.txt")
+            # A dataset file missing beside a camera list is missing from a
+            # dataset that is there, which simulate would overwrite: the
+            # touch files, a file of a view the list names, or the scene
+            # record, which a sensor dataset may not bring.
+            cameras = _path(self.cfg, "dataset:cameras.txt")
+            if name.startswith("dataset:") and os.path.exists(cameras):
+                path = _path(self.cfg, name)
                 if name == "dataset:scene.cfg":
-                    raise FormatError(f"{_path(self.cfg, name)} missing, but {cameras} is "
-                                      "there; eval scores against the shape the record gives")
+                    raise FormatError(f"{path} missing, but {cameras} is there; "
+                                      "eval scores against the shape the record gives")
+                if "*" in name:
+                    directory, pattern = os.path.split(path)
+                    raise FormatError(f"{directory}/ holds no {pattern} file, but {cameras} "
+                                      "is there")
                 view = os.path.splitext(os.path.basename(name))[0]
-                raise FormatError(f"{_path(self.cfg, name)} missing, but {cameras} names "
-                                  f"view {view}")
+                raise FormatError(f"{path} missing, but {cameras} names view {view}")
             raise DependencyError(f"{name} missing; run the {_producer(name)} stage first")
         if name.startswith("out:"):
             producer = _producer(name)
@@ -324,11 +329,11 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     k = cfg.section("kernel")
     # A one-value grid is a fixed length scale. A set over the cap or a
     # matrix that will not factorize fails here (exit 4).
-    # A grid worth the forks is scored on every usable CPU, this process
-    # taking its tail; the model is the same at any CPU count. save_model
-    # leaves the fitted model for gpis-render in this process, which takes
-    # it while gpis.model still holds the bytes written here and refits the
-    # file otherwise.
+    # A grid worth the forks is scored on every usable CPU (workers.Split);
+    # the model is the same at any CPU count. save_model leaves the fitted
+    # model for gpis-render in this process, which takes it while
+    # gpis.model still holds the bytes written here and refits the file
+    # otherwise.
     model = gpis.optimize_hyperparameters(
         cset,
         [(rho, k["output_scale"]) for rho in k["rho_grid"]],

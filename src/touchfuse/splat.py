@@ -86,12 +86,6 @@ class LossConfig:
     sharpness: float
     decay: float
 
-    def __post_init__(self):
-        if self.depth_weight < 0.0 or self.sharpness < 0.0:
-            raise ValueError("depth_weight/sharpness must be >= 0")
-        if not (0.0 < self.decay <= 1.0):
-            raise ValueError("decay must be in (0, 1]")
-
 
 def _project(cloud: SplatCloud, camera: CameraModel):
     rel = cloud.positions - camera.position
@@ -272,10 +266,11 @@ def backproject_init(views):
 
 
 def _view_target(rgb_gt, fused_depth, fused_var, camera, cfg):
-    """A view's loss constants, which no pass changes: the ground-truth
-    color channels, each over the pixels, the mask of the pixels whose
-    fused depth is > 0 (fusion gives every other pixel depth 0), and the
-    fused depths there and their weights exp(-sharpness * sqrt(var))."""
+    """A view as the per-view pass takes it: its loss constants, which no
+    pass changes, and its camera. The constants are the ground-truth color
+    channels, each over the pixels, the mask of the pixels whose fused
+    depth is > 0 (fusion gives every other pixel depth 0), and the fused
+    depths there and their weights exp(-sharpness * sqrt(var))."""
     rgb_gt = np.asarray(rgb_gt, dtype=np.float64)
     shape = (camera.height, camera.width)
     if rgb_gt.shape != shape + (3,) or not fused_depth.shape == fused_var.shape == shape:
@@ -283,20 +278,16 @@ def _view_target(rgb_gt, fused_depth, fused_var, camera, cfg):
     mask = fused_depth.reshape(-1) > 0.0
     weights = np.exp(-cfg.sharpness * np.sqrt(fused_var.reshape(-1)[mask]))
     return (list(np.ascontiguousarray(rgb_gt.reshape(-1, 3).T)), mask,
-            fused_depth.reshape(-1)[mask], weights)
+            fused_depth.reshape(-1)[mask], weights, camera)
 
 
-def _view_loss_and_grads(cloud, rgb_gt, fused_depth, fused_var, camera, cfg, depth_weight,
-                         target=None):
-    """One view's (loss, color loss, depth loss, position, color and
-    opacity-logit gradients). `target` is the view's _view_target, made
-    here when the caller has not made it once for many passes.
+def _view_loss_and_grads(cloud, view, depth_weight):
+    """One _view_target view's (loss, color loss, depth loss, position,
+    color and opacity-logit gradients).
 
     Pair terms are computed one color channel at a time: a gather into a
     1-D array costs a fraction of a row gather of an (N, 3) array."""
-    if target is None:
-        target = _view_target(rgb_gt, fused_depth, fused_var, camera, cfg)
-    gt_channels, mask, target_depth, weights = target
+    gt_channels, mask, target_depth, weights, camera = view
     pairs = footprint_pairs(cloud, camera)
     pix, sid, z = pairs
     channels, depth, trans, blend = _forward(cloud, camera, pairs)
@@ -354,15 +345,14 @@ def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
     fused variance, camera) views, its two terms, and its analytic
     gradients w.r.t. positions, colors and opacity logits. `views` may also
     be optimize's `workers.Split` over its views, which returns each part's
-    terms in the order of its bounds; the sum is taken here, in view order
-    from zero, whichever process computed a view's terms."""
+    terms in part order; the sum is taken here, in view order from zero,
+    whichever process computed a view's terms."""
     lam = cfg.depth_weight if depth_weight is None else depth_weight
     if isinstance(views, workers.Split):
         parts = views(cloud.positions, cloud.colors, cloud.opacity_logits, lam)
-        terms = [view_terms for _, part in sorted(zip(views.bounds, parts), key=lambda bp: bp[0])
-                 for view_terms in part]
+        terms = [view_terms for part in parts for view_terms in part]
     else:
-        terms = [_view_loss_and_grads(cloud, *view, cfg, lam) for view in views]
+        terms = [_view_loss_and_grads(cloud, _view_target(*view, cfg), lam) for view in views]
     n = len(cloud)
     grads = (np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n))
     loss = c_total = d_total = 0.0
@@ -377,7 +367,7 @@ def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
 
 
 def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
-             group_scales=(1.0, 1.0, 1.0), callback=None) -> SplatCloud:
+             callback=None) -> SplatCloud:
     """Plain gradient descent on positions, colors and opacity logits.
 
     The depth weight decays by cfg.decay each epoch (one pass over all
@@ -392,22 +382,18 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
     current = cloud.copy()
     pixels = sum(camera.width * camera.height for *_, camera in views)
     # A pass's round trip, the cloud out and its views' terms back, costs
-    # less than any one view's own pass. Split computes its first part in
-    # this process: make that the last part, the largest workers.parts cuts,
-    # so the workers' smaller replies are ready when it finishes.
-    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1) * PASS_SECONDS)[::-1]
+    # less than any one view's own pass.
+    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1) * PASS_SECONDS)
     # Made before the fork, so the workers inherit them.
     targets = [_view_target(*view, cfg) for view in views]
 
     def part_terms(s, e, positions, colors, opacity_logits, lam):
         part = SplatCloud(positions, colors, opacity_logits, current.radii, current.background)
-        return [_view_loss_and_grads(part, *view, cfg, lam, target)
-                for view, target in zip(views[s:e], targets[s:e])]
+        return [_view_loss_and_grads(part, view, lam) for view in targets[s:e]]
 
     with workers.Split(part_terms, bounds) as split:
         lam = cfg.depth_weight
         best = None
-        pos_scale, col_scale, logit_scale = group_scales
         for it in range(iters + 1):
             loss, c_loss, d_loss, (g_pos, g_col, g_logit) = loss_gradients(
                 current, split, cfg, depth_weight=lam
@@ -420,9 +406,9 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
                 break
             if callback is not None:
                 callback({"iter": it, "color_loss": c_loss, "depth_loss": d_loss, "lam": lam})
-            current.positions -= step * pos_scale * g_pos
-            current.colors -= step * col_scale * g_col
-            current.opacity_logits -= step * logit_scale * g_logit
+            current.positions -= step * g_pos
+            current.colors -= step * g_col
+            current.opacity_logits -= step * g_logit
             if not current.is_finite():
                 raise NumericalError(f"parameters diverged at iteration {it}")
             lam *= cfg.decay

@@ -118,8 +118,6 @@ def sample_touches(shape: AnalyticShape, n_touches, patch_radius, points_per_tou
     surface projections and gradients run once over every touch's points:
     each point's result depends on that point alone.
     """
-    if n_touches < 1:
-        raise ValueError("need at least one touch")
     rng = np.random.default_rng(seed)
     directions = np.empty((n_touches, 3))
     tangents = np.empty((n_touches, points_per_touch, 3))
@@ -165,8 +163,6 @@ def make_sparse_depth(depth, fraction, quadratic=0.0, seed=0) -> SparseDepth:
     The perturbation std grows quadratically with depth:
     std = quadratic * depth^2, with `quadratic` in 1/m.
     """
-    if not (0.0 < fraction <= 0.01):
-        raise ValueError("fraction must be in (0, 0.01]")
     hits = np.argwhere(depth > 0.0)
     if hits.shape[0] == 0:
         raise ValueError("depth image has no positive pixel")

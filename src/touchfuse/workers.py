@@ -1,12 +1,13 @@
 """Forked workers, the package's one fork rule and protocol: `parts` cuts a
-range into parts worth a process each, and `Split` computes a function over
-them, the first part in the calling process and each other in an
-`os.fork()`ed worker. A worker inherits the caller's memory copy-on-write,
-answers calls over its own two pipes (pickled arguments down, pickled (ok,
-result or exception, warnings) back) and closes every pipe end that is not
-its own. It serves until its parent kills it at the end of the block, or
-until its request pipe ends because the parent died, and leaves on its own
-only through os._exit."""
+range into parts worth a process each, the last of them a largest, and
+`Split` computes a function over them, the last part in the calling process
+and each other in an `os.fork()`ed worker, so that no worker's part is
+larger than the caller's own. A worker inherits the caller's memory
+copy-on-write, answers calls over its own two pipes (pickled arguments
+down, pickled (ok, result or exception, warnings) back) and closes every
+pipe end that is not its own. It serves until its parent kills it at the
+end of the block, or until its request pipe ends because the parent died,
+and leaves on its own only through os._exit."""
 
 import os
 import pickle
@@ -46,7 +47,8 @@ def parts(n, seconds, threads=1):
     `seconds` in one process: one per `threads` usable CPUs (the CPUs a part
     keeps busy), but no more than n or than leave each part PART_SECONDS of
     it; one where the process cannot fork or has other threads, whose locks
-    a child would inherit."""
+    a child would inherit. The last part holds ceil(n / count) units, as
+    many as any other part or one more."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return [(0, n)]
     count = max(1, min(_usable_cpus() // threads, n))
@@ -86,12 +88,13 @@ def _serve(fn, requests_fd, replies_fd, foreign_fds):
 
 
 class Split:
-    """A context manager that forks one worker per part but the first on
+    """A context manager that forks one worker per part but the last on
     entry, and stops and reaps them all on exit, however the block ends.
-    Calling it with *args returns fn(start, end, *args) of every part, in
-    part order; a worker's warnings are raised again here, from the file and
-    line that raised them, then its exception, if any; a worker that ends
-    without a result raises a RuntimeError naming its exit status."""
+    Calling it with *args computes fn(start, end, *args) of the last part
+    here, then returns that of every part, in part order; a worker's
+    warnings are raised again here, from the file and line that raised
+    them, then its exception, if any; a worker that ends without a result
+    raises a RuntimeError naming its exit status."""
 
     def __init__(self, fn, bounds):
         self.fn, self.bounds = fn, bounds
@@ -99,7 +102,7 @@ class Split:
 
     def __enter__(self):
         try:
-            for _ in self.bounds[1:]:
+            for _ in self.bounds[:-1]:
                 request_r, request_w = os.pipe()
                 reply_r, reply_w = os.pipe()
                 self.workers.append([None, request_w, open(reply_r, "rb")])
@@ -118,10 +121,11 @@ class Split:
         return self
 
     def __call__(self, *args):
-        for (_, request_w, _), part in zip(self.workers, self.bounds[1:]):
+        for (_, request_w, _), part in zip(self.workers, self.bounds):
             with suppress(BrokenPipeError):  # a dead worker is named below
                 _send(request_w, part + args)
-        results = [self.fn(*self.bounds[0], *args)]
+        own = self.fn(*self.bounds[-1], *args)
+        results = []
         for worker in self.workers:
             try:
                 ok, value, caught = pickle.load(worker[2])
@@ -135,7 +139,7 @@ class Split:
             if not ok:
                 raise value
             results.append(value)
-        return results
+        return results + [own]
 
     def __exit__(self, *exc_info):
         for pid, request_w, replies in self.workers:

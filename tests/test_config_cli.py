@@ -663,6 +663,24 @@ class TestExitCodes:
         assert "malformed file" in err and "scene.cfg missing" in err
         assert "simulate" not in err
 
+    @pytest.mark.parametrize("remove, code", [
+        (lambda data: shutil.rmtree(data / "touches"), EXIT_FORMAT),
+        (lambda data: [path.unlink() for path in (data / "touches").glob("*.ply")], EXIT_FORMAT),
+        (lambda data: [shutil.rmtree(data), data.mkdir()], EXIT_DEPENDENCY),
+    ], ids=["touches-deleted", "touches-emptied", "empty-dataset"])
+    def test_gpis_fit_without_touch_files(self, built, tmp_path, capsys, remove, code):
+        """Touch files missing beside a camera list are missing from a
+        dataset that is there, which a simulate run would overwrite; an
+        empty dataset directory is one that simulate has yet to fill."""
+        remove(tmp_path / "data")
+        assert main(["gpis-fit", "--config", str(tmp_path / "scene.cfg")]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_FORMAT:
+            assert "malformed file" in err and f"{tmp_path / 'data' / 'touches'}/ holds no" in err
+            assert "simulate" not in err
+        else:
+            assert "dependency error" in err and "run the simulate stage first" in err
+
     def test_training_needs_no_scene_record(self, pristine, tmp_path):
         """Train takes its background from the pixels GPIS missed, so a
         dataset without scene.cfg trains the same cloud."""

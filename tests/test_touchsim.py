@@ -200,11 +200,6 @@ class TestSparseDepth:
         std2 = np.std(rng_draws[2.0])
         assert std2 / std1 == pytest.approx(4.0, rel=0.2)
 
-    def test_fraction_range_enforced(self):
-        gt = self.make_gt()
-        with pytest.raises(ValueError):
-            make_sparse_depth(gt, 0.05, seed=0)
-
     def test_no_hits_rejected(self):
         with pytest.raises(ValueError, match="no positive pixel"):
             make_sparse_depth(np.zeros((8, 8)), 0.01, seed=0)

@@ -99,7 +99,7 @@ class TestSplit:
         assert [part[:2] + part[3:] for part in calls[0]] == [
             (0, 2, ("x",)), (2, 4, ("x",)), (4, 7, ("x",))]
         pids = [part[2] for part in calls[0]]
-        assert pids[0] == os.getpid() and len(set(pids)) == 3
+        assert pids[-1] == os.getpid() and len(set(pids)) == 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert sorted(os.listdir("/proc/self/fd")) == fds
@@ -110,7 +110,7 @@ class TestSplit:
                 raise ValueError(f"part {s}-{e} failed in the worker")
             return s
 
-        with pytest.raises(ValueError, match="^part 1-2 failed in the worker$"):
+        with pytest.raises(ValueError, match="^part 0-1 failed in the worker$"):
             on_cpus(3, split_over, 3, fail_in_worker, os.getpid())
 
     @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), "3"),
@@ -148,7 +148,7 @@ class TestSplit:
             warnings.simplefilter("always")
             on_cpus(3, split_over, 3, warn_in_worker, os.getpid())
         assert [(w.category, str(w.message), w.filename, w.lineno) for w in record] == 2 * [
-            (UserWarning, "part 1-2", __file__, line), (UserWarning, "part 2-3", __file__, line)]
+            (UserWarning, "part 0-1", __file__, line), (UserWarning, "part 1-2", __file__, line)]
 
     def test_other_threads_keep_the_work_in_one_process(self, on_cpus, other_thread):
         calls, forks = on_cpus(3, split_over, 3, span)
@@ -161,7 +161,7 @@ class TestSplit:
         before = len(os.listdir("/proc/self/fd"))
         calls, _ = on_cpus(3, split_over, 3, open_fds)
         # The caller holds two ends per worker, a worker its own two.
-        assert calls[0] == [before + 4, before + 2, before + 2]
+        assert calls[0] == [before + 2, before + 2, before + 4]
 
     def test_workers_end_when_their_parent_is_killed(self, on_cpus):
         pids_r, pids_w = os.pipe()
