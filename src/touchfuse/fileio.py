@@ -1,11 +1,17 @@
-"""File formats used by the pipeline: PFM rasters, PGM/PPM images, ASCII PLY
-point sets, camera lists, sparse depth tables and key=value manifests.
+"""File formats used by the pipeline: PFM rasters, PGM/PPM images, PLY point
+sets, camera lists, sparse depth tables and key=value manifests.
+
+Touch files are binary little-endian PLY of float64 properties; datasets
+written before that are ASCII PLY, and the reader takes either encoding.
+Splat PLYs (`init.ply`, `splats.ply`) stay ASCII, because the benchmark's
+own checker reads them as text.
 
 Every write goes through a temp-file + rename so partially written artifacts
 never appear under their final name. Every reader raises FormatError (a
 ValueError) on a malformed file.
 """
 
+import io
 import os
 import tempfile
 
@@ -127,54 +133,87 @@ def read_ppm(path):
 
 
 # ---------------------------------------------------------------------------
-# ASCII PLY
+# PLY: touch files binary little-endian, splat clouds ASCII (the benchmark's
+# checker reads those as text); the reader takes either encoding
 # ---------------------------------------------------------------------------
 
 _TOUCH_PROPS = ("x", "y", "z", "nx", "ny", "nz")
 _SPLAT_PROPS = ("x", "y", "z", "r", "g", "b", "opacity", "radius")
+_PLY_FORMATS = ("ascii 1.0", "binary_little_endian 1.0")
+# Open3D names the type `double`.
+_PLY_FLOAT64 = ("float64", "double")
+
+
+def _ply_header(fmt, props, count):
+    lines = ["ply", f"format {fmt}", f"element vertex {count}"]
+    lines += [f"property float64 {name}" for name in props]
+    return ("\n".join(lines) + "\nend_header\n").encode("ascii")
 
 
 def _write_ply_rows(path, props, rows):
-    """Write one float64 vertex property per column of `rows`, each value
-    as %.17g so that _read_ply_rows gets the same bits back."""
-    lines = ["ply", "format ascii 1.0", f"element vertex {len(rows)}"]
-    lines += [f"property float64 {name}" for name in props]
-    lines.append("end_header")
-    lines += [" ".join(f"{x:.17g}" for x in row) for row in rows.tolist()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write one float64 vertex property per column of `rows` as ASCII,
+    each value as %.17g so that _read_ply_rows gets the same bits back."""
+    text = "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in rows.tolist())
+    atomic_write_bytes(path, _ply_header("ascii 1.0", props, len(rows)) + text.encode("ascii"))
 
 
 def write_touch_ply(path, points, normals):
-    _write_ply_rows(path, _TOUCH_PROPS,
-                    np.hstack([np.atleast_2d(points), np.atleast_2d(normals)]))
+    """Write one touch as binary little-endian PLY: the header, then 48
+    bytes (six <f8 values) per point."""
+    rows = np.hstack([np.atleast_2d(points), np.atleast_2d(normals)])
+    atomic_write_bytes(path, _ply_header("binary_little_endian 1.0", _TOUCH_PROPS, len(rows))
+                       + rows.astype("<f8").tobytes())
 
 
 def _read_ply_rows(path, expected_props):
-    with open(path, "r", encoding="ascii") as fh:
-        if fh.readline().strip() != "ply":
+    """The (N, k) float64 vertex rows of a PLY file whose vertex properties
+    are `expected_props`, in ASCII or binary little-endian float64. The data
+    must hold exactly the header's N × k values."""
+    with open(path, "rb") as fh:
+        if fh.readline().strip() != b"ply":
             raise ValueError("not a PLY file")
-        count = None
-        props = []
+        fmt, count, props, types = None, None, [], []
         for line in fh:
-            token = line.strip()
-            if token == "end_header":
+            token = line.decode("ascii").split()
+            if token == ["end_header"]:
                 break
-            if token.startswith("element vertex"):
-                count = int(token.split()[-1])
-            elif token.startswith("property"):
-                props.append(token.split()[-1])
-        if count is None:
-            raise ValueError("PLY header missing vertex element")
-        if props != list(expected_props):
-            raise ValueError(f"PLY properties {props} do not match {list(expected_props)}")
-        if count == 0:
-            return np.empty((0, len(props)))
-        rows = np.loadtxt(fh, dtype=np.float64, max_rows=count, ndmin=2)
-    if rows.shape[0] != count:
-        raise ValueError("PLY vertex count does not match data rows")
-    if rows.shape[1] != len(props):
-        raise ValueError(f"PLY rows have {rows.shape[1]} values for {len(props)} properties")
-    return rows
+            if token[:1] == ["format"]:
+                fmt = " ".join(token[1:])
+            elif token[:2] == ["element", "vertex"]:
+                count = int(token[-1])
+            elif token[:1] == ["property"]:
+                if len(token) < 3:
+                    raise ValueError(f"PLY property line {' '.join(token)!r} names no type and name")
+                types.append(token[1])
+                props.append(token[-1])
+        else:
+            raise ValueError("PLY header has no end_header line")
+        body = fh.read()
+    if fmt is None:
+        raise ValueError("PLY header has no format line")
+    if fmt not in _PLY_FORMATS:
+        raise ValueError(f"PLY format {fmt!r} is not read: only {' and '.join(_PLY_FORMATS)}")
+    if count is None:
+        raise ValueError("PLY header missing vertex element")
+    if props != list(expected_props):
+        raise ValueError(f"PLY properties {props} do not match {list(expected_props)}")
+    k = len(props)
+    declared = f"PLY header declares {count} vertices of {k} properties"
+    if fmt == "ascii 1.0":
+        rows = (np.loadtxt(io.BytesIO(body), dtype=np.float64, ndmin=2) if body.strip()
+                else np.empty((0, k)))
+        if rows.size != count * k:
+            raise ValueError(f"{declared}, {count * k} values; the data holds {rows.size}")
+        if rows.shape[1] != k:
+            raise ValueError(f"PLY rows have {rows.shape[1]} values for {k} properties")
+        return rows
+    bad = [t for t in types if t not in _PLY_FLOAT64]
+    if bad:
+        raise ValueError(f"PLY property type {bad[0]!r}: binary properties must be float64")
+    if len(body) != count * k * 8:
+        raise ValueError(f"{declared}, {count * k * 8} bytes of float64; "
+                         f"the data holds {len(body)} bytes")
+    return np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(count, k)
 
 
 @reads_format

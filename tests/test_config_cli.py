@@ -416,6 +416,33 @@ def edit_first_ply_row(edit):
     return apply
 
 
+def text_of(target):
+    """The text of `target`. A touch file is first rewritten in ASCII, the
+    form a dataset written before binary touch files holds."""
+    if target.parent.name == "touches":
+        touch = fileio.read_touch_ply(target)
+        fileio._write_ply_rows(target, fileio._TOUCH_PROPS,
+                               np.hstack([touch.points, touch.normals]))
+    return target.read_text()
+
+
+def touch_values(edit):
+    """A byte edit of a binary touch file that replaces its (N, 6) float64
+    values with edit(values), in place after the header."""
+    def apply(blob):
+        header, end, data = blob.partition(b"end_header\n")
+        return header + end + edit(np.frombuffer(data, "<f8").reshape(-1, 6).copy()).tobytes()
+    return apply
+
+
+def first_touch_row(edit):
+    """touch_values, with the first point's values replaced by edit(values)."""
+    def apply(values):
+        values[0] = edit(values[0].tolist())
+        return values
+    return touch_values(apply)
+
+
 def no_ply_rows(text):
     header = text.partition("end_header\n")[0]
     return re.sub(r"element vertex \d+", "element vertex 0", header) + "end_header\n"
@@ -579,7 +606,7 @@ class TestExitCodes:
             "cameras-empty-gpis-render"])
     def test_short_line_in_a_text_file(self, built, tmp_path, capsys, path, stage, edit):
         target = tmp_path / path
-        target.write_text(edit(target.read_text()))
+        target.write_text(edit(text_of(target)))
         made = sorted(os.listdir(built.out))
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
@@ -641,10 +668,33 @@ class TestExitCodes:
     def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                       message):
         target = tmp_path / path
-        target.write_text(edit(target.read_text()))
+        target.write_text(edit(text_of(target)))
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (touch_values(lambda values: values[:, :5]), "the data holds"),
+        (first_touch_row(lambda row: row[:3] + [2.0, 0.0, 0.0]), "not unit length"),
+        (first_touch_row(lambda row: row[:3] + [np.nan] * 3), "not unit length"),
+        (first_touch_row(lambda row: [np.inf] + row[1:]), "must be finite"),
+        (lambda blob: blob[:-1], "the data holds"),
+        (lambda blob: blob + b"\0", "the data holds"),
+        (lambda blob: blob.replace(b"binary_little_endian", b"binary_big_endian", 1),
+         "PLY format 'binary_big_endian 1.0' is not read"),
+        (lambda blob: blob.replace(b"float64 nz", b"float32 nz", 1),
+         "PLY property type 'float32'"),
+    ], ids=["ply-short-rows-binary", "ply-long-normal-binary", "ply-nan-normal-binary",
+            "ply-infinite-point-binary", "ply-byte-short", "ply-byte-extra", "ply-big-endian",
+            "ply-float32"])
+    def test_binary_touch_file_a_stage_cannot_use(self, built, tmp_path, capsys, edit, message):
+        target = tmp_path / "data/touches/touch000.ply"
+        target.write_bytes(edit(target.read_bytes()))
+        made = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+        assert main(["gpis-fit", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and "touch000.ply" in err and message in err
+        assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == made
 
     def test_scene_record_with_keys_nothing_reads(self, built, tmp_path):
         """An older run's record, or a real dataset's, may hold more keys."""
@@ -696,11 +746,9 @@ class TestExitCodes:
     def test_touches_that_give_no_surface(self, built, tmp_path, capsys, rows):
         """Every touch file cut to `rows` copies of one touch point."""
         paths = sorted((tmp_path / "data/touches").glob("*.ply"))
-        row = paths[0].read_text().partition("end_header\n")[2].splitlines(keepends=True)[0]
+        touch = fileio.read_touch_ply(paths[0])
         for path in paths:
-            header = path.read_text().partition("end_header\n")[0]
-            path.write_text(re.sub(r"element vertex \d+", f"element vertex {rows}", header)
-                            + "end_header\n" + row * rows)
+            fileio.write_touch_ply(path, touch.points[[0] * rows], touch.normals[[0] * rows])
         assert main(["gpis-fit", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and "touches/" in err

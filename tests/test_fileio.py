@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -108,6 +109,14 @@ class TestSplatPly:
         back = fileio.read_splat_ply(path, np.zeros(3))
         assert len(back) == 0
 
+    def test_rows_beyond_the_declared_count_rejected(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        fileio.write_splat_ply(path, SplatCloud([[0, 0, 1]], [[1, 0, 0]], [0.0], [0.1]))
+        path.write_text(path.read_text() + "0 0 1 1 0 0 0.5 0.1\n")
+        with pytest.raises(FormatError, match="declares 1 vertices of 8 properties, 8 values; "
+                                              "the data holds 16"):
+            fileio.read_splat_ply(path, np.zeros(3))
+
     def test_wrong_properties_rejected(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_text(
@@ -117,6 +126,57 @@ class TestSplatPly:
         )
         with pytest.raises(ValueError):
             fileio.read_splat_ply(path, np.zeros(3))
+
+
+class TestTouchPly:
+    def test_binary_file_size(self, tmp_path):
+        """A 182-byte header (for a two-digit point count), then 48 bytes per point."""
+        for n in (10, 64, 99):
+            path = tmp_path / f"touch{n}.ply"
+            fileio.write_touch_ply(path, np.zeros((n, 3)), np.tile([0.0, 0.0, 1.0], (n, 1)))
+            assert path.stat().st_size == 182 + 48 * n
+            assert path.read_bytes().startswith(b"ply\nformat binary_little_endian 1.0\n")
+
+    def test_ascii_and_binary_read_to_the_same_bits(self, tmp_path):
+        """A touch file of a dataset written before binary touch files (the
+        ASCII writer's %.17g rows) reads as its binary twin does."""
+        big = 1.7976931348623157e308
+        rows = np.array([[-0.0, 5e-324, big, 5e-324, 0.0, 1.0],
+                         [-big, big, -0.0, -0.0, -1.0, 0.0],
+                         [0.1, -5e-324, 1.0 / 3.0, 0.6, 0.8, -0.0]])
+        fileio._write_ply_rows(tmp_path / "ascii.ply", fileio._TOUCH_PROPS, rows)
+        fileio.write_touch_ply(tmp_path / "binary.ply", rows[:, :3], rows[:, 3:])
+        assert b"format ascii 1.0" in (tmp_path / "ascii.ply").read_bytes()
+        for name in ("ascii.ply", "binary.ply"):
+            touch = fileio.read_touch_ply(tmp_path / name)
+            back = np.hstack([touch.points, touch.normals])
+            np.testing.assert_array_equal(back.view(np.uint64), rows.view(np.uint64))
+
+    @pytest.mark.parametrize("header, body, message", [
+        ("format ascii 1.0\nelement vertex 2", "0 0 0 0 0 1\n" * 3,
+         "declares 2 vertices of 6 properties, 12 values; the data holds 18"),
+        ("format ascii 1.0\nelement vertex 2", "0 0 0 0 0 1\n",
+         "declares 2 vertices of 6 properties, 12 values; the data holds 6"),
+        ("format binary_little_endian 1.0\nelement vertex 1", "0 0 0 0 0 1\n",
+         "declares 1 vertices of 6 properties, 48 bytes of float64; the data holds 12 bytes"),
+        ("format binary_big_endian 1.0\nelement vertex 0", "",
+         "PLY format 'binary_big_endian 1.0' is not read"),
+        ("format ascii 2.0\nelement vertex 0", "", "PLY format 'ascii 2.0' is not read"),
+        ("element vertex 0", "", "PLY header has no format line"),
+    ], ids=["ascii-extra-row", "ascii-missing-row", "binary-header-text-body", "big-endian",
+            "other-version", "no-format"])
+    def test_malformed_file_rejected(self, tmp_path, header, body, message):
+        path = tmp_path / "touch.ply"
+        props = "".join(f"property float64 {name}\n" for name in fileio._TOUCH_PROPS)
+        path.write_text(f"ply\n{header}\n{props}end_header\n{body}")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            fileio.read_touch_ply(path)
+
+    def test_double_is_float64(self, tmp_path):
+        path = tmp_path / "touch.ply"
+        fileio.write_touch_ply(path, [[1.0, 2.0, 3.0]], [[0.0, 1.0, 0.0]])
+        path.write_bytes(path.read_bytes().replace(b"float64", b"double"))
+        np.testing.assert_array_equal(fileio.read_touch_ply(path).points, [[1.0, 2.0, 3.0]])
 
 
 class TestCameraFile:
