@@ -11,18 +11,20 @@ Exit codes:
 - 4 numerical failure;
 - 5 another run holds the output directory's lock;
 - 6 malformed input file (PFM/PGM/PPM, PLY, camera list, sparse depth,
-  GPIS model), a camera list with no view, touch files that hold no two
-  distinct points, sparse samples that all lie on one raw mono depth, a
-  scene record that lacks `shape` or `size` or whose shape or size will
-  not parse or does not fit, a dataset with a camera list but no scene
-  record (at eval) or no touch file (at gpis-fit), a splat PLY with no
-  splat, a non-finite value or an opacity outside [0, 1], a non-finite
-  sparse depth or mono depth under a sparse sample, a non-finite value in
-  a GPIS or fused depth or variance image, a variance that is not positive
-  (NaN only where a vision depth is), a negative GPIS or fused depth, a
-  GPIS hit variance not below the miss variance, a view image whose size
-  is not its camera's, a GPIS model with fewer than two distinct surface
-  points, or a `manifest.json` not of the JSON shape the pipeline writes.
+  GPIS model), a camera list with no view, with a view name used twice or
+  with one that is not letters, digits, `_`, `-` and `.` (no leading `.`),
+  touch files that hold no two distinct points, sparse samples that all
+  lie on one raw mono depth, a scene record that repeats a key, lacks
+  `shape` or `size` or whose shape or size will not parse or does not fit,
+  a dataset with a camera list but no scene record (at eval) or no touch
+  file (at gpis-fit), a splat PLY with no splat, a non-finite value or an
+  opacity outside [0, 1], a non-finite sparse depth or mono depth under a
+  sparse sample, a non-finite value in a GPIS or fused depth or variance
+  image, a variance that is not positive (NaN only where a vision depth
+  is), a negative GPIS or fused depth, a GPIS hit variance not below the
+  miss variance, a view image whose size is not its camera's, a GPIS model
+  with fewer than two distinct surface points, or a `manifest.json` not of
+  the JSON shape the pipeline writes.
 """
 
 import argparse

@@ -13,6 +13,7 @@ ValueError) on a malformed file.
 
 import io
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -262,27 +263,24 @@ def write_cameras(path, views):
 
 
 _CAMERA_TOKENS = {"view": 2, "size": 3, "intrinsics": 5, "pose": 5}
+# A view name becomes part of file names and of the patterns a stage matches.
+_VIEW_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
 @reads_format
 def read_cameras(path):
-    views = []
-    name = None
-    size = None
-    intr = None
-    pose_rows = []
+    views, pose_rows = [], []
+    name = size = intr = None
 
     def flush():
         if name is None:
             return
         if size is None or intr is None or len(pose_rows) != 4:
             raise ValueError(f"camera block {name!r} is incomplete")
-        pose = np.array(pose_rows)
-        views.append((name, CameraModel(intr[0], intr[1], intr[2], intr[3],
-                                        size[0], size[1], pose)))
+        views.append((name, CameraModel(*intr, *size, np.array(pose_rows))))
 
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             token = raw.split()
             if not token:
                 continue
@@ -292,6 +290,11 @@ def read_cameras(path):
             if token[0] == "view":
                 flush()
                 name, size, intr, pose_rows = token[1], None, None, []
+                if not _VIEW_NAME.fullmatch(name):
+                    raise ValueError(f"line {lineno}: view name {name!r} is not letters, "
+                                     "digits, '_', '-' and '.' that do not start with '.'")
+                if any(name == seen for seen, _ in views):
+                    raise ValueError(f"line {lineno}: view name {name!r} names an earlier view")
             elif token[0] == "size":
                 size = (int(token[1]), int(token[2]))
             elif token[0] == "intrinsics":
@@ -343,14 +346,18 @@ def write_keyvalues(path, mapping):
 
 @reads_format
 def read_keyvalues(path):
-    out = {}
+    out, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed line in {path}: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+                raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise ValueError(f"line {lineno}: duplicate key '{key}' "
+                                 f"(first set on line {lines[key]})")
+            lines[key] = lineno
+            out[key] = value
     return out

@@ -506,14 +506,12 @@ def stage_train(cfg: SceneConfig, io: StageIO):
     log_rows = []
     trained = splat.optimize(
         cloud, views, splat.LossConfig(**cfg.section("loss")), cfg.get("train", "iters"),
-        step=cfg.get("train", "step"),
-        callback=lambda row: log_rows.append(row),
+        step=cfg.get("train", "step"), callback=log_rows.append,
     )
     io.write(fileio.write_splat_ply, "out:splats.ply", trained)
-    lines = ["iter,color_loss,depth_loss,lambda"]
-    for row in log_rows:
-        lines.append(f"{row['iter']},{row['color_loss']:.12g},"
-                     f"{row['depth_loss']:.12g},{row['lam']:.12g}")
+    lines = ["iter,color_loss,depth_loss,lambda"] + [
+        f"{row['iter']},{row['color_loss']:.12g},{row['depth_loss']:.12g},{row['lam']:.12g}"
+        for row in log_rows]
     io.write(fileio.atomic_write_text, "out:train_log.csv", "\n".join(lines) + "\n")
 
 

@@ -354,16 +354,12 @@ def loss_gradients(cloud, views, cfg: LossConfig, depth_weight=None):
     else:
         terms = [_view_loss_and_grads(cloud, _view_target(*view, cfg), lam) for view in views]
     n = len(cloud)
-    grads = (np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n))
-    loss = c_total = d_total = 0.0
+    totals = [0.0, 0.0, 0.0, np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)]
     for out in terms:
-        loss += out[0]
-        c_total += out[1]
-        d_total += out[2]
-        grads[0][:] += out[3]
-        grads[1][:] += out[4]
-        grads[2][:] += out[5]
-    return loss, c_total, d_total, grads
+        for k, term in enumerate(out):
+            totals[k] += term
+    loss, c_total, d_total, *grads = totals
+    return loss, c_total, d_total, tuple(grads)
 
 
 def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
@@ -371,11 +367,10 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
     """Plain gradient descent on positions, colors and opacity logits.
 
     The depth weight decays by cfg.decay each epoch (one pass over all
-    views). Every iterate 0..iters is scored by loss_gradients at its own
-    depth weight, the pass it descends on; the last one is scored but not
-    stepped or passed to the callback. Returns the best-scoring iterate, so
-    the final loss never exceeds the initial one. Raises NumericalError
-    when the loss diverges.
+    views). Runs `iters` passes of loss_gradients, each stepping the iterate
+    it scores, and returns the last iterate, as 3DGS keeps the model it
+    trained to. Raises NumericalError when the loss or the parameters
+    diverge.
     """
     if not views:
         raise ValueError("need at least one view")
@@ -383,7 +378,7 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
     pixels = sum(camera.width * camera.height for *_, camera in views)
     # A pass's round trip, the cloud out and its views' terms back, costs
     # less than any one view's own pass.
-    bounds = workers.parts(len(views), len(cloud) * pixels * (iters + 1) * PASS_SECONDS)
+    bounds = workers.parts(len(views), len(cloud) * pixels * iters * PASS_SECONDS)
     # Made before the fork, so the workers inherit them.
     targets = [_view_target(*view, cfg) for view in views]
 
@@ -393,17 +388,12 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
 
     with workers.Split(part_terms, bounds) as split:
         lam = cfg.depth_weight
-        best = None
-        for it in range(iters + 1):
+        for it in range(iters):
             loss, c_loss, d_loss, (g_pos, g_col, g_logit) = loss_gradients(
                 current, split, cfg, depth_weight=lam
             )
             if not math.isfinite(loss):
                 raise NumericalError(f"loss diverged at iteration {it}")
-            if best is None or loss < best[0]:
-                best = (loss, current.copy())
-            if it == iters:
-                break
             if callback is not None:
                 callback({"iter": it, "color_loss": c_loss, "depth_loss": d_loss, "lam": lam})
             current.positions -= step * g_pos
@@ -412,4 +402,4 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
             if not current.is_finite():
                 raise NumericalError(f"parameters diverged at iteration {it}")
             lam *= cfg.decay
-    return best[1]
+    return current

@@ -673,6 +673,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err and message in err
 
+    @pytest.mark.parametrize("path, stage, edit, message", [
+        ("data/cameras.txt", "gpis-render",
+         lambda text: text.replace("view view000", "view ../escaped"),
+         "line 1: view name '../escaped' is not letters, digits"),
+        ("data/cameras.txt", "gpis-render",
+         lambda text: text.replace("view view001", "view view000"),
+         "view name 'view000' names an earlier view"),
+        ("data/cameras.txt", "gpis-render",
+         lambda text: text.replace("view view000", "view view*"),
+         "line 1: view name 'view*' is not letters, digits"),
+        ("data/scene.cfg", "eval", lambda text: text + "shape = torus\nsize = 1 0.35\n",
+         "line 3: duplicate key 'shape' (first set on line 1)"),
+    ], ids=["view-name-escaping-out", "view-name-repeated", "view-name-pattern",
+            "scene-key-repeated"])
+    def test_name_or_key_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
+                                            message):
+        """A view name becomes part of file paths and patterns, and a
+        repeated record key would leave a stage to pick one value: each
+        makes its file malformed, and the stage writes no file anywhere."""
+        target = tmp_path / path
+        target.write_text(edit(target.read_text()))
+        files = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and os.path.basename(path) in err and message in err
+        assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == files
+
     @pytest.mark.parametrize("edit, message", [
         (touch_values(lambda values: values[:, :5]), "the data holds"),
         (first_touch_row(lambda row: row[:3] + [2.0, 0.0, 0.0]), "not unit length"),

@@ -179,6 +179,9 @@ class TestTouchPly:
         np.testing.assert_array_equal(fileio.read_touch_ply(path).points, [[1.0, 2.0, 3.0]])
 
 
+SQUARE_CAMERA = CameraModel(24.0, 24.0, 15.5, 15.5, 32, 32, np.eye(4))
+
+
 class TestCameraFile:
     def test_round_trip(self, tmp_path):
         cams = [
@@ -208,6 +211,26 @@ class TestCameraFile:
             path.write_text(text)
             with pytest.raises(ValueError, match="no 'view' block"):
                 fileio.read_cameras(path)
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "..", ".hidden", "view*", "view?",
+                                      "view[0]", "v\u00efew"])
+    def test_name_that_is_not_a_plain_file_name_rejected(self, tmp_path, name):
+        path = tmp_path / "cameras.txt"
+        fileio.write_cameras(path, [(name, SQUARE_CAMERA)])
+        with pytest.raises(FormatError, match=re.escape(f"line 1: view name {name!r}")):
+            fileio.read_cameras(path)
+
+    @pytest.mark.parametrize("name", ["view000", "view_0-1.a", "V0", "0", "-x"])
+    def test_plain_file_name_accepted(self, tmp_path, name):
+        path = tmp_path / "cameras.txt"
+        fileio.write_cameras(path, [(name, SQUARE_CAMERA)])
+        assert [view for view, _ in fileio.read_cameras(path)] == [name]
+
+    def test_repeated_name_rejected(self, tmp_path):
+        path = tmp_path / "cameras.txt"
+        fileio.write_cameras(path, [(name, SQUARE_CAMERA) for name in ("v0", "v1", "v0")])
+        with pytest.raises(FormatError, match="line 15: view name 'v0' names an earlier view"):
+            fileio.read_cameras(path)
 
 
 class TestSparseAndKeyValues:
@@ -240,6 +263,13 @@ class TestSparseAndKeyValues:
         path = tmp_path / "scene.cfg"
         fileio.write_keyvalues(path, {"shape": "sphere", "size": "1 2 3", "seed": "7"})
         assert fileio.read_keyvalues(path) == {"shape": "sphere", "size": "1 2 3", "seed": "7"}
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "scene.cfg"
+        path.write_text("shape = torus\nsize = 1 0.35\n# a comment\n\nshape = sphere\nsize = 1\n")
+        with pytest.raises(FormatError) as info:
+            fileio.read_keyvalues(path)
+        assert str(info.value) == f"{path}: line 5: duplicate key 'shape' (first set on line 1)"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

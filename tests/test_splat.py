@@ -551,8 +551,28 @@ class TestOptimize:
         rows = []
         optimize(random_cloud(rng, 8), [small_view(rng)], LossConfig(1.0, 1.0, 1.0), iters,
                  step=1e-3, callback=rows.append)
-        assert calls == {"loss_gradients": iters + 1, "render": 0}
+        assert calls == {"loss_gradients": iters, "render": 0}
         assert len(rows) == iters
+
+    def test_returns_the_last_iterate(self):
+        """A step past the color term's stability limit: the loss climbs
+        above its initial value, and the last iterate is still returned."""
+        rng = np.random.default_rng(41)
+        cloud, views = random_cloud(rng, 8), [small_view(rng)]
+        cfg, iters, step = LossConfig(1.0, 1.0, 0.99), 4, 0.4
+        current, lam, losses = cloud.copy(), cfg.depth_weight, []
+        for _ in range(iters):
+            loss, _, _, (g_pos, g_col, g_logit) = loss_gradients(current, views, cfg, lam)
+            losses.append(loss)
+            current.positions -= step * g_pos
+            current.colors -= step * g_col
+            current.opacity_logits -= step * g_logit
+            lam *= cfg.decay
+        losses.append(loss_gradients(current, views, cfg, lam)[0])
+        assert losses[-1] > min(losses)
+        out = optimize(cloud, views, cfg, iters, step)
+        for name in ("positions", "colors", "opacity_logits", "radii", "background"):
+            assert getattr(out, name).tobytes() == getattr(current, name).tobytes()
 
     def test_self_consistency_recovery(self):
         rng = np.random.default_rng(16)
@@ -701,7 +721,7 @@ class TestSplitTrain:
         assert forks(views[:1]) == 0
         # Training's estimate; three parts would need a quarter of it each.
         pixels = sum(cam.width * cam.height for *_, cam in views)
-        seconds = len(cloud) * pixels * (4 + 1) * splat.PASS_SECONDS
+        seconds = len(cloud) * pixels * 4 * splat.PASS_SECONDS
         monkeypatch.setattr(workers, "PART_SECONDS", np.nextafter(seconds / 2, np.inf))
         assert forks(views) == 0
         monkeypatch.setattr(workers, "PART_SECONDS", seconds / 2)
