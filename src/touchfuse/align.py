@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_GAP = 3.0  # widest vision-to-touch depth gap (m) that align_object_offset shifts
+UNCERTAINTY_SLOPE = 0.1
+UNCERTAINTY_FLOOR = 0.25
 
 
 @dataclass(frozen=True)
@@ -52,16 +54,11 @@ class AlignedVision:
 
 def align_scale_offset(raw_depth, sparse: SparseDepth):
     """Closed-form least-squares scale/offset so scale*raw + offset matches
-    the sparse samples; returns (scale, offset, aligned image)."""
+    the sparse samples; returns (scale, offset, aligned image). The samples
+    lie on the image's pixels, and the raw depths under them take at least
+    two values (the align stage reads them so)."""
     raw_depth = np.asarray(raw_depth, dtype=np.float64)
-    if len(sparse) < 2:
-        raise ValueError("need at least two sparse samples")
-    u, v = sparse.pixels[:, 0], sparse.pixels[:, 1]
-    if np.any(u < 0) or np.any(v < 0) or np.any(u >= raw_depth.shape[1]) or np.any(v >= raw_depth.shape[0]):
-        raise ValueError("sparse sample outside the image")
-    raw = raw_depth[v, u]
-    if np.all(raw == raw[0]):  # exact: a mean of equal values can round away from them
-        raise ValueError("sparse samples share one raw depth; scale is unobservable")
+    raw = raw_depth[sparse.pixels[:, 1], sparse.pixels[:, 0]]
     target = sparse.depths
     raw_mean = raw.mean()
     spread = np.sum((raw - raw_mean) ** 2)
@@ -77,8 +74,6 @@ def align_object_offset(aligned, touch_depth):
     is within MAX_GAP are shifted; everything else is preserved bit-for-bit.
     """
     aligned = np.asarray(aligned, dtype=np.float64)
-    if aligned.shape != touch_depth.shape:
-        raise ValueError("image dimensions differ")
     mask = (touch_depth > 0.0) & (np.abs(aligned - touch_depth) <= MAX_GAP)
     updated = aligned.copy()
     if not np.any(mask):
@@ -89,15 +84,12 @@ def align_object_offset(aligned, touch_depth):
     return t_object, updated
 
 
-def vision_uncertainty(aligned, slope=0.1, floor=0.25):
-    """Per-pixel variance (slope * depth)^2 + floor: farther pixels get more
-    uncertainty and the floor keeps touch dominant when both disagree."""
-    if slope < 0.0:
-        raise ValueError("slope must be nonnegative")
-    if floor <= 0.0:
-        raise ValueError("floor must be positive")
+def vision_uncertainty(aligned):
+    """Per-pixel variance (0.1 * depth)^2 + 0.25 (UNCERTAINTY_SLOPE and
+    UNCERTAINTY_FLOOR): farther pixels get more uncertainty and the floor
+    keeps touch dominant when both disagree."""
     aligned = np.asarray(aligned, dtype=np.float64)
-    return (slope * aligned) ** 2 + floor
+    return (UNCERTAINTY_SLOPE * aligned) ** 2 + UNCERTAINTY_FLOOR
 
 
 def align_vision(raw_depth, sparse: SparseDepth, touch_depth) -> AlignedVision:

@@ -13,8 +13,11 @@ Exit codes:
 - 6 malformed input file (PFM/PGM/PPM, PLY, camera list, sparse depth,
   GPIS model), a camera list with no view, with a view name used twice or
   with one that is not letters, digits, `_`, `-` and `.` (no leading `.`),
-  touch files that hold no two distinct points, sparse samples that all
-  lie on one raw mono depth, a scene record that repeats a key, lacks
+  with a non-finite focal length or pose value, with a `size`,
+  `intrinsics` or `pose` line before the first `view` line or with a
+  second `size` or `intrinsics` line in one view's block, touch files that
+  hold no two distinct points, sparse samples that all lie on one raw mono
+  depth, a scene record that repeats a key, lacks
   `shape` or `size` or whose shape or size will not parse or does not fit,
   a dataset with a camera list but no scene record (at eval) or no touch
   file (at gpis-fit), a splat PLY with no splat, a non-finite value or an

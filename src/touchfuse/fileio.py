@@ -287,6 +287,11 @@ def read_cameras(path):
             if token[0] in _CAMERA_TOKENS and len(token) != _CAMERA_TOKENS[token[0]]:
                 raise ValueError(f"{token[0]!r} line needs {_CAMERA_TOKENS[token[0]] - 1} "
                                  f"values, found {len(token) - 1}")
+            if token[0] in ("size", "intrinsics", "pose") and name is None:
+                raise ValueError(f"line {lineno}: {token[0]!r} line before the first 'view' line")
+            if {"size": size, "intrinsics": intr}.get(token[0]) is not None:
+                raise ValueError(f"line {lineno}: second {token[0]!r} line in camera block "
+                                 f"{name!r}")
             if token[0] == "view":
                 flush()
                 name, size, intr, pose_rows = token[1], None, None, []

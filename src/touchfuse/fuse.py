@@ -24,10 +24,9 @@ def fuse_images(vision_depth, vision_var, touch_depth, touch_var):
     depth 0). An invalid side enters with the sentinel variance so the other
     source dominates; pixels invalid on both sides come out as depth 0 /
     sentinel variance with provenance NONE, so a fused depth > 0 marks a
-    pixel with supervision.
+    pixel with supervision. The four images share one shape, and each
+    valid side's variance is positive (the fuse stage reads them so).
     """
-    if len({np.shape(a) for a in (vision_depth, vision_var, touch_depth, touch_var)}) > 1:
-        raise ValueError("image dimensions differ")
     vision_ok = np.isfinite(vision_depth) & (vision_depth > 0.0)
     touch_ok = np.isfinite(touch_depth) & (touch_depth > 0.0)
 
@@ -35,8 +34,6 @@ def fuse_images(vision_depth, vision_var, touch_depth, touch_var):
     var1 = np.where(vision_ok, vision_var, MISS_VAR)
     mu2 = np.where(touch_ok, touch_depth, 0.0)
     var2 = np.where(touch_ok, touch_var, MISS_VAR)
-    if np.any(var1 <= 0.0) or np.any(var2 <= 0.0):
-        raise ValueError("variances must be positive")
 
     # Same expression shape as tests/oracles.py fuse_pixel, so they agree bit for bit.
     var = 1.0 / (1.0 / var1 + 1.0 / var2)

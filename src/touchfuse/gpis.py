@@ -128,14 +128,14 @@ class GPISModel:
     effective_noise: float
 
     def query(self, points):
-        """Posterior mean and predictive variance at (N, 3) query points.
+        """Posterior mean and predictive variance at finite (N, 3) query points.
 
         The points are taken SOLVE_COLUMNS at a time: each chunk's kernel
         rows are written into one reused (M, SOLVE_COLUMNS) Fortran-order
         buffer, reduced against alpha for the means and then solved in place
         against the factor for the variances, so no (N, M) block exists.
         """
-        pts = _checked_points(points)
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         locations = np.asfortranarray(self.conditioning.locations)
         # Two columns at least: LAPACK switches algorithms at one right-hand
         # side, so a lone point is solved beside a copy of itself and takes
@@ -169,7 +169,7 @@ class GPISModel:
         block exists; the einsum per row is the one query() applies to the
         full block, so the means are the same bits.
         """
-        pts = _checked_points(points)
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         # In Fortran order the transposed locations _kernel_block reads are
         # contiguous as they stand, so its calls share this one copy.
         locations = np.asfortranarray(self.conditioning.locations)
@@ -181,13 +181,6 @@ class GPISModel:
             block = _kernel_block(chunk, locations, self.params, buffer[:chunk.shape[0]])
             mean[s:s + rows] = self.params.prior_mean + np.einsum("nm,m->n", block, self.alpha)
         return mean
-
-
-def _checked_points(points):
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("query points must be finite")
-    return pts
 
 
 def _chunk_rows(columns):
@@ -263,19 +256,12 @@ def build_conditioning_set(touches, surface_offset, interior_offset, n_slices=8,
     x - surface_offset*n -> -surface_offset and x + surface_offset*n ->
     +surface_offset. Every nonempty horizontal slice of the surface points
     adds its centroid with target -interior_offset. Surface points are
-    voxel-downsampled at pitch `voxel` before expansion (0 disables).
+    voxel-downsampled at pitch `voxel` before expansion (0 disables). The
+    touches hold at least one point, and the offsets and n_slices are
+    positive (gpis-fit calls it so).
     """
-    if not touches:
-        raise ValueError("no tactile data")
-    if surface_offset <= 0.0 or interior_offset <= 0.0:
-        raise ValueError("offsets must be positive")
-    if n_slices < 1:
-        raise ValueError("n_slices must be at least 1")
-
     points = np.concatenate([t.points for t in touches], axis=0)
     normals = np.concatenate([t.normals for t in touches], axis=0)
-    if points.shape[0] == 0:
-        raise ValueError("no tactile data")
     points, normals = _voxel_downsample(points, normals, voxel)
 
     inside = points - surface_offset * normals
@@ -419,10 +405,9 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise, prior_mean, cap
     each model before the next, so it holds one factor of n(n+1)/2 values at
     a time, and the search one per part. The caller's last model is the
     result when it wins; any other winner is fitted once more in the caller
-    after the search, the same fit that scored it.
+    after the search, the same fit that scored it. The grid is not empty
+    (the config schema requires a value).
     """
-    if not grid:
-        raise ValueError("hyperparameter grid is empty")
     if len(cset) > cap:
         raise NumericalError(
             f"conditioning set has {len(cset)} points, cap is {cap}; use a coarser voxel pitch")

@@ -13,8 +13,6 @@ def depth_sq_errors(pred, gt_depth, mask=None):
     renderer has no densification to fill the pixels it leaves uncovered."""
     pred = np.asarray(pred, dtype=np.float64)
     gt_depth = np.asarray(gt_depth, dtype=np.float64)
-    if pred.shape != gt_depth.shape:
-        raise ValueError("image dimensions differ")
     valid = (gt_depth > 0.0) & (pred > 0.0)
     if mask is not None:
         valid &= np.asarray(mask, dtype=bool)
@@ -25,8 +23,6 @@ def psnr(img, gt):
     """Peak signal-to-noise ratio in dB for images with values in [0, 1]."""
     img = np.asarray(img, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if img.shape != gt.shape:
-        raise ValueError("image dimensions differ")
     mse = float(np.mean((img - gt) ** 2))
     if mse == 0.0:
         return math.inf
@@ -35,13 +31,11 @@ def psnr(img, gt):
 
 def _nearest_distances(a, b):
     a, b = np.atleast_2d(a), np.atleast_2d(b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("point clouds must be nonempty")
     return cKDTree(b).query(a, k=1)[0]
 
 
 def chamfer(a, b):
-    """Symmetric mean nearest-neighbor distance between two point clouds."""
+    """Symmetric mean nearest-neighbor distance between two nonempty point clouds."""
     return 0.5 * (float(np.mean(_nearest_distances(a, b)))
                   + float(np.mean(_nearest_distances(b, a))))
 

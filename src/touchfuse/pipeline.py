@@ -17,7 +17,6 @@ runs of the same scene in different directories are byte-identical.
 """
 
 import fcntl
-import fnmatch
 import hashlib
 import json
 import math
@@ -55,13 +54,13 @@ def _path(cfg, name):
 
 
 def _matching(cfg, pattern):
-    """Sorted names of the files in a pattern's directory whose basenames
-    match the pattern's."""
+    """Sorted names of the files in a pattern's directory that match it."""
     directory, base = os.path.split(_path(cfg, pattern))
     if not os.path.isdir(directory):
         return []
     head = pattern[:len(pattern) - len(base)]
-    return [head + f for f in sorted(os.listdir(directory)) if fnmatch.fnmatchcase(f, base)]
+    rule = _RULES[pattern]
+    return [head + f for f in sorted(os.listdir(directory)) if rule.fullmatch(head + f)]
 
 
 def _hash_bytes(blob):
@@ -79,7 +78,8 @@ def _hash_file(path):
 @dataclass(frozen=True)
 class Stage:
     """One row of the stage table. `makes` holds the name patterns
-    (`dataset:` or `out:` plus an fnmatch pattern) the stage may write."""
+    (`dataset:` or `out:` plus a path whose `*` matches any run of
+    characters but `/`) the stage may write."""
 
     name: str
     func: Callable
@@ -87,7 +87,7 @@ class Stage:
     makes: tuple
 
     def produces(self, name):
-        return any(fnmatch.fnmatchcase(name, pattern) for pattern in self.makes)
+        return any(_RULES[pattern].fullmatch(name) for pattern in self.makes)
 
 
 def _producer(name):
@@ -167,10 +167,10 @@ class StageIO:
         self.inputs.add(name)
 
     def digest(self, name):
-        """Content hash of a file (of the match names for a pattern), or
-        None when it is missing."""
+        """Content hash of a file (of the match names for a stage's
+        pattern), or None when it is missing."""
         if name not in self.digests:
-            if "*" in name:
+            if "*" in name and name in _RULES:
                 matches = "\n".join(os.path.basename(m) for m in _matching(self.cfg, name))
                 self.digests[name] = _hash_bytes(matches.encode())
             else:
@@ -568,7 +568,10 @@ STAGE_ORDER = tuple(stage.name for stage in STAGES)
 # run_pipeline looks each function up here at call time, so a caller may
 # replace an entry (for example to trace the stage).
 STAGE_FUNCS = {stage.name: stage.func for stage in STAGES}
-_STAGE_FILE = re.compile("|".join(fnmatch.translate(p) for stage in STAGES for p in stage.makes))
+# Each name pattern compiled once: a `*` stays within one file-name part.
+_RULES = {p: re.compile("[^/]*".join(map(re.escape, p.split("*"))))
+          for stage in STAGES for p in stage.makes}
+_STAGE_FILE = re.compile("|".join(rule.pattern for rule in _RULES.values()))
 _DIGEST = re.compile("[0-9a-f]{16}")
 
 

@@ -35,13 +35,14 @@ class CameraModel:
     pose: np.ndarray
 
     def __post_init__(self):
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError("focal lengths must be positive")
+        if not (0.0 < self.fx < np.inf and 0.0 < self.fy < np.inf):
+            raise ValueError(f"focal lengths {self.fx} and {self.fy} must be positive and finite")
         if not (0.0 <= self.cx < self.width) or not (0.0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
         pose = np.asarray(self.pose, dtype=np.float64)
-        if pose.shape != (4, 4) or not geometry.is_rotation(pose[:3, :3]):
-            raise ValueError("pose must be a rigid transform with orthonormal rotation")
+        if (pose.shape != (4, 4) or not np.isfinite(pose).all()
+                or not geometry.is_rotation(pose[:3, :3])):
+            raise ValueError("pose must be a finite rigid transform with orthonormal rotation")
         object.__setattr__(self, "pose", pose)
 
     @property
@@ -76,20 +77,13 @@ class CameraModel:
 
 @dataclass(frozen=True)
 class MarchParams:
-    """Sphere-tracing controls: step = max(step_fraction * sdf, min_step)."""
+    """Sphere-tracing controls: step = max(step_fraction * sdf, min_step),
+    with step_fraction in (0, 1] and min_step and hit_tol positive."""
 
     step_fraction: float
     min_step: float
     hit_tol: float
     max_steps: int
-
-    def __post_init__(self):
-        if not (0.0 < self.step_fraction <= 1.0):
-            raise ValueError("step_fraction must be in (0, 1]")
-        if self.min_step <= 0.0:
-            raise ValueError("min_step must be positive")
-        if self.hit_tol <= 0.0:
-            raise ValueError("hit_tol must be positive")
 
 
 @dataclass(frozen=True)

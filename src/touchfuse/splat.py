@@ -252,8 +252,6 @@ def backproject_init(views):
     Raises NumericalError when no image has a hit: there is nothing to
     initialize the splats from.
     """
-    if not views:
-        raise ValueError("need at least one depth image")
     clouds = []
     for depth, camera in views:
         ys, xs = np.nonzero(depth > 0.0)
@@ -270,11 +268,9 @@ def _view_target(rgb_gt, fused_depth, fused_var, camera, cfg):
     pass changes, and its camera. The constants are the ground-truth color
     channels, each over the pixels, the mask of the pixels whose fused
     depth is > 0 (fusion gives every other pixel depth 0), and the fused
-    depths there and their weights exp(-sharpness * sqrt(var))."""
+    depths there and their weights exp(-sharpness * sqrt(var)). The images
+    are of the camera's size (the train stage reads them so)."""
     rgb_gt = np.asarray(rgb_gt, dtype=np.float64)
-    shape = (camera.height, camera.width)
-    if rgb_gt.shape != shape + (3,) or not fused_depth.shape == fused_var.shape == shape:
-        raise ValueError("image dimensions differ")
     mask = fused_depth.reshape(-1) > 0.0
     weights = np.exp(-cfg.sharpness * np.sqrt(fused_var.reshape(-1)[mask]))
     return (list(np.ascontiguousarray(rgb_gt.reshape(-1, 3).T)), mask,
@@ -372,8 +368,6 @@ def optimize(cloud: SplatCloud, views, cfg: LossConfig, iters, step,
     trained to. Raises NumericalError when the loss or the parameters
     diverge.
     """
-    if not views:
-        raise ValueError("need at least one view")
     current = cloud.copy()
     pixels = sum(camera.width * camera.height for *_, camera in views)
     # A pass's round trip, the cloud out and its views' terms back, costs

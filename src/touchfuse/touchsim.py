@@ -164,8 +164,6 @@ def make_sparse_depth(depth, fraction, quadratic=0.0, seed=0) -> SparseDepth:
     std = quadratic * depth^2, with `quadratic` in 1/m.
     """
     hits = np.argwhere(depth > 0.0)
-    if hits.shape[0] == 0:
-        raise ValueError("depth image has no positive pixel")
     count = int(round(fraction * hits.shape[0]))
     if count < 2:
         raise ValueError(

@@ -180,6 +180,15 @@ class TestPipelineOrchestration:
         with pytest.raises(ValueError, match="does not make out:init.ply"):
             io.write(fileio.write_keyvalues, "out:init.ply", {})
 
+    def test_a_star_in_a_stage_pattern_stays_within_one_name_part(self, tmp_path):
+        cfg = validate_config(write_config(tmp_path))
+        io = StageIO(cfg, STAGES[STAGE_ORDER.index("gpis-render")], {}, {})
+        name = "out:../escaped_gpis_depth.pfm"
+        with pytest.raises(ValueError, match=re.escape(f"does not make {name}")):
+            io.write(fileio.write_pfm, name, np.zeros((2, 2)))
+        assert not (tmp_path / "escaped_gpis_depth.pfm").exists()
+        assert io.stage.produces("out:view000_gpis_depth.pfm")
+
     def test_leftover_lock_file_does_not_block(self, tmp_path):
         cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
                               require_dataset=False)
@@ -548,8 +557,11 @@ class TestExitCodes:
         # align's inputs would keep view001's digest under view000's name alone
         lambda text: text.replace('"out:view000_gpis_depth.pfm"', '"out:view001_gpis_depth.pfm"', 1),
         lambda text: "[]",
+        edit_manifest(lambda m: m["stages"]["gpis-render"]["outputs"].update(
+            {"out:../escaped_gpis_depth.pfm": "0123456789abcdef"})),
     ], ids=["empty-record", "stages-list", "null-inputs", "unknown-stage", "extra-key",
-            "number-digest", "name-of-no-stage", "repeated-key", "not-an-object"])
+            "number-digest", "name-of-no-stage", "repeated-key", "not-an-object",
+            "name-outside-its-directory"])
     def test_manifest_of_another_shape(self, built, tmp_path, capsys, edit):
         path = os.path.join(built.out, "manifest.json")
         with open(path, encoding="utf-8") as fh:
@@ -698,6 +710,29 @@ class TestExitCodes:
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err and message in err
+        assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == files
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: re.sub(r"(?m)^(pose \S+ \S+ \S+) \S+$", r"\1 nan", text, count=1),
+         "pose must be a finite rigid transform"),
+        (lambda text: re.sub(r"(?m)^(pose \S+ \S+ \S+) \S+$", r"\1 inf", text, count=1),
+         "pose must be a finite rigid transform"),
+        (lambda text: re.sub(r"(?m)^intrinsics \S+", "intrinsics nan", text, count=1),
+         "focal lengths nan and 18.0 must be positive and finite"),
+        (lambda text: "size 999 999\n" + text, "line 1: 'size' line before the first 'view' line"),
+        (lambda text: text.replace("size 24 24\n", "size 24 24\nsize 30 28\n", 1),
+         "line 3: second 'size' line in camera block 'view000'"),
+    ], ids=["nan-pose", "inf-pose", "nan-fx", "directive-before-first-view", "repeated-size"])
+    def test_camera_list_a_stage_cannot_use(self, built, tmp_path, capsys, edit, message):
+        """Non-finite camera values and misplaced or repeated directives
+        make the camera list malformed at the first stage that reads it,
+        which writes no file anywhere."""
+        target = tmp_path / "data/cameras.txt"
+        target.write_text(edit(target.read_text()))
+        files = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+        assert main(["gpis-render", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and "cameras.txt" in err and message in err
         assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == files
 
     @pytest.mark.parametrize("edit, message", [

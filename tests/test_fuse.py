@@ -131,13 +131,6 @@ class TestFuseImages:
         assert depth[0, 2] == 0.0
         assert variance[0, 2] == MISS_VAR
 
-    def test_dimension_mismatch_rejected(self):
-        vd, vv, _, _ = random_pair(8)
-        with pytest.raises(ValueError, match="dimension"):
-            fuse_images(vd, vv, np.ones((8, 8)), np.full((8, 8), 0.1))
-        with pytest.raises(ValueError, match="dimension"):
-            fuse_images(vd, vv[:8, :8], vd, vv)
-
 
 SHAPE = (3, 4)
 depth_images = arrays(np.float64, SHAPE, elements=st.floats(0.1, 50.0))

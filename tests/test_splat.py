@@ -365,16 +365,6 @@ class TestLosses:
             assert d_loss == depth_loss(depth, fused_depth, fused_var, cfg)
             assert loss == total_loss(cloud, [view], cfg)
 
-    def test_loss_gradients_checks_image_shapes(self):
-        rng = np.random.default_rng(23)
-        cloud = random_cloud(rng, 5)
-        rgb_gt, fused_depth, fused_var, cam = small_view(rng)
-        for view in ((rgb_gt[:8], fused_depth, fused_var, cam),
-                     (rgb_gt, *random_supervision(rng, 16, 8), cam),
-                     (rgb_gt, fused_depth, fused_var[:8], cam)):
-            with pytest.raises(ValueError, match="image dimensions differ"):
-                loss_gradients(cloud, [view], LossConfig(1.0, 1.0, 1.0))
-
     def test_decay_weight(self):
         assert LossConfig(1.0, 1.0, decay=0.9).decay == 0.9
         assert LossConfig(1.0, 1.0, decay=1.0).decay == 1.0

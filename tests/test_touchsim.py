@@ -201,7 +201,7 @@ class TestSparseDepth:
         assert std2 / std1 == pytest.approx(4.0, rel=0.2)
 
     def test_no_hits_rejected(self):
-        with pytest.raises(ValueError, match="no positive pixel"):
+        with pytest.raises(ValueError, match="yields 0 samples"):
             make_sparse_depth(np.zeros((8, 8)), 0.01, seed=0)
 
 
