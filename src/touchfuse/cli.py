@@ -1,33 +1,48 @@
 """Command-line interface: one subcommand per pipeline stage plus `pipeline`.
 
-Exit codes:
+Exit codes: 0 on success, else one of these, whose label starts the message
+on stderr (argparse's own usage errors carry none and exit 2 as well).
 
-- 0 success;
-- 2 configuration error in the file or a flag (flags pass the file's
-  checks), including a non-finite number, an unknown stage, a stage list
-  that names none and a `[sim] sparse_fraction` that leaves a view fewer
-  than 2 sparse samples;
-- 3 missing stage dependency;
-- 4 numerical failure;
-- 5 another run holds the output directory's lock;
-- 6 malformed input file (PFM/PGM/PPM, PLY, camera list, sparse depth,
-  GPIS model), a camera list with no view, with a view name used twice or
-  with one that is not letters, digits, `_`, `-` and `.` (no leading `.`),
-  with a non-finite focal length or pose value, with a `size`,
-  `intrinsics` or `pose` line before the first `view` line or with a
-  second `size` or `intrinsics` line in one view's block, touch files that
-  hold no two distinct points, sparse samples that all lie on one raw mono
-  depth, a scene record that repeats a key, lacks
-  `shape` or `size` or whose shape or size will not parse or does not fit,
-  a dataset with a camera list but no scene record (at eval) or no touch
-  file (at gpis-fit), a splat PLY with no splat, a non-finite value or an
-  opacity outside [0, 1], a non-finite sparse depth or mono depth under a
-  sparse sample, a non-finite value in a GPIS or fused depth or variance
-  image, a variance that is not positive (NaN only where a vision depth
-  is), a negative GPIS or fused depth, a GPIS hit variance not below the
-  miss variance, a view image whose size is not its camera's, a GPIS model
-  with fewer than two distinct surface points, or a `manifest.json` not of
-  the JSON shape the pipeline writes.
+2 config error: a config file that cannot be read or is not UTF-8, an
+  unknown section, key or stage (named before a missing dataset), a
+  `--stages` list that names no stage, a value that will not parse, is out
+  of range or is not finite, a repeated `rho_grid` value, a `[sim] size`
+  that does not fit the shape or a `[sim] sparse_fraction` that leaves a
+  view fewer than 2 sparse samples; the message names the line when the
+  file set the key. `--seed` and `--out` pass the file's checks.
+3 dependency error: a missing input, naming the stage that makes it.
+4 numerical failure: a conditioning set over `[conditioning] cap`, a kernel
+  matrix that will not factorize, or no GPIS ray hit at init-points.
+5 locked: another run holds the output directory's lock.
+6 malformed file: an input a stage cannot parse or use; the message names
+  it and never advises simulate, which would overwrite a real dataset:
+  - a PFM/PGM/PPM, PLY, camera list, sparse depth table or GPIS model
+    that will not parse, a PLY `format` other than `ascii 1.0` and
+    `binary_little_endian 1.0`, a binary property not `float64`/`double`,
+    or more or fewer data values than the header declares (both named);
+  - touch files with no two distinct points; a splat PLY with no splat, a
+    non-finite value or an opacity outside [0, 1];
+  - a camera list with no view, a view whose files the dataset lacks, a
+    view name used twice or not letters, digits, `_`, `-` and `.` (no
+    leading `.`), a non-finite focal length or pose (naming the block and
+    its `view` line), a `size`, `intrinsics` or `pose` line before the first
+    `view` line, or a second `size` or `intrinsics` or fifth `pose` line in
+    one block;
+  - sparse samples that all lie on one raw mono depth, or a non-finite
+    sparse depth or mono depth under a sample;
+  - a scene record (the dataset's `scene.cfg`) that repeats a key, lacks
+    `shape` or `size`, or whose shape or size will not parse or fit;
+  - a camera list but no scene record (at eval) or no touch file (at
+    gpis-fit);
+  - a non-finite value in a GPIS or fused image, a negative GPIS or fused
+    depth, a variance that is not positive (a vision one may be NaN where
+    its depth is), a GPIS hit variance not below the miss variance, or a
+    view image whose size is not its camera's;
+  - a GPIS model with fewer than two distinct surface points;
+  - a `manifest.json` that is not JSON or not of the shape the pipeline
+    writes (a record of no stage or without `params`, `inputs` or
+    `outputs`, a file name of no stage, a digest not 16 hex digits, a
+    repeated key); delete it to rerun every stage.
 """
 
 import argparse
@@ -58,6 +73,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="touchfuse",
         description="Visual-tactile depth supervision pipeline on analytic scenes.",
+        epilog=__doc__.split("\n\n", 1)[1],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for stage in STAGE_ORDER:

@@ -1,10 +1,8 @@
 """Scene configuration: flat `key = value` text grouped into [sections].
 
-Unknown keys, duplicate keys, malformed lines, out-of-range or non-finite
-values, a repeated `rho_grid` value, a shape size that does not fit the
-shape, text that is not UTF-8 and a missing dataset all fail loudly with the
-offending line number. A value set from the command line or by `override`
-passes the same parse, range and shape/size checks.
+A file or value that fails a check raises ConfigError naming its line; the
+CLI's docstring lists the checks. A value set from the command line or by
+`override` passes the same checks.
 """
 
 import math

@@ -270,14 +270,17 @@ _VIEW_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 @reads_format
 def read_cameras(path):
     views, pose_rows = [], []
-    name = size = intr = None
+    name = size = intr = view_line = None
 
     def flush():
         if name is None:
             return
         if size is None or intr is None or len(pose_rows) != 4:
             raise ValueError(f"camera block {name!r} is incomplete")
-        views.append((name, CameraModel(*intr, *size, np.array(pose_rows))))
+        try:
+            views.append((name, CameraModel(*intr, *size, np.array(pose_rows))))
+        except ValueError as exc:
+            raise ValueError(f"line {view_line}: camera block {name!r}: {exc}") from exc
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -292,9 +295,11 @@ def read_cameras(path):
             if {"size": size, "intrinsics": intr}.get(token[0]) is not None:
                 raise ValueError(f"line {lineno}: second {token[0]!r} line in camera block "
                                  f"{name!r}")
+            if token[0] == "pose" and len(pose_rows) == 4:
+                raise ValueError(f"line {lineno}: fifth 'pose' line in camera block {name!r}")
             if token[0] == "view":
                 flush()
-                name, size, intr, pose_rows = token[1], None, None, []
+                name, size, intr, pose_rows, view_line = token[1], None, None, [], lineno
                 if not _VIEW_NAME.fullmatch(name):
                     raise ValueError(f"line {lineno}: view name {name!r} is not letters, "
                                      "digits, '_', '-' and '.' that do not start with '.'")

@@ -128,59 +128,44 @@ class GPISModel:
     effective_noise: float
 
     def query(self, points):
-        """Posterior mean and predictive variance at finite (N, 3) query points.
-
-        The points are taken SOLVE_COLUMNS at a time: each chunk's kernel
-        rows are written into one reused (M, SOLVE_COLUMNS) Fortran-order
-        buffer, reduced against alpha for the means and then solved in place
-        against the factor for the variances, so no (N, M) block exists.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        locations = np.asfortranarray(self.conditioning.locations)
-        # Two columns at least: LAPACK switches algorithms at one right-hand
-        # side, so a lone point is solved beside a copy of itself and takes
-        # the path a batch one does. A variance can still differ in its last
-        # bits with the points solved alongside it (1.7e-14 relative, seen
-        # in float64).
-        buffer = np.empty((locations.shape[0], max(2, min(SOLVE_COLUMNS, pts.shape[0]))),
-                          order="F")
-        mean = np.empty(pts.shape[0])
-        var = np.empty(pts.shape[0])
-        prior = self.params.output_scale ** 2 + self.params.noise
-        for s in range(0, pts.shape[0], SOLVE_COLUMNS):
-            chunk = pts[s:s + SOLVE_COLUMNS]
-            k = chunk.shape[0]
-            rows = _kernel_block(chunk, locations, self.params, buffer.T[:k])
-            # einsum keeps each row's reduction order independent of batch size,
-            # so marching a ray alone or with thousands of others gives the same bits.
-            mean[s:s + k] = self.params.prior_mean + np.einsum("nm,m->n", rows, self.alpha)
-            if k == 1:
-                buffer[:, 1] = buffer[:, 0]
-            v = dtfsm(1.0, self.factor, buffer[:, :max(2, k)], uplo="L", overwrite_b=True)[:, :k]
-            var[s:s + k] = prior - np.einsum("ij,ij->j", v, v)
-        floor = VARIANCE_FLOOR_FRAC * self.params.output_scale ** 2
-        return mean, np.maximum(var, floor)
+        """Posterior mean and predictive variance at finite (N, 3) query points."""
+        mean, var = self._query(points, variance=True)
+        return mean, np.maximum(var, VARIANCE_FLOOR_FRAC * self.params.output_scale ** 2)
 
     def query_mean(self, points):
-        """Posterior mean only (fast path for ray marching).
+        """Posterior mean only (fast path for ray marching): query's means, bit for bit."""
+        return self._query(points, variance=False)[0]
 
-        Each chunk of kernel rows is written into one reused buffer and
-        reduced against alpha while it is still in cache, so no (N, M) cross
-        block exists; the einsum per row is the one query() applies to the
-        full block, so the means are the same bits.
-        """
+    def _query(self, points, variance):
+        """(mean, variance) at `points`, the variance unset unless asked for.
+        Each chunk's kernel rows (SOLVE_COLUMNS points with the variances,
+        else about KERNEL_CHUNK_BYTES) go into one reused C-order buffer and
+        are reduced against alpha there, so no (N, M) cross block exists;
+        its Fortran-order view is then solved in place for the variances."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         # In Fortran order the transposed locations _kernel_block reads are
         # contiguous as they stand, so its calls share this one copy.
         locations = np.asfortranarray(self.conditioning.locations)
-        rows = _chunk_rows(locations.shape[0])
-        buffer = np.empty((min(rows, pts.shape[0]), locations.shape[0]))
-        mean = np.empty(pts.shape[0])
+        rows = SOLVE_COLUMNS if variance else _chunk_rows(locations.shape[0])
+        # Two rows at least: LAPACK switches algorithms at one right-hand
+        # side, so a lone point is solved beside a copy of itself, on a batch
+        # one's path. A variance can still differ in its last bits with the
+        # points solved alongside it (1.7e-14 relative, seen in float64).
+        buffer = np.empty((max(2, min(rows, pts.shape[0])), locations.shape[0]))
+        mean, var = np.empty(pts.shape[0]), np.empty(pts.shape[0])
         for s in range(0, pts.shape[0], rows):
-            chunk = pts[s:s + rows]
-            block = _kernel_block(chunk, locations, self.params, buffer[:chunk.shape[0]])
-            mean[s:s + rows] = self.params.prior_mean + np.einsum("nm,m->n", block, self.alpha)
-        return mean
+            k = min(rows, pts.shape[0] - s)
+            block = _kernel_block(pts[s:s + k], locations, self.params, buffer[:k])
+            # einsum keeps each row's reduction order independent of batch size,
+            # so marching a ray alone or with thousands of others gives the same bits.
+            mean[s:s + k] = self.params.prior_mean + np.einsum("nm,m->n", block, self.alpha)
+            if variance:
+                if k == 1:
+                    buffer[1] = buffer[0]
+                v = dtfsm(1.0, self.factor, buffer[:max(2, k)].T, uplo="L", overwrite_b=True)
+                var[s:s + k] = (self.params.output_scale ** 2 + self.params.noise
+                                - np.einsum("ij,ij->j", v[:, :k], v[:, :k]))
+        return mean, var
 
 
 def _chunk_rows(columns):
@@ -389,10 +374,11 @@ def log_marginal_likelihood(model: GPISModel) -> float:
     return -0.5 * quad - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
 
 
-def optimize_hyperparameters(cset: ConditioningSet, grid, noise, prior_mean, cap) -> GPISModel:
-    """Fit every (length_scale, output_scale) grid member and return the
-    fitted model maximizing the log marginal likelihood; ties break toward
-    the smallest length scale, then the smallest output scale. A set over
+def optimize_hyperparameters(cset: ConditioningSet, rhos, output_scale, noise, prior_mean,
+                             cap) -> GPISModel:
+    """Fit the model of every length scale in `rhos` at `output_scale` and
+    return the one maximizing the log marginal likelihood; ties break
+    toward the smallest length scale. A set over
     `cap` raises NumericalError before any fit, naming the cap (coarsen the
     voxel pitch to shrink the set).
 
@@ -405,13 +391,13 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise, prior_mean, cap
     each model before the next, so it holds one factor of n(n+1)/2 values at
     a time, and the search one per part. The caller's last model is the
     result when it wins; any other winner is fitted once more in the caller
-    after the search, the same fit that scored it. The grid is not empty
+    after the search, the same fit that scored it. `rhos` is not empty
     (the config schema requires a value).
     """
     if len(cset) > cap:
         raise NumericalError(
             f"conditioning set has {len(cset)} points, cap is {cap}; use a coarser voxel pitch")
-    candidates = [KernelParams(rho, sigma, noise, prior_mean) for rho, sigma in grid]
+    candidates = [KernelParams(rho, output_scale, noise, prior_mean) for rho in rhos]
     last = []  # the model of the last candidate fitted in this process
 
     def score(s, e):
@@ -434,9 +420,9 @@ def optimize_hyperparameters(cset: ConditioningSet, grid, noise, prior_mean, cap
     with workers.Split(score, bounds) as split:
         scores = [x for part in split() for x in part]
     best = None
-    for (rho, sigma), params, neg_lml in zip(grid, candidates, scores):
-        if neg_lml is not None and (best is None or (neg_lml, rho, sigma) < best[0]):
-            best = ((neg_lml, rho, sigma), params)
+    for rho, params, neg_lml in zip(rhos, candidates, scores):
+        if neg_lml is not None and (best is None or (neg_lml, rho) < best[0]):
+            best = ((neg_lml, rho), params)
     if best is None:
         raise NumericalError("every hyperparameter candidate failed to factorize")
     if last and last[0].params is best[1]:

@@ -327,20 +327,13 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     cond = cfg.section("conditioning")
     cset = gpis.build_conditioning_set(touches, 0.02 * radius, 0.01 * radius, voxel=cond["voxel"])
     k = cfg.section("kernel")
-    # A one-value grid is a fixed length scale. A set over the cap or a
-    # matrix that will not factorize fails here (exit 4).
-    # A grid worth the forks is scored on every usable CPU (workers.Split);
-    # the model is the same at any CPU count. save_model leaves the fitted
-    # model for gpis-render in this process, which takes it while
-    # gpis.model still holds the bytes written here and refits the file
-    # otherwise.
-    model = gpis.optimize_hyperparameters(
-        cset,
-        [(rho, k["output_scale"]) for rho in k["rho_grid"]],
-        noise=k["noise"],
-        prior_mean=0.5 * radius,
-        cap=cond["cap"],
-    )
+    # A one-value grid is a fixed length scale. A grid worth the forks is
+    # scored on every usable CPU (workers.Split); the model is the same at
+    # any CPU count. save_model leaves the fitted model for gpis-render in
+    # this process, which takes it while gpis.model still holds the bytes
+    # written here and refits the file otherwise.
+    model = gpis.optimize_hyperparameters(cset, k["rho_grid"], k["output_scale"], k["noise"],
+                                          prior_mean=0.5 * radius, cap=cond["cap"])
     io.write(gpis.save_model, "out:gpis.model", model)
 
 

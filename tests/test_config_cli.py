@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from touchfuse import fileio, fuse, gpis, pipeline
 from touchfuse.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED,
-                           EXIT_NUMERICAL, EXIT_OK, FAILURES, main)
+                           EXIT_NUMERICAL, EXIT_OK, FAILURES, build_parser, main)
 from touchfuse.config import SCHEMA, parse_config_text, validate_config
 from touchfuse.errors import ConfigError, DependencyError
 from touchfuse.pipeline import STAGE_ORDER, STAGES, StageIO, run_pipeline
@@ -277,6 +277,11 @@ max_points = 200
 
 
 class TestCLI:
+    def test_help_lists_every_exit_code_with_its_label(self):
+        text = build_parser().format_help()
+        for code, label in FAILURES.values():
+            assert re.search(rf"(?m)^{code} {label}: ", text), (code, label)
+
     def test_exit_code_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[loss]\ndecay = 2.0\n")
@@ -505,13 +510,15 @@ class TestExitCodes:
         ("[sim]\nfocal = inf\n", "line 6: key 'focal': value 'inf' is not finite"),
         ("[kernel]\nnoise = inf\n", "line 6: key 'noise': value 'inf' is not finite"),
         ("[kernel]\noutput_scale = inf\n", "line 6: key 'output_scale': value 'inf' is not finite"),
+        ("[march]\nstep_fraction = 0.9\n",
+         "line 6: unknown key 'step_fraction' in section [march]"),
         ("[sim]\nsparse_fraction = 0.0003\n",
          "line 6: key 'sparse_fraction': view000: fraction 0.0003 yields 1 samples"),
     ], ids=["negative-rho", "repeated-rho", "empty-rho", "torus-one-radius",
             "torus-default-size", "zero-size", "nan-vision-bias", "nan-patch-radius",
             "nan-prior-mean", "auto-voxel",
             "inf-orbit-height", "inf-touch-noise", "inf-max-gap", "inf-focal", "inf-noise",
-            "inf-output-scale", "too-few-sparse-samples"])
+            "inf-output-scale", "old-step-fraction", "too-few-sparse-samples"])
     def test_value_that_fails_a_stage_is_a_config_error(self, tmp_path, capsys, extra, message):
         path = write_config(tmp_path, MINIMAL + extra, make_dataset=False)
         assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
@@ -684,6 +691,8 @@ class TestExitCodes:
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err and message in err
+        # simulate would overwrite the dataset
+        assert "simulate" not in err
 
     @pytest.mark.parametrize("path, stage, edit, message", [
         ("data/cameras.txt", "gpis-render",
@@ -714,15 +723,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda text: re.sub(r"(?m)^(pose \S+ \S+ \S+) \S+$", r"\1 nan", text, count=1),
-         "pose must be a finite rigid transform"),
+         "line 1: camera block 'view000': pose must be a finite rigid transform"),
         (lambda text: re.sub(r"(?m)^(pose \S+ \S+ \S+) \S+$", r"\1 inf", text, count=1),
-         "pose must be a finite rigid transform"),
+         "line 1: camera block 'view000': pose must be a finite rigid transform"),
         (lambda text: re.sub(r"(?m)^intrinsics \S+", "intrinsics nan", text, count=1),
-         "focal lengths nan and 18.0 must be positive and finite"),
+         "line 1: camera block 'view000': focal lengths nan and 18.0 must be positive"),
         (lambda text: "size 999 999\n" + text, "line 1: 'size' line before the first 'view' line"),
         (lambda text: text.replace("size 24 24\n", "size 24 24\nsize 30 28\n", 1),
          "line 3: second 'size' line in camera block 'view000'"),
-    ], ids=["nan-pose", "inf-pose", "nan-fx", "directive-before-first-view", "repeated-size"])
+        (lambda text: re.sub(r"(view view001\n(?:.*\n){2}pose \S+ \S+ \S+) \S+", r"\1 nan", text),
+         "line 8: camera block 'view001': pose must be a finite rigid transform"),
+        (lambda text: re.sub(r"(?m)^(pose .*\n)(view view001)", r"\1\1\2", text, count=1),
+         "line 8: fifth 'pose' line in camera block 'view000'"),
+    ], ids=["nan-pose", "inf-pose", "nan-fx", "directive-before-first-view", "repeated-size",
+            "nan-pose-second-view", "fifth-pose"])
     def test_camera_list_a_stage_cannot_use(self, built, tmp_path, capsys, edit, message):
         """Non-finite camera values and misplaced or repeated directives
         make the camera list malformed at the first stage that reads it,
@@ -756,6 +770,7 @@ class TestExitCodes:
         assert main(["gpis-fit", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and "touch000.ply" in err and message in err
+        assert "simulate" not in err
         assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == made
 
     def test_scene_record_with_keys_nothing_reads(self, built, tmp_path):

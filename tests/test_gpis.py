@@ -283,9 +283,8 @@ class TestOneMatrixPerFit:
         calls = []
         monkeypatch.setattr(gpis, "fit", lambda *a, **k: calls.append(a) or fit(*a, **k))
         found = []
-        grid = [(rho, 0.7) for rho in rhos]
         peak = traced_peak(
-            lambda: found.append(optimize_hyperparameters(cset, grid, NOISE, 0.0, CAP)))
+            lambda: found.append(optimize_hyperparameters(cset, rhos, 0.7, NOISE, 0.0, CAP)))
         return found[0], peak, len(calls)
 
     def test_grid_search_holds_one_matrix(self, cset, monkeypatch):
@@ -502,7 +501,7 @@ class TestFitAndQuery:
     def test_cap_exceeded_mentions_voxel(self):
         cset = build_conditioning_set(sphere_touches(40, seed=2), 0.05, 0.02)
         with pytest.raises(NumericalError, match="voxel"):
-            optimize_hyperparameters(cset, [(0.4, 0.8)], NOISE, 0.0, 10)
+            optimize_hyperparameters(cset, [0.4], 0.8, NOISE, 0.0, 10)
 
     def test_prior_reversion_far_from_data(self):
         cset = build_conditioning_set(sphere_touches(30, seed=7), 0.05, 0.02)
@@ -583,7 +582,7 @@ class TestFitAndQuery:
 class TestHyperparameterSearch:
     def test_singleton_grid(self):
         cset = build_conditioning_set(sphere_touches(10, seed=1), 0.05, 0.02)
-        pick = optimize_hyperparameters(cset, [(0.7, 1.1)], NOISE, 0.0, CAP).params
+        pick = optimize_hyperparameters(cset, [0.7], 1.1, NOISE, 0.0, CAP).params
         assert (pick.length_scale, pick.output_scale) == (0.7, 1.1)
 
     def test_recovers_known_length_scale(self):
@@ -601,34 +600,30 @@ class TestHyperparameterSearch:
             gram = (1.0 + s) * np.exp(-s) + 1e-6 * np.eye(80)
             targets = np.linalg.cholesky(gram) @ rng.normal(size=80)
             cset = ConditioningSet(locs, targets, np.zeros(80, np.int8))
-            grid = [(r, 1.0) for r in grid_rhos]
-            pick = optimize_hyperparameters(cset, grid, 1e-6, 0.0, CAP).params
+            pick = optimize_hyperparameters(cset, grid_rhos, 1.0, 1e-6, 0.0, CAP).params
             if abs(grid_rhos.index(pick.length_scale) - true_idx) <= 1:
                 hits += 1
         assert hits >= 8
 
     def test_tie_breaks_toward_smallest(self):
-        cset = ConditioningSet([[0, 0, 0], [1, 0, 0]], [0.0, 0.0], np.zeros(2, np.int8))
-        grid = [(0.9, 1.0), (0.3, 1.0), (0.3, 0.5)]
-        pick = optimize_hyperparameters(cset, grid, 1e-4, 0.0, CAP).params
-        lmls = []
-        for rho, sigma in grid:
-            model = fit(cset, KernelParams(rho, sigma, 1e-4))
-            lmls.append(log_marginal_likelihood(model))
-        best = max(lmls)
-        contenders = [g for g, l in zip(grid, lmls) if l == best]
-        assert (pick.length_scale, pick.output_scale) == min(contenders)
+        # Points this far apart have a kernel of exactly zero between them
+        # at every length scale, so every candidate's likelihood is the same.
+        cset = ConditioningSet([[0, 0, 0], [1e3, 0, 0]], [0.3, -0.2], np.zeros(2, np.int8))
+        rhos = [0.9, 0.3, 0.6]
+        lmls = {log_marginal_likelihood(fit(cset, KernelParams(rho, 1.0, 1e-4))) for rho in rhos}
+        assert len(lmls) == 1
+        assert optimize_hyperparameters(cset, rhos, 1.0, 1e-4, 0.0, CAP).params.length_scale == 0.3
 
     def test_equals_scoring_each_candidate_in_turn(self):
         cset = build_conditioning_set(sphere_touches(60, seed=5), 0.05, 0.02)
-        grid = [(0.6, 0.8), (0.2, 0.8), (0.4, 0.5), (0.4, 0.8)]
+        rhos = [0.6, 0.2, 0.5, 0.4]
         best = None
-        for rho, sigma in grid:
-            params = KernelParams(rho, sigma, 1e-6, 0.1)
-            key = (-log_marginal_likelihood(fit(cset, params)), rho, sigma)
+        for rho in rhos:
+            params = KernelParams(rho, 0.8, 1e-6, 0.1)
+            key = (-log_marginal_likelihood(fit(cset, params)), rho)
             if best is None or key < best[0]:
                 best = (key, params)
-        assert optimize_hyperparameters(cset, grid, 1e-6, 0.1, CAP).params == best[1]
+        assert optimize_hyperparameters(cset, rhos, 0.8, 1e-6, 0.1, CAP).params == best[1]
 
 
 def fits_in(monkeypatch, fails=lambda params: False):
@@ -654,54 +649,60 @@ class TestSplitSearch:
     in a forked worker; the result is the one-process search's model."""
 
     cset = build_conditioning_set(sphere_touches(60, seed=5), 0.05, 0.02)
-    grid = [(0.6, 0.8), (0.2, 0.8), (0.4, 0.5), (0.4, 0.8)]
+    rhos = [0.6, 0.2, 0.5, 0.4]
 
-    def ranked_grid(self):
-        """The grid from the best log marginal likelihood to the worst."""
-        lml = {g: log_marginal_likelihood(fit(self.cset, KernelParams(*g, 1e-6)))
-               for g in self.grid}
-        return sorted(self.grid, key=lambda g: -lml[g])
+    @staticmethod
+    def candidate(rho):
+        return KernelParams(rho, 0.8, 1e-6)
+
+    def ranked_rhos(self):
+        """The length scales from the best log marginal likelihood to the worst."""
+        lml = {rho: log_marginal_likelihood(fit(self.cset, self.candidate(rho)))
+               for rho in self.rhos}
+        return sorted(self.rhos, key=lambda rho: -lml[rho])
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, "grid + 1"])
     def test_any_cpu_count_gives_the_one_process_model(self, on_cpus, cpus):
-        one, forks = on_cpus(1, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.1, CAP)
+        one, forks = on_cpus(1, optimize_hyperparameters, self.cset, self.rhos, 0.8, NOISE, 0.1,
+                             CAP)
         assert forks == 0
-        cpus = len(self.grid) + 1 if cpus == "grid + 1" else cpus
-        split, forks = on_cpus(cpus, optimize_hyperparameters, self.cset, self.grid,
+        cpus = len(self.rhos) + 1 if cpus == "grid + 1" else cpus
+        split, forks = on_cpus(cpus, optimize_hyperparameters, self.cset, self.rhos, 0.8,
                                NOISE, 0.1, CAP)
-        assert forks == min(cpus, len(self.grid)) - 1
+        assert forks == min(cpus, len(self.rhos)) - 1
         assert_same_model(split, one)
 
     def test_a_workers_winner_is_fitted_once_in_the_caller(self, on_cpus, monkeypatch):
-        ranked = self.ranked_grid()
+        ranked = self.ranked_rhos()
         calls = fits_in(monkeypatch)
-        model, forks = on_cpus(2, optimize_hyperparameters, self.cset, ranked, NOISE, 0.0, CAP)
+        model, forks = on_cpus(2, optimize_hyperparameters, self.cset, ranked, 0.8, NOISE, 0.0,
+                               CAP)
         assert forks == 1
         # The caller scored the last two candidates, then fitted the winner.
-        assert calls == [KernelParams(*g, 1e-6) for g in ranked[2:] + ranked[:1]]
-        assert_same_model(model, fit(self.cset, KernelParams(*ranked[0], 1e-6)))
+        assert calls == [self.candidate(rho) for rho in ranked[2:] + ranked[:1]]
+        assert_same_model(model, fit(self.cset, self.candidate(ranked[0])))
 
     def test_the_callers_last_candidate_is_kept_when_it_wins(self, on_cpus, monkeypatch):
-        ranked = self.ranked_grid()[::-1]
+        ranked = self.ranked_rhos()[::-1]
         calls = fits_in(monkeypatch)
-        model, _ = on_cpus(2, optimize_hyperparameters, self.cset, ranked, NOISE, 0.0, CAP)
-        assert calls == [KernelParams(*g, 1e-6) for g in ranked[2:]]
-        assert model.params == KernelParams(*ranked[-1], 1e-6)
+        model, _ = on_cpus(2, optimize_hyperparameters, self.cset, ranked, 0.8, NOISE, 0.0, CAP)
+        assert calls == [self.candidate(rho) for rho in ranked[2:]]
+        assert model.params == self.candidate(ranked[-1])
 
     def test_a_failing_candidate_in_a_worker_is_skipped(self, on_cpus, monkeypatch):
-        winner = self.ranked_grid()[0]
-        fits_in(monkeypatch, fails=lambda params: params == KernelParams(*winner, 1e-6))
-        grid = [winner] + [g for g in self.grid if g != winner]
-        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, grid, NOISE, 0.0, CAP)
-        split, forks = on_cpus(3, optimize_hyperparameters, self.cset, grid, NOISE, 0.0, CAP)
-        assert forks == 2 and one.params != KernelParams(*winner, 1e-6)
+        winner = self.ranked_rhos()[0]
+        fits_in(monkeypatch, fails=lambda params: params == self.candidate(winner))
+        rhos = [winner] + [rho for rho in self.rhos if rho != winner]
+        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0, CAP)
+        split, forks = on_cpus(3, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0, CAP)
+        assert forks == 2 and one.params != self.candidate(winner)
         assert_same_model(split, one)
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_every_candidate_failing_raises(self, on_cpus, monkeypatch, cpus):
         fits_in(monkeypatch, fails=lambda params: True)
         with pytest.raises(NumericalError, match="^every hyperparameter candidate failed"):
-            on_cpus(cpus, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, CAP)
+            on_cpus(cpus, optimize_hyperparameters, self.cset, self.rhos, 0.8, NOISE, 0.0, CAP)
 
     def test_worker_exception_is_raised_in_the_caller(self, on_cpus, in_workers, monkeypatch):
         def fail():
@@ -709,7 +710,7 @@ class TestSplitSearch:
 
         monkeypatch.setattr(gpis, "fit", in_workers(fail, fit))
         with pytest.raises(ValueError, match="^fit failed in the worker$"):
-            on_cpus(2, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, CAP)
+            on_cpus(2, optimize_hyperparameters, self.cset, self.rhos, 0.8, NOISE, 0.0, CAP)
 
     @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), "3"),
                                              (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")])
@@ -717,27 +718,27 @@ class TestSplitSearch:
                                                         end, status):
         monkeypatch.setattr(gpis, "fit", in_workers(end, fit))
         with pytest.raises(RuntimeError, match=f"exited with status {status} without"):
-            on_cpus(3, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, CAP)
+            on_cpus(3, optimize_hyperparameters, self.cset, self.rhos, 0.8, NOISE, 0.0, CAP)
 
     def test_worker_jitter_warning_reaches_the_caller(self, on_cpus):
-        """Every candidate on duplicate points needs jitter, each at its own
-        effective noise; the worker's warnings are raised in the caller with
-        the one-process messages (a winner's refit warns once more)."""
+        """Every candidate on duplicate points needs jitter; the worker's
+        warnings are raised in the caller, as many as one process raises
+        (one per candidate, and one more for a winner's refit)."""
         locs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         cset = ConditioningSet(locs, [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
-        grid = [(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)]
+        rhos = [0.5, 0.7, 0.3]
         caught = {}
         for cpus in (1, 2):
             with pytest.warns(RuntimeWarning, match="effective noise") as record:
-                _, forks = on_cpus(cpus, optimize_hyperparameters, cset, grid, 0.0, 0.0, CAP)
+                _, forks = on_cpus(cpus, optimize_hyperparameters, cset, rhos, 1.0, 0.0, 0.0, CAP)
             assert forks == cpus - 1
             caught[cpus] = sorted((w.category, str(w.message)) for w in record)
-        assert len(set(caught[1])) == len(grid) and caught[2] == caught[1]
+        assert len(caught[1]) == len(rhos) + 1 and caught[2] == caught[1]
 
     def test_over_cap_set_fails_before_any_fork(self, on_cpus, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         with pytest.raises(NumericalError, match="cap is 10"):
-            on_cpus(3, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, 10)
+            on_cpus(3, optimize_hyperparameters, self.cset, self.rhos, 0.8, NOISE, 0.0, 10)
 
     @pytest.mark.parametrize("env, forks", [
         ((), 0),
@@ -750,25 +751,25 @@ class TestSplitSearch:
     def test_each_part_takes_a_cpu_per_blas_thread(self, on_cpus, env, forks):
         """Four usable CPUs; a BLAS left at its default runs a thread on
         each, which leaves no CPU for a second part."""
-        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, self.grid, NOISE, 0.0, CAP)
-        split, count = on_cpus(4, optimize_hyperparameters, self.cset, self.grid,
+        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, self.rhos, 0.8, NOISE, 0.0, CAP)
+        split, count = on_cpus(4, optimize_hyperparameters, self.cset, self.rhos, 0.8,
                                NOISE, 0.0, CAP, blas_env=env)
         assert count == forks
         assert_same_model(split, one)
 
     def test_one_candidate_or_a_part_under_the_floor_never_forks(self, on_cpus, monkeypatch):
-        def forks(grid):
-            return on_cpus(3, optimize_hyperparameters, self.cset, grid, NOISE, 0.0, CAP)[1]
+        def forks(rhos):
+            return on_cpus(3, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0, CAP)[1]
 
-        assert forks(self.grid[:1]) == 0
+        assert forks(self.rhos[:1]) == 0
         # The search's estimate; three parts would need a quarter of it each.
-        seconds = len(self.grid) * len(self.cset) ** 2 * 25e-9
+        seconds = len(self.rhos) * len(self.cset) ** 2 * 25e-9
         monkeypatch.setattr(workers, "PART_SECONDS", np.nextafter(seconds / 2, np.inf))
-        assert forks(self.grid) == 0
+        assert forks(self.rhos) == 0
         monkeypatch.setattr(workers, "PART_SECONDS", seconds / 2)
-        assert forks(self.grid) == 1
+        assert forks(self.rhos) == 1
         monkeypatch.setattr(workers, "PART_SECONDS", PART_SECONDS)
-        assert PART_SECONDS > seconds and forks(self.grid) == 0
+        assert PART_SECONDS > seconds and forks(self.rhos) == 0
 
 
 class TestPersistence:
