@@ -27,8 +27,6 @@ class SparseDepth:
     def __post_init__(self):
         px = np.atleast_2d(np.asarray(self.pixels, dtype=np.int64))
         d = np.asarray(self.depths, dtype=np.float64).ravel()
-        if px.shape[0] != d.shape[0] or px.shape[1] != 2:
-            raise ValueError("pixels must be (N, 2) and match depths")
         if not np.all(np.isfinite(d)):
             raise ValueError("sparse depths must be finite")
         if np.any(d <= 0.0):

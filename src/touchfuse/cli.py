@@ -19,15 +19,15 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
   - a PFM/PGM/PPM, PLY, camera list, sparse depth table or GPIS model
     that will not parse, a PLY `format` other than `ascii 1.0` and
     `binary_little_endian 1.0`, a binary property not `float64`/`double`,
-    or more or fewer data values than the header declares (both named);
+    or more or fewer values or bytes than the header declares (both named);
   - touch files with no two distinct points; a splat PLY with no splat, a
     non-finite value or an opacity outside [0, 1];
   - a camera list with no view, a view whose files the dataset lacks, a
-    view name used twice or not letters, digits, `_`, `-` and `.` (no
-    leading `.`), a non-finite focal length or pose (naming the block and
-    its `view` line), a `size`, `intrinsics` or `pose` line before the first
-    `view` line, or a second `size` or `intrinsics` or fifth `pose` line in
-    one block;
+    view name used twice, not letters, digits, `_`, `-` and `.` (no
+    leading `.`) or giving a file to two stages (`v_fused_0`), a non-finite
+    focal length or pose (naming the block and its `view` line), a `size`,
+    `intrinsics` or `pose` line before the first `view` line, or a second
+    `size` or `intrinsics` or fifth `pose` line in one block;
   - sparse samples that all lie on one raw mono depth, or a non-finite
     sparse depth or mono depth under a sample;
   - a scene record (the dataset's `scene.cfg`) that repeats a key, lacks

@@ -43,6 +43,15 @@ def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _raster_data(fh, width, height, pixel_bytes):
+    """The rest of a raster file: exactly the header's width x height pixels."""
+    data = fh.read()
+    if len(data) != width * height * pixel_bytes:
+        raise ValueError(f"header declares a {width}x{height} image, {width * height * pixel_bytes}"
+                         f" bytes; the data holds {len(data)} bytes")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # PFM (single-channel float), bottom-up rows, little-endian via scale -1.0
 # ---------------------------------------------------------------------------
@@ -63,8 +72,8 @@ def read_pfm(path):
         width, height = map(int, fh.readline().split())
         scale = float(fh.readline())
         dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(fh.read(width * height * 4), dtype=dtype)
-    return data.reshape(height, width)[::-1].astype(np.float64)
+        data = _raster_data(fh, width, height, 4)
+    return np.frombuffer(data, dtype=dtype).reshape(height, width)[::-1].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +113,13 @@ def _read_pnm(path, magic, kind, channels):
         width, height, maxval = map(int, _pnm_tokens(fh, 3))
         if maxval != 255:
             raise ValueError(f"maxval {maxval}: only 8-bit {kind} files (maxval 255) are read")
-        data = np.frombuffer(fh.read(width * height * channels), dtype=np.uint8)
-    return data.reshape(height, width, channels)
+        data = _raster_data(fh, width, height, channels)
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, channels)
 
 
 def write_pgm(path, image):
-    image = np.asarray(image)
-    if image.dtype != np.uint8:
-        raise ValueError("PGM writer expects uint8 data")
-    _write_pnm(path, "P5", image)
+    """Write a 2-D uint8 image as binary P5."""
+    _write_pnm(path, "P5", np.asarray(image))
 
 
 @reads_format
@@ -123,8 +130,6 @@ def read_pgm(path):
 def write_ppm(path, image):
     """Write an HxWx3 float image in [0, 1] as binary P6."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ValueError("PPM writer expects an HxWx3 image")
     _write_pnm(path, "P6", np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8))
 
 
@@ -262,6 +267,15 @@ def write_cameras(path, views):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _numbers(lineno, tokens, kind=float):
+    """The values of line `lineno` of a text table, its `tokens` parsed by `kind`."""
+    try:
+        return [kind(x) for x in tokens]
+    except ValueError:
+        raise ValueError(f"line {lineno}: values must be {'integers' if kind is int else 'numbers'}"
+                         f", found {' '.join(tokens)}") from None
+
+
 _CAMERA_TOKENS = {"view": 2, "size": 3, "intrinsics": 5, "pose": 5}
 # A view name becomes part of file names and of the patterns a stage matches.
 _VIEW_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
@@ -276,7 +290,7 @@ def read_cameras(path):
         if name is None:
             return
         if size is None or intr is None or len(pose_rows) != 4:
-            raise ValueError(f"camera block {name!r} is incomplete")
+            raise ValueError(f"line {view_line}: camera block {name!r} is incomplete")
         try:
             views.append((name, CameraModel(*intr, *size, np.array(pose_rows))))
         except ValueError as exc:
@@ -288,8 +302,8 @@ def read_cameras(path):
             if not token:
                 continue
             if token[0] in _CAMERA_TOKENS and len(token) != _CAMERA_TOKENS[token[0]]:
-                raise ValueError(f"{token[0]!r} line needs {_CAMERA_TOKENS[token[0]] - 1} "
-                                 f"values, found {len(token) - 1}")
+                raise ValueError(f"line {lineno}: {token[0]!r} line needs "
+                                 f"{_CAMERA_TOKENS[token[0]] - 1} values, found {len(token) - 1}")
             if token[0] in ("size", "intrinsics", "pose") and name is None:
                 raise ValueError(f"line {lineno}: {token[0]!r} line before the first 'view' line")
             if {"size": size, "intrinsics": intr}.get(token[0]) is not None:
@@ -306,13 +320,13 @@ def read_cameras(path):
                 if any(name == seen for seen, _ in views):
                     raise ValueError(f"line {lineno}: view name {name!r} names an earlier view")
             elif token[0] == "size":
-                size = (int(token[1]), int(token[2]))
+                size = tuple(_numbers(lineno, token[1:], int))
             elif token[0] == "intrinsics":
-                intr = tuple(float(x) for x in token[1:])
+                intr = tuple(_numbers(lineno, token[1:]))
             elif token[0] == "pose":
-                pose_rows.append([float(x) for x in token[1:]])
+                pose_rows.append(_numbers(lineno, token[1:]))
             else:
-                raise ValueError(f"unknown camera-file directive {token[0]!r}")
+                raise ValueError(f"line {lineno}: unknown camera-file directive {token[0]!r}")
     flush()
     if not views:
         raise ValueError("no 'view' block: a camera list needs at least one view")
@@ -333,18 +347,19 @@ def write_sparse_depth(path, sparse: SparseDepth):
 @reads_format
 def read_sparse_depth(path) -> SparseDepth:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [(no, line) for no, line in enumerate(fh, 1) if line.split("#", 1)[0].strip()]
+        lines = [(no, values) for no, line in enumerate(fh, 1)
+                 if (values := line.split("#", 1)[0].split())]
     if not lines:
         raise ValueError("no depth rows")
-    rows = np.loadtxt([line for _, line in lines], dtype=np.float64, ndmin=2)
-    if rows.shape[1] != 3:
-        raise ValueError(f"rows need 3 columns (u v depth), found {rows.shape[1]}")
+    for no, values in lines:
+        if len(values) != 3:
+            raise ValueError(f"line {no}: rows need 3 columns (u v depth), found {len(values)}")
+    rows = np.array([_numbers(no, values) for no, values in lines])
     # A float holds every integer exactly only below 2**53.
     pixels = rows[:, :2]
     whole = ((np.abs(pixels) < 2.0 ** 53) & (pixels == np.round(pixels))).all(axis=1)
     if not whole.all():
-        no, line = lines[int(np.argmin(whole))]
-        u, v = line.split()[:2]
+        no, (u, v, _) = lines[int(np.argmin(whole))]
         raise ValueError(f"line {no}: pixel coordinates must be integers, found {u} {v}")
     return SparseDepth(pixels.astype(np.int64), rows[:, 2])
 

@@ -40,12 +40,8 @@ def centroid_spread(points):
 
 
 def is_rotation(mat):
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.shape != (3, 3):
-        return False
-    if not np.allclose(mat.T @ mat, np.eye(3), atol=ORTHONORMAL_TOL):
-        return False
-    return np.linalg.det(mat) > 0.0
+    """Whether a 3x3 float array is orthonormal with determinant +1."""
+    return np.allclose(mat.T @ mat, np.eye(3), atol=ORTHONORMAL_TOL) and np.linalg.det(mat) > 0.0
 
 
 def look_at(eye, target):

@@ -51,8 +51,6 @@ class TouchReading:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         nrm = np.atleast_2d(np.asarray(self.normals, dtype=np.float64))
-        if pts.shape != nrm.shape or pts.shape[1] != 3:
-            raise ValueError("points and normals must both be (N, 3)")
         if not np.all(np.isfinite(pts)):
             raise ValueError("touch points must be finite")
         lengths = np.linalg.norm(nrm, axis=1)
@@ -75,8 +73,6 @@ class ConditioningSet:
         loc = np.atleast_2d(np.asarray(self.locations, dtype=np.float64))
         tgt = np.asarray(self.targets, dtype=np.float64).ravel()
         lab = np.asarray(self.labels, dtype=np.int8).ravel()
-        if loc.shape[0] != tgt.shape[0] or loc.shape[0] != lab.shape[0]:
-            raise ValueError("locations, targets and labels must have equal length")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "targets", tgt)
         object.__setattr__(self, "labels", lab)
@@ -209,9 +205,9 @@ def _kernel_block(a, b, params, out=None):
 
 
 def _voxel_downsample(points, normals, pitch):
-    """Grid downsample at `pitch`, then thin greedily so no two survivors
-    are closer than pitch/2 (grid cells alone cannot guarantee that across
-    cell boundaries)."""
+    """Grid downsample at `pitch`, then thin greedily so no two survivors are
+    closer than pitch/2 (grid cells alone cannot guarantee that across cell
+    boundaries): each point in turn goes when a kept earlier point lies that near."""
     if pitch <= 0.0:
         return points, normals
     cells = np.floor(points / pitch).astype(np.int64)
@@ -221,16 +217,13 @@ def _voxel_downsample(points, normals, pitch):
 
     min_dist = 0.5 * pitch
     pairs = cKDTree(pts).query_pairs(min_dist, output_type="ndarray")
-    if pairs.size:
-        gap = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        pairs = pairs[gap < min_dist]
-    earlier = [[] for _ in range(pts.shape[0])]
-    for a, b in pairs:
-        earlier[max(a, b)].append(min(a, b))
+    pairs = pairs[np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1) < min_dist]
+    # query_pairs puts the earlier point of a pair first. Taken in order of
+    # their later point, the pairs settle each point after every earlier one.
     keep = np.ones(pts.shape[0], dtype=bool)
-    for i in range(pts.shape[0]):
-        if any(keep[j] for j in earlier[i]):
-            keep[i] = False
+    for a, b in pairs[np.argsort(pairs[:, 1])].tolist():
+        if keep[a]:
+            keep[b] = False
     return pts[keep], nrm[keep]
 
 
@@ -272,16 +265,10 @@ def build_conditioning_set(touches, surface_offset, interior_offset, n_slices=8,
         bins = np.zeros(n, dtype=np.int64)
     else:
         bins = np.minimum((n_slices * (z - z_min) / span).astype(np.int64), n_slices - 1)
-    centroids = []
-    for b in range(n_slices):
-        members = points[bins == b]
-        if members.shape[0]:
-            centroids.append(members.mean(axis=0))
-    if centroids:
-        centroids = np.asarray(centroids)
-        locations.append(centroids)
-        targets.append(np.full(centroids.shape[0], -interior_offset))
-        labels.append(np.full(centroids.shape[0], LABEL_INTERIOR, dtype=np.int8))
+    centroids = np.asarray([points[bins == b].mean(axis=0) for b in np.unique(bins)])
+    locations.append(centroids)
+    targets.append(np.full(centroids.shape[0], -interior_offset))
+    labels.append(np.full(centroids.shape[0], LABEL_INTERIOR, dtype=np.int8))
 
     return ConditioningSet(
         np.concatenate(locations, axis=0),

@@ -6,6 +6,8 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import make_transform
+
 
 def depth_sq_errors(pred, gt_depth, mask=None):
     """Row-major squared depth errors, whose mean is D-MSE (D-MSE-O under an
@@ -70,12 +72,8 @@ def align_clouds(a, b, iters=15):
     for _ in range(iters):
         moved = a @ rot.T + trans
         matched = b[tree.query(moved, k=1)[1]]
-        rot_new, trans_new = _best_rigid(a, matched)
-        rot, trans = rot_new, trans_new
+        rot, trans = _best_rigid(a, matched)
         score = chamfer(a @ rot.T + trans, b)
         if score < best[0]:
             best = (score, rot.copy(), trans.copy())
-    transform = np.eye(4)
-    transform[:3, :3] = best[1]
-    transform[:3, 3] = best[2]
-    return transform
+    return make_transform(best[1], best[2])

@@ -16,6 +16,7 @@ Artifacts are written atomically and never embed absolute paths, so two
 runs of the same scene in different directories are byte-identical.
 """
 
+import contextlib
 import fcntl
 import hashlib
 import json
@@ -203,7 +204,22 @@ class StageIO:
 
 
 def _camera_views(io):
-    return io.read(fileio.read_cameras, "dataset:cameras.txt")
+    """The camera list's (name, camera) pairs. A name that gives one of the
+    view's `out:` files to two stages (`v_fused_0`: fuse would remove its GPIS
+    images) is malformed; each dataset file lies in one pattern's directory."""
+    views = io.read(fileio.read_cameras, "dataset:cameras.txt")
+    for view, _ in views:
+        for name in [f"out:{view}_align.txt", f"out:{view}_provenance.pgm"] + [
+                f"out:{view}_{kind}_{image}.pfm" for kind in ("gpis", "vision", "fused")
+                for image in ("depth", "var")]:
+            stages = [stage.name for stage in STAGES if stage.produces(name)]
+            if len(stages) > 1:
+                path = _path(io.cfg, "dataset:cameras.txt")
+                with open(path, encoding="utf-8") as fh:
+                    line = next(n for n, text in enumerate(fh, 1) if text.split() == ["view", view])
+                raise FormatError(f"{path}: line {line}: view name {view!r} makes {name} a file of "
+                                  f"the stages {', '.join(stages)}")
+    return views
 
 
 @reads_format
@@ -304,8 +320,7 @@ def _compose_scene(shape, camera, object_depth):
     hit = object_depth > 0.0
     depth = np.where(hit, object_depth, dome_depth)
 
-    rgb = np.empty((h, w, 3))
-    rgb[:] = BACKGROUND_COLOR
+    rgb = np.full((h, w, 3), BACKGROUND_COLOR)
     ys, xs = np.nonzero(hit)
     if xs.size:
         pts = camera.backproject(xs, ys, object_depth[ys, xs])
@@ -629,26 +644,19 @@ def _save_manifest(cfg, manifest):
     )
 
 
-class PipelineLock:
+@contextlib.contextmanager
+def _locked(out_dir):
     """One pipeline process per output directory: an exclusive flock on the
     directory itself, which the OS drops when the holder exits or dies."""
-
-    def __init__(self, out_dir):
-        self.out_dir = out_dir
-        self.fd = None
-
-    def __enter__(self):
-        self.fd = os.open(self.out_dir, os.O_RDONLY)
+    fd = os.open(out_dir, os.O_RDONLY)
+    try:
         try:
-            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            os.close(self.fd)
-            raise LockedError(f"output directory {self.out_dir} is locked by another run")
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self.fd)
-        return False
+            raise LockedError(f"output directory {out_dir} is locked by another run")
+        yield
+    finally:
+        os.close(fd)
 
 
 def wanted_stages(stages=None):
@@ -671,7 +679,7 @@ def run_pipeline(cfg: SceneConfig, stages=None):
     wanted = wanted_stages(stages)
     os.makedirs(cfg.out, exist_ok=True)
     status = {}
-    with PipelineLock(cfg.out):
+    with _locked(cfg.out):
         _remove_temp_files(cfg.out)
         manifest = _load_manifest(cfg)
         digests = {}

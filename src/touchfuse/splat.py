@@ -46,9 +46,6 @@ class SplatCloud:
         self.opacity_logits = np.asarray(self.opacity_logits, dtype=np.float64).ravel()
         self.radii = np.asarray(self.radii, dtype=np.float64).ravel()
         self.background = np.asarray(self.background, dtype=np.float64)
-        n = self.positions.shape[0]
-        if self.colors.shape[0] != n or self.opacity_logits.shape[0] != n or self.radii.shape[0] != n:
-            raise ValueError("per-splat arrays must share one length")
         if np.any(self.radii <= 0.0):
             raise ValueError("splat radii must be positive")
 

@@ -265,6 +265,25 @@ def matern32(distance, params: KernelParams):
     return float(out) if np.isscalar(distance) or out.ndim == 0 else out
 
 
+def voxel_downsample(points, normals, pitch):
+    """gpis._voxel_downsample point by point: the first point of each grid
+    cell of side `pitch`, in input order, then each of those in turn unless
+    a kept earlier one lies closer than pitch/2. A pitch of 0 keeps all."""
+    if pitch <= 0.0:
+        return points, normals
+    cells, first = set(), []
+    for i, point in enumerate(points):
+        cell = tuple(np.floor(point / pitch).astype(np.int64))
+        if cell not in cells:
+            cells.add(cell)
+            first.append(i)
+    kept = []
+    for i in first:
+        if all(np.linalg.norm(points[i] - points[j]) >= 0.5 * pitch for j in kept):
+            kept.append(i)
+    return points[kept], normals[kept]
+
+
 def rotation_about_axis(axis, angle):
     """Rodrigues rotation matrix for a unit axis and angle in radians."""
     k = unit(axis)

@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 import scipy
 
-from touchfuse import workers
+from touchfuse import gpis, workers
 from touchfuse.config import validate_config
-from touchfuse.pipeline import run_pipeline
+from touchfuse.pipeline import STAGE_ORDER, run_pipeline
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.append(os.path.dirname(HERE))
@@ -96,3 +96,32 @@ def test_artifact_bytes_match_the_pinned_digests(bundled_run, torus_run):
               for path in sorted(set(digests) | set(found[scene]))
               if digests.get(path) != found[scene].get(path)]
     assert not differ, f"{len(differ)} files differ from their pinned digests: {differ}"
+
+
+@pytest.mark.parametrize("scene", ["sphere", "torus"])
+@pytest.mark.parametrize("run", ["stage-by-stage", "one-cpu"])
+def test_refit_and_one_cpu_write_the_reference_bytes(bundled_run, torus_run, tmp_path, monkeypatch,
+                                                     scene, run):
+    """The reference runs each scene in one run_pipeline call, so
+    gpis-render takes the model gpis-fit fitted, and the rho grid, a view's
+    rays and train's views split across the usable CPUs where the work pays
+    for the forks. One call per stage, with the model handoff emptied
+    before gpis-render as a process of its own finds it, refits gpis.model
+    (the torus's 4,283 points and 3-value grid take the refit to a size the
+    sphere's one candidate does not); one usable CPU, which `taskset -c 0`
+    gives, scores every candidate, marches every ray and trains every view
+    in one process. Either way every file under data/ and out/ is the
+    reference's, byte for byte."""
+    reference = os.path.dirname(bundled_run["config_path"]) if scene == "sphere" else torus_run
+    with open(os.path.join(reference, "scene.cfg"), encoding="utf-8") as fh:
+        (tmp_path / "scene.cfg").write_text(fh.read())
+    cfg = validate_config(str(tmp_path / "scene.cfg"), require_dataset=False)
+    if run == "stage-by-stage":
+        for stage in STAGE_ORDER:
+            if stage == "gpis-render":
+                gpis._saved = None
+            assert run_pipeline(cfg, [stage]) == {stage: "ran"}
+    else:
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+        assert set(run_pipeline(cfg).values()) == {"ran"}
+    assert tree_digests(str(tmp_path)) == tree_digests(reference)

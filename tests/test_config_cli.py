@@ -677,13 +677,19 @@ class TestExitCodes:
         # a view whose files the dataset lacks is no missing simulate run
         ("data/cameras.txt", "align", lambda text: text.replace("view view000", "view view100"),
          "mono_depth/view100.pfm missing, but"),
+        ("data/sparse/view000.txt", "align",
+         lambda text: re.sub(r"(?m)\A(.*\n).*\n", r"\g<1>4 5 x\n", text),
+         "line 2: values must be numbers, found 4 5 x"),
+        ("data/sparse/view000.txt", "align",
+         lambda text: re.sub(r"(?m)\A(.*\n)(\S+ \S+) \S+\n", r"\1\2\n", text),
+         "line 2: rows need 3 columns (u v depth), found 2"),
     ], ids=["sparse-outside-image", "sparse-one-row", "sparse-one-row-twice", "ply-long-normal",
             "ply-nan-normal", "ply-infinite-point", "sparse-nan-depth", "sparse-inf-depth",
             "sparse-fractional-pixel", "sparse-nan-pixel", "scene-empty-eval",
             "scene-halved-eval", "scene-comma-eval", "init-nan-opacity", "init-nan-color",
             "init-nan-position", "init-opacity-above-one", "splats-negative-opacity",
             "splats-infinite-radius", "init-no-splat", "splats-no-splat",
-            "cameras-view-without-files"])
+            "cameras-view-without-files", "sparse-word-on-line-2", "sparse-short-row-on-line-2"])
     def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                       message):
         target = tmp_path / path
@@ -706,8 +712,17 @@ class TestExitCodes:
          "line 1: view name 'view*' is not letters, digits"),
         ("data/scene.cfg", "eval", lambda text: text + "shape = torus\nsize = 1 0.35\n",
          "line 3: duplicate key 'shape' (first set on line 1)"),
+        # fuse would remove this view's GPIS and vision images as its own
+        ("data/cameras.txt", "gpis-render",
+         lambda text: text.replace("view view001", "view v_fused_0"),
+         "line 8: view name 'v_fused_0' makes out:v_fused_0_gpis_depth.pfm a file of the "
+         "stages gpis-render, fuse"),
+        ("data/cameras.txt", "fuse",
+         lambda text: text.replace("view view000", "view eval_report.x"),
+         "line 1: view name 'eval_report.x' makes out:eval_report.x_align.txt a file of the "
+         "stages align, eval"),
     ], ids=["view-name-escaping-out", "view-name-repeated", "view-name-pattern",
-            "scene-key-repeated"])
+            "scene-key-repeated", "view-name-of-two-stages", "view-name-of-eval"])
     def test_name_or_key_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                             message):
         """A view name becomes part of file paths and patterns, and a
@@ -735,8 +750,19 @@ class TestExitCodes:
          "line 8: camera block 'view001': pose must be a finite rigid transform"),
         (lambda text: re.sub(r"(?m)^(pose .*\n)(view view001)", r"\1\1\2", text, count=1),
          "line 8: fifth 'pose' line in camera block 'view000'"),
+        (lambda text: text.replace("size 24 24", "size 64.0 64", 1),
+         "line 2: values must be integers, found 64.0 64"),
+        (lambda text: re.sub(r"(?m)^intrinsics \S+ \S+", "intrinsics 48 abc", text, count=1),
+         "line 3: values must be numbers, found 48 abc"),
+        (lambda text: text.replace("size 24 24", "size 24", 1),
+         "line 2: 'size' line needs 2 values, found 1"),
+        (lambda text: text.replace("size 24 24", "focal 18", 1),
+         "line 2: unknown camera-file directive 'focal'"),
+        (lambda text: text.rstrip("\n").rpartition("\n")[0] + "\n",
+         "line 8: camera block 'view001' is incomplete"),
     ], ids=["nan-pose", "inf-pose", "nan-fx", "directive-before-first-view", "repeated-size",
-            "nan-pose-second-view", "fifth-pose"])
+            "nan-pose-second-view", "fifth-pose", "fractional-size", "word-in-intrinsics",
+            "short-size", "unknown-directive", "incomplete-last-block"])
     def test_camera_list_a_stage_cannot_use(self, built, tmp_path, capsys, edit, message):
         """Non-finite camera values and misplaced or repeated directives
         make the camera list malformed at the first stage that reads it,
@@ -772,6 +798,20 @@ class TestExitCodes:
         assert "malformed file" in err and "touch000.ply" in err and message in err
         assert "simulate" not in err
         assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == made
+
+    @pytest.mark.parametrize("path, stage, edit, message", [
+        ("data/gt_depth/view000.pfm", "eval", lambda blob: blob + b"\0",
+         "header declares a 24x24 image, 2304 bytes; the data holds 2305 bytes"),
+        ("data/rgb/view000.ppm", "train", lambda blob: blob[:-1],
+         "header declares a 24x24 image, 1728 bytes; the data holds 1727 bytes"),
+    ], ids=["pfm-byte-extra", "ppm-byte-short"])
+    def test_raster_of_another_length(self, built, tmp_path, capsys, path, stage, edit, message):
+        target = tmp_path / path
+        target.write_bytes(edit(target.read_bytes()))
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and os.path.basename(path) in err and message in err
+        assert "simulate" not in err
 
     def test_scene_record_with_keys_nothing_reads(self, built, tmp_path):
         """An older run's record, or a real dataset's, may hold more keys."""

@@ -29,7 +29,7 @@ from touchfuse.gpis import (
 )
 from touchfuse.workers import PART_SECONDS
 
-from oracles import matern32, rotation_about_axis
+from oracles import matern32, rotation_about_axis, voxel_downsample
 
 # The search's noise and cap where a test sets neither: the config schema's
 # [kernel] noise and [conditioning] cap.
@@ -447,6 +447,27 @@ class TestBuildConditioningSet:
         dist = np.sqrt((diff ** 2).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
         assert dist.min() >= voxel / 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(pitch=st.sampled_from([0.0, 0.125, 0.25, 1.0]),
+           ticks=st.lists(st.tuples(*[st.integers(-24, 24)] * 3), min_size=1, max_size=40),
+           shifts=st.lists(st.tuples(st.integers(0, 79), st.tuples(*[st.integers(-1, 1)] * 3)),
+                           max_size=40))
+    def test_voxel_downsample_keeps_the_points_the_greedy_rule_keeps(self, pitch, ticks, shifts):
+        """Each shift adds a near-duplicate of an earlier point, up to one
+        1/32 step away on each axis, often across a cell border; shifted
+        copies of copies make chains, where a point goes or stays by
+        whether the point near it before it stayed. Coordinates are
+        multiples of 1/32, so every distance compares exactly."""
+        points = np.array(ticks, dtype=np.float64)
+        for index, step in shifts:
+            points = np.vstack([points, points[index % len(points)] + step])
+        points /= 32.0
+        normals = np.arange(points.size, dtype=np.float64).reshape(points.shape)
+        found = gpis._voxel_downsample(points, normals, pitch)
+        expected = voxel_downsample(points, normals, pitch)
+        for got, want in zip(found, expected):
+            assert np.array_equal(got, want)
 
 
 class TestFitAndQuery:
