@@ -21,7 +21,7 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
     `binary_little_endian 1.0`, a binary property not `float64`/`double`,
     or more or fewer values or bytes than the header declares (both named);
   - touch files with no two distinct points; a splat PLY with no splat, a
-    non-finite value or an opacity outside [0, 1];
+    non-finite value, or not one `obj_info background r g b` header line;
   - a camera list with no view, a view whose files the dataset lacks, a
     view name used twice, not letters, digits, `_`, `-` and `.` (no
     leading `.`) or giving a file to two stages (`v_fused_0`), a non-finite

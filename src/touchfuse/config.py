@@ -10,6 +10,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .fileio import number
 from .touchsim import SHAPE_KINDS, AnalyticShape
 
 
@@ -147,7 +148,7 @@ def _parse_value(kind, text, key, validator, lineno=None):
     scalar = kind in ("int", "float")
     tokens = [text] if scalar else text.replace(",", " ").split()
     try:
-        numbers = tuple(map(int if kind == "int" else float, tokens))
+        numbers = tuple(number(token, int if kind == "int" else float) for token in tokens)
     except ValueError:
         numbers = ()
     if not numbers:

@@ -24,13 +24,13 @@ class FormatError(ValueError):
 
 
 def reads_format(reader):
-    """Decorate a file reader `reader(path, ...)` so that any ValueError it
+    """Decorate a file reader `reader(path)` so that any ValueError it
     raises on malformed content surfaces as a FormatError naming the file."""
 
     @functools.wraps(reader)
-    def wrapper(path, *args, **kwargs):
+    def wrapper(path):
         try:
-            return reader(path, *args, **kwargs)
+            return reader(path)
         except FormatError:
             raise
         except ValueError as exc:

@@ -4,7 +4,8 @@ sets, camera lists, sparse depth tables and key=value manifests.
 Touch files are binary little-endian PLY of float64 properties; datasets
 written before that are ASCII PLY, and the reader takes either encoding.
 Splat PLYs (`init.ply`, `splats.ply`) stay ASCII, because the benchmark's
-own checker reads them as text.
+own checker reads them as text; they hold the whole cloud, background too.
+Every number of a text file or header is ASCII decimal (`number`).
 
 Every write goes through a temp-file + rename so partially written artifacts
 never appear under their final name. Every reader raises FormatError (a
@@ -43,6 +44,18 @@ def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+# A float may also be NaN or infinity, which each reader keeps or rejects.
+_DECIMAL = {int: re.compile(r"[+-]?[0-9]+"), float: re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|nan|inf|infinity)", re.IGNORECASE)}
+
+
+def number(text, kind=float):
+    """`text` as an ASCII decimal `kind`, int or float (`kind` alone takes `6_4` and `١`)."""
+    if not _DECIMAL[kind].fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal {kind.__name__}")
+    return kind(text)
+
+
 def _raster_data(fh, width, height, pixel_bytes):
     """The rest of a raster file: exactly the header's width x height pixels."""
     data = fh.read()
@@ -69,8 +82,8 @@ def read_pfm(path):
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"Pf":
             raise ValueError("not a grayscale PFM file")
-        width, height = map(int, fh.readline().split())
-        scale = float(fh.readline())
+        width, height = (number(x, int) for x in fh.readline().decode("ascii", "replace").split())
+        scale = number(fh.readline().decode("ascii", "replace").strip())
         dtype = "<f4" if scale < 0 else ">f4"
         data = _raster_data(fh, width, height, 4)
     return np.frombuffer(data, dtype=dtype).reshape(height, width)[::-1].astype(np.float64)
@@ -100,7 +113,7 @@ def _pnm_tokens(fh, count):
         if not byte.isspace():
             token += byte
         elif token:
-            tokens.append(token)
+            tokens.append(token.decode("ascii", "replace"))
             token = b""
     return tokens
 
@@ -110,7 +123,7 @@ def _read_pnm(path, magic, kind, channels):
     with open(path, "rb") as fh:
         if _pnm_tokens(fh, 1) != [magic]:
             raise ValueError(f"not a binary {kind} file")
-        width, height, maxval = map(int, _pnm_tokens(fh, 3))
+        width, height, maxval = (number(x, int) for x in _pnm_tokens(fh, 3))
         if maxval != 255:
             raise ValueError(f"maxval {maxval}: only 8-bit {kind} files (maxval 255) are read")
         data = _raster_data(fh, width, height, channels)
@@ -124,7 +137,7 @@ def write_pgm(path, image):
 
 @reads_format
 def read_pgm(path):
-    return _read_pnm(path, b"P5", "PGM", 1)[:, :, 0].copy()
+    return _read_pnm(path, "P5", "PGM", 1)[:, :, 0].copy()
 
 
 def write_ppm(path, image):
@@ -135,7 +148,7 @@ def write_ppm(path, image):
 
 @reads_format
 def read_ppm(path):
-    return _read_pnm(path, b"P6", "PPM", 3).astype(np.float64) / 255.0
+    return _read_pnm(path, "P6", "PPM", 3).astype(np.float64) / 255.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,23 +157,23 @@ def read_ppm(path):
 # ---------------------------------------------------------------------------
 
 _TOUCH_PROPS = ("x", "y", "z", "nx", "ny", "nz")
-_SPLAT_PROPS = ("x", "y", "z", "r", "g", "b", "opacity", "radius")
+_SPLAT_PROPS = ("x", "y", "z", "r", "g", "b", "opacity_logit", "radius")
 _PLY_FORMATS = ("ascii 1.0", "binary_little_endian 1.0")
 # Open3D names the type `double`.
 _PLY_FLOAT64 = ("float64", "double")
 
 
-def _ply_header(fmt, props, count):
-    lines = ["ply", f"format {fmt}", f"element vertex {count}"]
+def _ply_header(fmt, props, count, info=()):
+    lines = ["ply", f"format {fmt}", *info, f"element vertex {count}"]
     lines += [f"property float64 {name}" for name in props]
     return ("\n".join(lines) + "\nend_header\n").encode("ascii")
 
 
-def _write_ply_rows(path, props, rows):
-    """Write one float64 vertex property per column of `rows` as ASCII,
-    each value as %.17g so that _read_ply_rows gets the same bits back."""
+def _write_ply_rows(path, props, rows, info=()):
+    """Write one float64 vertex property per column of `rows` as ASCII, under a header
+    holding the lines `info`, each value %.17g so that _read_ply_rows gets the same bits."""
     text = "".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in rows.tolist())
-    atomic_write_bytes(path, _ply_header("ascii 1.0", props, len(rows)) + text.encode("ascii"))
+    atomic_write_bytes(path, _ply_header("ascii 1.0", props, len(rows), info) + text.encode())
 
 
 def write_touch_ply(path, points, normals):
@@ -173,12 +186,12 @@ def write_touch_ply(path, points, normals):
 
 def _read_ply_rows(path, expected_props):
     """The (N, k) float64 vertex rows of a PLY file whose vertex properties
-    are `expected_props`, in ASCII or binary little-endian float64. The data
-    must hold exactly the header's N × k values."""
+    are `expected_props`, in ASCII or binary little-endian float64 (exactly
+    the header's N × k values), and the tokens of each `obj_info` line."""
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"ply":
             raise ValueError("not a PLY file")
-        fmt, count, props, types = None, None, [], []
+        fmt, count, props, types, info = None, None, [], [], []
         for line in fh:
             token = line.decode("ascii").split()
             if token == ["end_header"]:
@@ -186,12 +199,14 @@ def _read_ply_rows(path, expected_props):
             if token[:1] == ["format"]:
                 fmt = " ".join(token[1:])
             elif token[:2] == ["element", "vertex"]:
-                count = int(token[-1])
+                count = number(token[-1], int)
             elif token[:1] == ["property"]:
                 if len(token) < 3:
                     raise ValueError(f"PLY property line {' '.join(token)!r} names no type and name")
                 types.append(token[1])
                 props.append(token[-1])
+            elif token[:1] == ["obj_info"]:
+                info.append(token[1:])
         else:
             raise ValueError("PLY header has no end_header line")
         body = fh.read()
@@ -212,43 +227,47 @@ def _read_ply_rows(path, expected_props):
             raise ValueError(f"{declared}, {count * k} values; the data holds {rows.size}")
         if rows.shape[1] != k:
             raise ValueError(f"PLY rows have {rows.shape[1]} values for {k} properties")
-        return rows
+        return rows, info
     bad = [t for t in types if t not in _PLY_FLOAT64]
     if bad:
         raise ValueError(f"PLY property type {bad[0]!r}: binary properties must be float64")
     if len(body) != count * k * 8:
         raise ValueError(f"{declared}, {count * k * 8} bytes of float64; "
                          f"the data holds {len(body)} bytes")
-    return np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(count, k)
+    return np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(count, k), info
 
 
 @reads_format
 def read_touch_ply(path) -> TouchReading:
     """Read one touch file: finite points with unit normals."""
-    rows = _read_ply_rows(path, _TOUCH_PROPS)
+    rows, _ = _read_ply_rows(path, _TOUCH_PROPS)
     return TouchReading(rows[:, :3], rows[:, 3:6])
 
 
 def write_splat_ply(path, cloud: SplatCloud):
+    """Write a splat cloud, its background on an `obj_info` header line."""
     _write_ply_rows(path, _SPLAT_PROPS, np.column_stack(
-        [cloud.positions, cloud.colors, cloud.opacities, cloud.radii]))
+        [cloud.positions, cloud.colors, cloud.opacity_logits, cloud.radii]),
+        ["obj_info background " + " ".join(f"{x:.17g}" for x in cloud.background)])
 
 
 @reads_format
-def read_splat_ply(path, background) -> SplatCloud:
-    """Read a splat cloud, rendered over `background`. Every value must be
-    finite and every opacity in [0, 1]."""
-    rows = _read_ply_rows(path, _SPLAT_PROPS)
+def read_splat_ply(path) -> SplatCloud:
+    """Read a splat cloud of one splat or more, every value finite."""
+    rows, info = _read_ply_rows(path, _SPLAT_PROPS)
+    lines = [values[1:] for values in info if values[:1] == ["background"]]
+    if [len(values) for values in lines] != [3]:
+        raise ValueError("the header needs one 'obj_info background r g b' line")
+    background = np.array([number(x) for x in lines[0]])
+    if not np.isfinite(background).all():
+        raise ValueError(f"background {' '.join(lines[0])} is not finite")
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
         i, column = bad[0]
         raise ValueError(f"vertex {i}: {_SPLAT_PROPS[column]} {rows[i, column]} is not finite")
-    bad = np.flatnonzero((rows[:, 6] < 0.0) | (rows[:, 6] > 1.0))
-    if bad.size:
-        raise ValueError(f"vertex {bad[0]}: opacity {rows[bad[0], 6]} is outside [0, 1]")
-    alphas = np.clip(rows[:, 6], 1e-12, 1.0 - 1e-12)
-    logits = np.log(alphas / (1.0 - alphas))
-    return SplatCloud(rows[:, :3], rows[:, 3:6], logits, rows[:, 7], np.asarray(background))
+    if not len(rows):
+        raise ValueError("the cloud holds no splat")
+    return SplatCloud(rows[:, :3], rows[:, 3:6], rows[:, 6], rows[:, 7], background)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +289,7 @@ def write_cameras(path, views):
 def _numbers(lineno, tokens, kind=float):
     """The values of line `lineno` of a text table, its `tokens` parsed by `kind`."""
     try:
-        return [kind(x) for x in tokens]
+        return [number(x, kind) for x in tokens]
     except ValueError:
         raise ValueError(f"line {lineno}: values must be {'integers' if kind is int else 'numbers'}"
                          f", found {' '.join(tokens)}") from None

@@ -33,7 +33,7 @@ from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
 from .config import SCHEMA, SceneConfig, _check_size, _parse_value
 from .errors import ConfigError, DependencyError, FormatError, LockedError, reads_format
 
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 MONO_SCALE = 2.5
 MONO_OFFSET = 0.3
 # The simulated rig and sensors, in m (SPARSE_NOISE in 1/m, as make_sparse_depth takes it).
@@ -115,10 +115,10 @@ class StageIO:
         self.inputs = set()
         self.outputs = set()
 
-    def read(self, reader, name, *args, **kwargs):
+    def read(self, reader, name):
         path = _path(self.cfg, name)
         self._record_input(name, os.path.exists(path))
-        return reader(path, *args, **kwargs)
+        return reader(path)
 
     def glob(self, pattern):
         names = _matching(self.cfg, pattern)
@@ -241,11 +241,8 @@ def _read_scene(path):
 
 
 def _background_color(rgbs, gpis_depths):
-    """The splat renderer's background color: per channel, the median of
-    the RGB pixels that no GPIS ray hit (depth 0), over every view's image
-    in `rgbs` and its GPIS depth in `gpis_depths`. When GPIS hit every
-    pixel of every view there is no such pixel, and the background is
-    black, the SplatCloud default."""
+    """The background init-points stores in the cloud: per channel, the median
+    of the `rgbs` pixels no GPIS ray hit (`gpis_depths` 0), or black if none."""
     missed = np.concatenate([rgb[depth == 0.0] for rgb, depth in zip(rgbs, gpis_depths)])
     return np.median(missed, axis=0) if len(missed) else np.zeros(3)
 
@@ -465,28 +462,12 @@ def _read_rgb(io, name, cam):
     return _read_view(io, fileio.read_ppm, f"dataset:rgb/{name}.ppm", cam)
 
 
-def _read_splats(io, name, cameras, rgbs):
-    """A splat cloud, rendered over the background color of the views
-    `cameras` with RGB images `rgbs` and their GPIS depths. A file of no
-    splat is malformed, since eval scores a cloud against the shape's
-    surface."""
-    gpis_depths = [_load_depth_var(io, view, "gpis", cam)[0] for view, cam in cameras]
-    cloud = io.read(fileio.read_splat_ply, name, _background_color(rgbs, gpis_depths))
-    if not len(cloud):
-        raise FormatError(f"{_path(io.cfg, name)}: the cloud holds no splat")
-    return cloud
-
-
 def stage_init_points(cfg: SceneConfig, io: StageIO):
     views = _camera_views(io)
-    depth_views = []
-    colors = []
-    for name, cam in views:
-        depth, _ = _load_depth_var(io, name, "gpis", cam)
-        depth_views.append((depth, cam))
-        colors.append(_read_rgb(io, name, cam)[depth > 0.0])
-    points = splat.backproject_init(depth_views)
-    colors = np.concatenate(colors, axis=0)
+    depths = [_load_depth_var(io, name, "gpis", cam)[0] for name, cam in views]
+    rgbs = [_read_rgb(io, name, cam) for name, cam in views]
+    points = splat.backproject_init([(depth, cam) for depth, (_, cam) in zip(depths, views)])
+    colors = np.concatenate([rgb[depth > 0.0] for rgb, depth in zip(rgbs, depths)])
 
     train = cfg.section("train")
     rng = np.random.default_rng(cfg.seed)
@@ -496,21 +477,21 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
 
     # Each splat covers about 1.5 pixels at the median depth and starts at
     # opacity 0.7.
-    median_depth = float(np.median(np.concatenate([d[d > 0.0] for d, _ in depth_views])))
+    median_depth = float(np.median(np.concatenate([d[d > 0.0] for d in depths])))
     radius = 1.5 * median_depth / views[0][1].fx
     opacity = 0.7
     logit = math.log(opacity / (1.0 - opacity))
     cloud = splat.SplatCloud(
         points, colors, np.full(points.shape[0], logit), np.full(points.shape[0], radius),
+        _background_color(rgbs, depths),
     )
     io.write(fileio.write_splat_ply, "out:init.ply", cloud)
 
 
 def stage_train(cfg: SceneConfig, io: StageIO):
-    cameras = _camera_views(io)
     views = [(_read_rgb(io, name, cam), *_load_depth_var(io, name, "fused", cam), cam)
-             for name, cam in cameras]
-    cloud = _read_splats(io, "out:init.ply", cameras, [rgb for rgb, *_ in views])
+             for name, cam in _camera_views(io)]
+    cloud = io.read(fileio.read_splat_ply, "out:init.ply")
     log_rows = []
     trained = splat.optimize(
         cloud, views, splat.LossConfig(**cfg.section("loss")), cfg.get("train", "iters"),
@@ -524,10 +505,8 @@ def stage_train(cfg: SceneConfig, io: StageIO):
 
 
 def stage_eval(cfg: SceneConfig, io: StageIO):
-    cameras = _camera_views(io)
     shape = io.read(_read_scene, "dataset:scene.cfg")
-    gt_rgbs = [_read_rgb(io, name, cam) for name, cam in cameras]
-    cloud = _read_splats(io, "out:splats.ply", cameras, gt_rgbs)
+    cloud = io.read(fileio.read_splat_ply, "out:splats.ply")
 
     def mse(sq_errors):
         return float(np.mean(sq_errors)) if sq_errors.size else math.nan
@@ -536,7 +515,8 @@ def stage_eval(cfg: SceneConfig, io: StageIO):
     sq_err_all = []
     sq_err_obj = []
     psnrs = []
-    for (name, cam), gt_rgb in zip(cameras, gt_rgbs):
+    for name, cam in _camera_views(io):
+        gt_rgb = _read_rgb(io, name, cam)
         gt_depth = _read_view(io, fileio.read_pfm, f"dataset:gt_depth/{name}.pfm", cam)
         object_mask = touchsim.render_gt_depth(shape, cam) > 0.0
 
@@ -548,9 +528,8 @@ def stage_eval(cfg: SceneConfig, io: StageIO):
                           f"{mse(sq_err_obj[-1]):.12g},,")
 
     gt_cloud = touchsim.surface_points(shape, cfg.get("eval", "gt_points"), seed=cfg.seed)
-    pred = cloud.positions
-    transform = metrics.align_clouds(pred, gt_cloud)
-    moved = pred @ transform[:3, :3].T + transform[:3, 3]
+    transform = metrics.align_clouds(cloud.positions, gt_cloud)
+    moved = geometry.transform_points(transform, cloud.positions)
     lines = ["view,psnr_db,d_mse,d_mse_o,chamfer,hausdorff",
              f"all,{float(np.mean(psnrs)):.12g},{mse(np.concatenate(sq_err_all)):.12g},"
              f"{mse(np.concatenate(sq_err_obj)):.12g},{metrics.chamfer(moved, gt_cloud):.12g},"

@@ -239,11 +239,7 @@ def _load_scene_products(run):
         vd = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_vision_depth.pfm"))
         vv = fileio.read_pfm(pipeline._path(cfg, f"out:{name}_vision_var.pfm"))
         products["vision_views"].append((products["gt_rgb"][name], vd, vv, cam))
-    products["background"] = pipeline._background_color(
-        products["gt_rgb"].values(),
-        [fileio.read_pfm(pipeline._path(cfg, f"out:{name}_gpis_depth.pfm")) for name, _ in views])
-    products["init"] = fileio.read_splat_ply(
-        pipeline._path(cfg, "out:init.ply"), products["background"])
+    products["init"] = fileio.read_splat_ply(pipeline._path(cfg, "out:init.ply"))
     return products
 
 
@@ -264,7 +260,6 @@ def test_criterion_09_directional_trend(bundled_run):
     started = time.perf_counter()
     products = _load_scene_products(bundled_run)
     init = products["init"]
-    background = np.asarray(products["background"])
     iters, step = 150, 5e-3
     fused_cfg = LossConfig(depth_weight=1.0, sharpness=3.0, decay=0.99)
     color_cfg = LossConfig(depth_weight=0.0, sharpness=3.0, decay=1.0)
@@ -280,7 +275,7 @@ def test_criterion_09_directional_trend(bundled_run):
         positions = rng.uniform(-1.5, 1.5, size=(n, 3))
         colors = rng.uniform(0.0, 1.0, size=(n, 3))
         base = SplatCloud(positions, colors, np.full(n, math.log(0.7 / 0.3)),
-                          np.full(n, init.radii[0]), background)
+                          np.full(n, init.radii[0]), init.background)
         color_arm = optimize(base, products["fused_views"], color_cfg, iters, step=step)
         vision_arm = optimize(base, products["vision_views"], fused_cfg, iters, step=step)
         cm = _depth_metrics(products, color_arm)

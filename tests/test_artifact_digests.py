@@ -25,12 +25,13 @@ import numpy as np
 import pytest
 import scipy
 
-from touchfuse import gpis, workers
+from touchfuse import fileio, gpis, pipeline, workers
 from touchfuse.config import validate_config
 from touchfuse.pipeline import STAGE_ORDER, run_pipeline
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.append(os.path.dirname(HERE))
+REPO = os.path.dirname(HERE)
+sys.path.append(REPO)
 
 from perfbench.scenes import SCENE_HEAD, TORUS  # noqa: E402
 
@@ -125,3 +126,19 @@ def test_refit_and_one_cpu_write_the_reference_bytes(bundled_run, torus_run, tmp
         monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
         assert set(run_pipeline(cfg).values()) == {"ran"}
     assert tree_digests(str(tmp_path)) == tree_digests(reference)
+
+
+def test_text_files_read_through_the_number_grammar(bundled_run, torus_run):
+    """Every number the pipeline writes into a text file, and every number
+    of the shipped configs, is ASCII decimal: the readers take each through
+    fileio.number."""
+    for root in (os.path.dirname(bundled_run["config_path"]), torus_run):
+        data = os.path.join(root, "data")
+        for name, _ in fileio.read_cameras(os.path.join(data, "cameras.txt")):
+            fileio.read_sparse_depth(os.path.join(data, "sparse", f"{name}.txt"))
+        pipeline._read_scene(os.path.join(data, "scene.cfg"))
+        validate_config(os.path.join(root, "scene.cfg"))
+    configs = glob.glob(os.path.join(REPO, "configs", "*.cfg"))
+    assert configs
+    for path in configs:
+        validate_config(path, require_dataset=False)

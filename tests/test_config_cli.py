@@ -514,11 +514,13 @@ class TestExitCodes:
          "line 6: unknown key 'step_fraction' in section [march]"),
         ("[sim]\nsparse_fraction = 0.0003\n",
          "line 6: key 'sparse_fraction': view000: fraction 0.0003 yields 1 samples"),
+        ("[loss]\ndecay = \u0662\n", "line 6: key 'decay': expected a number, got '\u0662'"),
     ], ids=["negative-rho", "repeated-rho", "empty-rho", "torus-one-radius",
             "torus-default-size", "zero-size", "nan-vision-bias", "nan-patch-radius",
             "nan-prior-mean", "auto-voxel",
             "inf-orbit-height", "inf-touch-noise", "inf-max-gap", "inf-focal", "inf-noise",
-            "inf-output-scale", "old-step-fraction", "too-few-sparse-samples"])
+            "inf-output-scale", "old-step-fraction", "too-few-sparse-samples",
+            "non-ascii-digit"])
     def test_value_that_fails_a_stage_is_a_config_error(self, tmp_path, capsys, extra, message):
         path = write_config(tmp_path, MINIMAL + extra, make_dataset=False)
         assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
@@ -661,15 +663,20 @@ class TestExitCodes:
         ("data/scene.cfg", "eval", lambda text: text.replace("size = 1", "size = 1,5"),
          "key 'size': sphere takes a single radius"),
         ("out/init.ply", "train", edit_first_ply_row(lambda row: row[:6] + ["nan"] + row[7:]),
-         "vertex 0: opacity nan is not finite"),
+         "vertex 0: opacity_logit nan is not finite"),
         ("out/init.ply", "train", edit_first_ply_row(lambda row: row[:3] + ["nan"] + row[4:]),
          "vertex 0: r nan is not finite"),
         ("out/init.ply", "train", edit_first_ply_row(lambda row: ["nan"] + row[1:]),
          "vertex 0: x nan is not finite"),
-        ("out/init.ply", "train", edit_first_ply_row(lambda row: row[:6] + ["1.5"] + row[7:]),
-         "vertex 0: opacity 1.5 is outside [0, 1]"),
-        ("out/splats.ply", "eval", edit_first_ply_row(lambda row: row[:6] + ["-0.5"] + row[7:]),
-         "vertex 0: opacity -0.5 is outside [0, 1]"),
+        ("out/init.ply", "train", lambda text: re.sub(r"obj_info background .*\n", "", text),
+         "the header needs one 'obj_info background r g b' line"),
+        ("out/init.ply", "train", lambda text: re.sub(r"(obj_info background .*\n)", r"\1\1", text),
+         "the header needs one 'obj_info background r g b' line"),
+        ("out/init.ply", "train",
+         lambda text: re.sub(r"(obj_info background) \S+", r"\1 nan", text),
+         "background nan 0.20000000000000001 0.20000000000000001 is not finite"),
+        ("out/splats.ply", "eval", lambda text: text.replace(" opacity_logit\n", " opacity\n"),
+         "PLY properties ['x', 'y', 'z', 'r', 'g', 'b', 'opacity', 'radius'] do not match"),
         ("out/splats.ply", "eval", edit_first_ply_row(lambda row: row[:7] + ["inf"]),
          "vertex 0: radius inf is not finite"),
         ("out/init.ply", "train", no_ply_rows, "the cloud holds no splat"),
@@ -680,6 +687,8 @@ class TestExitCodes:
         ("data/sparse/view000.txt", "align",
          lambda text: re.sub(r"(?m)\A(.*\n).*\n", r"\g<1>4 5 x\n", text),
          "line 2: values must be numbers, found 4 5 x"),
+        ("data/sparse/view000.txt", "align", lambda text: re.sub(r"^.*\n", "1_0 2 3.5\n", text),
+         "line 1: values must be numbers, found 1_0 2 3.5"),
         ("data/sparse/view000.txt", "align",
          lambda text: re.sub(r"(?m)\A(.*\n)(\S+ \S+) \S+\n", r"\1\2\n", text),
          "line 2: rows need 3 columns (u v depth), found 2"),
@@ -687,9 +696,11 @@ class TestExitCodes:
             "ply-nan-normal", "ply-infinite-point", "sparse-nan-depth", "sparse-inf-depth",
             "sparse-fractional-pixel", "sparse-nan-pixel", "scene-empty-eval",
             "scene-halved-eval", "scene-comma-eval", "init-nan-opacity", "init-nan-color",
-            "init-nan-position", "init-opacity-above-one", "splats-negative-opacity",
+            "init-nan-position", "init-no-background", "init-two-backgrounds",
+            "init-nan-background", "splats-old-opacity-property",
             "splats-infinite-radius", "init-no-splat", "splats-no-splat",
-            "cameras-view-without-files", "sparse-word-on-line-2", "sparse-short-row-on-line-2"])
+            "cameras-view-without-files", "sparse-word-on-line-2", "sparse-underscore-pixel",
+            "sparse-short-row-on-line-2"])
     def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                       message):
         target = tmp_path / path
@@ -752,6 +763,8 @@ class TestExitCodes:
          "line 8: fifth 'pose' line in camera block 'view000'"),
         (lambda text: text.replace("size 24 24", "size 64.0 64", 1),
          "line 2: values must be integers, found 64.0 64"),
+        (lambda text: text.replace("size 24 24", "size 6_4 64", 1),
+         "line 2: values must be integers, found 6_4 64"),
         (lambda text: re.sub(r"(?m)^intrinsics \S+ \S+", "intrinsics 48 abc", text, count=1),
          "line 3: values must be numbers, found 48 abc"),
         (lambda text: text.replace("size 24 24", "size 24", 1),
@@ -761,7 +774,8 @@ class TestExitCodes:
         (lambda text: text.rstrip("\n").rpartition("\n")[0] + "\n",
          "line 8: camera block 'view001' is incomplete"),
     ], ids=["nan-pose", "inf-pose", "nan-fx", "directive-before-first-view", "repeated-size",
-            "nan-pose-second-view", "fifth-pose", "fractional-size", "word-in-intrinsics",
+            "nan-pose-second-view", "fifth-pose", "fractional-size", "underscore-size",
+            "word-in-intrinsics",
             "short-size", "unknown-directive", "incomplete-last-block"])
     def test_camera_list_a_stage_cannot_use(self, built, tmp_path, capsys, edit, message):
         """Non-finite camera values and misplaced or repeated directives
@@ -849,8 +863,8 @@ class TestExitCodes:
             assert "dependency error" in err and "run the simulate stage first" in err
 
     def test_training_needs_no_scene_record(self, pristine, tmp_path):
-        """Train takes its background from the pixels GPIS missed, so a
-        dataset without scene.cfg trains the same cloud."""
+        """Train takes its background from init.ply, so a dataset without
+        scene.cfg trains the same cloud."""
         shutil.copytree(pristine / "data", tmp_path / "data")
         os.unlink(tmp_path / "data/scene.cfg")
         config = str(write_config(tmp_path, SMALL_SCENE, make_dataset=False))
@@ -989,6 +1003,16 @@ class TestSkipRules:
     def test_deleted_init_ply_reruns_init_points(self, built):
         os.unlink(os.path.join(built.out, "init.ply"))
         assert self.ran(run_pipeline(built)) == ["init-points"]
+
+    def test_train_and_eval_record_no_gpis_image(self, built):
+        """The splat files carry the background, so only init-points, align
+        and fuse of the later stages read a GPIS image."""
+        with open(os.path.join(built.out, "manifest.json"), encoding="utf-8") as fh:
+            stages = json.load(fh)["stages"]
+        gpis_image = pipeline._RULES["out:*_gpis_*.pfm"]
+        for stage in ("init-points", "train", "eval"):
+            read = [name for name in stages[stage]["inputs"] if gpis_image.fullmatch(name)]
+            assert bool(read) == (stage == "init-points"), (stage, read)
 
     def test_march_max_steps_reruns_gpis_render_only(self, built):
         built.override("march", "max_steps", 199)

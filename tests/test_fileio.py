@@ -88,26 +88,26 @@ class TestSplatPly:
         )
         path = tmp_path / "cloud.ply"
         fileio.write_splat_ply(path, cloud)
-        back = fileio.read_splat_ply(path, background=(0.1, 0.2, 0.3))
-        np.testing.assert_array_equal(back.positions, cloud.positions)
-        np.testing.assert_array_equal(back.colors, cloud.colors)
-        np.testing.assert_array_equal(back.radii, cloud.radii)
-        np.testing.assert_allclose(back.opacities, cloud.opacities, rtol=1e-12)
+        back = fileio.read_splat_ply(path)
+        for name in ("positions", "colors", "opacity_logits", "radii", "background"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(cloud, name))
 
     def test_header_properties(self, tmp_path):
-        cloud = SplatCloud([[0, 0, 1]], [[1, 0, 0]], [0.0], [0.1])
+        cloud = SplatCloud([[0, 0, 1]], [[1, 0, 0]], [0.0], [0.1], [0.25, 0.5, 1.0])
         path = tmp_path / "one.ply"
         fileio.write_splat_ply(path, cloud)
-        text = path.read_text()
-        for prop in ("x", "y", "z", "r", "g", "b", "opacity", "radius"):
-            assert f"property float64 {prop}" in text
+        header = path.read_text().partition("end_header")[0].splitlines()
+        assert header[2] == "obj_info background 0.25 0.5 1"
+        assert [line for line in header if line.startswith("property")] == [
+            f"property float64 {prop}"
+            for prop in ("x", "y", "z", "r", "g", "b", "opacity_logit", "radius")]
 
-    def test_empty_cloud_round_trip(self, tmp_path):
+    def test_empty_cloud_rejected(self, tmp_path):
         empty = SplatCloud(np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0))
         path = tmp_path / "empty.ply"
         fileio.write_splat_ply(path, empty)
-        back = fileio.read_splat_ply(path, np.zeros(3))
-        assert len(back) == 0
+        with pytest.raises(FormatError, match="the cloud holds no splat"):
+            fileio.read_splat_ply(path)
 
     def test_rows_beyond_the_declared_count_rejected(self, tmp_path):
         path = tmp_path / "cloud.ply"
@@ -115,7 +115,7 @@ class TestSplatPly:
         path.write_text(path.read_text() + "0 0 1 1 0 0 0.5 0.1\n")
         with pytest.raises(FormatError, match="declares 1 vertices of 8 properties, 8 values; "
                                               "the data holds 16"):
-            fileio.read_splat_ply(path, np.zeros(3))
+            fileio.read_splat_ply(path)
 
     def test_wrong_properties_rejected(self, tmp_path):
         path = tmp_path / "bad.ply"
@@ -125,7 +125,7 @@ class TestSplatPly:
             "end_header\n0 0 0\n"
         )
         with pytest.raises(ValueError):
-            fileio.read_splat_ply(path, np.zeros(3))
+            fileio.read_splat_ply(path)
 
 
 class TestTouchPly:
@@ -177,6 +177,36 @@ class TestTouchPly:
         fileio.write_touch_ply(path, [[1.0, 2.0, 3.0]], [[0.0, 1.0, 0.0]])
         path.write_bytes(path.read_bytes().replace(b"float64", b"double"))
         np.testing.assert_array_equal(fileio.read_touch_ply(path).points, [[1.0, 2.0, 3.0]])
+
+
+class TestNumberGrammar:
+    """Every number of a text file or header is ASCII decimal: `int` and
+    `float` alone also take `1_0` and non-ASCII digits."""
+
+    @pytest.mark.parametrize("text", ["7", "-7", "+0.5", ".5", "5.", "1e-3", "2.5E+10", "nan",
+                                      "-inf", "Infinity"])
+    def test_decimal_reads_as_float_reads_it(self, text):
+        assert str(fileio.number(text)) == str(float(text))
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661", "\uff11", "0x10", "1e", "e1", ".", "",
+                                      " 1", "infinit"])
+    def test_other_forms_rejected(self, text):
+        with pytest.raises(ValueError, match="is not a decimal float"):
+            fileio.number(text)
+
+    @pytest.mark.parametrize("read, blob", [
+        (fileio.read_pfm, b"Pf\n1_0 1\n-1.0\n" + bytes(40)),
+        (fileio.read_pgm, b"P5\n1_0 1\n255\n" + bytes(10)),
+        (fileio.read_ppm, b"P6\n1 1\n1_0\n" + bytes(3)),
+        (fileio.read_touch_ply, b"ply\nformat ascii 1.0\nelement vertex 1_0\n" + b"".join(
+            b"property float64 %s\n" % name.encode() for name in fileio._TOUCH_PROPS)
+         + b"end_header\n" + b"0 0 0 0 0 1\n" * 10),
+    ], ids=["pfm-size", "pgm-size", "ppm-maxval", "ply-vertex-count"])
+    def test_header_integer_that_is_not_decimal(self, tmp_path, read, blob):
+        path = tmp_path / "file"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="'1_0' is not a decimal int"):
+            read(path)
 
 
 SQUARE_CAMERA = CameraModel(24.0, 24.0, 15.5, 15.5, 32, 32, np.eye(4))
@@ -278,11 +308,11 @@ class TestSparseAndKeyValues:
             fileio.read_keyvalues(path)
 
 
-def round_trip(write, read, *values, **read_kwargs):
+def round_trip(write, read, *values):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "file")
         write(path, *values)
-        return read(path, **read_kwargs)
+        return read(path)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -347,19 +377,14 @@ class TestRoundTripProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
-        rows(n), rows(n), hnp.arrays(np.float64, n, elements=st.floats(-20.0, 20.0)),
+        rows(n), rows(n), hnp.arrays(np.float64, n, elements=st.floats(-40.0, 40.0)),
         hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e300, exclude_min=True)))),
         rows(1, st.floats(0.0, 1.0)))
     def test_splat_ply(self, columns, background):
         cloud = SplatCloud(*columns, background[0])
-        back = round_trip(fileio.write_splat_ply, fileio.read_splat_ply, cloud,
-                          background=cloud.background)
-        np.testing.assert_array_equal(back.positions, cloud.positions)
-        np.testing.assert_array_equal(back.colors, cloud.colors)
-        np.testing.assert_array_equal(back.radii, cloud.radii)
-        np.testing.assert_array_equal(back.background, cloud.background)
-        # The file holds opacities; the cloud keeps their logits.
-        np.testing.assert_allclose(back.opacities, cloud.opacities, rtol=1e-12)
+        back = round_trip(fileio.write_splat_ply, fileio.read_splat_ply, cloud)
+        for name in ("positions", "colors", "opacity_logits", "radii", "background"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(cloud, name))
 
     @settings(max_examples=40, deadline=None)
     @given(camera_lists())
