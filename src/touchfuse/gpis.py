@@ -372,14 +372,19 @@ def optimize_hyperparameters(cset: ConditioningSet, rhos, output_scale, noise, p
     The grid is cut into contiguous parts by workers.parts, each taking
     workers.blas_threads() of the usable CPUs, since a fit is mostly a
     Cholesky factorization on every BLAS thread: with the BLAS at its
-    default of one thread per CPU the search runs in one process. A forked
-    worker scores each part but the last and sends back only its scores
-    (workers.Split). Each process fits its candidates one at a time and drops
-    each model before the next, so it holds one factor of n(n+1)/2 values at
-    a time, and the search one per part. The caller's last model is the
-    result when it wins; any other winner is fitted once more in the caller
-    after the search, the same fit that scored it. `rhos` is not empty
-    (the config schema requires a value).
+    default of one thread per CPU the search runs in one process. At one
+    BLAS thread, where p >= 2 parts would give some part two of the k
+    candidates and leave a CPU idle while it fits the second (p < k < 2p),
+    each candidate gets a part of its own instead, and the k processes
+    share the p CPUs: k / p fits' time instead of two. On the benchmark's
+    torus on 2 CPUs, workers fit rho 0.2 and 0.3 while the caller fits 0.4.
+    A forked worker scores each part but the last and sends back only its
+    scores (workers.Split). Each process fits its candidates one at a time
+    and drops each model before the next, so it holds one factor of
+    n(n+1)/2 values at a time, and the search one per part: at most 2p - 1.
+    The caller's last model is the result when it wins; any other winner is
+    fitted once more in the caller after the search, the same fit that
+    scored it. `rhos` is not empty (the config schema requires a value).
     """
     if len(cset) > cap:
         raise NumericalError(
@@ -401,9 +406,12 @@ def optimize_hyperparameters(cset: ConditioningSet, rhos, output_scale, noise, p
         return scores
 
     count = len(candidates)
+    threads = workers.blas_threads()
     # A fit costs 24-46 ns per Gram entry, candidates x n^2 (n = 300 to
     # 2,819, one BLAS thread).
-    bounds = workers.parts(count, count * len(cset) ** 2 * 25e-9, workers.blas_threads())
+    bounds = workers.parts(count, count * len(cset) ** 2 * 25e-9, threads)
+    if threads == 1 and 2 <= len(bounds) < count < 2 * len(bounds):
+        bounds = [(i, i + 1) for i in range(count)]
     with workers.Split(score, bounds) as split:
         scores = [x for part in split() for x in part]
     best = None

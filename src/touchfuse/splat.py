@@ -27,7 +27,9 @@ PASS_SECONDS = 0.35e-9
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp overflows to inf below a logit of about -709, giving opacity 0.0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass

@@ -33,11 +33,11 @@ def _usable_cpus():
 def blas_threads():
     """The threads one BLAS call runs on, by the rule of OpenBLAS, the BLAS
     numpy's and scipy's wheels ship: the first of OPENBLAS_NUM_THREADS,
-    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive integer, else
-    one per usable CPU."""
+    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive integer in ASCII
+    digits, else one per usable CPU."""
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
+        if value.isascii() and value.isdigit() and int(value) > 0:
             return int(value)
     return _usable_cpus()
 

@@ -2,10 +2,11 @@ import os
 import signal
 import tempfile
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.linalg.lapack import dpftrf, dpftrs, dtfttr, dtrttf
 
 from touchfuse import fileio, gpis, workers
@@ -303,18 +304,18 @@ class TestOneMatrixPerFit:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_split_search_holds_one_matrix_in_the_caller(self, cset, monkeypatch):
-        """On 2 CPUs a worker fits 0.2 and the caller 0.3 and 0.4; the
+        """On 2 CPUs workers fit 0.2 and 0.3 and the caller 0.4; the
         worker's winner is fitted again once the caller's model is dropped."""
         model, peak, calls = self.search(cset, monkeypatch, (0.2, 0.3, 0.4), cpus=2)
         assert peak < self.ONE_FACTOR
-        assert calls == 3
+        assert calls == 2
         assert_same_model(model, fit(cset, KernelParams(0.2, 0.7, 1e-6)))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_split_search_keeps_the_callers_winner(self, cset, monkeypatch):
         model, peak, calls = self.search(cset, monkeypatch, (0.4, 0.3, 0.2), cpus=2)
         assert peak < self.ONE_FACTOR
-        assert calls == 2
+        assert calls == 1
         assert_same_model(model, fit(cset, KernelParams(0.2, 0.7, 1e-6)))
 
     def test_load_model_holds_one_matrix(self, cset, tmp_path):
@@ -690,7 +691,7 @@ class TestSplitSearch:
         cpus = len(self.rhos) + 1 if cpus == "grid + 1" else cpus
         split, forks = on_cpus(cpus, optimize_hyperparameters, self.cset, self.rhos, 0.8,
                                NOISE, 0.1, CAP)
-        assert forks == min(cpus, len(self.rhos)) - 1
+        assert forks == {1: 0, 2: 1, 3: 3, 5: 3}[cpus]
         assert_same_model(split, one)
 
     def test_a_workers_winner_is_fitted_once_in_the_caller(self, on_cpus, monkeypatch):
@@ -716,7 +717,7 @@ class TestSplitSearch:
         rhos = [winner] + [rho for rho in self.rhos if rho != winner]
         one, _ = on_cpus(1, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0, CAP)
         split, forks = on_cpus(3, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0, CAP)
-        assert forks == 2 and one.params != self.candidate(winner)
+        assert forks == 3 and one.params != self.candidate(winner)
         assert_same_model(split, one)
 
     @pytest.mark.parametrize("cpus", [1, 3])
@@ -752,7 +753,7 @@ class TestSplitSearch:
         for cpus in (1, 2):
             with pytest.warns(RuntimeWarning, match="effective noise") as record:
                 _, forks = on_cpus(cpus, optimize_hyperparameters, cset, rhos, 1.0, 0.0, 0.0, CAP)
-            assert forks == cpus - 1
+            assert forks == {1: 0, 2: 2}[cpus]
             caught[cpus] = sorted((w.category, str(w.message)) for w in record)
         assert len(caught[1]) == len(rhos) + 1 and caught[2] == caught[1]
 
@@ -777,6 +778,47 @@ class TestSplitSearch:
                                NOISE, 0.0, CAP, blas_env=env)
         assert count == forks
         assert_same_model(split, one)
+
+    def test_a_grid_that_would_leave_a_cpu_idle_gets_a_process_per_candidate(
+            self, on_cpus, monkeypatch):
+        """Three candidates on two CPUs: parts of one and two would leave a
+        CPU idle while the caller fits its second candidate."""
+        rhos = self.rhos[:3]
+        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0, CAP)
+        split_bounds = []
+        real_split = workers.Split
+        monkeypatch.setattr(workers, "Split",
+                            lambda fn, bounds: split_bounds.append(bounds) or real_split(fn, bounds))
+        split, forks = on_cpus(2, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0, CAP)
+        assert forks == 2 and split_bounds == [[(0, 1), (1, 2), (2, 3)]]
+        assert_same_model(split, one)
+
+    def test_parts_of_two_blas_threads_keep_their_candidates(self, on_cpus):
+        """Two parts of two BLAS threads each already keep four CPUs busy.
+        (Four candidates on two CPUs, parts of two, is
+        test_any_cpu_count_gives_the_one_process_model[2].)"""
+        rhos = self.rhos[:3]
+        one, _ = on_cpus(1, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0, CAP)
+        split, forks = on_cpus(4, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0,
+                               CAP, blas_env=(("OPENBLAS_NUM_THREADS", "2"),))
+        assert forks == 1
+        assert_same_model(split, one)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(count=st.integers(1, 12), cpus=st.integers(1, 8))
+    def test_the_search_runs_at_most_2p_minus_1_processes(self, on_cpus, monkeypatch, count,
+                                                          cpus):
+        """p CPUs at one BLAS thread: no fewer processes than the grid can
+        keep busy, and fewer than two per CPU."""
+        monkeypatch.setattr(gpis, "fit", lambda cset, params: SimpleNamespace(params=params))
+        monkeypatch.setattr(gpis, "log_marginal_likelihood",
+                            lambda model: model.params.length_scale)
+        rhos = [0.1 * (i + 1) for i in range(count)]
+        model, forks = on_cpus(cpus, optimize_hyperparameters, self.cset, rhos, 0.8, NOISE, 0.0,
+                               CAP)
+        assert min(count, cpus) <= forks + 1 <= min(count, 2 * cpus - 1)
+        assert model.params == KernelParams(rhos[-1], 0.8, NOISE, 0.0)
 
     def test_one_candidate_or_a_part_under_the_floor_never_forks(self, on_cpus, monkeypatch):
         def forks(rhos):

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,19 @@ class TestRender:
                            np.array([0.2, 0.4, 0.6]))
         rgb, depth = render(cloud, camera())
         np.testing.assert_allclose(rgb, np.broadcast_to([0.2, 0.4, 0.6], (16, 16, 3)))
+        np.testing.assert_array_equal(depth, np.zeros((16, 16)))
+
+    def test_logit_below_exp_range_renders_as_background(self):
+        """exp(1000) overflows: the splat's opacity is 0.0, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = SplatCloud([[0.0, 0.0, 2.0]], [[1.0, 0.0, 0.0]], [-1000.0], [0.3],
+                               np.array([0.2, 0.4, 0.6]))
+            assert cloud.opacities.tolist() == [0.0]
+            cam = camera()
+            assert footprint_pairs(cloud, cam)[0].size > 0
+            rgb, depth = render(cloud, cam)
+        np.testing.assert_array_equal(rgb, np.broadcast_to([0.2, 0.4, 0.6], (16, 16, 3)))
         np.testing.assert_array_equal(depth, np.zeros((16, 16)))
 
     def test_center_splat_depth(self):

@@ -55,7 +55,10 @@ def test_usable_cpus_without_an_affinity_call(monkeypatch):
     ((("OPENBLAS_NUM_THREADS", "3"), ("OMP_NUM_THREADS", "1")), 3),
     ((("OPENBLAS_NUM_THREADS", ""), ("OMP_NUM_THREADS", "2")), 2),
     ((("OPENBLAS_NUM_THREADS", "0"), ("GOTO_NUM_THREADS", "two")), 4),
-], ids=["unset", "openblas", "goto", "omp", "openblas-first", "empty-skipped", "invalid-skipped"])
+    ((("OPENBLAS_NUM_THREADS", "\u00b2"), ("OMP_NUM_THREADS", "2")), 2),
+    ((("OPENBLAS_NUM_THREADS", "\u0661"),), 4),
+], ids=["unset", "openblas", "goto", "omp", "openblas-first", "empty-skipped", "invalid-skipped",
+        "superscript-skipped", "arabic-indic-skipped"])
 def test_blas_threads(monkeypatch, env, threads):
     """Four usable CPUs, which a BLAS left at its default runs a thread on."""
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
