@@ -19,7 +19,8 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
   - a PFM/PGM/PPM, PLY, camera list, sparse depth table or GPIS model
     that will not parse, a PLY `format` other than `ascii 1.0` and
     `binary_little_endian 1.0`, a binary property not `float64`/`double`,
-    or more or fewer values or bytes than the header declares (both named);
+    a PFM scale that is not a finite nonzero number, or more or fewer
+    values or bytes than the header declares (both named);
   - touch files with no two distinct points; a splat PLY with no splat, a
     non-finite value, or not one `obj_info background r g b` header line;
   - a camera list with no view, a view whose files the dataset lacks, a

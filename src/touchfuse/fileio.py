@@ -83,7 +83,11 @@ def read_pfm(path):
         if fh.readline().strip() != b"Pf":
             raise ValueError("not a grayscale PFM file")
         width, height = (number(x, int) for x in fh.readline().decode("ascii", "replace").split())
-        scale = number(fh.readline().decode("ascii", "replace").strip())
+        text = fh.readline().decode("ascii", "replace").strip()
+        scale = number(text)
+        # The scale's sign gives the byte order, so 0, -0 and NaN give none.
+        if not (np.isfinite(scale) and scale != 0.0):
+            raise ValueError(f"PFM scale {text!r} is not a finite nonzero number")
         dtype = "<f4" if scale < 0 else ">f4"
         data = _raster_data(fh, width, height, 4)
     return np.frombuffer(data, dtype=dtype).reshape(height, width)[::-1].astype(np.float64)

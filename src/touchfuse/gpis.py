@@ -1,10 +1,10 @@
 """Gaussian-process signed-distance model conditioned on tactile contact data.
 
-Touch readings contribute three kinds of observations: the contact points
-themselves (distance 0), artificial points pushed along the contact normals
-(distance -offset inside, +offset outside), and per-slice interior centroids
-(small negative distance). Exact GP regression with a Matern-3/2 kernel then
-gives a signed-distance mean and variance anywhere in space.
+Touch readings contribute two kinds of observations: the contact points
+themselves (distance 0) and artificial points pushed along the contact
+normals (distance -offset inside, +offset outside). Exact GP regression with
+a Matern-3/2 kernel then gives a signed-distance mean and variance anywhere
+in space.
 """
 
 import warnings
@@ -16,11 +16,6 @@ from scipy.spatial import cKDTree
 
 from . import workers
 from .errors import NumericalError, reads_format
-
-LABEL_SURFACE = 0
-LABEL_INSIDE = 1
-LABEL_OUTSIDE = 2
-LABEL_INTERIOR = 3
 
 JITTER_START_FRAC = 1e-6
 JITTER_STOP_FRAC = 1e-2
@@ -35,7 +30,7 @@ KERNEL_CHUNK_BYTES = 2 ** 20
 SOLVE_COLUMNS = 256
 
 MODEL_MAGIC = b"GPIS"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -63,25 +58,24 @@ class TouchReading:
 
 @dataclass(frozen=True)
 class ConditioningSet:
-    """Locations with signed-distance targets and per-point class labels."""
+    """Locations with signed-distance targets."""
 
     locations: np.ndarray
     targets: np.ndarray
-    labels: np.ndarray
 
     def __post_init__(self):
         loc = np.atleast_2d(np.asarray(self.locations, dtype=np.float64))
         tgt = np.asarray(self.targets, dtype=np.float64).ravel()
-        lab = np.asarray(self.labels, dtype=np.int8).ravel()
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "targets", tgt)
-        object.__setattr__(self, "labels", lab)
 
     def __len__(self):
         return self.locations.shape[0]
 
     def surface_points(self):
-        return self.locations[self.labels == LABEL_SURFACE]
+        """The locations of target 0: the contact points, since every
+        normal offset is nonzero."""
+        return self.locations[self.targets == 0.0]
 
 
 @dataclass(frozen=True)
@@ -227,53 +221,23 @@ def _voxel_downsample(points, normals, pitch):
     return pts[keep], nrm[keep]
 
 
-def build_conditioning_set(touches, surface_offset, interior_offset, n_slices=8, voxel=0.0):
+def build_conditioning_set(touches, surface_offset, voxel=0.0):
     """Expand touch readings into GP conditioning data.
 
     Each retained surface point x with normal n emits x -> 0,
     x - surface_offset*n -> -surface_offset and x + surface_offset*n ->
-    +surface_offset. Every nonempty horizontal slice of the surface points
-    adds its centroid with target -interior_offset. Surface points are
-    voxel-downsampled at pitch `voxel` before expansion (0 disables). The
-    touches hold at least one point, and the offsets and n_slices are
-    positive (gpis-fit calls it so).
+    +surface_offset. Surface points are voxel-downsampled at pitch `voxel`
+    before expansion (0 disables). The touches hold at least one point, and
+    the offset is positive (gpis-fit calls it so).
     """
     points = np.concatenate([t.points for t in touches], axis=0)
     normals = np.concatenate([t.normals for t in touches], axis=0)
     points, normals = _voxel_downsample(points, normals, voxel)
-
-    inside = points - surface_offset * normals
-    outside = points + surface_offset * normals
     n = points.shape[0]
-
-    locations = [points, inside, outside]
-    targets = [
-        np.zeros(n),
-        np.full(n, -surface_offset),
-        np.full(n, surface_offset),
-    ]
-    labels = [
-        np.full(n, LABEL_SURFACE, dtype=np.int8),
-        np.full(n, LABEL_INSIDE, dtype=np.int8),
-        np.full(n, LABEL_OUTSIDE, dtype=np.int8),
-    ]
-
-    z = points[:, 2]
-    z_min, z_max = z.min(), z.max()
-    span = z_max - z_min
-    if span == 0.0:
-        bins = np.zeros(n, dtype=np.int64)
-    else:
-        bins = np.minimum((n_slices * (z - z_min) / span).astype(np.int64), n_slices - 1)
-    centroids = np.asarray([points[bins == b].mean(axis=0) for b in np.unique(bins)])
-    locations.append(centroids)
-    targets.append(np.full(centroids.shape[0], -interior_offset))
-    labels.append(np.full(centroids.shape[0], LABEL_INTERIOR, dtype=np.int8))
-
     return ConditioningSet(
-        np.concatenate(locations, axis=0),
-        np.concatenate(targets),
-        np.concatenate(labels),
+        np.concatenate([points, points - surface_offset * normals,
+                        points + surface_offset * normals]),
+        np.concatenate([np.zeros(n), np.full(n, -surface_offset), np.full(n, surface_offset)]),
     )
 
 
@@ -434,8 +398,8 @@ _saved = None
 
 def save_model(path, model: GPISModel):
     """Serialize what `model` is computed from, which is all the file
-    holds: magic, version u32, n u32, little-endian f64 locations, targets
-    and the four kernel parameters, then the n labels as bytes. The model
+    holds: magic, version u32, n u32, then little-endian f64 locations,
+    targets and the four kernel parameters. The model
     itself stays in a one-slot handoff, keyed by the bytes written, for the
     next load_model in this process; a later save_model replaces it."""
     global _saved
@@ -449,7 +413,6 @@ def save_model(path, model: GPISModel):
         cset.targets.astype("<f8").tobytes(),
         np.array([params.length_scale, params.output_scale, params.noise, params.prior_mean],
                  dtype="<f8").tobytes(),
-        cset.labels.astype("<i1").tobytes(),
     ])
     atomic_write_bytes(path, blob)
     _saved = (blob, model)
@@ -480,14 +443,11 @@ def load_model(path) -> GPISModel:
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported GPIS model version {version}")
     n = int(np.frombuffer(blob, dtype="<u4", count=1, offset=8)[0])
-    expected = 12 + 8 * (4 * n + 4) + n
+    expected = 12 + 8 * (4 * n + 4)
     if len(blob) != expected:
         raise ValueError(f"GPIS model file truncated: {len(blob)} bytes, expected {expected}")
     values = np.frombuffer(blob, dtype="<f8", count=4 * n + 4, offset=12).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("GPIS model file holds a non-finite value")
-    labels = np.frombuffer(blob, dtype="<i1", count=n, offset=12 + 8 * (4 * n + 4))
-    if np.any((labels < LABEL_SURFACE) | (labels > LABEL_INTERIOR)):
-        raise ValueError("GPIS model file holds an unknown point label")
-    cset = ConditioningSet(values[:3 * n].reshape(n, 3), values[3 * n:4 * n], labels)
+    cset = ConditioningSet(values[:3 * n].reshape(n, 3), values[3 * n:4 * n])
     return fit(cset, KernelParams(*values[4 * n:]))

@@ -33,7 +33,7 @@ from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
 from .config import SCHEMA, SceneConfig, _check_size, _parse_value
 from .errors import ConfigError, DependencyError, FormatError, LockedError, reads_format
 
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 MONO_SCALE = 2.5
 MONO_OFFSET = 0.3
 # The simulated rig and sensors, in m (SPARSE_NOISE in 1/m, as make_sparse_depth takes it).
@@ -337,7 +337,7 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
                           "a surface needs at least 2")
     _, radius = geometry.centroid_spread(all_points)
     cond = cfg.section("conditioning")
-    cset = gpis.build_conditioning_set(touches, 0.02 * radius, 0.01 * radius, voxel=cond["voxel"])
+    cset = gpis.build_conditioning_set(touches, 0.02 * radius, voxel=cond["voxel"])
     k = cfg.section("kernel")
     # A one-value grid is a fixed length scale. A grid worth the forks is
     # scored on every usable CPU (workers.Split); the model is the same at
@@ -352,11 +352,9 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
 def stage_gpis_render(cfg: SceneConfig, io: StageIO):
     model = io.read(gpis.load_model, "out:gpis.model")
     surface = model.conditioning.surface_points()
-    if not len(surface):
-        raise FormatError(f"{_path(cfg, 'out:gpis.model')}: GPIS model has no surface point")
     if not (surface != surface[:1]).any():
-        raise FormatError(f"{_path(cfg, 'out:gpis.model')}: every GPIS surface point is "
-                          f"{surface[0]}; a surface needs at least 2 distinct ones")
+        raise FormatError(f"{_path(cfg, 'out:gpis.model')}: GPIS model has {len(surface)} "
+                          "surface points and no two distinct ones; a surface needs at least 2")
     _, radius = geometry.centroid_spread(surface)
     params = sdfrender.MarchParams(0.9, 1e-3 * radius, 1e-4 * radius,
                                    cfg.get("march", "max_steps"))

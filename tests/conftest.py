@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import time
 
@@ -7,8 +8,11 @@ import pytest
 from touchfuse import pipeline, workers
 from touchfuse.config import validate_config
 
-BUNDLED_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                              "configs", "sphere_scene.cfg")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BUNDLED_CONFIG = os.path.join(REPO, "configs", "sphere_scene.cfg")
+sys.path.append(REPO)
+
+from perfbench.scenes import SCENE_HEAD, TORUS  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +32,18 @@ def bundled_run(tmp_path_factory):
     elapsed = time.perf_counter() - started
     assert all(v == "ran" for v in status.values())
     return {"config_path": cfg_path, "cfg": cfg, "build_seconds": elapsed}
+
+
+@pytest.fixture(scope="session")
+def torus_run(tmp_path_factory):
+    """Full pipeline run on the benchmark's torus scene (seed 1, built from
+    perfbench/scenes.py); the path of its directory, which holds scene.cfg,
+    data/ and out/."""
+    root = tmp_path_factory.mktemp("torus")
+    (root / "scene.cfg").write_text(SCENE_HEAD.format(seed=1) + TORUS)
+    status = pipeline.run_pipeline(validate_config(str(root / "scene.cfg"), require_dataset=False))
+    assert set(status.values()) == {"ran"}
+    return str(root)
 
 
 @pytest.fixture

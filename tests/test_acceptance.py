@@ -39,12 +39,12 @@ def unit_sphere_conditioning(n_surface, seed=0):
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_surface, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return build_conditioning_set([TouchReading(dirs, dirs)], 0.05, 0.02, n_slices=2)
+    return build_conditioning_set([TouchReading(dirs, dirs)], 0.05)
 
 
 def test_criterion_01_gp_interpolation():
     cset = unit_sphere_conditioning(16, seed=1)
-    assert len(cset) == 50
+    assert len(cset) == 48
     params = KernelParams(0.6, 1.0, 0.0, prior_mean=0.0)
     started = time.perf_counter()
     model = fit(cset, params)
@@ -104,7 +104,7 @@ def test_criterion_04_gpis_reconstruction():
     started = time.perf_counter()
     shape = AnalyticShape("sphere", (1.0,))
     touches = sample_touches(shape, 200, 0.15, 64, 1e-3, seed=4)
-    cset = build_conditioning_set(touches, 0.03, 0.01, n_slices=8, voxel=0.1)
+    cset = build_conditioning_set(touches, 0.03, voxel=0.1)
     model = fit(cset, KernelParams(0.3, 0.5, 1e-6, prior_mean=0.5))
     cam = CameraModel(48.0, 48.0, 31.5, 31.5, 64, 64, look_at([0, 0, -3], [0, 0, 0]))
     params = MarchParams(0.9, 1e-3, 1e-4, 200)

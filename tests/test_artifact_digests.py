@@ -19,7 +19,6 @@ import glob
 import hashlib
 import json
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -31,10 +30,6 @@ from touchfuse.pipeline import STAGE_ORDER, run_pipeline
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
-sys.path.append(REPO)
-
-from perfbench.scenes import SCENE_HEAD, TORUS  # noqa: E402
-
 DIGESTS = os.path.join(HERE, "artifact_digests.json")
 
 
@@ -68,15 +63,6 @@ def tree_digests(root):
                 with open(path, "rb") as fh:
                     digests[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()[:16]
     return digests
-
-
-@pytest.fixture(scope="module")
-def torus_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("torus")
-    (root / "scene.cfg").write_text(SCENE_HEAD.format(seed=1) + TORUS)
-    status = run_pipeline(validate_config(str(root / "scene.cfg"), require_dataset=False))
-    assert set(status.values()) == {"ran"}
-    return str(root)
 
 
 def test_artifact_bytes_match_the_pinned_digests(bundled_run, torus_run):

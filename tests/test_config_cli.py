@@ -468,17 +468,23 @@ def model_without_points(blob):
     return blob[:8] + bytes(4) + blob[12 + 32 * n:12 + 32 * n + 32]
 
 
-def model_without_surface_points(blob):
-    """`blob`, a GPIS model file, with every point labelled interior."""
+def model_with_surface_targets(blob, keep):
+    """`blob`, a GPIS model file, with every target of 0 but the first
+    `keep` (the first surface points) set to -1."""
     n = int.from_bytes(blob[8:12], "little")
-    return blob[:-n] + bytes([gpis.LABEL_INTERIOR]) * n
+    targets = np.frombuffer(blob, "<f8", n, 12 + 24 * n).copy()
+    targets[np.flatnonzero(targets == 0.0)[keep:]] = -1.0
+    return blob[:12 + 24 * n] + targets.astype("<f8").tobytes() + blob[12 + 32 * n:]
+
+
+def model_without_surface_points(blob):
+    """`blob`, a GPIS model file, with no target of 0."""
+    return model_with_surface_targets(blob, 0)
 
 
 def model_with_one_surface_point(blob):
-    """`blob`, a GPIS model file, with every point but the first (a surface
-    point) labelled interior."""
-    n = int.from_bytes(blob[8:12], "little")
-    return blob[:-n] + bytes([gpis.LABEL_SURFACE] + [gpis.LABEL_INTERIOR] * (n - 1))
+    """`blob`, a GPIS model file, with one target of 0."""
+    return model_with_surface_targets(blob, 1)
 
 
 def edit_manifest(edit):
@@ -818,7 +824,12 @@ class TestExitCodes:
          "header declares a 24x24 image, 2304 bytes; the data holds 2305 bytes"),
         ("data/rgb/view000.ppm", "train", lambda blob: blob[:-1],
          "header declares a 24x24 image, 1728 bytes; the data holds 1727 bytes"),
-    ], ids=["pfm-byte-extra", "ppm-byte-short"])
+        *[("data/mono_depth/view000.pfm", "align",
+           lambda blob, scale=scale: blob.replace(b"\n-1.0\n", b"\n%s\n" % scale, 1),
+           f"PFM scale '{scale.decode()}' is not a finite nonzero number")
+          for scale in (b"0", b"-0.0", b"nan")],
+    ], ids=["pfm-byte-extra", "ppm-byte-short", "pfm-scale-zero", "pfm-scale-minus-zero",
+            "pfm-scale-nan"])
     def test_raster_of_another_length(self, built, tmp_path, capsys, path, stage, edit, message):
         target = tmp_path / path
         target.write_bytes(edit(target.read_bytes()))
@@ -967,8 +978,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit, message", [
         (model_without_points, "conditioning set is empty"),
-        (model_without_surface_points, "no surface point"),
-        (model_with_one_surface_point, "a surface needs at least 2 distinct ones"),
+        (model_without_surface_points,
+         "GPIS model has 0 surface points and no two distinct ones; a surface needs at least 2"),
+        (model_with_one_surface_point,
+         "GPIS model has 1 surface points and no two distinct ones; a surface needs at least 2"),
     ], ids=["no-point", "no-surface-point", "one-surface-point"])
     def test_model_file_without_surface_points(self, built, tmp_path, capsys, edit, message):
         path = tmp_path / "out" / "gpis.model"

@@ -9,15 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.linalg.lapack import dpftrf, dpftrs, dtfttr, dtrttf
 
-from touchfuse import fileio, gpis, workers
+from touchfuse import fileio, gpis, pipeline, splat, workers
 from touchfuse.errors import FormatError, NumericalError
-from touchfuse.geometry import make_transform, transform_points
+from touchfuse.geometry import centroid_spread, make_transform, transform_points
 from touchfuse.gpis import (
     JITTER_START_FRAC,
     JITTER_STOP_FRAC,
     KERNEL_CHUNK_BYTES,
-    LABEL_INTERIOR,
-    LABEL_SURFACE,
     ConditioningSet,
     KernelParams,
     TouchReading,
@@ -28,6 +26,7 @@ from touchfuse.gpis import (
     optimize_hyperparameters,
     save_model,
 )
+from touchfuse.touchsim import AnalyticShape, analytic_sdf, sample_touches
 from touchfuse.workers import PART_SECONDS
 
 from oracles import matern32, rotation_about_axis, voxel_downsample
@@ -126,7 +125,7 @@ class TestKernelBlock:
         params = KernelParams(data.draw(st.floats(0.05, 2.0), label="rho"),
                               data.draw(st.floats(0.1, 2.0), label="sigma"), 1e-6, 0.1)
         alpha = rng.normal(size=m)
-        model = gpis.GPISModel(ConditioningSet(b, np.zeros(m), np.zeros(m, dtype=np.int8)),
+        model = gpis.GPISModel(ConditioningSet(b, np.zeros(m)),
                                params, np.eye(m), alpha, params.noise)
         want = dense_kernel(a, b, params)
         with pytest.MonkeyPatch.context() as patch:
@@ -144,7 +143,7 @@ class TestKernelBlock:
 
 class TestFitExactness:
     def test_factor_and_alpha_equal_dense_path(self):
-        cset = build_conditioning_set(sphere_touches(200, seed=4), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(200, seed=4), 0.05)
         params = KernelParams(0.4, 0.8, 1e-6, prior_mean=0.01)
         model = fit(cset, params)
         factor, alpha, noise = dense_fit(cset.locations, cset.targets, params)
@@ -154,7 +153,7 @@ class TestFitExactness:
 
     def test_jitter_escalation_equals_dense_path(self):
         locs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        cset = ConditioningSet(locs, [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
+        cset = ConditioningSet(locs, [0.1, 0.1, -0.2])
         params = KernelParams(0.5, 1.0, 0.0)
         with pytest.warns(RuntimeWarning, match="effective noise"):
             model = fit(cset, params)
@@ -169,8 +168,7 @@ class TestFitExactness:
         # would exceed the bound.
         n = 1500
         rng = np.random.default_rng(9)
-        cset = ConditioningSet(rng.normal(scale=0.3, size=(n, 3)), rng.normal(size=n),
-                               np.zeros(n, dtype=np.int8))
+        cset = ConditioningSet(rng.normal(scale=0.3, size=(n, 3)), rng.normal(size=n))
         tracemalloc.start()
         try:
             fit(cset, KernelParams(0.3, 0.7, 1e-6))
@@ -200,7 +198,6 @@ def refit_on_load(path):
 def assert_same_model(got, want):
     np.testing.assert_array_equal(got.conditioning.locations, want.conditioning.locations)
     np.testing.assert_array_equal(got.conditioning.targets, want.conditioning.targets)
-    np.testing.assert_array_equal(got.conditioning.labels, want.conditioning.labels)
     assert got.params == want.params
     np.testing.assert_array_equal(got.factor, want.factor)
     np.testing.assert_array_equal(got.alpha, want.alpha)
@@ -269,8 +266,7 @@ class TestOneMatrixPerFit:
     @pytest.fixture(scope="class")
     def cset(self):
         rng = np.random.default_rng(9)
-        return ConditioningSet(rng.normal(scale=0.3, size=(self.N, 3)), rng.normal(size=self.N),
-                               np.zeros(self.N, dtype=np.int8))
+        return ConditioningSet(rng.normal(scale=0.3, size=(self.N, 3)), rng.normal(size=self.N))
 
     def test_fit_holds_one_matrix(self, cset):
         assert traced_peak(lambda: fit(cset, KernelParams(0.3, 0.7, 1e-6))) < self.ONE_FACTOR
@@ -361,8 +357,7 @@ class TestQueryMean:
     @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
     def test_equals_einsum_over_full_block(self, n):
         rng = np.random.default_rng(n)
-        cset = ConditioningSet(rng.normal(scale=0.4, size=(self.M, 3)), rng.normal(size=self.M),
-                               np.zeros(self.M, dtype=np.int8))
+        cset = ConditioningSet(rng.normal(scale=0.4, size=(self.M, 3)), rng.normal(size=self.M))
         model = fit(cset, KernelParams(0.3, 0.7, 1e-6, prior_mean=0.1))
         q = rng.normal(scale=0.5, size=(n, 3))
         full = model.params.prior_mean + np.einsum(
@@ -411,7 +406,7 @@ class TestTouchReading:
 class TestBuildConditioningSet:
     def test_single_point_expansion(self):
         touch = TouchReading([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])
-        cset = build_conditioning_set([touch], 0.01, 0.005, n_slices=1)
+        cset = build_conditioning_set([touch], 0.01)
         rows = {tuple(np.round(loc, 9)): t for loc, t in zip(cset.locations, cset.targets)}
         assert rows[(0.0, 0.0, -0.01)] == -0.01
         assert rows[(0.0, 0.0, 0.01)] == 0.01
@@ -420,19 +415,20 @@ class TestBuildConditioningSet:
             for loc, t in zip(cset.locations, cset.targets)
         )
 
-    def test_sphere_interior_centroid(self):
-        cset = build_conditioning_set(sphere_touches(500), 0.02, 0.01, n_slices=1)
-        interior = cset.locations[cset.labels == LABEL_INTERIOR]
-        assert interior.shape[0] == 1
-        assert np.linalg.norm(interior[0]) < 0.1
-        assert cset.targets[cset.labels == LABEL_INTERIOR][0] == -0.01
+    def test_count_is_three_per_surface_point(self):
+        cset = build_conditioning_set(sphere_touches(300), 0.02)
+        assert len(cset) == 3 * len(cset.surface_points())
 
-    def test_count_is_three_per_surface_plus_slices(self):
-        cset = build_conditioning_set(sphere_touches(300), 0.02, 0.01, n_slices=8)
-        n_surface = int(np.sum(cset.labels == LABEL_SURFACE))
-        n_interior = int(np.sum(cset.labels == LABEL_INTERIOR))
-        assert len(cset) == 3 * n_surface + n_interior
-        assert 1 <= n_interior <= 8
+    def test_torus_axis_reads_outside(self):
+        """Every target comes from a touch, so nothing pulls the mean below
+        0 in the torus's hole: its axis lies 0.65 m outside the surface.
+        The offset and prior mean are gpis-fit's."""
+        touches = sample_touches(AnalyticShape("torus", (1.0, 0.35)), 120, 0.15, 16, seed=3)
+        _, radius = centroid_spread(np.concatenate([t.points for t in touches]))
+        cset = build_conditioning_set(touches, 0.02 * radius, voxel=0.15)
+        model = fit(cset, KernelParams(0.3, 0.4, NOISE, prior_mean=0.5 * radius))
+        axis = np.column_stack([np.zeros((7, 2)), np.linspace(-0.3, 0.3, 7)])
+        assert np.all(model.query_mean(axis) > 0.0)
 
     def test_voxel_downsample_minimum_spacing(self):
         # Oracle: brute-force pairwise distance scan over retained points.
@@ -441,7 +437,7 @@ class TestBuildConditioningSet:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         touch = TouchReading(0.05 * dirs, dirs)
         voxel = 0.01
-        cset = build_conditioning_set([touch], 0.002, 0.001, n_slices=4, voxel=voxel)
+        cset = build_conditioning_set([touch], 0.002, voxel=voxel)
         surface = cset.surface_points()
         assert surface.shape[0] <= 10_000
         diff = surface[:, None, :] - surface[None, :, :]
@@ -473,7 +469,7 @@ class TestBuildConditioningSet:
 
 class TestFitAndQuery:
     def test_small_set_interpolates_targets(self):
-        cset = build_conditioning_set(sphere_touches(3, seed=5), 0.1, 0.05, n_slices=1)
+        cset = build_conditioning_set(sphere_touches(3, seed=5), 0.1)
         params = KernelParams(0.8, 1.0, 1e-6)
         model = fit(cset, params)
         mean, _ = model.query(cset.locations)
@@ -484,7 +480,7 @@ class TestFitAndQuery:
         rng = np.random.default_rng(11)
         locs = rng.uniform(-1, 1, size=(40, 3))
         targets = rng.normal(size=40)
-        cset = ConditioningSet(locs, targets, np.zeros(40, dtype=np.int8))
+        cset = ConditioningSet(locs, targets)
         params = KernelParams(0.5, 1.2, 1e-4, prior_mean=0.3)
         model = fit(cset, params)
         probes = rng.uniform(-1.5, 1.5, size=(25, 3))
@@ -494,7 +490,7 @@ class TestFitAndQuery:
         np.testing.assert_allclose(var, o_var, atol=1e-9)
 
     def test_factor_reproduces_regularized_kernel(self):
-        cset = build_conditioning_set(sphere_touches(40, seed=2), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(40, seed=2), 0.05)
         params = KernelParams(0.4, 0.8, 1e-5)
         model = fit(cset, params)
         d = np.linalg.norm(
@@ -508,25 +504,25 @@ class TestFitAndQuery:
 
     def test_duplicate_points_engage_jitter(self):
         locs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        cset = ConditioningSet(locs, [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
+        cset = ConditioningSet(locs, [0.1, 0.1, -0.2])
         with pytest.warns(RuntimeWarning, match="effective noise"):
             model = fit(cset, KernelParams(0.5, 1.0, 0.0))
         assert model.effective_noise > 0.0
 
     def test_jitter_escalation_warns_with_effective_noise(self):
         locs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        cset = ConditioningSet(locs, [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
+        cset = ConditioningSet(locs, [0.1, 0.1, -0.2])
         with pytest.warns(RuntimeWarning, match="effective noise") as record:
             model = fit(cset, KernelParams(0.5, 1.0, 0.0))
         assert f"{model.effective_noise:.3g}" in str(record[0].message)
 
     def test_cap_exceeded_mentions_voxel(self):
-        cset = build_conditioning_set(sphere_touches(40, seed=2), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(40, seed=2), 0.05)
         with pytest.raises(NumericalError, match="voxel"):
             optimize_hyperparameters(cset, [0.4], 0.8, NOISE, 0.0, 10)
 
     def test_prior_reversion_far_from_data(self):
-        cset = build_conditioning_set(sphere_touches(30, seed=7), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(30, seed=7), 0.05)
         params = KernelParams(0.3, 0.6, 1e-6, prior_mean=0.25)
         model = fit(cset, params)
         mean, var = model.query(np.array([[100.0 * params.length_scale, 0.0, 0.0]]))
@@ -535,7 +531,7 @@ class TestFitAndQuery:
 
     def test_single_point_closed_form_posterior(self):
         target = 0.07
-        cset = ConditioningSet([[0.2, 0.1, -0.3]], [target], [LABEL_SURFACE])
+        cset = ConditioningSet([[0.2, 0.1, -0.3]], [target])
         params = KernelParams(0.5, 0.9, 0.04, prior_mean=0.5)
         model = fit(cset, params)
         mean, _ = model.query(cset.locations)
@@ -546,7 +542,7 @@ class TestFitAndQuery:
         assert mean[0] == pytest.approx(expected, rel=1e-10)
 
     def test_batch_query_equals_pointwise_exactly(self):
-        cset = build_conditioning_set(sphere_touches(25, seed=3), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(25, seed=3), 0.05)
         model = fit(cset, KernelParams(0.4, 0.7, 1e-6))
         rng = np.random.default_rng(0)
         pts = rng.uniform(-2, 2, size=(17, 3))
@@ -557,7 +553,7 @@ class TestFitAndQuery:
             assert v1[0] == var[i]
 
     def test_variance_bounded_by_prior(self):
-        cset = build_conditioning_set(sphere_touches(30, seed=9), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(30, seed=9), 0.05)
         params = KernelParams(0.4, 0.7, 1e-4)
         model = fit(cset, params)
         rng = np.random.default_rng(1)
@@ -570,10 +566,10 @@ class TestFitAndQuery:
         locs = rng.uniform(-1, 1, size=(20, 3))
         targets = rng.normal(size=20)
         params = KernelParams(0.6, 1.0, 1e-5)
-        base = fit(ConditioningSet(locs, targets, np.zeros(20, np.int8)), params)
+        base = fit(ConditioningSet(locs, targets), params)
         extra_loc = np.vstack([locs, rng.uniform(-1, 1, size=(1, 3))])
         extra_tgt = np.append(targets, rng.normal())
-        grown = fit(ConditioningSet(extra_loc, extra_tgt, np.zeros(21, np.int8)), params)
+        grown = fit(ConditioningSet(extra_loc, extra_tgt), params)
         probes = rng.uniform(-1.5, 1.5, size=(50, 3))
         _, var_base = base.query(probes)
         _, var_grown = grown.query(probes)
@@ -590,9 +586,9 @@ class TestFitAndQuery:
         move = make_transform(rot, [0.4, -0.2, 0.9])
         probes = rng.uniform(-1, 1, size=(20, 3))
 
-        plain = fit(ConditioningSet(locs, targets, np.zeros(15, np.int8)), params)
+        plain = fit(ConditioningSet(locs, targets), params)
         moved = fit(
-            ConditioningSet(transform_points(move, locs), targets, np.zeros(15, np.int8)),
+            ConditioningSet(transform_points(move, locs), targets),
             params,
         )
         m1, v1 = plain.query(probes)
@@ -603,7 +599,7 @@ class TestFitAndQuery:
 
 class TestHyperparameterSearch:
     def test_singleton_grid(self):
-        cset = build_conditioning_set(sphere_touches(10, seed=1), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(10, seed=1), 0.05)
         pick = optimize_hyperparameters(cset, [0.7], 1.1, NOISE, 0.0, CAP).params
         assert (pick.length_scale, pick.output_scale) == (0.7, 1.1)
 
@@ -621,7 +617,7 @@ class TestHyperparameterSearch:
             s = np.sqrt(3.0) * d / rho_true
             gram = (1.0 + s) * np.exp(-s) + 1e-6 * np.eye(80)
             targets = np.linalg.cholesky(gram) @ rng.normal(size=80)
-            cset = ConditioningSet(locs, targets, np.zeros(80, np.int8))
+            cset = ConditioningSet(locs, targets)
             pick = optimize_hyperparameters(cset, grid_rhos, 1.0, 1e-6, 0.0, CAP).params
             if abs(grid_rhos.index(pick.length_scale) - true_idx) <= 1:
                 hits += 1
@@ -630,14 +626,14 @@ class TestHyperparameterSearch:
     def test_tie_breaks_toward_smallest(self):
         # Points this far apart have a kernel of exactly zero between them
         # at every length scale, so every candidate's likelihood is the same.
-        cset = ConditioningSet([[0, 0, 0], [1e3, 0, 0]], [0.3, -0.2], np.zeros(2, np.int8))
+        cset = ConditioningSet([[0, 0, 0], [1e3, 0, 0]], [0.3, -0.2])
         rhos = [0.9, 0.3, 0.6]
         lmls = {log_marginal_likelihood(fit(cset, KernelParams(rho, 1.0, 1e-4))) for rho in rhos}
         assert len(lmls) == 1
         assert optimize_hyperparameters(cset, rhos, 1.0, 1e-4, 0.0, CAP).params.length_scale == 0.3
 
     def test_equals_scoring_each_candidate_in_turn(self):
-        cset = build_conditioning_set(sphere_touches(60, seed=5), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(60, seed=5), 0.05)
         rhos = [0.6, 0.2, 0.5, 0.4]
         best = None
         for rho in rhos:
@@ -670,7 +666,7 @@ class TestSplitSearch:
     """The grid's tail is scored in the calling process and each other part
     in a forked worker; the result is the one-process search's model."""
 
-    cset = build_conditioning_set(sphere_touches(60, seed=5), 0.05, 0.02)
+    cset = build_conditioning_set(sphere_touches(60, seed=5), 0.05)
     rhos = [0.6, 0.2, 0.5, 0.4]
 
     @staticmethod
@@ -747,7 +743,7 @@ class TestSplitSearch:
         warnings are raised in the caller, as many as one process raises
         (one per candidate, and one more for a winner's refit)."""
         locs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        cset = ConditioningSet(locs, [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
+        cset = ConditioningSet(locs, [0.1, 0.1, -0.2])
         rhos = [0.5, 0.7, 0.3]
         caught = {}
         for cpus in (1, 2):
@@ -837,12 +833,11 @@ class TestSplitSearch:
 
 class TestPersistence:
     def test_model_round_trip(self, tmp_path):
-        sphere = build_conditioning_set(sphere_touches(20, seed=6), 0.05, 0.02)
-        assert np.any(sphere.labels == LABEL_INTERIOR)
+        sphere = build_conditioning_set(sphere_touches(20, seed=6), 0.05)
         # The second set is test_jitter_escalation_equals_dense_path's: its
         # refit has to replay the jitter escalation.
         duplicates = ConditioningSet([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                                     [0.1, 0.1, -0.2], np.zeros(3, dtype=np.int8))
+                                     [0.1, 0.1, -0.2])
         with pytest.warns(RuntimeWarning, match="effective noise"):
             for name, cset, params in [
                 ("sphere", sphere, KernelParams(0.4, 0.8, 1e-6, prior_mean=0.2)),
@@ -851,9 +846,9 @@ class TestPersistence:
                 model = fit(cset, params)
                 path = tmp_path / f"{name}.gpis"
                 save_model(path, model)
-                # Header, then per point 4 floats and a label byte, then 4 params.
+                # Header, then per point 4 floats, then 4 params.
                 n = len(cset)
-                assert path.stat().st_size == 12 + 8 * (4 * n + 4) + n
+                assert path.stat().st_size == 12 + 8 * (4 * n + 4)
                 loaded = refit_on_load(path)
                 rng = np.random.default_rng(2)
                 pts = rng.uniform(-1.5, 1.5, size=(30, 3))
@@ -867,7 +862,6 @@ class TestPersistence:
                 np.testing.assert_array_equal(loaded.factor, model.factor)
                 np.testing.assert_array_equal(loaded.alpha, model.alpha)
                 assert loaded.effective_noise == model.effective_noise
-                np.testing.assert_array_equal(loaded.conditioning.labels, cset.labels)
                 assert loaded.params == model.params
         assert model.effective_noise > 0.0  # the duplicates' fit did escalate
 
@@ -891,24 +885,21 @@ class TestPersistence:
         cset = ConditioningSet(
             0.25 * np.array(points, dtype=np.float64),
             data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)),
-            data.draw(st.lists(st.integers(LABEL_SURFACE, LABEL_INTERIOR), min_size=n,
-                               max_size=n)),
         )
         params = KernelParams(length_scale, output_scale, noise, prior_mean)
         model = fit(cset, params)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "model.gpis")
             save_model(path, model)
-            assert os.path.getsize(path) == 12 + 8 * (4 * n + 4) + n
+            assert os.path.getsize(path) == 12 + 8 * (4 * n + 4)
             loaded = refit_on_load(path)
         np.testing.assert_array_equal(loaded.factor, model.factor)
         np.testing.assert_array_equal(loaded.alpha, model.alpha)
         assert loaded.effective_noise == model.effective_noise
-        np.testing.assert_array_equal(loaded.conditioning.labels, cset.labels)
         assert loaded.params == params
 
     def test_load_after_save_takes_the_saved_model(self, tmp_path):
-        cset = build_conditioning_set(sphere_touches(20, seed=6), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(20, seed=6), 0.05)
         model = fit(cset, KernelParams(0.4, 0.8, 1e-6, prior_mean=0.2))
         path = tmp_path / "model.gpis"
         save_model(path, model)
@@ -920,8 +911,8 @@ class TestPersistence:
 
     def test_file_with_another_models_bytes_is_refitted(self, tmp_path):
         params = KernelParams(0.4, 0.8, 1e-6)
-        saved = fit(build_conditioning_set(sphere_touches(20, seed=6), 0.05, 0.02), params)
-        other = fit(build_conditioning_set(sphere_touches(25, seed=7), 0.05, 0.02), params)
+        saved = fit(build_conditioning_set(sphere_touches(20, seed=6), 0.05), params)
+        other = fit(build_conditioning_set(sphere_touches(25, seed=7), 0.05), params)
         path, other_path = tmp_path / "model.gpis", tmp_path / "other.gpis"
         save_model(other_path, other)
         save_model(path, saved)
@@ -929,7 +920,7 @@ class TestPersistence:
         assert_same_model(load_model(path), other)
 
     def test_file_with_a_flipped_location_byte_is_refitted(self, tmp_path):
-        cset = build_conditioning_set(sphere_touches(20, seed=6), 0.05, 0.02)
+        cset = build_conditioning_set(sphere_touches(20, seed=6), 0.05)
         params = KernelParams(0.4, 0.8, 1e-6)
         path = tmp_path / "model.gpis"
         save_model(path, fit(cset, params))
@@ -939,7 +930,7 @@ class TestPersistence:
         locations = cset.locations.copy()
         locations[0, 0] = np.frombuffer(bytes(blob[12:20]), dtype="<f8")[0]
         assert locations[0, 0] != cset.locations[0, 0]
-        flipped = ConditioningSet(locations, cset.targets, cset.labels)
+        flipped = ConditioningSet(locations, cset.targets)
         assert_same_model(load_model(path), fit(flipped, params))
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -966,3 +957,14 @@ class TestPersistence:
         touch = fileio.read_touch_ply(path)
         np.testing.assert_array_equal(touch.points, pts)
         np.testing.assert_array_equal(touch.normals, normals)
+
+
+def test_torus_run_gpis_hits_lie_on_the_torus(torus_run):
+    """Every GPIS hit of the benchmark torus, backprojected, lies within
+    5 cm of the torus: none lands in its hole."""
+    data, out = os.path.join(torus_run, "data"), os.path.join(torus_run, "out")
+    shape = pipeline._read_scene(os.path.join(data, "scene.cfg"))
+    hits = splat.backproject_init([
+        (fileio.read_pfm(os.path.join(out, f"{name}_gpis_depth.pfm")), camera)
+        for name, camera in fileio.read_cameras(os.path.join(data, "cameras.txt"))])
+    assert np.abs(analytic_sdf(shape, hits)).max() < 0.05

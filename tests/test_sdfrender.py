@@ -9,7 +9,7 @@ import pytest
 
 from touchfuse import sdfrender
 from touchfuse.geometry import look_at, make_transform
-from touchfuse.gpis import ConditioningSet, KernelParams, LABEL_SURFACE, fit
+from touchfuse.gpis import ConditioningSet, KernelParams, fit
 from touchfuse.sdfrender import (
     MISS_VAR,
     BoundingSphere,
@@ -102,7 +102,7 @@ class TestCameraAndRays:
 
 def surface_set(points):
     n = len(points)
-    return ConditioningSet(points, np.zeros(n), np.full(n, LABEL_SURFACE, np.int8))
+    return ConditioningSet(points, np.zeros(n))
 
 
 class TestBoundingSphere:
@@ -227,7 +227,7 @@ class TestMarch:
 def sphere_gpis():
     shape = AnalyticShape("sphere", (1.0,))
     touches = sample_touches(shape, 60, 0.25, 32, seed=4)
-    cset = build_conditioning_set(touches, 0.03, 0.01, n_slices=6, voxel=0.12)
+    cset = build_conditioning_set(touches, 0.03, voxel=0.12)
     return fit(cset, KernelParams(0.3, 0.5, 1e-6, prior_mean=0.5))
 
 
