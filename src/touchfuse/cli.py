@@ -11,8 +11,10 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
   view fewer than 2 sparse samples; the message names the line when the
   file set the key. `--seed` and `--out` pass the file's checks.
 3 dependency error: a missing input, naming the stage that makes it.
-4 numerical failure: a conditioning set over `[conditioning] cap`, a kernel
-  matrix that will not factorize, or no GPIS ray hit at init-points.
+4 numerical failure: a conditioning set over `[conditioning] cap`, touch
+  points in more voxel cells than one int64 key each can index (over about
+  a million), a kernel matrix that will not factorize, or no GPIS ray hit
+  at init-points.
 5 locked: another run holds the output directory's lock.
 6 malformed file: an input a stage cannot parse or use; the message names
   it and never advises simulate, which would overwrite a real dataset:
@@ -21,8 +23,10 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
     `binary_little_endian 1.0`, a binary property not `float64`/`double`,
     a PFM scale that is not a finite nonzero number, or more or fewer
     values or bytes than the header declares (both named);
-  - touch files with no two distinct points; a splat PLY with no splat, a
-    non-finite value, or not one `obj_info background r g b` header line;
+  - touch files whose points, thinned at `[conditioning] voxel`, leave no
+    two distinct ones (naming both counts and the pitch); a splat PLY with
+    no splat, a non-finite value, or not one `obj_info background r g b`
+    header line;
   - a camera list with no view, a view whose files the dataset lacks, a
     view name used twice, not letters, digits, `_`, `-` and `.` (no
     leading `.`) or giving a file to two stages (`v_fused_0`), a non-finite

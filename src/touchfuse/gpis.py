@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpftrf, dpftrs, dtfsm
-from scipy.spatial import cKDTree
 
 from . import workers
 from .errors import NumericalError, reads_format
@@ -199,21 +198,55 @@ def _kernel_block(a, b, params, out=None):
 
 
 def _voxel_downsample(points, normals, pitch):
-    """Grid downsample at `pitch`, then thin greedily so no two survivors are
-    closer than pitch/2 (grid cells alone cannot guarantee that across cell
-    boundaries): each point in turn goes when a kept earlier point lies that near."""
-    if pitch <= 0.0:
+    """Grid downsample at `pitch`, keeping the first point of each cell in
+    input order, then thin greedily so no two survivors are closer than
+    pitch/2 (grid cells alone cannot guarantee that across cell
+    boundaries): each point in turn goes when a kept earlier point lies
+    that near.
+
+    Two points that near lie in one cell or in neighbouring ones (cell
+    indices one apart or equal on every axis), and a cell holds one
+    survivor, so the near pairs are among the survivors of neighbouring
+    cells. Each cell gets one int64 key: on each axis the occupied indices
+    are ranked from 1 with every gap over 1 cut to 2, which keeps
+    neighbours and non-neighbours apart, and the three ranks are mixed in
+    a grid one cell wider on every side. The keys give the grid's
+    np.unique, and each cell finds its 13 forward neighbours (half of the
+    26, so each pair is met once) by key offset in the sorted keys. A grid
+    whose keys would not fit int64 raises NumericalError; that takes over a
+    million survivors, whose three million conditioning points no fit could
+    hold.
+    """
+    if pitch <= 0.0 or len(points) == 0:
         return points, normals
     cells = np.floor(points / pitch).astype(np.int64)
-    _, first = np.unique(cells, axis=0, return_index=True)
-    order = np.sort(first)
-    pts, nrm = points[order], normals[order]
+    sizes = []
+    for axis in range(3):
+        values, inverse = np.unique(cells[:, axis], return_inverse=True)
+        ranks = np.cumsum(np.minimum(np.diff(values, prepend=values[0] - 1), 2))
+        cells[:, axis] = ranks[inverse]
+        sizes.append(int(ranks[-1]) + 2)
+    if sizes[0] * sizes[1] * sizes[2] >= 2 ** 63:
+        raise NumericalError(f"{len(points)} touch points fill a grid of {sizes[0]} x {sizes[1]} "
+                             f"x {sizes[2]} voxel cells at pitch {pitch:g}, too many to index; "
+                             "use a coarser voxel pitch")
+    keys = (cells[:, 0] * sizes[1] + cells[:, 1]) * sizes[2] + cells[:, 2]
+    keys, first = np.unique(keys, return_index=True)
+    by_input = np.argsort(first)
+    pts, nrm = points[first[by_input]], normals[first[by_input]]
+    position = np.argsort(by_input)  # of each cell's survivor in pts
 
+    steps = [(dx * sizes[1] + dy) * sizes[2] + dz
+             for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
+    forward = np.array([step for step in steps if step > 0])
+    wanted = (forward[:, None] + keys).ravel()
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    near = np.flatnonzero(keys[at] == wanted)
+    pairs = np.sort(np.column_stack([position[near % len(keys)], position[at[near]]]), axis=1)
     min_dist = 0.5 * pitch
-    pairs = cKDTree(pts).query_pairs(min_dist, output_type="ndarray")
     pairs = pairs[np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1) < min_dist]
-    # query_pairs puts the earlier point of a pair first. Taken in order of
-    # their later point, the pairs settle each point after every earlier one.
+    # Each pair holds its earlier point first. Taken in order of their
+    # later point, the pairs settle each point after every earlier one.
     keep = np.ones(pts.shape[0], dtype=bool)
     for a, b in pairs[np.argsort(pairs[:, 1])].tolist():
         if keep[a]:

@@ -4,7 +4,6 @@ Chamfer/Hausdorff cloud distances with an ICP-style alignment refinement."""
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import make_transform
 
@@ -32,6 +31,8 @@ def psnr(img, gt):
 
 
 def _nearest_distances(a, b):
+    from scipy.spatial import cKDTree  # here, so that only eval loads scipy.spatial
+
     a, b = np.atleast_2d(a), np.atleast_2d(b)
     return cKDTree(b).query(a, k=1)[0]
 
@@ -64,6 +65,8 @@ def align_clouds(a, b, iters=15):
     """Rigidly align cloud a to cloud b: centroid initialization refined by
     ICP on nearest neighbors; returns the 4x4 transform with the best
     chamfer seen (never worse than the initialization)."""
+    from scipy.spatial import cKDTree
+
     a, b = np.atleast_2d(np.asarray(a, dtype=np.float64)), np.atleast_2d(np.asarray(b, dtype=np.float64))
     rot = np.eye(3)
     trans = b.mean(axis=0) - a.mean(axis=0)

@@ -331,13 +331,18 @@ def _compose_scene(shape, camera, object_depth):
 def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     touches = [io.read(fileio.read_touch_ply, name) for name in io.glob("dataset:touches/*.ply")]
     all_points = np.concatenate([t.points for t in touches])
-    if not (all_points != all_points[:1]).any():
-        raise FormatError(f"{_path(cfg, 'dataset:touches')}/: the touch files hold "
-                          f"{len(all_points)} points and no two distinct ones; "
+    cond = cfg.section("conditioning")
+    # The fit's surface is the thinned set, which may hold one point where
+    # the touch files hold more; the normal offsets scale with them all.
+    thinned = gpis.TouchReading(*gpis._voxel_downsample(
+        all_points, np.concatenate([t.normals for t in touches]), cond["voxel"]))
+    if not (thinned.points != thinned.points[:1]).any():
+        raise FormatError(f"{_path(cfg, 'dataset:touches')}/: the touch files' "
+                          f"{len(all_points)} points, thinned at voxel pitch {cond['voxel']:g}, "
+                          f"leave {len(thinned.points)} and no two distinct ones; "
                           "a surface needs at least 2")
     _, radius = geometry.centroid_spread(all_points)
-    cond = cfg.section("conditioning")
-    cset = gpis.build_conditioning_set(touches, 0.02 * radius, voxel=cond["voxel"])
+    cset = gpis.build_conditioning_set([thinned], 0.02 * radius)
     k = cfg.section("kernel")
     # A one-value grid is a fixed length scale. A grid worth the forks is
     # scored on every usable CPU (workers.Split); the model is the same at

@@ -3,12 +3,14 @@ bundled sphere (seed 7) and of the benchmark's torus (seed 1, built from
 perfbench/scenes.py as CI builds it) against its digest in
 artifact_digests.json.
 
-The bytes depend on numpy's reduction order, on the kernels OpenBLAS picks
-for the CPU at run time (its wheels are built with DYNAMIC_ARCH) and on the
-BLAS thread count. So the list holds one set of digests per environment
-key, and under a key it does not hold the test skips, naming this key and
-the keys it holds. A change that alters bytes on purpose rewrites this
-environment's entry, once per BLAS thread count CI runs:
+The bytes depend on numpy's reduction order, on the SIMD targets numpy
+dispatches to on the CPU at run time (NPY_DISABLE_CPU_FEATURES can turn
+them off), on the kernels OpenBLAS picks for the CPU (its wheels are built
+with DYNAMIC_ARCH) and on the BLAS thread count. So the list holds one set
+of digests per environment key, and under a key it does not hold the test
+skips, naming this key and the keys it holds. A change that alters bytes
+on purpose rewrites this environment's entry, once per BLAS thread count
+CI runs:
 
     TOUCHFUSE_WRITE_DIGESTS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \\
         python -m pytest tests/test_artifact_digests.py
@@ -19,6 +21,8 @@ import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,11 +50,41 @@ def openblas_core(package, symbol):
     return corename().decode()
 
 
+def simd_targets():
+    """The SIMD targets numpy was built to dispatch to that it runs on this
+    CPU: those of __cpu_dispatch__ that the CPU has and the environment
+    leaves enabled."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    return [target for target in _multiarray_umath.__cpu_dispatch__
+            if _multiarray_umath.__cpu_features__.get(target)]
+
+
 def environment_key():
     return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"numpy SIMD {' '.join(simd_targets()) or 'baseline'}, "
             f"numpy OpenBLAS core {openblas_core(np, 'scipy_openblas_get_corename64_')}, "
             f"scipy OpenBLAS core {openblas_core(scipy, 'scipy_openblas_get_corename')}, "
             f"{workers.blas_threads()} BLAS threads")
+
+
+def test_environment_key_names_the_simd_targets():
+    """With numpy's dispatch targets disabled, the same numpy, scipy and
+    BLAS write other bytes (out/splats.ply and out/manifest.json of both
+    scenes differ), so the key must change with them."""
+    targets = simd_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target on this CPU, so none can be disabled")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join([os.path.join(REPO, "src"), HERE]))
+    found = subprocess.run([sys.executable, "-c", "import test_artifact_digests as t; "
+                            "print(t.environment_key())"],
+                           env=env, capture_output=True, text=True, check=True).stdout.strip()
+    key = environment_key()
+    assert found != key
+    assert found == key.replace(f"numpy SIMD {' '.join(targets)}", "numpy SIMD baseline")
 
 
 def tree_digests(root):

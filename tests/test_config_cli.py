@@ -6,6 +6,8 @@ import pathlib
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import warnings
 from io import StringIO
@@ -496,6 +498,33 @@ def edit_manifest(edit):
     return apply
 
 
+class TestImports:
+    """What a process loads: scipy.spatial, and the scipy.special it pulls
+    in, only where eval's nearest-neighbour code runs."""
+
+    PROBE = ("import sys\n"
+             "import touchfuse.pipeline\n"
+             "from touchfuse.config import validate_config\n"
+             "validate_config('configs/sphere_scene.cfg', require_dataset=False)\n"
+             "{extra}"
+             "print(' '.join(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))\n")
+
+    def loaded(self, extra=""):
+        repo = pathlib.Path(__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        return subprocess.run([sys.executable, "-c", self.PROBE.format(extra=extra)], cwd=repo,
+                              env=env, capture_output=True, text=True, check=True).stdout.split()
+
+    def test_pipeline_and_config_check_load_no_kd_tree(self):
+        assert self.loaded() == []
+
+    def test_chamfer_loads_the_kd_tree(self):
+        extra = ("import numpy as np\n"
+                 "from touchfuse import metrics\n"
+                 "metrics.chamfer(np.zeros((1, 3)), np.ones((2, 3)))\n")
+        assert "scipy.spatial" in self.loaded(extra)
+
+
 class TestExitCodes:
     """Failures that used to escape main() as tracebacks with exit code 1."""
 
@@ -884,17 +913,33 @@ class TestExitCodes:
         for name in ("splats.ply", "train_log.csv"):
             assert (tmp_path / "out" / name).read_bytes() == (pristine / "out" / name).read_bytes()
 
-    @pytest.mark.parametrize("rows", [0, 1], ids=["touches-no-point", "touches-one-shared-point"])
-    def test_touches_that_give_no_surface(self, built, tmp_path, capsys, rows):
-        """Every touch file cut to `rows` copies of one touch point."""
+    @pytest.mark.parametrize("one_file, offsets", [
+        (False, []),
+        (False, [[0.0, 0.0, 0.0]]),
+        (True, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-3]]),
+    ], ids=["touches-no-point", "touches-one-shared-point", "touches-thinned-to-one-point"])
+    def test_touches_that_give_no_surface(self, built, tmp_path, capsys, one_file, offsets):
+        """Every touch file, or only the first, holding the first touch
+        point moved by each of `offsets`. Two points 1 mm apart are
+        distinct, but the 0.25 voxel pitch thins them to one: gpis-fit stops
+        on the set it would fit and writes no model for gpis-render to
+        refuse."""
         paths = sorted((tmp_path / "data/touches").glob("*.ply"))
         touch = fileio.read_touch_ply(paths[0])
-        for path in paths:
-            fileio.write_touch_ply(path, touch.points[[0] * rows], touch.normals[[0] * rows])
+        model = (tmp_path / "out/gpis.model").read_bytes()
+        kept = paths[:1] if one_file else paths
+        for path in paths[len(kept):]:
+            path.unlink()
+        for path in kept:
+            fileio.write_touch_ply(path, touch.points[0] + np.reshape(offsets, (-1, 3)),
+                                   touch.normals[[0] * len(offsets)])
         assert main(["gpis-fit", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
-        assert "malformed file" in err and "touches/" in err
-        assert f"hold {rows * len(paths)} points and no two distinct ones" in err
+        points = len(offsets) * len(kept)
+        assert "malformed file" in err and f"{tmp_path / 'data' / 'touches'}/" in err
+        assert (f"the touch files' {points} points, thinned at voxel pitch 0.25, leave "
+                f"{min(points, 1)} and no two distinct ones; a surface needs at least 2") in err
+        assert (tmp_path / "out/gpis.model").read_bytes() == model
 
     @pytest.mark.parametrize("under_sample, code", [(True, EXIT_FORMAT), (False, EXIT_OK)],
                              ids=["mono-nan-under-sample", "mono-nan-elsewhere"])

@@ -466,6 +466,14 @@ class TestBuildConditioningSet:
         for got, want in zip(found, expected):
             assert np.array_equal(got, want)
 
+    def test_voxel_grid_too_large_to_key_is_a_numerical_error(self):
+        """2**20 points two cells apart on a diagonal: each axis ranks its
+        cells 1, 3, ..., 2**21 - 1 in a row of 2**21 + 1, and the grid's
+        cell count passes 2**63."""
+        points = np.repeat((2.0 * np.arange(2 ** 20) + 0.5)[:, None], 3, axis=1)
+        with pytest.raises(NumericalError, match="2097153 x 2097153 x 2097153 voxel cells"):
+            gpis._voxel_downsample(points, points, 1.0)
+
 
 class TestFitAndQuery:
     def test_small_set_interpolates_targets(self):
