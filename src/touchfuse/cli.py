@@ -13,8 +13,10 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
 3 dependency error: a missing input, naming the stage that makes it.
 4 numerical failure: a conditioning set over `[conditioning] cap`, touch
   points in more voxel cells than one int64 key each can index (over about
-  a million), a kernel matrix that will not factorize, or no GPIS ray hit
-  at init-points.
+  a million), a touch point 2**62 or more voxel cells from the origin (a
+  `[conditioning] voxel` pitch too fine to index, naming the pitch and the
+  coordinates' span), a kernel matrix that will not factorize, or no GPIS
+  ray hit at init-points.
 5 locked: another run holds the output directory's lock.
 6 malformed file: an input a stage cannot parse or use; the message names
   it and never advises simulate, which would overwrite a real dataset:

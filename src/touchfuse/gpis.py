@@ -5,16 +5,25 @@ themselves (distance 0) and artificial points pushed along the contact
 normals (distance -offset inside, +offset outside). Exact GP regression with
 a Matern-3/2 kernel then gives a signed-distance mean and variance anywhere
 in space.
+
+The kernel matrix is factorized and solved in LAPACK's rectangular full
+packed storage by dpftrf, dpftrs and dtfsm, which numpy lacks. They are
+the objects of scipy.linalg.lapack's names, taken from the compiled module
+`scipy.linalg._flapack` loaded from its file (`extensions.scipy_extension`),
+so importing gpis runs none of scipy.linalg's imports.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpftrf, dpftrs, dtfsm
 
 from . import workers
 from .errors import NumericalError, reads_format
+from .extensions import scipy_extension
+
+_flapack = scipy_extension("linalg._flapack")
+dpftrf, dpftrs, dtfsm = _flapack.dpftrf, _flapack.dpftrs, _flapack.dtfsm
 
 JITTER_START_FRAC = 1e-6
 JITTER_STOP_FRAC = 1e-2
@@ -215,11 +224,20 @@ def _voxel_downsample(points, normals, pitch):
     26, so each pair is met once) by key offset in the sorted keys. A grid
     whose keys would not fit int64 raises NumericalError; that takes over a
     million survivors, whose three million conditioning points no fit could
-    hold.
+    hold. So does a point 2**62 or more cells from the origin on an axis,
+    whose index the int64 ranking could not hold (a pitch under about
+    2e-19 times its coordinate).
     """
     if pitch <= 0.0 or len(points) == 0:
         return points, normals
-    cells = np.floor(points / pitch).astype(np.int64)
+    with np.errstate(over="ignore"):  # an infinite quotient fails the check below
+        cells = np.floor(points / pitch)
+    if not np.all(np.abs(cells) < 2.0 ** 62):
+        raise NumericalError(f"{len(points)} touch points with coordinates from {points.min():g} to "
+                             f"{points.max():g} lie up to {np.abs(cells).max():g} voxel cells from "
+                             f"the origin at pitch {pitch:g}, too many to index; "
+                             "use a coarser voxel pitch")
+    cells = cells.astype(np.int64)
     sizes = []
     for axis in range(3):
         values, inverse = np.unique(cells[:, axis], return_inverse=True)

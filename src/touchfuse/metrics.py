@@ -1,10 +1,17 @@
 """Evaluation metrics: depth MSE (full scene and object mask), PSNR, and
-Chamfer/Hausdorff cloud distances with an ICP-style alignment refinement."""
+Chamfer/Hausdorff cloud distances with an ICP-style alignment refinement.
+
+The cloud metrics query the KD-tree class that scipy.spatial.cKDTree names,
+loaded from its compiled module `scipy.spatial._ckdtree`
+(`extensions.scipy_extension`) inside the functions eval calls: only a
+process that runs eval loads it, and none runs scipy.spatial's imports.
+Loading it imports scipy.sparse, which the module's own init needs."""
 
 import math
 
 import numpy as np
 
+from .extensions import scipy_extension
 from .geometry import make_transform
 
 
@@ -30,23 +37,35 @@ def psnr(img, gt):
     return 10.0 * math.log10(1.0 / mse)
 
 
-def _nearest_distances(a, b):
-    from scipy.spatial import cKDTree  # here, so that only eval loads scipy.spatial
+def _kd_tree():
+    # Called inside the functions, so that only eval loads the module.
+    return scipy_extension("spatial._ckdtree").cKDTree
 
+
+def _nearest_distances(a, b):
     a, b = np.atleast_2d(a), np.atleast_2d(b)
-    return cKDTree(b).query(a, k=1)[0]
+    return _kd_tree()(b).query(a, k=1)[0]
+
+
+def _chamfer(a_to_b, b_to_a):
+    return 0.5 * (float(np.mean(a_to_b)) + float(np.mean(b_to_a)))
+
+
+def cloud_distances(a, b):
+    """(Chamfer, Hausdorff) distances between two nonempty point clouds,
+    from one nearest-neighbor query each way."""
+    a_to_b, b_to_a = _nearest_distances(a, b), _nearest_distances(b, a)
+    return _chamfer(a_to_b, b_to_a), max(float(np.max(a_to_b)), float(np.max(b_to_a)))
 
 
 def chamfer(a, b):
     """Symmetric mean nearest-neighbor distance between two nonempty point clouds."""
-    return 0.5 * (float(np.mean(_nearest_distances(a, b)))
-                  + float(np.mean(_nearest_distances(b, a))))
+    return cloud_distances(a, b)[0]
 
 
 def hausdorff(a, b):
     """Symmetric worst-case nearest-neighbor distance."""
-    return max(float(np.max(_nearest_distances(a, b))),
-               float(np.max(_nearest_distances(b, a))))
+    return cloud_distances(a, b)[1]
 
 
 def _best_rigid(src, dst):
@@ -64,19 +83,22 @@ def _best_rigid(src, dst):
 def align_clouds(a, b, iters=15):
     """Rigidly align cloud a to cloud b: centroid initialization refined by
     ICP on nearest neighbors; returns the 4x4 transform with the best
-    chamfer seen (never worse than the initialization)."""
-    from scipy.spatial import cKDTree
+    chamfer seen (never worse than the initialization).
 
+    b's KD-tree is built once, and one query of it per pose gives both that
+    pose's ICP matches and the a-to-b half of its chamfer."""
+    kd_tree = _kd_tree()
     a, b = np.atleast_2d(np.asarray(a, dtype=np.float64)), np.atleast_2d(np.asarray(b, dtype=np.float64))
+    tree = kd_tree(b)
     rot = np.eye(3)
     trans = b.mean(axis=0) - a.mean(axis=0)
-    tree = cKDTree(b)
-    best = (chamfer(a + trans, b), rot.copy(), trans.copy())
-    for _ in range(iters):
+    best = None
+    for it in range(iters + 1):
         moved = a @ rot.T + trans
-        matched = b[tree.query(moved, k=1)[1]]
-        rot, trans = _best_rigid(a, matched)
-        score = chamfer(a @ rot.T + trans, b)
-        if score < best[0]:
-            best = (score, rot.copy(), trans.copy())
+        to_b, nearest = tree.query(moved, k=1)
+        score = _chamfer(to_b, kd_tree(moved).query(b, k=1)[0])
+        if best is None or score < best[0]:
+            best = (score, rot, trans)
+        if it < iters:
+            rot, trans = _best_rigid(a, b[nearest])
     return make_transform(best[1], best[2])

@@ -21,6 +21,7 @@ from touchfuse.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKE
                            EXIT_NUMERICAL, EXIT_OK, FAILURES, build_parser, main)
 from touchfuse.config import SCHEMA, parse_config_text, validate_config
 from touchfuse.errors import ConfigError, DependencyError
+from touchfuse.extensions import scipy_extension
 from touchfuse.pipeline import STAGE_ORDER, STAGES, StageIO, run_pipeline
 
 MINIMAL = """
@@ -499,30 +500,56 @@ def edit_manifest(edit):
 
 
 class TestImports:
-    """What a process loads: scipy.spatial, and the scipy.special it pulls
-    in, only where eval's nearest-neighbour code runs."""
+    """What a process loads: scipy's compiled LAPACK module at import, its
+    KD-tree module only where eval's nearest-neighbour code runs, and never
+    the scipy.linalg or scipy.spatial package, whose imports pull in
+    scipy's array-API layer and numpy.f2py."""
 
     PROBE = ("import sys\n"
              "import touchfuse.pipeline\n"
              "from touchfuse.config import validate_config\n"
              "validate_config('configs/sphere_scene.cfg', require_dataset=False)\n"
              "{extra}"
-             "print(' '.join(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))\n")
+             "print(' '.join(m for m in {modules!r} if m in sys.modules))\n")
 
-    def loaded(self, extra=""):
+    def run(self, code):
         repo = pathlib.Path(__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-        return subprocess.run([sys.executable, "-c", self.PROBE.format(extra=extra)], cwd=repo,
-                              env=env, capture_output=True, text=True, check=True).stdout.split()
+        return subprocess.run([sys.executable, "-c", code], cwd=repo, env=env,
+                              capture_output=True, text=True, check=True).stdout.split()
+
+    def loaded(self, modules, extra=""):
+        return self.run(self.PROBE.format(extra=extra, modules=modules))
 
     def test_pipeline_and_config_check_load_no_kd_tree(self):
-        assert self.loaded() == []
+        assert self.loaded(("scipy.spatial", "scipy.special")) == []
+
+    def test_pipeline_and_config_check_run_no_scipy_subpackage(self):
+        assert self.loaded(("scipy.linalg", "scipy.spatial", "scipy._lib._array_api",
+                            "numpy.f2py")) == []
 
     def test_chamfer_loads_the_kd_tree(self):
         extra = ("import numpy as np\n"
                  "from touchfuse import metrics\n"
                  "metrics.chamfer(np.zeros((1, 3)), np.ones((2, 3)))\n")
-        assert "scipy.spatial" in self.loaded(extra)
+        assert "scipy.spatial._ckdtree" in self.loaded(("scipy.spatial._ckdtree",), extra)
+
+    @pytest.mark.parametrize("scipy_first", [False, True], ids=["touchfuse-first", "scipy-first"])
+    def test_loaded_objects_are_scipys_own(self, scipy_first):
+        code = ("import scipy.linalg.lapack, scipy.spatial\n" * scipy_first
+                + "from touchfuse import gpis, metrics\n"
+                  "kd_tree = metrics._kd_tree()\n"
+                  "import scipy.linalg.lapack as lapack, scipy.spatial as spatial\n"
+                  "print(gpis.dpftrf is lapack.dpftrf, gpis.dpftrs is lapack.dpftrs,\n"
+                  "      gpis.dtfsm is lapack.dtfsm, kd_tree is spatial.cKDTree)\n")
+        assert self.run(code) == ["True"] * 4
+
+    def test_missing_extension_module_names_the_path(self):
+        import scipy
+
+        path = os.path.join(scipy.__path__[0], "linalg", "_no_such_module")
+        with pytest.raises(ImportError, match=re.escape(path)):
+            scipy_extension("linalg._no_such_module")
 
 
 class TestExitCodes:
@@ -561,6 +588,15 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    def test_voxel_pitch_too_fine_to_index_is_a_numerical_failure(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL_SCENE.replace("voxel = 0.25", "voxel = 1e-300"),
+                            make_dataset=False)
+        assert main(["pipeline", "--config", str(path),
+                     "--stages", "simulate,gpis-fit"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "voxel cells from the origin at pitch 1e-300, too many to index" in err
 
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "scene.cfg"
