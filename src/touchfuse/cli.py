@@ -10,7 +10,11 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
   that does not fit the shape or a `[sim] sparse_fraction` that leaves a
   view fewer than 2 sparse samples; the message names the line when the
   file set the key. `--seed` and `--out` pass the file's checks.
-3 dependency error: a missing input, naming the stage that makes it.
+3 dependency error: a missing input, naming the stage that makes it. An
+  `out:` input is missing too when that stage has no manifest record, or
+  when the file is not the one its record lists (a hand-edited file, or
+  one a crashed rerun of that stage left); the message names the file and
+  the stage. So a stage reads an `out:` file only as its maker wrote it.
 4 numerical failure: a conditioning set over `[conditioning] cap`, touch
   points in more voxel cells than one int64 key each can index (over about
   a million), a touch point 2**62 or more voxel cells from the origin (a
@@ -41,11 +45,8 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
     `shape` or `size`, or whose shape or size will not parse or fit;
   - a camera list but no scene record (at eval) or no touch file (at
     gpis-fit);
-  - a non-finite value in a GPIS or fused image, a negative GPIS or fused
-    depth, a variance that is not positive (a vision one may be NaN where
-    its depth is), a GPIS hit variance not below the miss variance, or a
-    view image whose size is not its camera's;
-  - a GPIS model with fewer than two distinct surface points;
+  - a view image whose size is not its camera's: a dataset image, or an
+    `out:` image whose camera list was edited after it was written;
   - a `manifest.json` that is not JSON or not of the shape the pipeline
     writes (a record of no stage or without `params`, `inputs` or
     `outputs`, a file name of no stage, a digest not 16 hex digits, a

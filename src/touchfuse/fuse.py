@@ -25,7 +25,9 @@ def fuse_images(vision_depth, vision_var, touch_depth, touch_var):
     source dominates; pixels invalid on both sides come out as depth 0 /
     sentinel variance with provenance NONE, so a fused depth > 0 marks a
     pixel with supervision. The four images share one shape, and each
-    valid side's variance is positive (the fuse stage reads them so).
+    valid side's variance is positive: the fuse stage reads the images
+    gpis-render and align wrote, whose variances are positive by
+    construction.
     """
     vision_ok = np.isfinite(vision_depth) & (vision_depth > 0.0)
     touch_ok = np.isfinite(touch_depth) & (touch_depth > 0.0)

@@ -206,7 +206,7 @@ def _kernel_block(a, b, params, out=None):
     return out
 
 
-def _voxel_downsample(points, normals, pitch):
+def voxel_downsample(points, normals, pitch):
     """Grid downsample at `pitch`, keeping the first point of each cell in
     input order, then thin greedily so no two survivors are closer than
     pitch/2 (grid cells alone cannot guarantee that across cell
@@ -272,18 +272,16 @@ def _voxel_downsample(points, normals, pitch):
     return pts[keep], nrm[keep]
 
 
-def build_conditioning_set(touches, surface_offset, voxel=0.0):
+def build_conditioning_set(touches, surface_offset):
     """Expand touch readings into GP conditioning data.
 
-    Each retained surface point x with normal n emits x -> 0,
+    Each surface point x with normal n emits x -> 0,
     x - surface_offset*n -> -surface_offset and x + surface_offset*n ->
-    +surface_offset. Surface points are voxel-downsampled at pitch `voxel`
-    before expansion (0 disables). The touches hold at least one point, and
-    the offset is positive (gpis-fit calls it so).
+    +surface_offset. The touches hold at least one point, and the offset is
+    positive (gpis-fit calls it so, on the touches voxel_downsample thinned).
     """
     points = np.concatenate([t.points for t in touches], axis=0)
     normals = np.concatenate([t.normals for t in touches], axis=0)
-    points, normals = _voxel_downsample(points, normals, voxel)
     n = points.shape[0]
     return ConditioningSet(
         np.concatenate([points, points - surface_offset * normals,

@@ -5,12 +5,14 @@ One table, `STAGES`, names each stage once: its function, the config
 sections its parameters come from, and the names of the files it makes
 (`dataset:` or `out:` plus a path under that directory). A stage reads and
 writes every file by name through its `StageIO`, which records the names,
-raises the missing-input error (naming the stage that makes the file), and
-refuses writes outside the stage's patterns; once the stage has run, a
-file of its patterns that it did not write is removed. The manifest stores
-each stage's recorded inputs and outputs with their content hashes. A rerun
-skips a stage when its parameters are unchanged and every recorded input
-and output still hashes the same; each file is hashed at most once per run.
+raises the missing-input error (naming the stage that makes the file; an
+`out:` file whose hash is not the one its maker's record lists counts as
+missing), and refuses writes outside the stage's patterns; once the stage
+has run, a file of its patterns that it did not write is removed. The
+manifest stores each stage's recorded inputs and outputs with their content
+hashes. A rerun skips a stage when its parameters are unchanged and every
+recorded input and output still hashes the same; each file is hashed at
+most once per run.
 
 Artifacts are written atomically and never embed absolute paths, so two
 runs of the same scene in different directories are byte-identical.
@@ -102,9 +104,12 @@ class StageIO:
     so adding or removing a matching file changes it); `write` records
     outputs. `digests` memoizes content hashes by name and is shared by
     every stage of one run_pipeline call. `recorded` is that call's live
-    map of manifest stage records: an `out:` input whose producing stage
-    has no record there (say, a file left by a run of another manifest
-    version) counts as missing.
+    map of manifest stage records: an `out:` input counts as missing when
+    its producing stage has no record there (say, a file left by a run of
+    another manifest version) or when its content hash is not the one that
+    record lists (a hand-edited file, or one a crashed rerun of the
+    producer left). So every `out:` file a stage reads holds the bytes its
+    producer wrote, and no stage checks the values in it again.
     """
 
     def __init__(self, cfg, stage, digests, recorded):
@@ -165,6 +170,9 @@ class StageIO:
             if producer not in self.recorded:
                 raise DependencyError(f"{name} has no manifest record of the {producer} "
                                       f"stage; run the {producer} stage first")
+            if self.recorded[producer]["outputs"].get(name) != self.digest(name):
+                raise DependencyError(f"{name} is not the file the {producer} stage wrote; "
+                                      f"run the {producer} stage first")
         self.inputs.add(name)
 
     def digest(self, name):
@@ -334,7 +342,7 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
     cond = cfg.section("conditioning")
     # The fit's surface is the thinned set, which may hold one point where
     # the touch files hold more; the normal offsets scale with them all.
-    thinned = gpis.TouchReading(*gpis._voxel_downsample(
+    thinned = gpis.TouchReading(*gpis.voxel_downsample(
         all_points, np.concatenate([t.normals for t in touches]), cond["voxel"]))
     if not (thinned.points != thinned.points[:1]).any():
         raise FormatError(f"{_path(cfg, 'dataset:touches')}/: the touch files' "
@@ -356,11 +364,7 @@ def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
 
 def stage_gpis_render(cfg: SceneConfig, io: StageIO):
     model = io.read(gpis.load_model, "out:gpis.model")
-    surface = model.conditioning.surface_points()
-    if not (surface != surface[:1]).any():
-        raise FormatError(f"{_path(cfg, 'out:gpis.model')}: GPIS model has {len(surface)} "
-                          "surface points and no two distinct ones; a surface needs at least 2")
-    _, radius = geometry.centroid_spread(surface)
+    _, radius = geometry.centroid_spread(model.conditioning.surface_points())
     params = sdfrender.MarchParams(0.9, 1e-3 * radius, 1e-4 * radius,
                                    cfg.get("march", "max_steps"))
     sphere = sdfrender.bounding_sphere(model.conditioning)
@@ -379,28 +383,9 @@ def _read_view(io, reader, name, cam):
 
 
 def _load_depth_var(io, name, prefix, cam):
-    """A view's depth and variance images. A value that breaks its image's
-    rule makes the file malformed. Every variance is positive, though a
-    vision image is NaN in both wherever the mono depth is. The gpis and
-    fused images are finite by construction, with no negative depth, and
-    where the depth is positive (a hit) the variance is below MISS_VAR."""
-    files = [f"out:{name}_{prefix}_{kind}.pfm" for kind in ("depth", "var")]
-    depth, var = (_read_view(io, fileio.read_pfm, file, cam) for file in files)
-    # (image index, pixels that break the rule, what is wrong with them)
-    rules = [(1, ~((var > 0.0) | (np.isnan(var) & np.isnan(depth))), "is not positive")]
-    if prefix != "vision":
-        rules = [(0, ~np.isfinite(depth), "is not finite"),
-                 (1, ~np.isfinite(var), "is not finite"),
-                 (0, depth < 0.0, "is negative"),
-                 *rules,
-                 (1, (depth > 0.0) & (var >= sdfrender.MISS_VAR),
-                  f"at a hit is not below the miss variance {sdfrender.MISS_VAR:g}")]
-    for index, bad, what in rules:
-        if bad.any():
-            v, u = np.argwhere(bad)[0]
-            raise FormatError(f"{_path(io.cfg, files[index])}: value "
-                              f"{(depth, var)[index][v, u]} at (u, v) = ({u}, {v}) {what}")
-    return depth, var
+    """A view's depth and variance images."""
+    return tuple(_read_view(io, fileio.read_pfm, f"out:{name}_{prefix}_{kind}.pfm", cam)
+                 for kind in ("depth", "var"))
 
 
 def _save_depth_var(io, name, prefix, depth, variance):

@@ -268,7 +268,8 @@ def _view_target(rgb_gt, fused_depth, fused_var, camera, cfg):
     channels, each over the pixels, the mask of the pixels whose fused
     depth is > 0 (fusion gives every other pixel depth 0), and the fused
     depths there and their weights exp(-sharpness * sqrt(var)). The images
-    are of the camera's size (the train stage reads them so)."""
+    are of the camera's size (the train stage reads them so) and are the
+    ones fuse wrote, finite with a positive variance by construction."""
     rgb_gt = np.asarray(rgb_gt, dtype=np.float64)
     mask = fused_depth.reshape(-1) > 0.0
     weights = np.exp(-cfg.sharpness * np.sqrt(fused_var.reshape(-1)[mask]))

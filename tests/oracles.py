@@ -266,7 +266,7 @@ def matern32(distance, params: KernelParams):
 
 
 def voxel_downsample(points, normals, pitch):
-    """gpis._voxel_downsample point by point: the first point of each grid
+    """gpis.voxel_downsample point by point: the first point of each grid
     cell of side `pitch`, in input order, then each of those in turn unless
     a kept earlier one lies closer than pitch/2. A pitch of 0 keeps all."""
     if pitch <= 0.0:

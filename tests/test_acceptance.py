@@ -18,7 +18,8 @@ from touchfuse import fileio, fuse, metrics, pipeline
 from touchfuse.align import SparseDepth, align_object_offset, align_scale_offset
 from touchfuse.config import validate_config
 from touchfuse.geometry import look_at
-from touchfuse.gpis import KernelParams, TouchReading, build_conditioning_set, fit
+from touchfuse.gpis import (KernelParams, TouchReading, build_conditioning_set, fit,
+                           voxel_downsample)
 from touchfuse.sdfrender import (
     CameraModel,
     MarchParams,
@@ -104,7 +105,9 @@ def test_criterion_04_gpis_reconstruction():
     started = time.perf_counter()
     shape = AnalyticShape("sphere", (1.0,))
     touches = sample_touches(shape, 200, 0.15, 64, 1e-3, seed=4)
-    cset = build_conditioning_set(touches, 0.03, voxel=0.1)
+    thinned = TouchReading(*voxel_downsample(np.concatenate([t.points for t in touches]),
+                                             np.concatenate([t.normals for t in touches]), 0.1))
+    cset = build_conditioning_set([thinned], 0.03)
     model = fit(cset, KernelParams(0.3, 0.5, 1e-6, prior_mean=0.5))
     cam = CameraModel(48.0, 48.0, 31.5, 31.5, 64, 64, look_at([0, 0, -3], [0, 0, 0]))
     params = MarchParams(0.9, 1e-3, 1e-4, 200)

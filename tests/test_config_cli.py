@@ -20,9 +20,10 @@ from touchfuse import fileio, fuse, gpis, pipeline
 from touchfuse.cli import (EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_FORMAT, EXIT_LOCKED,
                            EXIT_NUMERICAL, EXIT_OK, FAILURES, build_parser, main)
 from touchfuse.config import SCHEMA, parse_config_text, validate_config
-from touchfuse.errors import ConfigError, DependencyError
+from touchfuse.errors import ConfigError, DependencyError, FormatError
 from touchfuse.extensions import scipy_extension
 from touchfuse.pipeline import STAGE_ORDER, STAGES, StageIO, run_pipeline
+from touchfuse.sdfrender import MISS_VAR
 
 MINIMAL = """
 [scene]
@@ -460,6 +461,11 @@ def first_touch_row(edit):
     return touch_values(apply)
 
 
+def scale_image(factor):
+    """An edit of the PFM image at a path that multiplies its values by `factor`."""
+    return lambda path: fileio.write_pfm(path, fileio.read_pfm(path) * factor)
+
+
 def no_ply_rows(text):
     header = text.partition("end_header\n")[0]
     return re.sub(r"element vertex \d+", "element vertex 0", header) + "end_header\n"
@@ -669,14 +675,80 @@ class TestExitCodes:
         assert main(["gpis-fit", "--config", config]) == EXIT_OK
         assert main(["gpis-render", "--config", config]) == EXIT_OK
 
+    @staticmethod
+    def stops_before_reading(tmp_path, capsys, stage, path, message=None):
+        """Run `stage` alone after the `out:` file at `path` was edited: the
+        stage exits 3 naming the file and the stage that makes it, and
+        writes and removes no file, manifest.json included. The file's
+        reader, called on it directly, still raises `message` when given."""
+        name = path.replace("out/", "out:", 1)
+        maker = next(s.name for s in STAGES if s.produces(name))
+        files = tree_bytes(tmp_path)
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_DEPENDENCY
+        assert capsys.readouterr().err == (f"dependency error: {name} is not the file the "
+                                           f"{maker} stage wrote; run the {maker} stage first\n")
+        assert tree_bytes(tmp_path) == files
+        if message is not None:
+            reader = {".model": gpis.load_model, ".pfm": fileio.read_pfm,
+                      ".ply": fileio.read_splat_ply}[os.path.splitext(path)[1]]
+            with pytest.raises(FormatError, match=re.escape(f"{tmp_path / path}: {message}")):
+                reader(tmp_path / path)
+
+    @pytest.mark.parametrize("path, stage, edit", [
+        # the lowest mantissa bit of the first location's x
+        ("out/gpis.model", "gpis-render",
+         lambda path: path.write_bytes(flip_a_bit(path.read_bytes(), 8 * 12))),
+        ("out/view000_gpis_depth.pfm", "align", scale_image(1.01)),
+        ("out/view000_vision_var.pfm", "fuse", scale_image(2.0)),
+        ("out/view000_fused_depth.pfm", "train", scale_image(0.99)),
+        ("out/init.ply", "train", lambda path: path.write_text(
+            edit_first_ply_row(lambda row: ["0.25"] + row[1:])(path.read_text()))),
+        ("out/splats.ply", "eval", lambda path: path.write_text(
+            edit_first_ply_row(lambda row: row[:7] + ["0.05"])(path.read_text()))),
+    ], ids=["model-location-bit", "gpis-depth-scaled", "vision-variance-doubled",
+            "fused-depth-scaled", "init-position-moved", "splats-radius-changed"])
+    def test_out_file_its_maker_did_not_write(self, built, tmp_path, capsys, path, stage, edit):
+        """A hand edit that every rule of the file's reader lets through: a
+        location moved by one ulp, a depth scaled, a variance doubled, a
+        splat moved or resized. The stage runs alone and stops before it
+        reads the file."""
+        target = tmp_path / path
+        blob = target.read_bytes()
+        edit(target)
+        assert target.read_bytes() != blob
+        self.stops_before_reading(tmp_path, capsys, stage, path)
+
+    def test_edited_init_ply_is_neither_trained_on_nor_skipped(self, built, tmp_path, capsys):
+        """A hand-edited init.ply once trained with exit 0, and a later
+        `--stages train,eval` then skipped train on it. Now both runs stop
+        at it, and a run with init-points restores the clean tree."""
+        clean = tree_bytes(tmp_path)
+        target = tmp_path / "out/init.ply"
+        target.write_text(edit_first_ply_row(lambda row: ["0.25"] + row[1:])(target.read_text()))
+        config = str(tmp_path / "scene.cfg")
+        for stages in ("train", "train,eval"):
+            assert main(["pipeline", "--config", config, "--stages", stages]) == EXIT_DEPENDENCY
+            captured = capsys.readouterr()
+            assert "train: skipped" not in captured.out
+            assert "out:init.ply is not the file the init-points stage wrote" in captured.err
+        assert main(["pipeline", "--config", config]) == EXIT_OK
+        assert "init-points: ran\ntrain: skipped\n" in capsys.readouterr().out
+        assert tree_bytes(tmp_path) == clean
+
     @pytest.mark.parametrize("path, stage", [
         ("data/touches/touch000.ply", "gpis-fit"),
         ("out/gpis.model", "gpis-render"),
         ("out/view000_gpis_depth.pfm", "fuse"),
     ])
     def test_malformed_input_file(self, built, tmp_path, capsys, path, stage):
+        """A file cut in half. A dataset file is malformed; an `out:` file is
+        not the one its maker wrote, so the stage stops before its reader,
+        which would find it malformed."""
         blob = (tmp_path / path).read_bytes()
         (tmp_path / path).write_bytes(blob[: len(blob) // 2])
+        if path.startswith("out/"):
+            self.stops_before_reading(tmp_path, capsys, stage, path, "")
+            return
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err
@@ -774,8 +846,14 @@ class TestExitCodes:
             "sparse-short-row-on-line-2"])
     def test_value_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                       message):
+        """A dataset file makes the stage exit 6. A splat file edited in
+        out/ is not the one its maker wrote, so the stage stops before
+        reading it, and its reader gives the message."""
         target = tmp_path / path
         target.write_text(edit(text_of(target)))
+        if path.startswith("out/"):
+            self.stops_before_reading(tmp_path, capsys, stage, path, message)
+            return
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err and message in err
@@ -1005,38 +1083,34 @@ class TestExitCodes:
         ("out/view000_fused_depth.pfm", "train"),
     ])
     def test_gpis_or_fused_value_that_is_not_finite(self, built, tmp_path, capsys, path, stage):
-        """A NaN at the first pixel a GPIS ray hit is a malformed file, not a
-        NaN fused depth or a diverged training run."""
+        """A NaN at the first pixel a GPIS ray hit is no image its maker
+        wrote, so it never becomes a NaN fused depth or a diverged
+        training run."""
         v, u = np.argwhere(fileio.read_pfm(tmp_path / "out/view000_gpis_depth.pfm") > 0.0)[0]
         image = fileio.read_pfm(tmp_path / path)
         image[v, u] = np.nan
         fileio.write_pfm(tmp_path / path, image)
-        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
-        err = capsys.readouterr().err
-        assert "malformed file" in err and os.path.basename(path) in err
-        assert f"value nan at (u, v) = ({u}, {v}) is not finite" in err
+        self.stops_before_reading(tmp_path, capsys, stage, path)
 
-    @pytest.mark.parametrize("path, stage, value, message", [
-        ("out/view000_gpis_depth.pfm", "align", -1.0, "is negative"),
-        ("out/view000_gpis_var.pfm", "align", 2e10, "at a hit is not below the miss variance"),
-        ("out/view000_gpis_var.pfm", "fuse", 0.0, "is not positive"),
-        ("out/view000_vision_var.pfm", "fuse", 0.0, "is not positive"),
-        ("out/view000_vision_var.pfm", "fuse", -1.0, "is not positive"),
-        ("out/view000_fused_var.pfm", "train", -1.0, "is not positive"),
+    @pytest.mark.parametrize("path, stage, value", [
+        ("out/view000_gpis_depth.pfm", "align", -1.0),
+        ("out/view000_gpis_var.pfm", "align", 2e10),
+        ("out/view000_gpis_var.pfm", "fuse", 0.0),
+        ("out/view000_vision_var.pfm", "fuse", 0.0),
+        ("out/view000_vision_var.pfm", "fuse", -1.0),
+        ("out/view000_fused_var.pfm", "train", -1.0),
     ], ids=["negative-gpis-depth", "gpis-hit-at-miss-variance", "zero-gpis-variance",
             "zero-vision-variance", "negative-vision-variance", "negative-fused-variance"])
     def test_supervision_value_that_breaks_its_rule(self, built, tmp_path, capsys, path, stage,
-                                                    value, message):
-        """A value its reader cannot take, at the first pixel a GPIS ray hit,
-        is a malformed file, not a traceback or a diverged training run."""
+                                                    value):
+        """A value its maker never writes (test_makers_meet_the_image_rules),
+        at the first pixel a GPIS ray hit: the file is not its maker's, so
+        the value reaches no stage."""
         v, u = np.argwhere(fileio.read_pfm(tmp_path / "out/view000_gpis_depth.pfm") > 0.0)[0]
         image = fileio.read_pfm(tmp_path / path)
         image[v, u] = value
         fileio.write_pfm(tmp_path / path, image)
-        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
-        err = capsys.readouterr().err
-        assert "malformed file" in err and os.path.basename(path) in err
-        assert f"at (u, v) = ({u}, {v}) {message}" in err
+        self.stops_before_reading(tmp_path, capsys, stage, path)
 
     @pytest.mark.parametrize("path, stage", [
         ("data/mono_depth/view000.pfm", "align"),
@@ -1047,29 +1121,73 @@ class TestExitCodes:
         ("data/gt_depth/view000.pfm", "eval"),
     ])
     def test_view_image_of_another_size(self, built, tmp_path, capsys, path, stage):
+        """A dataset image cropped to 12x12 is malformed. A cropped `out:`
+        image is not its maker's; test_out_image_of_a_shrunk_camera brings
+        one of another size to the stage."""
         read, write = {".pfm": (fileio.read_pfm, fileio.write_pfm),
                        ".ppm": (fileio.read_ppm, fileio.write_ppm),
                        ".pgm": (fileio.read_pgm, fileio.write_pgm)}[os.path.splitext(path)[1]]
         target = tmp_path / path
         write(target, read(target)[:12, :12])
+        if path.startswith("out/"):
+            self.stops_before_reading(tmp_path, capsys, stage, path)
+            return
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err
         assert "12x12 image, but its camera is 24x24" in err
 
+    @pytest.mark.parametrize("path, stage", [
+        ("out/view000_vision_depth.pfm", "fuse"),
+        ("out/view000_gpis_depth.pfm", "init-points"),
+        ("out/view000_fused_depth.pfm", "train"),
+    ])
+    def test_out_image_of_a_shrunk_camera(self, built, tmp_path, capsys, path, stage):
+        """A camera list edited after the stage that wrote a view's images:
+        the images are their maker's, but no longer their camera's size.
+        `size 12 12` still holds the principal point (11.5, 11.5); the
+        view's RGB image shrinks with it, so train reaches its fused
+        depth."""
+        cameras = tmp_path / "data/cameras.txt"
+        cameras.write_text(cameras.read_text().replace("size 24 24", "size 12 12", 1))
+        rgb = tmp_path / "data/rgb/view000.ppm"
+        fileio.write_ppm(rgb, fileio.read_ppm(rgb)[:12, :12])
+        assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "malformed file" in err and os.path.basename(path) in err
+        assert "24x24 image, but its camera is 12x12" in err
+
     @pytest.mark.parametrize("edit, message", [
         (model_without_points, "conditioning set is empty"),
-        (model_without_surface_points,
-         "GPIS model has 0 surface points and no two distinct ones; a surface needs at least 2"),
-        (model_with_one_surface_point,
-         "GPIS model has 1 surface points and no two distinct ones; a surface needs at least 2"),
+        (model_without_surface_points, None),
+        (model_with_one_surface_point, None),
     ], ids=["no-point", "no-surface-point", "one-surface-point"])
     def test_model_file_without_surface_points(self, built, tmp_path, capsys, edit, message):
+        """gpis-fit writes no model of fewer than two distinct surface
+        points (test_touches_that_give_no_surface), so gpis-render stops
+        before reading such a file; its reader finds a model of no point
+        malformed."""
         path = tmp_path / "out" / "gpis.model"
         path.write_bytes(edit(path.read_bytes()))
-        assert main(["gpis-render", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
-        err = capsys.readouterr().err
-        assert "malformed file" in err and "gpis.model" in err and message in err
+        self.stops_before_reading(tmp_path, capsys, "gpis-render", "out/gpis.model", message)
+
+
+def test_makers_meet_the_image_rules(bundled_run, torus_run):
+    """The value rules that align, fuse, init-points and train no longer
+    check, since each reads an `out:` image only as its maker wrote it, hold
+    for what gpis-render, align and fuse write: every variance is positive,
+    a vision one NaN only where its depth is; GPIS and fused images are
+    finite, with no negative depth, and a hit's variance is below MISS_VAR."""
+    for root in (os.path.dirname(bundled_run["config_path"]), torus_run):
+        out = os.path.join(root, "out")
+        for name, _ in fileio.read_cameras(os.path.join(root, "data", "cameras.txt")):
+            for kind in ("gpis", "vision", "fused"):
+                depth, var = (fileio.read_pfm(os.path.join(out, f"{name}_{kind}_{image}.pfm"))
+                              for image in ("depth", "var"))
+                assert np.all((var > 0.0) | (np.isnan(var) & np.isnan(depth))), (root, name, kind)
+                if kind != "vision":
+                    assert np.all(np.isfinite(depth) & np.isfinite(var) & (depth >= 0.0))
+                    assert (depth > 0.0).any() and np.all(var[depth > 0.0] < MISS_VAR)
 
 
 class TestSkipRules:
@@ -1412,6 +1530,29 @@ class TestCrashAfterWrite:
         last = self.file_count(pristine, stage)
         assert last >= 3
         self.crash_after_write(pristine, tmp_path, monkeypatch, stage, -(-last // 2))
+
+    def test_crash_in_a_rerender_leaves_align_no_mix_of_two_renders(self, built, tmp_path,
+                                                                     monkeypatch, capsys):
+        """gpis-render at another max_steps dies right after writing
+        view000's GPIS depth, so out/ holds that image beside the last
+        complete render's other images, and the manifest still holds that
+        render's record. align, run alone, stops at the new image instead
+        of aligning against the mix."""
+        built.override("march", "max_steps", 3)
+        render = STAGES[STAGE_ORDER.index("gpis-render")]
+
+        def crashes(name, write):
+            if render.produces(name):
+                write()
+                return True
+            return False
+
+        with pytest.warns(RuntimeWarning, match="ran out of max_steps=3"):
+            self.crash_run(built, monkeypatch, crashes)
+        assert main(["align", "--config", str(tmp_path / "scene.cfg")]) == EXIT_DEPENDENCY
+        assert capsys.readouterr().err == (
+            "dependency error: out:view000_gpis_depth.pfm is not the file the gpis-render stage "
+            "wrote; run the gpis-render stage first\n")
 
     @pytest.mark.parametrize("completed", [True, False], ids=["after", "instead-of"])
     @pytest.mark.parametrize("stage", STAGE_ORDER)

@@ -424,8 +424,11 @@ class TestBuildConditioningSet:
         0 in the torus's hole: its axis lies 0.65 m outside the surface.
         The offset and prior mean are gpis-fit's."""
         touches = sample_touches(AnalyticShape("torus", (1.0, 0.35)), 120, 0.15, 16, seed=3)
-        _, radius = centroid_spread(np.concatenate([t.points for t in touches]))
-        cset = build_conditioning_set(touches, 0.02 * radius, voxel=0.15)
+        points = np.concatenate([t.points for t in touches])
+        _, radius = centroid_spread(points)
+        thinned = TouchReading(*gpis.voxel_downsample(
+            points, np.concatenate([t.normals for t in touches]), 0.15))
+        cset = build_conditioning_set([thinned], 0.02 * radius)
         model = fit(cset, KernelParams(0.3, 0.4, NOISE, prior_mean=0.5 * radius))
         axis = np.column_stack([np.zeros((7, 2)), np.linspace(-0.3, 0.3, 7)])
         assert np.all(model.query_mean(axis) > 0.0)
@@ -435,10 +438,8 @@ class TestBuildConditioningSet:
         rng = np.random.default_rng(3)
         dirs = rng.normal(size=(10_000, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        touch = TouchReading(0.05 * dirs, dirs)
         voxel = 0.01
-        cset = build_conditioning_set([touch], 0.002, voxel=voxel)
-        surface = cset.surface_points()
+        surface, _ = gpis.voxel_downsample(0.05 * dirs, dirs, voxel)
         assert surface.shape[0] <= 10_000
         diff = surface[:, None, :] - surface[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=2))
@@ -461,7 +462,7 @@ class TestBuildConditioningSet:
             points = np.vstack([points, points[index % len(points)] + step])
         points /= 32.0
         normals = np.arange(points.size, dtype=np.float64).reshape(points.shape)
-        found = gpis._voxel_downsample(points, normals, pitch)
+        found = gpis.voxel_downsample(points, normals, pitch)
         expected = voxel_downsample(points, normals, pitch)
         for got, want in zip(found, expected):
             assert np.array_equal(got, want)
@@ -472,7 +473,7 @@ class TestBuildConditioningSet:
         cell count passes 2**63."""
         points = np.repeat((2.0 * np.arange(2 ** 20) + 0.5)[:, None], 3, axis=1)
         with pytest.raises(NumericalError, match="2097153 x 2097153 x 2097153 voxel cells"):
-            gpis._voxel_downsample(points, points, 1.0)
+            gpis.voxel_downsample(points, points, 1.0)
 
 
 class TestFitAndQuery:

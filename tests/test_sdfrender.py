@@ -20,7 +20,7 @@ from touchfuse.sdfrender import (
     sphere_entry_exit,
 )
 from touchfuse.touchsim import AnalyticShape, render_gt_depth, sample_touches
-from touchfuse.gpis import build_conditioning_set
+from touchfuse.gpis import TouchReading, build_conditioning_set, voxel_downsample
 
 from oracles import Ray, generate_ray, march, rotation_about_axis, sphere_prefilter
 
@@ -227,7 +227,9 @@ class TestMarch:
 def sphere_gpis():
     shape = AnalyticShape("sphere", (1.0,))
     touches = sample_touches(shape, 60, 0.25, 32, seed=4)
-    cset = build_conditioning_set(touches, 0.03, voxel=0.12)
+    thinned = TouchReading(*voxel_downsample(np.concatenate([t.points for t in touches]),
+                                             np.concatenate([t.normals for t in touches]), 0.12))
+    cset = build_conditioning_set([thinned], 0.03)
     return fit(cset, KernelParams(0.3, 0.5, 1e-6, prior_mean=0.5))
 
 
