@@ -7,14 +7,15 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
   unknown section, key or stage (named before a missing dataset), a
   `--stages` list that names no stage, a value that will not parse, is out
   of range or is not finite, a repeated `rho_grid` value, a `[sim] size`
-  that does not fit the shape or a `[sim] sparse_fraction` that leaves a
-  view fewer than 2 sparse samples; the message names the line when the
-  file set the key. `--seed` and `--out` pass the file's checks.
+  that does not fit the shape, a `[sim] sparse_fraction` that leaves a
+  view fewer than 2 sparse samples or a `dataset` or `out` path that is a
+  file; the message names the line when the file set the key. `--seed`
+  and `--out` pass the file's checks.
 3 dependency error: a missing input, naming the stage that makes it. An
-  `out:` input is missing too when that stage has no manifest record, or
-  when the file is not the one its record lists (a hand-edited file, or
-  one a crashed rerun of that stage left); the message names the file and
-  the stage. So a stage reads an `out:` file only as its maker wrote it.
+  `out:` input is missing too unless that stage's manifest record lists
+  its hash (a hand-edited file, one a crashed rerun of that stage left, or
+  one of a stage with no record); the message names the file and the
+  stage. So a stage reads an `out:` file only as its maker wrote it.
 4 numerical failure: a conditioning set over `[conditioning] cap`, touch
   points in more voxel cells than one int64 key each can index (over about
   a million), a touch point 2**62 or more voxel cells from the origin (a
@@ -34,11 +35,11 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
     no splat, a non-finite value, or not one `obj_info background r g b`
     header line;
   - a camera list with no view, a view whose files the dataset lacks, a
-    view name used twice, not letters, digits, `_`, `-` and `.` (no
-    leading `.`) or giving a file to two stages (`v_fused_0`), a non-finite
-    focal length or pose (naming the block and its `view` line), a `size`,
-    `intrinsics` or `pose` line before the first `view` line, or a second
-    `size` or `intrinsics` or fifth `pose` line in one block;
+    view name used twice or not 1 to 200 letters, digits, `_`, `-` and
+    `.` (no leading `.`), a non-finite focal length or pose (naming the
+    block and its `view` line), a `size`, `intrinsics` or `pose` line
+    before the first `view` line, or a second `size` or `intrinsics` or
+    fifth `pose` line in one block;
   - sparse samples that all lie on one raw mono depth, or a non-finite
     sparse depth or mono depth under a sample;
   - a scene record (the dataset's `scene.cfg`) that repeats a key, lacks

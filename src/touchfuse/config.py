@@ -221,7 +221,7 @@ def validate_config(path, require_dataset=True) -> SceneConfig:
     scene = cfg.values["scene"]
     for key in ("dataset", "out"):
         scene[key] = os.path.join(base, scene[key])
-    if require_dataset and not os.path.isdir(cfg.dataset):
+    if require_dataset and not os.path.exists(cfg.dataset):
         lineno = cfg.lines[("scene", "dataset")]
         raise ConfigError(f"line {lineno}: dataset directory {cfg.dataset} does not exist")
     return cfg

@@ -301,7 +301,10 @@ def _numbers(lineno, tokens, kind=float):
 
 _CAMERA_TOKENS = {"view": 2, "size": 3, "intrinsics": 5, "pose": 5}
 # A view name becomes part of file names and of the patterns a stage matches.
-_VIEW_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+# Its longest file, `<view>_vision_depth.pfm`, is 17 bytes longer than the view
+# name, and common file systems allow 255 bytes per file name: 200 + 17 fits.
+_MAX_VIEW_NAME = 200
+_VIEW_NAME = re.compile(rf"[A-Za-z0-9_-][A-Za-z0-9_.-]{{0,{_MAX_VIEW_NAME - 1}}}")
 
 
 @reads_format
@@ -339,7 +342,8 @@ def read_cameras(path):
                 name, size, intr, pose_rows, view_line = token[1], None, None, [], lineno
                 if not _VIEW_NAME.fullmatch(name):
                     raise ValueError(f"line {lineno}: view name {name!r} is not letters, "
-                                     "digits, '_', '-' and '.' that do not start with '.'")
+                                     "digits, '_', '-' and '.' that do not start with '.', "
+                                     f"at most {_MAX_VIEW_NAME} of them")
                 if any(name == seen for seen, _ in views):
                     raise ValueError(f"line {lineno}: view name {name!r} names an earlier view")
             elif token[0] == "size":

@@ -3,16 +3,16 @@ init -> train -> eval over one scene configuration.
 
 One table, `STAGES`, names each stage once: its function, the config
 sections its parameters come from, and the names of the files it makes
-(`dataset:` or `out:` plus a path under that directory). A stage reads and
-writes every file by name through its `StageIO`, which records the names,
-raises the missing-input error (naming the stage that makes the file; an
-`out:` file whose hash is not the one its maker's record lists counts as
-missing), and refuses writes outside the stage's patterns; once the stage
-has run, a file of its patterns that it did not write is removed. The
-manifest stores each stage's recorded inputs and outputs with their content
-hashes. A rerun skips a stage when its parameters are unchanged and every
-recorded input and output still hashes the same; each file is hashed at
-most once per run.
+(`dataset:` or `out:` plus a path under that directory), each of which
+one stage alone makes. A stage reads and writes every file by name through
+its `StageIO`, which records the names, raises the missing-input error
+(naming the stage that makes the file; an `out:` file counts as missing
+unless its maker's record lists its hash), and refuses writes outside the
+stage's patterns; once the stage has run, a file of its patterns that it
+did not write is removed. The manifest stores each stage's recorded inputs
+and outputs with their content hashes. A rerun skips a stage when its
+parameters are unchanged and every recorded input and output still hashes
+the same; each file is hashed at most once per run.
 
 Artifacts are written atomically and never embed absolute paths, so two
 runs of the same scene in different directories are byte-identical.
@@ -104,12 +104,12 @@ class StageIO:
     so adding or removing a matching file changes it); `write` records
     outputs. `digests` memoizes content hashes by name and is shared by
     every stage of one run_pipeline call. `recorded` is that call's live
-    map of manifest stage records: an `out:` input counts as missing when
-    its producing stage has no record there (say, a file left by a run of
-    another manifest version) or when its content hash is not the one that
-    record lists (a hand-edited file, or one a crashed rerun of the
-    producer left). So every `out:` file a stage reads holds the bytes its
-    producer wrote, and no stage checks the values in it again.
+    map of manifest stage records: an `out:` input counts as missing
+    unless its producing stage's record there lists its content hash. A
+    hand-edited file, one a crashed rerun of the producer left, and one of
+    a producer with no record (say, left by a run of another manifest
+    version) all fail that. So every `out:` file a stage reads holds the
+    bytes its producer wrote, and no stage checks the values in it again.
     """
 
     def __init__(self, cfg, stage, digests, recorded):
@@ -167,10 +167,8 @@ class StageIO:
             raise DependencyError(f"{name} missing; run the {_producer(name)} stage first")
         if name.startswith("out:"):
             producer = _producer(name)
-            if producer not in self.recorded:
-                raise DependencyError(f"{name} has no manifest record of the {producer} "
-                                      f"stage; run the {producer} stage first")
-            if self.recorded[producer]["outputs"].get(name) != self.digest(name):
+            record = self.recorded.get(producer, {"outputs": {}})
+            if record["outputs"].get(name) != self.digest(name):
                 raise DependencyError(f"{name} is not the file the {producer} stage wrote; "
                                       f"run the {producer} stage first")
         self.inputs.add(name)
@@ -212,22 +210,8 @@ class StageIO:
 
 
 def _camera_views(io):
-    """The camera list's (name, camera) pairs. A name that gives one of the
-    view's `out:` files to two stages (`v_fused_0`: fuse would remove its GPIS
-    images) is malformed; each dataset file lies in one pattern's directory."""
-    views = io.read(fileio.read_cameras, "dataset:cameras.txt")
-    for view, _ in views:
-        for name in [f"out:{view}_align.txt", f"out:{view}_provenance.pgm"] + [
-                f"out:{view}_{kind}_{image}.pfm" for kind in ("gpis", "vision", "fused")
-                for image in ("depth", "var")]:
-            stages = [stage.name for stage in STAGES if stage.produces(name)]
-            if len(stages) > 1:
-                path = _path(io.cfg, "dataset:cameras.txt")
-                with open(path, encoding="utf-8") as fh:
-                    line = next(n for n, text in enumerate(fh, 1) if text.split() == ["view", view])
-                raise FormatError(f"{path}: line {line}: view name {view!r} makes {name} a file of "
-                                  f"the stages {', '.join(stages)}")
-    return views
+    """The camera list's (name, camera) pairs; each file a view gives has one maker."""
+    return io.read(fileio.read_cameras, "dataset:cameras.txt")
 
 
 @reads_format
@@ -426,7 +410,7 @@ def stage_align(cfg: SceneConfig, io: StageIO):
     for name, cam in _camera_views(io):
         raw = _read_view(io, fileio.read_pfm, f"dataset:mono_depth/{name}.pfm", cam)
         sparse = _read_sparse(io, name, cam, raw)
-        g_depth, _ = _load_depth_var(io, name, "gpis", cam)
+        g_depth = _read_view(io, fileio.read_pfm, f"out:{name}_gpis_depth.pfm", cam)
         aligned = align_mod.align_vision(raw, sparse, g_depth)
         _save_depth_var(io, name, "vision", aligned.depth, aligned.variance)
         io.write(fileio.write_keyvalues, f"out:{name}_align.txt", {
@@ -452,7 +436,7 @@ def _read_rgb(io, name, cam):
 
 def stage_init_points(cfg: SceneConfig, io: StageIO):
     views = _camera_views(io)
-    depths = [_load_depth_var(io, name, "gpis", cam)[0] for name, cam in views]
+    depths = [_read_view(io, fileio.read_pfm, f"out:{n}_gpis_depth.pfm", cam) for n, cam in views]
     rgbs = [_read_rgb(io, name, cam) for name, cam in views]
     points = splat.backproject_init([(depth, cam) for depth, (_, cam) in zip(depths, views)])
     colors = np.concatenate([rgb[depth > 0.0] for rgb, depth in zip(rgbs, depths)])
@@ -526,18 +510,24 @@ def stage_eval(cfg: SceneConfig, io: StageIO):
     io.write(fileio.atomic_write_text, "out:eval_report.csv", "\n".join(lines) + "\n")
 
 
+# One maker per file, whatever the view names: a `*` matches no `/`, each `*`
+# pattern lies in a directory of its own or ends in a suffix (`_gpis_var.pfm`,
+# `_align.txt`) that ends no other suffix and no literal name.
 STAGES = (
     Stage("simulate", stage_simulate, ("sim",), (
         "dataset:cameras.txt", "dataset:scene.cfg", "dataset:touches/*.ply",
         "dataset:sparse/*.txt", "dataset:gt_depth/*.pfm", "dataset:rgb/*.ppm",
         "dataset:mono_depth/*.pfm")),
     Stage("gpis-fit", stage_gpis_fit, ("kernel", "conditioning"), ("out:gpis.model",)),
-    Stage("gpis-render", stage_gpis_render, ("march",), ("out:*_gpis_*.pfm",)),
-    Stage("align", stage_align, (), ("out:*_vision_*.pfm", "out:*_align.txt")),
-    Stage("fuse", stage_fuse, (), ("out:*_fused_*.pfm", "out:*_provenance.pgm")),
+    Stage("gpis-render", stage_gpis_render, ("march",),
+          ("out:*_gpis_depth.pfm", "out:*_gpis_var.pfm")),
+    Stage("align", stage_align, (),
+          ("out:*_vision_depth.pfm", "out:*_vision_var.pfm", "out:*_align.txt")),
+    Stage("fuse", stage_fuse, (),
+          ("out:*_fused_depth.pfm", "out:*_fused_var.pfm", "out:*_provenance.pgm")),
     Stage("init-points", stage_init_points, ("train",), ("out:init.ply",)),
     Stage("train", stage_train, ("loss", "train"), ("out:splats.ply", "out:train_log.csv")),
-    Stage("eval", stage_eval, ("eval",), ("out:eval_report.*",)),
+    Stage("eval", stage_eval, ("eval",), ("out:eval_report.csv",)),
 )
 STAGE_ORDER = tuple(stage.name for stage in STAGES)
 # run_pipeline looks each function up here at call time, so a caller may
@@ -644,6 +634,9 @@ def run_pipeline(cfg: SceneConfig, stages=None):
     Returns {stage: "ran" | "skipped"} for the requested stages.
     """
     wanted = wanted_stages(stages)
+    for key in ("dataset", "out"):
+        if os.path.isfile(cfg.get("scene", key)):
+            raise cfg.error("scene", key, f"{cfg.get('scene', key)} is a file, not a directory")
     os.makedirs(cfg.out, exist_ok=True)
     status = {}
     with _locked(cfg.out):

@@ -100,6 +100,14 @@ def tree_digests(root):
     return digests
 
 
+def differing(pinned, found):
+    """"scene: path" of each file whose digest in `found` is not the one
+    `pinned` holds, both {scene: {path: digest}}."""
+    return [f"{scene}: {path}" for scene in sorted(set(pinned) | set(found))
+            for path in sorted(set(pinned.get(scene, {})) | set(found.get(scene, {})))
+            if pinned.get(scene, {}).get(path) != found.get(scene, {}).get(path)]
+
+
 def test_artifact_bytes_match_the_pinned_digests(bundled_run, torus_run):
     found = {"sphere": tree_digests(os.path.dirname(bundled_run["config_path"])),
              "torus": tree_digests(torus_run)}
@@ -107,16 +115,15 @@ def test_artifact_bytes_match_the_pinned_digests(bundled_run, torus_run):
         pinned = json.load(fh)
     key = environment_key()
     if os.environ.get("TOUCHFUSE_WRITE_DIGESTS"):
+        changed = differing(pinned.get(key, {}), found)
         pinned[key] = found
         with open(DIGESTS, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
-        pytest.skip(f"wrote the digests of {key}")
+        pytest.skip(f"wrote the digests of {key}; {len(changed)} changed: {changed}")
     if key not in pinned:
         pytest.skip(f"no digests for this environment ({key}); "
                     f"artifact_digests.json holds: {'; '.join(sorted(pinned))}")
-    differ = [f"{scene}: {path}" for scene, digests in pinned[key].items()
-              for path in sorted(set(digests) | set(found[scene]))
-              if digests.get(path) != found[scene].get(path)]
+    differ = differing(pinned[key], found)
     assert not differ, f"{len(differ)} files differ from their pinned digests: {differ}"
 
 

@@ -193,6 +193,53 @@ class TestPipelineOrchestration:
         assert not (tmp_path / "escaped_gpis_depth.pfm").exists()
         assert io.stage.produces("out:view000_gpis_depth.pfm")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["_", ".", "-", "a", "0", "gpis", "vision", "fused", "align",
+                                     "provenance", "eval_report", "depth", "var", "pfm", "txt",
+                                     "pgm", "csv"]), min_size=1, max_size=8)
+           .map("".join).filter(fileio._VIEW_NAME.fullmatch))
+    @example("v_fused_0")
+    @example("eval_report.x")
+    def test_each_file_of_a_view_has_one_maker(self, view):
+        """Each pattern ends in its kind's whole suffix and no suffix ends
+        another, so whatever a view's name, each of its `out:` files has
+        one maker in the stage table."""
+        makers = {f"out:{view}_align.txt": "align", f"out:{view}_provenance.pgm": "fuse"}
+        for kind, maker in (("gpis", "gpis-render"), ("vision", "align"), ("fused", "fuse")):
+            for image in ("depth", "var"):
+                makers[f"out:{view}_{kind}_{image}.pfm"] = maker
+        for name, maker in makers.items():
+            assert [stage.name for stage in STAGES if stage.produces(name)] == [maker], name
+
+    def test_view_names_that_end_like_a_stage_file_run(self, built, tmp_path, capsys):
+        """`v_fused_0` ends like a fused image and `eval_report.x` starts
+        like the eval report: both views run end to end, a rerun skips
+        every stage, and out/ holds each view's files and no other's."""
+        renames = {"view000": "eval_report.x", "view001": "v_fused_0"}
+        cameras = tmp_path / "data/cameras.txt"
+        text = cameras.read_text()
+        for old, new in renames.items():
+            text = text.replace(f"view {old}\n", f"view {new}\n")
+            for directory, ext in (("gt_depth", "pfm"), ("rgb", "ppm"), ("mono_depth", "pfm"),
+                                   ("sparse", "txt")):
+                os.rename(tmp_path / "data" / directory / f"{old}.{ext}",
+                          tmp_path / "data" / directory / f"{new}.{ext}")
+        cameras.write_text(text)
+        # simulate would write the dataset it records back over the renamed one
+        run = ["pipeline", "--config", str(tmp_path / "scene.cfg"),
+               "--stages", ",".join(STAGE_ORDER[1:])]
+        assert main(run) == EXIT_OK
+        capsys.readouterr()
+        assert main(run) == EXIT_OK
+        assert capsys.readouterr().out == "".join(f"{stage}: skipped\n"
+                                                  for stage in STAGE_ORDER[1:])
+        view_files = [f"{view}_{suffix}" for view in renames.values() for suffix in [
+            "align.txt", "provenance.pgm", *(f"{kind}_{image}.pfm" for kind in (
+                "gpis", "vision", "fused") for image in ("depth", "var"))]]
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(view_files + [
+            "eval_report.csv", "gpis.model", "init.ply", "manifest.json", "splats.ply",
+            "train_log.csv"])
+
     def test_leftover_lock_file_does_not_block(self, tmp_path):
         cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
                               require_dataset=False)
@@ -611,6 +658,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 5" in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("key, line, stage", [
+        ("out", 4, "pipeline"), ("dataset", 3, "simulate"), ("dataset", 3, "gpis-fit"),
+    ], ids=["out-is-a-file", "dataset-is-a-file", "dataset-is-a-file-unsimulated"])
+    def test_scene_path_that_is_a_file(self, tmp_path, capsys, key, line, stage):
+        path = write_config(tmp_path, re.sub(rf"(?m)^{key} = .*$", f"{key} = afile", MINIMAL),
+                            make_dataset=False)
+        (tmp_path / "afile").write_text("")
+        assert main([stage, "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: line {line}: key '{key}': "
+                                           f"{tmp_path / 'afile'} is a file, not a directory\n")
+        assert sorted(os.listdir(tmp_path)) == ["afile", "scene.cfg"]
+
     def test_config_that_is_a_directory(self, tmp_path, capsys):
         assert main(["pipeline", "--config", str(tmp_path)]) == EXIT_CONFIG
         assert "cannot read config file" in capsys.readouterr().err
@@ -872,17 +931,13 @@ class TestExitCodes:
          "line 1: view name 'view*' is not letters, digits"),
         ("data/scene.cfg", "eval", lambda text: text + "shape = torus\nsize = 1 0.35\n",
          "line 3: duplicate key 'shape' (first set on line 1)"),
-        # fuse would remove this view's GPIS and vision images as its own
+        # the view's vision image would be a name too long for a file
         ("data/cameras.txt", "gpis-render",
-         lambda text: text.replace("view view001", "view v_fused_0"),
-         "line 8: view name 'v_fused_0' makes out:v_fused_0_gpis_depth.pfm a file of the "
-         "stages gpis-render, fuse"),
-        ("data/cameras.txt", "fuse",
-         lambda text: text.replace("view view000", "view eval_report.x"),
-         "line 1: view name 'eval_report.x' makes out:eval_report.x_align.txt a file of the "
-         "stages align, eval"),
+         lambda text: text.replace("view view000", "view " + "v" * 250),
+         f"line 1: view name '{'v' * 250}' is not letters, digits, '_', '-' and '.' that do "
+         "not start with '.', at most 200 of them"),
     ], ids=["view-name-escaping-out", "view-name-repeated", "view-name-pattern",
-            "scene-key-repeated", "view-name-of-two-stages", "view-name-of-eval"])
+            "scene-key-repeated", "view-name-too-long"])
     def test_name_or_key_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                             message):
         """A view name becomes part of file paths and patterns, and a
@@ -1094,7 +1149,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("path, stage, value", [
         ("out/view000_gpis_depth.pfm", "align", -1.0),
-        ("out/view000_gpis_var.pfm", "align", 2e10),
+        ("out/view000_gpis_var.pfm", "fuse", 2e10),
         ("out/view000_gpis_var.pfm", "fuse", 0.0),
         ("out/view000_vision_var.pfm", "fuse", 0.0),
         ("out/view000_vision_var.pfm", "fuse", -1.0),
@@ -1111,6 +1166,16 @@ class TestExitCodes:
         image[v, u] = value
         fileio.write_pfm(tmp_path / path, image)
         self.stops_before_reading(tmp_path, capsys, stage, path)
+
+    def test_edited_gpis_variance_stops_only_fuse(self, built, tmp_path, capsys):
+        """align and init-points read the GPIS depths alone, so a hand-edited
+        GPIS variance leaves both skipped; fuse stops before reading it."""
+        path = tmp_path / "out/view000_gpis_var.pfm"
+        fileio.write_pfm(path, fileio.read_pfm(path) * 2.0)
+        for stage in ("align", "init-points"):
+            assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_OK
+            assert capsys.readouterr().out == f"{stage}: skipped\n"
+        self.stops_before_reading(tmp_path, capsys, "fuse", "out/view000_gpis_var.pfm")
 
     @pytest.mark.parametrize("path, stage", [
         ("data/mono_depth/view000.pfm", "align"),
@@ -1218,13 +1283,18 @@ class TestSkipRules:
 
     def test_train_and_eval_record_no_gpis_image(self, built):
         """The splat files carry the background, so only init-points, align
-        and fuse of the later stages read a GPIS image."""
+        and fuse of the later stages read a GPIS image, and only fuse reads
+        a GPIS variance."""
         with open(os.path.join(built.out, "manifest.json"), encoding="utf-8") as fh:
             stages = json.load(fh)["stages"]
-        gpis_image = pipeline._RULES["out:*_gpis_*.pfm"]
-        for stage in ("init-points", "train", "eval"):
-            read = [name for name in stages[stage]["inputs"] if gpis_image.fullmatch(name)]
-            assert bool(read) == (stage == "init-points"), (stage, read)
+        depths = sorted(f"out:{name}_gpis_depth.pfm" for name, _ in
+                        fileio.read_cameras(os.path.join(built.dataset, "cameras.txt")))
+        for stage, record in stages.items():
+            read = {image: sorted(name for name in record["inputs"]
+                                  if pipeline._RULES[f"out:*_gpis_{image}.pfm"].fullmatch(name))
+                    for image in ("depth", "var")}
+            assert read["depth"] == (depths if stage in ("align", "fuse", "init-points") else [])
+            assert bool(read["var"]) == (stage == "fuse"), (stage, read)
 
     def test_march_max_steps_reruns_gpis_render_only(self, built):
         built.override("march", "max_steps", 199)
