@@ -936,16 +936,49 @@ class TestExitCodes:
          lambda text: text.replace("view view000", "view " + "v" * 250),
          f"line 1: view name '{'v' * 250}' is not letters, digits, '_', '-' and '.' that do "
          "not start with '.', at most 200 of them"),
+        # names that end like a fused image or start like the eval report are usable
+        ("data/cameras.txt", "gpis-render",
+         lambda text: text.replace("view view001", "view v_fused_0"), None),
+        ("data/cameras.txt", "gpis-render",
+         lambda text: text.replace("view view000", "view eval_report.x"), None),
     ], ids=["view-name-escaping-out", "view-name-repeated", "view-name-pattern",
-            "scene-key-repeated", "view-name-too-long"])
+            "scene-key-repeated", "view-name-too-long", "view-name-of-two-stages",
+            "view-name-of-eval"])
     def test_name_or_key_a_stage_cannot_use(self, built, tmp_path, capsys, path, stage, edit,
                                             message):
         """A view name becomes part of file paths and patterns, and a
         repeated record key would leave a stage to pick one value: each
-        makes its file malformed, and the stage writes no file anywhere."""
+        makes its file malformed, and the stage writes no file anywhere.
+        A name that only looks like another stage's file (no message) is
+        not one of them: the stage writes the renamed view's files, with
+        the bytes it wrote under the old name, and each has it as its one
+        maker."""
         target = tmp_path / path
-        target.write_text(edit(target.read_text()))
+        before = target.read_text()
+        target.write_text(edit(before))
         files = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+        if message is None:
+            views_before, views_after = (set(re.findall(r"(?m)^view (\S+)$", text))
+                                         for text in (before, target.read_text()))
+            (old,), (new,) = views_before - views_after, views_after - views_before
+            assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_OK
+
+            def makers(f):
+                return [s.name for s in STAGES if s.produces(f"out:{f.name}")]
+
+            def split(tree):
+                """The stage's files by name, and every other file but the manifest."""
+                return ({f.name: data for f, data in tree.items()
+                         if f.parent == tmp_path / "out" and stage in makers(f)},
+                        {f: data for f, data in tree.items()
+                         if f.name != "manifest.json" and stage not in makers(f)})
+            made, others = split({f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()})
+            made_before, others_before = split(files)
+            assert made == {name.replace(old, new, 1) if name.startswith(f"{old}_") else name:
+                            data for name, data in made_before.items()}
+            assert others == others_before
+            assert all(makers(tmp_path / "out" / name) == [stage] for name in made)
+            return
         assert main([stage, "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert "malformed file" in err and os.path.basename(path) in err and message in err
