@@ -30,7 +30,7 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
     `binary_little_endian 1.0`, a binary property not `float64`/`double`,
     a PFM scale that is not a finite nonzero number, or more or fewer
     values or bytes than the header declares (both named);
-  - touch files whose points, thinned at `[conditioning] voxel`, leave no
+  - a touch file whose points, thinned at `[conditioning] voxel`, leave no
     two distinct ones (naming both counts and the pitch); a splat PLY with
     no splat, a non-finite value, or not one `obj_info background r g b`
     header line;
@@ -44,8 +44,9 @@ on stderr (argparse's own usage errors carry none and exit 2 as well).
     sparse depth or mono depth under a sample;
   - a scene record (the dataset's `scene.cfg`) that repeats a key, lacks
     `shape` or `size`, or whose shape or size will not parse or fit;
-  - a camera list but no scene record (at eval) or no touch file (at
-    gpis-fit);
+  - a camera list but no scene record (at eval) or no touch file
+    `touches.ply` (at gpis-fit), which a dataset of the older layout, one
+    file per touch under `touches/`, lacks;
   - a view image whose size is not its camera's: a dataset image, or an
     `out:` image whose camera list was edited after it was written;
   - a `manifest.json` that is not JSON or not of the shape the pipeline

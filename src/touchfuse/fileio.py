@@ -156,8 +156,8 @@ def read_ppm(path):
 
 
 # ---------------------------------------------------------------------------
-# PLY: touch files binary little-endian, splat clouds ASCII (the benchmark's
-# checker reads those as text); the reader takes either encoding
+# PLY: a dataset's touches binary little-endian, splat clouds ASCII (the
+# benchmark's checker reads those as text); the reader takes either encoding
 # ---------------------------------------------------------------------------
 
 _TOUCH_PROPS = ("x", "y", "z", "nx", "ny", "nz")
@@ -181,8 +181,8 @@ def _write_ply_rows(path, props, rows, info=()):
 
 
 def write_touch_ply(path, points, normals):
-    """Write one touch as binary little-endian PLY: the header, then 48
-    bytes (six <f8 values) per point."""
+    """Write touch points and their normals as binary little-endian PLY: the
+    header, then 48 bytes (six <f8 values) per point."""
     rows = np.hstack([np.atleast_2d(points), np.atleast_2d(normals)])
     atomic_write_bytes(path, _ply_header("binary_little_endian 1.0", _TOUCH_PROPS, len(rows))
                        + rows.astype("<f8").tobytes())
@@ -243,7 +243,7 @@ def _read_ply_rows(path, expected_props):
 
 @reads_format
 def read_touch_ply(path) -> TouchReading:
-    """Read one touch file: finite points with unit normals."""
+    """Read a touch file: finite points with unit normals."""
     rows, _ = _read_ply_rows(path, _TOUCH_PROPS)
     return TouchReading(rows[:, :3], rows[:, 3:6])
 

@@ -43,7 +43,7 @@ MODEL_VERSION = 3
 
 @dataclass(frozen=True)
 class TouchReading:
-    """Contact surface points with outward unit normals from one touch.
+    """Contact surface points with outward unit normals, from one touch or many.
 
     points/normals are (N, 3) float64 arrays in the world frame.
     """

@@ -35,7 +35,7 @@ from . import fileio, fuse, geometry, gpis, metrics, sdfrender, splat, touchsim
 from .config import SCHEMA, SceneConfig, _check_size, _parse_value
 from .errors import ConfigError, DependencyError, FormatError, LockedError, reads_format
 
-MANIFEST_VERSION = 5
+MANIFEST_VERSION = 6
 MONO_SCALE = 2.5
 MONO_OFFSET = 0.3
 # The simulated rig and sensors, in m (SPARSE_NOISE in 1/m, as make_sparse_depth takes it).
@@ -100,15 +100,13 @@ def _producer(name):
 class StageIO:
     """The files one stage reads and writes, by the names `STAGES` uses.
 
-    `read` and `glob` record inputs (a glob records its sorted match list,
-    so adding or removing a matching file changes it); `write` records
-    outputs. `digests` memoizes content hashes by name and is shared by
-    every stage of one run_pipeline call. `recorded` is that call's live
-    map of manifest stage records: an `out:` input counts as missing
-    unless its producing stage's record there lists its content hash. A
-    hand-edited file, one a crashed rerun of the producer left, and one of
-    a producer with no record (say, left by a run of another manifest
-    version) all fail that. So every `out:` file a stage reads holds the
+    `read` records inputs and `write` outputs. `digests` memoizes content
+    hashes by name and is shared by every stage of one run_pipeline call.
+    `recorded` is that call's live map of manifest stage records: an
+    `out:` input counts as missing unless its producing stage's record
+    there lists its content hash. A hand-edited file, one a crashed rerun
+    of the producer left, and one of a producer with no record (say, left
+    by a run of another manifest version) all fail that. So every `out:` file a stage reads holds the
     bytes its producer wrote, and no stage checks the values in it again.
     """
 
@@ -125,11 +123,6 @@ class StageIO:
         self._record_input(name, os.path.exists(path))
         return reader(path)
 
-    def glob(self, pattern):
-        names = _matching(self.cfg, pattern)
-        self._record_input(pattern, names)
-        return names
-
     def write(self, writer, name, *args):
         if not self.stage.produces(name):
             raise ValueError(f"stage {self.stage.name} does not make {name}")
@@ -138,9 +131,8 @@ class StageIO:
 
     def remove_unwritten(self):
         """Remove every file of the stage's patterns that it did not write
-        this time, such as the touches or views of an earlier, larger
-        scene: a later stage would fit a stale touch file, and a clean run
-        makes none of them."""
+        this time, such as the views of an earlier, larger scene: a later
+        stage would read a stale view, and a clean run makes none of them."""
         for pattern in self.stage.makes:
             for name in _matching(self.cfg, pattern):
                 if name not in self.outputs:
@@ -150,18 +142,14 @@ class StageIO:
         if not found:
             # A dataset file missing beside a camera list is missing from a
             # dataset that is there, which simulate would overwrite: the
-            # touch files, a file of a view the list names, or the scene
-            # record, which a sensor dataset may not bring.
+            # touch file, the scene record, which a sensor dataset may not
+            # bring, or a file of a view the list names (each in a
+            # directory of its kind).
             cameras = _path(self.cfg, "dataset:cameras.txt")
             if name.startswith("dataset:") and os.path.exists(cameras):
                 path = _path(self.cfg, name)
-                if name == "dataset:scene.cfg":
-                    raise FormatError(f"{path} missing, but {cameras} is there; "
-                                      "eval scores against the shape the record gives")
-                if "*" in name:
-                    directory, pattern = os.path.split(path)
-                    raise FormatError(f"{directory}/ holds no {pattern} file, but {cameras} "
-                                      "is there")
+                if "/" not in name:
+                    raise FormatError(f"{path} missing, but {cameras} is there")
                 view = os.path.splitext(os.path.basename(name))[0]
                 raise FormatError(f"{path} missing, but {cameras} names view {view}")
             raise DependencyError(f"{name} missing; run the {_producer(name)} stage first")
@@ -174,15 +162,10 @@ class StageIO:
         self.inputs.add(name)
 
     def digest(self, name):
-        """Content hash of a file (of the match names for a stage's
-        pattern), or None when it is missing."""
+        """Content hash of a file, or None when it is missing."""
         if name not in self.digests:
-            if "*" in name and name in _RULES:
-                matches = "\n".join(os.path.basename(m) for m in _matching(self.cfg, name))
-                self.digests[name] = _hash_bytes(matches.encode())
-            else:
-                path = _path(self.cfg, name)
-                self.digests[name] = _hash_file(path) if os.path.exists(path) else None
+            path = _path(self.cfg, name)
+            self.digests[name] = _hash_file(path) if os.path.exists(path) else None
         return self.digests[name]
 
     def params(self):
@@ -232,11 +215,21 @@ def _read_scene(path):
     return touchsim.AnalyticShape(sim["shape"], sim["size"])
 
 
+def _median(values):
+    """np.median along axis 0 of finite values, to the bit: the middle value,
+    or the mean of the two middle ones. np.median's NaN check imports numpy.ma."""
+    half = len(values) // 2
+    if len(values) % 2:
+        return np.partition(values, half, axis=0)[half]
+    part = np.partition(values, (half - 1, half), axis=0)
+    return (part[half - 1] + part[half]) / 2.0
+
+
 def _background_color(rgbs, gpis_depths):
     """The background init-points stores in the cloud: per channel, the median
     of the `rgbs` pixels no GPIS ray hit (`gpis_depths` 0), or black if none."""
     missed = np.concatenate([rgb[depth == 0.0] for rgb, depth in zip(rgbs, gpis_depths)])
-    return np.median(missed, axis=0) if len(missed) else np.zeros(3)
+    return _median(missed) if len(missed) else np.zeros(3)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +248,9 @@ def stage_simulate(cfg: SceneConfig, io: StageIO):
         shape, sim["touches"], sim["patch_radius"], sim["points_per_touch"],
         TOUCH_NOISE, seed=seed
     )
-    for i, touch in enumerate(touches):
-        io.write(fileio.write_touch_ply, f"dataset:touches/touch{i:03d}.ply",
-                 touch.points, touch.normals)
+    io.write(fileio.write_touch_ply, "dataset:touches.ply",
+             np.concatenate([t.points for t in touches]),
+             np.concatenate([t.normals for t in touches]))
 
     width, height = sim["width"], sim["height"]
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
@@ -321,19 +314,18 @@ def _compose_scene(shape, camera, object_depth):
 
 
 def stage_gpis_fit(cfg: SceneConfig, io: StageIO):
-    touches = [io.read(fileio.read_touch_ply, name) for name in io.glob("dataset:touches/*.ply")]
-    all_points = np.concatenate([t.points for t in touches])
+    touches = io.read(fileio.read_touch_ply, "dataset:touches.ply")
     cond = cfg.section("conditioning")
     # The fit's surface is the thinned set, which may hold one point where
-    # the touch files hold more; the normal offsets scale with them all.
-    thinned = gpis.TouchReading(*gpis.voxel_downsample(
-        all_points, np.concatenate([t.normals for t in touches]), cond["voxel"]))
+    # the touch file holds more; the normal offsets scale with them all.
+    thinned = gpis.TouchReading(*gpis.voxel_downsample(touches.points, touches.normals,
+                                                       cond["voxel"]))
     if not (thinned.points != thinned.points[:1]).any():
-        raise FormatError(f"{_path(cfg, 'dataset:touches')}/: the touch files' "
-                          f"{len(all_points)} points, thinned at voxel pitch {cond['voxel']:g}, "
-                          f"leave {len(thinned.points)} and no two distinct ones; "
+        raise FormatError(f"{_path(cfg, 'dataset:touches.ply')}: {len(touches.points)} touch "
+                          f"points, thinned at voxel pitch {cond['voxel']:g}, leave "
+                          f"{len(thinned.points)} and no two distinct ones; "
                           "a surface needs at least 2")
-    _, radius = geometry.centroid_spread(all_points)
+    _, radius = geometry.centroid_spread(touches.points)
     cset = gpis.build_conditioning_set([thinned], 0.02 * radius)
     k = cfg.section("kernel")
     # A one-value grid is a fixed length scale. A grid worth the forks is
@@ -449,7 +441,7 @@ def stage_init_points(cfg: SceneConfig, io: StageIO):
 
     # Each splat covers about 1.5 pixels at the median depth and starts at
     # opacity 0.7.
-    median_depth = float(np.median(np.concatenate([d[d > 0.0] for d in depths])))
+    median_depth = float(_median(np.concatenate([d[d > 0.0] for d in depths])))
     radius = 1.5 * median_depth / views[0][1].fx
     opacity = 0.7
     logit = math.log(opacity / (1.0 - opacity))
@@ -515,7 +507,7 @@ def stage_eval(cfg: SceneConfig, io: StageIO):
 # `_align.txt`) that ends no other suffix and no literal name.
 STAGES = (
     Stage("simulate", stage_simulate, ("sim",), (
-        "dataset:cameras.txt", "dataset:scene.cfg", "dataset:touches/*.ply",
+        "dataset:cameras.txt", "dataset:scene.cfg", "dataset:touches.ply",
         "dataset:sparse/*.txt", "dataset:gt_depth/*.pfm", "dataset:rgb/*.ppm",
         "dataset:mono_depth/*.pfm")),
     Stage("gpis-fit", stage_gpis_fit, ("kernel", "conditioning"), ("out:gpis.model",)),

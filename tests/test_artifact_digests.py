@@ -71,21 +71,46 @@ def environment_key():
             f"scipy OpenBLAS core {openblas_core(scipy, 'scipy_openblas_get_corename')}")
 
 
+def in_python(code, disable=()):
+    """The output of `code` run in a Python process of this environment
+    whose NPY_DISABLE_CPU_FEATURES also names the SIMD targets `disable`."""
+    disabled = [os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *disable]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled).strip(),
+               PYTHONPATH=os.pathsep.join([os.path.join(REPO, "src"), HERE]))
+    run = subprocess.run([sys.executable, "-c", "import test_artifact_digests as t; " + code],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+def check_key_names_the_simd_targets():
+    """The key of a process with every SIMD target of this one disabled
+    as well is this one's, its targets read `baseline`."""
+    targets = simd_targets()
+    found = in_python("print(t.environment_key())", targets)
+    key = environment_key()
+    assert found != key
+    assert found == key.replace(f"numpy SIMD {' '.join(targets)}", "numpy SIMD baseline")
+
+
 def test_environment_key_names_the_simd_targets():
     """With numpy's dispatch targets disabled, the same numpy, scipy and
     BLAS write other bytes (out/splats.ply and out/manifest.json of both
     scenes differ), so the key must change with them."""
-    targets = simd_targets()
-    if not targets:
+    if not simd_targets():
         pytest.skip("numpy dispatches to no SIMD target on this CPU, so none can be disabled")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
-               PYTHONPATH=os.pathsep.join([os.path.join(REPO, "src"), HERE]))
-    found = subprocess.run([sys.executable, "-c", "import test_artifact_digests as t; "
-                            "print(t.environment_key())"],
-                           env=env, capture_output=True, text=True, check=True).stdout.strip()
-    key = environment_key()
-    assert found != key
-    assert found == key.replace(f"numpy SIMD {' '.join(targets)}", "numpy SIMD baseline")
+    check_key_names_the_simd_targets()
+
+
+def test_environment_key_names_the_simd_targets_left_by_an_outer_setting():
+    """The check above holds in a process whose NPY_DISABLE_CPU_FEATURES
+    already disables a target, as when the whole run is under such a
+    setting: its child disables the targets left as well, not instead."""
+    targets = simd_targets()
+    if len(targets) < 2:
+        pytest.skip(f"numpy dispatches to {len(targets)} SIMD targets on this CPU; the check "
+                    "needs one left once the highest is disabled")
+    in_python("t.check_key_names_the_simd_targets()", targets[-1:])
 
 
 def tree_digests(root):

@@ -275,13 +275,24 @@ class TestPipelineOrchestration:
         assert rendered() == handed_off
 
     def test_fewer_touches_removes_stale_touch_files(self, tmp_path):
+        """The touch file of a smaller scene holds its touches alone."""
         cfg = validate_config(write_config(tmp_path, SMALL_SCENE, make_dataset=False),
                               require_dataset=False)
         run_pipeline(cfg, ["simulate"])
+        first = fileio.read_touch_ply(os.path.join(cfg.dataset, "touches.ply"))
         cfg.override("sim", "touches", 6)
         run_pipeline(cfg, ["simulate"])
-        assert sorted(os.listdir(os.path.join(cfg.dataset, "touches"))) == [
-            f"touch{i:03d}.ply" for i in range(6)]
+        touches = fileio.read_touch_ply(os.path.join(cfg.dataset, "touches.ply"))
+        assert len(touches.points) == 6 * cfg.get("sim", "points_per_touch")
+        assert touches.points.tobytes() == first.points[:len(touches.points)].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (6,), (7,), (6, 3), (7, 3)],
+                         ids=["one", "even", "odd", "even-rows", "odd-rows"])
+def test_median_is_numpys_to_the_bit(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    for values in (rng.normal(size=shape), rng.integers(0, 3, size=shape) / 7.0):
+        assert pipeline._median(values).tobytes() == np.median(values, axis=0).tobytes()
 
 
 class TestBackgroundColor:
@@ -482,9 +493,9 @@ def edit_first_ply_row(edit):
 
 
 def text_of(target):
-    """The text of `target`. A touch file is first rewritten in ASCII, the
+    """The text of `target`. The touch file is first rewritten in ASCII, the
     form a dataset written before binary touch files holds."""
-    if target.parent.name == "touches":
+    if target.name == "touches.ply":
         touch = fileio.read_touch_ply(target)
         fileio._write_ply_rows(target, fileio._TOUCH_PROPS,
                                np.hstack([touch.points, touch.normals]))
@@ -492,7 +503,7 @@ def text_of(target):
 
 
 def touch_values(edit):
-    """A byte edit of a binary touch file that replaces its (N, 6) float64
+    """A byte edit of the binary touch file that replaces its (N, 6) float64
     values with edit(values), in place after the header."""
     def apply(blob):
         header, end, data = blob.partition(b"end_header\n")
@@ -506,6 +517,17 @@ def first_touch_row(edit):
         values[0] = edit(values[0].tolist())
         return values
     return touch_values(apply)
+
+
+def split_touches(data):
+    """Rewrite the dataset `data` in the older layout of one touch file per
+    touch under `touches/`, named as simulate once named them."""
+    touches = fileio.read_touch_ply(data / "touches.ply")
+    (data / "touches").mkdir()
+    for i, rows in enumerate(np.split(np.arange(len(touches.points)), 12)):
+        fileio.write_touch_ply(data / f"touches/touch{i:03d}.ply", touches.points[rows],
+                               touches.normals[rows])
+    (data / "touches.ply").unlink()
 
 
 def scale_image(factor):
@@ -580,6 +602,14 @@ class TestImports:
     def test_pipeline_and_config_check_run_no_scipy_subpackage(self):
         assert self.loaded(("scipy.linalg", "scipy.spatial", "scipy._lib._array_api",
                             "numpy.f2py")) == []
+
+    def test_init_points_loads_no_masked_arrays(self, built, tmp_path):
+        """np.median's NaN check imports numpy.ma, which no stage uses."""
+        os.unlink(os.path.join(built.out, "init.ply"))
+        extra = ("from touchfuse.pipeline import run_pipeline\n"
+                 f"cfg = validate_config({str(tmp_path / 'scene.cfg')!r})\n"
+                 "assert run_pipeline(cfg, ['init-points']) == {'init-points': 'ran'}\n")
+        assert self.loaded(("numpy.ma",), extra) == []
 
     def test_chamfer_loads_the_kd_tree(self):
         extra = ("import numpy as np\n"
@@ -795,7 +825,7 @@ class TestExitCodes:
         assert tree_bytes(tmp_path) == clean
 
     @pytest.mark.parametrize("path, stage", [
-        ("data/touches/touch000.ply", "gpis-fit"),
+        ("data/touches.ply", "gpis-fit"),
         ("out/gpis.model", "gpis-render"),
         ("out/view000_gpis_depth.pfm", "fuse"),
     ])
@@ -821,7 +851,7 @@ class TestExitCodes:
         ("data/sparse/view000.txt", "align",
          lambda text: "".join(" ".join(line.split()[:2]) + "\n" for line in text.splitlines())),
         ("data/sparse/view000.txt", "align", lambda text: ""),
-        ("data/touches/touch000.ply", "gpis-fit", drop_last_ply_value),
+        ("data/touches.ply", "gpis-fit", drop_last_ply_value),
         ("data/cameras.txt", "init-points", lambda text: ""),
         ("data/cameras.txt", "gpis-render", lambda text: ""),
     ], ids=["camera-size", "camera-intrinsics", "bare-view", "sparse-two-columns",
@@ -845,11 +875,11 @@ class TestExitCodes:
          lambda text: text.splitlines(keepends=True)[0], "needs at least 2"),
         ("data/sparse/view000.txt", "align",
          lambda text: text.splitlines(keepends=True)[0] * 2, "lies on one raw mono depth"),
-        ("data/touches/touch000.ply", "gpis-fit",
+        ("data/touches.ply", "gpis-fit",
          edit_first_ply_row(lambda row: row[:3] + ["2", "0", "0"]), "not unit length"),
-        ("data/touches/touch000.ply", "gpis-fit",
+        ("data/touches.ply", "gpis-fit",
          edit_first_ply_row(lambda row: row[:3] + ["nan"] * 3), "not unit length"),
-        ("data/touches/touch000.ply", "gpis-fit",
+        ("data/touches.ply", "gpis-fit",
          edit_first_ply_row(lambda row: ["inf"] + row[1:]), "must be finite"),
         ("data/sparse/view000.txt", "align",
          lambda text: re.sub(r"\S+\n", "nan\n", text, count=1), "must be finite"),
@@ -1041,12 +1071,12 @@ class TestExitCodes:
             "ply-infinite-point-binary", "ply-byte-short", "ply-byte-extra", "ply-big-endian",
             "ply-float32"])
     def test_binary_touch_file_a_stage_cannot_use(self, built, tmp_path, capsys, edit, message):
-        target = tmp_path / "data/touches/touch000.ply"
+        target = tmp_path / "data/touches.ply"
         target.write_bytes(edit(target.read_bytes()))
         made = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
         assert main(["gpis-fit", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
-        assert "malformed file" in err and "touch000.ply" in err and message in err
+        assert "malformed file" in err and "touches.ply" in err and message in err
         assert "simulate" not in err
         assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == made
 
@@ -1086,23 +1116,32 @@ class TestExitCodes:
         assert "malformed file" in err and "scene.cfg missing" in err
         assert "simulate" not in err
 
-    @pytest.mark.parametrize("remove, code", [
-        (lambda data: shutil.rmtree(data / "touches"), EXIT_FORMAT),
-        (lambda data: [path.unlink() for path in (data / "touches").glob("*.ply")], EXIT_FORMAT),
-        (lambda data: [shutil.rmtree(data), data.mkdir()], EXIT_DEPENDENCY),
-    ], ids=["touches-deleted", "touches-emptied", "empty-dataset"])
-    def test_gpis_fit_without_touch_files(self, built, tmp_path, capsys, remove, code):
-        """Touch files missing beside a camera list are missing from a
-        dataset that is there, which a simulate run would overwrite; an
-        empty dataset directory is one that simulate has yet to fill."""
+    @pytest.mark.parametrize("remove, code, message", [
+        (lambda data: (data / "touches.ply").unlink(), EXIT_FORMAT, "missing, but"),
+        (lambda data: (data / "touches.ply").write_bytes(b""), EXIT_FORMAT, "not a PLY file"),
+        (lambda data: [shutil.rmtree(data), data.mkdir()], EXIT_DEPENDENCY,
+         "run the simulate stage first"),
+        (split_touches, EXIT_FORMAT, "missing, but"),
+    ], ids=["touches-deleted", "touches-emptied", "empty-dataset", "one-file-per-touch"])
+    def test_gpis_fit_without_touch_files(self, built, tmp_path, capsys, remove, code, message):
+        """A touch file missing or empty beside a camera list is missing from
+        a dataset that is there, which a simulate run would overwrite; so is
+        one of a dataset in the older layout of one file per touch under
+        `touches/`, which gpis-fit no longer reads. An empty dataset
+        directory is one that simulate has yet to fill. gpis-fit writes
+        nothing either way."""
         remove(tmp_path / "data")
+        files = tree_bytes(tmp_path)
         assert main(["gpis-fit", "--config", str(tmp_path / "scene.cfg")]) == code
         err = capsys.readouterr().err
+        assert message in err
         if code == EXIT_FORMAT:
-            assert "malformed file" in err and f"{tmp_path / 'data' / 'touches'}/ holds no" in err
-            assert "simulate" not in err
+            assert "malformed file" in err and str(tmp_path / "data" / "touches.ply") in err
+            named = err.replace(str(tmp_path), "")
+            assert "simulate" not in named and "view" not in named
         else:
-            assert "dependency error" in err and "run the simulate stage first" in err
+            assert "dependency error" in err and "dataset:touches.ply missing" in err
+        assert tree_bytes(tmp_path) == files
 
     def test_training_needs_no_scene_record(self, pristine, tmp_path):
         """Train takes its background from init.ply, so a dataset without
@@ -1115,31 +1154,28 @@ class TestExitCodes:
         for name in ("splats.ply", "train_log.csv"):
             assert (tmp_path / "out" / name).read_bytes() == (pristine / "out" / name).read_bytes()
 
-    @pytest.mark.parametrize("one_file, offsets", [
-        (False, []),
-        (False, [[0.0, 0.0, 0.0]]),
-        (True, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-3]]),
+    @pytest.mark.parametrize("copies, offsets", [
+        (12, []),
+        (12, [[0.0, 0.0, 0.0]]),
+        (1, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-3]]),
     ], ids=["touches-no-point", "touches-one-shared-point", "touches-thinned-to-one-point"])
-    def test_touches_that_give_no_surface(self, built, tmp_path, capsys, one_file, offsets):
-        """Every touch file, or only the first, holding the first touch
-        point moved by each of `offsets`. Two points 1 mm apart are
-        distinct, but the 0.25 voxel pitch thins them to one: gpis-fit stops
-        on the set it would fit and writes no model for gpis-render to
-        refuse."""
-        paths = sorted((tmp_path / "data/touches").glob("*.ply"))
-        touch = fileio.read_touch_ply(paths[0])
+    def test_touches_that_give_no_surface(self, built, tmp_path, capsys, copies, offsets):
+        """The touch file holding the first touch point moved by each of
+        `offsets`, `copies` times over, as every touch or only the first
+        would give it. Two points 1 mm apart are distinct, but the 0.25
+        voxel pitch thins them to one: gpis-fit stops on the set it would
+        fit and writes no model for gpis-render to refuse."""
+        path = tmp_path / "data/touches.ply"
+        touch = fileio.read_touch_ply(path)
         model = (tmp_path / "out/gpis.model").read_bytes()
-        kept = paths[:1] if one_file else paths
-        for path in paths[len(kept):]:
-            path.unlink()
-        for path in kept:
-            fileio.write_touch_ply(path, touch.points[0] + np.reshape(offsets, (-1, 3)),
-                                   touch.normals[[0] * len(offsets)])
+        fileio.write_touch_ply(path, np.tile(touch.points[0] + np.reshape(offsets, (-1, 3)),
+                                             (copies, 1)),
+                               touch.normals[[0] * len(offsets) * copies])
         assert main(["gpis-fit", "--config", str(tmp_path / "scene.cfg")]) == EXIT_FORMAT
         err = capsys.readouterr().err
-        points = len(offsets) * len(kept)
-        assert "malformed file" in err and f"{tmp_path / 'data' / 'touches'}/" in err
-        assert (f"the touch files' {points} points, thinned at voxel pitch 0.25, leave "
+        points = len(offsets) * copies
+        assert "malformed file" in err and f"{path}: {points} touch points" in err
+        assert (f"{points} touch points, thinned at voxel pitch 0.25, leave "
                 f"{min(points, 1)} and no two distinct ones; a surface needs at least 2") in err
         assert (tmp_path / "out/gpis.model").read_bytes() == model
 
@@ -1335,15 +1371,24 @@ class TestSkipRules:
         assert status["gpis-fit"] == "skipped"
         assert status["gpis-render"] == "ran"
 
+    # Without simulate: a run with it rewrites the edited touch file, as it
+    # rewrites any other file it made.
     def test_added_touch_file_reruns_gpis_fit(self, built):
-        touches = os.path.join(built.dataset, "touches")
-        shutil.copy(os.path.join(touches, "touch000.ply"), os.path.join(touches, "extra.ply"))
-        status = run_pipeline(built)
-        assert status["simulate"] == "skipped"
+        """The first touch's points appended to the touch file again."""
+        path = os.path.join(built.dataset, "touches.ply")
+        touches = fileio.read_touch_ply(path)
+        per_touch = built.get("sim", "points_per_touch")
+        fileio.write_touch_ply(path, np.concatenate([touches.points, touches.points[:per_touch]]),
+                               np.concatenate([touches.normals, touches.normals[:per_touch]]))
+        status = run_pipeline(built, STAGE_ORDER[1:])
         assert status["gpis-fit"] == "ran"
 
     def test_removed_touch_file_reruns_gpis_fit(self, built):
-        os.unlink(os.path.join(built.dataset, "touches", "touch011.ply"))
+        """The last touch's points dropped from the touch file."""
+        path = os.path.join(built.dataset, "touches.ply")
+        touches = fileio.read_touch_ply(path)
+        kept = len(touches.points) - built.get("sim", "points_per_touch")
+        fileio.write_touch_ply(path, touches.points[:kept], touches.normals[:kept])
         status = run_pipeline(built, STAGE_ORDER[1:])
         assert status["gpis-fit"] == "ran"
 
@@ -1472,8 +1517,7 @@ class TestRerunProperty:
 
 # Every dataset file of SMALL_SCENE, which a run on a real dataset reads
 # without simulate.
-DATASET_FILES = sorted(["cameras.txt", "scene.cfg",
-                        *(f"touches/touch{i:03d}.ply" for i in range(12)),
+DATASET_FILES = sorted(["cameras.txt", "scene.cfg", "touches.ply",
                         *(f"{kind}/view{v:03d}.{ext}" for v in range(2) for kind, ext in (
                             ("sparse", "txt"), ("gt_depth", "pfm"), ("rgb", "ppm"),
                             ("mono_depth", "pfm")))])
